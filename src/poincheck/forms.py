@@ -9,6 +9,7 @@ against a layer-cake measure.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -51,9 +52,6 @@ class KernelSpec:
     - ``constant_floor``: kernel known only to be bounded below by ``c``;
       the energy itself evaluates the unit kernel and ``c`` enters the
       constants of the checks that use it.
-
-    ``pair_multiplier``, when given, is a vectorized callable of the two
-    broadcast center blocks returning an extra factor per pair.
     """
 
     kind: str
@@ -61,7 +59,6 @@ class KernelSpec:
     s: float | None = None
     R: float | None = None
     c: float | None = None
-    pair_multiplier: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kind not in (KIND_LOCAL, KIND_FRACTIONAL, KIND_FLOOR):
@@ -143,6 +140,52 @@ def _kernel_block(dist: np.ndarray, kernel: KernelSpec, d: int) -> np.ndarray:
     raise ValueError("kernel energy is not defined for local_gradient kernels")
 
 
+def _offset_kernel(grid, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray, int]:
+    """Kernel on every lattice offset, plus the flat keys that index it.
+
+    The kernel depends only on the offset ``a = l_i - l_j`` of two cells'
+    lattice coordinates, so it is evaluated once on the ``(2N-1)^d``
+    offsets, at distance ``norm(h * a)``.  Returns ``(table, keys, center)``
+    with ``K(x_i, x_j) = table[keys[i] - keys[j] + center]`` for grid cells
+    ``i`` and ``j``.  When N is a power of two, ``h`` and every center are
+    dyadic, so ``h * a == x_i - x_j`` exactly and the table holds the same
+    floats as the kernel of the center differences; for other N they can
+    differ in the last bit.
+    """
+    N, d = grid.N, grid.d
+    strides = (2 * N - 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    axes = np.meshgrid(*[np.arange(1 - N, N, dtype=np.int64)] * d, indexing="ij")
+    offsets = np.stack(axes, axis=-1).reshape(-1, d)
+    table = _kernel_block(np.linalg.norm(grid.h * offsets, axis=1), kernel, d)
+    return table, grid.lattice @ strides, (N - 1) * int(strides.sum())
+
+
+def _pair_energy(
+    u: GridFunction, cells: CellSet, kernel: KernelSpec, weight: RadialProfile | None
+) -> float:
+    grid = u.grid
+    idx = cells.indices
+    table, keys, center = _offset_kernel(grid, kernel)
+    row_keys = keys[idx] + center
+    col_keys = keys[idx]
+    v = u.values[idx]
+    m = idx.size
+    phi = eval_weight(weight, grid.norms[idx]) if weight is not None else None
+    scale = grid.cell_measure**2
+    p = kernel.p
+    row_sums: list[float] = []
+    for start in range(0, m, _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, m)
+        terms = np.abs(v[start:stop, None] - v[None, :]) ** p
+        terms = terms * table[row_keys[start:stop, None] - col_keys[None, :]]
+        if phi is not None:
+            terms = terms * np.minimum(phi[start:stop, None], phi[None, :])
+        rows = np.arange(start, stop)
+        terms[rows - start, rows] = 0.0
+        row_sums.extend(math.fsum(row.tolist()) for row in terms)
+    return ksum(row_sums) * scale
+
+
 def kernel_energy(
     u: GridFunction,
     cells: CellSet,
@@ -156,6 +199,14 @@ def kernel_energy(
     Accumulation is row-chunked and exactly rounded per row, so the result
     is deterministic and memory stays bounded on large cell sets.
 
+    ``K_ij`` is gathered from the kernel evaluated once per call on the
+    lattice offsets (see :func:`_offset_kernel`).  For N a power of two
+    this gives the same float as the kernel of the center difference
+    ``x_i - x_j``; for other N it can differ by about one ulp.  The energy
+    is memoized on ``u`` (which is immutable), keyed by a digest of the
+    cell indices, the kernel and the weight, so a repeated call returns
+    the stored float and the memo lives exactly as long as ``u``.
+
     The excluded diagonal is a quadrature error, not zero mass: against a
     singular fractional kernel the continuum energy also integrates pairs
     inside one cell, about ``2 h^a / (a (a+1))`` times the 1-d gradient
@@ -163,28 +214,13 @@ def kernel_energy(
     """
     if len(cells) == 0:
         raise ValueError("cannot take energy over an empty cell set")
-    grid = u.grid
-    idx = cells.indices
-    X = grid.centers[idx]
-    v = u.values[idx]
-    m = idx.size
-    phi = eval_weight(weight, grid.norms[idx]) if weight is not None else None
-    scale = grid.cell_measure**2
-    p = kernel.p
-    row_sums: list[float] = []
-    for start in range(0, m, _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, m)
-        dist = np.linalg.norm(X[start:stop, None, :] - X[None, :, :], axis=2)
-        terms = np.abs(v[start:stop, None] - v[None, :]) ** p
-        terms = terms * _kernel_block(dist, kernel, grid.d)
-        if kernel.pair_multiplier is not None:
-            terms = terms * kernel.pair_multiplier(X[start:stop, None, :], X[None, :, :])
-        if phi is not None:
-            terms = terms * np.minimum(phi[start:stop, None], phi[None, :])
-        rows = np.arange(start, stop)
-        terms[rows - start, rows] = 0.0
-        row_sums.extend(math.fsum(row.tolist()) for row in terms)
-    return ksum(row_sums) * scale
+    digest = hashlib.blake2b(cells.indices.tobytes(), digest_size=16).digest()
+    key = (digest, kernel, weight)
+    energy = u._energies.get(key)
+    if energy is None:
+        energy = _pair_energy(u, cells, kernel, weight)
+        u._energies[key] = energy
+    return energy
 
 
 def pair_coefficient_matrix(
@@ -196,14 +232,14 @@ def pair_coefficient_matrix(
     """Dense matrix ``C_ij = K_ij W_ij h^{2d}`` with zero diagonal.
 
     The quadratic form ``sum_ij C_ij (u_i - u_j)^2`` reproduces
-    :func:`kernel_energy` at p = 2; used for assembly.
+    :func:`kernel_energy` at p = 2; used for assembly.  ``K_ij`` comes
+    from the same lattice-offset table as in :func:`kernel_energy`, so it
+    equals the kernel of the center difference bit for bit when N is a
+    power of two and to about one ulp otherwise.
     """
     idx = cells.indices
-    X = grid.centers[idx]
-    dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
-    C = _kernel_block(dist, kernel, grid.d)
-    if kernel.pair_multiplier is not None:
-        C = C * kernel.pair_multiplier(X[:, None, :], X[None, :, :])
+    table, keys, center = _offset_kernel(grid, kernel)
+    C = table[keys[idx, None] + center - keys[None, idx]]
     if weight is not None:
         phi = eval_weight(weight, grid.norms[idx])
         C = C * np.minimum(phi[:, None], phi[None, :])

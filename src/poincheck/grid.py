@@ -9,7 +9,7 @@ the last bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -151,10 +151,16 @@ class CellSet:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Scalar field on a grid, one finite value per cell."""
+    """Scalar field on a grid, one finite value per cell.
+
+    ``values`` is a read-only copy, so the function never changes;
+    ``_energies`` memoizes the pair energies that
+    :func:`poincheck.forms.kernel_energy` computes for it.
+    """
 
     grid: Grid
     values: np.ndarray
+    _energies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)

@@ -362,8 +362,16 @@ def run_sharp(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunRe
         suite = build_suite(grid, config.suite, eigen_cache)
         grad_const_p2 = estimate_gradient_constant(grid, union_radii)
         for p in config.p_values:
+            # The kernel targets' frozen constants do not depend on the profile.
+            frozen_by_kernel = {}
             if p == 2.0:
                 c_hat = grad_const_p2
+                frozen_by_kernel = {
+                    kernel: _frozen_kernel_constant(
+                        grid, suite, 2.0, kernel.with_p(2.0), union_radii
+                    )
+                    for kernel in _kernels_of(config, KIND_FRACTIONAL)
+                }
             else:
                 c_hat = _suite_gradient_constant(grid, suite, p, union_radii + (1.0,))
             for desc, profile in profiles:
@@ -483,8 +491,7 @@ def run_sharp(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunRe
                             half = ball_cells(grid, 0.5).measure
                             paper_k = transfer_constant(2.0, d, profile) / (kernel.c * half)
                         else:
-                            frozen = _frozen_kernel_constant(grid, suite, 2.0, k2, union_radii)
-                            paper_k = frozen * transfer_constant(2.0, d, profile)
+                            paper_k = frozen_by_kernel[kernel] * transfer_constant(2.0, d, profile)
                         trace = [] if verbose else None
                         try:
                             pair = assemble_p2(grid, full_cells(grid), k2, profile)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from poincheck.forms import local_energy
+from poincheck.forms import _kernel_block, local_energy
 from poincheck.weights import eval_weight
 
 
@@ -47,6 +47,46 @@ def naive_kernel_energy(u, cells, kernel, weight=None):
             du = abs(va - values[b])
             terms.append(du**kernel.p * k_val * w * measure_sq)
     return math.fsum(terms)
+
+
+def centre_difference_kernel_energy(u, cells, kernel, weight=None):
+    """Pair energy with the kernel of every center difference ``x_i - x_j``.
+
+    The formula ``kernel_energy`` used before the lattice-offset table:
+    the same blocks, multiply order and exactly rounded row sums, but the
+    distances ``norm(x_i - x_j)`` and the kernel recomputed on each block.
+    """
+    grid = u.grid
+    idx = cells.indices
+    X = grid.centers[idx]
+    v = u.values[idx]
+    m = idx.size
+    phi = eval_weight(weight, grid.norms[idx]) if weight is not None else None
+    row_sums = []
+    for start in range(0, m, 256):
+        stop = min(start + 256, m)
+        dist = np.linalg.norm(X[start:stop, None, :] - X[None, :, :], axis=2)
+        terms = np.abs(v[start:stop, None] - v[None, :]) ** kernel.p
+        terms = terms * _kernel_block(dist, kernel, grid.d)
+        if phi is not None:
+            terms = terms * np.minimum(phi[start:stop, None], phi[None, :])
+        rows = np.arange(start, stop)
+        terms[rows - start, rows] = 0.0
+        row_sums.extend(math.fsum(row.tolist()) for row in terms)
+    return math.fsum(row_sums) * grid.cell_measure**2
+
+
+def centre_difference_pair_matrix(grid, cells, kernel, weight=None):
+    """``pair_coefficient_matrix`` with the kernel of every center difference."""
+    idx = cells.indices
+    X = grid.centers[idx]
+    dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
+    C = _kernel_block(dist, kernel, grid.d)
+    if weight is not None:
+        phi = eval_weight(weight, grid.norms[idx])
+        C = C * np.minimum(phi[:, None], phi[None, :])
+    np.fill_diagonal(C, 0.0)
+    return C * grid.cell_measure**2
 
 
 def subgrid_pair_mass(u, cells, p, s):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poincheck import forms
 from poincheck.forms import (
     KIND_FLOOR,
     KIND_FRACTIONAL,
@@ -15,12 +16,25 @@ from poincheck.forms import (
     kernel_from_json,
     kernel_to_json,
     local_energy,
+    pair_coefficient_matrix,
     transfer_constant,
     weighted_gradient_constant,
 )
-from poincheck.grid import GridFunction, ball_cells, build_grid, deviation_p, full_cells
+from poincheck.grid import (
+    GridFunction,
+    ball_cells,
+    build_grid,
+    deviation_p,
+    full_cells,
+    gridfunction_to_json,
+)
 from poincheck.weights import LayerCakeMeasure, make_step_profile
-from conftest import naive_kernel_energy, naive_local_energy
+from conftest import (
+    centre_difference_kernel_energy,
+    centre_difference_pair_matrix,
+    naive_kernel_energy,
+    naive_local_energy,
+)
 
 
 def test_kernel_spec_validation():
@@ -161,19 +175,107 @@ def test_kernel_energy_matches_naive(rng):
                     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_kernel_energy_pair_multiplier(rng):
-    g = build_grid(1, 12)
-    u = GridFunction(g, rng.standard_normal(12))
-    base = KernelSpec(KIND_FLOOR, p=2.0, c=1.0)
-    halved = KernelSpec(
-        KIND_FLOOR, p=2.0, c=1.0, pair_multiplier=lambda xi, xj: np.full(
-            np.broadcast_shapes(xi.shape[:-1], xj.shape[:-1]), 0.5
-        )
+@pytest.mark.parametrize("d,N", [(1, 8), (1, 16), (1, 32), (1, 64), (2, 8), (2, 16), (2, 32)])
+def test_offset_table_equals_centre_differences(rng, d, N):
+    # N is a power of two, so the offset table must reproduce the kernel of
+    # the center differences bit for bit.
+    g = build_grid(d, N)
+    u = GridFunction(g, rng.standard_normal(g.cell_count))
+    prof = make_step_profile([0.3, 0.65], [3.0, 2.0, 1.0])
+    for p in (1.0, 2.0):
+        specs = [
+            KernelSpec(KIND_FRACTIONAL, p=p, s=0.5),
+            KernelSpec(KIND_FRACTIONAL, p=p, s=0.8, R=2.0),
+            KernelSpec(KIND_FLOOR, p=p, c=1.0),
+        ]
+        for spec in specs:
+            for weight in (None, prof):
+                for cells in (full_cells(g), ball_cells(g, 0.6)):
+                    got = kernel_energy(u, cells, spec, weight=weight)
+                    want = centre_difference_kernel_energy(u, cells, spec, weight=weight)
+                    assert got == want
+                    got_c = pair_coefficient_matrix(g, cells, spec, weight=weight)
+                    want_c = centre_difference_pair_matrix(g, cells, spec, weight=weight)
+                    assert np.array_equal(got_c, want_c)
+
+
+def _count_table_builds(monkeypatch):
+    builds = []
+    original = forms._offset_kernel
+
+    def counted(grid, kernel):
+        builds.append(kernel)
+        return original(grid, kernel)
+
+    monkeypatch.setattr(forms, "_offset_kernel", counted)
+    return builds
+
+
+def test_kernel_energy_memo_returns_stored_energy(rng, monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    g = build_grid(2, 8)
+    u = GridFunction(g, rng.standard_normal(g.cell_count))
+    spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)
+    first = kernel_energy(u, ball_cells(g, 0.6), spec)
+    assert len(builds) == 1
+    # A new CellSet with the same indices hits the same entry.
+    assert kernel_energy(u, ball_cells(g, 0.6), spec) is first
+    assert len(builds) == 1
+    assert first == centre_difference_kernel_energy(u, ball_cells(g, 0.6), spec)
+
+
+def test_kernel_energy_memo_keys(rng, monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    g = build_grid(2, 8)
+    u = GridFunction(g, rng.standard_normal(g.cell_count))
+    spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)
+    prof = make_step_profile([0.65], [2.0, 1.0])
+    calls = [
+        (full_cells(g), spec, None),
+        (ball_cells(g, 0.6), spec, None),
+        (full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5, R=2.0), None),
+        (full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5, R=4.0), None),
+        (full_cells(g), spec, prof),
+        (full_cells(g), spec, make_step_profile([0.65], [3.0, 1.0])),
+    ]
+    energies = [kernel_energy(u, cells, kernel, weight=w) for cells, kernel, w in calls]
+    assert len(builds) == len(calls)
+    assert len(u._energies) == len(calls)
+    assert len(set(energies)) == len(calls)
+    for (cells, kernel, w), energy in zip(calls, energies):
+        assert energy == centre_difference_kernel_energy(u, cells, kernel, weight=w)
+    # Equal keys built from new objects hit the stored entries.
+    twin_spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)
+    again = kernel_energy(
+        u, full_cells(g), twin_spec, weight=make_step_profile([0.65], [2.0, 1.0])
     )
-    cells = full_cells(g)
-    assert kernel_energy(u, cells, halved) == pytest.approx(
-        0.5 * kernel_energy(u, cells, base), rel=1e-13
-    )
+    assert again == energies[4]
+    assert len(builds) == len(calls)
+
+
+def test_kernel_energy_memo_belongs_to_one_function(rng, monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    g = build_grid(1, 16)
+    vals = rng.standard_normal(g.cell_count)
+    u = GridFunction(g, vals)
+    spec = KernelSpec(KIND_FLOOR, p=2.0, c=1.0)
+    energy = kernel_energy(u, full_cells(g), spec)
+    twin = GridFunction(g, vals)
+    assert twin._energies == {}
+    assert kernel_energy(twin, full_cells(g), spec) == energy
+    assert len(builds) == 2
+
+
+def test_kernel_energy_memo_is_invisible(rng):
+    g = build_grid(1, 8)
+    u = GridFunction(g, rng.standard_normal(g.cell_count))
+    before_repr = repr(u)
+    before_json = gridfunction_to_json(u)
+    kernel_energy(u, full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5))
+    assert u._energies
+    assert repr(u) == before_repr == f"GridFunction(grid={g!r}, values={u.values!r})"
+    assert gridfunction_to_json(u) == before_json
+    assert set(before_json) == {"grid", "values"}
 
 
 def test_discrete_jensen_chain(rng):
