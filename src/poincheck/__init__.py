@@ -18,6 +18,7 @@ from .grid import (
     ball_cells,
     build_grid,
     deviation_p,
+    deviation_p_rows,
     full_cells,
     mean,
     weighted_mean,
@@ -27,6 +28,7 @@ from .forms import (
     integrate_atoms,
     kernel_energy,
     local_energy,
+    local_energy_rows,
     transfer_constant,
     weighted_gradient_constant,
 )

@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import ksum
+from .numerics import ksum, ksum_rows
 from .weights import LayerCakeMeasure, RadialProfile, eval_weight
-from .grid import CellSet, GridFunction
+from .grid import CellSet, GridFunction, value_rows
 
 __all__ = [
     "KernelSpec",
@@ -28,6 +28,7 @@ __all__ = [
     "kernel_to_json",
     "kernel_from_json",
     "local_energy",
+    "local_energy_rows",
     "kernel_energy",
     "pair_coefficient_matrix",
     "transfer_constant",
@@ -107,24 +108,40 @@ def local_energy(
     up-neighbor also belongs to the set (one-sided at the discrete
     boundary: missing axes are simply omitted from the Euclidean norm).
     """
+    return float(local_energy_rows(u.values[None, :], cells, p, weight)[0])
+
+
+def local_energy_rows(
+    values,
+    cells: CellSet,
+    p: float,
+    weight: RadialProfile | None = None,
+) -> np.ndarray:
+    """:func:`local_energy` of each row of a (k, cell_count) value matrix.
+
+    Entry r is exactly ``local_energy`` of the function with values
+    ``values[r]``: the same elementwise terms, each row summed exactly
+    rounded.  Returns k floats.
+    """
     if len(cells) == 0:
         raise ValueError("cannot take energy over an empty cell set")
     if p < 1.0:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    grid = u.grid
+    grid = cells.grid
+    rows = value_rows(values, grid)
     idx = cells.indices
     mask = cells.mask()
-    sq = np.zeros(idx.size)
+    sq = np.zeros((rows.shape[0], idx.size))
     for a in range(grid.d):
         nb = grid.neighbors_up[idx, a]
         ok = (nb >= 0) & mask[np.clip(nb, 0, None)]
-        diff = np.zeros(idx.size)
-        diff[ok] = (u.values[nb[ok]] - u.values[idx[ok]]) / grid.h
+        diff = np.zeros_like(sq)
+        diff[:, ok] = (rows.take(nb[ok], axis=1) - rows.take(idx[ok], axis=1)) / grid.h
         sq += diff * diff
     terms = sq ** (p / 2.0)
     if weight is not None:
         terms = terms * eval_weight(weight, grid.norms[idx])
-    return ksum(terms) * grid.cell_measure
+    return ksum_rows(terms) * grid.cell_measure
 
 
 def _kernel_block(dist: np.ndarray, kernel: KernelSpec, d: int) -> np.ndarray:

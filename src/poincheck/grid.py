@@ -10,11 +10,10 @@ the last bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .numerics import ksum
+from .numerics import ksum, ksum_rows
 from .weights import RadialProfile, eval_weight
 
 __all__ = [
@@ -27,7 +26,7 @@ __all__ = [
     "mean",
     "weighted_mean",
     "deviation_p",
-    "sample_function",
+    "deviation_p_rows",
     "gridfunction_to_json",
     "gridfunction_from_json",
 ]
@@ -175,11 +174,6 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
 
-def sample_function(grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> GridFunction:
-    """Evaluate a vectorized callable of the (n, d) centers array."""
-    return GridFunction(grid, np.asarray(fn(grid.centers), dtype=float).reshape(-1))
-
-
 def ball_cells(grid: Grid, t: float) -> CellSet:
     """Cells whose center lies strictly inside the ball of radius t."""
     if not (0.0 < t <= 1.0):
@@ -208,13 +202,14 @@ def weighted_mean(u: GridFunction, profile: RadialProfile) -> float:
     return ksum(u.values * w) / den
 
 
-def _weighted_mean_on(u: GridFunction, cells: CellSet, profile: RadialProfile) -> float:
-    idx = cells.indices
-    w = eval_weight(profile, u.grid.norms[idx])
-    den = ksum(w)
-    if den <= 0.0:
-        raise ValueError("weight vanishes on every cell of the set")
-    return ksum(u.values[idx] * w) / den
+def value_rows(values, grid: Grid) -> np.ndarray:
+    """A (k, cell_count) float matrix: one grid function's values per row."""
+    rows = np.asarray(values, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != grid.cell_count:
+        raise ValueError(
+            f"expected rows of {grid.cell_count} values, got shape {rows.shape}"
+        )
+    return rows
 
 
 def deviation_p(
@@ -230,22 +225,43 @@ def deviation_p(
     from the profile (else 1) and ``c`` the supplied center or, when
     omitted, the matching (weighted) average over the same cells.
     """
+    return float(deviation_p_rows(u.values[None, :], cells, p, profile, center)[0])
+
+
+def deviation_p_rows(
+    values,
+    cells: CellSet,
+    p: float,
+    profile: RadialProfile | None = None,
+    center: float | None = None,
+) -> np.ndarray:
+    """:func:`deviation_p` of each row of a (k, cell_count) value matrix.
+
+    Entry r is exactly ``deviation_p`` of the function with values
+    ``values[r]``: the same elementwise terms, each row summed exactly
+    rounded.  Returns k floats.
+    """
     if len(cells) == 0:
         raise ValueError("cannot take deviation over an empty cell set")
     if p < 1.0:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+    grid = cells.grid
     idx = cells.indices
-    vals = u.values[idx]
-    if profile is None:
-        w = None
-        c = mean(u, cells) if center is None else float(center)
+    vals = value_rows(values, grid).take(idx, axis=1)
+    w = None if profile is None else eval_weight(profile, grid.norms[idx])
+    if center is not None:
+        c = float(center)
+    elif w is None:
+        c = (ksum_rows(vals) / len(cells))[:, None]
     else:
-        w = eval_weight(profile, u.grid.norms[idx])
-        c = _weighted_mean_on(u, cells, profile) if center is None else float(center)
+        den = ksum(w)
+        if den <= 0.0:
+            raise ValueError("weight vanishes on every cell of the set")
+        c = (ksum_rows(vals * w) / den)[:, None]
     terms = np.abs(vals - c) ** p
     if w is not None:
         terms = terms * w
-    return ksum(terms) * u.grid.cell_measure
+    return ksum_rows(terms) * grid.cell_measure
 
 
 def gridfunction_to_json(u: GridFunction) -> dict:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ksum
+from .numerics import ksum_rows
 from .weights import describe_profile, layer_cake
-from .grid import ball_cells, build_grid, deviation_p, full_cells
+from .grid import ball_cells, build_grid, deviation_p, deviation_p_rows, full_cells
 from .forms import (
     KIND_FLOOR,
     KIND_FRACTIONAL,
@@ -28,6 +28,7 @@ from .forms import (
     KernelSpec,
     kernel_energy,
     local_energy,
+    local_energy_rows,
     transfer_constant,
     weighted_gradient_constant,
 )
@@ -335,15 +336,24 @@ def _sharp_row(base, method, eigenvalue, empirical, paper, residual, passed):
     return row
 
 
-def _transfer_rhs_functional(grid, profile, p):
-    measure = layer_cake(profile)
+def _ascent_functionals(grid, profile, p):
+    """Row functionals of the two ascent targets: the weighted deviation
+    (lhs), the transfer rhs ``sum_t w_t * deviation_p(u, B_t, p)`` over the
+    layer-cake atoms, and the weighted gradient energy (rhs)."""
+    whole = full_cells(grid)
+    atoms = [(ball_cells(grid, t), w) for t, w in layer_cake(profile).atoms]
 
-    def rhs(u):
-        return ksum(
-            [w * deviation_p(u, ball_cells(grid, t), p) for t, w in measure.atoms]
-        )
+    def lhs(values):
+        return deviation_p_rows(values, whole, p, profile=profile)
 
-    return rhs
+    def transfer_rhs(values):
+        terms = np.array([w * deviation_p_rows(values, cells, p) for cells, w in atoms])
+        return ksum_rows(terms.T)
+
+    def gradient_rhs(values):
+        return local_energy_rows(values, whole, p, weight=profile)
+
+    return lhs, transfer_rhs, gradient_rhs
 
 
 def run_sharp(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunResult:
@@ -360,7 +370,9 @@ def run_sharp(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunRe
     for N in config.grid_sizes:
         grid = build_grid(d, N)
         suite = build_suite(grid, config.suite, eigen_cache)
-        grad_const_p2 = estimate_gradient_constant(grid, union_radii)
+        grad_const_p2 = (
+            estimate_gradient_constant(grid, union_radii) if 2.0 in config.p_values else None
+        )
         for p in config.p_values:
             # The kernel targets' frozen constants do not depend on the profile.
             frozen_by_kernel = {}
@@ -376,6 +388,8 @@ def run_sharp(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunRe
                 c_hat = _suite_gradient_constant(grid, suite, p, union_radii + (1.0,))
             for desc, profile in profiles:
                 base = {"d": d, "N": N, "p": p, "profile": desc, "kernel": ""}
+                if p != 2.0:
+                    lhs_fn, transfer_rhs, gradient_rhs = _ascent_functionals(grid, profile, p)
 
                 # Sharp constant of the transfer inequality itself.
                 paper = transfer_constant(p, d, profile)
@@ -400,16 +414,11 @@ def run_sharp(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunRe
                                 dict(target, iteration=it, eigenvalue=lam_it, residual=res)
                             )
                 else:
-                    rhs_fn = _transfer_rhs_functional(grid, profile, p)
-
-                    def lhs_fn(u, _profile=profile, _p=p):
-                        return deviation_p(u, full_cells(grid), _p, profile=_profile)
-
                     ratio, _ = ratio_ascent(
                         grid,
                         p,
                         lhs_fn,
-                        rhs_fn,
+                        transfer_rhs,
                         suite[0],
                         config.ascent_steps,
                         config.ascent_step_size,
@@ -446,18 +455,11 @@ def run_sharp(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunRe
                                 dict(target, iteration=it, eigenvalue=lam_it, residual=res)
                             )
                 else:
-
-                    def lhs_fn(u, _profile=profile, _p=p):
-                        return deviation_p(u, full_cells(grid), _p, profile=_profile)
-
-                    def rhs_fn(u, _profile=profile, _p=p):
-                        return local_energy(u, full_cells(grid), _p, weight=_profile)
-
                     ratio, _ = ratio_ascent(
                         grid,
                         p,
                         lhs_fn,
-                        rhs_fn,
+                        gradient_rhs,
                         suite[0],
                         config.ascent_steps,
                         config.ascent_step_size,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from poincheck.forms import _kernel_block, local_energy
+from poincheck.grid import GridFunction, full_cells, mean, weighted_mean
 from poincheck.weights import eval_weight
 
 
@@ -128,6 +129,72 @@ def naive_local_energy(u, cells, p, weight=None):
         w = 1.0 if weight is None else eval_weight(weight, float(grid.norms[i]))
         terms.append(sq ** (p / 2.0) * w * grid.cell_measure)
     return math.fsum(terms)
+
+
+def per_probe_ratio_ascent(
+    grid, p, lhs_functional, rhs_functional, u0, steps, step_size, weight=None
+):
+    """``ratio_ascent`` with one call of each functional per probe.
+
+    The loop ``sharp.ratio_ascent`` ran before it evaluated the probes of
+    a step in blocks; the functionals here take one ``GridFunction`` and
+    return one float.  Kept as the slow oracle of the blocked version.
+    """
+    if p < 1.0:
+        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+
+    def ratio_of(vals):
+        u = GridFunction(grid, vals)
+        denom = rhs_functional(u)
+        if denom <= 0.0:
+            return None
+        return lhs_functional(u) / denom
+
+    def recenter(vals):
+        u = GridFunction(grid, vals)
+        c = mean(u, full_cells(grid)) if weight is None else weighted_mean(u, weight)
+        return vals - c
+
+    vals = np.array(u0.values, dtype=float)
+    start = ratio_of(vals)
+    if start is None:
+        raise ValueError("rhs functional must be positive at the starting point")
+    if steps == 0:
+        return start, GridFunction(grid, vals)
+
+    best_ratio = start
+    best_vals = vals.copy()
+    n = vals.size
+    restarts = 0
+    for _ in range(steps):
+        base = ratio_of(vals)
+        if base is None:
+            restarts += 1
+            noise = np.random.default_rng(900 + restarts).standard_normal(n)
+            vals = best_vals + 1e-3 * max(np.linalg.norm(best_vals), 1.0) * noise
+            continue
+        delta = 1e-6 * np.linalg.norm(vals)
+        if delta == 0.0:
+            delta = 1e-6
+        grad = np.zeros(n)
+        for i in range(n):
+            bumped = vals.copy()
+            bumped[i] += delta
+            r = ratio_of(bumped)
+            grad[i] = 0.0 if r is None else (r - base) / delta
+        gnorm = np.linalg.norm(grad)
+        if gnorm == 0.0:
+            break
+        vals = vals + step_size * grad / gnorm
+        vals = recenter(vals)
+        scale = np.linalg.norm(vals)
+        if scale > 0.0:
+            vals = vals / scale
+        r = ratio_of(vals)
+        if r is not None and r > best_ratio:
+            best_ratio = r
+            best_vals = vals.copy()
+    return best_ratio, GridFunction(grid, best_vals)
 
 
 def random_step_profile(rng, max_steps=10):

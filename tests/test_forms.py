@@ -16,6 +16,7 @@ from poincheck.forms import (
     kernel_from_json,
     kernel_to_json,
     local_energy,
+    local_energy_rows,
     pair_coefficient_matrix,
     transfer_constant,
     weighted_gradient_constant,
@@ -28,7 +29,7 @@ from poincheck.grid import (
     full_cells,
     gridfunction_to_json,
 )
-from poincheck.weights import LayerCakeMeasure, make_step_profile
+from poincheck.weights import LayerCakeMeasure, make_step_profile, profile_from_json
 from conftest import (
     centre_difference_kernel_energy,
     centre_difference_pair_matrix,
@@ -330,3 +331,25 @@ def test_integrate_atoms():
     assert integrate_atoms(lambda t: 0.0, two) == 0.0
     with pytest.raises(ValueError, match="non-finite"):
         integrate_atoms(lambda t: float("nan"), two)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        None,
+        make_step_profile([0.75], [2.0, 1.0]),
+        profile_from_json({"type": "power", "beta": 1.0}, samples=16),
+    ],
+)
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("radius", [None, 0.6])
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
+def test_local_energy_rows_equal_scalar(d, N, radius, p, weight):
+    g = build_grid(d, N)
+    cells = full_cells(g) if radius is None else ball_cells(g, radius)
+    rows = np.random.default_rng(4).standard_normal((5, g.cell_count))
+    rows *= np.array([1e-3, 1.0, 7.0, 1e4, 0.5])[:, None]
+    got = local_energy_rows(rows, cells, p, weight)
+    assert got.shape == (5,)
+    for r in range(5):
+        assert got[r] == local_energy(GridFunction(g, rows[r]), cells, p, weight)

@@ -6,13 +6,19 @@ from poincheck.grid import (
     ball_cells,
     build_grid,
     deviation_p,
+    deviation_p_rows,
     full_cells,
     gridfunction_from_json,
     gridfunction_to_json,
     mean,
     weighted_mean,
 )
-from poincheck.weights import layer_cake, make_step_profile, truncate_profile
+from poincheck.weights import (
+    layer_cake,
+    make_step_profile,
+    profile_from_json,
+    truncate_profile,
+)
 from conftest import random_step_profile
 
 
@@ -172,3 +178,34 @@ def test_gridfunction_json_round_trip(rng):
     back = gridfunction_from_json(doc)
     assert back.grid.d == 2 and back.grid.N == 6
     assert np.array_equal(back.values, u.values)
+
+
+ROW_PROFILES = [
+    None,
+    make_step_profile([0.75], [2.0, 1.0]),
+    profile_from_json({"type": "power", "beta": 1.0}, samples=16),
+]
+
+
+@pytest.mark.parametrize("center", [None, 0.3])
+@pytest.mark.parametrize("profile", ROW_PROFILES)
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("radius", [None, 0.6])
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
+def test_deviation_rows_equal_scalar(d, N, radius, p, profile, center):
+    g = build_grid(d, N)
+    cells = full_cells(g) if radius is None else ball_cells(g, radius)
+    rows = np.random.default_rng(3).standard_normal((5, g.cell_count))
+    rows *= np.array([1e-3, 1.0, 7.0, 1e4, 0.5])[:, None]
+    got = deviation_p_rows(rows, cells, p, profile, center)
+    assert got.shape == (5,)
+    for r in range(5):
+        assert got[r] == deviation_p(GridFunction(g, rows[r]), cells, p, profile, center)
+
+
+def test_deviation_rows_validation():
+    g = build_grid(1, 8)
+    with pytest.raises(ValueError, match="rows of 8"):
+        deviation_p_rows(np.ones(8), full_cells(g), 2.0)
+    with pytest.raises(ValueError, match="rows of 8"):
+        deviation_p_rows(np.ones((2, 7)), full_cells(g), 2.0)

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from conftest import per_probe_ratio_ascent
 from poincheck.forms import (
     KIND_FLOOR,
     KIND_FRACTIONAL,
@@ -8,9 +11,19 @@ from poincheck.forms import (
     KernelSpec,
     kernel_energy,
     local_energy,
+    local_energy_rows,
     weighted_gradient_constant,
 )
-from poincheck.grid import GridFunction, ball_cells, build_grid, deviation_p, full_cells
+from poincheck.grid import (
+    GridFunction,
+    ball_cells,
+    build_grid,
+    deviation_p,
+    deviation_p_rows,
+    full_cells,
+)
+from poincheck.numerics import ksum
+from poincheck.runner import _ascent_functionals
 from poincheck.sharp import (
     EigenConvergenceError,
     QuadraticFormPair,
@@ -22,7 +35,7 @@ from poincheck.sharp import (
     sharp_constant_p2,
     smallest_nonzero_eigen,
 )
-from poincheck.weights import layer_cake, make_step_profile
+from poincheck.weights import layer_cake, make_step_profile, profile_from_json
 
 
 def path_eigenvalues(N, h):
@@ -225,18 +238,18 @@ def test_estimate_gradient_constant_includes_unit_ball():
 def test_ratio_ascent_zero_steps_returns_start(rng):
     g = build_grid(1, 32)
     u0 = GridFunction(g, rng.standard_normal(32))
-    lhs = lambda u: deviation_p(u, full_cells(g), 2.0)
-    rhs = lambda u: local_energy(u, full_cells(g), 2.0)
+    lhs = lambda v: deviation_p_rows(v, full_cells(g), 2.0)
+    rhs = lambda v: local_energy_rows(v, full_cells(g), 2.0)
     ratio, out = ratio_ascent(g, 2.0, lhs, rhs, u0, steps=0, step_size=0.1)
-    assert ratio == lhs(u0) / rhs(u0)
+    assert ratio == lhs(u0.values[None])[0] / rhs(u0.values[None])[0]
     assert np.array_equal(out.values, u0.values)
 
 
 def test_ratio_ascent_deterministic(rng):
     g = build_grid(1, 16)
     u0 = GridFunction(g, rng.standard_normal(16))
-    lhs = lambda u: deviation_p(u, full_cells(g), 1.0)
-    rhs = lambda u: local_energy(u, full_cells(g), 1.0)
+    lhs = lambda v: deviation_p_rows(v, full_cells(g), 1.0)
+    rhs = lambda v: local_energy_rows(v, full_cells(g), 1.0)
     r1, v1 = ratio_ascent(g, 1.0, lhs, rhs, u0, steps=10, step_size=0.05)
     r2, v2 = ratio_ascent(g, 1.0, lhs, rhs, u0, steps=10, step_size=0.05)
     assert r1 == r2
@@ -250,8 +263,8 @@ def test_ratio_ascent_cross_validates_eigensolve(rng):
     sharp = 1.0 / lam
     scale = float(np.abs(vec.values).max())
     noisy = GridFunction(g, vec.values + 0.05 * scale * rng.standard_normal(32))
-    lhs = lambda u: deviation_p(u, full_cells(g), 2.0)
-    rhs = lambda u: local_energy(u, full_cells(g), 2.0)
+    lhs = lambda v: deviation_p_rows(v, full_cells(g), 2.0)
+    rhs = lambda v: local_energy_rows(v, full_cells(g), 2.0)
     ratio, _ = ratio_ascent(g, 2.0, lhs, rhs, noisy, steps=60, step_size=0.01)
     assert ratio <= sharp * (1.0 + 1e-9)
     assert abs(ratio - sharp) <= 0.02 * sharp
@@ -261,9 +274,9 @@ def test_ratio_ascent_improves_on_step_function():
     g = build_grid(1, 64)
     step_vals = np.sign(g.centers[:, 0])
     u0 = GridFunction(g, step_vals)
-    lhs = lambda u: deviation_p(u, full_cells(g), 1.0)
-    rhs = lambda u: local_energy(u, full_cells(g), 1.0)
-    start = lhs(u0) / rhs(u0)
+    lhs = lambda v: deviation_p_rows(v, full_cells(g), 1.0)
+    rhs = lambda v: local_energy_rows(v, full_cells(g), 1.0)
+    start = lhs(u0.values[None])[0] / rhs(u0.values[None])[0]
     ratio, _ = ratio_ascent(g, 1.0, lhs, rhs, u0, steps=15, step_size=0.05)
     assert ratio >= start
 
@@ -271,7 +284,123 @@ def test_ratio_ascent_improves_on_step_function():
 def test_ratio_ascent_requires_positive_rhs():
     g = build_grid(1, 16)
     u0 = GridFunction(g, np.ones(16))
-    lhs = lambda u: deviation_p(u, full_cells(g), 2.0)
-    rhs = lambda u: local_energy(u, full_cells(g), 2.0)
+    lhs = lambda v: deviation_p_rows(v, full_cells(g), 2.0)
+    rhs = lambda v: local_energy_rows(v, full_cells(g), 2.0)
     with pytest.raises(ValueError, match="positive"):
         ratio_ascent(g, 2.0, lhs, rhs, u0, steps=3, step_size=0.1)
+
+
+ASCENT_WEIGHTS = {
+    "none": None,
+    "step": make_step_profile([0.75], [2.0, 1.0]),
+    "power": profile_from_json({"type": "power", "beta": 1.0}, samples=16),
+}
+ASCENT_CASES = [
+    ("gradient", "none"),
+    ("gradient", "step"),
+    ("gradient", "power"),
+    ("transfer", "step"),
+    ("transfer", "power"),
+]
+
+
+def _per_probe_functionals(grid, profile, p, target):
+    """The scalar functionals run_sharp passed to the per-probe ascent."""
+    whole = full_cells(grid)
+
+    def lhs(u):
+        return deviation_p(u, whole, p, profile=profile)
+
+    def transfer_rhs(u):
+        return ksum(
+            [w * deviation_p(u, ball_cells(grid, t), p) for t, w in layer_cake(profile).atoms]
+        )
+
+    def gradient_rhs(u):
+        return local_energy(u, whole, p, weight=profile)
+
+    return lhs, transfer_rhs if target == "transfer" else gradient_rhs
+
+
+def _row_functionals(grid, profile, p, target):
+    """The row functionals run_sharp passes to ratio_ascent (unweighted:
+    the row cores directly, since the runner always has a profile)."""
+    if profile is None:
+        whole = full_cells(grid)
+        return (
+            lambda v: deviation_p_rows(v, whole, p),
+            lambda v: local_energy_rows(v, whole, p),
+        )
+    lhs, transfer_rhs, gradient_rhs = _ascent_functionals(grid, profile, p)
+    return lhs, transfer_rhs if target == "transfer" else gradient_rhs
+
+
+@pytest.mark.parametrize("target,weight", ASCENT_CASES)
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("d,N", [(1, 16), (2, 8)])
+def test_blocked_ratio_ascent_equals_per_probe(d, N, p, target, weight, monkeypatch):
+    # Blocks of 7 rows: several blocks per step and a shorter last one.
+    monkeypatch.setattr("poincheck.sharp._PROBE_BLOCK", 7)
+    g = build_grid(d, N)
+    profile = ASCENT_WEIGHTS[weight]
+    u0 = GridFunction(g, np.random.default_rng(17).standard_normal(g.cell_count))
+    expected = per_probe_ratio_ascent(
+        g, p, *_per_probe_functionals(g, profile, p, target), u0, 4, 0.05, weight=profile
+    )
+    ratio, best = ratio_ascent(
+        g, p, *_row_functionals(g, profile, p, target), u0, 4, 0.05, weight=profile
+    )
+    assert ratio == expected[0]
+    assert np.array_equal(best.values, expected[1].values)
+
+
+@pytest.mark.parametrize("seed,restarts", [(0, False), (3, True)])
+def test_blocked_ratio_ascent_zero_rhs_probes_and_restarts_equal_per_probe(seed, restarts):
+    # The rhs is 0 where the first value exceeds the second.  The start lies
+    # just below that edge, so probe 0 gets a zero gradient entry.  From
+    # seed 0 the first step stays below the edge; from seed 3 it crosses,
+    # so the next step restarts.
+    g = build_grid(1, 16)
+    vals = np.random.default_rng(seed).standard_normal(16)
+    vals[0] = vals[1] - 1e-9
+    u0 = GridFunction(g, vals)
+    whole = full_cells(g)
+    zero_rows = {"probe": 0, "single": 0}
+
+    def rhs_rows(v):
+        out = np.where(v[:, 0] > v[:, 1], 0.0, local_energy_rows(v, whole, 1.5))
+        zero_rows["single" if v.shape[0] == 1 else "probe"] += int(np.sum(out <= 0.0))
+        return out
+
+    def rhs_scalar(u):
+        return 0.0 if u.values[0] > u.values[1] else local_energy(u, whole, 1.5)
+
+    lhs_rows = lambda v: deviation_p_rows(v, whole, 1.5)
+    lhs_scalar = lambda u: deviation_p(u, whole, 1.5)
+    expected = per_probe_ratio_ascent(g, 1.5, lhs_scalar, rhs_scalar, u0, 8, 0.05)
+    ratio, best = ratio_ascent(g, 1.5, lhs_rows, rhs_rows, u0, 8, 0.05)
+    assert zero_rows["probe"] > 0
+    assert (zero_rows["single"] > 0) == restarts
+    assert ratio > lhs_scalar(u0) / rhs_scalar(u0)
+    assert ratio == expected[0]
+    assert np.array_equal(best.values, expected[1].values)
+
+
+def test_ratio_ascent_rejects_non_finite_start():
+    g = build_grid(1, 16)
+    vals = np.ones(16)
+    vals[3] = np.nan
+    start = SimpleNamespace(values=vals)
+
+    def finite_only(functional):
+        def checked(v):
+            if not np.all(np.isfinite(v)):
+                raise RuntimeError("a functional received non-finite values")
+            return functional(v, full_cells(g), 2.0)
+
+        return checked
+
+    with pytest.raises(ValueError, match="finite"):
+        ratio_ascent(
+            g, 2.0, finite_only(deviation_p_rows), finite_only(local_energy_rows), start, 3, 0.1
+        )
