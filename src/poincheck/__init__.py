@@ -1,5 +1,16 @@
 """Numerical verification of weighted and fractional Poincare inequalities
-on discretized Euclidean balls, with sharp-constant estimation."""
+on discretized Euclidean balls, with sharp-constant estimation.
+
+BLAS is pinned to one thread here, before any import loads numpy, so
+repeated runs of the same config are byte-identical regardless of machine
+load; a variable already set in the environment is left as it is.
+"""
+
+import os
+
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .weights import (
     LayerCakeMeasure,

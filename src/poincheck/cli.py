@@ -1,14 +1,8 @@
 """Command-line interface: verify | sharp | sweep | schema.
 
-Pin BLAS to one thread before numpy loads so repeated runs of the same
-config are byte-identical regardless of machine load.
+BLAS is pinned to one thread by the package ``__init__``, which runs
+before this module and before numpy loads.
 """
-
-import os
-
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import argparse
 import json

@@ -16,6 +16,7 @@ inputs) the inequality holds vacuously: ratio 0, pass.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -47,8 +48,9 @@ __all__ = [
     "check_truncation_bound",
     "check_shift_stability",
     "REPORT_COLUMNS",
+    "format_value",
     "report_row",
-    "write_reports_csv",
+    "write_rows_csv",
     "reports_to_json",
 ]
 
@@ -330,7 +332,9 @@ def check_shift_stability(f, a: float, p: float) -> InequalityReport:
     return _finish("shift", 0.5 * norm_f, norm_shifted, 0.5, 0.0, meta)
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    """CSV text of one report value: repr for floats, lowercase booleans,
+    empty for None."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -343,30 +347,26 @@ def _format_value(value) -> str:
 def report_row(report: InequalityReport) -> dict[str, str]:
     """One CSV row in the fixed column order."""
     meta = report.metadata
-    return {
+    values = {
         "check_id": report.check_id,
-        "d": _format_value(meta.get("d")),
-        "N": _format_value(meta.get("N")),
-        "p": _format_value(meta.get("p")),
-        "s": _format_value(meta.get("s")),
-        "R": _format_value(meta.get("R")),
-        "profile": _format_value(meta.get("profile")),
-        "lhs": repr(report.lhs),
-        "rhs": repr(report.rhs),
-        "ratio": repr(report.ratio),
-        "constant_used": repr(report.constant_used),
-        "pass": "true" if report.passed else "false",
+        **{key: meta.get(key) for key in ("d", "N", "p", "s", "R", "profile")},
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "ratio": report.ratio,
+        "constant_used": report.constant_used,
+        "pass": bool(report.passed),
     }
+    return {key: format_value(value) for key, value in values.items()}
 
 
-def write_reports_csv(reports, path) -> None:
-    import csv
-
+def write_rows_csv(path, columns, rows) -> None:
+    """Write dict rows as CSV with the given columns, each value formatted
+    by :func:`format_value`."""
     with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=REPORT_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(handle, fieldnames=list(columns), lineterminator="\n")
         writer.writeheader()
-        for report in reports:
-            writer.writerow(report_row(report))
+        for row in rows:
+            writer.writerow({key: format_value(row.get(key)) for key in columns})
 
 
 def reports_to_json(reports) -> list[dict]:

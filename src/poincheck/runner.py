@@ -11,28 +11,30 @@ and the atom radii, recorded in row metadata, then reused unchanged.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .numerics import ksum_rows
 from .weights import describe_profile, layer_cake
-from .grid import ball_cells, build_grid, deviation_p, deviation_p_rows, full_cells
+from .grid import Grid, ball_cells, build_grid, deviation_p, deviation_p_rows, full_cells
 from .forms import (
     KIND_FLOOR,
     KIND_FRACTIONAL,
     KIND_LOCAL,
     KernelSpec,
     kernel_energy,
+    kernel_to_json,
     local_energy,
     local_energy_rows,
     transfer_constant,
     weighted_gradient_constant,
 )
 from .inequalities import (
+    REPORT_COLUMNS,
     check_kernel_floor,
     check_shift_stability,
     check_transfer,
@@ -42,7 +44,7 @@ from .inequalities import (
     check_weighted_kernel,
     report_row,
     reports_to_json,
-    write_reports_csv,
+    write_rows_csv,
 )
 from .sharp import (
     EigenConvergenceError,
@@ -58,38 +60,18 @@ from .config import ConfigError, ExperimentConfig
 __all__ = ["RunResult", "run_verify", "run_sharp", "run_sweep"]
 
 SHARP_COLUMNS = (
-    "target",
-    "d",
-    "N",
-    "p",
-    "profile",
-    "kernel",
-    "method",
-    "eigenvalue",
-    "empirical_constant",
-    "paper_constant",
-    "gap_factor",
-    "residual",
-    "pass",
+    "target", "d", "N", "p", "profile", "kernel", "method", "eigenvalue",
+    "empirical_constant", "paper_constant", "gap_factor", "residual", "pass",
 )
 
 SWEEP_COLUMNS = (
-    "d",
-    "N",
-    "p",
-    "profile",
-    "s",
-    "R",
-    "fractional_energy",
-    "scaled_energy",
-    "gradient_energy",
-    "gradient_limit_ratio",
-    "fractional_check_ratio",
-    "truncation_check_ratio",
-    "pass",
+    "d", "N", "p", "profile", "s", "R", "fractional_energy", "scaled_energy",
+    "gradient_energy", "gradient_limit_ratio", "fractional_check_ratio",
+    "truncation_check_ratio", "pass",
 )
 
-TRACE_COLUMNS = ("target", "d", "N", "p", "profile", "kernel", "iteration", "eigenvalue", "residual")
+# A trace row names its sharp row by the same leading columns.
+TRACE_COLUMNS = SHARP_COLUMNS[:6] + ("iteration", "eigenvalue", "residual")
 
 
 @dataclass
@@ -100,28 +82,15 @@ class RunResult:
     json_path: str
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_rows_csv(path, columns, rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(columns), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row.get(k)) for k in columns})
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+def _write_reports(out_dir, config, columns, rows, payload, all_passed) -> RunResult:
+    """Write one command's rows as CSV and ``payload`` as JSON into ``out_dir``."""
+    csv_path = os.path.join(out_dir, config.csv_name)
+    json_path = os.path.join(out_dir, config.json_name)
+    write_rows_csv(csv_path, columns, rows)
+    with open(json_path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1)
         handle.write("\n")
+    return RunResult(rows, all_passed, csv_path, json_path)
 
 
 def _union_atom_radii(config: ExperimentConfig) -> tuple[float, ...]:
@@ -135,68 +104,49 @@ def _kernels_of(config: ExperimentConfig, kind: str) -> list[KernelSpec]:
     return [k for k in config.kernels if k.kind == kind]
 
 
-def _frozen_kernel_constant(grid, suite, p, kernel, radii) -> float:
-    """Max over suite and ball radii of deviation / kernel energy."""
+def _frozen_constant(grid, suite, p, radii, energy, scale=lambda t: 1.0) -> float:
+    """Max over suite and ball radii t of ``dev / (scale(t) * energy)``.
+
+    ``energy(u, cells)`` is the right side's energy on the ball of radius
+    t and ``dev`` the p-deviation there; a suite with no nonzero deviation
+    freezes the constant at 1.
+    """
     best = 0.0
     for u in suite:
         for t in radii:
             cells = ball_cells(grid, t)
             dev = deviation_p(u, cells, p)
-            energy = kernel_energy(u, cells, kernel)
-            if energy == 0.0:
+            e = energy(u, cells)
+            if e == 0.0:
                 if dev == 0.0:
                     continue
                 raise ConfigError(
-                    f"kernel energy vanishes on ball t={t} for a nonconstant "
-                    "suite function; the unweighted bound cannot be frozen"
+                    f"energy vanishes on ball t={t} for a nonconstant suite function; "
+                    "the constant cannot be frozen"
                 )
-            best = max(best, dev / energy)
-    if best == 0.0:
-        best = 1.0
-    return best
+            best = max(best, dev / (scale(t) * e))
+    return best or 1.0
 
 
-def _frozen_robust_constant(grid, suite, p, s0, radii) -> float:
-    """Max over suite and radii of deviation / ((1-s0) t^(p s0) energy)."""
+def _kernel_constant(grid, suite, p, kernel, radii) -> float:
+    """Unweighted per-ball kernel bound: deviation / kernel energy."""
+    return _frozen_constant(grid, suite, p, radii, lambda u, c: kernel_energy(u, c, kernel))
+
+
+def _robust_constant(grid, suite, p, s0, radii) -> float:
+    """Robust fractional constant: deviation / ((1-s0) t^(p s0) energy)."""
     kernel = KernelSpec(KIND_FRACTIONAL, p=p, s=s0)
-    best = 0.0
-    for u in suite:
-        for t in radii:
-            cells = ball_cells(grid, t)
-            dev = deviation_p(u, cells, p)
-            energy = kernel_energy(u, cells, kernel)
-            if energy == 0.0:
-                if dev == 0.0:
-                    continue
-                raise ConfigError(
-                    f"fractional energy vanishes on ball t={t} for a nonconstant "
-                    "suite function; the robust constant cannot be frozen"
-                )
-            best = max(best, dev / ((1.0 - s0) * t ** (p * s0) * energy))
-    if best == 0.0:
-        best = 1.0
-    return best
+    return _frozen_constant(
+        grid, suite, p, radii,
+        lambda u, c: kernel_energy(u, c, kernel), lambda t: (1.0 - s0) * t ** (p * s0),
+    )
 
 
-def _suite_gradient_constant(grid, suite, p, radii) -> float:
-    """General-p fallback for the per-ball gradient constant (suite max)."""
-    best = 0.0
-    for u in suite:
-        for t in radii:
-            cells = ball_cells(grid, t)
-            dev = deviation_p(u, cells, p)
-            energy = local_energy(u, cells, p)
-            if energy == 0.0:
-                if dev == 0.0:
-                    continue
-                raise ConfigError(
-                    f"gradient energy vanishes on ball t={t} for a nonconstant "
-                    "suite function; the gradient constant cannot be frozen"
-                )
-            best = max(best, dev / (t**p * energy))
-    if best == 0.0:
-        best = 1.0
-    return best
+def _gradient_constant(grid, suite, p, radii) -> float:
+    """General-p gradient constant: deviation / (t^p gradient energy)."""
+    return _frozen_constant(
+        grid, suite, p, radii, lambda u, c: local_energy(u, c, p), lambda t: t**p
+    )
 
 
 def _gradient_constants(config: ExperimentConfig, eigen_cache) -> dict[float, float]:
@@ -212,12 +162,93 @@ def _gradient_constants(config: ExperimentConfig, eigen_cache) -> dict[float, fl
         else:
             if suite is None:
                 suite = build_suite(grid, config.suite, eigen_cache)
-            out[p] = _suite_gradient_constant(grid, suite, p, radii + (1.0,))
+            out[p] = _gradient_constant(grid, suite, p, radii + (1.0,))
     return out
 
 
 def _freeze_order(sweep_s) -> float:
     return 0.5 if 0.5 in sweep_s else min(sweep_s)
+
+
+@dataclass
+class _Case:
+    """One (grid, p) of a verify run; its frozen constants are computed on
+    first use, so a check that is not requested costs nothing."""
+
+    config: ExperimentConfig
+    grid: Grid
+    suite: list
+    p: float
+    c_hat: dict
+    radii: tuple
+
+    @cached_property
+    def kernel_constants(self) -> list[tuple[KernelSpec, float]]:
+        grid, suite, p, radii = self.grid, self.suite, self.p, self.radii
+        kernels = [k.with_p(p) for k in _kernels_of(self.config, KIND_FRACTIONAL)]
+        return [(k, _kernel_constant(grid, suite, p, k, radii)) for k in kernels]
+
+    @cached_property
+    def robust_constant(self) -> float:
+        s0 = _freeze_order(self.config.sweep_s)
+        return _robust_constant(self.grid, self.suite, self.p, s0, self.radii)
+
+
+def _transfer_reports(case, profile, tol):
+    grid, p = case.grid, case.p
+
+    def per_ball(u, t):
+        return deviation_p(u, ball_cells(grid, t), p)
+
+    return [check_transfer(u, profile, per_ball, p, tol) for u in case.suite]
+
+
+def _gradient_reports(case, profile, tol):
+    c_hat = case.c_hat[case.p]
+    return [check_weighted_gradient(u, profile, case.p, c_hat, tol) for u in case.suite]
+
+
+def _kernel_reports(case, profile, tol):
+    return [
+        check_weighted_kernel(u, profile, kernel, case.p, constant, tol)
+        for kernel, constant in case.kernel_constants
+        for u in case.suite
+    ]
+
+
+def _kernel_floor_reports(case, profile, tol):
+    kernels = _kernels_of(case.config, KIND_FLOOR) or [KernelSpec(KIND_FLOOR, c=1.0)]
+    return [
+        check_kernel_floor(u, profile, kernel.with_p(case.p), case.p, tol)
+        for kernel in kernels
+        for u in case.suite
+    ]
+
+
+def _fractional_truncated_reports(case, profile, tol):
+    p, config = case.p, case.config
+    s0 = _freeze_order(config.sweep_s)
+    constant = transfer_constant(p, case.grid.d, profile) * 3.0 ** (p * (1.0 - s0))
+    constant = constant * case.robust_constant
+    return [
+        check_truncated_fractional(u, profile, p, s, R, constant, tol)
+        for s in config.sweep_s
+        for R in config.sweep_R
+        for u in case.suite
+    ]
+
+
+# The checks that run once per (grid, p, profile), in row order.  Each
+# entry calls its check function by its module-global name when it runs.
+# "truncation" runs once per (grid, p) after them, "shift" once per p
+# before every grid.
+_PROFILE_CHECKS = {
+    "transfer": _transfer_reports,
+    "gradient": _gradient_reports,
+    "kernel": _kernel_reports,
+    "kernel_floor": _kernel_floor_reports,
+    "fractional_truncated": _fractional_truncated_reports,
+}
 
 
 def run_verify(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunResult:
@@ -227,18 +258,12 @@ def run_verify(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunR
     ``all_passed`` drives the process exit status.
     """
     os.makedirs(out_dir, exist_ok=True)
-    d = config.dimension
     eigen_cache: dict = {}
     reports = []
-    profiles = [(describe_profile(pr), pr) for pr in config.profiles]
-    union_radii = _union_atom_radii(config)
-
-    frac_kernels = _kernels_of(config, KIND_FRACTIONAL)
-    if "kernel" in config.checks and not frac_kernels:
+    if "kernel" in config.checks and not _kernels_of(config, KIND_FRACTIONAL):
         raise ConfigError("the kernel check requires a fractional kernel under 'kernels'")
-    floor_kernels = _kernels_of(config, KIND_FLOOR) or [KernelSpec(KIND_FLOOR, c=1.0)]
-
     c_hat = _gradient_constants(config, eigen_cache) if "gradient" in config.checks else {}
+    radii = _union_atom_radii(config)
 
     if "shift" in config.checks:
         for p in config.p_values:
@@ -251,61 +276,14 @@ def run_verify(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunR
                 reports.append(check_shift_stability(f, a, p))
 
     for N in config.grid_sizes:
-        grid = build_grid(d, N)
+        grid = build_grid(config.dimension, N)
         suite = build_suite(grid, config.suite, eigen_cache)
         for p in config.p_values:
-            frozen_kernel = [
-                _frozen_kernel_constant(grid, suite, p, k.with_p(p), union_radii)
-                for k in frac_kernels
-            ]
-            c38 = None
-            if "fractional_truncated" in config.checks:
-                s0 = _freeze_order(config.sweep_s)
-                c38 = _frozen_robust_constant(grid, suite, p, s0, union_radii)
-
-            for desc, profile in profiles:
-                if "transfer" in config.checks:
-
-                    def per_ball(u, t, _p=p):
-                        return deviation_p(u, ball_cells(grid, t), _p)
-
-                    tol = config.tolerance("transfer")
-                    for u in suite:
-                        reports.append(check_transfer(u, profile, per_ball, p, tol))
-                if "gradient" in config.checks:
-                    tol = config.tolerance("gradient")
-                    for u in suite:
-                        reports.append(
-                            check_weighted_gradient(u, profile, p, c_hat[p], tol)
-                        )
-                if "kernel" in config.checks:
-                    tol = config.tolerance("kernel")
-                    for kernel, constant in zip(frac_kernels, frozen_kernel):
-                        for u in suite:
-                            reports.append(
-                                check_weighted_kernel(
-                                    u, profile, kernel.with_p(p), p, constant, tol
-                                )
-                            )
-                if "kernel_floor" in config.checks:
-                    tol = config.tolerance("kernel_floor")
-                    for kernel in floor_kernels:
-                        for u in suite:
-                            reports.append(
-                                check_kernel_floor(u, profile, kernel.with_p(p), p, tol)
-                            )
-                if "fractional_truncated" in config.checks:
-                    tol = config.tolerance("fractional_truncated")
-                    s0 = _freeze_order(config.sweep_s)
-                    base = transfer_constant(p, d, profile) * 3.0 ** (p * (1.0 - s0))
-                    for s in config.sweep_s:
-                        for R in config.sweep_R:
-                            for u in suite:
-                                reports.append(
-                                    check_truncated_fractional(
-                                        u, profile, p, s, R, base * c38, tol
-                                    )
-                                )
+            case = _Case(config, grid, suite, p, c_hat, radii)
+            for profile in config.profiles:
+                for name, check_reports in _PROFILE_CHECKS.items():
+                    if name in config.checks:
+                        reports.extend(check_reports(case, profile, config.tolerance(name)))
             if "truncation" in config.checks:
                 tol = config.tolerance("truncation")
                 for s in config.sweep_s:
@@ -313,27 +291,42 @@ def run_verify(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunR
                         for u in suite:
                             reports.append(check_truncation_bound(u, p, s, R, tol))
 
-    csv_path = os.path.join(out_dir, config.csv_name)
-    json_path = os.path.join(out_dir, config.json_name)
-    write_reports_csv(reports, csv_path)
-    _write_json(json_path, reports_to_json(reports))
     rows = [report_row(r) for r in reports]
-    all_passed = all(r.passed for r in reports)
-    return RunResult(rows, all_passed, csv_path, json_path)
+    passed = all(r.passed for r in reports)
+    return _write_reports(
+        out_dir, config, REPORT_COLUMNS, rows, reports_to_json(reports), passed
+    )
 
 
-def _sharp_row(base, method, eigenvalue, empirical, paper, residual, passed):
-    row = dict(base)
-    row.update(
+def _sharp_row(target, method, eigenvalue, empirical, paper, residual=None):
+    """A sharp row passes when its empirical constant is at most the paper's."""
+    return dict(
+        target,
         method=method,
         eigenvalue=eigenvalue,
         empirical_constant=empirical,
         paper_constant=paper,
         gap_factor=(paper / empirical) if (empirical and empirical > 0.0) else None,
         residual=residual,
-        **{"pass": passed},
+        **{"pass": empirical is not None and empirical <= paper},
     )
-    return row
+
+
+def _eigen_row(target, paper, build_pair, traces) -> dict:
+    """Sharp row of one p = 2 target: ``1 / lambda`` of its pencil.
+
+    A solve that does not converge gives a failing row with its residual
+    and no trace; ``traces`` (None unless verbose) gets one row per Ritz
+    step of a converged solve.
+    """
+    trace = [] if traces is not None else None
+    try:
+        lam, _ = smallest_nonzero_eigen(build_pair(), trace=trace)
+    except EigenConvergenceError as exc:
+        return _sharp_row(target, "eigen", None, None, paper, exc.residual)
+    for it, lam_it, res in trace or ():
+        traces.append(dict(target, iteration=it, eigenvalue=lam_it, residual=res))
+    return _sharp_row(target, "eigen", lam, 1.0 / lam, paper)
 
 
 def _ascent_functionals(grid, profile, p):
@@ -356,6 +349,48 @@ def _ascent_functionals(grid, profile, p):
     return lhs, transfer_rhs, gradient_rhs
 
 
+def _kernel_label(kernel: KernelSpec) -> str:
+    fields = {k: v for k, v in kernel_to_json(kernel).items() if k != "p"}
+    return json.dumps(fields, separators=(",", ":"))
+
+
+def _sharp_targets(config, grid, profile, p, c_hat, kernel_constants):
+    """The ascent lhs (None at p = 2) and the sharp targets of one
+    (grid, p, profile), in row order.
+
+    Each target is (name, kernel label, paper constant, pencil builder at
+    p = 2 or ascent rhs functional otherwise); the kernel targets are
+    eigensolves only, so they exist at p = 2 alone.
+    """
+    d = grid.d
+    paper = transfer_constant(p, d, profile)
+    paper_grad = weighted_gradient_constant(p, d, profile, c_hat)
+    if p != 2.0:
+        lhs, transfer_rhs, gradient_rhs = _ascent_functionals(grid, profile, p)
+        return lhs, [
+            ("transfer", "", paper, transfer_rhs),
+            ("gradient", KIND_LOCAL, paper_grad, gradient_rhs),
+        ]
+    whole = full_cells(grid)
+
+    def pencil(kernel):
+        return lambda: assemble_p2(grid, whole, kernel, profile)
+
+    targets = [
+        ("transfer", "", paper, lambda: assemble_transfer_p2(grid, profile)),
+        ("gradient", KIND_LOCAL, paper_grad, pencil(KernelSpec(KIND_LOCAL, p=2.0))),
+    ]
+    for kernel in config.kernels:
+        if kernel.kind == KIND_LOCAL:
+            continue
+        if kernel.kind == KIND_FLOOR:
+            paper_k = paper / (kernel.c * ball_cells(grid, 0.5).measure)
+        else:
+            paper_k = kernel_constants[kernel] * paper
+        targets.append(("kernel", _kernel_label(kernel), paper_k, pencil(kernel.with_p(2.0))))
+    return None, targets
+
+
 def run_sharp(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunResult:
     """Estimate sharp constants per configuration and compare to the
     explicit ones (eigensolve at p = 2, ratio ascent otherwise)."""
@@ -363,166 +398,42 @@ def run_sharp(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunRe
     d = config.dimension
     eigen_cache: dict = {}
     rows: list[dict] = []
-    traces: list[dict] = []
-    union_radii = _union_atom_radii(config)
-    profiles = [(describe_profile(pr), pr) for pr in config.profiles]
+    traces: list[dict] | None = [] if verbose else None
+    radii = _union_atom_radii(config)
 
     for N in config.grid_sizes:
         grid = build_grid(d, N)
         suite = build_suite(grid, config.suite, eigen_cache)
-        grad_const_p2 = (
-            estimate_gradient_constant(grid, union_radii) if 2.0 in config.p_values else None
-        )
         for p in config.p_values:
-            # The kernel targets' frozen constants do not depend on the profile.
-            frozen_by_kernel = {}
+            # The frozen constants do not depend on the profile.
+            kernel_constants = {}
             if p == 2.0:
-                c_hat = grad_const_p2
-                frozen_by_kernel = {
-                    kernel: _frozen_kernel_constant(
-                        grid, suite, 2.0, kernel.with_p(2.0), union_radii
-                    )
-                    for kernel in _kernels_of(config, KIND_FRACTIONAL)
-                }
+                c_hat = estimate_gradient_constant(grid, radii)
+                for kernel in _kernels_of(config, KIND_FRACTIONAL):
+                    k2 = kernel.with_p(2.0)
+                    kernel_constants[kernel] = _kernel_constant(grid, suite, 2.0, k2, radii)
             else:
-                c_hat = _suite_gradient_constant(grid, suite, p, union_radii + (1.0,))
-            for desc, profile in profiles:
+                c_hat = _gradient_constant(grid, suite, p, radii + (1.0,))
+            for profile in config.profiles:
+                desc = describe_profile(profile)
                 base = {"d": d, "N": N, "p": p, "profile": desc, "kernel": ""}
-                if p != 2.0:
-                    lhs_fn, transfer_rhs, gradient_rhs = _ascent_functionals(grid, profile, p)
-
-                # Sharp constant of the transfer inequality itself.
-                paper = transfer_constant(p, d, profile)
-                target = dict(base, target="transfer")
-                if p == 2.0:
-                    trace: list = [] if verbose else None
-                    try:
-                        pair = assemble_transfer_p2(grid, profile)
-                        lam, _ = smallest_nonzero_eigen(pair, trace=trace)
-                        empirical = 1.0 / lam
-                        rows.append(
-                            _sharp_row(target, "eigen", lam, empirical, paper, None, empirical <= paper)
-                        )
-                    except EigenConvergenceError as exc:
-                        rows.append(
-                            _sharp_row(target, "eigen", None, None, paper, exc.residual, False)
-                        )
-                        trace = None
-                    if trace:
-                        for it, lam_it, res in trace:
-                            traces.append(
-                                dict(target, iteration=it, eigenvalue=lam_it, residual=res)
-                            )
-                else:
+                lhs, targets = _sharp_targets(config, grid, profile, p, c_hat, kernel_constants)
+                for name, kernel, paper, build in targets:
+                    target = dict(base, target=name, kernel=kernel)
+                    if lhs is None:
+                        rows.append(_eigen_row(target, paper, build, traces))
+                        continue
                     ratio, _ = ratio_ascent(
-                        grid,
-                        p,
-                        lhs_fn,
-                        transfer_rhs,
-                        suite[0],
-                        config.ascent_steps,
-                        config.ascent_step_size,
-                        weight=profile,
+                        grid, p, lhs, build, suite[0],
+                        config.ascent_steps, config.ascent_step_size, weight=profile,
                     )
-                    rows.append(
-                        _sharp_row(target, "ascent", None, ratio, paper, None, ratio <= paper)
-                    )
+                    rows.append(_sharp_row(target, "ascent", None, ratio, paper))
 
-                # Sharp constant of the weighted gradient inequality.
-                paper_grad = weighted_gradient_constant(p, d, profile, c_hat)
-                target = dict(base, target="gradient", kernel="local_gradient")
-                if p == 2.0:
-                    trace = [] if verbose else None
-                    try:
-                        pair = assemble_p2(
-                            grid, full_cells(grid), KernelSpec(KIND_LOCAL, p=2.0), profile
-                        )
-                        lam, _ = smallest_nonzero_eigen(pair, trace=trace)
-                        empirical = 1.0 / lam
-                        rows.append(
-                            _sharp_row(
-                                target, "eigen", lam, empirical, paper_grad, None, empirical <= paper_grad
-                            )
-                        )
-                    except EigenConvergenceError as exc:
-                        rows.append(
-                            _sharp_row(target, "eigen", None, None, paper_grad, exc.residual, False)
-                        )
-                        trace = None
-                    if trace:
-                        for it, lam_it, res in trace:
-                            traces.append(
-                                dict(target, iteration=it, eigenvalue=lam_it, residual=res)
-                            )
-                else:
-                    ratio, _ = ratio_ascent(
-                        grid,
-                        p,
-                        lhs_fn,
-                        gradient_rhs,
-                        suite[0],
-                        config.ascent_steps,
-                        config.ascent_step_size,
-                        weight=profile,
-                    )
-                    rows.append(
-                        _sharp_row(target, "ascent", None, ratio, paper_grad, None, ratio <= paper_grad)
-                    )
-
-                # Kernel targets (p = 2 eigensolves only).
-                if p == 2.0:
-                    for kernel in config.kernels:
-                        if kernel.kind == KIND_LOCAL:
-                            continue
-                        kdesc = json.dumps(
-                            {
-                                k: v
-                                for k, v in {
-                                    "kind": kernel.kind,
-                                    "s": kernel.s,
-                                    "R": kernel.R,
-                                    "c": kernel.c,
-                                }.items()
-                                if v is not None
-                            },
-                            separators=(",", ":"),
-                        )
-                        target = dict(base, target="kernel", kernel=kdesc)
-                        k2 = kernel.with_p(2.0)
-                        if kernel.kind == KIND_FLOOR:
-                            half = ball_cells(grid, 0.5).measure
-                            paper_k = transfer_constant(2.0, d, profile) / (kernel.c * half)
-                        else:
-                            paper_k = frozen_by_kernel[kernel] * transfer_constant(2.0, d, profile)
-                        trace = [] if verbose else None
-                        try:
-                            pair = assemble_p2(grid, full_cells(grid), k2, profile)
-                            lam, _ = smallest_nonzero_eigen(pair, trace=trace)
-                            empirical = 1.0 / lam
-                            rows.append(
-                                _sharp_row(
-                                    target, "eigen", lam, empirical, paper_k, None, empirical <= paper_k
-                                )
-                            )
-                        except EigenConvergenceError as exc:
-                            rows.append(
-                                _sharp_row(target, "eigen", None, None, paper_k, exc.residual, False)
-                            )
-                            trace = None
-                        if trace:
-                            for it, lam_it, res in trace:
-                                traces.append(
-                                    dict(target, iteration=it, eigenvalue=lam_it, residual=res)
-                                )
-
-    csv_path = os.path.join(out_dir, config.csv_name)
-    json_path = os.path.join(out_dir, config.json_name)
-    _write_rows_csv(csv_path, SHARP_COLUMNS, rows)
-    _write_json(json_path, rows)
-    if verbose and traces:
-        _write_rows_csv(os.path.join(out_dir, config.trace_name), TRACE_COLUMNS, traces)
-    all_passed = all(row["pass"] for row in rows)
-    return RunResult(rows, all_passed, csv_path, json_path)
+    passed = all(row["pass"] for row in rows)
+    result = _write_reports(out_dir, config, SHARP_COLUMNS, rows, rows, passed)
+    if traces:
+        write_rows_csv(os.path.join(out_dir, config.trace_name), TRACE_COLUMNS, traces)
+    return result
 
 
 def run_sweep(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunResult:
@@ -537,16 +448,17 @@ def run_sweep(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunRe
     os.makedirs(out_dir, exist_ok=True)
     d = config.dimension
     rows: list[dict] = []
-    profiles = [(describe_profile(pr), pr) for pr in config.profiles]
+    radii = _union_atom_radii(config)
     for N in config.grid_sizes:
         grid = build_grid(d, N)
         u = canonical_bump(grid)
         cells = full_cells(grid)
         for p in config.p_values:
             s0 = _freeze_order(config.sweep_s)
-            c38 = _frozen_robust_constant(grid, [u], p, s0, _union_atom_radii(config))
+            c38 = _robust_constant(grid, [u], p, s0, radii)
             grad_energy = local_energy(u, cells, p)
-            for desc, profile in profiles:
+            for profile in config.profiles:
+                desc = describe_profile(profile)
                 base_const = transfer_constant(p, d, profile) * 3.0 ** (p * (1.0 - s0))
                 for s in config.sweep_s:
                     frac = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, p=p, s=s))
@@ -559,28 +471,16 @@ def run_sweep(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunRe
                         trunc_check = check_truncation_bound(
                             u, p, s, R, config.tolerance("truncation")
                         )
-                        rows.append(
-                            {
-                                "d": d,
-                                "N": N,
-                                "p": p,
-                                "profile": desc,
-                                "s": s,
-                                "R": R,
-                                "fractional_energy": frac,
-                                "scaled_energy": scaled,
-                                "gradient_energy": grad_energy,
-                                "gradient_limit_ratio": scaled / grad_energy
-                                if grad_energy > 0.0
-                                else None,
-                                "fractional_check_ratio": frac_check.ratio,
-                                "truncation_check_ratio": trunc_check.ratio,
-                                "pass": frac_check.passed and trunc_check.passed,
-                            }
-                        )
-    csv_path = os.path.join(out_dir, config.csv_name)
-    json_path = os.path.join(out_dir, config.json_name)
-    _write_rows_csv(csv_path, SWEEP_COLUMNS, rows)
-    _write_json(json_path, rows)
-    all_passed = all(row["pass"] for row in rows)
-    return RunResult(rows, all_passed, csv_path, json_path)
+                        limit = scaled / grad_energy if grad_energy > 0.0 else None
+                        rows.append({
+                            "d": d, "N": N, "p": p, "profile": desc, "s": s, "R": R,
+                            "fractional_energy": frac,
+                            "scaled_energy": scaled,
+                            "gradient_energy": grad_energy,
+                            "gradient_limit_ratio": limit,
+                            "fractional_check_ratio": frac_check.ratio,
+                            "truncation_check_ratio": trunc_check.ratio,
+                            "pass": frac_check.passed and trunc_check.passed,
+                        })
+    passed = all(row["pass"] for row in rows)
+    return _write_reports(out_dir, config, SWEEP_COLUMNS, rows, rows, passed)

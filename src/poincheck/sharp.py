@@ -397,9 +397,11 @@ def ratio_ascent(
     bit-identical to one call per probe.  The update moves along the
     normalized gradient, and each iterate is re-centered to (weighted)
     mean zero and rescaled to unit norm; the ratio is invariant under both
-    for the functionals used here.  Deterministic given (u0, steps,
-    step_size); returns the best ratio seen and its grid function.  Use as
-    a lower bound on the sharp constant for general p.
+    for the functionals used here.  Each iterate's ratio is evaluated once
+    and is the base of the next step's differences; a restart, taken when
+    an iterate's rhs is ``<= 0``, evaluates its new start.  Deterministic
+    given (u0, steps, step_size); returns the best ratio seen and its grid
+    function.  Use as a lower bound on the sharp constant for general p.
     """
     if p < 1.0:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
@@ -433,12 +435,13 @@ def ratio_ascent(
     best_vals = vals.copy()
     n = vals.size
     restarts = 0
+    base = start
     for _ in range(steps):
-        base = ratio_of(vals)
         if base is None:
             restarts += 1
             noise = np.random.default_rng(900 + restarts).standard_normal(n)
             vals = best_vals + 1e-3 * max(np.linalg.norm(best_vals), 1.0) * noise
+            base = ratio_of(vals)
             continue
         delta = 1e-6 * np.linalg.norm(vals)
         if delta == 0.0:
@@ -459,9 +462,9 @@ def ratio_ascent(
         scale = np.linalg.norm(vals)
         if scale > 0.0:
             vals = vals / scale
-        r = ratio_of(vals)
-        if r is not None and r > best_ratio:
-            best_ratio = r
+        base = ratio_of(vals)
+        if base is not None and base > best_ratio:
+            best_ratio = base
             best_vals = vals.copy()
     return best_ratio, GridFunction(grid, best_vals)
 

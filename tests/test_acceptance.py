@@ -41,7 +41,7 @@ from poincheck.inequalities import (
     check_truncated_fractional,
     check_weighted_gradient,
 )
-from poincheck.runner import _suite_gradient_constant, run_verify
+from poincheck.runner import _gradient_constant, run_verify
 from poincheck.sharp import (
     assemble_p2,
     assemble_transfer_p2,
@@ -177,7 +177,7 @@ def test_criterion_5_paper_bound_consistency():
                 if p == 2.0 and c_hat_eigen is not None:
                     c_hat = c_hat_eigen
                 else:
-                    c_hat = _suite_gradient_constant(grid, suite, p, radii + (1.0,))
+                    c_hat = _gradient_constant(grid, suite, p, radii + (1.0,))
                 for prof in WEIGHTS:
                     measure = layer_cake(prof)
                     paper_transfer = transfer_constant(p, d, prof)

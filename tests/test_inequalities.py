@@ -26,7 +26,7 @@ from poincheck.inequalities import (
     check_weighted_kernel,
     report_row,
     reports_to_json,
-    write_reports_csv,
+    write_rows_csv,
 )
 from poincheck.sharp import estimate_gradient_constant
 from poincheck.weights import layer_cake, make_step_profile, truncate_profile
@@ -306,7 +306,7 @@ def test_report_validation_and_serialization(tmp_path):
         InequalityReport("demo", -1.0, 2.0, 0.5, 3.0, True, 0.0, {})
 
     path = tmp_path / "r.csv"
-    write_reports_csv([rep], path)
+    write_rows_csv(path, REPORT_COLUMNS, [report_row(rep)])
     with open(path) as handle:
         rows = list(csv.DictReader(handle))
     assert rows[0]["check_id"] == "demo"

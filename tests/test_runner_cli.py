@@ -1,12 +1,21 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poincheck.runner
 from poincheck.cli import main
-from poincheck.config import ConfigError, parse_config
-from poincheck.runner import SWEEP_COLUMNS, run_sharp, run_sweep, run_verify
+from poincheck.config import CHECK_NAMES, DEFAULT_TOLERANCES, ConfigError, parse_config
+from poincheck.runner import _PROFILE_CHECKS, SWEEP_COLUMNS, run_sharp, run_sweep, run_verify
+
+ROOT = Path(__file__).resolve().parents[1]
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def full_doc(**overrides):
@@ -80,6 +89,35 @@ def test_run_verify_kernel_check_requires_fractional_kernel(tmp_path):
     doc = full_doc(kernels=[{"kind": "constant_floor", "c": 1.0}], checks=["kernel"])
     with pytest.raises(ConfigError, match="fractional"):
         run_verify(parse_config(doc), tmp_path)
+
+
+@pytest.mark.parametrize("check", CHECK_NAMES)
+def test_each_check_name_yields_its_rows(check, tmp_path):
+    doc = full_doc(checks=[check], sweep={"s": [0.5], "R": [1]})
+    doc["suite"]["count"] = 2
+    result = run_verify(parse_config(doc), tmp_path)
+    assert result.rows
+    assert {row["check_id"] for row in result.rows} == {check}
+
+
+def test_check_table_covers_check_names():
+    names = set(_PROFILE_CHECKS) | {"truncation", "shift"}
+    assert names == set(CHECK_NAMES) == set(DEFAULT_TOLERANCES)
+
+
+def test_run_verify_freezes_kernel_constants_only_for_kernel_check(tmp_path, monkeypatch):
+    calls = []
+    energy = poincheck.runner.kernel_energy
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return energy(*args, **kwargs)
+
+    monkeypatch.setattr(poincheck.runner, "kernel_energy", counted)
+    run_verify(parse_config(full_doc(checks=["transfer"])), tmp_path / "transfer")
+    assert calls == []
+    run_verify(parse_config(full_doc(checks=["kernel"])), tmp_path / "kernel")
+    assert calls
 
 
 def test_run_verify_failure_sets_flag(tmp_path):
@@ -208,3 +246,44 @@ def test_cli_sharp_verbose_trace(tmp_path):
     with open(trace) as handle:
         rows = list(csv.DictReader(handle))
     assert rows and {"iteration", "eigenvalue", "residual"} <= set(rows[0])
+
+
+def test_demo_reports_match_benchmark_reference(tmp_path):
+    reference = ROOT / "perfbench" / "reference" / "demo-1d"
+    config = ROOT / "configs" / "demo.json"
+    for command in ("verify", "sharp", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "report.csv").read_bytes() == (reference / f"{command}.csv").read_bytes(), (
+            f"the demo {command} report differs from {reference / (command + '.csv')}; "
+            "if the change is deliberate, recapture it with perfbench/capture_reference.py"
+        )
+
+
+def test_blas_pinned_before_numpy_loads(tmp_path):
+    # Any route into the package (the console script imports poincheck.cli)
+    # runs poincheck/__init__ first; numpy must not load before it pins BLAS.
+    code = textwrap.dedent(
+        """
+        import os
+        import sys
+
+        class Guard:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+                    raise ImportError("numpy imported before BLAS was pinned")
+                return None
+
+        sys.meta_path.insert(0, Guard())
+        import poincheck.cli
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            print(os.environ[var])
+        """
+    )
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(poincheck.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "1", "1"]

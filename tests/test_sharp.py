@@ -256,6 +256,27 @@ def test_ratio_ascent_deterministic(rng):
     assert np.array_equal(v1.values, v2.values)
 
 
+def test_ratio_ascent_evaluates_each_iterate_once(rng):
+    # One-row calls are the start and each step's new iterate; the probes
+    # of a step (32 here) go in one block.  Each iterate's ratio is the
+    # base of the next step's differences, so no iterate is evaluated twice.
+    g = build_grid(1, 32)
+    u0 = GridFunction(g, rng.standard_normal(32))
+    one_row = []
+
+    def rhs(v):
+        if v.shape[0] == 1:
+            one_row.append(v[0].tobytes())
+        return local_energy_rows(v, full_cells(g), 2.0)
+
+    lhs = lambda v: deviation_p_rows(v, full_cells(g), 2.0)
+    steps = 5
+    ratio, _ = ratio_ascent(g, 2.0, lhs, rhs, u0, steps=steps, step_size=0.05)
+    assert len(one_row) == steps + 1
+    assert len(set(one_row)) == steps + 1
+    assert ratio > lhs(u0.values[None])[0] / rhs(u0.values[None])[0]
+
+
 def test_ratio_ascent_cross_validates_eigensolve(rng):
     g = build_grid(1, 32)
     pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL, p=2.0))
