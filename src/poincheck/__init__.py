@@ -36,7 +36,6 @@ from .grid import (
 )
 from .forms import (
     KernelSpec,
-    integrate_atoms,
     kernel_energy,
     local_energy,
     local_energy_rows,
@@ -62,7 +61,6 @@ from .sharp import (
     dense_oracle_eigen,
     estimate_gradient_constant,
     ratio_ascent,
-    sharp_constant_p2,
     smallest_nonzero_eigen,
 )
 

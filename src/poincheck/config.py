@@ -95,10 +95,7 @@ CONFIG_SCHEMA = {
                 "required": ["kind"],
                 "additionalProperties": False,
                 "properties": {
-                    "kind": {
-                        "enum": ["local_gradient", "fractional", "constant_floor"]
-                    },
-                    "p": {"type": "number", "minimum": 1},
+                    "kind": {"enum": ["fractional", "constant_floor"]},
                     "s": {
                         "type": "number",
                         "exclusiveMinimum": 0,

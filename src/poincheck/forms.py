@@ -1,10 +1,9 @@
 """Energy functionals and explicit constants for the inequality checks.
 
-Three energies appear on right-hand sides: the gradient energy (forward
-differences, midpoint quadrature), nonlocal pair energies against a kernel
-(optionally truncated and weighted by the pointwise minimum of the weight
-at the two endpoints), and the atomic integral of a per-radius functional
-against a layer-cake measure.
+Two energies appear on right-hand sides: the gradient energy (forward
+differences, midpoint quadrature) and nonlocal pair energies against a
+kernel (optionally truncated and weighted by the pointwise minimum of the
+weight at the two endpoints).
 """
 
 from __future__ import annotations
@@ -12,12 +11,10 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
-
 import numpy as np
 
 from .numerics import ksum, ksum_rows
-from .weights import LayerCakeMeasure, RadialProfile, eval_weight
+from .weights import RadialProfile, eval_weight
 from .grid import CellSet, GridFunction, value_rows
 
 __all__ = [
@@ -33,7 +30,6 @@ __all__ = [
     "pair_coefficient_matrix",
     "transfer_constant",
     "weighted_gradient_constant",
-    "integrate_atoms",
 ]
 
 KIND_LOCAL = "local_gradient"
@@ -47,12 +43,16 @@ _PAIR_BLOCK = 256
 class KernelSpec:
     """Kernel selector for the nonlocal energies.
 
-    - ``local_gradient``: gradient energy (handled by :func:`local_energy`);
+    - ``local_gradient``: gradient energy, the local form that
+      :func:`~poincheck.sharp.assemble_p2` assembles (not a config kind);
     - ``fractional``: ``|x - y| ** -(d + p*s)``, optionally restricted to
       pair distances ``<= 1/R`` (non-strict);
     - ``constant_floor``: kernel known only to be bounded below by ``c``;
       the energy itself evaluates the unit kernel and ``c`` enters the
       constants of the checks that use it.
+
+    ``p`` is the exponent of the energy; a config kernel leaves it at 2
+    and each command pins it to the run's p with :meth:`with_p`.
     """
 
     kind: str
@@ -80,7 +80,7 @@ class KernelSpec:
 
 
 def kernel_to_json(kernel: KernelSpec) -> dict:
-    out: dict = {"kind": kernel.kind, "p": kernel.p}
+    out: dict = {"kind": kernel.kind}
     for key in ("s", "R", "c"):
         val = getattr(kernel, key)
         if val is not None:
@@ -89,7 +89,7 @@ def kernel_to_json(kernel: KernelSpec) -> dict:
 
 
 def kernel_from_json(obj: dict) -> KernelSpec:
-    allowed = {"kind", "p", "s", "R", "c"}
+    allowed = {"kind", "s", "R", "c"}
     unknown = set(obj) - allowed
     if unknown:
         raise ValueError(f"unknown kernel fields: {sorted(unknown)}")
@@ -293,13 +293,3 @@ def weighted_gradient_constant(
         raise ValueError(f"unsupported dimension {d}")
     return 2.0 ** (3.0 * p + d) * profile.center_value / profile.half_value * c_hat
 
-
-def integrate_atoms(F: Callable[[float], float], measure: LayerCakeMeasure) -> float:
-    """Atomic integral ``sum_j w_j F(t_j)`` of a per-radius functional."""
-    terms = []
-    for t, w in measure.atoms:
-        val = float(F(t))
-        if not np.isfinite(val):
-            raise ValueError(f"functional returned non-finite value at atom t={t}")
-        terms.append(w * val)
-    return ksum(terms)

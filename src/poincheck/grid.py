@@ -27,8 +27,6 @@ __all__ = [
     "weighted_mean",
     "deviation_p",
     "deviation_p_rows",
-    "gridfunction_to_json",
-    "gridfunction_from_json",
 ]
 
 
@@ -263,15 +261,3 @@ def deviation_p_rows(
         terms = terms * w
     return ksum_rows(terms) * grid.cell_measure
 
-
-def gridfunction_to_json(u: GridFunction) -> dict:
-    """Flat JSON form: grid header plus values in cell-index order."""
-    return {
-        "grid": {"d": u.grid.d, "N": u.grid.N},
-        "values": [float(v) for v in u.values],
-    }
-
-
-def gridfunction_from_json(obj: dict) -> GridFunction:
-    grid = build_grid(int(obj["grid"]["d"]), int(obj["grid"]["N"]))
-    return GridFunction(grid, np.asarray(obj["values"], dtype=float))

@@ -164,10 +164,10 @@ def check_transfer(
                 atom=t,
             )
         f_terms.append(w * f_t)
-    t_last = measure.atoms[-1][0]
+    # f_t still holds F(u, t) at the last atom t
     shifted = GridFunction(grid, u.values + 1.0)
-    f_shifted = float(F(shifted, t_last))
-    if not math.isclose(f_shifted, float(F(u, t_last)), rel_tol=1e-9, abs_tol=1e-12):
+    f_shifted = float(F(shifted, measure.atoms[-1][0]))
+    if not math.isclose(f_shifted, f_t, rel_tol=1e-9, abs_tol=1e-12):
         raise ValueError("functional is not shift-invariant")
 
     constant = transfer_constant(p, grid.d, profile)

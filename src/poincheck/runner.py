@@ -3,10 +3,24 @@
 Rows are produced in a fixed nesting order (N, then p, then check, then
 profile, kernel, sweep axes, suite index), all reductions are exactly
 rounded, and every random draw derives from the config seed, so a run's
-CSV output is byte-identical across repetitions.  Empirically frozen
-constants (the unweighted kernel bound, the robust fractional constant,
-the general-p gradient constant) are estimated as maxima over the suite
-and the atom radii, recorded in row metadata, then reused unchanged.
+CSV output is byte-identical across repetitions.
+
+Each weighted constant is a per-ball unweighted constant times the
+transfer factor.  The per-ball constants are frozen from data on a
+:class:`_Case` (one grid, suite and p), as maxima over the suite and the
+atom radii (ĉ at p = 2 from eigensolves instead), and then reused
+unchanged.  Which constant each command freezes, and on what:
+
+- ``verify`` freezes ĉ (gradient check) on the largest grid and uses it
+  on every grid; the kernel bounds and the robust fractional constant on
+  each grid's own suite.
+- ``sharp`` freezes ĉ and the kernel bounds on each grid's own suite;
+  they enter only its paper constants.
+- ``sweep`` freezes the robust fractional constant on the canonical bump.
+
+The frozen constants appear only in the verify JSON metadata
+(``c_hat``, ``C_unweighted``, ``C_robust``); the CSVs carry the
+constants they produce.
 """
 
 from __future__ import annotations
@@ -111,10 +125,10 @@ def _frozen_constant(grid, suite, p, radii, energy, scale=lambda t: 1.0) -> floa
     t and ``dev`` the p-deviation there; a suite with no nonzero deviation
     freezes the constant at 1.
     """
+    balls = [(t, ball_cells(grid, t)) for t in radii]
     best = 0.0
     for u in suite:
-        for t in radii:
-            cells = ball_cells(grid, t)
+        for t, cells in balls:
             dev = deviation_p(u, cells, p)
             e = energy(u, cells)
             if e == 0.0:
@@ -149,21 +163,13 @@ def _gradient_constant(grid, suite, p, radii) -> float:
     )
 
 
-def _gradient_constants(config: ExperimentConfig, eigen_cache) -> dict[float, float]:
-    """One gradient constant per exponent, frozen at the largest grid."""
-    n_max = max(config.grid_sizes)
-    grid = build_grid(config.dimension, n_max)
-    radii = _union_atom_radii(config)
-    out: dict[float, float] = {}
-    suite = None
-    for p in config.p_values:
-        if p == 2.0:
-            out[p] = estimate_gradient_constant(grid, radii)
-        else:
-            if suite is None:
-                suite = build_suite(grid, config.suite, eigen_cache)
-            out[p] = _gradient_constant(grid, suite, p, radii + (1.0,))
-    return out
+def _c_hat(grid, suite, p, radii) -> float:
+    """Unweighted per-ball gradient constant: from eigensolves at p = 2,
+    the suite maximum otherwise.  ``radii`` holds the unit ball, the last
+    atom of every layer-cake measure."""
+    if p == 2.0:
+        return estimate_gradient_constant(grid, radii)
+    return _gradient_constant(grid, suite, p, radii)
 
 
 def _freeze_order(sweep_s) -> float:
@@ -172,15 +178,23 @@ def _freeze_order(sweep_s) -> float:
 
 @dataclass
 class _Case:
-    """One (grid, p) of a verify run; its frozen constants are computed on
-    first use, so a check that is not requested costs nothing."""
+    """One (grid, suite, p) of a command; its frozen constants are
+    computed on first use, so a check that is not requested costs
+    nothing.  ``c_hat_from`` is the case whose ĉ this one uses (verify:
+    the same p on the largest grid); None means its own."""
 
     config: ExperimentConfig
     grid: Grid
     suite: list
     p: float
-    c_hat: dict
     radii: tuple
+    c_hat_from: _Case | None = None
+
+    @cached_property
+    def c_hat(self) -> float:
+        if self.c_hat_from is not None:
+            return self.c_hat_from.c_hat
+        return _c_hat(self.grid, self.suite, self.p, self.radii)
 
     @cached_property
     def kernel_constants(self) -> list[tuple[KernelSpec, float]]:
@@ -194,6 +208,13 @@ class _Case:
         return _robust_constant(self.grid, self.suite, self.p, s0, self.radii)
 
 
+def _cases(config: ExperimentConfig, N: int, radii) -> list[_Case]:
+    """The cases of one grid size, one per exponent, sharing one suite."""
+    grid = build_grid(config.dimension, N)
+    suite = build_suite(grid, config.suite)
+    return [_Case(config, grid, suite, p, radii) for p in config.p_values]
+
+
 def _transfer_reports(case, profile, tol):
     grid, p = case.grid, case.p
 
@@ -204,8 +225,7 @@ def _transfer_reports(case, profile, tol):
 
 
 def _gradient_reports(case, profile, tol):
-    c_hat = case.c_hat[case.p]
-    return [check_weighted_gradient(u, profile, case.p, c_hat, tol) for u in case.suite]
+    return [check_weighted_gradient(u, profile, case.p, case.c_hat, tol) for u in case.suite]
 
 
 def _kernel_reports(case, profile, tol):
@@ -238,6 +258,15 @@ def _fractional_truncated_reports(case, profile, tol):
     ]
 
 
+def _truncation_reports(case, tol):
+    return [
+        check_truncation_bound(u, case.p, s, R, tol)
+        for s in case.config.sweep_s
+        for R in case.config.sweep_R
+        for u in case.suite
+    ]
+
+
 # The checks that run once per (grid, p, profile), in row order.  Each
 # entry calls its check function by its module-global name when it runs.
 # "truncation" runs once per (grid, p) after them, "shift" once per p
@@ -258,11 +287,9 @@ def run_verify(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunR
     ``all_passed`` drives the process exit status.
     """
     os.makedirs(out_dir, exist_ok=True)
-    eigen_cache: dict = {}
     reports = []
     if "kernel" in config.checks and not _kernels_of(config, KIND_FRACTIONAL):
         raise ConfigError("the kernel check requires a fractional kernel under 'kernels'")
-    c_hat = _gradient_constants(config, eigen_cache) if "gradient" in config.checks else {}
     radii = _union_atom_radii(config)
 
     if "shift" in config.checks:
@@ -275,21 +302,18 @@ def run_verify(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunR
                 a = float(rng.uniform(-10.0, 10.0))
                 reports.append(check_shift_stability(f, a, p))
 
+    cases_of = {N: _cases(config, N, radii) for N in config.grid_sizes}
+    largest = cases_of[max(config.grid_sizes)]
     for N in config.grid_sizes:
-        grid = build_grid(config.dimension, N)
-        suite = build_suite(grid, config.suite, eigen_cache)
-        for p in config.p_values:
-            case = _Case(config, grid, suite, p, c_hat, radii)
+        for case, frozen in zip(cases_of[N], largest):
+            if case is not frozen:
+                case.c_hat_from = frozen
             for profile in config.profiles:
                 for name, check_reports in _PROFILE_CHECKS.items():
                     if name in config.checks:
                         reports.extend(check_reports(case, profile, config.tolerance(name)))
             if "truncation" in config.checks:
-                tol = config.tolerance("truncation")
-                for s in config.sweep_s:
-                    for R in config.sweep_R:
-                        for u in suite:
-                            reports.append(check_truncation_bound(u, p, s, R, tol))
+                reports.extend(_truncation_reports(case, config.tolerance("truncation")))
 
     rows = [report_row(r) for r in reports]
     passed = all(r.passed for r in reports)
@@ -349,22 +373,17 @@ def _ascent_functionals(grid, profile, p):
     return lhs, transfer_rhs, gradient_rhs
 
 
-def _kernel_label(kernel: KernelSpec) -> str:
-    fields = {k: v for k, v in kernel_to_json(kernel).items() if k != "p"}
-    return json.dumps(fields, separators=(",", ":"))
-
-
-def _sharp_targets(config, grid, profile, p, c_hat, kernel_constants):
-    """The ascent lhs (None at p = 2) and the sharp targets of one
-    (grid, p, profile), in row order.
+def _sharp_targets(case, profile):
+    """The ascent lhs (None at p = 2) and the sharp targets of one case
+    and profile, in row order.
 
     Each target is (name, kernel label, paper constant, pencil builder at
     p = 2 or ascent rhs functional otherwise); the kernel targets are
     eigensolves only, so they exist at p = 2 alone.
     """
-    d = grid.d
-    paper = transfer_constant(p, d, profile)
-    paper_grad = weighted_gradient_constant(p, d, profile, c_hat)
+    grid, p = case.grid, case.p
+    paper = transfer_constant(p, grid.d, profile)
+    paper_grad = weighted_gradient_constant(p, grid.d, profile, case.c_hat)
     if p != 2.0:
         lhs, transfer_rhs, gradient_rhs = _ascent_functionals(grid, profile, p)
         return lhs, [
@@ -380,14 +399,14 @@ def _sharp_targets(config, grid, profile, p, c_hat, kernel_constants):
         ("transfer", "", paper, lambda: assemble_transfer_p2(grid, profile)),
         ("gradient", KIND_LOCAL, paper_grad, pencil(KernelSpec(KIND_LOCAL, p=2.0))),
     ]
-    for kernel in config.kernels:
-        if kernel.kind == KIND_LOCAL:
-            continue
+    kernel_constants = dict(case.kernel_constants)
+    for kernel in case.config.kernels:
         if kernel.kind == KIND_FLOOR:
             paper_k = paper / (kernel.c * ball_cells(grid, 0.5).measure)
         else:
             paper_k = kernel_constants[kernel] * paper
-        targets.append(("kernel", _kernel_label(kernel), paper_k, pencil(kernel.with_p(2.0))))
+        label = json.dumps(kernel_to_json(kernel), separators=(",", ":"))
+        targets.append(("kernel", label, paper_k, pencil(kernel)))
     return None, targets
 
 
@@ -395,36 +414,23 @@ def run_sharp(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunRe
     """Estimate sharp constants per configuration and compare to the
     explicit ones (eigensolve at p = 2, ratio ascent otherwise)."""
     os.makedirs(out_dir, exist_ok=True)
-    d = config.dimension
-    eigen_cache: dict = {}
     rows: list[dict] = []
     traces: list[dict] | None = [] if verbose else None
     radii = _union_atom_radii(config)
 
     for N in config.grid_sizes:
-        grid = build_grid(d, N)
-        suite = build_suite(grid, config.suite, eigen_cache)
-        for p in config.p_values:
-            # The frozen constants do not depend on the profile.
-            kernel_constants = {}
-            if p == 2.0:
-                c_hat = estimate_gradient_constant(grid, radii)
-                for kernel in _kernels_of(config, KIND_FRACTIONAL):
-                    k2 = kernel.with_p(2.0)
-                    kernel_constants[kernel] = _kernel_constant(grid, suite, 2.0, k2, radii)
-            else:
-                c_hat = _gradient_constant(grid, suite, p, radii + (1.0,))
+        for case in _cases(config, N, radii):
             for profile in config.profiles:
                 desc = describe_profile(profile)
-                base = {"d": d, "N": N, "p": p, "profile": desc, "kernel": ""}
-                lhs, targets = _sharp_targets(config, grid, profile, p, c_hat, kernel_constants)
+                base = {"d": config.dimension, "N": N, "p": case.p, "profile": desc, "kernel": ""}
+                lhs, targets = _sharp_targets(case, profile)
                 for name, kernel, paper, build in targets:
                     target = dict(base, target=name, kernel=kernel)
                     if lhs is None:
                         rows.append(_eigen_row(target, paper, build, traces))
                         continue
                     ratio, _ = ratio_ascent(
-                        grid, p, lhs, build, suite[0],
+                        case.grid, case.p, lhs, build, case.suite[0],
                         config.ascent_steps, config.ascent_step_size, weight=profile,
                     )
                     rows.append(_sharp_row(target, "ascent", None, ratio, paper))
@@ -439,48 +445,40 @@ def run_sharp(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunRe
 def run_sweep(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunResult:
     """Tabulate scaled fractional energies and check ratios over (s, R).
 
-    Uses the canonical bump as the fixed field; one row per grid, p,
-    profile, and sweep point.  The scaled energy column exhibits the
-    boundedness of ``(1 - s) * fractional energy`` on a fixed grid; the
-    check ratio columns reuse the verify-mode checks with the robust
-    constant frozen at the smallest sweep order.
+    Uses the canonical bump as the fixed field (a one-function suite);
+    one row per grid, p, profile, and sweep point.  The fractional energy
+    column is the full energy of the truncation check; the scaled energy
+    column exhibits the boundedness of ``(1 - s) * fractional energy`` on
+    a fixed grid; the check ratio columns are the verify-mode checks,
+    with the robust constant frozen on the bump.
     """
     os.makedirs(out_dir, exist_ok=True)
-    d = config.dimension
     rows: list[dict] = []
     radii = _union_atom_radii(config)
     for N in config.grid_sizes:
-        grid = build_grid(d, N)
+        grid = build_grid(config.dimension, N)
         u = canonical_bump(grid)
-        cells = full_cells(grid)
         for p in config.p_values:
-            s0 = _freeze_order(config.sweep_s)
-            c38 = _robust_constant(grid, [u], p, s0, radii)
-            grad_energy = local_energy(u, cells, p)
+            case = _Case(config, grid, [u], p, radii)
+            truncations = _truncation_reports(case, config.tolerance("truncation"))
+            grad_energy = local_energy(u, full_cells(grid), p)
             for profile in config.profiles:
-                desc = describe_profile(profile)
-                base_const = transfer_constant(p, d, profile) * 3.0 ** (p * (1.0 - s0))
-                for s in config.sweep_s:
-                    frac = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, p=p, s=s))
-                    scaled = (1.0 - s) * frac
-                    for R in config.sweep_R:
-                        frac_check = check_truncated_fractional(
-                            u, profile, p, s, R, base_const * c38,
-                            config.tolerance("fractional_truncated"),
-                        )
-                        trunc_check = check_truncation_bound(
-                            u, p, s, R, config.tolerance("truncation")
-                        )
-                        limit = scaled / grad_energy if grad_energy > 0.0 else None
-                        rows.append({
-                            "d": d, "N": N, "p": p, "profile": desc, "s": s, "R": R,
-                            "fractional_energy": frac,
-                            "scaled_energy": scaled,
-                            "gradient_energy": grad_energy,
-                            "gradient_limit_ratio": limit,
-                            "fractional_check_ratio": frac_check.ratio,
-                            "truncation_check_ratio": trunc_check.ratio,
-                            "pass": frac_check.passed and trunc_check.passed,
-                        })
+                tol = config.tolerance("fractional_truncated")
+                checks = zip(_fractional_truncated_reports(case, profile, tol), truncations)
+                for frac_check, trunc_check in checks:
+                    meta = frac_check.metadata
+                    frac = trunc_check.lhs
+                    scaled = (1.0 - meta["s"]) * frac
+                    limit = scaled / grad_energy if grad_energy > 0.0 else None
+                    rows.append({
+                        **{key: meta[key] for key in ("d", "N", "p", "profile", "s", "R")},
+                        "fractional_energy": frac,
+                        "scaled_energy": scaled,
+                        "gradient_energy": grad_energy,
+                        "gradient_limit_ratio": limit,
+                        "fractional_check_ratio": frac_check.ratio,
+                        "truncation_check_ratio": trunc_check.ratio,
+                        "pass": frac_check.passed and trunc_check.passed,
+                    })
     passed = all(row["pass"] for row in rows)
     return _write_reports(out_dir, config, SWEEP_COLUMNS, rows, rows, passed)

@@ -28,7 +28,6 @@ __all__ = [
     "assemble_p2",
     "assemble_transfer_p2",
     "smallest_nonzero_eigen",
-    "sharp_constant_p2",
     "dense_oracle_eigen",
     "ratio_ascent",
     "estimate_gradient_constant",
@@ -51,12 +50,11 @@ class EigenConvergenceError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class QuadraticFormPair:
     """Energy matrix A (symmetric psd, constants in its kernel) and the
-    diagonal of the weighted mass matrix, both over one cell set."""
+    diagonal of the weighted mass matrix, both indexed by the positions
+    of one cell set (entry k is the set's k-th cell)."""
 
     energy: np.ndarray
     mass: np.ndarray
-    grid: Grid | None = None
-    cells: CellSet | None = None
 
     def __post_init__(self):
         A = np.asarray(self.energy, dtype=float)
@@ -133,7 +131,7 @@ def assemble_p2(
     else:
         C = pair_coefficient_matrix(grid, cells, kernel, weight)
         A = 2.0 * (np.diag(C.sum(axis=1)) - C)
-    return QuadraticFormPair(A, _mass_diagonal(grid, cells, weight), grid, cells)
+    return QuadraticFormPair(A, _mass_diagonal(grid, cells, weight))
 
 
 def assemble_transfer_p2(grid: Grid, profile: RadialProfile) -> QuadraticFormPair:
@@ -146,7 +144,6 @@ def assemble_transfer_p2(grid: Grid, profile: RadialProfile) -> QuadraticFormPai
     """
     n = grid.cell_count
     A = np.zeros((n, n))
-    cells = full_cells(grid)
     for t, w in layer_cake(profile).atoms:
         if w == 0.0:
             continue
@@ -156,7 +153,7 @@ def assemble_transfer_p2(grid: Grid, profile: RadialProfile) -> QuadraticFormPai
         A[block] -= w * grid.cell_measure / nt
         A[ball, ball] += w * grid.cell_measure
     mass = eval_weight(profile, grid.norms) * grid.cell_measure
-    return QuadraticFormPair(A, mass, grid, cells)
+    return QuadraticFormPair(A, mass)
 
 
 def _projected_cg(matvec, b, project, x0, rtol, max_iter):
@@ -258,8 +255,8 @@ def smallest_nonzero_eigen(
     domains carry double eigenvalues), which would stall a single-vector
     iteration.  Converges when the residual in the original variables
     satisfies ``|A v - lam D v| <= tol * |A v|``.  Returns the eigenvalue
-    and the eigenvector, mass-orthogonal to constants and mass-normalized
-    (embedded as a grid function when the pair knows its grid).
+    and the eigenvector as a 1-d array of ``pair.size`` entries in the
+    pair's cell order, mass-orthogonal to constants and mass-normalized.
 
     Raises :class:`EigenConvergenceError` with the last relative residual
     when the iteration budget runs out.
@@ -337,21 +334,7 @@ def smallest_nonzero_eigen(
     x = X[:, 0]
     x = project(x)
     x /= np.linalg.norm(x)
-    v = inv_sqrt * x
-    if pair.grid is not None and pair.cells is not None:
-        embedded = np.zeros(pair.grid.cell_count)
-        embedded[pair.cells.indices] = v
-        return lam, GridFunction(pair.grid, embedded)
-    return lam, v
-
-
-def sharp_constant_p2(
-    grid: Grid, kernel: KernelSpec, weight: RadialProfile | None = None
-) -> float:
-    """Empirical best constant of the p = 2 inequality on the full ball."""
-    pair = assemble_p2(grid, full_cells(grid), kernel, weight)
-    lam, _ = smallest_nonzero_eigen(pair)
-    return 1.0 / lam
+    return lam, inv_sqrt * x
 
 
 def dense_oracle_eigen(

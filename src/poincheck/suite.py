@@ -75,8 +75,7 @@ def smooth_random_field(grid: Grid, rng, passes: int = 3) -> np.ndarray:
 
 def _eigenfunction(grid: Grid) -> np.ndarray:
     pair = assemble_p2(grid, full_cells(grid), KernelSpec(KIND_LOCAL, p=2.0))
-    _, vec = smallest_nonzero_eigen(pair)
-    vals = np.asarray(vec.values, dtype=float)
+    _, vals = smallest_nonzero_eigen(pair)
     peak = np.abs(vals).max()
     return vals / peak if peak > 0.0 else vals
 
@@ -94,13 +93,14 @@ def build_suite(
 ) -> list[GridFunction]:
     """The suite functions for one grid, in deterministic order.
 
-    The eigenfunction is computed once per grid (optionally cached across
+    The eigenfunction is computed once per call (optionally cached across
     calls via ``eigen_cache``); repeated draws from the ``eigen`` family
     add small seeded perturbations so suite members stay distinct.
     """
     rng = np.random.default_rng(spec.seed)
     out: list[GridFunction] = []
-    eigen_seen = 0
+    cache = {} if eigen_cache is None else eigen_cache
+    base = None  # the eigenfunction, once drawn
     for k in range(spec.count):
         family = spec.families[k % len(spec.families)]
         if family == "affine":
@@ -109,18 +109,13 @@ def build_suite(
             vals = _bump(grid, rng)
         elif family == "random_smooth":
             vals = smooth_random_field(grid, rng)
-        else:
+        elif base is None:
             key = (grid.d, grid.N)
-            if eigen_cache is not None and key in eigen_cache:
-                base = eigen_cache[key]
-            else:
-                base = _eigenfunction(grid)
-                if eigen_cache is not None:
-                    eigen_cache[key] = base
-            if eigen_seen == 0:
-                vals = base.copy()
-            else:
-                vals = base + 0.05 * rng.standard_normal(grid.cell_count)
-            eigen_seen += 1
+            if key not in cache:
+                cache[key] = _eigenfunction(grid)
+            base = cache[key]
+            vals = base.copy()
+        else:
+            vals = base + 0.05 * rng.standard_normal(grid.cell_count)
         out.append(GridFunction(grid, vals))
     return out

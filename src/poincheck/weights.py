@@ -33,7 +33,6 @@ __all__ = [
     "reconstruct",
     "truncate_profile",
     "describe_profile",
-    "profile_to_json",
     "profile_from_json",
 ]
 
@@ -114,10 +113,6 @@ class LayerCakeMeasure:
             raise ValueError("atom locations must be strictly increasing")
         if all(w == 0.0 for _, w in atoms):
             raise ValueError("measure must be positive (some atom mass > 0)")
-
-    @property
-    def total_mass(self) -> float:
-        return ksum([w for _, w in self.atoms])
 
     @property
     def radii(self) -> tuple[float, ...]:
@@ -216,14 +211,6 @@ def describe_profile(profile: RadialProfile) -> str:
     b = ",".join(repr(x) for x in profile.breakpoints)
     v = ",".join(repr(x) for x in profile.values)
     return f"step(b=[{b}];v=[{v}])"
-
-
-def profile_to_json(profile: RadialProfile) -> dict:
-    return {
-        "type": "step",
-        "breakpoints": list(profile.breakpoints),
-        "values": list(profile.values),
-    }
 
 
 def profile_from_json(obj: dict, samples: int = 16) -> RadialProfile:

@@ -7,6 +7,7 @@ import pytest
 
 from poincheck.forms import _kernel_block, local_energy
 from poincheck.grid import GridFunction, full_cells, mean, weighted_mean
+from poincheck.sharp import assemble_p2, smallest_nonzero_eigen
 from poincheck.weights import eval_weight
 
 
@@ -212,3 +213,9 @@ def random_step_profile(rng, max_steps=10):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240605)
+
+
+def sharp_constant_p2(grid, kernel, weight=None):
+    """Empirical best constant of the p = 2 inequality on the full ball."""
+    lam, _ = smallest_nonzero_eigen(assemble_p2(grid, full_cells(grid), kernel, weight))
+    return 1.0 / lam

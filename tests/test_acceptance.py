@@ -47,13 +47,17 @@ from poincheck.sharp import (
     assemble_transfer_p2,
     dense_oracle_eigen,
     estimate_gradient_constant,
-    sharp_constant_p2,
     smallest_nonzero_eigen,
 )
 from poincheck.suite import SuiteSpec, build_suite, canonical_bump
 from poincheck.weights import eval_weight, layer_cake, make_step_profile
 from poincheck.config import parse_config
-from conftest import naive_kernel_energy, random_step_profile, subgrid_pair_mass
+from conftest import (
+    naive_kernel_energy,
+    random_step_profile,
+    sharp_constant_p2,
+    subgrid_pair_mass,
+)
 
 SEED = 20240601
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from poincheck.cli import main
 from poincheck.config import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -46,6 +47,21 @@ def test_rejects_s_out_of_range():
     doc = minimal_doc(sweep={"s": [1.0]})
     with pytest.raises(ConfigError, match=r"s must lie in \(0,1\)"):
         parse_config(doc)
+
+
+def test_rejects_kernel_exponent_and_local_kind():
+    # Every command pins a kernel's exponent to the run's p and has no
+    # local_gradient kernel rows, so neither can be configured.
+    for kernel in ({"kind": "fractional", "s": 0.5, "p": 2.0}, {"kind": "local_gradient"}):
+        with pytest.raises(ConfigError, match="kernels/0"):
+            parse_config(minimal_doc(kernels=[kernel]))
+
+
+def test_schema_lists_two_kernel_kinds_without_exponent(capsys):
+    assert main(["schema"]) == 0
+    kernel = json.loads(capsys.readouterr().out)["properties"]["kernels"]["items"]
+    assert set(kernel["properties"]) == {"kind", "s", "R", "c"}
+    assert kernel["properties"]["kind"]["enum"] == ["fractional", "constant_floor"]
 
 
 def test_rejects_empty_grid_sizes():

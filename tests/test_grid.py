@@ -8,8 +8,6 @@ from poincheck.grid import (
     deviation_p,
     deviation_p_rows,
     full_cells,
-    gridfunction_from_json,
-    gridfunction_to_json,
     mean,
     weighted_mean,
 )
@@ -168,16 +166,6 @@ def test_gridfunction_validation():
         GridFunction(g, np.ones(5))
     with pytest.raises(ValueError):
         GridFunction(g, np.array([1.0, np.nan, 0.0, 0.0]))
-
-
-def test_gridfunction_json_round_trip(rng):
-    g = build_grid(2, 6)
-    u = GridFunction(g, rng.standard_normal(g.cell_count))
-    doc = gridfunction_to_json(u)
-    assert doc["grid"] == {"d": 2, "N": 6}
-    back = gridfunction_from_json(doc)
-    assert back.grid.d == 2 and back.grid.N == 6
-    assert np.array_equal(back.values, u.values)
 
 
 ROW_PROFILES = [

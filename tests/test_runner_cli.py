@@ -249,13 +249,19 @@ def test_cli_sharp_verbose_trace(tmp_path):
 
 
 def test_demo_reports_match_benchmark_reference(tmp_path):
-    reference = ROOT / "perfbench" / "reference" / "demo-1d"
-    config = ROOT / "configs" / "demo.json"
-    for command in ("verify", "sharp", "sweep"):
-        out = tmp_path / command
+    # Every command of the 1-d demo, and the sweeps of the two 2-d
+    # workloads (about 1.5 s together); the 2-d verify and sharp runs take
+    # seconds each and are left to the benchmark gate.
+    workloads = ROOT / "perfbench" / "workloads"
+    runs = [("demo-1d", ROOT / "configs" / "demo.json", command)
+            for command in ("verify", "sharp", "sweep")]
+    runs += [(name, workloads / f"{name}.json", "sweep") for name in ("ball2d-p1", "ball2d-p2")]
+    for workload, config, command in runs:
+        reference = ROOT / "perfbench" / "reference" / workload / f"{command}.csv"
+        out = tmp_path / workload / command
         assert main([command, "--config", str(config), "--out", str(out)]) == 0
-        assert (out / "report.csv").read_bytes() == (reference / f"{command}.csv").read_bytes(), (
-            f"the demo {command} report differs from {reference / (command + '.csv')}; "
+        assert (out / "report.csv").read_bytes() == reference.read_bytes(), (
+            f"the {workload} {command} report differs from {reference}; "
             "if the change is deliberate, recapture it with perfbench/capture_reference.py"
         )
 

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import per_probe_ratio_ascent
+from conftest import per_probe_ratio_ascent, sharp_constant_p2
 from poincheck.forms import (
     KIND_FLOOR,
     KIND_FRACTIONAL,
@@ -32,7 +32,6 @@ from poincheck.sharp import (
     dense_oracle_eigen,
     estimate_gradient_constant,
     ratio_ascent,
-    sharp_constant_p2,
     smallest_nonzero_eigen,
 )
 from poincheck.weights import layer_cake, make_step_profile, profile_from_json
@@ -126,11 +125,12 @@ def test_transfer_pair_matches_atomized_deviations(rng):
 def test_smallest_eigen_path_graph_closed_form():
     g = build_grid(1, 4)
     pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL, p=2.0))
-    lam, vec = smallest_nonzero_eigen(pair)
+    lam, v = smallest_nonzero_eigen(pair)
     want = 2.0 * (1.0 - np.cos(np.pi / 4)) / g.h**2
     assert lam == pytest.approx(want, rel=1e-10)
-    # eigenvector contract: mass-normalized, mass-orthogonal to constants
-    v = vec.values
+    # eigenvector contract: an array in the pair's cell order,
+    # mass-normalized, mass-orthogonal to constants
+    assert isinstance(v, np.ndarray) and v.shape == (pair.size,)
     assert float(v @ (pair.mass * v)) == pytest.approx(1.0, rel=1e-12)
     assert abs(float(pair.mass @ v)) < 1e-10
     # residual contract
@@ -282,8 +282,8 @@ def test_ratio_ascent_cross_validates_eigensolve(rng):
     pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL, p=2.0))
     lam, vec = smallest_nonzero_eigen(pair)
     sharp = 1.0 / lam
-    scale = float(np.abs(vec.values).max())
-    noisy = GridFunction(g, vec.values + 0.05 * scale * rng.standard_normal(32))
+    scale = float(np.abs(vec).max())
+    noisy = GridFunction(g, vec + 0.05 * scale * rng.standard_normal(32))
     lhs = lambda v: deviation_p_rows(v, full_cells(g), 2.0)
     rhs = lambda v: local_energy_rows(v, full_cells(g), 2.0)
     ratio, _ = ratio_ascent(g, 2.0, lhs, rhs, noisy, steps=60, step_size=0.01)
