@@ -13,6 +13,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .weights import (
+    UNIT_WEIGHT,
     LayerCakeMeasure,
     RadialProfile,
     eval_weight,
@@ -31,7 +32,6 @@ from .grid import (
     deviation_p,
     deviation_p_rows,
     full_cells,
-    mean,
     weighted_mean,
 )
 from .forms import (

@@ -1,5 +1,9 @@
 """Command-line interface: verify | sharp | sweep | schema.
 
+Each command takes ``--config``, ``--out`` and ``--seed``; ``sharp`` also
+always writes its Ritz trace (``trace.csv``).  The unweighted case is the
+weight ``UNIT_WEIGHT``: a step profile with no breakpoints and level 1.
+
 BLAS is pinned to one thread by the package ``__init__``, which runs
 before this module and before numpy loads.
 """
@@ -33,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--out", default="out", help="output directory (default: out)")
         cmd.add_argument("--seed", type=int, default=None, help="override the suite seed")
-        cmd.add_argument("--verbose", action="store_true", help="emit progress and traces")
     sub.add_parser("schema", help="print the config JSON schema")
     return parser
 
@@ -46,12 +49,10 @@ def main(argv=None) -> int:
         return 0
     try:
         config = load_config(args.config, seed_override=args.seed)
-        result = _RUNNERS[args.command](config, args.out, verbose=args.verbose)
+        result = _RUNNERS[args.command](config, args.out)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.verbose:
-        print(f"{len(result.rows)} rows -> {result.csv_path}")
     if not result.all_passed:
         failed = sum(1 for row in result.rows if str(row.get("pass")).lower() != "true")
         print(f"FAIL: {failed} of {len(result.rows)} rows failed", file=sys.stderr)

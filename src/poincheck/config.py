@@ -9,7 +9,7 @@ import jsonschema
 
 from .weights import RadialProfile, profile_from_json
 from .forms import KernelSpec, kernel_from_json
-from .suite import FAMILIES, SuiteSpec
+from .suite import SuiteSpec
 
 __all__ = ["ExperimentConfig", "ConfigError", "CONFIG_SCHEMA", "load_config", "parse_config"]
 
@@ -135,11 +135,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "seed": {"type": "integer"},
                 "count": {"type": "integer", "minimum": 1},
-                "families": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"enum": list(FAMILIES)},
-                },
             },
         },
         "tolerances": {
@@ -153,7 +148,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "steps": {"type": "integer", "minimum": 0},
-                "step_size": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "output": {
@@ -189,7 +183,6 @@ class ExperimentConfig:
     json_name: str = "report.json"
     trace_name: str = "trace.csv"
     ascent_steps: int = 40
-    ascent_step_size: float = 0.05
 
     def tolerance(self, check: str) -> float:
         return self.tolerances.get(check, DEFAULT_TOLERANCES[check])
@@ -218,11 +211,7 @@ def parse_config(document: dict, seed_override: int | None = None) -> Experiment
     suite_doc = dict(document["suite"])
     if seed_override is not None:
         suite_doc["seed"] = int(seed_override)
-    suite = SuiteSpec(
-        seed=int(suite_doc["seed"]),
-        count=int(suite_doc.get("count", 20)),
-        families=tuple(suite_doc.get("families", FAMILIES)),
-    )
+    suite = SuiteSpec(seed=int(suite_doc["seed"]), count=int(suite_doc.get("count", 20)))
 
     sweep = document.get("sweep", {})
     output = document.get("output", {})
@@ -242,7 +231,6 @@ def parse_config(document: dict, seed_override: int | None = None) -> Experiment
         json_name=output.get("json", "report.json"),
         trace_name=output.get("trace_csv", "trace.csv"),
         ascent_steps=int(ascent.get("steps", 40)),
-        ascent_step_size=float(ascent.get("step_size", 0.05)),
     )
 
 

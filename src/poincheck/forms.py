@@ -2,8 +2,9 @@
 
 Two energies appear on right-hand sides: the gradient energy (forward
 differences, midpoint quadrature) and nonlocal pair energies against a
-kernel (optionally truncated and weighted by the pointwise minimum of the
-weight at the two endpoints).
+kernel (optionally truncated), weighted by the pointwise minimum of the
+weight at the two endpoints.  Every weight defaults to ``UNIT_WEIGHT``,
+which gives the unweighted energies.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numerics import ksum, ksum_rows
-from .weights import RadialProfile, eval_weight
+from .weights import UNIT_WEIGHT, RadialProfile, eval_weight
 from .grid import CellSet, GridFunction, value_rows
 
 __all__ = [
@@ -100,7 +101,7 @@ def local_energy(
     u: GridFunction,
     cells: CellSet,
     p: float,
-    weight: RadialProfile | None = None,
+    weight: RadialProfile = UNIT_WEIGHT,
 ) -> float:
     """Gradient energy ``sum |grad_h u|^p w h^d`` over a cell set.
 
@@ -115,7 +116,7 @@ def local_energy_rows(
     values,
     cells: CellSet,
     p: float,
-    weight: RadialProfile | None = None,
+    weight: RadialProfile = UNIT_WEIGHT,
 ) -> np.ndarray:
     """:func:`local_energy` of each row of a (k, cell_count) value matrix.
 
@@ -138,9 +139,7 @@ def local_energy_rows(
         diff = np.zeros_like(sq)
         diff[:, ok] = (rows.take(nb[ok], axis=1) - rows.take(idx[ok], axis=1)) / grid.h
         sq += diff * diff
-    terms = sq ** (p / 2.0)
-    if weight is not None:
-        terms = terms * eval_weight(weight, grid.norms[idx])
+    terms = sq ** (p / 2.0) * eval_weight(weight, grid.norms[idx])
     return ksum_rows(terms) * grid.cell_measure
 
 
@@ -178,7 +177,7 @@ def _offset_kernel(grid, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray, in
 
 
 def _pair_energy(
-    u: GridFunction, cells: CellSet, kernel: KernelSpec, weight: RadialProfile | None
+    u: GridFunction, cells: CellSet, kernel: KernelSpec, weight: RadialProfile = UNIT_WEIGHT
 ) -> float:
     grid = u.grid
     idx = cells.indices
@@ -187,7 +186,7 @@ def _pair_energy(
     col_keys = keys[idx]
     v = u.values[idx]
     m = idx.size
-    phi = eval_weight(weight, grid.norms[idx]) if weight is not None else None
+    phi = eval_weight(weight, grid.norms[idx])
     scale = grid.cell_measure**2
     p = kernel.p
     row_sums: list[float] = []
@@ -195,8 +194,7 @@ def _pair_energy(
         stop = min(start + _PAIR_BLOCK, m)
         terms = np.abs(v[start:stop, None] - v[None, :]) ** p
         terms = terms * table[row_keys[start:stop, None] - col_keys[None, :]]
-        if phi is not None:
-            terms = terms * np.minimum(phi[start:stop, None], phi[None, :])
+        terms = terms * np.minimum(phi[start:stop, None], phi[None, :])
         rows = np.arange(start, stop)
         terms[rows - start, rows] = 0.0
         row_sums.extend(math.fsum(row.tolist()) for row in terms)
@@ -207,12 +205,12 @@ def kernel_energy(
     u: GridFunction,
     cells: CellSet,
     kernel: KernelSpec,
-    weight: RadialProfile | None = None,
+    weight: RadialProfile = UNIT_WEIGHT,
 ) -> float:
     """Nonlocal pair energy over ordered cell pairs (diagonal excluded).
 
     ``sum_{i != j} |u_i - u_j|^p K(x_i, x_j) W_ij h^{2d}`` with
-    ``W_ij = min(w(x_i), w(x_j))`` when a weight is given, else 1.
+    ``W_ij = min(w(x_i), w(x_j))``, which is 1 for ``UNIT_WEIGHT``.
     Accumulation is row-chunked and exactly rounded per row, so the result
     is deterministic and memory stays bounded on large cell sets.
 
@@ -244,7 +242,7 @@ def pair_coefficient_matrix(
     grid,
     cells: CellSet,
     kernel: KernelSpec,
-    weight: RadialProfile | None = None,
+    weight: RadialProfile = UNIT_WEIGHT,
 ) -> np.ndarray:
     """Dense matrix ``C_ij = K_ij W_ij h^{2d}`` with zero diagonal.
 
@@ -256,10 +254,9 @@ def pair_coefficient_matrix(
     """
     idx = cells.indices
     table, keys, center = _offset_kernel(grid, kernel)
+    phi = eval_weight(weight, grid.norms[idx])
     C = table[keys[idx, None] + center - keys[None, idx]]
-    if weight is not None:
-        phi = eval_weight(weight, grid.norms[idx])
-        C = C * np.minimum(phi[:, None], phi[None, :])
+    C = C * np.minimum(phi[:, None], phi[None, :])
     np.fill_diagonal(C, 0.0)
     return C * grid.cell_measure**2
 

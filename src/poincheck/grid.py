@@ -4,7 +4,8 @@ Cells are axis-aligned squares of width ``h = 2/N`` tiling [-1, 1]^d; a
 cell belongs to the ball iff its center has Euclidean norm strictly below
 one.  All integrals use midpoint quadrature (value at center times h^d)
 and all reductions are exactly rounded, so results are reproducible to
-the last bit.
+the last bit.  Deviations weight each cell by a radial profile; the
+unweighted deviation is the one against ``UNIT_WEIGHT``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import ksum, ksum_rows
-from .weights import RadialProfile, eval_weight
+from .weights import UNIT_WEIGHT, RadialProfile, eval_weight
 
 __all__ = [
     "Grid",
@@ -23,7 +24,6 @@ __all__ = [
     "build_grid",
     "ball_cells",
     "full_cells",
-    "mean",
     "weighted_mean",
     "deviation_p",
     "deviation_p_rows",
@@ -184,13 +184,6 @@ def full_cells(grid: Grid) -> CellSet:
     return CellSet(grid, np.arange(grid.cell_count, dtype=np.int64))
 
 
-def mean(u: GridFunction, cells: CellSet) -> float:
-    """Plain average of u over a nonempty cell set (cell measures cancel)."""
-    if len(cells) == 0:
-        raise ValueError("cannot average over an empty cell set")
-    return ksum(u.values[cells.indices]) / len(cells)
-
-
 def weighted_mean(u: GridFunction, profile: RadialProfile) -> float:
     """Average of u over the whole grid against the radial weight."""
     w = eval_weight(profile, u.grid.norms)
@@ -214,14 +207,14 @@ def deviation_p(
     u: GridFunction,
     cells: CellSet,
     p: float,
-    profile: RadialProfile | None = None,
+    profile: RadialProfile = UNIT_WEIGHT,
     center: float | None = None,
 ) -> float:
-    """p-th power deviation of u from a center, optionally weighted.
+    """p-th power weighted deviation of u from a center.
 
     Computes ``sum |u_i - c|^p w_i h^d`` over the cell set, with weights
-    from the profile (else 1) and ``c`` the supplied center or, when
-    omitted, the matching (weighted) average over the same cells.
+    from the profile (``UNIT_WEIGHT`` by default) and ``c`` the supplied
+    center or, when omitted, the weighted average over the same cells.
     """
     return float(deviation_p_rows(u.values[None, :], cells, p, profile, center)[0])
 
@@ -230,7 +223,7 @@ def deviation_p_rows(
     values,
     cells: CellSet,
     p: float,
-    profile: RadialProfile | None = None,
+    profile: RadialProfile = UNIT_WEIGHT,
     center: float | None = None,
 ) -> np.ndarray:
     """:func:`deviation_p` of each row of a (k, cell_count) value matrix.
@@ -246,18 +239,13 @@ def deviation_p_rows(
     grid = cells.grid
     idx = cells.indices
     vals = value_rows(values, grid).take(idx, axis=1)
-    w = None if profile is None else eval_weight(profile, grid.norms[idx])
+    w = eval_weight(profile, grid.norms[idx])
     if center is not None:
         c = float(center)
-    elif w is None:
-        c = (ksum_rows(vals) / len(cells))[:, None]
     else:
         den = ksum(w)
         if den <= 0.0:
             raise ValueError("weight vanishes on every cell of the set")
         c = (ksum_rows(vals * w) / den)[:, None]
-    terms = np.abs(vals - c) ** p
-    if w is not None:
-        terms = terms * w
-    return ksum_rows(terms) * grid.cell_measure
+    return ksum_rows(np.abs(vals - c) ** p * w) * grid.cell_measure
 

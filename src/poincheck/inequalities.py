@@ -380,15 +380,7 @@ def reports_to_json(reports) -> list[dict]:
             "constant_used": report.constant_used,
             "pass": report.passed,
             "tol": report.tol,
-            "metadata": {k: _jsonable(v) for k, v in report.metadata.items()},
+            "metadata": dict(report.metadata),
         }
         out.append(entry)
     return out
-
-
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value

@@ -24,8 +24,6 @@ def ksum(values: Iterable[float] | np.ndarray) -> float:
     """Exactly rounded sum of all entries of an array or iterable."""
     if isinstance(values, np.ndarray):
         flat = np.ascontiguousarray(values, dtype=float).ravel()
-        if flat.size <= _CHUNK:
-            return math.fsum(flat.tolist())
         # One fsum over every element: a sum of chunk sums is not exactly rounded.
         chunks = (flat[k : k + _CHUNK].tolist() for k in range(0, flat.size, _CHUNK))
         return math.fsum(itertools.chain.from_iterable(chunks))

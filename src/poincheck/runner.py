@@ -87,6 +87,8 @@ SWEEP_COLUMNS = (
 # A trace row names its sharp row by the same leading columns.
 TRACE_COLUMNS = SHARP_COLUMNS[:6] + ("iteration", "eigenvalue", "residual")
 
+_ASCENT_STEP_SIZE = 0.05  # length of each normalized ratio-ascent step
+
 
 @dataclass
 class RunResult:
@@ -280,7 +282,7 @@ _PROFILE_CHECKS = {
 }
 
 
-def run_verify(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunResult:
+def run_verify(config: ExperimentConfig, out_dir) -> RunResult:
     """Run every requested check over the configured cross product.
 
     Writes the report CSV and JSON into ``out_dir``; the result's
@@ -340,15 +342,14 @@ def _eigen_row(target, paper, build_pair, traces) -> dict:
     """Sharp row of one p = 2 target: ``1 / lambda`` of its pencil.
 
     A solve that does not converge gives a failing row with its residual
-    and no trace; ``traces`` (None unless verbose) gets one row per Ritz
-    step of a converged solve.
+    and no trace; ``traces`` gets one row per Ritz step of a converged solve.
     """
-    trace = [] if traces is not None else None
+    trace = []
     try:
         lam, _ = smallest_nonzero_eigen(build_pair(), trace=trace)
     except EigenConvergenceError as exc:
         return _sharp_row(target, "eigen", None, None, paper, exc.residual)
-    for it, lam_it, res in trace or ():
+    for it, lam_it, res in trace:
         traces.append(dict(target, iteration=it, eigenvalue=lam_it, residual=res))
     return _sharp_row(target, "eigen", lam, 1.0 / lam, paper)
 
@@ -410,12 +411,13 @@ def _sharp_targets(case, profile):
     return None, targets
 
 
-def run_sharp(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunResult:
+def run_sharp(config: ExperimentConfig, out_dir) -> RunResult:
     """Estimate sharp constants per configuration and compare to the
-    explicit ones (eigensolve at p = 2, ratio ascent otherwise)."""
+    explicit ones (eigensolve at p = 2, ratio ascent otherwise).  Always
+    writes the trace CSV: one row per Ritz step of each converged solve."""
     os.makedirs(out_dir, exist_ok=True)
     rows: list[dict] = []
-    traces: list[dict] | None = [] if verbose else None
+    traces: list[dict] = []
     radii = _union_atom_radii(config)
 
     for N in config.grid_sizes:
@@ -430,19 +432,18 @@ def run_sharp(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunRe
                         rows.append(_eigen_row(target, paper, build, traces))
                         continue
                     ratio, _ = ratio_ascent(
-                        case.grid, case.p, lhs, build, case.suite[0],
-                        config.ascent_steps, config.ascent_step_size, weight=profile,
+                        case.grid, lhs, build, case.suite[0],
+                        config.ascent_steps, _ASCENT_STEP_SIZE, weight=profile,
                     )
                     rows.append(_sharp_row(target, "ascent", None, ratio, paper))
 
     passed = all(row["pass"] for row in rows)
     result = _write_reports(out_dir, config, SHARP_COLUMNS, rows, rows, passed)
-    if traces:
-        write_rows_csv(os.path.join(out_dir, config.trace_name), TRACE_COLUMNS, traces)
+    write_rows_csv(os.path.join(out_dir, config.trace_name), TRACE_COLUMNS, traces)
     return result
 
 
-def run_sweep(config: ExperimentConfig, out_dir, verbose: bool = False) -> RunResult:
+def run_sweep(config: ExperimentConfig, out_dir) -> RunResult:
     """Tabulate scaled fractional energies and check ratios over (s, R).
 
     Uses the canonical bump as the fixed field (a one-function suite);

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import RadialProfile, eval_weight, layer_cake
-from .grid import CellSet, Grid, GridFunction, ball_cells, full_cells, mean, weighted_mean
+from .weights import UNIT_WEIGHT, RadialProfile, eval_weight, layer_cake
+from .grid import CellSet, Grid, GridFunction, ball_cells, weighted_mean
 from .forms import KIND_LOCAL, KernelSpec, pair_coefficient_matrix
 
 __all__ = [
@@ -84,22 +84,17 @@ class QuadraticFormPair:
         return self.energy.shape[0]
 
 
-def _mass_diagonal(grid: Grid, cells: CellSet, weight: RadialProfile | None) -> np.ndarray:
-    if weight is None:
-        return np.full(len(cells), grid.cell_measure)
-    return eval_weight(weight, grid.norms[cells.indices]) * grid.cell_measure
-
-
 def assemble_p2(
     grid: Grid,
     cells: CellSet,
     kernel: KernelSpec,
-    weight: RadialProfile | None = None,
+    weight: RadialProfile = UNIT_WEIGHT,
 ) -> QuadraticFormPair:
     """Quadratic-form realization of an energy at p = 2 over a cell set.
 
     ``u' A u`` reproduces the matching energy functional for every u, and
-    the mass diagonal carries the (possibly weighted) cell measures.
+    the mass diagonal carries the weighted cell measures (``UNIT_WEIGHT``,
+    the default, gives the unweighted pencil).
     """
     if kernel.p != 2.0:
         raise ValueError("quadratic assembly requires a kernel with p = 2")
@@ -107,16 +102,12 @@ def assemble_p2(
         raise ValueError("cannot assemble over an empty cell set")
     n = len(cells)
     idx = cells.indices
+    phi = eval_weight(weight, grid.norms[idx])
     if kernel.kind == KIND_LOCAL:
         A = np.zeros((n, n))
         local_of = -np.ones(grid.cell_count, dtype=np.int64)
         local_of[idx] = np.arange(n)
         mask = cells.mask()
-        phi = (
-            eval_weight(weight, grid.norms[idx])
-            if weight is not None
-            else np.ones(n)
-        )
         coef_scale = grid.h ** (grid.d - 2)
         for a in range(grid.d):
             nb = grid.neighbors_up[idx, a]
@@ -131,7 +122,7 @@ def assemble_p2(
     else:
         C = pair_coefficient_matrix(grid, cells, kernel, weight)
         A = 2.0 * (np.diag(C.sum(axis=1)) - C)
-    return QuadraticFormPair(A, _mass_diagonal(grid, cells, weight))
+    return QuadraticFormPair(A, phi * grid.cell_measure)
 
 
 def assemble_transfer_p2(grid: Grid, profile: RadialProfile) -> QuadraticFormPair:
@@ -359,13 +350,12 @@ def dense_oracle_eigen(
 
 def ratio_ascent(
     grid: Grid,
-    p: float,
     lhs_functional,
     rhs_functional,
     u0: GridFunction,
     steps: int,
     step_size: float,
-    weight: RadialProfile | None = None,
+    weight: RadialProfile = UNIT_WEIGHT,
 ):
     """Locally maximize ``lhs(u) / rhs(u)`` by normalized gradient ascent.
 
@@ -378,16 +368,15 @@ def ratio_ascent(
     own, such as the exactly rounded row cores ``deviation_p_rows`` and
     ``local_energy_rows``, every ratio, iterate and the result are
     bit-identical to one call per probe.  The update moves along the
-    normalized gradient, and each iterate is re-centered to (weighted)
-    mean zero and rescaled to unit norm; the ratio is invariant under both
-    for the functionals used here.  Each iterate's ratio is evaluated once
+    normalized gradient, and each iterate is re-centered to mean zero
+    against ``weight`` (``UNIT_WEIGHT``, the plain mean, by default) and
+    rescaled to unit norm; the ratio is invariant under both for the
+    functionals used here.  Each iterate's ratio is evaluated once
     and is the base of the next step's differences; a restart, taken when
     an iterate's rhs is ``<= 0``, evaluates its new start.  Deterministic
     given (u0, steps, step_size); returns the best ratio seen and its grid
     function.  Use as a lower bound on the sharp constant for general p.
     """
-    if p < 1.0:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
 
     def ratios(rows):
         """Ratio of each row, and where the rhs is ``<= 0`` (no ratio)."""
@@ -403,9 +392,7 @@ def ratio_ascent(
         return None if bad[0] else float(ratio[0])
 
     def recenter(vals):
-        u = GridFunction(grid, vals)
-        c = mean(u, full_cells(grid)) if weight is None else weighted_mean(u, weight)
-        return vals - c
+        return vals - weighted_mean(GridFunction(grid, vals), weight)
 
     vals = np.array(u0.values, dtype=float)
     start = ratio_of(vals)

@@ -88,18 +88,15 @@ def canonical_bump(grid: Grid) -> GridFunction:
     return GridFunction(grid, np.exp(-sq / 0.35**2))
 
 
-def build_suite(
-    grid: Grid, spec: SuiteSpec, eigen_cache: dict | None = None
-) -> list[GridFunction]:
+def build_suite(grid: Grid, spec: SuiteSpec) -> list[GridFunction]:
     """The suite functions for one grid, in deterministic order.
 
-    The eigenfunction is computed once per call (optionally cached across
-    calls via ``eigen_cache``); repeated draws from the ``eigen`` family
-    add small seeded perturbations so suite members stay distinct.
+    The eigenfunction is computed once per call; repeated draws from the
+    ``eigen`` family add small seeded perturbations so suite members stay
+    distinct.
     """
     rng = np.random.default_rng(spec.seed)
     out: list[GridFunction] = []
-    cache = {} if eigen_cache is None else eigen_cache
     base = None  # the eigenfunction, once drawn
     for k in range(spec.count):
         family = spec.families[k % len(spec.families)]
@@ -110,10 +107,7 @@ def build_suite(
         elif family == "random_smooth":
             vals = smooth_random_field(grid, rng)
         elif base is None:
-            key = (grid.d, grid.N)
-            if key not in cache:
-                cache[key] = _eigenfunction(grid)
-            base = cache[key]
+            base = _eigenfunction(grid)
             vals = base.copy()
         else:
             vals = base + 0.05 * rng.standard_normal(grid.cell_count)

@@ -12,6 +12,10 @@ Step profiles make this representation exact in both directions, which is
 what the round-trip invariants below rely on.  Jumps at radii <= 1/2 do
 not show up in the measure (its domain starts right of 1/2); the profile
 still evaluates from its own levels there.
+
+The unweighted case is ``UNIT_WEIGHT`` (w = 1, one atom of mass 1 at
+t = 1), the default of every optional weight or profile parameter; its
+level 1.0 multiplies exactly, so unweighted needs no code path of its own.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .numerics import ksum
 __all__ = [
     "RadialProfile",
     "LayerCakeMeasure",
+    "UNIT_WEIGHT",
     "make_step_profile",
     "sample_profile",
     "eval_weight",
@@ -163,6 +168,9 @@ def eval_weight(profile: RadialProfile, radius):
     if np.ndim(radius) == 0:
         return float(out)
     return out
+
+
+UNIT_WEIGHT = RadialProfile((), (1.0,))
 
 
 def layer_cake(profile: RadialProfile) -> LayerCakeMeasure:

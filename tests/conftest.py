@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from poincheck.forms import _kernel_block, local_energy
-from poincheck.grid import GridFunction, full_cells, mean, weighted_mean
+from poincheck.grid import GridFunction, full_cells, weighted_mean
 from poincheck.sharp import assemble_p2, smallest_nonzero_eigen
-from poincheck.weights import eval_weight
+from poincheck.weights import UNIT_WEIGHT, eval_weight
 
 
 def naive_kernel_energy(u, cells, kernel, weight=None):
@@ -133,16 +133,15 @@ def naive_local_energy(u, cells, p, weight=None):
 
 
 def per_probe_ratio_ascent(
-    grid, p, lhs_functional, rhs_functional, u0, steps, step_size, weight=None
+    grid, lhs_functional, rhs_functional, u0, steps, step_size, weight=None
 ):
     """``ratio_ascent`` with one call of each functional per probe.
 
     The loop ``sharp.ratio_ascent`` ran before it evaluated the probes of
     a step in blocks; the functionals here take one ``GridFunction`` and
-    return one float.  Kept as the slow oracle of the blocked version.
+    return one float.  Kept as the slow oracle of the blocked version;
+    ``weight=None`` recenters to the plain mean of its own.
     """
-    if p < 1.0:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
 
     def ratio_of(vals):
         u = GridFunction(grid, vals)
@@ -152,9 +151,9 @@ def per_probe_ratio_ascent(
         return lhs_functional(u) / denom
 
     def recenter(vals):
-        u = GridFunction(grid, vals)
-        c = mean(u, full_cells(grid)) if weight is None else weighted_mean(u, weight)
-        return vals - c
+        if weight is None:
+            return vals - math.fsum(vals.tolist()) / vals.size
+        return vals - weighted_mean(GridFunction(grid, vals), weight)
 
     vals = np.array(u0.values, dtype=float)
     start = ratio_of(vals)
@@ -215,7 +214,7 @@ def rng():
     return np.random.default_rng(20240605)
 
 
-def sharp_constant_p2(grid, kernel, weight=None):
+def sharp_constant_p2(grid, kernel, weight=UNIT_WEIGHT):
     """Empirical best constant of the p = 2 inequality on the full ball."""
     lam, _ = smallest_nonzero_eigen(assemble_p2(grid, full_cells(grid), kernel, weight))
     return 1.0 / lam

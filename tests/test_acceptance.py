@@ -14,6 +14,7 @@ mass added to both energies the ratio is 0.822, 0.828, 0.823 and 0.821,
 so the continuum statement holds with about 20% to spare.
 """
 
+import functools
 import math
 import time
 
@@ -50,7 +51,7 @@ from poincheck.sharp import (
     smallest_nonzero_eigen,
 )
 from poincheck.suite import SuiteSpec, build_suite, canonical_bump
-from poincheck.weights import eval_weight, layer_cake, make_step_profile
+from poincheck.weights import UNIT_WEIGHT, eval_weight, layer_cake, make_step_profile
 from poincheck.config import parse_config
 from conftest import (
     naive_kernel_energy,
@@ -67,7 +68,14 @@ WEIGHTS = [
     make_step_profile([0.3, 0.55, 0.7, 0.85], [5.0, 4.0, 3.0, 2.0, 1.0]),
 ]
 
-_eigen_cache: dict = {}
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_and_suite(d, N, count):
+    """The grid and suite of each (d, N, count), built once per test run:
+    criteria 3 and 5 share the 2-d N = 64 eigenfunction, about 9 s."""
+    grid = build_grid(d, N)
+    return grid, build_suite(grid, SuiteSpec(seed=SEED, count=count))
 
 
 def _line(name, ok, detail=""):
@@ -116,8 +124,7 @@ def test_criterion_3_transfer_engine():
     count = 0
     for d in (1, 2):
         for N in (32, 64):
-            grid = build_grid(d, N)
-            suite = build_suite(grid, SuiteSpec(seed=SEED, count=20), _eigen_cache)
+            grid, suite = _grid_and_suite(d, N, 20)
             for p in (1.0, 2.0, 3.0):
 
                 def per_ball(u, t, _p=p, _g=grid):
@@ -169,8 +176,7 @@ def test_criterion_5_paper_bound_consistency():
     min_gap = math.inf
     for d in (1, 2):
         for N in (32, 64):
-            grid = build_grid(d, N)
-            suite = build_suite(grid, SuiteSpec(seed=SEED, count=20), _eigen_cache)
+            grid, suite = _grid_and_suite(d, N, 20)
             radii = tuple(
                 sorted({t for prof in WEIGHTS for t in layer_cake(prof).radii})
             )
@@ -229,8 +235,7 @@ def test_criterion_5_paper_bound_consistency():
 
 def test_criterion_6_truncation_comparability():
     start = time.perf_counter()
-    grid = build_grid(1, 128)
-    suite = build_suite(grid, SuiteSpec(seed=SEED, count=10), _eigen_cache)
+    grid, suite = _grid_and_suite(1, 128, 10)
     cells = full_cells(grid)
     tol_chain = 0.05
     failures = []
@@ -268,8 +273,8 @@ def test_criterion_6_truncation_comparability():
     truncated = KernelSpec(KIND_FRACTIONAL, p=1.0, s=0.8, R=5.0)
     energies = {}
     for n in (128, 256):
-        g = build_grid(1, n)
-        u = build_suite(g, SuiteSpec(seed=SEED, count=10), _eigen_cache)[3]
+        g, suite_n = _grid_and_suite(1, n, 10)
+        u = suite_n[3]
         c = full_cells(g)
         energies[n] = kernel_energy(u, c, truncated) + subgrid_pair_mass(u, c, 1.0, 0.8)
     drift = abs(energies[256] - energies[128]) / energies[128]
@@ -353,14 +358,14 @@ def test_criterion_8_oracle_equivalence():
             specs = specs[:1]  # keep the pure-Python loop inside the budget
         us = [GridFunction(grid, rng.standard_normal(grid.cell_count)) for _ in range(50)]
         for spec in specs:
-            for weight in (None, prof):
+            for weight, oracle_weight in ((UNIT_WEIGHT, None), (prof, prof)):
                 for u in us:
                     fast = kernel_energy(u, cells, spec, weight=weight)
-                    slow = naive_kernel_energy(u, cells, spec, weight=weight)
+                    slow = naive_kernel_energy(u, cells, spec, weight=oracle_weight)
                     err = abs(fast - slow) / max(1.0, abs(slow))
                     worst_energy = max(worst_energy, err)
         for spec in (KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5), KernelSpec(KIND_LOCAL, p=2.0)):
-            for weight in (None, prof):
+            for weight in (UNIT_WEIGHT, prof):
                 pair = assemble_p2(grid, cells, spec, weight)
                 for u in us:
                     quad = float(u.values @ (pair.energy @ u.values))

@@ -57,6 +57,15 @@ def test_rejects_kernel_exponent_and_local_kind():
             parse_config(minimal_doc(kernels=[kernel]))
 
 
+def test_rejects_ascent_step_size_and_suite_families():
+    # The ascent step is a fixed 0.05 and every suite cycles all families.
+    with pytest.raises(ConfigError, match="ascent"):
+        parse_config(minimal_doc(ascent={"steps": 3, "step_size": 0.1}))
+    with pytest.raises(ConfigError, match="suite"):
+        parse_config(minimal_doc(suite={"seed": 7, "families": ["affine"]}))
+    assert parse_config(minimal_doc(ascent={"steps": 3})).ascent_steps == 3
+
+
 def test_schema_lists_two_kernel_kinds_without_exponent(capsys):
     assert main(["schema"]) == 0
     kernel = json.loads(capsys.readouterr().out)["properties"]["kernels"]["items"]

@@ -27,7 +27,7 @@ from poincheck.grid import (
     deviation_p,
     full_cells,
 )
-from poincheck.weights import make_step_profile, profile_from_json
+from poincheck.weights import UNIT_WEIGHT, make_step_profile, profile_from_json
 from conftest import (
     centre_difference_kernel_energy,
     centre_difference_pair_matrix,
@@ -170,9 +170,9 @@ def test_kernel_energy_matches_naive(rng):
         for _ in range(3):
             u = GridFunction(g, rng.standard_normal(g.cell_count))
             for spec in specs:
-                for weight in (None, prof):
+                for weight, oracle_weight in ((UNIT_WEIGHT, None), (prof, prof)):
                     got = kernel_energy(u, full_cells(g), spec, weight=weight)
-                    want = naive_kernel_energy(u, full_cells(g), spec, weight=weight)
+                    want = naive_kernel_energy(u, full_cells(g), spec, weight=oracle_weight)
                     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -190,13 +190,13 @@ def test_offset_table_equals_centre_differences(rng, d, N):
             KernelSpec(KIND_FLOOR, p=p, c=1.0),
         ]
         for spec in specs:
-            for weight in (None, prof):
+            for weight, oracle_weight in ((UNIT_WEIGHT, None), (prof, prof)):
                 for cells in (full_cells(g), ball_cells(g, 0.6)):
                     got = kernel_energy(u, cells, spec, weight=weight)
-                    want = centre_difference_kernel_energy(u, cells, spec, weight=weight)
+                    want = centre_difference_kernel_energy(u, cells, spec, oracle_weight)
                     assert got == want
                     got_c = pair_coefficient_matrix(g, cells, spec, weight=weight)
-                    want_c = centre_difference_pair_matrix(g, cells, spec, weight=weight)
+                    want_c = centre_difference_pair_matrix(g, cells, spec, oracle_weight)
                     assert np.array_equal(got_c, want_c)
 
 
@@ -232,10 +232,10 @@ def test_kernel_energy_memo_keys(rng, monkeypatch):
     spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)
     prof = make_step_profile([0.65], [2.0, 1.0])
     calls = [
-        (full_cells(g), spec, None),
-        (ball_cells(g, 0.6), spec, None),
-        (full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5, R=2.0), None),
-        (full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5, R=4.0), None),
+        (full_cells(g), spec, UNIT_WEIGHT),
+        (ball_cells(g, 0.6), spec, UNIT_WEIGHT),
+        (full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5, R=2.0), UNIT_WEIGHT),
+        (full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5, R=4.0), UNIT_WEIGHT),
         (full_cells(g), spec, prof),
         (full_cells(g), spec, make_step_profile([0.65], [3.0, 1.0])),
     ]
@@ -244,13 +244,17 @@ def test_kernel_energy_memo_keys(rng, monkeypatch):
     assert len(u._energies) == len(calls)
     assert len(set(energies)) == len(calls)
     for (cells, kernel, w), energy in zip(calls, energies):
-        assert energy == centre_difference_kernel_energy(u, cells, kernel, weight=w)
-    # Equal keys built from new objects hit the stored entries.
+        oracle_weight = None if w is UNIT_WEIGHT else w
+        assert energy == centre_difference_kernel_energy(u, cells, kernel, oracle_weight)
+    # Equal keys built from new objects hit the stored entries; the default
+    # weight is UNIT_WEIGHT, and an equal profile is the same key.
     twin_spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)
     again = kernel_energy(
         u, full_cells(g), twin_spec, weight=make_step_profile([0.65], [2.0, 1.0])
     )
     assert again == energies[4]
+    assert kernel_energy(u, full_cells(g), twin_spec) is energies[0]
+    assert kernel_energy(u, full_cells(g), spec, make_step_profile([], [1.0])) is energies[0]
     assert len(builds) == len(calls)
 
 
@@ -338,7 +342,9 @@ def test_local_energy_rows_equal_scalar(d, N, radius, p, weight):
     cells = full_cells(g) if radius is None else ball_cells(g, radius)
     rows = np.random.default_rng(4).standard_normal((5, g.cell_count))
     rows *= np.array([1e-3, 1.0, 7.0, 1e4, 0.5])[:, None]
-    got = local_energy_rows(rows, cells, p, weight)
+    # weight None: both calls take the default, UNIT_WEIGHT.
+    weighting = () if weight is None else (weight,)
+    got = local_energy_rows(rows, cells, p, *weighting)
     assert got.shape == (5,)
     for r in range(5):
-        assert got[r] == local_energy(GridFunction(g, rows[r]), cells, p, weight)
+        assert got[r] == local_energy(GridFunction(g, rows[r]), cells, p, *weighting)

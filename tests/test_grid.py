@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,10 @@ from poincheck.grid import (
     deviation_p,
     deviation_p_rows,
     full_cells,
-    mean,
     weighted_mean,
 )
 from poincheck.weights import (
+    UNIT_WEIGHT,
     layer_cake,
     make_step_profile,
     profile_from_json,
@@ -60,18 +62,21 @@ def test_ball_cells():
 
 
 def test_mean_examples():
+    # The plain mean is the weighted mean against UNIT_WEIGHT.
     g = build_grid(1, 4)
-    cells = full_cells(g)
-    assert mean(GridFunction(g, np.full(4, 5.0)), cells) == 5.0
-    assert mean(GridFunction(g, g.centers[:, 0]), cells) == 0.0
-    assert mean(GridFunction(g, np.array([1.0, 2.0, 3.0, 4.0])), cells) == 2.5
+    assert weighted_mean(GridFunction(g, np.full(4, 5.0)), UNIT_WEIGHT) == 5.0
+    assert weighted_mean(GridFunction(g, g.centers[:, 0]), UNIT_WEIGHT) == 0.0
+    assert weighted_mean(GridFunction(g, np.array([1.0, 2.0, 3.0, 4.0])), UNIT_WEIGHT) == 2.5
 
 
 def test_mean_rejects_empty_cells():
+    # The mean over a cell set is the default center of deviation_p.
     g = build_grid(1, 4)
     u = GridFunction(g, np.ones(4))
     with pytest.raises(ValueError, match="empty"):
-        mean(u, ball_cells(g, 0.25))
+        deviation_p(u, ball_cells(g, 0.25), 2.0)
+    with pytest.raises(ValueError, match="empty"):
+        deviation_p_rows(np.ones((2, 4)), ball_cells(g, 0.25), 2.0)
 
 
 def test_weighted_mean_constant_function():
@@ -85,7 +90,9 @@ def test_weighted_mean_constant_weight_reduces_to_mean(rng):
     g = build_grid(2, 8)
     u = GridFunction(g, rng.standard_normal(g.cell_count))
     prof = make_step_profile([], [3.0])
-    assert weighted_mean(u, prof) == pytest.approx(mean(u, full_cells(g)), abs=1e-13)
+    plain = math.fsum(u.values) / g.cell_count
+    assert weighted_mean(u, UNIT_WEIGHT) == plain
+    assert weighted_mean(u, prof) == pytest.approx(plain, abs=1e-13)
 
 
 def test_weighted_mean_hand_example():
@@ -155,7 +162,7 @@ def test_mean_zero_identity(rng):
             total = 0.0
             for t, w in layer_cake(prof).atoms:
                 cells = ball_cells(g, t)
-                total += w * cells.measure * mean(u, cells)
+                total += w * cells.measure * u.values[cells.indices].mean()
             scale = max(1.0, float(np.abs(vals).max()))
             assert abs(total) <= 1e-12 * scale
 
@@ -185,10 +192,13 @@ def test_deviation_rows_equal_scalar(d, N, radius, p, profile, center):
     cells = full_cells(g) if radius is None else ball_cells(g, radius)
     rows = np.random.default_rng(3).standard_normal((5, g.cell_count))
     rows *= np.array([1e-3, 1.0, 7.0, 1e4, 0.5])[:, None]
-    got = deviation_p_rows(rows, cells, p, profile, center)
+    # profile None: both calls take the default, UNIT_WEIGHT.
+    weighting = {} if profile is None else {"profile": profile}
+    got = deviation_p_rows(rows, cells, p, center=center, **weighting)
     assert got.shape == (5,)
     for r in range(5):
-        assert got[r] == deviation_p(GridFunction(g, rows[r]), cells, p, profile, center)
+        u = GridFunction(g, rows[r])
+        assert got[r] == deviation_p(u, cells, p, center=center, **weighting)
 
 
 def test_deviation_rows_validation():

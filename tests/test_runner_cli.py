@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import poincheck.runner
-from poincheck.cli import main
+from poincheck.cli import build_parser, main
 from poincheck.config import CHECK_NAMES, DEFAULT_TOLERANCES, ConfigError, parse_config
 from poincheck.runner import _PROFILE_CHECKS, SWEEP_COLUMNS, run_sharp, run_sweep, run_verify
 
@@ -155,7 +156,7 @@ def test_run_sharp_rows_and_convergence(tmp_path):
 
 def test_run_sharp_ascent_rows_for_general_p(tmp_path):
     doc = full_doc(grid_sizes=[16], p_values=[1.0], kernels=[], checks=[])
-    doc["ascent"] = {"steps": 5, "step_size": 0.05}
+    doc["ascent"] = {"steps": 5}
     result = run_sharp(parse_config(doc), tmp_path)
     methods = {r["method"] for r in result.rows}
     assert methods == {"ascent"}
@@ -232,20 +233,41 @@ def test_cli_seed_override_changes_rows(tmp_path):
     assert a != b
 
 
-def test_cli_sharp_verbose_trace(tmp_path):
-    doc = full_doc(grid_sizes=[16], kernels=[], checks=[],
-                   weights=[{"type": "step", "breakpoints": [], "values": [1.0]}])
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc))
-    code = main([
-        "sharp", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--verbose"
-    ])
-    assert code == 0
-    trace = tmp_path / "out" / "trace.csv"
-    assert trace.exists()
-    with open(trace) as handle:
-        rows = list(csv.DictReader(handle))
-    assert rows and {"iteration", "eigenvalue", "residual"} <= set(rows[0])
+def test_cli_sharp_writes_trace(tmp_path):
+    # Every eigen row has its Ritz steps in trace.csv; a p != 2 config has
+    # only ascent rows, and its trace only the header.
+    for p, eigen_rows in ((2.0, 2), (1.0, 0)):
+        doc = full_doc(grid_sizes=[16], p_values=[p], kernels=[], checks=[],
+                       weights=[{"type": "step", "breakpoints": [], "values": [1.0]}])
+        doc["ascent"] = {"steps": 2}
+        cfg_path = tmp_path / f"cfg{p}.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / f"out{p}"
+        assert main(["sharp", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with open(out / "report.csv") as handle:
+            sharp_rows = [r for r in csv.DictReader(handle) if r["method"] == "eigen"]
+        with open(out / "trace.csv") as handle:
+            reader = csv.DictReader(handle)
+            trace = list(reader)
+        assert {"iteration", "eigenvalue", "residual"} <= set(reader.fieldnames)
+        assert len(sharp_rows) == eigen_rows
+        for row in sharp_rows:
+            steps = [t for t in trace if t["target"] == row["target"]]
+            assert steps and steps[-1]["eigenvalue"] == row["eigenvalue"]
+        assert bool(trace) == bool(eigen_rows)
+
+
+def test_cli_and_runner_option_inventory():
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    for name in ("verify", "sharp", "sweep"):
+        flags = {
+            flag for action in commands[name]._actions
+            for flag in action.option_strings if flag not in ("-h", "--help")
+        }
+        assert flags == {"--config", "--out", "--seed"}, name
+    for run in (run_verify, run_sharp, run_sweep):
+        assert list(inspect.signature(run).parameters) == ["config", "out_dir"]
 
 
 def test_demo_reports_match_benchmark_reference(tmp_path):

@@ -34,7 +34,7 @@ from poincheck.sharp import (
     ratio_ascent,
     smallest_nonzero_eigen,
 )
-from poincheck.weights import layer_cake, make_step_profile, profile_from_json
+from poincheck.weights import UNIT_WEIGHT, layer_cake, make_step_profile, profile_from_json
 
 
 def path_eigenvalues(N, h):
@@ -94,7 +94,7 @@ def test_assembly_faithfulness(rng):
         g = build_grid(d, N)
         cells = full_cells(g)
         for spec in specs:
-            for weight in (None, prof):
+            for weight in (UNIT_WEIGHT, prof):
                 pair = assemble_p2(g, cells, spec, weight)
                 for _ in range(20):
                     vals = rng.standard_normal(g.cell_count)
@@ -169,7 +169,7 @@ def test_dense_oracle_size_cap():
 def test_oracle_agrees_with_iterative():
     g = build_grid(1, 64)
     for spec, weight in (
-        (KernelSpec(KIND_LOCAL, p=2.0), None),
+        (KernelSpec(KIND_LOCAL, p=2.0), UNIT_WEIGHT),
         (KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5), make_step_profile([0.75], [2.0, 1.0])),
     ):
         pair = assemble_p2(g, full_cells(g), spec, weight)
@@ -207,7 +207,7 @@ def test_mesh_monotone_convergence():
 
 def test_sharp_constant_weighted_positive():
     g = build_grid(1, 64)
-    for weight in (None, make_step_profile([0.75], [2.0, 1.0])):
+    for weight in (UNIT_WEIGHT, make_step_profile([0.75], [2.0, 1.0])):
         c = sharp_constant_p2(g, KernelSpec(KIND_LOCAL, p=2.0), weight)
         assert np.isfinite(c) and c > 0.0
 
@@ -240,7 +240,7 @@ def test_ratio_ascent_zero_steps_returns_start(rng):
     u0 = GridFunction(g, rng.standard_normal(32))
     lhs = lambda v: deviation_p_rows(v, full_cells(g), 2.0)
     rhs = lambda v: local_energy_rows(v, full_cells(g), 2.0)
-    ratio, out = ratio_ascent(g, 2.0, lhs, rhs, u0, steps=0, step_size=0.1)
+    ratio, out = ratio_ascent(g, lhs, rhs, u0, steps=0, step_size=0.1)
     assert ratio == lhs(u0.values[None])[0] / rhs(u0.values[None])[0]
     assert np.array_equal(out.values, u0.values)
 
@@ -250,8 +250,8 @@ def test_ratio_ascent_deterministic(rng):
     u0 = GridFunction(g, rng.standard_normal(16))
     lhs = lambda v: deviation_p_rows(v, full_cells(g), 1.0)
     rhs = lambda v: local_energy_rows(v, full_cells(g), 1.0)
-    r1, v1 = ratio_ascent(g, 1.0, lhs, rhs, u0, steps=10, step_size=0.05)
-    r2, v2 = ratio_ascent(g, 1.0, lhs, rhs, u0, steps=10, step_size=0.05)
+    r1, v1 = ratio_ascent(g, lhs, rhs, u0, steps=10, step_size=0.05)
+    r2, v2 = ratio_ascent(g, lhs, rhs, u0, steps=10, step_size=0.05)
     assert r1 == r2
     assert np.array_equal(v1.values, v2.values)
 
@@ -271,7 +271,7 @@ def test_ratio_ascent_evaluates_each_iterate_once(rng):
 
     lhs = lambda v: deviation_p_rows(v, full_cells(g), 2.0)
     steps = 5
-    ratio, _ = ratio_ascent(g, 2.0, lhs, rhs, u0, steps=steps, step_size=0.05)
+    ratio, _ = ratio_ascent(g, lhs, rhs, u0, steps=steps, step_size=0.05)
     assert len(one_row) == steps + 1
     assert len(set(one_row)) == steps + 1
     assert ratio > lhs(u0.values[None])[0] / rhs(u0.values[None])[0]
@@ -286,7 +286,7 @@ def test_ratio_ascent_cross_validates_eigensolve(rng):
     noisy = GridFunction(g, vec + 0.05 * scale * rng.standard_normal(32))
     lhs = lambda v: deviation_p_rows(v, full_cells(g), 2.0)
     rhs = lambda v: local_energy_rows(v, full_cells(g), 2.0)
-    ratio, _ = ratio_ascent(g, 2.0, lhs, rhs, noisy, steps=60, step_size=0.01)
+    ratio, _ = ratio_ascent(g, lhs, rhs, noisy, steps=60, step_size=0.01)
     assert ratio <= sharp * (1.0 + 1e-9)
     assert abs(ratio - sharp) <= 0.02 * sharp
 
@@ -298,7 +298,7 @@ def test_ratio_ascent_improves_on_step_function():
     lhs = lambda v: deviation_p_rows(v, full_cells(g), 1.0)
     rhs = lambda v: local_energy_rows(v, full_cells(g), 1.0)
     start = lhs(u0.values[None])[0] / rhs(u0.values[None])[0]
-    ratio, _ = ratio_ascent(g, 1.0, lhs, rhs, u0, steps=15, step_size=0.05)
+    ratio, _ = ratio_ascent(g, lhs, rhs, u0, steps=15, step_size=0.05)
     assert ratio >= start
 
 
@@ -308,11 +308,11 @@ def test_ratio_ascent_requires_positive_rhs():
     lhs = lambda v: deviation_p_rows(v, full_cells(g), 2.0)
     rhs = lambda v: local_energy_rows(v, full_cells(g), 2.0)
     with pytest.raises(ValueError, match="positive"):
-        ratio_ascent(g, 2.0, lhs, rhs, u0, steps=3, step_size=0.1)
+        ratio_ascent(g, lhs, rhs, u0, steps=3, step_size=0.1)
 
 
 ASCENT_WEIGHTS = {
-    "none": None,
+    "none": UNIT_WEIGHT,
     "step": make_step_profile([0.75], [2.0, 1.0]),
     "power": profile_from_json({"type": "power", "beta": 1.0}, samples=16),
 }
@@ -344,14 +344,7 @@ def _per_probe_functionals(grid, profile, p, target):
 
 
 def _row_functionals(grid, profile, p, target):
-    """The row functionals run_sharp passes to ratio_ascent (unweighted:
-    the row cores directly, since the runner always has a profile)."""
-    if profile is None:
-        whole = full_cells(grid)
-        return (
-            lambda v: deviation_p_rows(v, whole, p),
-            lambda v: local_energy_rows(v, whole, p),
-        )
+    """The row functionals run_sharp passes to ratio_ascent."""
     lhs, transfer_rhs, gradient_rhs = _ascent_functionals(grid, profile, p)
     return lhs, transfer_rhs if target == "transfer" else gradient_rhs
 
@@ -364,12 +357,14 @@ def test_blocked_ratio_ascent_equals_per_probe(d, N, p, target, weight, monkeypa
     monkeypatch.setattr("poincheck.sharp._PROBE_BLOCK", 7)
     g = build_grid(d, N)
     profile = ASCENT_WEIGHTS[weight]
+    # The oracle recenters unweighted iterates to its own plain mean.
+    oracle_weight = None if weight == "none" else profile
     u0 = GridFunction(g, np.random.default_rng(17).standard_normal(g.cell_count))
     expected = per_probe_ratio_ascent(
-        g, p, *_per_probe_functionals(g, profile, p, target), u0, 4, 0.05, weight=profile
+        g, *_per_probe_functionals(g, profile, p, target), u0, 4, 0.05, weight=oracle_weight
     )
     ratio, best = ratio_ascent(
-        g, p, *_row_functionals(g, profile, p, target), u0, 4, 0.05, weight=profile
+        g, *_row_functionals(g, profile, p, target), u0, 4, 0.05, weight=profile
     )
     assert ratio == expected[0]
     assert np.array_equal(best.values, expected[1].values)
@@ -398,8 +393,8 @@ def test_blocked_ratio_ascent_zero_rhs_probes_and_restarts_equal_per_probe(seed,
 
     lhs_rows = lambda v: deviation_p_rows(v, whole, 1.5)
     lhs_scalar = lambda u: deviation_p(u, whole, 1.5)
-    expected = per_probe_ratio_ascent(g, 1.5, lhs_scalar, rhs_scalar, u0, 8, 0.05)
-    ratio, best = ratio_ascent(g, 1.5, lhs_rows, rhs_rows, u0, 8, 0.05)
+    expected = per_probe_ratio_ascent(g, lhs_scalar, rhs_scalar, u0, 8, 0.05)
+    ratio, best = ratio_ascent(g, lhs_rows, rhs_rows, u0, 8, 0.05)
     assert zero_rows["probe"] > 0
     assert (zero_rows["single"] > 0) == restarts
     assert ratio > lhs_scalar(u0) / rhs_scalar(u0)
@@ -423,5 +418,5 @@ def test_ratio_ascent_rejects_non_finite_start():
 
     with pytest.raises(ValueError, match="finite"):
         ratio_ascent(
-            g, 2.0, finite_only(deviation_p_rows), finite_only(local_energy_rows), start, 3, 0.1
+            g, finite_only(deviation_p_rows), finite_only(local_energy_rows), start, 3, 0.1
         )
