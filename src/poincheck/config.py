@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import jsonschema
 
@@ -178,11 +178,11 @@ class ExperimentConfig:
     sweep_s: tuple[float, ...]
     sweep_R: tuple[float, ...]
     suite: SuiteSpec
-    tolerances: dict = field(default_factory=dict)
-    csv_name: str = "report.csv"
-    json_name: str = "report.json"
-    trace_name: str = "trace.csv"
-    ascent_steps: int = 40
+    tolerances: dict
+    csv_name: str
+    json_name: str
+    trace_name: str
+    ascent_steps: int
 
     def tolerance(self, check: str) -> float:
         return self.tolerances.get(check, DEFAULT_TOLERANCES[check])

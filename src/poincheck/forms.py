@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import numpy as np
 
 from .numerics import ksum, ksum_rows
@@ -52,12 +52,11 @@ class KernelSpec:
       the energy itself evaluates the unit kernel and ``c`` enters the
       constants of the checks that use it.
 
-    ``p`` is the exponent of the energy; a config kernel leaves it at 2
-    and each command pins it to the run's p with :meth:`with_p`.
+    The exponent p is not part of the kernel: each energy takes it as an
+    argument, and the fractional kernel is evaluated at that p.
     """
 
     kind: str
-    p: float = 2.0
     s: float | None = None
     R: float | None = None
     c: float | None = None
@@ -65,8 +64,6 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in (KIND_LOCAL, KIND_FRACTIONAL, KIND_FLOOR):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.p < 1.0:
-            raise ValueError(f"exponent must satisfy p >= 1, got {self.p}")
         if self.kind == KIND_FRACTIONAL:
             if self.s is None or not (0.0 < self.s < 1.0):
                 raise ValueError(f"fractional order must lie in (0, 1), got {self.s}")
@@ -75,9 +72,6 @@ class KernelSpec:
         if self.kind == KIND_FLOOR:
             if self.c is None or self.c <= 0.0:
                 raise ValueError(f"kernel floor must be positive, got {self.c}")
-
-    def with_p(self, p: float) -> "KernelSpec":
-        return self if p == self.p else replace(self, p=float(p))
 
 
 def kernel_to_json(kernel: KernelSpec) -> dict:
@@ -143,11 +137,12 @@ def local_energy_rows(
     return ksum_rows(terms) * grid.cell_measure
 
 
-def _kernel_block(dist: np.ndarray, kernel: KernelSpec, d: int) -> np.ndarray:
-    """Kernel values on a block of pair distances (diagonal handled by caller)."""
+def _kernel_block(dist: np.ndarray, kernel: KernelSpec, p: float, d: int) -> np.ndarray:
+    """Kernel values at exponent p on a block of pair distances (diagonal
+    handled by caller)."""
     if kernel.kind == KIND_FRACTIONAL:
         safe = np.where(dist > 0.0, dist, 1.0)
-        k = safe ** (-(d + kernel.p * kernel.s))
+        k = safe ** (-(d + p * kernel.s))
         if kernel.R is not None:
             k = np.where(dist <= 1.0 / kernel.R, k, 0.0)
         return k
@@ -156,7 +151,7 @@ def _kernel_block(dist: np.ndarray, kernel: KernelSpec, d: int) -> np.ndarray:
     raise ValueError("kernel energy is not defined for local_gradient kernels")
 
 
-def _offset_kernel(grid, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray, int]:
+def _offset_kernel(grid, kernel: KernelSpec, p: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Kernel on every lattice offset, plus the flat keys that index it.
 
     The kernel depends only on the offset ``a = l_i - l_j`` of two cells'
@@ -172,23 +167,22 @@ def _offset_kernel(grid, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray, in
     strides = (2 * N - 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
     axes = np.meshgrid(*[np.arange(1 - N, N, dtype=np.int64)] * d, indexing="ij")
     offsets = np.stack(axes, axis=-1).reshape(-1, d)
-    table = _kernel_block(np.linalg.norm(grid.h * offsets, axis=1), kernel, d)
+    table = _kernel_block(np.linalg.norm(grid.h * offsets, axis=1), kernel, p, d)
     return table, grid.lattice @ strides, (N - 1) * int(strides.sum())
 
 
 def _pair_energy(
-    u: GridFunction, cells: CellSet, kernel: KernelSpec, weight: RadialProfile = UNIT_WEIGHT
+    u: GridFunction, cells: CellSet, kernel: KernelSpec, p: float, weight: RadialProfile
 ) -> float:
     grid = u.grid
     idx = cells.indices
-    table, keys, center = _offset_kernel(grid, kernel)
+    table, keys, center = _offset_kernel(grid, kernel, p)
     row_keys = keys[idx] + center
     col_keys = keys[idx]
     v = u.values[idx]
     m = idx.size
     phi = eval_weight(weight, grid.norms[idx])
     scale = grid.cell_measure**2
-    p = kernel.p
     row_sums: list[float] = []
     for start in range(0, m, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, m)
@@ -205,6 +199,7 @@ def kernel_energy(
     u: GridFunction,
     cells: CellSet,
     kernel: KernelSpec,
+    p: float,
     weight: RadialProfile = UNIT_WEIGHT,
 ) -> float:
     """Nonlocal pair energy over ordered cell pairs (diagonal excluded).
@@ -219,7 +214,7 @@ def kernel_energy(
     this gives the same float as the kernel of the center difference
     ``x_i - x_j``; for other N it can differ by about one ulp.  The energy
     is memoized on ``u`` (which is immutable), keyed by a digest of the
-    cell indices, the kernel and the weight, so a repeated call returns
+    cell indices, the kernel, p and the weight, so a repeated call returns
     the stored float and the memo lives exactly as long as ``u``.
 
     The excluded diagonal is a quadrature error, not zero mass: against a
@@ -229,11 +224,13 @@ def kernel_energy(
     """
     if len(cells) == 0:
         raise ValueError("cannot take energy over an empty cell set")
+    if p < 1.0:
+        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     digest = hashlib.blake2b(cells.indices.tobytes(), digest_size=16).digest()
-    key = (digest, kernel, weight)
+    key = (digest, kernel, p, weight)
     energy = u._energies.get(key)
     if energy is None:
-        energy = _pair_energy(u, cells, kernel, weight)
+        energy = _pair_energy(u, cells, kernel, p, weight)
         u._energies[key] = energy
     return energy
 
@@ -247,13 +244,14 @@ def pair_coefficient_matrix(
     """Dense matrix ``C_ij = K_ij W_ij h^{2d}`` with zero diagonal.
 
     The quadratic form ``sum_ij C_ij (u_i - u_j)^2`` reproduces
-    :func:`kernel_energy` at p = 2; used for assembly.  ``K_ij`` comes
-    from the same lattice-offset table as in :func:`kernel_energy`, so it
-    equals the kernel of the center difference bit for bit when N is a
-    power of two and to about one ulp otherwise.
+    :func:`kernel_energy` at p = 2, so the kernel is evaluated at p = 2;
+    used for assembly.  ``K_ij`` comes from the same lattice-offset table
+    as in :func:`kernel_energy`, so it equals the kernel of the center
+    difference bit for bit when N is a power of two and to about one ulp
+    otherwise.
     """
     idx = cells.indices
-    table, keys, center = _offset_kernel(grid, kernel)
+    table, keys, center = _offset_kernel(grid, kernel, 2.0)
     phi = eval_weight(weight, grid.norms[idx])
     C = table[keys[idx, None] + center - keys[None, idx]]
     C = C * np.minimum(phi[:, None], phi[None, :])

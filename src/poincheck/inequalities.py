@@ -208,12 +208,11 @@ def check_weighted_kernel(
     multiplies it by the transfer constant.
     """
     grid = u.grid
-    kernel = kernel.with_p(p)
     measure = layer_cake(profile)
     for t, _ in measure.atoms:
         cells_t = ball_cells(grid, t)
         dev_t = deviation_p(u, cells_t, p)
-        bound = C_unweighted * kernel_energy(u, cells_t, kernel)
+        bound = C_unweighted * kernel_energy(u, cells_t, kernel, p)
         if not _within(dev_t, bound):
             raise HypothesisViolation(
                 f"unweighted kernel bound fails at atom t={t}: "
@@ -222,7 +221,7 @@ def check_weighted_kernel(
             )
     constant = C_unweighted * transfer_constant(p, grid.d, profile)
     lhs = deviation_p(u, full_cells(grid), p, profile=profile)
-    rhs = constant * kernel_energy(u, full_cells(grid), kernel, weight=profile)
+    rhs = constant * kernel_energy(u, full_cells(grid), kernel, p, weight=profile)
     meta = _meta(grid, p, profile, s=kernel.s, R=kernel.R, C_unweighted=C_unweighted)
     return _finish("kernel", lhs, rhs, constant, tol, meta)
 
@@ -244,11 +243,10 @@ def check_kernel_floor(
     if kernel.kind != KIND_FLOOR:
         raise ValueError(f"expected a constant_floor kernel, got {kernel.kind!r}")
     grid = u.grid
-    kernel = kernel.with_p(p)
     half_measure = ball_cells(grid, 0.5).measure
     constant = transfer_constant(p, grid.d, profile) / (kernel.c * half_measure)
     lhs = deviation_p(u, full_cells(grid), p, profile=profile)
-    rhs = constant * kernel_energy(u, full_cells(grid), kernel, weight=profile)
+    rhs = constant * kernel_energy(u, full_cells(grid), kernel, p, weight=profile)
     meta = _meta(grid, p, profile, c=kernel.c, half_measure=half_measure)
     return _finish("kernel_floor", lhs, rhs, constant, tol, meta)
 
@@ -269,10 +267,10 @@ def check_truncated_fractional(
     sweep toward s = 1 (that is the robustness being demonstrated).
     """
     grid = u.grid
-    kernel = KernelSpec(KIND_FRACTIONAL, p=p, s=s, R=R)
+    kernel = KernelSpec(KIND_FRACTIONAL, s=s, R=R)
     constant = C_robust * (1.0 - s) * R ** (p * (1.0 - s))
     lhs = deviation_p(u, full_cells(grid), p, profile=profile)
-    rhs = constant * kernel_energy(u, full_cells(grid), kernel, weight=profile)
+    rhs = constant * kernel_energy(u, full_cells(grid), kernel, p, weight=profile)
     meta = _meta(grid, p, profile, s=s, R=R, C_robust=C_robust)
     return _finish("fractional_truncated", lhs, rhs, constant, tol, meta)
 
@@ -298,8 +296,8 @@ def check_truncation_bound(
         raise ValueError(f"truncation parameter must be >= 1, got {R}")
     grid = u.grid
     cells = full_cells(grid)
-    lhs = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, p=p, s=s))
-    truncated = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, p=p, s=s, R=R))
+    lhs = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, s=s), p)
+    truncated = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, s=s, R=R), p)
     factor = (3.0 * R) ** (p * (1.0 - s))
     rhs = factor * truncated
     meta = _meta(grid, p, None, s=s, R=R, truncated_energy=truncated)

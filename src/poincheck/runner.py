@@ -146,15 +146,15 @@ def _frozen_constant(grid, suite, p, radii, energy, scale=lambda t: 1.0) -> floa
 
 def _kernel_constant(grid, suite, p, kernel, radii) -> float:
     """Unweighted per-ball kernel bound: deviation / kernel energy."""
-    return _frozen_constant(grid, suite, p, radii, lambda u, c: kernel_energy(u, c, kernel))
+    return _frozen_constant(grid, suite, p, radii, lambda u, c: kernel_energy(u, c, kernel, p))
 
 
 def _robust_constant(grid, suite, p, s0, radii) -> float:
     """Robust fractional constant: deviation / ((1-s0) t^(p s0) energy)."""
-    kernel = KernelSpec(KIND_FRACTIONAL, p=p, s=s0)
+    kernel = KernelSpec(KIND_FRACTIONAL, s=s0)
     return _frozen_constant(
         grid, suite, p, radii,
-        lambda u, c: kernel_energy(u, c, kernel), lambda t: (1.0 - s0) * t ** (p * s0),
+        lambda u, c: kernel_energy(u, c, kernel, p), lambda t: (1.0 - s0) * t ** (p * s0),
     )
 
 
@@ -201,7 +201,7 @@ class _Case:
     @cached_property
     def kernel_constants(self) -> list[tuple[KernelSpec, float]]:
         grid, suite, p, radii = self.grid, self.suite, self.p, self.radii
-        kernels = [k.with_p(p) for k in _kernels_of(self.config, KIND_FRACTIONAL)]
+        kernels = _kernels_of(self.config, KIND_FRACTIONAL)
         return [(k, _kernel_constant(grid, suite, p, k, radii)) for k in kernels]
 
     @cached_property
@@ -239,10 +239,9 @@ def _kernel_reports(case, profile, tol):
 
 
 def _kernel_floor_reports(case, profile, tol):
-    kernels = _kernels_of(case.config, KIND_FLOOR) or [KernelSpec(KIND_FLOOR, c=1.0)]
     return [
-        check_kernel_floor(u, profile, kernel.with_p(case.p), case.p, tol)
-        for kernel in kernels
+        check_kernel_floor(u, profile, kernel, case.p, tol)
+        for kernel in _kernels_of(case.config, KIND_FLOOR)
         for u in case.suite
     ]
 
@@ -290,8 +289,9 @@ def run_verify(config: ExperimentConfig, out_dir) -> RunResult:
     """
     os.makedirs(out_dir, exist_ok=True)
     reports = []
-    if "kernel" in config.checks and not _kernels_of(config, KIND_FRACTIONAL):
-        raise ConfigError("the kernel check requires a fractional kernel under 'kernels'")
+    for check, kind in (("kernel", KIND_FRACTIONAL), ("kernel_floor", KIND_FLOOR)):
+        if check in config.checks and not _kernels_of(config, kind):
+            raise ConfigError(f"the {check} check requires a {kind} kernel under 'kernels'")
     radii = _union_atom_radii(config)
 
     if "shift" in config.checks:
@@ -398,7 +398,7 @@ def _sharp_targets(case, profile):
 
     targets = [
         ("transfer", "", paper, lambda: assemble_transfer_p2(grid, profile)),
-        ("gradient", KIND_LOCAL, paper_grad, pencil(KernelSpec(KIND_LOCAL, p=2.0))),
+        ("gradient", KIND_LOCAL, paper_grad, pencil(KernelSpec(KIND_LOCAL))),
     ]
     kernel_constants = dict(case.kernel_constants)
     for kernel in case.config.kernels:

@@ -96,8 +96,6 @@ def assemble_p2(
     the mass diagonal carries the weighted cell measures (``UNIT_WEIGHT``,
     the default, gives the unweighted pencil).
     """
-    if kernel.p != 2.0:
-        raise ValueError("quadratic assembly requires a kernel with p = 2")
     if len(cells) == 0:
         raise ValueError("cannot assemble over an empty cell set")
     n = len(cells)
@@ -453,7 +451,7 @@ def estimate_gradient_constant(grid: Grid, radii=()) -> float:
         if not (0.0 < r <= 1.0):
             raise ValueError(f"ball radius must lie in (0, 1], got {r}")
         cells = ball_cells(grid, r)
-        pair = assemble_p2(grid, cells, KernelSpec(KIND_LOCAL, p=2.0))
+        pair = assemble_p2(grid, cells, KernelSpec(KIND_LOCAL))
         lam, _ = smallest_nonzero_eigen(pair)
         best = max(best, (1.0 / lam) / r**2)
     return best

@@ -11,7 +11,7 @@ from poincheck.sharp import assemble_p2, smallest_nonzero_eigen
 from poincheck.weights import UNIT_WEIGHT, eval_weight
 
 
-def naive_kernel_energy(u, cells, kernel, weight=None):
+def naive_kernel_energy(u, cells, kernel, p, weight=None):
     """Pure-Python double loop over ordered pairs; the slow oracle."""
     grid = u.grid
     idx = [int(i) for i in cells.indices]
@@ -21,7 +21,7 @@ def naive_kernel_energy(u, cells, kernel, weight=None):
         wvals = [float(eval_weight(weight, float(grid.norms[i]))) for i in idx]
     else:
         wvals = None
-    exponent = -(grid.d + kernel.p * kernel.s) if kernel.kind == "fractional" else None
+    exponent = -(grid.d + p * kernel.s) if kernel.kind == "fractional" else None
     cutoff = 1.0 / kernel.R if getattr(kernel, "R", None) is not None else None
     measure_sq = grid.cell_measure**2
     terms = []
@@ -47,11 +47,11 @@ def naive_kernel_energy(u, cells, kernel, weight=None):
                 raise ValueError(kernel.kind)
             w = 1.0 if wvals is None else min(wvals[a], wvals[b])
             du = abs(va - values[b])
-            terms.append(du**kernel.p * k_val * w * measure_sq)
+            terms.append(du**p * k_val * w * measure_sq)
     return math.fsum(terms)
 
 
-def centre_difference_kernel_energy(u, cells, kernel, weight=None):
+def centre_difference_kernel_energy(u, cells, kernel, p, weight=None):
     """Pair energy with the kernel of every center difference ``x_i - x_j``.
 
     The formula ``kernel_energy`` used before the lattice-offset table:
@@ -68,8 +68,8 @@ def centre_difference_kernel_energy(u, cells, kernel, weight=None):
     for start in range(0, m, 256):
         stop = min(start + 256, m)
         dist = np.linalg.norm(X[start:stop, None, :] - X[None, :, :], axis=2)
-        terms = np.abs(v[start:stop, None] - v[None, :]) ** kernel.p
-        terms = terms * _kernel_block(dist, kernel, grid.d)
+        terms = np.abs(v[start:stop, None] - v[None, :]) ** p
+        terms = terms * _kernel_block(dist, kernel, p, grid.d)
         if phi is not None:
             terms = terms * np.minimum(phi[start:stop, None], phi[None, :])
         rows = np.arange(start, stop)
@@ -79,11 +79,12 @@ def centre_difference_kernel_energy(u, cells, kernel, weight=None):
 
 
 def centre_difference_pair_matrix(grid, cells, kernel, weight=None):
-    """``pair_coefficient_matrix`` with the kernel of every center difference."""
+    """``pair_coefficient_matrix`` with the kernel of every center difference
+    (at p = 2, the exponent of the form)."""
     idx = cells.indices
     X = grid.centers[idx]
     dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
-    C = _kernel_block(dist, kernel, grid.d)
+    C = _kernel_block(dist, kernel, 2.0, grid.d)
     if weight is not None:
         phi = eval_weight(weight, grid.norms[idx])
         C = C * np.minimum(phi[:, None], phi[None, :])

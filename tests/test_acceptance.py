@@ -149,11 +149,11 @@ def test_criterion_3_transfer_engine():
 def test_criterion_4_sharp_constant_convergence():
     start = time.perf_counter()
     g = build_grid(1, 512)
-    sharp = sharp_constant_p2(g, KernelSpec(KIND_LOCAL, p=2.0))
+    sharp = sharp_constant_p2(g, KernelSpec(KIND_LOCAL))
     target = 4.0 / math.pi**2
     rel = abs(sharp - target) / target
     g64 = build_grid(1, 64)
-    pair = assemble_p2(g64, full_cells(g64), KernelSpec(KIND_LOCAL, p=2.0))
+    pair = assemble_p2(g64, full_cells(g64), KernelSpec(KIND_LOCAL))
     lam_iter, _ = smallest_nonzero_eigen(pair)
     lam_dense = dense_oracle_eigen(pair)[1]
     agree = abs(lam_iter - lam_dense)
@@ -212,7 +212,7 @@ def test_criterion_5_paper_bound_consistency():
                         lam_t, _ = smallest_nonzero_eigen(assemble_transfer_p2(grid, prof))
                         emp_transfer = max(emp_transfer, 1.0 / lam_t)
                         lam_g, _ = smallest_nonzero_eigen(
-                            assemble_p2(grid, full_cells(grid), KernelSpec(KIND_LOCAL, p=2.0), prof)
+                            assemble_p2(grid, full_cells(grid), KernelSpec(KIND_LOCAL), prof)
                         )
                         emp_gradient = max(emp_gradient, 1.0 / lam_g)
                     for name, emp, paper in (
@@ -246,14 +246,14 @@ def test_criterion_6_truncation_comparability():
         for s in (0.3, 0.5, 0.8):
             masses = [subgrid_pair_mass(u, cells, p, s) for u in suite]
             full = [
-                kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, p=p, s=s))
+                kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, s=s), p)
                 for u in suite
             ]
             for R in (1.0, 2.0, 3.0, 5.0):
                 factor = (3.0 * R) ** (p * (1.0 - s))
                 for k, u in enumerate(suite):
                     trunc = kernel_energy(
-                        u, cells, KernelSpec(KIND_FRACTIONAL, p=p, s=s, R=R)
+                        u, cells, KernelSpec(KIND_FRACTIONAL, s=s, R=R), p
                     )
                     if trunc > 0.0:
                         worst_bare = max(worst_bare, full[k] / (factor * trunc))
@@ -270,13 +270,13 @@ def test_criterion_6_truncation_comparability():
     # The correction must be accurate, not merely large: on the case where
     # the bare ratio is worst, the corrected truncated energy is already
     # near its limit at N=128, while the bare one still grows by 16%.
-    truncated = KernelSpec(KIND_FRACTIONAL, p=1.0, s=0.8, R=5.0)
+    truncated = KernelSpec(KIND_FRACTIONAL, s=0.8, R=5.0)
     energies = {}
     for n in (128, 256):
         g, suite_n = _grid_and_suite(1, n, 10)
         u = suite_n[3]
         c = full_cells(g)
-        energies[n] = kernel_energy(u, c, truncated) + subgrid_pair_mass(u, c, 1.0, 0.8)
+        energies[n] = kernel_energy(u, c, truncated, 1.0) + subgrid_pair_mass(u, c, 1.0, 0.8)
     drift = abs(energies[256] - energies[128]) / energies[128]
     elapsed = time.perf_counter() - start
     _line(
@@ -307,14 +307,14 @@ def test_criterion_7_robustness_sweep():
     cells = full_cells(grid)
     s0 = 0.5
     dev = deviation_p(u, cells, 2.0)
-    e0 = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, p=2.0, s=s0))
+    e0 = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, s=s0), 2.0)
     c38 = dev / ((1.0 - s0) * e0)
     c_robust = transfer_constant(2.0, 1, prof) * 3.0 ** (2.0 * (1.0 - s0)) * c38
     svals = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
     ratios = []
     scaled = []
     for s in svals:
-        energy = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, p=2.0, s=s))
+        energy = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, s=s), 2.0)
         scaled.append((1.0 - s) * energy)
         rep = check_truncated_fractional(u, prof, 2.0, s, 1.0, c_robust)
         ratios.append(rep.ratio)
@@ -350,21 +350,21 @@ def test_criterion_8_oracle_equivalence():
         cells = full_cells(grid)
         big = d == 2 and N >= 12
         specs = [
-            KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5),
-            KernelSpec(KIND_FRACTIONAL, p=1.0, s=0.8, R=2.0),
-            KernelSpec(KIND_FLOOR, p=2.0, c=1.0),
+            (KernelSpec(KIND_FRACTIONAL, s=0.5), 2.0),
+            (KernelSpec(KIND_FRACTIONAL, s=0.8, R=2.0), 1.0),
+            (KernelSpec(KIND_FLOOR, c=1.0), 2.0),
         ]
         if big:
             specs = specs[:1]  # keep the pure-Python loop inside the budget
         us = [GridFunction(grid, rng.standard_normal(grid.cell_count)) for _ in range(50)]
-        for spec in specs:
+        for spec, p in specs:
             for weight, oracle_weight in ((UNIT_WEIGHT, None), (prof, prof)):
                 for u in us:
-                    fast = kernel_energy(u, cells, spec, weight=weight)
-                    slow = naive_kernel_energy(u, cells, spec, weight=oracle_weight)
+                    fast = kernel_energy(u, cells, spec, p, weight=weight)
+                    slow = naive_kernel_energy(u, cells, spec, p, weight=oracle_weight)
                     err = abs(fast - slow) / max(1.0, abs(slow))
                     worst_energy = max(worst_energy, err)
-        for spec in (KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5), KernelSpec(KIND_LOCAL, p=2.0)):
+        for spec in (KernelSpec(KIND_FRACTIONAL, s=0.5), KernelSpec(KIND_LOCAL)):
             for weight in (UNIT_WEIGHT, prof):
                 pair = assemble_p2(grid, cells, spec, weight)
                 for u in us:
@@ -374,7 +374,7 @@ def test_criterion_8_oracle_equivalence():
 
                         direct = local_energy(u, cells, 2.0, weight=weight)
                     else:
-                        direct = kernel_energy(u, cells, spec, weight=weight)
+                        direct = kernel_energy(u, cells, spec, 2.0, weight=weight)
                     err = abs(quad - direct) / max(1.0, abs(direct))
                     worst_quad = max(worst_quad, err)
     elapsed = time.perf_counter() - start

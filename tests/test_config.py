@@ -50,7 +50,7 @@ def test_rejects_s_out_of_range():
 
 
 def test_rejects_kernel_exponent_and_local_kind():
-    # Every command pins a kernel's exponent to the run's p and has no
+    # Every energy takes the run's p as an argument and no command has
     # local_gradient kernel rows, so neither can be configured.
     for kernel in ({"kind": "fractional", "s": 0.5, "p": 2.0}, {"kind": "local_gradient"}):
         with pytest.raises(ConfigError, match="kernels/0"):

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 
@@ -45,12 +47,29 @@ def test_kernel_spec_validation():
         KernelSpec(KIND_FRACTIONAL, s=0.5, R=0.5)
     with pytest.raises(ValueError):
         KernelSpec(KIND_FLOOR, c=0.0)
-    with pytest.raises(ValueError):
-        KernelSpec(KIND_FRACTIONAL, s=0.5, p=0.9)
+
+
+def test_kernel_api_inventory():
+    # The exponent is an argument of each energy, never a kernel field, so
+    # a kernel round-trips through JSON whatever p it is used at.
+    assert [f.name for f in dataclasses.fields(KernelSpec)] == ["kind", "s", "R", "c"]
+    assert not hasattr(KernelSpec, "with_p")
+    params = list(inspect.signature(kernel_energy).parameters)
+    assert params == ["u", "cells", "kernel", "p", "weight"]
+    for spec in (
+        KernelSpec(KIND_FRACTIONAL, s=0.5),
+        KernelSpec(KIND_FRACTIONAL, s=0.8, R=4.0),
+        KernelSpec(KIND_FLOOR, c=2.0),
+    ):
+        assert kernel_from_json(json.loads(json.dumps(kernel_to_json(spec)))) == spec
+    g = build_grid(1, 4)
+    u = GridFunction(g, np.arange(4.0))
+    with pytest.raises(ValueError, match="p >= 1"):
+        kernel_energy(u, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5), 0.9)
 
 
 def test_kernel_spec_json_round_trip():
-    spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.8, R=4.0)
+    spec = KernelSpec(KIND_FRACTIONAL, s=0.8, R=4.0)
     doc = json.loads(json.dumps(kernel_to_json(spec)))
     assert kernel_from_json(doc) == spec
     assert doc == {"kind": "fractional", "s": 0.8, "R": 4.0}
@@ -100,29 +119,29 @@ def test_local_energy_matches_naive(rng):
 def test_kernel_energy_constant_is_zero():
     g = build_grid(1, 8)
     u = GridFunction(g, np.full(8, 2.0))
-    assert kernel_energy(u, full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)) == 0.0
+    assert kernel_energy(u, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5), 2.0) == 0.0
 
 
 def test_kernel_energy_hand_value():
     g = build_grid(1, 4)
     u = GridFunction(g, np.array([0.0, 0.0, 0.0, 1.0]))
-    spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)
+    spec = KernelSpec(KIND_FRACTIONAL, s=0.5)
     want = 2 * 0.25 * (4.0 / 9.0 + 1.0 + 4.0)
-    assert kernel_energy(u, full_cells(g), spec) == pytest.approx(want, rel=1e-14)
+    assert kernel_energy(u, full_cells(g), spec, 2.0) == pytest.approx(want, rel=1e-14)
 
 
 def test_kernel_energy_truncation_hand_value():
     g = build_grid(1, 4)
     u = GridFunction(g, np.array([0.0, 0.0, 0.0, 1.0]))
-    spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5, R=2.0)
-    assert kernel_energy(u, full_cells(g), spec) == pytest.approx(2.0, rel=1e-14)
+    spec = KernelSpec(KIND_FRACTIONAL, s=0.5, R=2.0)
+    assert kernel_energy(u, full_cells(g), spec, 2.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_kernel_energy_rejects_local_kind():
     g = build_grid(1, 4)
     u = GridFunction(g, np.zeros(4))
     with pytest.raises(ValueError):
-        kernel_energy(u, full_cells(g), KernelSpec(KIND_LOCAL, p=2.0))
+        kernel_energy(u, full_cells(g), KernelSpec(KIND_LOCAL), 2.0)
 
 
 def test_kernel_energy_symmetries(rng):
@@ -130,10 +149,10 @@ def test_kernel_energy_symmetries(rng):
     vals = rng.standard_normal(32)
     cells = full_cells(g)
     prof = make_step_profile([0.7], [2.0, 1.0])
-    spec = KernelSpec(KIND_FRACTIONAL, p=3.0, s=0.4, R=2.0)
-    base = kernel_energy(GridFunction(g, vals), cells, spec, weight=prof)
-    flipped = kernel_energy(GridFunction(g, -vals), cells, spec, weight=prof)
-    shifted = kernel_energy(GridFunction(g, vals + 3.5), cells, spec, weight=prof)
+    spec = KernelSpec(KIND_FRACTIONAL, s=0.4, R=2.0)
+    base = kernel_energy(GridFunction(g, vals), cells, spec, 3.0, weight=prof)
+    flipped = kernel_energy(GridFunction(g, -vals), cells, spec, 3.0, weight=prof)
+    shifted = kernel_energy(GridFunction(g, vals + 3.5), cells, spec, 3.0, weight=prof)
     assert flipped == pytest.approx(base, rel=1e-12)
     assert shifted == pytest.approx(base, rel=1e-12)
 
@@ -142,9 +161,9 @@ def test_kernel_energy_monotone_in_truncation(rng):
     g = build_grid(1, 24)
     u = GridFunction(g, rng.standard_normal(24))
     cells = full_cells(g)
-    prev = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5))
+    prev = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, s=0.5), 2.0)
     for R in (1.0, 2.0, 4.0, 8.0):
-        cur = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5, R=R))
+        cur = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, s=0.5, R=R), 2.0)
         assert cur <= prev + 1e-15
         prev = cur
 
@@ -153,26 +172,26 @@ def test_kernel_energy_weight_monotonicity(rng):
     g = build_grid(1, 24)
     u = GridFunction(g, rng.standard_normal(24))
     cells = full_cells(g)
-    spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.6)
+    spec = KernelSpec(KIND_FRACTIONAL, s=0.6)
     small = make_step_profile([0.6], [1.0, 0.5])  # levels <= 1 everywhere
-    assert kernel_energy(u, cells, spec, weight=small) <= kernel_energy(u, cells, spec)
+    assert kernel_energy(u, cells, spec, 2.0, weight=small) <= kernel_energy(u, cells, spec, 2.0)
 
 
 def test_kernel_energy_matches_naive(rng):
     prof = make_step_profile([0.65], [2.0, 1.0])
     specs = [
-        KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5),
-        KernelSpec(KIND_FRACTIONAL, p=1.0, s=0.8, R=2.0),
-        KernelSpec(KIND_FLOOR, p=2.0, c=1.0),
+        (KernelSpec(KIND_FRACTIONAL, s=0.5), 2.0),
+        (KernelSpec(KIND_FRACTIONAL, s=0.8, R=2.0), 1.0),
+        (KernelSpec(KIND_FLOOR, c=1.0), 2.0),
     ]
     for d, N in ((1, 16), (2, 8)):
         g = build_grid(d, N)
         for _ in range(3):
             u = GridFunction(g, rng.standard_normal(g.cell_count))
-            for spec in specs:
+            for spec, p in specs:
                 for weight, oracle_weight in ((UNIT_WEIGHT, None), (prof, prof)):
-                    got = kernel_energy(u, full_cells(g), spec, weight=weight)
-                    want = naive_kernel_energy(u, full_cells(g), spec, weight=oracle_weight)
+                    got = kernel_energy(u, full_cells(g), spec, p, weight=weight)
+                    want = naive_kernel_energy(u, full_cells(g), spec, p, weight=oracle_weight)
                     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -183,30 +202,30 @@ def test_offset_table_equals_centre_differences(rng, d, N):
     g = build_grid(d, N)
     u = GridFunction(g, rng.standard_normal(g.cell_count))
     prof = make_step_profile([0.3, 0.65], [3.0, 2.0, 1.0])
-    for p in (1.0, 2.0):
-        specs = [
-            KernelSpec(KIND_FRACTIONAL, p=p, s=0.5),
-            KernelSpec(KIND_FRACTIONAL, p=p, s=0.8, R=2.0),
-            KernelSpec(KIND_FLOOR, p=p, c=1.0),
-        ]
-        for spec in specs:
-            for weight, oracle_weight in ((UNIT_WEIGHT, None), (prof, prof)):
-                for cells in (full_cells(g), ball_cells(g, 0.6)):
-                    got = kernel_energy(u, cells, spec, weight=weight)
-                    want = centre_difference_kernel_energy(u, cells, spec, oracle_weight)
+    specs = [
+        KernelSpec(KIND_FRACTIONAL, s=0.5),
+        KernelSpec(KIND_FRACTIONAL, s=0.8, R=2.0),
+        KernelSpec(KIND_FLOOR, c=1.0),
+    ]
+    for spec in specs:
+        for weight, oracle_weight in ((UNIT_WEIGHT, None), (prof, prof)):
+            for cells in (full_cells(g), ball_cells(g, 0.6)):
+                for p in (1.0, 2.0):
+                    got = kernel_energy(u, cells, spec, p, weight=weight)
+                    want = centre_difference_kernel_energy(u, cells, spec, p, oracle_weight)
                     assert got == want
-                    got_c = pair_coefficient_matrix(g, cells, spec, weight=weight)
-                    want_c = centre_difference_pair_matrix(g, cells, spec, oracle_weight)
-                    assert np.array_equal(got_c, want_c)
+                got_c = pair_coefficient_matrix(g, cells, spec, weight=weight)
+                want_c = centre_difference_pair_matrix(g, cells, spec, oracle_weight)
+                assert np.array_equal(got_c, want_c)
 
 
 def _count_table_builds(monkeypatch):
     builds = []
     original = forms._offset_kernel
 
-    def counted(grid, kernel):
-        builds.append(kernel)
-        return original(grid, kernel)
+    def counted(grid, kernel, p):
+        builds.append((kernel, p))
+        return original(grid, kernel, p)
 
     monkeypatch.setattr(forms, "_offset_kernel", counted)
     return builds
@@ -216,45 +235,46 @@ def test_kernel_energy_memo_returns_stored_energy(rng, monkeypatch):
     builds = _count_table_builds(monkeypatch)
     g = build_grid(2, 8)
     u = GridFunction(g, rng.standard_normal(g.cell_count))
-    spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)
-    first = kernel_energy(u, ball_cells(g, 0.6), spec)
+    spec = KernelSpec(KIND_FRACTIONAL, s=0.5)
+    first = kernel_energy(u, ball_cells(g, 0.6), spec, 2.0)
     assert len(builds) == 1
     # A new CellSet with the same indices hits the same entry.
-    assert kernel_energy(u, ball_cells(g, 0.6), spec) is first
+    assert kernel_energy(u, ball_cells(g, 0.6), spec, 2.0) is first
     assert len(builds) == 1
-    assert first == centre_difference_kernel_energy(u, ball_cells(g, 0.6), spec)
+    assert first == centre_difference_kernel_energy(u, ball_cells(g, 0.6), spec, 2.0)
 
 
 def test_kernel_energy_memo_keys(rng, monkeypatch):
     builds = _count_table_builds(monkeypatch)
     g = build_grid(2, 8)
     u = GridFunction(g, rng.standard_normal(g.cell_count))
-    spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)
+    spec = KernelSpec(KIND_FRACTIONAL, s=0.5)
     prof = make_step_profile([0.65], [2.0, 1.0])
     calls = [
-        (full_cells(g), spec, UNIT_WEIGHT),
-        (ball_cells(g, 0.6), spec, UNIT_WEIGHT),
-        (full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5, R=2.0), UNIT_WEIGHT),
-        (full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5, R=4.0), UNIT_WEIGHT),
-        (full_cells(g), spec, prof),
-        (full_cells(g), spec, make_step_profile([0.65], [3.0, 1.0])),
+        (full_cells(g), spec, 2.0, UNIT_WEIGHT),
+        (ball_cells(g, 0.6), spec, 2.0, UNIT_WEIGHT),
+        (full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5, R=2.0), 2.0, UNIT_WEIGHT),
+        (full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5, R=4.0), 2.0, UNIT_WEIGHT),
+        (full_cells(g), spec, 2.0, prof),
+        (full_cells(g), spec, 2.0, make_step_profile([0.65], [3.0, 1.0])),
+        (full_cells(g), spec, 3.0, UNIT_WEIGHT),
     ]
-    energies = [kernel_energy(u, cells, kernel, weight=w) for cells, kernel, w in calls]
+    energies = [kernel_energy(u, cells, kernel, p, weight=w) for cells, kernel, p, w in calls]
     assert len(builds) == len(calls)
     assert len(u._energies) == len(calls)
     assert len(set(energies)) == len(calls)
-    for (cells, kernel, w), energy in zip(calls, energies):
+    for (cells, kernel, p, w), energy in zip(calls, energies):
         oracle_weight = None if w is UNIT_WEIGHT else w
-        assert energy == centre_difference_kernel_energy(u, cells, kernel, oracle_weight)
+        assert energy == centre_difference_kernel_energy(u, cells, kernel, p, oracle_weight)
     # Equal keys built from new objects hit the stored entries; the default
     # weight is UNIT_WEIGHT, and an equal profile is the same key.
-    twin_spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)
+    twin_spec = KernelSpec(KIND_FRACTIONAL, s=0.5)
     again = kernel_energy(
-        u, full_cells(g), twin_spec, weight=make_step_profile([0.65], [2.0, 1.0])
+        u, full_cells(g), twin_spec, 2.0, weight=make_step_profile([0.65], [2.0, 1.0])
     )
     assert again == energies[4]
-    assert kernel_energy(u, full_cells(g), twin_spec) is energies[0]
-    assert kernel_energy(u, full_cells(g), spec, make_step_profile([], [1.0])) is energies[0]
+    assert kernel_energy(u, full_cells(g), twin_spec, 2.0) is energies[0]
+    assert kernel_energy(u, full_cells(g), spec, 2.0, make_step_profile([], [1.0])) is energies[0]
     assert len(builds) == len(calls)
 
 
@@ -263,11 +283,11 @@ def test_kernel_energy_memo_belongs_to_one_function(rng, monkeypatch):
     g = build_grid(1, 16)
     vals = rng.standard_normal(g.cell_count)
     u = GridFunction(g, vals)
-    spec = KernelSpec(KIND_FLOOR, p=2.0, c=1.0)
-    energy = kernel_energy(u, full_cells(g), spec)
+    spec = KernelSpec(KIND_FLOOR, c=1.0)
+    energy = kernel_energy(u, full_cells(g), spec, 2.0)
     twin = GridFunction(g, vals)
     assert twin._energies == {}
-    assert kernel_energy(twin, full_cells(g), spec) == energy
+    assert kernel_energy(twin, full_cells(g), spec, 2.0) == energy
     assert len(builds) == 2
 
 
@@ -276,7 +296,7 @@ def test_kernel_energy_memo_is_invisible(rng):
     u = GridFunction(g, rng.standard_normal(g.cell_count))
     before_repr = repr(u)
     before_values = u.values.copy()
-    kernel_energy(u, full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5))
+    kernel_energy(u, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5), 2.0)
     assert u._energies
     assert repr(u) == before_repr == f"GridFunction(grid={g!r}, values={u.values!r})"
     assert np.array_equal(u.values, before_values)
@@ -291,7 +311,7 @@ def test_discrete_jensen_chain(rng):
             for t in (0.6, 1.0):
                 cells = ball_cells(g, t)
                 for p in (1.0, 2.0, 3.5):
-                    energy = kernel_energy(u, cells, KernelSpec(KIND_FLOOR, p=p, c=1.0))
+                    energy = kernel_energy(u, cells, KernelSpec(KIND_FLOOR, c=1.0), p)
                     bound = cells.measure * deviation_p(u, cells, p)
                     assert energy >= bound * (1.0 - 1e-10)
 

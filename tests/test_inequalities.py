@@ -101,11 +101,11 @@ def test_weighted_gradient_eigenfunction_worst_case():
 def test_weighted_kernel_passes_with_frozen_constant(rng):
     g = build_grid(1, 64)
     prof = make_step_profile([0.75], [2.0, 1.0])
-    spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)
+    spec = KernelSpec(KIND_FRACTIONAL, s=0.5)
     u = GridFunction(g, smooth_random_field(g, rng))
     atoms = layer_cake(prof).radii
     constant = max(
-        deviation_p(u, ball_cells(g, t), 2.0) / kernel_energy(u, ball_cells(g, t), spec)
+        deviation_p(u, ball_cells(g, t), 2.0) / kernel_energy(u, ball_cells(g, t), spec, 2.0)
         for t in atoms
     )
     rep = check_weighted_kernel(u, prof, spec, 2.0, constant)
@@ -117,9 +117,9 @@ def test_weighted_kernel_constant_weight_ratio_below_transfer_margin(rng):
     # the outer radius, so the realized ratio is at most 1/M.
     g = build_grid(1, 32)
     prof = make_step_profile([], [1.0])
-    spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)
+    spec = KernelSpec(KIND_FRACTIONAL, s=0.5)
     u = GridFunction(g, smooth_random_field(g, rng))
-    constant = deviation_p(u, full_cells(g), 2.0) / kernel_energy(u, full_cells(g), spec)
+    constant = deviation_p(u, full_cells(g), 2.0) / kernel_energy(u, full_cells(g), spec, 2.0)
     rep = check_weighted_kernel(u, prof, spec, 2.0, constant)
     assert rep.passed
     assert rep.ratio <= 1.0 / transfer_constant(2.0, 1, prof) + 1e-12
@@ -128,7 +128,7 @@ def test_weighted_kernel_constant_weight_ratio_below_transfer_margin(rng):
 def test_weighted_kernel_detects_hypothesis_violation(rng):
     g = build_grid(1, 32)
     prof = make_step_profile([0.75], [2.0, 1.0])
-    spec = KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)
+    spec = KernelSpec(KIND_FRACTIONAL, s=0.5)
     u = GridFunction(g, smooth_random_field(g, rng))
     with pytest.raises(HypothesisViolation):
         check_weighted_kernel(u, prof, spec, 2.0, 1e-12)
@@ -138,7 +138,7 @@ def test_kernel_floor_passes_with_margin(rng):
     g = build_grid(1, 32)
     prof = make_step_profile([], [1.0])
     u = GridFunction(g, rng.standard_normal(32))
-    rep = check_kernel_floor(u, prof, KernelSpec(KIND_FLOOR, p=2.0, c=1.0), 2.0)
+    rep = check_kernel_floor(u, prof, KernelSpec(KIND_FLOOR, c=1.0), 2.0)
     assert rep.passed
     assert rep.ratio < 0.5
 
@@ -147,8 +147,8 @@ def test_kernel_floor_ratio_linear_in_c(rng):
     g = build_grid(1, 32)
     prof = make_step_profile([], [1.0])
     u = GridFunction(g, rng.standard_normal(32))
-    r1 = check_kernel_floor(u, prof, KernelSpec(KIND_FLOOR, p=2.0, c=1.0), 2.0)
-    r2 = check_kernel_floor(u, prof, KernelSpec(KIND_FLOOR, p=2.0, c=2.0), 2.0)
+    r1 = check_kernel_floor(u, prof, KernelSpec(KIND_FLOOR, c=1.0), 2.0)
+    r2 = check_kernel_floor(u, prof, KernelSpec(KIND_FLOOR, c=2.0), 2.0)
     assert r2.rhs == pytest.approx(r1.rhs / 2.0, rel=1e-15)
     assert r2.ratio == pytest.approx(2.0 * r1.ratio, rel=1e-15)
 
@@ -167,7 +167,7 @@ def test_truncated_fractional_single_constant_serves_high_orders(rng):
     u = GridFunction(g, smooth_random_field(g, rng))
     s0 = 0.5
     dev = deviation_p(u, full_cells(g), 2.0)
-    e0 = kernel_energy(u, full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=s0))
+    e0 = kernel_energy(u, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=s0), 2.0)
     c38 = dev / ((1 - s0) * e0)
     c_robust = transfer_constant(2.0, 1, prof) * 3.0 ** (2 * (1 - s0)) * c38
     ratios = []
@@ -199,8 +199,8 @@ def test_truncation_removes_nothing_inside_small_sets(rng):
     g = build_grid(1, 8)
     u = GridFunction(g, rng.standard_normal(8))
     cells = ball_cells(g, 0.5)
-    full = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5))
-    trunc = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5, R=1.0))
+    full = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, s=0.5), 2.0)
+    trunc = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, s=0.5, R=1.0), 2.0)
     assert full == trunc
     assert (3.0 * 1.0) ** (2 * 0.5) >= 1.0
 
@@ -254,7 +254,7 @@ def test_shift_invariance_of_reports(rng):
     for make in (
         lambda u: check_transfer(u, prof, per_ball_deviation(2.0), 2.0),
         lambda u: check_weighted_gradient(u, prof, 2.0, c_hat),
-        lambda u: check_kernel_floor(u, prof, KernelSpec(KIND_FLOOR, p=2.0, c=1.0), 2.0),
+        lambda u: check_kernel_floor(u, prof, KernelSpec(KIND_FLOOR, c=1.0), 2.0),
     ):
         a = make(GridFunction(g, vals))
         b = make(GridFunction(g, vals + 11.0))

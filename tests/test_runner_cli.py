@@ -92,6 +92,13 @@ def test_run_verify_kernel_check_requires_fractional_kernel(tmp_path):
         run_verify(parse_config(doc), tmp_path)
 
 
+def test_run_verify_kernel_floor_check_requires_floor_kernel(tmp_path):
+    doc = full_doc(kernels=[{"kind": "fractional", "s": 0.5}], checks=["kernel_floor"])
+    with pytest.raises(ConfigError, match="kernel_floor check requires a constant_floor"):
+        run_verify(parse_config(doc), tmp_path)
+    assert not (tmp_path / "report.csv").exists()
+
+
 @pytest.mark.parametrize("check", CHECK_NAMES)
 def test_each_check_name_yields_its_rows(check, tmp_path):
     doc = full_doc(checks=[check], sweep={"s": [0.5], "R": [1]})
@@ -286,6 +293,27 @@ def test_demo_reports_match_benchmark_reference(tmp_path):
             f"the {workload} {command} report differs from {reference}; "
             "if the change is deliberate, recapture it with perfbench/capture_reference.py"
         )
+
+
+def test_ball2d_n16_reports_match_golden(tmp_path):
+    # The 2-d workload at N = 16 with p = 1 (two ascent steps) and p = 2,
+    # small enough for tier-1: every command and the sharp trace.  To
+    # recapture after a deliberate change, run each command with
+    # ``--config tests/golden/ball2d-n16.json`` and copy its report.csv
+    # (and the sharp trace.csv) over the file of the same command.
+    golden = ROOT / "tests" / "golden"
+    config = golden / "ball2d-n16.json"
+    for command in ("verify", "sharp", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        files = [("report.csv", f"{command}.csv")]
+        if command == "sharp":
+            files.append(("trace.csv", "trace.csv"))
+        for produced, name in files:
+            reference = golden / "ball2d-n16" / name
+            assert (out / produced).read_bytes() == reference.read_bytes(), (
+                f"the ball2d-n16 {command} {produced} differs from {reference}"
+            )
 
 
 def test_blas_pinned_before_numpy_loads(tmp_path):

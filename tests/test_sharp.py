@@ -53,7 +53,7 @@ def test_pair_validation():
 
 def test_assemble_local_path_graph():
     g = build_grid(1, 4)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL, p=2.0))
+    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
     L = np.array(
         [
             [1.0, -1.0, 0.0, 0.0],
@@ -67,15 +67,9 @@ def test_assemble_local_path_graph():
     assert np.allclose(pair.mass, g.h)
 
 
-def test_assemble_requires_p2():
-    g = build_grid(1, 4)
-    with pytest.raises(ValueError, match="p = 2"):
-        assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL, p=3.0))
-
-
 def test_assemble_fractional_sign_structure():
     g = build_grid(1, 8)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5))
+    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5))
     A = pair.energy
     off = A[~np.eye(8, dtype=bool)]
     assert np.all(off < 0.0)
@@ -85,10 +79,10 @@ def test_assemble_fractional_sign_structure():
 def test_assembly_faithfulness(rng):
     prof = make_step_profile([0.7], [2.0, 1.0])
     specs = [
-        KernelSpec(KIND_LOCAL, p=2.0),
-        KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5),
-        KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.8, R=2.0),
-        KernelSpec(KIND_FLOOR, p=2.0, c=1.0),
+        KernelSpec(KIND_LOCAL),
+        KernelSpec(KIND_FRACTIONAL, s=0.5),
+        KernelSpec(KIND_FRACTIONAL, s=0.8, R=2.0),
+        KernelSpec(KIND_FLOOR, c=1.0),
     ]
     for d, N in ((1, 16), (2, 8)):
         g = build_grid(d, N)
@@ -102,7 +96,7 @@ def test_assembly_faithfulness(rng):
                     if spec.kind == KIND_LOCAL:
                         want = local_energy(u, cells, 2.0, weight=weight)
                     else:
-                        want = kernel_energy(u, cells, spec, weight=weight)
+                        want = kernel_energy(u, cells, spec, 2.0, weight=weight)
                     got = float(vals @ (pair.energy @ vals))
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
@@ -124,7 +118,7 @@ def test_transfer_pair_matches_atomized_deviations(rng):
 
 def test_smallest_eigen_path_graph_closed_form():
     g = build_grid(1, 4)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL, p=2.0))
+    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
     lam, v = smallest_nonzero_eigen(pair)
     want = 2.0 * (1.0 - np.cos(np.pi / 4)) / g.h**2
     assert lam == pytest.approx(want, rel=1e-10)
@@ -140,7 +134,7 @@ def test_smallest_eigen_path_graph_closed_form():
 
 def test_smallest_eigen_reports_nonconvergence():
     g = build_grid(1, 16)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL, p=2.0))
+    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
     with pytest.raises(EigenConvergenceError) as info:
         smallest_nonzero_eigen(pair, tol=1e-14, max_iter=1)
     assert info.value.residual >= 0.0
@@ -154,7 +148,7 @@ def test_dense_oracle_two_by_two():
 
 def test_dense_oracle_path_graph_spectrum():
     g = build_grid(1, 4)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL, p=2.0))
+    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
     spectrum = dense_oracle_eigen(pair)
     assert spectrum == pytest.approx(path_eigenvalues(4, g.h), abs=1e-10)
 
@@ -169,8 +163,8 @@ def test_dense_oracle_size_cap():
 def test_oracle_agrees_with_iterative():
     g = build_grid(1, 64)
     for spec, weight in (
-        (KernelSpec(KIND_LOCAL, p=2.0), UNIT_WEIGHT),
-        (KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5), make_step_profile([0.75], [2.0, 1.0])),
+        (KernelSpec(KIND_LOCAL), UNIT_WEIGHT),
+        (KernelSpec(KIND_FRACTIONAL, s=0.5), make_step_profile([0.75], [2.0, 1.0])),
     ):
         pair = assemble_p2(g, full_cells(g), spec, weight)
         lam, _ = smallest_nonzero_eigen(pair)
@@ -182,8 +176,8 @@ def test_eigenvalue_sandwich(rng):
     g = build_grid(2, 8)
     prof = make_step_profile([0.6], [2.0, 1.0])
     for pair in (
-        assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL, p=2.0), prof),
-        assemble_p2(g, full_cells(g), KernelSpec(KIND_FRACTIONAL, p=2.0, s=0.5)),
+        assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL), prof),
+        assemble_p2(g, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5)),
         assemble_transfer_p2(g, prof),
     ):
         spectrum = dense_oracle_eigen(pair)
@@ -197,7 +191,7 @@ def test_mesh_monotone_convergence():
     lams = []
     for N in (64, 128, 256, 512):
         g = build_grid(1, N)
-        pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL, p=2.0))
+        pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
         lam, _ = smallest_nonzero_eigen(pair)
         lams.append(lam)
     gaps = [abs(b - a) for a, b in zip(lams, lams[1:])]
@@ -208,7 +202,7 @@ def test_mesh_monotone_convergence():
 def test_sharp_constant_weighted_positive():
     g = build_grid(1, 64)
     for weight in (UNIT_WEIGHT, make_step_profile([0.75], [2.0, 1.0])):
-        c = sharp_constant_p2(g, KernelSpec(KIND_LOCAL, p=2.0), weight)
+        c = sharp_constant_p2(g, KernelSpec(KIND_LOCAL), weight)
         assert np.isfinite(c) and c > 0.0
 
 
@@ -221,7 +215,7 @@ def test_paper_bound_consistency_for_gradient_pairs():
     ]
     for prof in profiles:
         c_hat = estimate_gradient_constant(g, layer_cake(prof).radii)
-        empirical = sharp_constant_p2(g, KernelSpec(KIND_LOCAL, p=2.0), prof)
+        empirical = sharp_constant_p2(g, KernelSpec(KIND_LOCAL), prof)
         paper = weighted_gradient_constant(2.0, 1, prof, c_hat)
         assert empirical <= paper
         assert paper / empirical > 8.0  # the explicit constants are far from sharp
@@ -232,7 +226,7 @@ def test_estimate_gradient_constant_includes_unit_ball():
     base = estimate_gradient_constant(g)
     with_atom = estimate_gradient_constant(g, (0.75,))
     assert with_atom >= base
-    assert base == pytest.approx(sharp_constant_p2(g, KernelSpec(KIND_LOCAL, p=2.0)), rel=1e-12)
+    assert base == pytest.approx(sharp_constant_p2(g, KernelSpec(KIND_LOCAL)), rel=1e-12)
 
 
 def test_ratio_ascent_zero_steps_returns_start(rng):
@@ -279,7 +273,7 @@ def test_ratio_ascent_evaluates_each_iterate_once(rng):
 
 def test_ratio_ascent_cross_validates_eigensolve(rng):
     g = build_grid(1, 32)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL, p=2.0))
+    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
     lam, vec = smallest_nonzero_eigen(pair)
     sharp = 1.0 / lam
     scale = float(np.abs(vec).max())
