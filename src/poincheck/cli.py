@@ -4,6 +4,10 @@ Each command takes ``--config``, ``--out`` and ``--seed``; ``sharp`` also
 always writes its Ritz trace (``trace.csv``).  The unweighted case is the
 weight ``UNIT_WEIGHT``: a step profile with no breakpoints and level 1.
 
+Exit codes: 0 when every row passes; 1 when some row fails (reports are
+still written); 2 on ``error: ...``, for an invalid config, another
+``ValueError`` or an I/O error reading the config or writing the reports.
+
 BLAS is pinned to one thread by the package ``__init__``, which runs
 before this module and before numpy loads.
 """
@@ -12,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .config import CONFIG_SCHEMA, ConfigError, load_config
+from .config import CONFIG_SCHEMA, load_config
 from .runner import run_sharp, run_sweep, run_verify
 
 _RUNNERS = {"verify": run_verify, "sharp": run_sharp, "sweep": run_sweep}
@@ -50,7 +54,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, seed_override=args.seed)
         result = _RUNNERS[args.command](config, args.out)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not result.all_passed:

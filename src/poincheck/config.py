@@ -23,16 +23,6 @@ CHECK_NAMES = (
     "shift",
 )
 
-DEFAULT_TOLERANCES = {
-    "transfer": 0.0,
-    "gradient": 0.0,
-    "kernel": 0.0,
-    "kernel_floor": 0.0,
-    "fractional_truncated": 0.05,
-    "truncation": 0.05,
-    "shift": 0.0,
-}
-
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "poincheck experiment configuration",
@@ -137,11 +127,6 @@ CONFIG_SCHEMA = {
                 "count": {"type": "integer", "minimum": 1},
             },
         },
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {name: {"type": "number", "minimum": 0} for name in CHECK_NAMES},
-        },
         "profile_samples": {"type": "integer", "minimum": 1},
         "ascent": {
             "type": "object",
@@ -178,14 +163,10 @@ class ExperimentConfig:
     sweep_s: tuple[float, ...]
     sweep_R: tuple[float, ...]
     suite: SuiteSpec
-    tolerances: dict
     csv_name: str
     json_name: str
     trace_name: str
     ascent_steps: int
-
-    def tolerance(self, check: str) -> float:
-        return self.tolerances.get(check, DEFAULT_TOLERANCES[check])
 
 
 def parse_config(document: dict, seed_override: int | None = None) -> ExperimentConfig:
@@ -226,7 +207,6 @@ def parse_config(document: dict, seed_override: int | None = None) -> Experiment
         sweep_s=tuple(float(s) for s in sweep.get("s", (0.5,))),
         sweep_R=tuple(float(r) for r in sweep.get("R", (1.0,))),
         suite=suite,
-        tolerances=dict(document.get("tolerances", {})),
         csv_name=output.get("csv", "report.csv"),
         json_name=output.get("json", "report.json"),
         trace_name=output.get("trace_csv", "trace.csv"),

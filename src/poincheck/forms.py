@@ -31,6 +31,7 @@ __all__ = [
     "pair_coefficient_matrix",
     "transfer_constant",
     "weighted_gradient_constant",
+    "kernel_floor_constant",
 ]
 
 KIND_LOCAL = "local_gradient"
@@ -276,15 +277,17 @@ def weighted_gradient_constant(
 ) -> float:
     """Constant of the weighted gradient inequality.
 
-    ``2^(3p+d) * (center level / level at 1/2) * c_hat`` where ``c_hat``
-    is the unweighted per-ball gradient constant (an input: see the sharp
-    module for the operational estimate).
+    The transfer constant times ``c_hat``, the unweighted per-ball
+    gradient constant (an input: see the sharp module for the operational
+    estimate).
     """
     if c_hat <= 0.0:
         raise ValueError(f"gradient constant must be positive, got {c_hat}")
-    if p < 1.0:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    if d not in (1, 2):
-        raise ValueError(f"unsupported dimension {d}")
-    return 2.0 ** (3.0 * p + d) * profile.center_value / profile.half_value * c_hat
+    return transfer_constant(p, d, profile) * c_hat
 
+
+def kernel_floor_constant(
+    p: float, d: int, profile: RadialProfile, c: float, half_measure: float
+) -> float:
+    """Transfer constant over ``c`` times the half ball's measure."""
+    return transfer_constant(p, d, profile) / (c * half_measure)

@@ -41,6 +41,7 @@ from .forms import (
     KIND_LOCAL,
     KernelSpec,
     kernel_energy,
+    kernel_floor_constant,
     kernel_to_json,
     local_energy,
     local_energy_rows,
@@ -217,51 +218,51 @@ def _cases(config: ExperimentConfig, N: int, radii) -> list[_Case]:
     return [_Case(config, grid, suite, p, radii) for p in config.p_values]
 
 
-def _transfer_reports(case, profile, tol):
+def _transfer_reports(case, profile):
     grid, p = case.grid, case.p
 
     def per_ball(u, t):
         return deviation_p(u, ball_cells(grid, t), p)
 
-    return [check_transfer(u, profile, per_ball, p, tol) for u in case.suite]
+    return [check_transfer(u, profile, per_ball, p) for u in case.suite]
 
 
-def _gradient_reports(case, profile, tol):
-    return [check_weighted_gradient(u, profile, case.p, case.c_hat, tol) for u in case.suite]
+def _gradient_reports(case, profile):
+    return [check_weighted_gradient(u, profile, case.p, case.c_hat) for u in case.suite]
 
 
-def _kernel_reports(case, profile, tol):
+def _kernel_reports(case, profile):
     return [
-        check_weighted_kernel(u, profile, kernel, case.p, constant, tol)
+        check_weighted_kernel(u, profile, kernel, case.p, constant)
         for kernel, constant in case.kernel_constants
         for u in case.suite
     ]
 
 
-def _kernel_floor_reports(case, profile, tol):
+def _kernel_floor_reports(case, profile):
     return [
-        check_kernel_floor(u, profile, kernel, case.p, tol)
+        check_kernel_floor(u, profile, kernel, case.p)
         for kernel in _kernels_of(case.config, KIND_FLOOR)
         for u in case.suite
     ]
 
 
-def _fractional_truncated_reports(case, profile, tol):
+def _fractional_truncated_reports(case, profile):
     p, config = case.p, case.config
     s0 = _freeze_order(config.sweep_s)
     constant = transfer_constant(p, case.grid.d, profile) * 3.0 ** (p * (1.0 - s0))
     constant = constant * case.robust_constant
     return [
-        check_truncated_fractional(u, profile, p, s, R, constant, tol)
+        check_truncated_fractional(u, profile, p, s, R, constant)
         for s in config.sweep_s
         for R in config.sweep_R
         for u in case.suite
     ]
 
 
-def _truncation_reports(case, tol):
+def _truncation_reports(case):
     return [
-        check_truncation_bound(u, case.p, s, R, tol)
+        check_truncation_bound(u, case.p, s, R)
         for s in case.config.sweep_s
         for R in case.config.sweep_R
         for u in case.suite
@@ -313,9 +314,9 @@ def run_verify(config: ExperimentConfig, out_dir) -> RunResult:
             for profile in config.profiles:
                 for name, check_reports in _PROFILE_CHECKS.items():
                     if name in config.checks:
-                        reports.extend(check_reports(case, profile, config.tolerance(name)))
+                        reports.extend(check_reports(case, profile))
             if "truncation" in config.checks:
-                reports.extend(_truncation_reports(case, config.tolerance("truncation")))
+                reports.extend(_truncation_reports(case))
 
     rows = [report_row(r) for r in reports]
     passed = all(r.passed for r in reports)
@@ -403,7 +404,8 @@ def _sharp_targets(case, profile):
     kernel_constants = dict(case.kernel_constants)
     for kernel in case.config.kernels:
         if kernel.kind == KIND_FLOOR:
-            paper_k = paper / (kernel.c * ball_cells(grid, 0.5).measure)
+            half_measure = ball_cells(grid, 0.5).measure
+            paper_k = kernel_floor_constant(p, grid.d, profile, kernel.c, half_measure)
         else:
             paper_k = kernel_constants[kernel] * paper
         label = json.dumps(kernel_to_json(kernel), separators=(",", ":"))
@@ -461,11 +463,10 @@ def run_sweep(config: ExperimentConfig, out_dir) -> RunResult:
         u = canonical_bump(grid)
         for p in config.p_values:
             case = _Case(config, grid, [u], p, radii)
-            truncations = _truncation_reports(case, config.tolerance("truncation"))
+            truncations = _truncation_reports(case)
             grad_energy = local_energy(u, full_cells(grid), p)
             for profile in config.profiles:
-                tol = config.tolerance("fractional_truncated")
-                checks = zip(_fractional_truncated_reports(case, profile, tol), truncations)
+                checks = zip(_fractional_truncated_reports(case, profile), truncations)
                 for frac_check, trunc_check in checks:
                     meta = frac_check.metadata
                     frac = trunc_check.lhs

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import ksum
 from .weights import UNIT_WEIGHT, RadialProfile, eval_weight, layer_cake
-from .grid import CellSet, Grid, GridFunction, ball_cells, weighted_mean
+from .grid import CellSet, Grid, GridFunction, ball_cells
 from .forms import KIND_LOCAL, KernelSpec, pair_coefficient_matrix
 
 __all__ = [
@@ -389,15 +390,20 @@ def ratio_ascent(
         ratio, bad = ratios(vals[None, :])
         return None if bad[0] else float(ratio[0])
 
-    def recenter(vals):
-        return vals - weighted_mean(GridFunction(grid, vals), weight)
-
     vals = np.array(u0.values, dtype=float)
     start = ratio_of(vals)
     if start is None:
         raise ValueError("rhs functional must be positive at the starting point")
     if steps == 0:
         return start, GridFunction(grid, vals)
+
+    w = eval_weight(weight, grid.norms)
+    w_total = ksum(w)
+
+    def recenter(vals):
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("grid function values must be finite")
+        return vals - ksum(vals * w) / w_total
 
     best_ratio = start
     best_vals = vals.copy()

@@ -132,7 +132,7 @@ def test_criterion_3_transfer_engine():
 
                 for prof in WEIGHTS:
                     for u in suite:
-                        rep = check_transfer(u, prof, per_ball, p, tol=0.0)
+                        rep = check_transfer(u, prof, per_ball, p)
                         assert rep.passed, (d, N, p, rep.ratio)
                         worst = max(worst, rep.ratio)
                         count += 1

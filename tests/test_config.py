@@ -31,8 +31,13 @@ def test_parse_minimal_config():
     assert cfg.profiles[0].values == (1.0,)
     assert cfg.suite.seed == 7
     assert cfg.sweep_s == (0.5,) and cfg.sweep_R == (1.0,)
-    assert cfg.tolerance("transfer") == 0.0
-    assert cfg.tolerance("truncation") == 0.05
+
+
+def test_rejects_tolerances():
+    # Each check fixes its own tolerance, so a config cannot set one.
+    with pytest.raises(ConfigError, match="tolerances"):
+        parse_config(minimal_doc(tolerances={"truncation": 0.0}))
+    assert "tolerances" not in CONFIG_SCHEMA["properties"]
 
 
 def test_seed_override():

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 
@@ -28,6 +29,7 @@ from poincheck.inequalities import (
     reports_to_json,
     write_rows_csv,
 )
+from poincheck import inequalities
 from poincheck.sharp import estimate_gradient_constant
 from poincheck.weights import layer_cake, make_step_profile, truncate_profile
 from poincheck.suite import smooth_random_field
@@ -53,9 +55,17 @@ def test_transfer_random_smooth_suite(rng):
     prof = make_step_profile([], [1.0])
     for _ in range(50):
         u = GridFunction(g, smooth_random_field(g, rng))
-        rep = check_transfer(u, prof, per_ball_deviation(2.0), 2.0, tol=0.0)
-        assert rep.passed
+        rep = check_transfer(u, prof, per_ball_deviation(2.0), 2.0)
+        assert rep.passed and rep.tol == 0.0
         assert rep.constant_used == transfer_constant(2.0, 1, prof)
+
+
+def test_checks_take_no_tolerance():
+    # Each check fixes its own tolerance in the inequalities module.
+    checks = [name for name in inequalities.__all__ if name.startswith("check_")]
+    assert len(checks) == 7
+    for name in checks:
+        assert "tol" not in inspect.signature(getattr(inequalities, name)).parameters, name
 
 
 def test_transfer_rejects_zero_functional():
@@ -181,8 +191,8 @@ def test_truncated_fractional_single_constant_serves_high_orders(rng):
 def test_truncation_bound_typical_case(rng):
     g = build_grid(1, 128)
     u = GridFunction(g, smooth_random_field(g, rng))
-    rep = check_truncation_bound(u, 2.0, 0.5, 3.0, tol=0.05)
-    assert rep.passed
+    rep = check_truncation_bound(u, 2.0, 0.5, 3.0)
+    assert rep.passed and rep.tol == 0.05
     assert rep.constant_used == pytest.approx(9.0 ** (2 * 0.5))
 
 
