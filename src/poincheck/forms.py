@@ -10,7 +10,6 @@ which gives the unweighted energies.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -184,7 +183,7 @@ def _pair_energy(
     m = idx.size
     phi = eval_weight(weight, grid.norms[idx])
     scale = grid.cell_measure**2
-    row_sums: list[float] = []
+    row_sums = []
     for start in range(0, m, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, m)
         terms = np.abs(v[start:stop, None] - v[None, :]) ** p
@@ -192,8 +191,8 @@ def _pair_energy(
         terms = terms * np.minimum(phi[start:stop, None], phi[None, :])
         rows = np.arange(start, stop)
         terms[rows - start, rows] = 0.0
-        row_sums.extend(math.fsum(row.tolist()) for row in terms)
-    return ksum(row_sums) * scale
+        row_sums.append(ksum_rows(terms))
+    return ksum(np.concatenate(row_sums)) * scale
 
 
 def kernel_energy(
@@ -207,8 +206,11 @@ def kernel_energy(
 
     ``sum_{i != j} |u_i - u_j|^p K(x_i, x_j) W_ij h^{2d}`` with
     ``W_ij = min(w(x_i), w(x_j))``, which is 1 for ``UNIT_WEIGHT``.
-    Accumulation is row-chunked and exactly rounded per row, so the result
-    is deterministic and memory stays bounded on large cell sets.
+    The terms are formed in blocks of 256 rows, so memory stays bounded on
+    large cell sets, and each block's rows are summed exactly rounded by
+    :func:`~poincheck.numerics.ksum_rows` (a few whole-array passes, not
+    one ``fsum`` per row); the row sums are then summed exactly rounded,
+    so the result is deterministic.
 
     ``K_ij`` is gathered from the kernel evaluated once per call on the
     lattice offsets (see :func:`_offset_kernel`).  For N a power of two

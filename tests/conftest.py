@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from poincheck.forms import _kernel_block, local_energy
+from poincheck.forms import _kernel_block, _offset_kernel, local_energy
 from poincheck.grid import GridFunction, full_cells, weighted_mean
 from poincheck.sharp import assemble_p2, smallest_nonzero_eigen
 from poincheck.weights import UNIT_WEIGHT, eval_weight
@@ -72,6 +72,32 @@ def centre_difference_kernel_energy(u, cells, kernel, p, weight=None):
         terms = terms * _kernel_block(dist, kernel, p, grid.d)
         if phi is not None:
             terms = terms * np.minimum(phi[start:stop, None], phi[None, :])
+        rows = np.arange(start, stop)
+        terms[rows - start, rows] = 0.0
+        row_sums.extend(math.fsum(row.tolist()) for row in terms)
+    return math.fsum(row_sums) * grid.cell_measure**2
+
+
+def fsum_pair_energy(u, cells, kernel, p, weight=UNIT_WEIGHT):
+    """Pair energy with one ``math.fsum`` per row of each block.
+
+    The formula ``kernel_energy`` used before its rows were summed by the
+    extraction kernel of ``ksum_rows``: the same lattice-offset kernel
+    table, blocks and multiply order.  An exactly rounded sum is unique,
+    so the two agree bit for bit.
+    """
+    grid = u.grid
+    idx = cells.indices
+    table, keys, center = _offset_kernel(grid, kernel, p)
+    v = u.values[idx]
+    m = idx.size
+    phi = eval_weight(weight, grid.norms[idx])
+    row_sums = []
+    for start in range(0, m, 256):
+        stop = min(start + 256, m)
+        terms = np.abs(v[start:stop, None] - v[None, :]) ** p
+        terms = terms * table[keys[idx[start:stop], None] + center - keys[None, idx]]
+        terms = terms * np.minimum(phi[start:stop, None], phi[None, :])
         rows = np.arange(start, stop)
         terms[rows - start, rows] = 0.0
         row_sums.extend(math.fsum(row.tolist()) for row in terms)

@@ -2,14 +2,42 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from poincheck.numerics import ksum, ksum_rows
+from poincheck.forms import KIND_FLOOR, KIND_FRACTIONAL, KernelSpec, kernel_energy
+from poincheck.grid import GridFunction, build_grid, full_cells
+from poincheck.numerics import _KERNEL_MIN_ELEMENTS, ksum, ksum_rows
+from poincheck.weights import UNIT_WEIGHT, make_step_profile
+from conftest import fsum_pair_energy
 
 
 def _wide_values(n, seed):
     """Signed values whose magnitudes span about 1e-20 to 1e20."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) * 10.0 ** rng.uniform(-20.0, 20.0, n)
+
+
+def _fsum_rows(matrix):
+    """Per-row ``math.fsum``: the oracle, as k floats or the exception raised."""
+    try:
+        return np.array([math.fsum(row.tolist()) for row in matrix], dtype=float)
+    except (OverflowError, ValueError) as exc:
+        return exc
+
+
+def _assert_same_as_fsum(matrix):
+    """``ksum_rows`` returns the oracle's floats bit for bit (signed zeros
+    and nan included) or raises the oracle's exception."""
+    want = _fsum_rows(matrix)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            ksum_rows(matrix)
+        assert str(info.value) == str(want)
+        return
+    got = ksum_rows(matrix)
+    assert got.dtype == np.float64 and got.shape == (matrix.shape[0],)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 812, 65535, 65536, 65537, 200000])
@@ -19,6 +47,13 @@ def test_ksum_is_exactly_rounded(n):
     assert ksum(x[::-1].reshape(-1, 1)) == math.fsum(x.tolist())
 
 
+def test_ksum_takes_iterables_and_empty_arrays():
+    assert ksum(iter([0.1] * 10)) == math.fsum([0.1] * 10)
+    assert ksum([1e100, 1.0, -1e100]) == 1.0
+    assert ksum(np.array([], dtype=float)) == 0.0
+    assert ksum(np.arange(5000)) == math.fsum(range(5000))
+
+
 def test_ksum_rows_sums_each_row_exactly():
     m = _wide_values(7 * 812, 9).reshape(7, 812)
     got = ksum_rows(m)
@@ -26,3 +61,159 @@ def test_ksum_rows_sums_each_row_exactly():
     for r in range(7):
         assert got[r] == math.fsum(m[r].tolist())
     assert np.array_equal(ksum_rows(m[:, :5]), [math.fsum(row.tolist()) for row in m[:, :5]])
+
+
+# Row lengths around every power of two up to 2^13, where the bit budget
+# b = min(51, 53 - n.bit_length()) steps down.
+_LENGTHS = sorted({0, 1, 2, 3} | {2**j + e for j in range(2, 14) for e in (-1, 0, 1)})
+
+
+_STYLES = ("wide", "subnormal", "cancel", "zeros", "full")
+
+
+def _row(style, lo, hi, n, rng):
+    if style == "wide":
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(lo, hi, n)
+    if style == "subnormal":
+        row = rng.integers(-(2**20), 2**20, n) * 5e-324
+        row[rng.random(n) < 0.2] *= 2.0**60
+        return row
+    if style == "cancel":
+        half = rng.standard_normal(n // 2) * 10.0 ** rng.uniform(-30.0, 30.0, n // 2)
+        return rng.permutation(np.concatenate([half, -half, rng.standard_normal(n % 2) * 1e-40]))
+    if style == "zeros":
+        return np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    # Full-mantissa entries of one sign close below the row's top, which
+    # fill the chunk sums' bit budget, plus a tail that lands in later
+    # chunks.
+    row = rng.choice([-1.0, 1.0]) * np.ldexp(1.0 - rng.random(n) * 2.0**-8, 7)
+    row[rng.random(n) < 0.1] *= 2.0**-40
+    return row
+
+
+@st.composite
+def _blocks(draw):
+    """A (k, n) block whose rows mix the entries a reduction gets wrong.
+
+    Rows cycle through up to eight drawn styles; ``wide`` rows take
+    magnitudes from ``10^lo`` to ``10^hi`` within 1e-300 to 1e300.
+    """
+    n = draw(st.sampled_from(_LENGTHS))
+    # Both sides of the crossover: k * n below it and at or above it.
+    k = draw(st.integers(0, max(1, (4 * _KERNEL_MIN_ELEMENTS) // max(n, 1))))
+    lo = st.floats(-300.0, 300.0)
+    styles = draw(st.lists(st.tuples(st.sampled_from(_STYLES), lo, lo), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for i in range(k):
+        style, a, b = styles[i % len(styles)]
+        rows.append(_row(style, min(a, b), max(a, b), n, rng))
+    return np.array(rows, dtype=float).reshape(k, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks())
+def test_ksum_rows_equals_fsum_per_row(block):
+    _assert_same_as_fsum(block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(0, 6), st.sampled_from(_LENGTHS[:16])),
+        elements=st.floats(allow_nan=False, allow_infinity=False, width=64),
+    )
+)
+def test_ksum_rows_equals_fsum_on_any_finite_floats(block):
+    # Every finite float, up to the largest: rows at 2^900 and above, and
+    # the sums that overflow there, go to ``fsum``.
+    _assert_same_as_fsum(np.tile(block, (1, 1 + _KERNEL_MIN_ELEMENTS // max(block.size, 1))))
+    _assert_same_as_fsum(block)
+
+
+@pytest.mark.parametrize("n", [2**j + e for j in (3, 8, 11, 13) for e in (-1, 0, 1)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ksum_rows_fills_the_bit_budget(n, sign):
+    # n entries of one sign, each with a full mantissa close below the
+    # row's top, give chunk sums of almost 2^53 grid units; one tiny entry
+    # per row then decides the rounding of the total.
+    rng = np.random.default_rng(n)
+    k = max(2, _KERNEL_MIN_ELEMENTS // n + 1)
+    block = sign * np.ldexp(1.0 - rng.random((k, n)) * 2.0**-12, 3)
+    block[:, 0] = sign * 2.0**-60 * rng.random(k)
+    _assert_same_as_fsum(block)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1024, 4097])
+def test_ksum_rows_of_signed_zeros(n):
+    k = max(1, 2 * _KERNEL_MIN_ELEMENTS // n)
+    for fill in (-0.0, 0.0):
+        _assert_same_as_fsum(np.full((k, n), fill))
+    mixed = np.full((k, n), -0.0)
+    mixed[:, n // 2] = 0.0
+    _assert_same_as_fsum(mixed)
+    # A nonzero row that cancels exactly, beside negative zeros.
+    cancel = np.full((k, n + 2), -0.0)
+    cancel[:, 0], cancel[:, -1] = 3.5, -3.5
+    _assert_same_as_fsum(cancel)
+
+
+def test_ksum_rows_empty_shapes():
+    assert ksum_rows(np.zeros((0, 5000))).shape == (0,)
+    assert ksum_rows(np.zeros((5000, 0))).tobytes() == np.zeros(5000).tobytes()
+    assert ksum_rows(np.zeros((0, 0))).shape == (0,)
+
+
+def _with_rows(bad_rows, n=2100, k=8):
+    block = _wide_values(k * n, 5).reshape(k, n)
+    for r, row in bad_rows.items():
+        block[r, : len(row)] = row
+    return block
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {3: [math.inf]},
+        {3: [-math.inf, 1.0]},
+        {3: [math.nan]},
+        {3: [math.inf], 5: [math.nan]},
+        {3: [1e308, -1e308, 1e300]},  # large but finite sum
+        {3: [2.0**900], 6: [-(2.0**1023), 2.0**1023]},
+        {2: [math.inf, -math.inf]},  # inf - inf: ValueError
+        {2: [1e308, 1e308]},  # overflow: OverflowError
+        {2: [1e308, 1e308], 5: [math.inf, -math.inf]},  # first row decides
+        {2: [math.inf, -math.inf], 5: [1e308, 1e308]},
+    ],
+)
+def test_ksum_rows_non_finite_and_overflowing_rows_act_as_fsum(bad):
+    # Rows of 2,100 entries: the block, and each row as one ``ksum``, are
+    # above the crossover.
+    block = _with_rows(bad)
+    _assert_same_as_fsum(block)
+    flat = block[list(bad)].ravel()
+    want = _fsum_rows(flat[None, :])
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)):
+            ksum(flat)
+    else:
+        assert np.array([ksum(flat)]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize(
+    "kernel",
+    [KernelSpec(KIND_FRACTIONAL, s=0.5), KernelSpec(KIND_FRACTIONAL, s=0.3, R=4.0), KernelSpec(KIND_FLOOR, c=1.0)],
+)
+def test_pair_energy_equals_per_row_fsum(p, kernel):
+    grid = build_grid(2, 32)
+    cells = full_cells(grid)
+    x, y = grid.centers[:, 0], grid.centers[:, 1]
+    rng = np.random.default_rng(32)
+    weight = make_step_profile([0.3, 0.7], [4.0, 2.0, 1.0])
+    for values in (np.sin(3.0 * x) + y**2, rng.standard_normal(grid.cell_count)):
+        for w in (UNIT_WEIGHT, weight):
+            got = kernel_energy(GridFunction(grid, values), cells, kernel, p, w)
+            want = fsum_pair_energy(GridFunction(grid, values), cells, kernel, p, w)
+            assert got.hex() == want.hex()
