@@ -9,10 +9,12 @@ still written); 2 on ``error: ...``, for an invalid config, another
 ``ValueError`` or an I/O error reading the config or writing the reports.
 
 BLAS is pinned to one thread by the package ``__init__``, which runs
-before this module and before numpy loads.
+before this module and before numpy loads.  ``main`` pins glibc's malloc
+thresholds (:func:`pin_malloc_thresholds`).
 """
 
 import argparse
+import ctypes
 import json
 import sys
 
@@ -20,6 +22,34 @@ from .config import CONFIG_SCHEMA, load_config
 from .runner import run_sharp, run_sweep, run_verify
 
 _RUNNERS = {"verify": run_verify, "sharp": run_sharp, "sweep": run_sweep}
+
+# mallopt parameters of glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def pin_malloc_thresholds() -> None:
+    """Serve blocks below 32 MiB from the heap and keep up to 64 MiB of
+    freed heap, where glibc's ``mallopt`` exists; elsewhere do nothing.
+
+    By default glibc mmaps every block of 128 KiB or more, and raises
+    that threshold only after a larger block has been freed.  The pair
+    energies and row sums of a 2-d grid work on blocks of about 1.7 MB
+    (256 rows of 812 cells), so their time depended on whether some
+    earlier, larger block had raised the threshold: one N = 32
+    ``kernel_energy`` call took 28-33 ms in a fresh process against
+    17-20 ms after a single 812 x 812 matrix was allocated and freed.
+    Fixed thresholds make every run take the fast path.  Calling this
+    again is harmless.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    pin_malloc_thresholds()
     args = build_parser().parse_args(argv)
     if args.command == "schema":
         json.dump(CONFIG_SCHEMA, sys.stdout, indent=1)

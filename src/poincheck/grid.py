@@ -38,7 +38,8 @@ class Grid:
     from the origin, and ``neighbors_up[k, a]`` / ``neighbors_down[k, a]``
     the cell index one lattice step along axis ``a`` (or -1 when that
     neighbor is outside the ball).  Enumeration order is lattice-lexicographic
-    and fixed.
+    and fixed.  ``_eigen`` memoizes the p = 2 eigensolves that
+    :func:`poincheck.sharp.pencil_eigen` runs on the grid's cell sets.
     """
 
     d: int
@@ -49,6 +50,7 @@ class Grid:
     lattice: np.ndarray
     neighbors_up: np.ndarray
     neighbors_down: np.ndarray
+    _eigen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def cell_count(self) -> int:

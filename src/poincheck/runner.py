@@ -63,9 +63,9 @@ from .inequalities import (
 )
 from .sharp import (
     EigenConvergenceError,
-    assemble_p2,
     assemble_transfer_p2,
     estimate_gradient_constant,
+    pencil_eigen,
     ratio_ascent,
     smallest_nonzero_eigen,
 )
@@ -339,15 +339,15 @@ def _sharp_row(target, method, eigenvalue, empirical, paper, residual=None):
     )
 
 
-def _eigen_row(target, paper, build_pair, traces) -> dict:
+def _eigen_row(target, paper, solve, traces) -> dict:
     """Sharp row of one p = 2 target: ``1 / lambda`` of its pencil.
 
-    A solve that does not converge gives a failing row with its residual
-    and no trace; ``traces`` gets one row per Ritz step of a converged solve.
+    ``solve()`` returns the eigenvalue, eigenvector and Ritz trace rows.  A
+    solve that does not converge gives a failing row with its residual and
+    no trace; ``traces`` gets one row per Ritz step of a converged solve.
     """
-    trace = []
     try:
-        lam, _ = smallest_nonzero_eigen(build_pair(), trace=trace)
+        lam, _, trace = solve()
     except EigenConvergenceError as exc:
         return _sharp_row(target, "eigen", None, None, paper, exc.residual)
     for it, lam_it, res in trace:
@@ -379,7 +379,7 @@ def _sharp_targets(case, profile):
     """The ascent lhs (None at p = 2) and the sharp targets of one case
     and profile, in row order.
 
-    Each target is (name, kernel label, paper constant, pencil builder at
+    Each target is (name, kernel label, paper constant, eigensolve at
     p = 2 or ascent rhs functional otherwise); the kernel targets are
     eigensolves only, so they exist at p = 2 alone.
     """
@@ -395,10 +395,15 @@ def _sharp_targets(case, profile):
     whole = full_cells(grid)
 
     def pencil(kernel):
-        return lambda: assemble_p2(grid, whole, kernel, profile)
+        return lambda: pencil_eigen(whole, kernel, profile)
+
+    def transfer():
+        trace = []
+        lam, vec = smallest_nonzero_eigen(assemble_transfer_p2(grid, profile), trace=trace)
+        return lam, vec, trace
 
     targets = [
-        ("transfer", "", paper, lambda: assemble_transfer_p2(grid, profile)),
+        ("transfer", "", paper, transfer),
         ("gradient", KIND_LOCAL, paper_grad, pencil(KernelSpec(KIND_LOCAL))),
     ]
     kernel_constants = dict(case.kernel_constants)

@@ -2,11 +2,15 @@
 
 At p = 2 the best constant in ``weighted deviation <= C * energy`` is the
 reciprocal of the smallest nonzero eigenvalue of the energy form against
-the weighted mass form.  Both forms are assembled as dense matrices; the
-eigenvalue is found by deflated inverse iteration with projected CG inner
-solves, validated against a self-contained cyclic Jacobi oracle.  For
-general p a normalized finite-difference ascent of the ratio supplies a
-certified lower bound on the sharp constant.
+the weighted mass form.  The mass form is a diagonal.  The local gradient
+form is an edge list, applied as a matrix-free stencil on pencils of at
+least ``_STENCIL_MIN_CELLS`` cells and as its dense form below; kernel and
+transfer forms are dense matrices.  The eigenvalue is found by deflated
+inverse iteration with projected CG inner solves, which touches the energy
+only through ``A @ x``, and is validated against LAPACK's full spectrum of
+the dense pencil.  :func:`pencil_eigen` solves each pencil once per grid.
+For general p a normalized finite-difference ascent of the ratio supplies
+a certified lower bound on the sharp constant.
 
 Everything here is deterministic: fixed internal seeds, fixed iteration
 schedules, no external solver dependencies.
@@ -14,6 +18,7 @@ schedules, no external solver dependencies.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +30,21 @@ from .forms import KIND_LOCAL, KernelSpec, pair_coefficient_matrix
 
 __all__ = [
     "QuadraticFormPair",
+    "EdgeStencil",
     "EigenConvergenceError",
+    "local_stencil",
     "assemble_p2",
     "assemble_transfer_p2",
     "smallest_nonzero_eigen",
+    "pencil_eigen",
     "dense_oracle_eigen",
     "ratio_ascent",
     "estimate_gradient_constant",
 ]
 
-_DENSE_CAP = 600
+_DENSE_CAP = 2000
+# Smallest local pencil applied as a stencil (see assemble_p2).
+_STENCIL_MIN_CELLS = 256
 # Rows per functional call in ratio_ascent: one block of finite-difference
 # probes is a (_PROBE_BLOCK, cell_count) matrix.
 _PROBE_BLOCK = 64
@@ -49,33 +59,78 @@ class EigenConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class QuadraticFormPair:
-    """Energy matrix A (symmetric psd, constants in its kernel) and the
-    diagonal of the weighted mass matrix, both indexed by the positions
-    of one cell set (entry k is the set's k-th cell)."""
+class EdgeStencil:
+    """The local gradient form at p = 2 as an edge list over n cells.
 
-    energy: np.ndarray
+    ``u' A u`` is the sum over edges k of ``coef[k] * (u[i[k]] - u[j[k]])**2``,
+    so A is symmetric psd with constants in its kernel by construction.
+    The edges run axis by axis; axis a's edges end at ``axis_ends[a]``.
+    ``A @ x`` costs O(edges): two gathers and two ``np.bincount``.
+    """
+
+    size: int
+    i: np.ndarray
+    j: np.ndarray
+    coef: np.ndarray
+    axis_ends: tuple[int, ...]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.size, self.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        flux = self.coef * (x[self.i] - x[self.j])
+        return np.bincount(self.i, flux, self.size) - np.bincount(self.j, flux, self.size)
+
+    def dense(self) -> np.ndarray:
+        """The (size, size) matrix, accumulated axis by axis."""
+        A = np.zeros(self.shape)
+        start = 0
+        for end in self.axis_ends:
+            i, j, coef = self.i[start:end], self.j[start:end], self.coef[start:end]
+            np.add.at(A, (i, i), coef)
+            np.add.at(A, (j, j), coef)
+            np.add.at(A, (i, j), -coef)
+            np.add.at(A, (j, i), -coef)
+            start = end
+        return A
+
+
+@dataclass(frozen=True, eq=False)
+class QuadraticFormPair:
+    """Energy A (symmetric psd, constants in its kernel) and the diagonal
+    of the weighted mass matrix, both indexed by the positions of one cell
+    set (entry k is the set's k-th cell).  A is a dense matrix or an
+    :class:`EdgeStencil`; a matrix is validated, a stencil is valid by
+    construction."""
+
+    energy: np.ndarray | EdgeStencil
     mass: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.energy, dtype=float)
+        A = self.energy
+        if not isinstance(A, EdgeStencil):
+            A = np.asarray(A, dtype=float)
+            if A.ndim != 2 or A.shape[0] != A.shape[1]:
+                raise ValueError("energy matrix must be square")
         m = np.asarray(self.mass, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("energy matrix must be square")
         if m.shape != (A.shape[0],):
             raise ValueError("mass diagonal must match the energy matrix size")
-        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(m)):
+        if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         if np.any(m < 0.0):
             raise ValueError("mass entries must be nonnegative")
-        scale = max(1.0, float(np.abs(A).max()) if A.size else 1.0)
-        if A.size and float(np.abs(A - A.T).max()) > 1e-12 * scale:
-            raise ValueError("energy matrix must be symmetric to 1e-12")
-        if A.size and float(np.abs(A @ np.ones(A.shape[0])).max()) > 1e-9 * scale:
-            raise ValueError("constants must lie in the kernel of the energy matrix")
-        A = A.copy()
+        if isinstance(A, np.ndarray):
+            if not np.all(np.isfinite(A)):
+                raise ValueError("matrix entries must be finite")
+            scale = max(1.0, float(np.abs(A).max()) if A.size else 1.0)
+            if A.size and float(np.abs(A - A.T).max()) > 1e-12 * scale:
+                raise ValueError("energy matrix must be symmetric to 1e-12")
+            if A.size and float(np.abs(A @ np.ones(A.shape[0])).max()) > 1e-9 * scale:
+                raise ValueError("constants must lie in the kernel of the energy matrix")
+            A = A.copy()
+            A.setflags(write=False)
         m = m.copy()
-        A.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "energy", A)
         object.__setattr__(self, "mass", m)
@@ -83,6 +138,40 @@ class QuadraticFormPair:
     @property
     def size(self) -> int:
         return self.energy.shape[0]
+
+    def dense_energy(self) -> np.ndarray:
+        """The energy as a matrix (a stencil's dense form)."""
+        A = self.energy
+        return A.dense() if isinstance(A, EdgeStencil) else A
+
+
+def local_stencil(
+    grid: Grid, cells: CellSet, weight: RadialProfile = UNIT_WEIGHT
+) -> EdgeStencil:
+    """Edge list of the weighted gradient energy at p = 2 over a cell set.
+
+    One edge per pair of cells of the set that are lattice neighbors along
+    an axis, from ``grid.neighbors_up``, with coefficient ``w_i * h^(d-2)``
+    for its lower cell i.
+    """
+    n = len(cells)
+    idx = cells.indices
+    local_of = -np.ones(grid.cell_count, dtype=np.int64)
+    local_of[idx] = np.arange(n)
+    scaled = eval_weight(weight, grid.norms[idx]) * grid.h ** (grid.d - 2)
+    heads, tails = [], []
+    for a in range(grid.d):
+        nb = grid.neighbors_up[idx, a]
+        j = np.where(nb >= 0, local_of[nb], -1)
+        i = np.flatnonzero(j >= 0)
+        heads.append(i)
+        tails.append(j[i])
+    i = np.concatenate(heads)
+    axis_ends = tuple(np.cumsum([h.size for h in heads]).tolist())
+    arrays = (i, np.concatenate(tails), scaled[i])
+    for arr in arrays:
+        arr.setflags(write=False)
+    return EdgeStencil(n, *arrays, axis_ends)
 
 
 def assemble_p2(
@@ -95,29 +184,21 @@ def assemble_p2(
 
     ``u' A u`` reproduces the matching energy functional for every u, and
     the mass diagonal carries the weighted cell measures (``UNIT_WEIGHT``,
-    the default, gives the unweighted pencil).
+    the default, gives the unweighted pencil).  The local gradient form
+    is :func:`local_stencil`: the stencil itself from
+    ``_STENCIL_MIN_CELLS`` = 256 cells on, its dense form below.  One
+    matvec, dense gemv against the stencil (Xeon, one BLAS thread, best of
+    5 x 2,000 calls): 64 cells 3.2 against 8.9 us, 208 cells 11.3 against
+    13.3 us, 316 cells 21.7 against 16.2 us, 812 cells (the matrix is
+    99.4% zeros) 129 against 27 us.  Kernel forms are dense.
     """
     if len(cells) == 0:
         raise ValueError("cannot assemble over an empty cell set")
-    n = len(cells)
-    idx = cells.indices
-    phi = eval_weight(weight, grid.norms[idx])
+    phi = eval_weight(weight, grid.norms[cells.indices])
     if kernel.kind == KIND_LOCAL:
-        A = np.zeros((n, n))
-        local_of = -np.ones(grid.cell_count, dtype=np.int64)
-        local_of[idx] = np.arange(n)
-        mask = cells.mask()
-        coef_scale = grid.h ** (grid.d - 2)
-        for a in range(grid.d):
-            nb = grid.neighbors_up[idx, a]
-            ok = (nb >= 0) & mask[np.clip(nb, 0, None)]
-            i_loc = np.flatnonzero(ok)
-            j_loc = local_of[nb[ok]]
-            coef = phi[i_loc] * coef_scale
-            np.add.at(A, (i_loc, i_loc), coef)
-            np.add.at(A, (j_loc, j_loc), coef)
-            np.add.at(A, (i_loc, j_loc), -coef)
-            np.add.at(A, (j_loc, i_loc), -coef)
+        A = local_stencil(grid, cells, weight)
+        if len(cells) < _STENCIL_MIN_CELLS:
+            A = A.dense()
     else:
         C = pair_coefficient_matrix(grid, cells, kernel, weight)
         A = 2.0 * (np.diag(C.sum(axis=1)) - C)
@@ -179,16 +260,15 @@ def _projected_cg(matvec, b, project, x0, rtol, max_iter):
     return project(x), False
 
 
-def _jacobi_eigh(S: np.ndarray, tol: float, max_sweeps: int, want_vectors: bool):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
+def _jacobi_eigh(S: np.ndarray, tol: float, max_sweeps: int):
+    """Cyclic Jacobi diagonalization of a small symmetric matrix (the
+    Ritz blocks of the iterative solver).
 
-    Returns eigenvalues ascending (and matching eigenvector columns when
-    requested).  Self-contained; used both by the dense oracle and by the
-    small Ritz blocks of the iterative solver.
+    Returns the eigenvalues ascending and matching eigenvector columns.
     """
     S = 0.5 * (S + S.T)
     n = S.shape[0]
-    V = np.eye(n) if want_vectors else None
+    V = np.eye(n)
     fro = float(np.linalg.norm(S))
     if fro == 0.0:
         return np.zeros(n), V
@@ -197,8 +277,7 @@ def _jacobi_eigh(S: np.ndarray, tol: float, max_sweeps: int, want_vectors: bool)
         off = float(np.sqrt(max(0.0, np.sum(S * S) - np.sum(np.diag(S) ** 2))))
         if off <= tol * fro:
             order = np.argsort(np.diag(S), kind="stable")
-            vals = np.diag(S)[order].copy()
-            return vals, (V[:, order].copy() if want_vectors else None)
+            return np.diag(S)[order].copy(), V[:, order].copy()
         for i in range(n - 1):
             for j in range(i + 1, n):
                 apq = S[i, j]
@@ -222,11 +301,10 @@ def _jacobi_eigh(S: np.ndarray, tol: float, max_sweeps: int, want_vectors: bool)
                 S[:, j] = sn * col_i + c * col_j
                 S[i, j] = 0.0
                 S[j, i] = 0.0
-                if want_vectors:
-                    v_i = V[:, i].copy()
-                    v_j = V[:, j].copy()
-                    V[:, i] = c * v_i - sn * v_j
-                    V[:, j] = sn * v_i + c * v_j
+                v_i = V[:, i].copy()
+                v_j = V[:, j].copy()
+                V[:, i] = c * v_i - sn * v_j
+                V[:, j] = sn * v_i + c * v_j
     raise RuntimeError(f"Jacobi sweeps did not converge within {max_sweeps} passes")
 
 
@@ -238,7 +316,7 @@ def smallest_nonzero_eigen(
 ):
     """Smallest nonzero generalized eigenvalue of (energy, mass).
 
-    Transforms to symmetric form with the inverse square root of the mass,
+    Touches the energy only through ``energy @ x``.  Transforms to symmetric form with the inverse square root of the mass,
     deflates the constant direction, and runs block inverse (subspace)
     iteration with projected-CG inner solves and a small Jacobi Ritz step
     per pass; the block absorbs near-degenerate lowest modes (symmetric
@@ -296,7 +374,7 @@ def smallest_nonzero_eigen(
         Q, _ = np.linalg.qr(Z)
         SQ = np.column_stack([s_matvec(Q[:, col]) for col in range(block)])
         ritz = Q.T @ SQ
-        theta, W = _jacobi_eigh(ritz, 1e-14, 60, want_vectors=True)
+        theta, W = _jacobi_eigh(ritz, 1e-14, 60)
         X = Q @ W
         lam = float(theta[0])
         x = X[:, 0]
@@ -327,14 +405,32 @@ def smallest_nonzero_eigen(
     return lam, inv_sqrt * x
 
 
-def dense_oracle_eigen(
-    pair: QuadraticFormPair, tol: float = 1e-12, max_sweeps: int = 100
-) -> np.ndarray:
-    """Full spectrum of the symmetrized pencil by cyclic Jacobi rotations.
+def pencil_eigen(cells: CellSet, kernel: KernelSpec, weight: RadialProfile = UNIT_WEIGHT):
+    """:func:`smallest_nonzero_eigen` of ``assemble_p2`` over a cell set,
+    solved once per grid.
 
-    Validation oracle for :func:`smallest_nonzero_eigen`; capped at 600
-    cells.  Sweeps until the off-diagonal Frobenius norm drops below
-    ``tol`` times the matrix norm.
+    Returns (eigenvalue, read-only eigenvector, Ritz trace rows).  The
+    solve is kept on the cells' grid, keyed by the cell digest, kernel and
+    weight, so it lives as long as that grid does.  A solve that does not
+    converge raises each time and is not kept.
+    """
+    grid = cells.grid
+    key = (hashlib.sha256(cells.indices.tobytes()).digest(), kernel, weight)
+    solved = grid._eigen.get(key)
+    if solved is None:
+        trace = []
+        lam, vec = smallest_nonzero_eigen(assemble_p2(grid, cells, kernel, weight), trace=trace)
+        vec.setflags(write=False)
+        solved = grid._eigen[key] = (lam, vec, tuple(trace))
+    return solved
+
+
+def dense_oracle_eigen(pair: QuadraticFormPair) -> np.ndarray:
+    """Full spectrum, ascending, of the symmetrized pencil by LAPACK
+    (``np.linalg.eigvalsh``).
+
+    Validation oracle for :func:`smallest_nonzero_eigen`, with which it
+    shares no code; capped at ``_DENSE_CAP`` = 2,000 cells.
     """
     n = pair.size
     if n > _DENSE_CAP:
@@ -342,9 +438,8 @@ def dense_oracle_eigen(
     if np.any(pair.mass <= 0.0):
         raise ValueError("dense oracle requires a strictly positive mass diagonal")
     inv_sqrt = 1.0 / np.sqrt(pair.mass)
-    S = inv_sqrt[:, None] * pair.energy * inv_sqrt[None, :]
-    vals, _ = _jacobi_eigh(S, tol, max_sweeps, want_vectors=False)
-    return vals
+    S = inv_sqrt[:, None] * pair.dense_energy() * inv_sqrt[None, :]
+    return np.linalg.eigvalsh(0.5 * (S + S.T))
 
 
 def ratio_ascent(
@@ -456,8 +551,6 @@ def estimate_gradient_constant(grid: Grid, radii=()) -> float:
     for r in candidates:
         if not (0.0 < r <= 1.0):
             raise ValueError(f"ball radius must lie in (0, 1], got {r}")
-        cells = ball_cells(grid, r)
-        pair = assemble_p2(grid, cells, KernelSpec(KIND_LOCAL))
-        lam, _ = smallest_nonzero_eigen(pair)
+        lam, _, _ = pencil_eigen(ball_cells(grid, r), KernelSpec(KIND_LOCAL))
         best = max(best, (1.0 / lam) / r**2)
     return best

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import Grid, GridFunction, full_cells
 from .forms import KIND_LOCAL, KernelSpec
-from .sharp import assemble_p2, smallest_nonzero_eigen
+from .sharp import pencil_eigen
 
 __all__ = ["SuiteSpec", "build_suite", "canonical_bump", "smooth_random_field"]
 
@@ -68,8 +68,7 @@ def smooth_random_field(grid: Grid, rng, passes: int = 3) -> np.ndarray:
 
 
 def _eigenfunction(grid: Grid) -> np.ndarray:
-    pair = assemble_p2(grid, full_cells(grid), KernelSpec(KIND_LOCAL))
-    _, vals = smallest_nonzero_eigen(pair)
+    _, vals, _ = pencil_eigen(full_cells(grid), KernelSpec(KIND_LOCAL))
     peak = np.abs(vals).max()
     return vals / peak if peak > 0.0 else vals
 

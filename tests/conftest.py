@@ -241,6 +241,30 @@ def rng():
     return np.random.default_rng(20240605)
 
 
+def add_at_local_matrix(grid, cells, weight=UNIT_WEIGHT):
+    """The dense local gradient matrix at p = 2 as it was assembled before
+    the edge list: per axis, four ``np.add.at`` over the neighbor pairs."""
+    n = len(cells)
+    idx = cells.indices
+    phi = eval_weight(weight, grid.norms[idx])
+    A = np.zeros((n, n))
+    local_of = -np.ones(grid.cell_count, dtype=np.int64)
+    local_of[idx] = np.arange(n)
+    mask = cells.mask()
+    coef_scale = grid.h ** (grid.d - 2)
+    for a in range(grid.d):
+        nb = grid.neighbors_up[idx, a]
+        ok = (nb >= 0) & mask[np.clip(nb, 0, None)]
+        i_loc = np.flatnonzero(ok)
+        j_loc = local_of[nb[ok]]
+        coef = phi[i_loc] * coef_scale
+        np.add.at(A, (i_loc, i_loc), coef)
+        np.add.at(A, (j_loc, j_loc), coef)
+        np.add.at(A, (i_loc, j_loc), -coef)
+        np.add.at(A, (j_loc, i_loc), -coef)
+    return A
+
+
 def sharp_constant_p2(grid, kernel, weight=UNIT_WEIGHT):
     """Empirical best constant of the p = 2 inequality on the full ball."""
     lam, _ = smallest_nonzero_eigen(assemble_p2(grid, full_cells(grid), kernel, weight))

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import inspect
 import json
 import os
@@ -6,12 +7,14 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import poincheck.cli
 import poincheck.runner
-from poincheck.cli import build_parser, main
+from poincheck.cli import build_parser, main, pin_malloc_thresholds
 from poincheck.config import CHECK_NAMES, ConfigError, parse_config
 from poincheck.runner import _PROFILE_CHECKS, SWEEP_COLUMNS, run_sharp, run_sweep, run_verify
 
@@ -216,6 +219,44 @@ def test_cli_nonzero_on_failing_rows(tmp_path, capsys):
     code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "FAIL" in capsys.readouterr().err
+
+
+class _Mallopt:
+    """A C ``mallopt`` that records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def _no_library(name):
+    raise OSError("no C library")
+
+
+def test_pin_malloc_thresholds_sets_both_and_repeats(monkeypatch):
+    mallopt = _Mallopt()
+    monkeypatch.setattr(poincheck.cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    pin_malloc_thresholds()
+    pin_malloc_thresholds()
+    # M_MMAP_THRESHOLD = 32 MiB, M_TRIM_THRESHOLD = 64 MiB, each time
+    assert mallopt.calls == [(-3, 32 << 20), (-1, 64 << 20)] * 2
+    assert mallopt.restype is ctypes.c_int
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_library, None])
+def test_cli_runs_whether_or_not_malloc_can_be_pinned(tmp_path, monkeypatch, cdll):
+    # No mallopt, no C library, and the real one pinned twice over.
+    if cdll is None:
+        pin_malloc_thresholds()
+    else:
+        monkeypatch.setattr(poincheck.cli.ctypes, "CDLL", cdll)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(full_doc(checks=["transfer"], grid_sizes=[16])))
+    code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 0
 
 
 def test_cli_invalid_config_exit_two(tmp_path, capsys):

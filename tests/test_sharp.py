@@ -1,9 +1,13 @@
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import per_probe_ratio_ascent, sharp_constant_p2
+import poincheck.runner
+import poincheck.sharp
+from conftest import add_at_local_matrix, per_probe_ratio_ascent, sharp_constant_p2
+from poincheck.config import load_config, parse_config
 from poincheck.forms import (
     KIND_FLOOR,
     KIND_FRACTIONAL,
@@ -23,17 +27,21 @@ from poincheck.grid import (
     full_cells,
 )
 from poincheck.numerics import ksum
-from poincheck.runner import _ascent_functionals
+from poincheck.runner import _ascent_functionals, run_sharp
 from poincheck.sharp import (
+    EdgeStencil,
     EigenConvergenceError,
     QuadraticFormPair,
     assemble_p2,
     assemble_transfer_p2,
     dense_oracle_eigen,
     estimate_gradient_constant,
+    local_stencil,
+    pencil_eigen,
     ratio_ascent,
     smallest_nonzero_eigen,
 )
+from poincheck.suite import SuiteSpec, build_suite
 from poincheck.weights import UNIT_WEIGHT, layer_cake, make_step_profile, profile_from_json
 
 
@@ -154,8 +162,10 @@ def test_dense_oracle_path_graph_spectrum():
 
 
 def test_dense_oracle_size_cap():
-    n = 601
-    pair = QuadraticFormPair(np.zeros((n, n)), np.ones(n))
+    # 2,128 cells: a stencil pair, refused before any dense form is built.
+    g = build_grid(2, 52)
+    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+    assert pair.size == 2128
     with pytest.raises(ValueError, match="capped"):
         dense_oracle_eigen(pair)
 
@@ -170,6 +180,135 @@ def test_oracle_agrees_with_iterative():
         lam, _ = smallest_nonzero_eigen(pair)
         spectrum = dense_oracle_eigen(pair)
         assert abs(lam - spectrum[1]) <= 1e-8 * max(1.0, lam)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_PROFILES = load_config(ROOT / "configs" / "demo.json").profiles
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (1, 64), (1, 512), (2, 24), (2, 32), (2, 64)])
+def test_stencil_matvec_matches_dense_form(d, N, rng):
+    g = build_grid(d, N)
+    for profile in DEMO_PROFILES:
+        for t in (0.75, 1.0):
+            cells = ball_cells(g, t)
+            stencil = local_stencil(g, cells, profile)
+            A = stencil.dense()
+            for _ in range(3):
+                x = rng.standard_normal(len(cells))
+                want = A @ x
+                got = stencil @ x
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+                u = np.zeros(g.cell_count)
+                u[cells.indices] = x
+                energy = local_energy(GridFunction(g, u), cells, 2.0, weight=profile)
+                assert float(x @ got) == pytest.approx(energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (1, 64), (1, 128), (2, 8), (2, 16)])
+def test_pencils_under_the_crossover_are_the_dense_assembly(d, N):
+    g = build_grid(d, N)
+    for profile in DEMO_PROFILES:
+        for t in (0.75, 1.0):
+            cells = ball_cells(g, t)
+            assert len(cells) < 256
+            pair = assemble_p2(g, cells, KernelSpec(KIND_LOCAL), profile)
+            assert type(pair.energy) is np.ndarray
+            want = add_at_local_matrix(g, cells, profile)
+            assert pair.energy.tobytes() == want.tobytes()
+            assert pair.dense_energy() is pair.energy
+
+
+@pytest.mark.parametrize("d,N", [(1, 256), (2, 24), (2, 32)])
+def test_pencils_from_the_crossover_are_stencils(d, N):
+    g = build_grid(d, N)
+    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+    assert isinstance(pair.energy, EdgeStencil)
+    want = add_at_local_matrix(g, full_cells(g))
+    assert pair.dense_energy().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N", [32, 48])
+def test_stencil_eigensolve_agrees_with_lapack_oracle(N):
+    g = build_grid(2, N)
+    profiles = (UNIT_WEIGHT, make_step_profile([0.75], [2.0, 1.0]))
+    for weight in profiles if N == 32 else profiles[:1]:
+        pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL), weight)
+        assert isinstance(pair.energy, EdgeStencil)
+        lam, _ = smallest_nonzero_eigen(pair)
+        spectrum = dense_oracle_eigen(pair)
+        # LAPACK's error scales with the largest eigenvalue (about 4,600
+        # times lam at N = 48); it measured 3e-16 of it.
+        assert abs(spectrum[0]) <= 1e-14 * spectrum[-1]
+        assert abs(lam - spectrum[1]) <= 1e-14 * spectrum[-1]
+
+
+def _local_solve_counter(monkeypatch):
+    """Count ``smallest_nonzero_eigen`` calls per pencil: each call's
+    (size, mass, dense energy) bytes."""
+    calls = []
+    solve = poincheck.sharp.smallest_nonzero_eigen
+
+    def counted(pair, **kwargs):
+        calls.append((pair.size, pair.mass.tobytes(), pair.dense_energy().tobytes()))
+        return solve(pair, **kwargs)
+
+    monkeypatch.setattr(poincheck.sharp, "smallest_nonzero_eigen", counted)
+    monkeypatch.setattr(poincheck.runner, "smallest_nonzero_eigen", counted)
+    return calls
+
+
+def _pencil_key(grid, kernel=KernelSpec(KIND_LOCAL), weight=UNIT_WEIGHT):
+    pair = assemble_p2(grid, full_cells(grid), kernel, weight)
+    return (pair.size, pair.mass.tobytes(), pair.dense_energy().tobytes())
+
+
+def test_unweighted_full_ball_pencil_is_solved_once_per_sharp_grid(monkeypatch, tmp_path):
+    # One grid carries the suite's eigenfunction, the unit-ball term of
+    # c_hat and the unit-weight gradient row; all three share one solve.
+    calls = _local_solve_counter(monkeypatch)
+    grids = []
+    monkeypatch.setattr(
+        poincheck.runner, "build_grid", lambda d, N: grids.append(build_grid(d, N)) or grids[-1]
+    )
+    config = parse_config({
+        "dimension": 2, "grid_sizes": [16], "p_values": [2.0],
+        "weights": [
+            {"type": "step", "breakpoints": [], "values": [1.0]},
+            {"type": "step", "breakpoints": [0.75], "values": [2.0, 1.0]},
+        ],
+        "kernels": [{"kind": "fractional", "s": 0.5}],
+        "checks": ["gradient"],
+        "suite": {"seed": 5, "count": 4},
+    })
+    result = run_sharp(config, tmp_path)
+    (grid,) = grids
+    assert [row["target"] for row in result.rows].count("gradient") == 2
+    assert calls.count(_pencil_key(grid)) == 1
+    # every other solve is of a different pencil, each solved once
+    assert len(set(calls)) == len(calls)
+
+
+def test_pencil_eigen_memo_lives_on_its_grid(monkeypatch):
+    calls = _local_solve_counter(monkeypatch)
+    g = build_grid(2, 32)
+    local = KernelSpec(KIND_LOCAL)
+    lam, vec, trace = pencil_eigen(full_cells(g), local)
+    build_suite(g, SuiteSpec(seed=3, count=4))
+    assert estimate_gradient_constant(g, (0.75,)) >= 1.0 / lam
+    assert pencil_eigen(ball_cells(g, 1.0), local) == (lam, vec, trace)
+    assert not vec.flags.writeable
+    assert len(calls) == 2  # the full ball and the ball of radius 0.75
+    fresh = []
+    want = smallest_nonzero_eigen(assemble_p2(g, full_cells(g), local), trace=fresh)
+    assert lam == want[0] and np.array_equal(vec, want[1])
+    assert trace == tuple(fresh) and len(trace) > 0
+    # another weight or kernel is another pencil; another grid, another memo
+    pencil_eigen(full_cells(g), local, make_step_profile([0.75], [2.0, 1.0]))
+    again = build_grid(2, 32)
+    assert again._eigen == {}
+    assert pencil_eigen(full_cells(again), local)[0] == lam
+    assert len(calls) == 4
 
 
 def test_eigenvalue_sandwich(rng):
