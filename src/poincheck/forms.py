@@ -251,15 +251,20 @@ def pair_coefficient_matrix(
     used for assembly.  ``K_ij`` comes from the same lattice-offset table
     as in :func:`kernel_energy`, so it equals the kernel of the center
     difference bit for bit when N is a power of two and to about one ulp
-    otherwise.
+    otherwise.  The matrix is gathered and scaled in place, 256 rows at a
+    time, so no other n x n array is made.
     """
     idx = cells.indices
     table, keys, center = _offset_kernel(grid, kernel, 2.0)
     phi = eval_weight(weight, grid.norms[idx])
-    C = table[keys[idx, None] + center - keys[None, idx]]
-    C = C * np.minimum(phi[:, None], phi[None, :])
+    C = np.empty((idx.size, idx.size))
+    for start in range(0, idx.size, _PAIR_BLOCK):
+        rows = slice(start, start + _PAIR_BLOCK)
+        C[rows] = table[keys[idx[rows], None] + center - keys[None, idx]]
+        C[rows] *= np.minimum(phi[rows, None], phi[None, :])
     np.fill_diagonal(C, 0.0)
-    return C * grid.cell_measure**2
+    C *= grid.cell_measure**2
+    return C
 
 
 def transfer_constant(p: float, d: int, profile: RadialProfile) -> float:

@@ -2,13 +2,17 @@
 
 At p = 2 the best constant in ``weighted deviation <= C * energy`` is the
 reciprocal of the smallest nonzero eigenvalue of the energy form against
-the weighted mass form.  The mass form is a diagonal.  The local gradient
-form is an edge list, applied as a matrix-free stencil on pencils of at
-least ``_STENCIL_MIN_CELLS`` cells and as its dense form below; kernel and
-transfer forms are dense matrices.  The eigenvalue is found by deflated
-inverse iteration with projected CG inner solves, which touches the energy
-only through ``A @ x``, and is validated against LAPACK's full spectrum of
-the dense pencil.  :func:`pencil_eigen` solves each pencil once per grid.
+the weighted mass form.  The mass form is a diagonal.  Two energies have
+a structure that gives an O(n) ``A @ x``: the local gradient form is an
+edge list (:class:`EdgeStencil`), and the transfer and constant-floor forms
+are a diagonal minus rank-one terms over nested cell sets
+(:class:`NestedRankOne`), by the layer-cake splitting of the weight.  Each
+is applied matrix-free on pencils of at least ``_OPERATOR_MIN_CELLS`` cells
+and as its dense matrix below; fractional kernel forms are dense matrices.
+The eigenvalue is found by deflated inverse iteration with projected CG
+inner solves, which touches the energy only through ``A @ x``, and is
+validated against LAPACK's full spectrum of the dense pencil.
+:func:`pencil_eigen` solves each pencil once per grid.
 For general p a normalized finite-difference ascent of the ratio supplies
 a certified lower bound on the sharp constant.
 
@@ -26,13 +30,15 @@ import numpy as np
 from .numerics import ksum
 from .weights import UNIT_WEIGHT, RadialProfile, eval_weight, layer_cake
 from .grid import CellSet, Grid, GridFunction, ball_cells
-from .forms import KIND_LOCAL, KernelSpec, pair_coefficient_matrix
+from .forms import KIND_FLOOR, KIND_LOCAL, KernelSpec, pair_coefficient_matrix
 
 __all__ = [
     "QuadraticFormPair",
     "EdgeStencil",
+    "NestedRankOne",
     "EigenConvergenceError",
     "local_stencil",
+    "floor_operator",
     "assemble_p2",
     "assemble_transfer_p2",
     "smallest_nonzero_eigen",
@@ -43,8 +49,9 @@ __all__ = [
 ]
 
 _DENSE_CAP = 2000
-# Smallest local pencil applied as a stencil (see assemble_p2).
-_STENCIL_MIN_CELLS = 256
+# Smallest pencil whose structured energy is applied matrix-free, for every
+# structured form (see assemble_p2 and assemble_transfer_p2).
+_OPERATOR_MIN_CELLS = 256
 # Rows per functional call in ratio_ascent: one block of finite-difference
 # probes is a (_PROBE_BLOCK, cell_count) matrix.
 _PROBE_BLOCK = 64
@@ -97,19 +104,70 @@ class EdgeStencil:
 
 
 @dataclass(frozen=True, eq=False)
+class NestedRankOne:
+    """``A = diag(diag) - sum_t coef[t-1] 1_{S_t} 1_{S_t}'`` over nested sets.
+
+    ``S_t = {i : depth[i] >= t}`` for t = 1 .. ``len(coef)``, so
+    ``S_1 ⊃ S_2 ⊃ ...`` and ``depth[i]`` counts the sets that hold cell i.
+    ``A @ x`` costs O(n + sets) (Golub, "Some modified matrix eigenvalue
+    problems", SIAM Rev. 1973): with ``s_t = sum(x[S_t])``, a suffix sum of
+    ``np.bincount(depth, x)``, it is ``diag * x - G[depth]`` for the prefix
+    sums G of ``coef[t-1] * s_t``.  Symmetric by construction; the builders
+    choose ``diag`` so that the constants lie in the kernel.
+    """
+
+    depth: np.ndarray
+    diag: np.ndarray
+    coef: np.ndarray
+
+    @classmethod
+    def from_sets(cls, depth: np.ndarray, set_diag, coef) -> NestedRankOne:
+        """The form whose ``diag[i]`` sums ``set_diag[t-1]`` over the sets
+        ``S_t`` that hold cell i."""
+        diag = np.concatenate(([0.0], np.cumsum(set_diag)))[depth]
+        arrays = (depth, diag, np.asarray(coef, dtype=float))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return cls(*arrays)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.depth.size, self.depth.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        sums = np.cumsum(np.bincount(self.depth, x, self.coef.size + 1)[::-1])[::-1]
+        G = np.concatenate(([0.0], np.cumsum(self.coef * sums[1:])))
+        return self.diag * x - G[self.depth]
+
+    def dense(self) -> np.ndarray:
+        """The (n, n) matrix: cells i and j share the sets ``S_1`` to
+        ``S_min(depth[i], depth[j])``."""
+        A = np.diag(self.diag)
+        shared = np.concatenate(([0.0], np.cumsum(self.coef)))
+        A -= shared[np.minimum.outer(self.depth, self.depth)]
+        return A
+
+
+# Energies applied through ``A @ x`` and valid by construction.
+_OPERATORS = (EdgeStencil, NestedRankOne)
+
+
+@dataclass(frozen=True, eq=False)
 class QuadraticFormPair:
     """Energy A (symmetric psd, constants in its kernel) and the diagonal
     of the weighted mass matrix, both indexed by the positions of one cell
-    set (entry k is the set's k-th cell).  A is a dense matrix or an
-    :class:`EdgeStencil`; a matrix is validated, a stencil is valid by
-    construction."""
+    set (entry k is the set's k-th cell).  A is a dense matrix or a
+    structured operator (:class:`EdgeStencil`, :class:`NestedRankOne`); a
+    matrix is validated without n x n temporaries, an operator is valid by
+    construction.  A read-only matrix that owns its memory is kept as it
+    is; any other matrix is copied."""
 
-    energy: np.ndarray | EdgeStencil
+    energy: np.ndarray | EdgeStencil | NestedRankOne
     mass: np.ndarray
 
     def __post_init__(self):
         A = self.energy
-        if not isinstance(A, EdgeStencil):
+        if not isinstance(A, _OPERATORS):
             A = np.asarray(A, dtype=float)
             if A.ndim != 2 or A.shape[0] != A.shape[1]:
                 raise ValueError("energy matrix must be square")
@@ -121,15 +179,23 @@ class QuadraticFormPair:
         if np.any(m < 0.0):
             raise ValueError("mass entries must be nonnegative")
         if isinstance(A, np.ndarray):
-            if not np.all(np.isfinite(A)):
-                raise ValueError("matrix entries must be finite")
-            scale = max(1.0, float(np.abs(A).max()) if A.size else 1.0)
-            if A.size and float(np.abs(A - A.T).max()) > 1e-12 * scale:
-                raise ValueError("energy matrix must be symmetric to 1e-12")
-            if A.size and float(np.abs(A @ np.ones(A.shape[0])).max()) > 1e-9 * scale:
-                raise ValueError("constants must lie in the kernel of the energy matrix")
-            A = A.copy()
-            A.setflags(write=False)
+            if A.size:
+                # min and max propagate NaN, so they also test finiteness
+                lo, hi = float(A.min()), float(A.max())
+                if not (np.isfinite(lo) and np.isfinite(hi)):
+                    raise ValueError("matrix entries must be finite")
+                scale = max(1.0, -lo, hi)
+                asym = max(
+                    float(np.abs(A[k : k + 64] - A[:, k : k + 64].T).max())
+                    for k in range(0, len(A), 64)
+                )
+                if asym > 1e-12 * scale:
+                    raise ValueError("energy matrix must be symmetric to 1e-12")
+                if float(np.abs(A @ np.ones(A.shape[0])).max()) > 1e-9 * scale:
+                    raise ValueError("constants must lie in the kernel of the energy matrix")
+            if A.flags.writeable or not A.flags.owndata:
+                A = A.copy()
+                A.setflags(write=False)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "energy", A)
@@ -140,9 +206,9 @@ class QuadraticFormPair:
         return self.energy.shape[0]
 
     def dense_energy(self) -> np.ndarray:
-        """The energy as a matrix (a stencil's dense form)."""
+        """The energy as a matrix (an operator's dense form)."""
         A = self.energy
-        return A.dense() if isinstance(A, EdgeStencil) else A
+        return A.dense() if isinstance(A, _OPERATORS) else A
 
 
 def local_stencil(
@@ -174,6 +240,26 @@ def local_stencil(
     return EdgeStencil(n, *arrays, axis_ends)
 
 
+def floor_operator(
+    grid: Grid, cells: CellSet, weight: RadialProfile = UNIT_WEIGHT
+) -> NestedRankOne:
+    """The constant-floor pair form at p = 2 (unit kernel) over a cell set.
+
+    ``min(w_i, w_j) = sum_l r_l 1[i in S_l] 1[j in S_l]`` over the
+    superlevel sets ``S_l = {w >= l}`` of every positive step level l of
+    the weight, jumps at radii <= 1/2 included (unlike ``layer_cake``),
+    with ``r_l`` the rise from the level below.  So the form is a
+    :class:`NestedRankOne` with ``coef_l = 2 h^(2d) r_l`` and
+    ``diag_i = sum_l coef_l |S_l| 1[i in S_l]``.
+    """
+    levels = np.unique(weight.values)
+    levels = levels[levels > 0.0]
+    depth = np.searchsorted(levels, eval_weight(weight, grid.norms[cells.indices]), "right")
+    sizes = np.cumsum(np.bincount(depth, minlength=levels.size + 1)[::-1])[::-1][1:]
+    coef = 2.0 * grid.cell_measure**2 * np.diff(levels, prepend=0.0)
+    return NestedRankOne.from_sets(depth, coef * sizes, coef)
+
+
 def assemble_p2(
     grid: Grid,
     cells: CellSet,
@@ -184,24 +270,45 @@ def assemble_p2(
 
     ``u' A u`` reproduces the matching energy functional for every u, and
     the mass diagonal carries the weighted cell measures (``UNIT_WEIGHT``,
-    the default, gives the unweighted pencil).  The local gradient form
-    is :func:`local_stencil`: the stencil itself from
-    ``_STENCIL_MIN_CELLS`` = 256 cells on, its dense form below.  One
-    matvec, dense gemv against the stencil (Xeon, one BLAS thread, best of
-    5 x 2,000 calls): 64 cells 3.2 against 8.9 us, 208 cells 11.3 against
-    13.3 us, 316 cells 21.7 against 16.2 us, 812 cells (the matrix is
-    99.4% zeros) 129 against 27 us.  Kernel forms are dense.
+    the default, gives the unweighted pencil).  From
+    ``_OPERATOR_MIN_CELLS`` = 256 cells on, the local gradient form is
+    :func:`local_stencil` and the constant-floor form is
+    :func:`floor_operator`, both applied matrix-free.  Below it the local
+    form is the stencil's dense form and the floor form takes the dense
+    kernel path, which fractional kernels take at every size.
+
+    The crossover is one matvec, dense gemv against the operator, in us
+    (Intel Xeon, one BLAS thread, best of 5 x 2,000 calls; 2-d N = 16, 20,
+    24 and 32, the full ball, weight ``step([0.75], [2, 1])``; the
+    transfer form is :func:`assemble_transfer_p2`'s):
+
+    =====  ============  ============  ============
+    cells  local         transfer      floor
+    =====  ============  ============  ============
+    208    8.0 vs 7.7    8.0 vs 14.5   6.6 vs 14.6
+    316    15.7 vs 11.1  15.4 vs 15.1  15.9 vs 15.2
+    448    37.2 vs 12.2  35.9 vs 15.7  27.3 vs 10.8
+    812    209 vs 19.1   246 vs 20.5   237 vs 19.6
+    =====  ============  ============  ============
     """
     if len(cells) == 0:
         raise ValueError("cannot assemble over an empty cell set")
     phi = eval_weight(weight, grid.norms[cells.indices])
+    dense = len(cells) < _OPERATOR_MIN_CELLS
     if kernel.kind == KIND_LOCAL:
         A = local_stencil(grid, cells, weight)
-        if len(cells) < _STENCIL_MIN_CELLS:
+        if dense:
             A = A.dense()
+    elif kernel.kind == KIND_FLOOR and not dense:
+        A = floor_operator(grid, cells, weight)
     else:
-        C = pair_coefficient_matrix(grid, cells, kernel, weight)
-        A = 2.0 * (np.diag(C.sum(axis=1)) - C)
+        # 2 (diag(row sums) - C), built in C's memory: 0 - C keeps +0.0
+        A = pair_coefficient_matrix(grid, cells, kernel, weight)
+        row_sums = A.sum(axis=1)
+        np.subtract(0.0, A, out=A)
+        A *= 2.0
+        np.fill_diagonal(A, 2.0 * row_sums)
+        A.setflags(write=False)
     return QuadraticFormPair(A, phi * grid.cell_measure)
 
 
@@ -212,17 +319,28 @@ def assemble_transfer_p2(grid: Grid, profile: RadialProfile) -> QuadraticFormPai
     deviation form; mass: the weighted cell measures.  Its smallest
     nonzero generalized eigenvalue inverts to the sharp transfer constant
     (before the explicit constant) on this grid.
+
+    The deviation form on a ball B of n_B cells is
+    ``h^d (diag(1_B) - 1_B 1_B' / n_B)`` and the balls are nested, so from
+    ``_OPERATOR_MIN_CELLS`` = 256 cells on the energy is a
+    :class:`NestedRankOne` over the atoms' balls, largest first (the
+    crossover table is in :func:`assemble_p2`); below it, a dense matrix
+    accumulated atom by atom.  Atoms of zero mass are skipped.
     """
     n = grid.cell_count
-    A = np.zeros((n, n))
-    for t, w in layer_cake(profile).atoms:
-        if w == 0.0:
-            continue
-        ball = ball_cells(grid, t).indices
-        nt = ball.size
-        block = np.ix_(ball, ball)
-        A[block] -= w * grid.cell_measure / nt
-        A[ball, ball] += w * grid.cell_measure
+    atoms = [(ball_cells(grid, t).indices, w) for t, w in layer_cake(profile).atoms if w != 0.0]
+    if n >= _OPERATOR_MIN_CELLS:
+        depth = np.zeros(n, dtype=np.int64)
+        for ball, _ in atoms:
+            depth[ball] += 1
+        masses = np.array([w * grid.cell_measure for _, w in reversed(atoms)])
+        sizes = [ball.size for ball, _ in reversed(atoms)]
+        A = NestedRankOne.from_sets(depth, masses, masses / sizes)
+    else:
+        A = np.zeros((n, n))
+        for ball, w in atoms:
+            A[np.ix_(ball, ball)] -= w * grid.cell_measure / ball.size
+            A[ball, ball] += w * grid.cell_measure
     mass = eval_weight(profile, grid.norms) * grid.cell_measure
     return QuadraticFormPair(A, mass)
 

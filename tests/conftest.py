@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from poincheck.forms import _kernel_block, _offset_kernel, local_energy
-from poincheck.grid import GridFunction, full_cells, weighted_mean
+from poincheck.grid import GridFunction, ball_cells, full_cells, weighted_mean
 from poincheck.sharp import assemble_p2, smallest_nonzero_eigen
-from poincheck.weights import UNIT_WEIGHT, eval_weight
+from poincheck.weights import UNIT_WEIGHT, eval_weight, layer_cake
 
 
 def naive_kernel_energy(u, cells, kernel, p, weight=None):
@@ -116,6 +116,39 @@ def centre_difference_pair_matrix(grid, cells, kernel, weight=None):
         C = C * np.minimum(phi[:, None], phi[None, :])
     np.fill_diagonal(C, 0.0)
     return C * grid.cell_measure**2
+
+
+def product_pair_matrix(grid, cells, kernel, weight=UNIT_WEIGHT):
+    """``pair_coefficient_matrix`` as it was before it scaled in place:
+    each factor applied as a fresh n x n product."""
+    idx = cells.indices
+    table, keys, center = _offset_kernel(grid, kernel, 2.0)
+    phi = eval_weight(weight, grid.norms[idx])
+    C = table[keys[idx, None] + center - keys[None, idx]]
+    C = C * np.minimum(phi[:, None], phi[None, :])
+    np.fill_diagonal(C, 0.0)
+    return C * grid.cell_measure**2
+
+
+def kernel_pencil_matrix(grid, cells, kernel, weight=UNIT_WEIGHT):
+    """The dense kernel energy at p = 2 as ``assemble_p2`` built it before
+    it worked in place: ``2 (diag(row sums) - C)`` from fresh matrices."""
+    C = product_pair_matrix(grid, cells, kernel, weight)
+    return 2.0 * (np.diag(C.sum(axis=1)) - C)
+
+
+def per_atom_transfer_matrix(grid, profile):
+    """The dense transfer energy at p = 2, accumulated atom by atom as
+    ``assemble_transfer_p2`` did before the nested rank-one operator."""
+    n = grid.cell_count
+    A = np.zeros((n, n))
+    for t, w in layer_cake(profile).atoms:
+        if w == 0.0:
+            continue
+        ball = ball_cells(grid, t).indices
+        A[np.ix_(ball, ball)] -= w * grid.cell_measure / ball.size
+        A[ball, ball] += w * grid.cell_measure
+    return A
 
 
 def subgrid_pair_mass(u, cells, p, s):

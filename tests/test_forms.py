@@ -35,6 +35,7 @@ from conftest import (
     centre_difference_pair_matrix,
     naive_kernel_energy,
     naive_local_energy,
+    product_pair_matrix,
 )
 
 
@@ -217,6 +218,28 @@ def test_offset_table_equals_centre_differences(rng, d, N):
                 got_c = pair_coefficient_matrix(g, cells, spec, weight=weight)
                 want_c = centre_difference_pair_matrix(g, cells, spec, oracle_weight)
                 assert np.array_equal(got_c, want_c)
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (1, 48), (2, 16), (2, 24)])
+def test_pair_matrix_scaled_in_place_keeps_every_bit(d, N):
+    # Scaling the gather in place changes no bit, the sign of each zero
+    # included; the truncated kernel (R = 2) has zero entries off the
+    # diagonal, and N = 48 is not a power of two.
+    g = build_grid(d, N)
+    prof = make_step_profile([0.3, 0.65], [3.0, 2.0, 1.0])
+    specs = [
+        KernelSpec(KIND_FRACTIONAL, s=0.5),
+        KernelSpec(KIND_FRACTIONAL, s=0.8, R=2.0),
+        KernelSpec(KIND_FLOOR, c=1.0),
+    ]
+    for spec in specs:
+        for weight in (UNIT_WEIGHT, prof):
+            for cells in (full_cells(g), ball_cells(g, 0.6)):
+                got = pair_coefficient_matrix(g, cells, spec, weight=weight)
+                want = product_pair_matrix(g, cells, spec, weight)
+                assert got.tobytes() == want.tobytes()
+    truncated = pair_coefficient_matrix(g, full_cells(g), specs[1])
+    assert np.any(truncated[~np.eye(len(truncated), dtype=bool)] == 0.0)
 
 
 def _count_table_builds(monkeypatch):

@@ -6,7 +6,13 @@ import pytest
 
 import poincheck.runner
 import poincheck.sharp
-from conftest import add_at_local_matrix, per_probe_ratio_ascent, sharp_constant_p2
+from conftest import (
+    add_at_local_matrix,
+    kernel_pencil_matrix,
+    per_atom_transfer_matrix,
+    per_probe_ratio_ascent,
+    sharp_constant_p2,
+)
 from poincheck.config import load_config, parse_config
 from poincheck.forms import (
     KIND_FLOOR,
@@ -31,6 +37,7 @@ from poincheck.runner import _ascent_functionals, run_sharp
 from poincheck.sharp import (
     EdgeStencil,
     EigenConvergenceError,
+    NestedRankOne,
     QuadraticFormPair,
     assemble_p2,
     assemble_transfer_p2,
@@ -241,6 +248,164 @@ def test_stencil_eigensolve_agrees_with_lapack_oracle(N):
         # times lam at N = 48); it measured 3e-16 of it.
         assert abs(spectrum[0]) <= 1e-14 * spectrum[-1]
         assert abs(lam - spectrum[1]) <= 1e-14 * spectrum[-1]
+
+
+FLOOR = KernelSpec(KIND_FLOOR, c=1.0)
+NESTED_PROFILES = (
+    *DEMO_PROFILES,
+    make_step_profile([0.3], [16.0, 1.0]),
+    make_step_profile([0.55, 0.8], [64.0, 8.0, 1.0]),
+)
+
+
+def _nested_pencils(g, profile):
+    """(pencil, today's dense assembly) for the transfer pencil and the
+    floor pencils on the balls of radius 0.75 and 1."""
+    yield assemble_transfer_p2(g, profile), per_atom_transfer_matrix(g, profile)
+    for t in (0.75, 1.0):
+        cells = ball_cells(g, t)
+        yield assemble_p2(g, cells, FLOOR, profile), kernel_pencil_matrix(g, cells, FLOOR, profile)
+
+
+@pytest.mark.parametrize("N", [24, 32, 64])
+def test_nested_matvec_matches_dense_forms(N, rng):
+    g = build_grid(2, N)
+    for profile in NESTED_PROFILES:
+        for pair, today in _nested_pencils(g, profile):
+            assert isinstance(pair.energy, NestedRankOne)
+            dense = pair.dense_energy()
+            for _ in range(3):
+                x = rng.standard_normal(pair.size)
+                got = pair.energy @ x
+                for want in (dense @ x, today @ x):
+                    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.max(np.abs(dense - today)) <= 1e-14 * np.max(np.abs(today))
+
+
+def test_nested_forms_reproduce_their_energies(rng):
+    g = build_grid(2, 24)
+    for profile in NESTED_PROFILES:
+        for t in (0.75, 1.0):
+            cells = ball_cells(g, t)
+            pair = assemble_p2(g, cells, FLOOR, profile)
+            u = np.zeros(g.cell_count)
+            u[cells.indices] = x = rng.standard_normal(len(cells))
+            energy = kernel_energy(GridFunction(g, u), cells, FLOOR, 2.0, weight=profile)
+            assert float(x @ (pair.energy @ x)) == pytest.approx(energy, rel=1e-12)
+        x = rng.standard_normal(g.cell_count)
+        u = GridFunction(g, x)
+        deviation = ksum(
+            [w * deviation_p(u, ball_cells(g, t), 2.0) for t, w in layer_cake(profile).atoms]
+        )
+        got = float(x @ (assemble_transfer_p2(g, profile).energy @ x))
+        assert got == pytest.approx(deviation, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [32, 48])
+def test_nested_eigensolve_agrees_with_lapack_oracle(N):
+    g = build_grid(2, N)
+    profiles = NESTED_PROFILES[1:2] + NESTED_PROFILES[-1:] if N == 32 else NESTED_PROFILES[-1:]
+    for profile in profiles:
+        for pair in (
+            assemble_transfer_p2(g, profile),
+            assemble_p2(g, full_cells(g), FLOOR, profile),
+        ):
+            assert isinstance(pair.energy, NestedRankOne)
+            lam, _ = smallest_nonzero_eigen(pair)
+            spectrum = dense_oracle_eigen(pair)
+            assert abs(spectrum[0]) <= 1e-14 * spectrum[-1]
+            assert abs(lam - spectrum[1]) <= 1e-14 * spectrum[-1]
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (1, 64), (1, 128), (2, 8), (2, 16)])
+def test_nested_pencils_under_the_crossover_are_today_s_matrices(d, N):
+    g = build_grid(d, N)
+    assert g.cell_count < 256
+    for profile in NESTED_PROFILES:
+        for pair, today in _nested_pencils(g, profile):
+            assert type(pair.energy) is np.ndarray
+            assert pair.energy.tobytes() == today.tobytes()
+
+
+@pytest.mark.parametrize("d,N", [(1, 256), (2, 24), (2, 32)])
+def test_nested_pencils_from_the_crossover_are_operators(d, N):
+    g = build_grid(d, N)
+    assert g.cell_count >= 256
+    for profile in NESTED_PROFILES:
+        assert isinstance(assemble_transfer_p2(g, profile).energy, NestedRankOne)
+        for pair, _ in _nested_pencils(g, profile):
+            assert isinstance(pair.energy, NestedRankOne) is (pair.size >= 256)
+    # the fractional kernel stays dense at every size
+    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5))
+    assert type(pair.energy) is np.ndarray
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 16), (2, 32)])
+def test_unit_weight_nested_pencils_closed_forms(d, N):
+    # Transfer: h^d (I - 1 1'/n) against h^d I, so every nonzero eigenvalue
+    # is 1.  Floor: 2 h^(2d) (n I - 1 1') against h^d I, so it is 2 h^d n.
+    g = build_grid(d, N)
+    lam, _ = smallest_nonzero_eigen(assemble_transfer_p2(g, UNIT_WEIGHT))
+    assert lam == pytest.approx(1.0, rel=1e-12)
+    lam, _ = smallest_nonzero_eigen(assemble_p2(g, full_cells(g), FLOOR))
+    assert lam == pytest.approx(2.0 * g.cell_measure * g.cell_count, rel=1e-12)
+
+
+def test_kernel_pencils_are_the_product_formulas_bit_for_bit():
+    # The in-place assembly keeps every bit, the sign of each zero included:
+    # the truncated kernel (R = 2) has zero entries off the diagonal.
+    prof = make_step_profile([0.6], [2.0, 1.0])
+    specs = (
+        KernelSpec(KIND_FRACTIONAL, s=0.5),
+        KernelSpec(KIND_FRACTIONAL, s=0.8, R=2.0),
+        FLOOR,
+    )
+    for d, N in ((1, 32), (2, 16), (2, 24)):
+        g = build_grid(d, N)
+        for spec in specs:
+            for weight in (UNIT_WEIGHT, prof):
+                for cells in (full_cells(g), ball_cells(g, 0.75)):
+                    pair = assemble_p2(g, cells, spec, weight)
+                    if isinstance(pair.energy, NestedRankOne):
+                        continue
+                    want = kernel_pencil_matrix(g, cells, spec, weight)
+                    assert pair.energy.tobytes() == want.tobytes()
+    g = build_grid(2, 16)
+    assert np.any(assemble_p2(g, full_cells(g), specs[1]).energy == 0.0)
+
+
+def test_pair_validation_refuses_without_full_temporaries():
+    # Same checks and messages when the symmetry test runs over row blocks
+    # of 64: the asymmetric entry of this 300 x 300 matrix is in the last.
+    n = 300
+    A = np.eye(n) - 1.0 / n
+    QuadraticFormPair(A, np.ones(n))
+    skew = A.copy()
+    skew[290, 5] += 1e-6
+    with pytest.raises(ValueError, match="symmetric to 1e-12"):
+        QuadraticFormPair(skew, np.ones(n))
+    shifted = A + 1e-3 * np.eye(n)
+    with pytest.raises(ValueError, match="constants must lie in the kernel"):
+        QuadraticFormPair(shifted, np.ones(n))
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = A.copy()
+        broken[7, 9] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            QuadraticFormPair(broken, np.ones(n))
+
+
+def test_pair_keeps_only_a_frozen_matrix_uncopied():
+    A = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    pair = QuadraticFormPair(A, np.ones(2))
+    A[0, 0] = 5.0
+    assert pair.energy[0, 0] == 1.0 and not pair.energy.flags.writeable
+    frozen = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    frozen.setflags(write=False)
+    assert QuadraticFormPair(frozen, np.ones(2)).energy is frozen
+    # a read-only view of a writeable array is still copied
+    view = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :]
+    view.setflags(write=False)
+    assert QuadraticFormPair(view, np.ones(2)).energy is not view
 
 
 def _local_solve_counter(monkeypatch):
