@@ -34,13 +34,12 @@ def pin_malloc_thresholds() -> None:
 
     By default glibc mmaps every block of 128 KiB or more, and raises
     that threshold only after a larger block has been freed.  The pair
-    energies and row sums of a 2-d grid work on blocks of about 1.7 MB
-    (256 rows of 812 cells), so their time depended on whether some
-    earlier, larger block had raised the threshold: one N = 32
-    ``kernel_energy`` call took 28-33 ms in a fresh process against
-    17-20 ms after a single 812 x 812 matrix was allocated and freed.
-    Fixed thresholds make every run take the fast path.  Calling this
-    again is harmless.
+    energies and row sums of a 2-d grid work on blocks of about 512 KiB
+    (2^16 terms: 80 rows of 812 cells), so their time depends on whether
+    some earlier, larger block has raised the threshold: one N = 32
+    ``kernel_energy`` call took 13-16 ms in a fresh process against
+    8-12 ms with the thresholds pinned.  Fixed thresholds make every run
+    take the fast path.  Calling this again is harmless.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

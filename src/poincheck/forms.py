@@ -39,6 +39,19 @@ KIND_FLOOR = "constant_floor"
 
 _PAIR_BLOCK = 256
 
+# Terms per block of a pair energy, so that the block and the temporaries
+# formed beside it stay in one core's L2 cache.  ms to form and sum every
+# block of the full 2-d ball (p = 2, untruncated fractional kernel, step
+# weight), by rows per block (2-vCPU x86-64 host, 2 MB of L2 per core,
+# numpy 2.4):
+#
+#   812 cells (N = 32):    16: 14.9   32: 11.3   64: 10.8   80: 11.4   128: 11.8   256: 15.6
+#   3,228 cells (N = 64):   8: 165    16: 159    20: 157    32: 167    64: 223
+#
+# 2^16 terms gives 80 and 20 rows; 2^15 and 2^16 read the same within
+# the noise of repeated runs.
+_PAIR_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -171,6 +184,20 @@ def _offset_kernel(grid, kernel: KernelSpec, p: float) -> tuple[np.ndarray, np.n
     return table, grid.lattice @ strides, (N - 1) * int(strides.sum())
 
 
+def _reach(grid, kernel: KernelSpec) -> int:
+    """Lattice steps along one axis beyond which the kernel is zero.
+
+    A truncated kernel vanishes past distance ``1/R``, and two cells whose
+    axis-0 lattice coordinates differ by ``a`` are at least ``|a| h``
+    apart, so ``floor(1/(R h)) + 1`` bounds the offsets it can reach with
+    room for the rounding of both sides.  Other kernels reach the whole
+    grid, ``N - 1`` steps.
+    """
+    if kernel.kind == KIND_FRACTIONAL and kernel.R is not None:
+        return min(int(1.0 / (kernel.R * grid.h)) + 1, grid.N - 1)
+    return grid.N - 1
+
+
 def _pair_energy(
     u: GridFunction, cells: CellSet, kernel: KernelSpec, p: float, weight: RadialProfile
 ) -> float:
@@ -182,17 +209,26 @@ def _pair_energy(
     v = u.values[idx]
     m = idx.size
     phi = eval_weight(weight, grid.norms[idx])
-    scale = grid.cell_measure**2
-    row_sums = []
-    for start in range(0, m, _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, m)
-        terms = np.abs(v[start:stop, None] - v[None, :]) ** p
-        terms = terms * table[row_keys[start:stop, None] - col_keys[None, :]]
-        terms = terms * np.minimum(phi[start:stop, None], phi[None, :])
-        rows = np.arange(start, stop)
-        terms[rows - start, rows] = 0.0
-        row_sums.append(ksum_rows(terms))
-    return ksum(np.concatenate(row_sums)) * scale
+    rows = max(1, _PAIR_BLOCK_ELEMENTS // m)
+    reach = _reach(grid, kernel)
+    clip = reach < grid.N - 1 and rows < m  # one block of all rows reaches all
+    axis0 = grid.lattice[idx, 0]  # nondecreasing: cells are lattice-ordered
+    row_sums = np.empty(m)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        lo, hi = 0, m
+        if clip:
+            lo = int(np.searchsorted(axis0, axis0[start] - reach))
+            hi = int(np.searchsorted(axis0, axis0[stop - 1] + reach, side="right"))
+        terms = np.subtract(v[start:stop, None], v[None, lo:hi])
+        np.abs(terms, out=terms)
+        terms **= p
+        terms *= table[row_keys[start:stop, None] - col_keys[None, lo:hi]]
+        terms *= np.minimum(phi[start:stop, None], phi[None, lo:hi])
+        diag = np.arange(stop - start)
+        terms[diag, diag + (start - lo)] = 0.0
+        row_sums[start:stop] = ksum_rows(terms)
+    return ksum(row_sums) * grid.cell_measure**2
 
 
 def kernel_energy(
@@ -206,11 +242,15 @@ def kernel_energy(
 
     ``sum_{i != j} |u_i - u_j|^p K(x_i, x_j) W_ij h^{2d}`` with
     ``W_ij = min(w(x_i), w(x_j))``, which is 1 for ``UNIT_WEIGHT``.
-    The terms are formed in blocks of 256 rows, so memory stays bounded on
-    large cell sets, and each block's rows are summed exactly rounded by
+    The terms are formed in place in blocks of about 2^16 entries, so a
+    block and its temporaries stay in one core's L2 cache, and each
+    block's rows are summed exactly rounded by
     :func:`~poincheck.numerics.ksum_rows` (a few whole-array passes, not
     one ``fsum`` per row); the row sums are then summed exactly rounded,
-    so the result is deterministic.
+    so the result is deterministic.  A truncated kernel's block spans only
+    the columns within its reach along lattice axis 0 (see
+    :func:`_reach`): the pairs it drops have a zero kernel, and an exactly
+    rounded sum does not depend on them or on the blocking.
 
     ``K_ij`` is gathered from the kernel evaluated once per call on the
     lattice offsets (see :func:`_offset_kernel`).  For N a power of two

@@ -11,9 +11,9 @@ A large block is summed by error-free extraction onto a per-row
 fixed-point grid (Rump, Ogita & Oishi, "Accurate floating-point
 summation, Part I: faithful rounding", SIAM J. Sci. Comput. 2008), a few
 whole-array numpy passes in place of one ``fsum`` per row.  For a
-(k, n) block, let ``2^top`` bound a row's largest magnitude and set
-``b = min(51, 53 - n.bit_length())``.  Each pass takes, for the column
-vector ``sigma = 1.5 * 2^(top - b + 52)``,
+(k, n) block, let ``2^top`` bound the largest magnitude of every row
+still being summed and set ``b = min(51, 53 - n.bit_length())``.  Each
+pass takes, for the one float ``sigma = 1.5 * 2^(top - b + 52)``,
 
     q = (sigma + r) - sigma,    r <- r - q,    top <- top - b - 1,
 
@@ -28,15 +28,21 @@ sum is ``math.fsum`` of the sums of its chunks ``q``.  Why this is exact:
 - ``|q| <= 2^top = 2^b u``, so any partial sum of the n chunk entries is
   an integer multiple of ``u`` of magnitude at most
   ``(2^L - 1) 2^b u < 2^53 u`` with ``L = n.bit_length()``.  Every such
-  multiple is a float, so ``q.sum(axis=1)`` is exact in any order.
+  multiple is a float, so the row sums of ``q``, taken as the product
+  ``q @ 1``, are exact in any order and with fused multiply-adds.
 - Where ``u < 2^-1074``, ``sigma`` is subnormal (``ldexp`` may round it),
   and ``sigma`` and ``r`` are multiples of ``2^-1074`` below ``2^-1021``
   in magnitude.  Their sums are then exact, ``q = r``, and the pass is
   the last.  Subnormal rows thus stay in the kernel.
 
 ``b`` is the largest value both bounds allow, which keeps the passes
-few.  The chunk sums add up to the row exactly, so their ``fsum`` is the
-exactly rounded row sum.  Two kinds of rows go to ``math.fsum`` instead:
+few.  One ``sigma`` serves the whole block, so each pass adds a scalar:
+on a 64 x 812 block (2-vCPU x86-64 host, numpy 2.4), adding a column of
+per-row values took 68 us and adding a scalar 19 us.  A row whose own
+bound lies below ``top`` takes zero chunks until ``top`` comes down to
+it; when rows finish, ``top`` drops to the largest bound of the rows
+left.  The chunk sums add up to the row exactly, so their ``fsum`` is
+the exactly rounded row sum.  Two kinds of rows go to ``math.fsum`` instead:
 rows with a non-finite entry or with a magnitude of ``2^900`` or more
 (``sigma`` could overflow), so that overflow, ``inf - inf`` and ``nan``
 raise or propagate exactly as ``fsum`` has them; and rows of zeros, whose
@@ -100,25 +106,33 @@ def ksum_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def _extract_rows(block: np.ndarray, peak: np.ndarray) -> np.ndarray:
-    """Exactly rounded row sums of finite rows with ``0 < peak < 2^900``."""
+    """Exactly rounded row sums of finite rows with ``0 < peak < 2^900``.
+
+    ``block`` is only read: the passes work in two buffers of its shape,
+    the chunk ``q`` and, from the second pass on, the remainder ``r``.
+    """
     k, n = block.shape
     bits = min(51, 53 - n.bit_length())
-    top = np.frexp(peak)[1][:, None]  # peak < 2^top
+    tops = np.frexp(peak)[1]  # peak < 2^top, row by row
+    top = int(tops.max())
+    ones = np.ones(n)
     chunks = []
     rows = np.arange(k)
     r = block
+    q = np.empty_like(block)
     while True:
-        sigma = np.ldexp(1.5, top - bits + 52)
-        q = sigma + r
+        sigma = math.ldexp(1.5, top - bits + 52)
+        np.add(r, sigma, out=q)
         q -= sigma
         chunk = np.zeros(k)
-        chunk[rows] = q.sum(axis=1)
+        chunk[rows] = q @ ones
         chunks.append(chunk)
-        r = np.subtract(r, q, out=q)  # the remainder, over q
+        r = np.subtract(r, q, out=None if r is block else r)
         top -= bits + 1
-        live = r.any(axis=1)
+        live = (r != 0.0).any(axis=1)
         if not live.any():
             break
         if not live.all():
-            r, top, rows = r[live], top[live], rows[live]
+            r, rows, q = r[live], rows[live], q[: np.count_nonzero(live)]
+            top = min(top, int(tops[rows].max()))
     return np.array([math.fsum(row) for row in np.stack(chunks, axis=1).tolist()])

@@ -22,6 +22,7 @@ from poincheck.forms import (
     transfer_constant,
     weighted_gradient_constant,
 )
+from poincheck.numerics import ksum_rows
 from poincheck.grid import (
     GridFunction,
     ball_cells,
@@ -33,6 +34,7 @@ from poincheck.weights import UNIT_WEIGHT, make_step_profile, profile_from_json
 from conftest import (
     centre_difference_kernel_energy,
     centre_difference_pair_matrix,
+    fsum_pair_energy,
     naive_kernel_energy,
     naive_local_energy,
     product_pair_matrix,
@@ -240,6 +242,87 @@ def test_pair_matrix_scaled_in_place_keeps_every_bit(d, N):
                 assert got.tobytes() == want.tobytes()
     truncated = pair_coefficient_matrix(g, full_cells(g), specs[1])
     assert np.any(truncated[~np.eye(len(truncated), dtype=bool)] == 0.0)
+
+
+_BLOCKING_KERNELS = [
+    KernelSpec(KIND_FRACTIONAL, s=0.5),
+    KernelSpec(KIND_FRACTIONAL, s=0.5, R=1.0),
+    KernelSpec(KIND_FRACTIONAL, s=0.3, R=2.0),
+    KernelSpec(KIND_FRACTIONAL, s=0.7, R=3.0),
+    KernelSpec(KIND_FRACTIONAL, s=0.5, R=5.0),
+    KernelSpec(KIND_FLOOR, c=1.0),
+]
+_BLOCKING_GRIDS = [(d, N) for d in (1, 2) for N in (30, 32, 64)]
+
+
+@pytest.mark.parametrize("d,N", _BLOCKING_GRIDS)
+def test_kernel_energy_bit_identical_to_full_width_oracle(d, N):
+    # The oracle forms every row at full width, 256 rows at a time, and sums
+    # it by ``fsum``; blocking by element count and clipping truncated
+    # kernels to their reach must not move a bit.  At 2-d N = 32 and R = 2,
+    # 1/R = 8h is a lattice distance, so the truncation edge is exact.
+    g = build_grid(d, N)
+    rng = np.random.default_rng(N)
+    x = g.centers[:, 0]
+    u = GridFunction(g, np.sin(3.0 * x) + g.norms**2 + 0.1 * rng.standard_normal(g.cell_count))
+    weights = [
+        UNIT_WEIGHT,
+        make_step_profile([0.75], [2.0, 1.0]),
+        profile_from_json({"type": "power", "beta": 1.0}),
+    ]
+    ps = [1.0, 1.5, 2.0]
+    for i, kernel in enumerate(_BLOCKING_KERNELS):
+        # Each kernel takes every ball once, and the weights and exponents
+        # turn with the kernel, so every pair of them is met.
+        for j, t in enumerate((1.0, 0.75, 0.5)):
+            if (d, N, t) == (2, 64, 1.0) and kernel.R not in (None, 5.0):
+                continue  # the oracle takes about 1 s on these 3,228 cells
+            cells = ball_cells(g, t)
+            weight, p = weights[(i + j) % 3], ps[(i + 2 * j) % 3]
+            got = kernel_energy(u, cells, kernel, p, weight)
+            want = fsum_pair_energy(u, cells, kernel, p, weight)
+            assert got.hex() == want.hex(), (kernel, t, weight, p)
+
+
+@pytest.mark.parametrize("d,N", _BLOCKING_GRIDS)
+def test_reach_bounds_every_nonzero_kernel_offset(d, N):
+    g = build_grid(d, N)
+    for kernel in _BLOCKING_KERNELS:
+        table = forms._offset_kernel(g, kernel, 2.0)[0].reshape((2 * N - 1,) * d)
+        axis0 = np.abs(np.nonzero(table)[0] - (N - 1))
+        reach = forms._reach(g, kernel)
+        assert axis0.max() <= reach
+        if kernel.R is None:
+            assert reach == N - 1
+        else:
+            assert axis0.max() >= reach - 2  # the bound is close, so it clips
+
+
+def test_truncated_kernel_blocks_are_clipped(monkeypatch):
+    g = build_grid(2, 32)
+    u = GridFunction(g, np.sin(3.0 * g.centers[:, 0]) + g.centers[:, 1])
+    cells = full_cells(g)
+    shapes = []
+
+    def recording(terms):
+        shapes.append(terms.shape)
+        return ksum_rows(terms)
+
+    monkeypatch.setattr(forms, "ksum_rows", recording)
+    for kernel in (
+        KernelSpec(KIND_FRACTIONAL, s=0.5, R=2.0),
+        KernelSpec(KIND_FRACTIONAL, s=0.5),
+        KernelSpec(KIND_FLOOR, c=1.0),
+    ):
+        shapes.clear()
+        kernel_energy(u, cells, kernel, 2.0)
+        assert sum(rows for rows, _ in shapes) == len(cells)
+        assert all(rows * len(cells) <= forms._PAIR_BLOCK_ELEMENTS for rows, _ in shapes)
+        widths = {width for _, width in shapes}
+        if kernel.R is None:
+            assert widths == {len(cells)}
+        else:
+            assert max(widths) < len(cells)
 
 
 def _count_table_builds(monkeypatch):

@@ -165,6 +165,37 @@ def test_ksum_rows_empty_shapes():
     assert ksum_rows(np.zeros((0, 0))).shape == (0,)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_ksum_rows_leaves_its_argument_unchanged(order):
+    # Rows that finish at different passes, in a block above the crossover:
+    # small integers (one pass), full mantissas over 120 bits of range
+    # (several), rows far below the block's peak and rows that cancel to
+    # zero.  No row goes to ``fsum``, so the extraction gets the argument
+    # itself, not a copy.  The block is read-only, so a write into it
+    # raises, and its bytes are compared too.
+    rng = np.random.default_rng(404)
+    k, n = 12, 400
+    block = np.empty((k, n))
+    for r in range(k):
+        kind = r % 4
+        if kind == 0:
+            block[r] = rng.integers(-1000, 1000, n)
+        elif kind == 1:
+            block[r] = rng.standard_normal(n) * 2.0 ** rng.uniform(-60.0, 60.0, n)
+        elif kind == 2:
+            block[r] = rng.standard_normal(n) * 2.0**-300
+        else:
+            block[r] = 0.0
+            block[r, :2] = 1e10, -1e10
+    block = np.asarray(block, order=order)
+    before = block.tobytes(order="A")
+    block.setflags(write=False)
+    assert block[:, ::2].size >= _KERNEL_MIN_ELEMENTS
+    _assert_same_as_fsum(block)
+    _assert_same_as_fsum(block[:, ::2])  # a strided view, still above it
+    assert block.tobytes(order="A") == before
+
+
 def _with_rows(bad_rows, n=2100, k=8):
     block = _wide_values(k * n, 5).reshape(k, n)
     for r, row in bad_rows.items():
