@@ -10,10 +10,11 @@ which gives the unweighted energies.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 import numpy as np
 
-from .numerics import ksum, ksum_rows
+from .numerics import SymmetricRowSums, ksum, ksum_rows
 from .weights import UNIT_WEIGHT, RadialProfile, eval_weight
 from .grid import CellSet, GridFunction, value_rows
 
@@ -39,17 +40,22 @@ KIND_FLOOR = "constant_floor"
 
 _PAIR_BLOCK = 256
 
-# Terms per block of a pair energy, so that the block and the temporaries
-# formed beside it stay in one core's L2 cache.  ms to form and sum every
-# block of the full 2-d ball (p = 2, untruncated fractional kernel, step
-# weight), by rows per block (2-vCPU x86-64 host, 2 MB of L2 per core,
-# numpy 2.4):
+# Terms per strip of a pair energy, so that a strip and the temporaries
+# formed beside it stay in one core's L2 cache.  A strip takes the rows
+# from ``start`` on against the columns from ``start`` on (the upper
+# triangle), so its rows grow with its position: ``2^16 // (m - start)``.
+# The 812 cells of the 2-d N = 32 ball give 7 strips of 80, 89, 101, 120,
+# 155, 245 and 22 rows; the 3,228 of N = 64 give 83 strips, from 20 rows
+# at the top to 189 near the bottom.  A truncated kernel's strips are
+# narrower but keep these rows.  ms per call on the full 2-d ball (mean of
+# p = 1 and 2, untruncated fractional kernel, step weight; 2-vCPU x86-64
+# host, 2 MB of L2 per core, numpy 2.4, medians of interleaved runs), by
+# terms per strip:
 #
-#   812 cells (N = 32):    16: 14.9   32: 11.3   64: 10.8   80: 11.4   128: 11.8   256: 15.6
-#   3,228 cells (N = 64):   8: 165    16: 159    20: 157    32: 167    64: 223
+#   812 cells (N = 32):     2^13: 8.5   2^14: 7.0   2^15: 6.2   2^16: 6.3   2^17: 7.4
+#   3,228 cells (N = 64):   2^13: 126   2^14: 92    2^15: 82    2^16: 87    2^17: 91
 #
-# 2^16 terms gives 80 and 20 rows; 2^15 and 2^16 read the same within
-# the noise of repeated runs.
+# 2^15 and 2^16 read the same within the noise of repeated runs.
 _PAIR_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -204,31 +210,59 @@ def _pair_energy(
     grid = u.grid
     idx = cells.indices
     table, keys, center = _offset_kernel(grid, kernel, p)
-    row_keys = keys[idx] + center
-    col_keys = keys[idx]
+    keys = keys[idx]
     v = u.values[idx]
-    m = idx.size
     phi = eval_weight(weight, grid.norms[idx])
-    rows = max(1, _PAIR_BLOCK_ELEMENTS // m)
+    m = idx.size
+    upper = False
+    if m * m > _PAIR_BLOCK_ELEMENTS:
+        # Every term |v_i - v_j|^p K_ij W_ij is at most this product of
+        # maxima, up to a few roundings that the factor 2 covers.  It fixes
+        # the one extraction schedule of all strips; a set whose bound does
+        # not fit one (inf, or 2^900 and up) is formed as full rows.
+        try:
+            bound = 2.0 * float(v.max() - v.min()) ** p * float(table.max()) * float(phi.max())
+        except OverflowError:
+            bound = math.inf
+        upper = SymmetricRowSums.accepts(bound)
     reach = _reach(grid, kernel)
-    clip = reach < grid.N - 1 and rows < m  # one block of all rows reaches all
+    clip = reach < grid.N - 1 and m * m > _PAIR_BLOCK_ELEMENTS
     axis0 = grid.lattice[idx, 0]  # nondecreasing: cells are lattice-ordered
-    row_sums = np.empty(m)
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        lo, hi = 0, m
-        if clip:
-            lo = int(np.searchsorted(axis0, axis0[start] - reach))
-            hi = int(np.searchsorted(axis0, axis0[stop - 1] + reach, side="right"))
-        terms = np.subtract(v[start:stop, None], v[None, lo:hi])
-        np.abs(terms, out=terms)
-        terms **= p
-        terms *= table[row_keys[start:stop, None] - col_keys[None, lo:hi]]
-        terms *= np.minimum(phi[start:stop, None], phi[None, lo:hi])
-        diag = np.arange(stop - start)
-        terms[diag, diag + (start - lo)] = 0.0
-        row_sums[start:stop] = ksum_rows(terms)
-    return ksum(row_sums) * grid.cell_measure**2
+    for zero_coefficient_pairs in (False, True):
+        strips = SymmetricRowSums(m, bound) if upper else None
+        row_sums = np.empty(m)
+        start = 0
+        while start < m:
+            lo = start if upper else 0
+            stop = min(m, start + max(1, _PAIR_BLOCK_ELEMENTS // (m - lo)))
+            hi = m
+            if clip:
+                hi = int(np.searchsorted(axis0, axis0[stop - 1] + reach, side="right"))
+            terms = np.subtract(v[start:stop, None], v[None, lo:hi])
+            np.abs(terms, out=terms)
+            terms **= p
+            coef = table[keys[start:stop, None] + center - keys[None, lo:hi]]
+            terms *= coef
+            if zero_coefficient_pairs:
+                terms[coef == 0.0] = 0.0
+            np.minimum(phi[start:stop, None], phi[None, lo:hi], out=coef)
+            terms *= coef
+            if zero_coefficient_pairs:
+                terms[coef == 0.0] = 0.0
+            diag = np.arange(stop - start)
+            terms[diag, diag + (start - lo)] = 0.0
+            if upper:
+                strips.add(terms, start)
+            else:
+                row_sums[start:stop] = ksum_rows(terms)
+            start = stop
+        energy = ksum(strips.sums() if upper else row_sums)
+        if not math.isnan(energy):
+            break
+        # An |u_i - u_j|^p that overflows to inf, times a zero kernel or
+        # weight entry, gives nan; such a pair contributes 0, so sum again
+        # with those pairs at exactly 0.
+    return energy * grid.cell_measure**2
 
 
 def kernel_energy(
@@ -242,15 +276,24 @@ def kernel_energy(
 
     ``sum_{i != j} |u_i - u_j|^p K(x_i, x_j) W_ij h^{2d}`` with
     ``W_ij = min(w(x_i), w(x_j))``, which is 1 for ``UNIT_WEIGHT``.
-    The terms are formed in place in blocks of about 2^16 entries, so a
-    block and its temporaries stay in one core's L2 cache, and each
-    block's rows are summed exactly rounded by
-    :func:`~poincheck.numerics.ksum_rows` (a few whole-array passes, not
-    one ``fsum`` per row); the row sums are then summed exactly rounded,
-    so the result is deterministic.  A truncated kernel's block spans only
-    the columns within its reach along lattice axis 0 (see
+    Each term is symmetric in i and j, so only the upper triangle is
+    formed, in place, in strips of about 2^16 terms (see
+    ``_PAIR_BLOCK_ELEMENTS``): rows ``start .. stop`` against the columns
+    from ``start`` on, so that a strip and its temporaries stay in one
+    core's L2 cache.  Every strip is extracted on one schedule, fixed by a
+    bound on every term, and gives exact sums to two sets of rows: its own
+    rows, and by symmetry the rows of its columns past its diagonal block
+    (see :class:`~poincheck.numerics.SymmetricRowSums`).  Each row's sum is
+    thus exactly rounded, the same float as ``fsum`` of the full row, and
+    the row sums are then summed exactly rounded, so the result is
+    deterministic.  A set that fits in one strip (m^2 <= 2^16), or whose
+    bound is not finite, is formed as full rows and summed by
+    :func:`~poincheck.numerics.ksum_rows`.  A truncated kernel's strip
+    spans only the columns within its reach along lattice axis 0 (see
     :func:`_reach`): the pairs it drops have a zero kernel, and an exactly
-    rounded sum does not depend on them or on the blocking.
+    rounded sum does not depend on them or on the strips.  A pair with a
+    zero kernel or weight entry contributes exactly 0 even where
+    ``|u_i - u_j|^p`` overflows, so the energy is then ``inf``, not ``nan``.
 
     ``K_ij`` is gathered from the kernel evaluated once per call on the
     lattice offsets (see :func:`_offset_kernel`).  For N a power of two

@@ -104,6 +104,21 @@ def fsum_pair_energy(u, cells, kernel, p, weight=UNIT_WEIGHT):
     return math.fsum(row_sums) * grid.cell_measure**2
 
 
+def pair_term_matrix(u, cells, kernel, p, weight=UNIT_WEIGHT):
+    """Every term ``|u_i - u_j|^p K_ij W_ij`` of the pair energy at once, as
+    an (m, m) matrix with zero diagonal, formed as in ``fsum_pair_energy``."""
+    grid = u.grid
+    idx = cells.indices
+    table, keys, center = _offset_kernel(grid, kernel, p)
+    v = u.values[idx]
+    phi = eval_weight(weight, grid.norms[idx])
+    terms = np.abs(v[:, None] - v[None, :]) ** p
+    terms = terms * table[keys[idx, None] + center - keys[None, idx]]
+    terms = terms * np.minimum(phi[:, None], phi[None, :])
+    np.fill_diagonal(terms, 0.0)
+    return terms
+
+
 def centre_difference_pair_matrix(grid, cells, kernel, weight=None):
     """``pair_coefficient_matrix`` with the kernel of every center difference
     (at p = 2, the exponent of the form)."""

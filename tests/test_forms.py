@@ -22,7 +22,7 @@ from poincheck.forms import (
     transfer_constant,
     weighted_gradient_constant,
 )
-from poincheck.numerics import ksum_rows
+from poincheck.numerics import SymmetricRowSums
 from poincheck.grid import (
     GridFunction,
     ball_cells,
@@ -37,6 +37,7 @@ from conftest import (
     fsum_pair_energy,
     naive_kernel_energy,
     naive_local_energy,
+    pair_term_matrix,
     product_pair_matrix,
 )
 
@@ -252,19 +253,34 @@ _BLOCKING_KERNELS = [
     KernelSpec(KIND_FRACTIONAL, s=0.5, R=5.0),
     KernelSpec(KIND_FLOOR, c=1.0),
 ]
-_BLOCKING_GRIDS = [(d, N) for d in (1, 2) for N in (30, 32, 64)]
+_BLOCKING_GRIDS = [(d, N) for d in (1, 2) for N in (30, 32, 48, 64)]
+_BLOCKING_VALUES = ("smooth", "constant", "ties", "wide")
+
+
+def _blocking_values(g, kind):
+    rng = np.random.default_rng(g.N)
+    smooth = np.sin(3.0 * g.centers[:, 0]) + g.norms**2 + 0.1 * rng.standard_normal(g.cell_count)
+    if kind == "smooth":
+        return smooth
+    if kind == "constant":
+        return np.full(g.cell_count, 0.7)  # every term 0
+    if kind == "ties":
+        return np.round(4.0 * smooth)  # a dozen values, so most rows hold many zero terms
+    # Magnitudes 2^-60 .. 2^60: the terms span more than 100 bits, so the
+    # rows of one strip finish at different passes.
+    exponents = rng.permutation(np.linspace(-60.0, 60.0, g.cell_count))
+    return rng.choice([-1.0, 1.0], g.cell_count) * (1.0 + rng.random(g.cell_count)) * 2.0**exponents
 
 
 @pytest.mark.parametrize("d,N", _BLOCKING_GRIDS)
 def test_kernel_energy_bit_identical_to_full_width_oracle(d, N):
     # The oracle forms every row at full width, 256 rows at a time, and sums
-    # it by ``fsum``; blocking by element count and clipping truncated
-    # kernels to their reach must not move a bit.  At 2-d N = 32 and R = 2,
-    # 1/R = 8h is a lattice distance, so the truncation edge is exact.
+    # it by ``fsum``; upper-triangle strips on one extraction schedule, and
+    # truncated kernels clipped to their reach, must not move a bit.  At
+    # 2-d N = 32 and R = 2, 1/R = 8h is a lattice distance, so the
+    # truncation edge is exact.
     g = build_grid(d, N)
-    rng = np.random.default_rng(N)
-    x = g.centers[:, 0]
-    u = GridFunction(g, np.sin(3.0 * x) + g.norms**2 + 0.1 * rng.standard_normal(g.cell_count))
+    values = {kind: _blocking_values(g, kind) for kind in _BLOCKING_VALUES}
     weights = [
         UNIT_WEIGHT,
         make_step_profile([0.75], [2.0, 1.0]),
@@ -272,16 +288,17 @@ def test_kernel_energy_bit_identical_to_full_width_oracle(d, N):
     ]
     ps = [1.0, 1.5, 2.0]
     for i, kernel in enumerate(_BLOCKING_KERNELS):
-        # Each kernel takes every ball once, and the weights and exponents
-        # turn with the kernel, so every pair of them is met.
-        for j, t in enumerate((1.0, 0.75, 0.5)):
-            if (d, N, t) == (2, 64, 1.0) and kernel.R not in (None, 5.0):
-                continue  # the oracle takes about 1 s on these 3,228 cells
+        # Each kernel takes every ball once, and the weights, exponents and
+        # functions turn with the kernel, so every pair of them is met.
+        for j, t in enumerate((1.0, 0.75, 0.5, 0.3)):
+            if (d, t) == (2, 1.0) and N >= 48 and kernel.R not in (None, 5.0):
+                continue  # the oracle takes about 1 s on these 1,804 and 3,228 cells
             cells = ball_cells(g, t)
             weight, p = weights[(i + j) % 3], ps[(i + 2 * j) % 3]
+            u = GridFunction(g, values[_BLOCKING_VALUES[(i + 3 * j) % 4]])
             got = kernel_energy(u, cells, kernel, p, weight)
             want = fsum_pair_energy(u, cells, kernel, p, weight)
-            assert got.hex() == want.hex(), (kernel, t, weight, p)
+            assert got.hex() == want.hex(), (kernel, t, weight, p, u.values[:3])
 
 
 @pytest.mark.parametrize("d,N", _BLOCKING_GRIDS)
@@ -299,30 +316,66 @@ def test_reach_bounds_every_nonzero_kernel_offset(d, N):
 
 
 def test_truncated_kernel_blocks_are_clipped(monkeypatch):
+    # The strips of a pair energy tile its upper triangle: each covers its
+    # rows once, from its first row's column rightwards, with at most
+    # ``_PAIR_BLOCK_ELEMENTS`` terms, and the columns it drops hold only
+    # zero terms.  Truncated kernels drop some; the others none.
     g = build_grid(2, 32)
     u = GridFunction(g, np.sin(3.0 * g.centers[:, 0]) + g.centers[:, 1])
     cells = full_cells(g)
-    shapes = []
+    m = len(cells)
+    strips = []
+    add = SymmetricRowSums.add
 
-    def recording(terms):
-        shapes.append(terms.shape)
-        return ksum_rows(terms)
+    def recording(self, strip, start):
+        strips.append((start, strip.copy()))
+        add(self, strip, start)
 
-    monkeypatch.setattr(forms, "ksum_rows", recording)
+    monkeypatch.setattr(SymmetricRowSums, "add", recording)
     for kernel in (
         KernelSpec(KIND_FRACTIONAL, s=0.5, R=2.0),
         KernelSpec(KIND_FRACTIONAL, s=0.5),
         KernelSpec(KIND_FLOOR, c=1.0),
     ):
-        shapes.clear()
+        strips.clear()
         kernel_energy(u, cells, kernel, 2.0)
-        assert sum(rows for rows, _ in shapes) == len(cells)
-        assert all(rows * len(cells) <= forms._PAIR_BLOCK_ELEMENTS for rows, _ in shapes)
-        widths = {width for _, width in shapes}
+        terms = pair_term_matrix(u, cells, kernel, 2.0)
+        firsts = [start for start, _ in strips]
+        lasts = [start + strip.shape[0] for start, strip in strips]
+        assert firsts[0] == 0 and firsts[1:] == lasts[:-1] and lasts[-1] == m
+        widths = []
+        for start, strip in strips:
+            k, w = strip.shape
+            assert strip.size <= forms._PAIR_BLOCK_ELEMENTS
+            assert strip.tobytes() == terms[start : start + k, start : start + w].tobytes()
+            assert not terms[start : start + k, start + w :].any()
+            widths.append((start, w))
         if kernel.R is None:
-            assert widths == {len(cells)}
-        else:
-            assert max(widths) < len(cells)
+            assert all(w == m - start for start, w in widths)
+        else:  # the strips of the first half end well before the last column
+            assert all(w < m - start for start, w in widths if start < m // 2)
+            assert widths[0][1] < m // 2
+
+
+@pytest.mark.parametrize("d,R", [(2, 2.0), (2, 5.0), (2, None), (1, 2.0)])
+def test_overflowing_pairs_beyond_the_kernel_reach_add_nothing(d, R):
+    # |u_i - u_j|^2 overflows to inf on every pair across x = 0.  Where the
+    # truncated kernel is zero such a pair contributes exactly 0, not
+    # inf * 0 = nan, so the energy is inf whether or not pairs are cut.
+    g = build_grid(d, 32)
+    kernel = KernelSpec(KIND_FRACTIONAL, s=0.5, R=R)
+    u = GridFunction(g, np.where(g.centers[:, 0] < 0.0, 1e200, 0.0))
+    with np.errstate(over="ignore"):
+        assert kernel_energy(u, full_cells(g), kernel, 2.0) == math.inf
+        assert kernel_energy(u, ball_cells(g, 0.5), kernel, 2.0) == math.inf
+        # So does a pair with a zero weight: w = 0 past radius 0.75.
+        cut = make_step_profile([0.75], [1.0, 0.0])
+        assert kernel_energy(u, full_cells(g), kernel, 2.0, cut) == math.inf
+    # Finite terms whose bound overflows are summed as before.
+    big = GridFunction(g, np.where(g.centers[:, 0] < 0.0, 1e150, 0.0))
+    for p in (1.0, 2.0):
+        got = kernel_energy(big, full_cells(g), kernel, p)
+        assert got.hex() == fsum_pair_energy(big, full_cells(g), kernel, p).hex()
 
 
 def _count_table_builds(monkeypatch):

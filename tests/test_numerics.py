@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from poincheck.forms import KIND_FLOOR, KIND_FRACTIONAL, KernelSpec, kernel_energy
 from poincheck.grid import GridFunction, build_grid, full_cells
-from poincheck.numerics import _KERNEL_MIN_ELEMENTS, ksum, ksum_rows
+from poincheck.numerics import _KERNEL_MIN_ELEMENTS, SymmetricRowSums, ksum, ksum_rows
 from poincheck.weights import UNIT_WEIGHT, make_step_profile
 from conftest import fsum_pair_energy
 
@@ -248,3 +248,64 @@ def test_pair_energy_equals_per_row_fsum(p, kernel):
             got = kernel_energy(GridFunction(grid, values), cells, kernel, p, w)
             want = fsum_pair_energy(GridFunction(grid, values), cells, kernel, p, w)
             assert got.hex() == want.hex()
+
+
+@st.composite
+def _symmetric_strips(draw):
+    """A symmetric nonnegative (m, m) matrix and strips of its upper triangle.
+
+    Entries take one drawn style per row of the upper triangle: magnitudes
+    from ``10^lo`` to ``10^hi``, subnormals, or full mantissas close below
+    one top that fill the chunk sums' bit budget.  Some rows are zero.  The
+    rows are cut into strips; each strip ends at a drawn column past which
+    its rows, and by symmetry those columns, are zero.
+    """
+    m = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = sorted(draw(st.tuples(st.floats(-300.0, 250.0), st.floats(-300.0, 250.0))))
+    styles = draw(st.lists(st.sampled_from(("wide", "subnormal", "full")), min_size=1, max_size=3))
+    upper = np.empty((m, m))
+    for i in range(m):
+        style = styles[i % len(styles)]
+        if style == "wide":
+            upper[i] = rng.random(m) * 10.0 ** rng.uniform(lo, hi, m)
+        elif style == "subnormal":
+            upper[i] = rng.integers(0, 2**20, m) * 5e-324
+        else:
+            upper[i] = np.ldexp(1.0 - rng.random(m) * 2.0**-8, 7)
+            upper[i, rng.random(m) < 0.1] *= 2.0**-40
+    matrix = np.triu(upper)
+    matrix += np.triu(matrix, 1).T  # adds to zeros only: exact
+    zero = rng.random(m) < draw(st.sampled_from((0.0, 0.1, 0.5)))
+    matrix[zero] = 0.0
+    matrix[:, zero] = 0.0
+    cuts = draw(st.lists(st.integers(1, max(1, m - 1)), max_size=12, unique=True))
+    firsts = sorted({0, *(c for c in cuts if c < m)})
+    strips = []
+    for start, stop in zip(firsts, firsts[1:] + [m]):
+        end = draw(st.integers(stop, m))
+        matrix[start:stop, end:] = 0.0
+        matrix[end:, start:stop] = 0.0
+        strips.append((start, stop, end))
+    slack = draw(st.integers(0, 8))
+    return matrix, strips, float(matrix.max()) * 2.0**slack
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_strips())
+def test_symmetric_row_sums_equal_fsum_of_full_rows(case):
+    matrix, strips, bound = case
+    sums = SymmetricRowSums(len(matrix), bound)
+    for start, stop, end in strips:
+        sums.add(matrix[start:stop, start:end].copy(), start)
+    want = np.array([math.fsum(row.tolist()) for row in matrix])
+    assert sums.sums().tobytes() == want.tobytes()
+
+
+def test_symmetric_row_sums_bound():
+    assert SymmetricRowSums.accepts(0.0) and SymmetricRowSums.accepts(2.0**900 * (1 - 2**-53))
+    for bad in (-1.0, 2.0**900, math.inf, math.nan):
+        assert not SymmetricRowSums.accepts(bad)
+        with pytest.raises(ValueError):
+            SymmetricRowSums(4, bad)
+    assert SymmetricRowSums(3, 0.0).sums().tobytes() == np.zeros(3).tobytes()
