@@ -228,41 +228,40 @@ def _pair_energy(
     reach = _reach(grid, kernel)
     clip = reach < grid.N - 1 and m * m > _PAIR_BLOCK_ELEMENTS
     axis0 = grid.lattice[idx, 0]  # nondecreasing: cells are lattice-ordered
-    for zero_coefficient_pairs in (False, True):
-        strips = SymmetricRowSums(m, bound) if upper else None
-        row_sums = np.empty(m)
-        start = 0
-        while start < m:
-            lo = start if upper else 0
-            stop = min(m, start + max(1, _PAIR_BLOCK_ELEMENTS // (m - lo)))
-            hi = m
-            if clip:
-                hi = int(np.searchsorted(axis0, axis0[stop - 1] + reach, side="right"))
-            terms = np.subtract(v[start:stop, None], v[None, lo:hi])
-            np.abs(terms, out=terms)
-            terms **= p
-            coef = table[keys[start:stop, None] + center - keys[None, lo:hi]]
-            terms *= coef
-            if zero_coefficient_pairs:
-                terms[coef == 0.0] = 0.0
-            np.minimum(phi[start:stop, None], phi[None, lo:hi], out=coef)
-            terms *= coef
-            if zero_coefficient_pairs:
-                terms[coef == 0.0] = 0.0
-            diag = np.arange(stop - start)
-            terms[diag, diag + (start - lo)] = 0.0
-            if upper:
-                strips.add(terms, start)
-            else:
-                row_sums[start:stop] = ksum_rows(terms)
-            start = stop
-        energy = ksum(strips.sums() if upper else row_sums)
-        if not math.isnan(energy):
-            break
-        # An |u_i - u_j|^p that overflows to inf, times a zero kernel or
-        # weight entry, gives nan; such a pair contributes 0, so sum again
-        # with those pairs at exactly 0.
-    return energy * grid.cell_measure**2
+    strips = SymmetricRowSums(m, bound) if upper else None
+    row_sums = np.empty(m)
+    start = 0
+    while start < m:
+        lo = start if upper else 0
+        stop = min(m, start + max(1, _PAIR_BLOCK_ELEMENTS // (m - lo)))
+        hi = m
+        if clip:
+            if not upper:
+                lo = int(np.searchsorted(axis0, axis0[start] - reach))
+            hi = int(np.searchsorted(axis0, axis0[stop - 1] + reach, side="right"))
+        terms = np.subtract(v[start:stop, None], v[None, lo:hi])
+        np.abs(terms, out=terms)
+        terms **= p
+        coef = table[keys[start:stop, None] + center - keys[None, lo:hi]]
+        terms *= coef
+        np.minimum(phi[start:stop, None], phi[None, lo:hi], out=coef)
+        terms *= coef
+        diag = np.arange(stop - start)
+        terms[diag, diag + (start - lo)] = 0.0
+        if upper:
+            strips.add(terms, start)
+        else:
+            sums = ksum_rows(terms)
+            if np.isnan(sums).any():
+                # Values are finite (``GridFunction``), so a nan term is an
+                # |u_i - u_j|^p that overflows to inf times a zero kernel or
+                # weight entry: a pair that contributes exactly 0.  (The
+                # upper-triangle path never overflows: its terms lie below a
+                # finite bound.)
+                sums = ksum_rows(np.nan_to_num(terms, nan=0.0, posinf=np.inf, copy=False))
+            row_sums[start:stop] = sums
+        start = stop
+    return ksum(strips.sums() if upper else row_sums) * grid.cell_measure**2
 
 
 def kernel_energy(
