@@ -38,8 +38,6 @@ KIND_LOCAL = "local_gradient"
 KIND_FRACTIONAL = "fractional"
 KIND_FLOOR = "constant_floor"
 
-_PAIR_BLOCK = 256
-
 # Terms per strip of a pair energy, so that a strip and the temporaries
 # formed beside it stay in one core's L2 cache.  A strip takes the rows
 # from ``start`` on against the columns from ``start`` on (the upper
@@ -55,7 +53,9 @@ _PAIR_BLOCK = 256
 #   812 cells (N = 32):     2^13: 8.5   2^14: 7.0   2^15: 6.2   2^16: 6.3   2^17: 7.4
 #   3,228 cells (N = 64):   2^13: 126   2^14: 92    2^15: 82    2^16: 87    2^17: 91
 #
-# 2^15 and 2^16 read the same within the noise of repeated runs.
+# 2^15 and 2^16 read the same within the noise of repeated runs.  The same
+# budget sizes the full-width row blocks of an overflowing pair energy and
+# of ``pair_coefficient_matrix``: ``2^16 // m`` rows each.
 _PAIR_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -214,31 +214,10 @@ def _pair_energy(
     v = u.values[idx]
     phi = eval_weight(weight, grid.norms[idx])
     m = idx.size
-    upper = False
-    if m * m > _PAIR_BLOCK_ELEMENTS:
-        # Every term |v_i - v_j|^p K_ij W_ij is at most this product of
-        # maxima, up to a few roundings that the factor 2 covers.  It fixes
-        # the one extraction schedule of all strips; a set whose bound does
-        # not fit one (inf, or 2^900 and up) is formed as full rows.
-        try:
-            bound = 2.0 * float(v.max() - v.min()) ** p * float(table.max()) * float(phi.max())
-        except OverflowError:
-            bound = math.inf
-        upper = SymmetricRowSums.accepts(bound)
-    reach = _reach(grid, kernel)
-    clip = reach < grid.N - 1 and m * m > _PAIR_BLOCK_ELEMENTS
-    axis0 = grid.lattice[idx, 0]  # nondecreasing: cells are lattice-ordered
-    strips = SymmetricRowSums(m, bound) if upper else None
-    row_sums = np.empty(m)
-    start = 0
-    while start < m:
-        lo = start if upper else 0
-        stop = min(m, start + max(1, _PAIR_BLOCK_ELEMENTS // (m - lo)))
-        hi = m
-        if clip:
-            if not upper:
-                lo = int(np.searchsorted(axis0, axis0[start] - reach))
-            hi = int(np.searchsorted(axis0, axis0[stop - 1] + reach, side="right"))
+
+    def block(start: int, stop: int, lo: int, hi: int) -> np.ndarray:
+        """Terms of rows ``start .. stop`` against columns ``lo .. hi``,
+        formed in place, with the diagonal zeroed."""
         terms = np.subtract(v[start:stop, None], v[None, lo:hi])
         np.abs(terms, out=terms)
         terms **= p
@@ -248,20 +227,36 @@ def _pair_energy(
         terms *= coef
         diag = np.arange(stop - start)
         terms[diag, diag + (start - lo)] = 0.0
-        if upper:
-            strips.add(terms, start)
-        else:
-            sums = ksum_rows(terms)
-            if np.isnan(sums).any():
-                # Values are finite (``GridFunction``), so a nan term is an
-                # |u_i - u_j|^p that overflows to inf times a zero kernel or
-                # weight entry: a pair that contributes exactly 0.  (The
-                # upper-triangle path never overflows: its terms lie below a
-                # finite bound.)
-                sums = ksum_rows(np.nan_to_num(terms, nan=0.0, posinf=np.inf, copy=False))
-            row_sums[start:stop] = sums
+        return terms
+
+    # Every term |v_i - v_j|^p K_ij W_ij is at most this product of maxima,
+    # up to a few roundings that the factor 2 covers.  It fixes the one
+    # extraction schedule of all strips.
+    try:
+        bound = 2.0 * float(v.max() - v.min()) ** p * float(table.max()) * float(phi.max())
+    except OverflowError:
+        bound = math.inf
+    if not SymmetricRowSums.accepts(bound):
+        # Values near overflow: full-width rows.  Values are finite
+        # (``GridFunction``), so a nan term is an |u_i - u_j|^p that
+        # overflows to inf times a zero kernel or weight entry: a pair that
+        # contributes exactly 0.
+        rows = max(1, _PAIR_BLOCK_ELEMENTS // m)
+        row_sums = []
+        for start in range(0, m, rows):
+            terms = block(start, min(m, start + rows), 0, m)
+            row_sums.append(ksum_rows(np.nan_to_num(terms, nan=0.0, posinf=np.inf, copy=False)))
+        return ksum(np.concatenate(row_sums)) * grid.cell_measure**2
+    reach = _reach(grid, kernel)
+    axis0 = grid.lattice[idx, 0]  # nondecreasing: cells are lattice-ordered
+    strips = SymmetricRowSums(m, bound)
+    start = 0
+    while start < m:
+        stop = min(m, start + max(1, _PAIR_BLOCK_ELEMENTS // (m - start)))
+        hi = int(np.searchsorted(axis0, axis0[stop - 1] + reach, side="right"))
+        strips.add(block(start, stop, start, hi), start)
         start = stop
-    return ksum(strips.sums() if upper else row_sums) * grid.cell_measure**2
+    return ksum(strips.sums()) * grid.cell_measure**2
 
 
 def kernel_energy(
@@ -285,14 +280,15 @@ def kernel_energy(
     (see :class:`~poincheck.numerics.SymmetricRowSums`).  Each row's sum is
     thus exactly rounded, the same float as ``fsum`` of the full row, and
     the row sums are then summed exactly rounded, so the result is
-    deterministic.  A set that fits in one strip (m^2 <= 2^16), or whose
-    bound is not finite, is formed as full rows and summed by
-    :func:`~poincheck.numerics.ksum_rows`.  A truncated kernel's strip
-    spans only the columns within its reach along lattice axis 0 (see
-    :func:`_reach`): the pairs it drops have a zero kernel, and an exactly
-    rounded sum does not depend on them or on the strips.  A pair with a
-    zero kernel or weight entry contributes exactly 0 even where
-    ``|u_i - u_j|^p`` overflows, so the energy is then ``inf``, not ``nan``.
+    deterministic.  A set of m^2 <= 2^16 terms is one strip.  A truncated
+    kernel's strip spans only the columns within its reach along lattice
+    axis 0 (see :func:`_reach`): the pairs it drops have a zero kernel,
+    and an exactly rounded sum does not depend on them or on the strips.
+    Only a bound that does not fit the schedule (inf, or 2^900 and up)
+    takes full-width rows, summed by :func:`~poincheck.numerics.ksum_rows`;
+    there a pair with a zero kernel or weight entry contributes exactly 0
+    even where ``|u_i - u_j|^p`` overflows, so the energy is ``inf``, not
+    ``nan``.
 
     ``K_ij`` is gathered from the kernel evaluated once per call on the
     lattice offsets (see :func:`_offset_kernel`).  For N a power of two
@@ -333,15 +329,16 @@ def pair_coefficient_matrix(
     used for assembly.  ``K_ij`` comes from the same lattice-offset table
     as in :func:`kernel_energy`, so it equals the kernel of the center
     difference bit for bit when N is a power of two and to about one ulp
-    otherwise.  The matrix is gathered and scaled in place, 256 rows at a
-    time, so no other n x n array is made.
+    otherwise.  The matrix is gathered and scaled in place, in blocks of
+    about ``_PAIR_BLOCK_ELEMENTS`` entries, so no other n x n array is made.
     """
     idx = cells.indices
     table, keys, center = _offset_kernel(grid, kernel, 2.0)
     phi = eval_weight(weight, grid.norms[idx])
     C = np.empty((idx.size, idx.size))
-    for start in range(0, idx.size, _PAIR_BLOCK):
-        rows = slice(start, start + _PAIR_BLOCK)
+    step = max(1, _PAIR_BLOCK_ELEMENTS // max(1, idx.size))
+    for start in range(0, idx.size, step):
+        rows = slice(start, start + step)
         C[rows] = table[keys[idx[rows], None] + center - keys[None, idx]]
         C[rows] *= np.minimum(phi[rows, None], phi[None, :])
     np.fill_diagonal(C, 0.0)

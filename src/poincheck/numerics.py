@@ -7,67 +7,67 @@ the exactly rounded sum of each row, the same float as ``math.fsum``.
 An exactly rounded sum is unique, so the result does not depend on
 summation order, chunking, or thread count.
 
-A large block is summed by error-free extraction onto a per-row
-fixed-point grid (Rump, Ogita & Oishi, "Accurate floating-point
-summation, Part I: faithful rounding", SIAM J. Sci. Comput. 2008), a few
-whole-array numpy passes in place of one ``fsum`` per row.  For a
-(k, n) block, let ``2^top`` bound the largest magnitude of every row
-still being summed and set ``b = min(51, 53 - n.bit_length())``.  Each
-pass takes, for the one float ``sigma = 1.5 * 2^(top - b + 52)``,
+A large block is summed by error-free extraction onto a fixed-point grid
+(Rump, Ogita & Oishi, "Accurate floating-point summation, Part I:
+faithful rounding", SIAM J. Sci. Comput. 2008), a few whole-array numpy
+passes in place of one ``fsum`` per row.  For a (k, n) block, let
+``2^top`` bound every magnitude in it and set
+``b = min(51, 53 - n.bit_length())``.  Pass j works at
+``top_j = top - j (b + 1)``: it takes, for the one float
+``sigma = 1.5 * 2^(top_j - b + 52)``,
 
-    q = (sigma + r) - sigma,    r <- r - q,    top <- top - b - 1,
+    q = (sigma + r) - sigma,    r <- r - q,
 
 starting from ``r`` = the row, until every remainder is zero; the row's
 sum is ``math.fsum`` of the sums of its chunks ``q``.  Why this is exact:
 
-- While ``|r| <= 2^top <= sigma / 3``, ``sigma + r`` stays in the binade
+- While ``|r| <= 2^top_j <= sigma / 3``, ``sigma + r`` stays in the binade
   of ``sigma`` (this needs ``b <= 51``), where the spacing of floats is
-  ``u = 2^(top - b)``.  So ``q`` is ``r`` rounded to a multiple of ``u``,
-  the subtraction ``- sigma`` is exact (Sterbenz), ``r - q`` is exact and
-  ``|r - q| <= u / 2 = 2^(top - b - 1)``, the next ``top``.
-- ``|q| <= 2^top = 2^b u``, so any partial sum of the n chunk entries is
-  an integer multiple of ``u`` of magnitude at most
-  ``(2^L - 1) 2^b u < 2^53 u`` with ``L = n.bit_length()``.  Every such
-  multiple is a float, so the row sums of ``q``, taken as the product
-  ``q @ 1``, are exact in any order and with fused multiply-adds.
-- Where ``u < 2^-1074``, ``sigma`` is subnormal (``ldexp`` may round it),
-  and ``sigma`` and ``r`` are multiples of ``2^-1074`` below ``2^-1021``
-  in magnitude.  Their sums are then exact, ``q = r``, and the pass is
-  the last.  Subnormal rows thus stay in the kernel.
+  ``u_j = 2^(top_j - b)``.  So ``q`` is ``r`` rounded to a multiple of
+  ``u_j``, the subtraction ``- sigma`` is exact (Sterbenz), ``r - q`` is
+  exact and ``|r - q| <= u_j / 2 = 2^top_(j+1)``.
+- ``|q| <= 2^top_j = 2^b u_j``, so any partial sum of the n chunk entries
+  is an integer multiple of ``u_j`` of magnitude at most
+  ``(2^L - 1) 2^b u_j < 2^53 u_j`` with ``L = n.bit_length()``.  Every
+  such multiple is a float, so the row sums of ``q``, taken as the
+  product ``q @ 1``, are exact in any order and with fused multiply-adds.
+- Where ``u_j < 2^-1074``, ``sigma`` is subnormal (``ldexp`` may round
+  it), and ``sigma`` and ``r`` are multiples of ``2^-1074`` below
+  ``2^-1021`` in magnitude.  Their sums are then exact, ``q = r``, and
+  the pass is the last.  Subnormal rows thus stay in the kernel.
 
 ``b`` is the largest value both bounds allow, which keeps the passes
 few.  One ``sigma`` serves the whole block, so each pass adds a scalar:
 on a 64 x 812 block (2-vCPU x86-64 host, numpy 2.4), adding a column of
-per-row values took 68 us and adding a scalar 19 us.  A row whose own
-bound lies below ``top`` takes zero chunks until ``top`` comes down to
-it; when rows finish, ``top`` drops to the largest bound of the rows
-left.  The chunk sums add up to the row exactly, so their ``fsum`` is
-the exactly rounded row sum.  Two kinds of rows go to ``math.fsum`` instead:
-rows with a non-finite entry or with a magnitude of ``2^900`` or more
-(``sigma`` could overflow), so that overflow, ``inf - inf`` and ``nan``
-raise or propagate exactly as ``fsum`` has them; and rows of zeros, whose
-sign is ``fsum``'s to choose.  Blocks of fewer than
-``_KERNEL_MIN_ELEMENTS`` entries are summed by ``fsum`` row by row, which
-is faster there.
+per-row values took 68 us and adding a scalar 19 us.  A row far below
+``2^top`` takes zero chunks until ``top_j`` comes down to it, and rows
+whose remainders are zero leave the passes.  The chunk sums add up to
+the row exactly, so their ``fsum`` is the exactly rounded row sum.  Two
+kinds of rows go to ``math.fsum`` instead: rows with a non-finite entry
+or with a magnitude of ``2^900`` or more (``sigma`` could overflow), so
+that overflow, ``inf - inf`` and ``nan`` raise or propagate exactly as
+``fsum`` has them; and rows of zeros, whose sign is ``fsum``'s to
+choose.  ``top`` is taken from the largest of the other rows.  Blocks of
+fewer than ``_KERNEL_MIN_ELEMENTS`` entries are summed by ``fsum`` row by
+row, which is faster there.
 
 The rows of a symmetric (m, m) matrix, such as the terms of a pair
 energy, are summed by :class:`SymmetricRowSums` from strips of the upper
 triangle, so that each unordered pair is extracted once, not once in
 each of its two rows.  A strip holds rows ``start .. start + k`` against
 columns ``start .. start + w``: its (k, k) diagonal block and the columns
-to the right of it.  All strips run on one schedule (after Zhu & Hayes,
-"Algorithm 908: online exact summation of floating-point streams", ACM
-TOMS 2010, whose accumulators share their exponents): ``2^top`` bounds
-every entry of the matrix, ``b = min(51, 53 - m.bit_length())``, and
-pass j works at ``top_j = top - j (b + 1)`` in every strip, with no drops.
-Pass j of a strip adds its row sums ``q @ 1`` to its own rows and its
-column sums past the diagonal block, ``1 @ q[:, k:]``, to the rows of
-those columns, all into one accumulator per row for pass j.  Why each
-accumulator is exact:
+to the right of it.  All strips run on the schedule above, fixed for the
+whole matrix (after Zhu & Hayes, "Algorithm 908: online exact summation
+of floating-point streams", ACM TOMS 2010, whose accumulators share their
+exponents): ``2^top`` bounds every entry of the matrix,
+``b = min(51, 53 - m.bit_length())``, and pass j works at ``top_j`` in
+every strip.  Pass j of a strip adds its row sums ``q @ 1`` to its own
+rows and its column sums past the diagonal block, ``1 @ q[:, k:]``, to
+the rows of those columns, all into one accumulator per row for pass j.
+Why each accumulator is exact:
 
 - Every chunk entry of pass j, in every strip, is a multiple of one unit
-  ``u_j = 2^(top_j - b)`` of magnitude at most ``2^b u_j``, by the
-  argument above with one ``top_j`` for all strips.
+  ``u_j`` of magnitude at most ``2^b u_j``, by the argument above.
 - The pieces that reach row i are sums over disjoint sets of its entries
   ``(i, j)``: its own strip's row sum covers the columns of that strip,
   and an earlier strip's column sum covers, by symmetry, the columns j
@@ -125,8 +125,9 @@ def ksum_rows(matrix: np.ndarray) -> np.ndarray:
     """Exactly rounded sum of each row of a (k, n) float array, as k floats.
 
     Row r of the result is ``math.fsum(matrix[r])`` bit for bit, with the
-    same exceptions; see the module docstring for how a large block is
-    summed.
+    same exceptions.  A large block is extracted on one fixed schedule,
+    from ``2^top`` above its largest row that fits; see the module
+    docstring.
     """
     k, n = matrix.shape
     if k * n < _KERNEL_MIN_ELEMENTS:
@@ -136,10 +137,10 @@ def ksum_rows(matrix: np.ndarray) -> np.ndarray:
     out = np.empty(k)
     if fit.any():
         block = matrix if fit.all() else matrix[fit]
-        tops = np.frexp(peak[fit])[1]  # peak < 2^top, row by row
+        top = math.frexp(float(peak[fit].max()))[1]  # every entry below 2^top
         ones = np.ones(n)
         chunks = []
-        for rows, q in _passes(block, int(tops.max()), _bits(n), tops):
+        for rows, q in _passes(block, top, _bits(n)):
             chunk = np.zeros(len(block))
             chunk[rows] = q @ ones
             chunks.append(chunk)
@@ -205,17 +206,15 @@ def _fsum_rows(chunks: list[np.ndarray]) -> np.ndarray:
     return np.array([math.fsum(row) for row in np.stack(chunks, axis=1).tolist()])
 
 
-def _passes(r: np.ndarray, top: int, bits: int, tops=None, own: bool = False):
+def _passes(r: np.ndarray, top: int, bits: int, own: bool = False):
     """Error-free extraction of the rows of ``r``, one pass per item.
 
     Yields ``(rows, q)``: the chunks ``q`` of the rows ``rows`` (indices
     into ``r``) still live, valid until the next item.  Every entry of
-    ``r`` must have magnitude at most ``2^top``, and a sum of chunk entries
-    is exact when it has fewer than ``2^(53 - bits)`` terms (see the
-    module docstring).  ``r`` is overwritten with the remainders when
-    ``own``; else it is only read.  With ``tops`` (row r's entries below
-    ``2^tops[r]``), ``top`` drops to the rows left when rows finish; without
-    it, pass j always works at ``top - j (bits + 1)``.
+    ``r`` must have magnitude at most ``2^top``; pass j works at
+    ``top - j (bits + 1)``, and a sum of chunk entries is exact when it has
+    fewer than ``2^(53 - bits)`` terms (see the module docstring).  ``r``
+    is overwritten with the remainders when ``own``; else it is only read.
     """
     rows = np.arange(len(r))
     q = np.empty_like(r)
@@ -232,5 +231,3 @@ def _passes(r: np.ndarray, top: int, bits: int, tops=None, own: bool = False):
             return
         if not live.all():
             r, rows, q = r[live], rows[live], q[: np.count_nonzero(live)]
-            if tops is not None:
-                top = min(top, int(tops[rows].max()))

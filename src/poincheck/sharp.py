@@ -7,8 +7,9 @@ a structure that gives an O(n) ``A @ x``: the local gradient form is an
 edge list (:class:`EdgeStencil`), and the transfer and constant-floor forms
 are a diagonal minus rank-one terms over nested cell sets
 (:class:`NestedRankOne`), by the layer-cake splitting of the weight.  Each
-is applied matrix-free on pencils of at least ``_OPERATOR_MIN_CELLS`` cells
-and as its dense matrix below; fractional kernel forms are dense matrices.
+is applied matrix-free from ``_OPERATOR_MIN_CELLS`` cells on and as its
+dense form below, except that the floor form below it and every fractional
+kernel form are dense kernel matrices.
 The eigenvalue is found by deflated inverse iteration with projected CG
 inner solves, which touches the energy only through ``A @ x``, and is
 validated against LAPACK's full spectrum of the dense pencil.
@@ -119,13 +120,14 @@ class NestedRankOne:
     depth: np.ndarray
     diag: np.ndarray
     coef: np.ndarray
+    set_diag: np.ndarray
 
     @classmethod
     def from_sets(cls, depth: np.ndarray, set_diag, coef) -> NestedRankOne:
         """The form whose ``diag[i]`` sums ``set_diag[t-1]`` over the sets
         ``S_t`` that hold cell i."""
         diag = np.concatenate(([0.0], np.cumsum(set_diag)))[depth]
-        arrays = (depth, diag, np.asarray(coef, dtype=float))
+        arrays = (depth, diag, np.asarray(coef, dtype=float), np.asarray(set_diag, dtype=float))
         for arr in arrays:
             arr.setflags(write=False)
         return cls(*arrays)
@@ -140,11 +142,14 @@ class NestedRankOne:
         return self.diag * x - G[self.depth]
 
     def dense(self) -> np.ndarray:
-        """The (n, n) matrix: cells i and j share the sets ``S_1`` to
-        ``S_min(depth[i], depth[j])``."""
-        A = np.diag(self.diag)
-        shared = np.concatenate(([0.0], np.cumsum(self.coef)))
-        A -= shared[np.minimum.outer(self.depth, self.depth)]
+        """The (n, n) matrix, accumulated set by set, innermost first:
+        ``coef[t-1]`` comes off every entry of ``S_t x S_t``, then
+        ``set_diag[t-1]`` goes onto its diagonal."""
+        A = np.zeros(self.shape)
+        for t in range(self.coef.size, 0, -1):
+            S = np.flatnonzero(self.depth >= t)
+            A[np.ix_(S, S)] -= self.coef[t - 1]
+            A[S, S] += self.set_diag[t - 1]
         return A
 
 
@@ -321,26 +326,22 @@ def assemble_transfer_p2(grid: Grid, profile: RadialProfile) -> QuadraticFormPai
     (before the explicit constant) on this grid.
 
     The deviation form on a ball B of n_B cells is
-    ``h^d (diag(1_B) - 1_B 1_B' / n_B)`` and the balls are nested, so from
-    ``_OPERATOR_MIN_CELLS`` = 256 cells on the energy is a
-    :class:`NestedRankOne` over the atoms' balls, largest first (the
-    crossover table is in :func:`assemble_p2`); below it, a dense matrix
-    accumulated atom by atom.  Atoms of zero mass are skipped.
+    ``h^d (diag(1_B) - 1_B 1_B' / n_B)`` and the balls are nested, so the
+    energy is a :class:`NestedRankOne` over the atoms' balls, largest first,
+    applied matrix-free from ``_OPERATOR_MIN_CELLS`` = 256 cells on (the
+    crossover table is in :func:`assemble_p2`) and as its dense form below.
+    Atoms of zero mass are skipped.
     """
     n = grid.cell_count
     atoms = [(ball_cells(grid, t).indices, w) for t, w in layer_cake(profile).atoms if w != 0.0]
-    if n >= _OPERATOR_MIN_CELLS:
-        depth = np.zeros(n, dtype=np.int64)
-        for ball, _ in atoms:
-            depth[ball] += 1
-        masses = np.array([w * grid.cell_measure for _, w in reversed(atoms)])
-        sizes = [ball.size for ball, _ in reversed(atoms)]
-        A = NestedRankOne.from_sets(depth, masses, masses / sizes)
-    else:
-        A = np.zeros((n, n))
-        for ball, w in atoms:
-            A[np.ix_(ball, ball)] -= w * grid.cell_measure / ball.size
-            A[ball, ball] += w * grid.cell_measure
+    depth = np.zeros(n, dtype=np.int64)
+    for ball, _ in atoms:
+        depth[ball] += 1
+    masses = np.array([w * grid.cell_measure for _, w in reversed(atoms)])
+    sizes = [ball.size for ball, _ in reversed(atoms)]
+    A = NestedRankOne.from_sets(depth, masses, masses / sizes)
+    if n < _OPERATOR_MIN_CELLS:
+        A = A.dense()
     mass = eval_weight(profile, grid.norms) * grid.cell_measure
     return QuadraticFormPair(A, mass)
 

@@ -317,15 +317,13 @@ def test_reach_bounds_every_nonzero_kernel_offset(d, N):
             assert axis0.max() >= reach - 2  # the bound is close, so it clips
 
 
-def test_truncated_kernel_blocks_are_clipped(monkeypatch):
+def test_pair_energy_strips_tile_the_rows(monkeypatch):
     # The strips of a pair energy tile its upper triangle: each covers its
     # rows once, from its first row's column rightwards, with at most
     # ``_PAIR_BLOCK_ELEMENTS`` terms, and the columns it drops hold only
-    # zero terms.  Truncated kernels drop some; the others none.
-    g = build_grid(2, 32)
-    u = GridFunction(g, np.sin(3.0 * g.centers[:, 0]) + g.centers[:, 1])
-    cells = full_cells(g)
-    m = len(cells)
+    # zero terms.  Truncated kernels drop some on the 812-cell ball; the
+    # others none.  A set of at most 2^16 terms is one strip, and no set
+    # whose bound fits is summed as full rows.
     strips = []
     add = SymmetricRowSums.add
 
@@ -333,30 +331,41 @@ def test_truncated_kernel_blocks_are_clipped(monkeypatch):
         strips.append((start, strip.copy()))
         add(self, strip, start)
 
+    def full_rows(matrix):
+        raise AssertionError("full rows summed for a set whose bound fits")
+
     monkeypatch.setattr(SymmetricRowSums, "add", recording)
-    for kernel in (
-        KernelSpec(KIND_FRACTIONAL, s=0.5, R=2.0),
-        KernelSpec(KIND_FRACTIONAL, s=0.5),
-        KernelSpec(KIND_FLOOR, c=1.0),
-    ):
-        strips.clear()
-        kernel_energy(u, cells, kernel, 2.0)
-        terms = pair_term_matrix(u, cells, kernel, 2.0)
-        firsts = [start for start, _ in strips]
-        lasts = [start + strip.shape[0] for start, strip in strips]
-        assert firsts[0] == 0 and firsts[1:] == lasts[:-1] and lasts[-1] == m
-        widths = []
-        for start, strip in strips:
-            k, w = strip.shape
-            assert strip.size <= forms._PAIR_BLOCK_ELEMENTS
-            assert strip.tobytes() == terms[start : start + k, start : start + w].tobytes()
-            assert not terms[start : start + k, start + w :].any()
-            widths.append((start, w))
-        if kernel.R is None:
-            assert all(w == m - start for start, w in widths)
-        else:  # the strips of the first half end well before the last column
-            assert all(w < m - start for start, w in widths if start < m // 2)
-            assert widths[0][1] < m // 2
+    monkeypatch.setattr(forms, "ksum_rows", full_rows)
+    for d, N, t in ((2, 32, 1.0), (1, 32, 1.0), (2, 32, 0.5), (2, 16, 1.0)):
+        g = build_grid(d, N)
+        u = GridFunction(g, np.sin(3.0 * g.centers[:, 0]) + g.centers[:, -1])
+        cells = ball_cells(g, t)
+        m = len(cells)
+        for kernel in (
+            KernelSpec(KIND_FRACTIONAL, s=0.5, R=2.0),
+            KernelSpec(KIND_FRACTIONAL, s=0.5),
+            KernelSpec(KIND_FLOOR, c=1.0),
+        ):
+            strips.clear()
+            kernel_energy(u, cells, kernel, 2.0)
+            terms = pair_term_matrix(u, cells, kernel, 2.0)
+            firsts = [start for start, _ in strips]
+            lasts = [start + strip.shape[0] for start, strip in strips]
+            assert firsts[0] == 0 and firsts[1:] == lasts[:-1] and lasts[-1] == m
+            widths = []
+            for start, strip in strips:
+                k, w = strip.shape
+                assert strip.size <= forms._PAIR_BLOCK_ELEMENTS
+                assert strip.tobytes() == terms[start : start + k, start : start + w].tobytes()
+                assert not terms[start : start + k, start + w :].any()
+                widths.append((start, w))
+            if m * m <= forms._PAIR_BLOCK_ELEMENTS:
+                assert len(strips) == 1, (d, N, t)
+            elif kernel.R is None:
+                assert all(w == m - start for start, w in widths)
+            else:  # the strips of the first half end well before the last column
+                assert all(w < m - start for start, w in widths if start < m // 2)
+                assert widths[0][1] < m // 2
 
 
 @pytest.mark.parametrize("d,R", [(2, 2.0), (2, 5.0), (2, None), (1, 2.0)])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from poincheck.forms import KIND_FLOOR, KIND_FRACTIONAL, KernelSpec, kernel_energy
+from poincheck import numerics
 from poincheck.grid import GridFunction, build_grid, full_cells
 from poincheck.numerics import _KERNEL_MIN_ELEMENTS, SymmetricRowSums, ksum, ksum_rows
 from poincheck.weights import UNIT_WEIGHT, make_step_profile
@@ -194,6 +195,39 @@ def test_ksum_rows_leaves_its_argument_unchanged(order):
     _assert_same_as_fsum(block)
     _assert_same_as_fsum(block[:, ::2])  # a strided view, still above it
     assert block.tobytes(order="A") == before
+
+
+def test_ksum_rows_longest_fixed_schedule(monkeypatch):
+    # One row near 2^899 sets ``top`` for the whole block, so the rows at
+    # 2^-1000 and at subnormal scale take zero chunks for dozens of passes
+    # and finish only at the bottom of the schedule, the pass whose unit is
+    # 2^-1074.  Each row is also one ``ksum`` above the crossover.
+    passes = []
+    extract = numerics._passes
+
+    def counting(*args, **kwargs):
+        for item in extract(*args, **kwargs):
+            passes.append(item[0].size)
+            yield item
+
+    monkeypatch.setattr(numerics, "_passes", counting)
+    rng = np.random.default_rng(899)
+    n = 2100
+    sign = rng.choice([-1.0, 1.0], (4, n))
+    block = np.empty((4, n))
+    block[0] = np.ldexp(1.0 - 0.5 * rng.random(n), 899)
+    block[1] = np.ldexp(1.0 - 0.5 * rng.random(n), -1000)
+    block[2] = rng.integers(1, 2**30, n) * 2.0**-1074
+    block[3] = 2.0 ** rng.uniform(-1074.0, -1000.0, n)
+    block *= sign
+    assert block.size >= _KERNEL_MIN_ELEMENTS and np.abs(block).max() < 2.0**899
+    _assert_same_as_fsum(block)
+    # top = 899 and b = 41 for 2,100 columns, so pass j's unit is
+    # 2^(858 - 42 j); it reaches 2^-1074 at j = 46, the last of 47 passes,
+    # which every row but the one near 2^899 lives to.
+    assert len(passes) == 47 and passes[-1] == 3
+    for row in block:
+        assert np.array([ksum(row)]).tobytes() == _fsum_rows(row[None, :]).tobytes()
 
 
 def _with_rows(bad_rows, n=2100, k=8):
