@@ -6,7 +6,9 @@ weight ``UNIT_WEIGHT``: a step profile with no breakpoints and level 1.
 
 Exit codes: 0 when every row passes; 1 when some row fails (reports are
 still written); 2 on ``error: ...``, for an invalid config, another
-``ValueError`` or an I/O error reading the config or writing the reports.
+``ValueError``, an I/O error reading the config or writing the reports, or
+an eigensolve that does not converge outside a sharp row (a frozen
+constant such as ĉ; a sharp row's own solve gives a failing row instead).
 
 BLAS is pinned to one thread by the package ``__init__``, which runs
 before this module and before numpy loads.  ``main`` pins glibc's malloc
@@ -20,6 +22,7 @@ import sys
 
 from .config import CONFIG_SCHEMA, load_config
 from .runner import run_sharp, run_sweep, run_verify
+from .sharp import EigenConvergenceError
 
 _RUNNERS = {"verify": run_verify, "sharp": run_sharp, "sweep": run_sweep}
 
@@ -84,7 +87,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, seed_override=args.seed)
         result = _RUNNERS[args.command](config, args.out)
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, EigenConvergenceError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not result.all_passed:

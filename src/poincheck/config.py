@@ -108,6 +108,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "s": {
                     "type": "array",
+                    "minItems": 1,
                     "items": {
                         "type": "number",
                         "exclusiveMinimum": 0,
@@ -115,7 +116,11 @@ CONFIG_SCHEMA = {
                         "description": "s must lie in (0,1)",
                     },
                 },
-                "R": {"type": "array", "items": {"type": "number", "minimum": 1}},
+                "R": {
+                    "type": "array",
+                    "minItems": 1,
+                    "items": {"type": "number", "minimum": 1},
+                },
             },
         },
         "suite": {

@@ -9,7 +9,6 @@ which gives the unweighted energies.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -294,8 +293,8 @@ def kernel_energy(
     lattice offsets (see :func:`_offset_kernel`).  For N a power of two
     this gives the same float as the kernel of the center difference
     ``x_i - x_j``; for other N it can differ by about one ulp.  The energy
-    is memoized on ``u`` (which is immutable), keyed by a digest of the
-    cell indices, the kernel, p and the weight, so a repeated call returns
+    is memoized on ``u`` (which is immutable), keyed by ``cells.key``, the
+    kernel, p and the weight, so a repeated call returns
     the stored float and the memo lives exactly as long as ``u``.
 
     The excluded diagonal is a quadrature error, not zero mass: against a
@@ -307,8 +306,7 @@ def kernel_energy(
         raise ValueError("cannot take energy over an empty cell set")
     if p < 1.0:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    digest = hashlib.blake2b(cells.indices.tobytes(), digest_size=16).digest()
-    key = (digest, kernel, p, weight)
+    key = (cells.key, kernel, p, weight)
     energy = u._energies.get(key)
     if energy is None:
         energy = _pair_energy(u, cells, kernel, p, weight)

@@ -10,7 +10,9 @@ unweighted deviation is the one against ``UNIT_WEIGHT``.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -136,6 +138,12 @@ class CellSet:
 
     def __len__(self) -> int:
         return int(self.indices.size)
+
+    @cached_property
+    def key(self) -> bytes:
+        """16-byte blake2b digest of the indices, by which the pair-energy
+        and eigensolve memos key a cell set."""
+        return hashlib.blake2b(self.indices.tobytes(), digest_size=16).digest()
 
     @property
     def measure(self) -> float:

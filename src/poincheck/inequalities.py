@@ -292,12 +292,11 @@ def check_truncation_bound(
     1.0949 and fails, although with the omitted mass added to both
     energies the ratio is about 0.82.
     """
-    if R < 1.0:
-        raise ValueError(f"truncation parameter must be >= 1, got {R}")
     grid = u.grid
     cells = full_cells(grid)
+    truncated_kernel = KernelSpec(KIND_FRACTIONAL, s=s, R=R)  # refuses R < 1
     lhs = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, s=s), p)
-    truncated = kernel_energy(u, cells, KernelSpec(KIND_FRACTIONAL, s=s, R=R), p)
+    truncated = kernel_energy(u, cells, truncated_kernel, p)
     factor = (3.0 * R) ** (p * (1.0 - s))
     rhs = factor * truncated
     meta = _meta(grid, p, None, s=s, R=R, truncated_energy=truncated)

@@ -145,36 +145,6 @@ def _frozen_constant(grid, suite, p, radii, energy, scale=lambda t: 1.0) -> floa
     return best or 1.0
 
 
-def _kernel_constant(grid, suite, p, kernel, radii) -> float:
-    """Unweighted per-ball kernel bound: deviation / kernel energy."""
-    return _frozen_constant(grid, suite, p, radii, lambda u, c: kernel_energy(u, c, kernel, p))
-
-
-def _robust_constant(grid, suite, p, s0, radii) -> float:
-    """Robust fractional constant: deviation / ((1-s0) t^(p s0) energy)."""
-    kernel = KernelSpec(KIND_FRACTIONAL, s=s0)
-    return _frozen_constant(
-        grid, suite, p, radii,
-        lambda u, c: kernel_energy(u, c, kernel, p), lambda t: (1.0 - s0) * t ** (p * s0),
-    )
-
-
-def _gradient_constant(grid, suite, p, radii) -> float:
-    """General-p gradient constant: deviation / (t^p gradient energy)."""
-    return _frozen_constant(
-        grid, suite, p, radii, lambda u, c: local_energy(u, c, p), lambda t: t**p
-    )
-
-
-def _c_hat(grid, suite, p, radii) -> float:
-    """Unweighted per-ball gradient constant: from eigensolves at p = 2,
-    the suite maximum otherwise.  ``radii`` holds the unit ball, the last
-    atom of every layer-cake measure."""
-    if p == 2.0:
-        return estimate_gradient_constant(grid, radii)
-    return _gradient_constant(grid, suite, p, radii)
-
-
 def _freeze_order(sweep_s) -> float:
     return 0.5 if 0.5 in sweep_s else min(sweep_s)
 
@@ -195,20 +165,37 @@ class _Case:
 
     @cached_property
     def c_hat(self) -> float:
+        """Unweighted per-ball gradient constant: from eigensolves at
+        p = 2, else the max of deviation / (t^p gradient energy).
+        ``radii`` holds the unit ball, the last atom of every layer-cake
+        measure."""
         if self.c_hat_from is not None:
             return self.c_hat_from.c_hat
-        return _c_hat(self.grid, self.suite, self.p, self.radii)
+        grid, suite, p, radii = self.grid, self.suite, self.p, self.radii
+        if p == 2.0:
+            return estimate_gradient_constant(grid, radii)
+        return _frozen_constant(
+            grid, suite, p, radii, lambda u, c: local_energy(u, c, p), lambda t: t**p
+        )
 
     @cached_property
     def kernel_constants(self) -> list[tuple[KernelSpec, float]]:
+        """Per fractional kernel, the max of deviation / kernel energy."""
         grid, suite, p, radii = self.grid, self.suite, self.p, self.radii
-        kernels = _kernels_of(self.config, KIND_FRACTIONAL)
-        return [(k, _kernel_constant(grid, suite, p, k, radii)) for k in kernels]
+        return [
+            (k, _frozen_constant(grid, suite, p, radii, lambda u, c: kernel_energy(u, c, k, p)))
+            for k in _kernels_of(self.config, KIND_FRACTIONAL)
+        ]
 
     @cached_property
     def robust_constant(self) -> float:
-        s0 = _freeze_order(self.config.sweep_s)
-        return _robust_constant(self.grid, self.suite, self.p, s0, self.radii)
+        """Max of deviation / ((1-s0) t^(p s0) energy) at the freeze order s0."""
+        p, s0 = self.p, _freeze_order(self.config.sweep_s)
+        kernel = KernelSpec(KIND_FRACTIONAL, s=s0)
+        return _frozen_constant(
+            self.grid, self.suite, p, self.radii,
+            lambda u, c: kernel_energy(u, c, kernel, p), lambda t: (1.0 - s0) * t ** (p * s0),
+        )
 
 
 def _cases(config: ExperimentConfig, N: int, radii) -> list[_Case]:

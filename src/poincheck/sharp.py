@@ -8,8 +8,7 @@ edge list (:class:`EdgeStencil`), and the transfer and constant-floor forms
 are a diagonal minus rank-one terms over nested cell sets
 (:class:`NestedRankOne`), by the layer-cake splitting of the weight.  Each
 is applied matrix-free from ``_OPERATOR_MIN_CELLS`` cells on and as its
-dense form below, except that the floor form below it and every fractional
-kernel form are dense kernel matrices.
+dense form below; every fractional kernel form is a dense kernel matrix.
 The eigenvalue is found by deflated inverse iteration with projected CG
 inner solves, which touches the energy only through ``A @ x``, and is
 validated against LAPACK's full spectrum of the dense pencil.
@@ -23,7 +22,6 @@ schedules, no external solver dependencies.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +48,19 @@ __all__ = [
 ]
 
 _DENSE_CAP = 2000
-# Smallest pencil whose structured energy is applied matrix-free, for every
-# structured form (see assemble_p2 and assemble_transfer_p2).
+# Smallest pencil whose structured energy (EdgeStencil, NestedRankOne) is
+# applied matrix-free; QuadraticFormPair stores a smaller one as its dense
+# form.  The crossover is one matvec, dense gemv against the operator, in us
+# (Intel Xeon, one BLAS thread, best of 5 x 2,000 calls; 2-d N = 16, 20, 24
+# and 32, the full ball, weight step([0.75], [2, 1]); local, transfer and
+# floor are the forms of local_stencil, assemble_transfer_p2 and
+# floor_operator):
+#
+#   cells   local          transfer       floor
+#   208     8.0 vs 7.7     8.0 vs 14.5    6.6 vs 14.6
+#   316     15.7 vs 11.1   15.4 vs 15.1   15.9 vs 15.2
+#   448     37.2 vs 12.2   35.9 vs 15.7   27.3 vs 10.8
+#   812     209 vs 19.1    246 vs 20.5    237 vs 19.6
 _OPERATOR_MIN_CELLS = 256
 # Rows per functional call in ratio_ascent: one block of finite-difference
 # probes is a (_PROBE_BLOCK, cell_count) matrix.
@@ -162,16 +171,19 @@ class QuadraticFormPair:
     """Energy A (symmetric psd, constants in its kernel) and the diagonal
     of the weighted mass matrix, both indexed by the positions of one cell
     set (entry k is the set's k-th cell).  A is a dense matrix or a
-    structured operator (:class:`EdgeStencil`, :class:`NestedRankOne`); a
-    matrix is validated without n x n temporaries, an operator is valid by
-    construction.  A read-only matrix that owns its memory is kept as it
-    is; any other matrix is copied."""
+    structured operator (:class:`EdgeStencil`, :class:`NestedRankOne`); an
+    operator of fewer than ``_OPERATOR_MIN_CELLS`` cells is stored as its
+    dense form.  A matrix is validated without n x n temporaries, an
+    operator is valid by construction.  A read-only matrix that owns its
+    memory is kept as it is; any other matrix is copied."""
 
     energy: np.ndarray | EdgeStencil | NestedRankOne
     mass: np.ndarray
 
     def __post_init__(self):
         A = self.energy
+        if isinstance(A, _OPERATORS) and A.shape[0] < _OPERATOR_MIN_CELLS:
+            A = A.dense()
         if not isinstance(A, _OPERATORS):
             A = np.asarray(A, dtype=float)
             if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -275,36 +287,18 @@ def assemble_p2(
 
     ``u' A u`` reproduces the matching energy functional for every u, and
     the mass diagonal carries the weighted cell measures (``UNIT_WEIGHT``,
-    the default, gives the unweighted pencil).  From
-    ``_OPERATOR_MIN_CELLS`` = 256 cells on, the local gradient form is
-    :func:`local_stencil` and the constant-floor form is
-    :func:`floor_operator`, both applied matrix-free.  Below it the local
-    form is the stencil's dense form and the floor form takes the dense
-    kernel path, which fractional kernels take at every size.
-
-    The crossover is one matvec, dense gemv against the operator, in us
-    (Intel Xeon, one BLAS thread, best of 5 x 2,000 calls; 2-d N = 16, 20,
-    24 and 32, the full ball, weight ``step([0.75], [2, 1])``; the
-    transfer form is :func:`assemble_transfer_p2`'s):
-
-    =====  ============  ============  ============
-    cells  local         transfer      floor
-    =====  ============  ============  ============
-    208    8.0 vs 7.7    8.0 vs 14.5   6.6 vs 14.6
-    316    15.7 vs 11.1  15.4 vs 15.1  15.9 vs 15.2
-    448    37.2 vs 12.2  35.9 vs 15.7  27.3 vs 10.8
-    812    209 vs 19.1   246 vs 20.5   237 vs 19.6
-    =====  ============  ============  ============
+    the default, gives the unweighted pencil).  The local gradient form is
+    :func:`local_stencil` and the constant-floor form :func:`floor_operator`,
+    applied matrix-free or as their dense forms as :class:`QuadraticFormPair`
+    decides; a fractional kernel form is the dense kernel matrix at every
+    size.
     """
     if len(cells) == 0:
         raise ValueError("cannot assemble over an empty cell set")
     phi = eval_weight(weight, grid.norms[cells.indices])
-    dense = len(cells) < _OPERATOR_MIN_CELLS
     if kernel.kind == KIND_LOCAL:
         A = local_stencil(grid, cells, weight)
-        if dense:
-            A = A.dense()
-    elif kernel.kind == KIND_FLOOR and not dense:
+    elif kernel.kind == KIND_FLOOR:
         A = floor_operator(grid, cells, weight)
     else:
         # 2 (diag(row sums) - C), built in C's memory: 0 - C keeps +0.0
@@ -327,21 +321,16 @@ def assemble_transfer_p2(grid: Grid, profile: RadialProfile) -> QuadraticFormPai
 
     The deviation form on a ball B of n_B cells is
     ``h^d (diag(1_B) - 1_B 1_B' / n_B)`` and the balls are nested, so the
-    energy is a :class:`NestedRankOne` over the atoms' balls, largest first,
-    applied matrix-free from ``_OPERATOR_MIN_CELLS`` = 256 cells on (the
-    crossover table is in :func:`assemble_p2`) and as its dense form below.
+    energy is a :class:`NestedRankOne` over the atoms' balls, largest first.
     Atoms of zero mass are skipped.
     """
-    n = grid.cell_count
     atoms = [(ball_cells(grid, t).indices, w) for t, w in layer_cake(profile).atoms if w != 0.0]
-    depth = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(grid.cell_count, dtype=np.int64)
     for ball, _ in atoms:
         depth[ball] += 1
     masses = np.array([w * grid.cell_measure for _, w in reversed(atoms)])
     sizes = [ball.size for ball, _ in reversed(atoms)]
     A = NestedRankOne.from_sets(depth, masses, masses / sizes)
-    if n < _OPERATOR_MIN_CELLS:
-        A = A.dense()
     mass = eval_weight(profile, grid.norms) * grid.cell_measure
     return QuadraticFormPair(A, mass)
 
@@ -529,12 +518,12 @@ def pencil_eigen(cells: CellSet, kernel: KernelSpec, weight: RadialProfile = UNI
     solved once per grid.
 
     Returns (eigenvalue, read-only eigenvector, Ritz trace rows).  The
-    solve is kept on the cells' grid, keyed by the cell digest, kernel and
-    weight, so it lives as long as that grid does.  A solve that does not
-    converge raises each time and is not kept.
+    solve is kept on the cells' grid, keyed by ``cells.key``, the kernel
+    and the weight, so it lives as long as that grid does.  A solve that
+    does not converge raises each time and is not kept.
     """
     grid = cells.grid
-    key = (hashlib.sha256(cells.indices.tobytes()).digest(), kernel, weight)
+    key = (cells.key, kernel, weight)
     solved = grid._eigen.get(key)
     if solved is None:
         trace = []
@@ -664,12 +653,11 @@ def estimate_gradient_constant(grid: Grid, radii=()) -> float:
     sharp per-ball constant comes from the eigensolve; dividing by the
     radius to the p-th power and maximizing gives one number valid for all
     the balls at once, which is how downstream checks consume it.
+    :func:`~poincheck.grid.ball_cells` refuses a radius outside (0, 1].
     """
     candidates = sorted(set(float(r) for r in radii) | {1.0})
     best = 0.0
     for r in candidates:
-        if not (0.0 < r <= 1.0):
-            raise ValueError(f"ball radius must lie in (0, 1], got {r}")
         lam, _, _ = pencil_eigen(ball_cells(grid, r), KernelSpec(KIND_LOCAL))
         best = max(best, (1.0 / lam) / r**2)
     return best

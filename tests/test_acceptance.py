@@ -26,6 +26,7 @@ from poincheck.forms import (
     KIND_LOCAL,
     KernelSpec,
     kernel_energy,
+    local_energy,
     transfer_constant,
     weighted_gradient_constant,
 )
@@ -42,7 +43,7 @@ from poincheck.inequalities import (
     check_truncated_fractional,
     check_weighted_gradient,
 )
-from poincheck.runner import _gradient_constant, run_verify
+from poincheck.runner import _frozen_constant, run_verify
 from poincheck.sharp import (
     assemble_p2,
     assemble_transfer_p2,
@@ -187,7 +188,10 @@ def test_criterion_5_paper_bound_consistency():
                 if p == 2.0 and c_hat_eigen is not None:
                     c_hat = c_hat_eigen
                 else:
-                    c_hat = _gradient_constant(grid, suite, p, radii + (1.0,))
+                    c_hat = _frozen_constant(
+                        grid, suite, p, radii + (1.0,),
+                        lambda u, c: local_energy(u, c, p), lambda t: t**p,
+                    )
                 for prof in WEIGHTS:
                     measure = layer_cake(prof)
                     paper_transfer = transfer_constant(p, d, prof)
@@ -370,8 +374,6 @@ def test_criterion_8_oracle_equivalence():
                 for u in us:
                     quad = float(u.values @ (pair.energy @ u.values))
                     if spec.kind == KIND_LOCAL:
-                        from poincheck.forms import local_energy
-
                         direct = local_energy(u, cells, 2.0, weight=weight)
                     else:
                         direct = kernel_energy(u, cells, spec, 2.0, weight=weight)

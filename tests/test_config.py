@@ -83,6 +83,17 @@ def test_rejects_empty_grid_sizes():
         parse_config(minimal_doc(grid_sizes=[]))
 
 
+def test_rejects_empty_sweep_axes(tmp_path, capsys):
+    for axis in ("s", "R"):
+        with pytest.raises(ConfigError, match=f"invalid config at sweep/{axis}"):
+            parse_config(minimal_doc(sweep={axis: []}))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_doc(sweep={"s": []})))
+    for command in ("verify", "sweep"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+        assert "error: invalid config at sweep/s" in capsys.readouterr().err
+
+
 def test_rejects_odd_or_tiny_n():
     with pytest.raises(ConfigError):
         parse_config(minimal_doc(grid_sizes=[33]))

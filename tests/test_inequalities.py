@@ -203,6 +203,15 @@ def test_truncation_bound_constant_function():
     assert rep.passed and rep.ratio == 0.0
 
 
+def test_truncation_bound_refuses_r_below_one_before_any_pair_sum(monkeypatch):
+    calls = []
+    monkeypatch.setattr(inequalities, "kernel_energy", lambda *args: calls.append(args))
+    u = GridFunction(build_grid(1, 16), np.ones(16))
+    with pytest.raises(ValueError, match="truncation parameter must be >= 1, got 0.5"):
+        check_truncation_bound(u, 2.0, 0.5, 0.5)
+    assert calls == []
+
+
 def test_truncation_removes_nothing_inside_small_sets(rng):
     # All pair distances in the half ball are below the truncation radius,
     # so both energies coincide and the bound holds with factor >= 1.

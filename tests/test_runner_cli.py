@@ -14,9 +14,11 @@ import pytest
 
 import poincheck.cli
 import poincheck.runner
+import poincheck.sharp
 from poincheck.cli import build_parser, main, pin_malloc_thresholds
 from poincheck.config import CHECK_NAMES, ConfigError, parse_config
 from poincheck.runner import _PROFILE_CHECKS, SWEEP_COLUMNS, run_sharp, run_sweep, run_verify
+from poincheck.sharp import EigenConvergenceError
 
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -277,6 +279,29 @@ def test_cli_io_errors_exit_two(tmp_path, capsys):
     code = main(["verify", "--config", str(cfg_path), "--out", str(cfg_path / "out")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,count",
+    [("verify", 3), ("verify", 4), ("sharp", 3)],
+    ids=["verify-c-hat", "verify-suite-eigen-member", "sharp-paper-constants"],
+)
+def test_cli_eigensolve_failure_outside_a_sharp_row_exits_two(
+    command, count, tmp_path, capsys, monkeypatch
+):
+    # Suite members 0-2 are affine, bump and random; member 3 is the
+    # eigenfunction.  ĉ at p = 2 and the eigen member both solve pencils
+    # outside any sharp row, so their failure is an error, not a row.
+    def no_convergence(pair, **kwargs):
+        raise EigenConvergenceError("no convergence after 200 iterations", 0.1)
+
+    monkeypatch.setattr(poincheck.sharp, "smallest_nonzero_eigen", no_convergence)
+    doc = full_doc(checks=["gradient"], suite={"seed": 11, "count": count})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no convergence after 200 iterations\n"
 
 
 def test_cli_schema_prints_valid_json(capsys):

@@ -43,6 +43,7 @@ from poincheck.sharp import (
     assemble_transfer_p2,
     dense_oracle_eigen,
     estimate_gradient_constant,
+    floor_operator,
     local_stencil,
     pencil_eigen,
     ratio_ascent,
@@ -411,6 +412,23 @@ def test_pair_keeps_only_a_frozen_matrix_uncopied():
     assert QuadraticFormPair(view, np.ones(2)).energy is not view
 
 
+@pytest.mark.parametrize("d,N", [(1, 128), (1, 256), (2, 16), (2, 24)])
+def test_pair_stores_an_operator_dense_below_the_crossover(d, N):
+    # 128, 256, 208 and 448 cells: dense below 256, the operator itself
+    # from 256 on.
+    g = build_grid(d, N)
+    cells = full_cells(g)
+    profile = make_step_profile([0.75], [2.0, 1.0])
+    for operator in (local_stencil(g, cells, profile), floor_operator(g, cells, profile)):
+        pair = QuadraticFormPair(operator, np.ones(len(cells)))
+        if len(cells) < 256:
+            assert type(pair.energy) is np.ndarray
+            assert pair.energy.tobytes() == operator.dense().tobytes()
+            assert pair.dense_energy() is pair.energy
+        else:
+            assert pair.energy is operator
+
+
 def _local_solve_counter(monkeypatch):
     """Count ``smallest_nonzero_eigen`` calls per pencil: each call's
     (size, mass, dense energy) bytes."""
@@ -534,6 +552,13 @@ def test_estimate_gradient_constant_includes_unit_ball():
     with_atom = estimate_gradient_constant(g, (0.75,))
     assert with_atom >= base
     assert base == pytest.approx(sharp_constant_p2(g, KernelSpec(KIND_LOCAL)), rel=1e-12)
+
+
+def test_estimate_gradient_constant_refuses_radii_outside_the_unit_ball():
+    g = build_grid(1, 16)
+    for r in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"ball radius must lie in \(0, 1\]"):
+            estimate_gradient_constant(g, (r,))
 
 
 def test_ratio_ascent_zero_steps_returns_start(rng):
