@@ -40,21 +40,27 @@ KIND_FLOOR = "constant_floor"
 # Terms per strip of a pair energy, so that a strip and the temporaries
 # formed beside it stay in one core's L2 cache.  A strip takes the rows
 # from ``start`` on against the columns from ``start`` on (the upper
-# triangle), so its rows grow with its position: ``2^16 // (m - start)``.
-# The 812 cells of the 2-d N = 32 ball give 7 strips of 80, 89, 101, 120,
-# 155, 245 and 22 rows; the 3,228 of N = 64 give 83 strips, from 20 rows
-# at the top to 189 near the bottom.  A truncated kernel's strips are
-# narrower but keep these rows.  ms per call on the full 2-d ball (mean of
-# p = 1 and 2, untruncated fractional kernel, step weight; 2-vCPU x86-64
-# host, 2 MB of L2 per core, numpy 2.4, medians of interleaved runs), by
-# terms per strip:
+# triangle), as far as the kernel reaches, and as many rows as fit the
+# budget at that width; the strips of a suite's functions, computed
+# together, share one budget, so k functions take about ``2^16 / k`` terms
+# each.  One function on the 812 cells of the 2-d N = 32 ball gives 7
+# strips of 80, 89, 101, 120, 155, 245 and 22 rows; the 3,228 of N = 64
+# give 83 strips, from 20 rows at the top to 189 near the bottom.  A
+# truncated kernel's strips are narrower and so take more rows.  ms per
+# call on the full 2-d ball (mean of p = 1 and 2, untruncated fractional
+# kernel, step weight; 2-vCPU x86-64 host, 2 MB of L2 per core, numpy
+# 2.4, medians of interleaved runs), by terms per strip:
 #
 #   812 cells (N = 32):     2^13: 8.5   2^14: 7.0   2^15: 6.2   2^16: 6.3   2^17: 7.4
 #   3,228 cells (N = 64):   2^13: 126   2^14: 92    2^15: 82    2^16: 87    2^17: 91
 #
-# 2^15 and 2^16 read the same within the noise of repeated runs.  The same
-# budget sizes the full-width row blocks of an overflowing pair energy and
-# of ``pair_coefficient_matrix``: ``2^16 // m`` rows each.
+# 2^15 and 2^16 read the same within the noise of repeated runs.  The
+# budget is per strip, not per function: 4 functions at p = 1 on the 812
+# cells (step weight, same host, medians of 7) took 16.8 ms together with
+# the shared budget, 35.0 ms with 2^16 terms per function, and 27-29 ms
+# one at a time.
+# The same budget sizes the full-width row blocks of an overflowing pair
+# energy and of ``pair_coefficient_matrix``: ``2^16 // m`` rows each.
 _PAIR_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -203,21 +209,41 @@ def _reach(grid, kernel: KernelSpec) -> int:
     return grid.N - 1
 
 
-def _pair_energy(
-    u: GridFunction, cells: CellSet, kernel: KernelSpec, p: float, weight: RadialProfile
-) -> float:
-    grid = u.grid
+def _strip_stop(ends: list[int], start: int, budget: int) -> int:
+    """End of the strip from row ``start``: the most rows whose strip, out
+    to ``ends[stop - 1]`` (the column end of its last row's reach), holds at
+    most ``budget`` terms, and at least one row."""
+    lo, hi = start + 1, len(ends)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if (mid - start) * (ends[mid - 1] - start) <= budget:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _pair_energies(
+    functions: list[GridFunction],
+    cells: CellSet,
+    kernel: KernelSpec,
+    p: float,
+    weight: RadialProfile,
+) -> list[float]:
+    """:func:`kernel_energy` of each function, all on one grid, together."""
+    grid = cells.grid
     idx = cells.indices
     table, keys, center = _offset_kernel(grid, kernel, p)
     keys = keys[idx]
-    v = u.values[idx]
+    values = np.stack([u.values[idx] for u in functions])
     phi = eval_weight(weight, grid.norms[idx])
     m = idx.size
 
-    def block(start: int, stop: int, lo: int, hi: int) -> np.ndarray:
-        """Terms of rows ``start .. stop`` against columns ``lo .. hi``,
-        formed in place, with the diagonal zeroed."""
-        terms = np.subtract(v[start:stop, None], v[None, lo:hi])
+    def block(v, start: int, stop: int, lo: int, hi: int) -> np.ndarray:
+        """Terms of rows ``start .. stop`` against columns ``lo .. hi`` of
+        the values ``v`` of one function, or of each row of ``v``, formed in
+        place, with the diagonal zeroed."""
+        terms = np.subtract(v[..., start:stop, None], v[..., None, lo:hi])
         np.abs(terms, out=terms)
         terms **= p
         coef = table[keys[start:stop, None] + center - keys[None, lo:hi]]
@@ -225,17 +251,24 @@ def _pair_energy(
         np.minimum(phi[start:stop, None], phi[None, lo:hi], out=coef)
         terms *= coef
         diag = np.arange(stop - start)
-        terms[diag, diag + (start - lo)] = 0.0
+        terms[..., diag, diag + (start - lo)] = 0.0
         return terms
 
-    # Every term |v_i - v_j|^p K_ij W_ij is at most this product of maxima,
-    # up to a few roundings that the factor 2 covers.  It fixes the one
-    # extraction schedule of all strips.
-    try:
-        bound = 2.0 * float(v.max() - v.min()) ** p * float(table.max()) * float(phi.max())
-    except OverflowError:
-        bound = math.inf
-    if not SymmetricRowSums.accepts(bound):
+    # Every term |v_i - v_j|^p K_ij W_ij of a function is at most this
+    # product of maxima, up to a few roundings that the factor 2 covers.
+    # It fixes the one extraction schedule of all its strips.
+    bounds = []
+    for spread in (values.max(axis=1) - values.min(axis=1)).tolist():
+        try:
+            bounds.append(2.0 * spread**p * float(table.max()) * float(phi.max()))
+        except OverflowError:
+            bounds.append(math.inf)
+    energies: list[float] = [0.0] * len(functions)
+    fit = []  # the functions whose bounds fit the schedule
+    for f, bound in enumerate(bounds):
+        if SymmetricRowSums.accepts(bound):
+            fit.append(f)
+            continue
         # Values near overflow: full-width rows.  Values are finite
         # (``GridFunction``), so a nan term is an |u_i - u_j|^p that
         # overflows to inf times a zero kernel or weight entry: a pair that
@@ -243,19 +276,27 @@ def _pair_energy(
         rows = max(1, _PAIR_BLOCK_ELEMENTS // m)
         row_sums = []
         for start in range(0, m, rows):
-            terms = block(start, min(m, start + rows), 0, m)
+            terms = block(values[f], start, min(m, start + rows), 0, m)
             row_sums.append(ksum_rows(np.nan_to_num(terms, nan=0.0, posinf=np.inf, copy=False)))
-        return ksum(np.concatenate(row_sums)) * grid.cell_measure**2
-    reach = _reach(grid, kernel)
-    axis0 = grid.lattice[idx, 0]  # nondecreasing: cells are lattice-ordered
+        energies[f] = ksum(np.concatenate(row_sums)) * grid.cell_measure**2
+    if not fit:
+        return energies
+    if len(fit) == 1:  # (rows, columns) strips
+        v, bound = values[fit[0]], bounds[fit[0]]
+    else:  # (function, rows, columns) strips, one schedule per function
+        v, bound = values[fit], [bounds[f] for f in fit]
     strips = SymmetricRowSums(m, bound)
+    axis0 = grid.lattice[idx, 0]  # nondecreasing: cells are lattice-ordered
+    ends = np.searchsorted(axis0, axis0 + _reach(grid, kernel), side="right").tolist()
+    budget = max(1, _PAIR_BLOCK_ELEMENTS // len(fit))
     start = 0
     while start < m:
-        stop = min(m, start + max(1, _PAIR_BLOCK_ELEMENTS // (m - start)))
-        hi = int(np.searchsorted(axis0, axis0[stop - 1] + reach, side="right"))
-        strips.add(block(start, stop, start, hi), start)
+        stop = _strip_stop(ends, start, budget)
+        strips.add(block(v, start, stop, start, ends[stop - 1]), start)
         start = stop
-    return ksum(strips.sums()) * grid.cell_measure**2
+    for f, sums in zip(fit, strips.sums().reshape(len(fit), m)):
+        energies[f] = ksum(sums) * grid.cell_measure**2
+    return energies
 
 
 def kernel_energy(
@@ -279,23 +320,32 @@ def kernel_energy(
     (see :class:`~poincheck.numerics.SymmetricRowSums`).  Each row's sum is
     thus exactly rounded, the same float as ``fsum`` of the full row, and
     the row sums are then summed exactly rounded, so the result is
-    deterministic.  A set of m^2 <= 2^16 terms is one strip.  A truncated
-    kernel's strip spans only the columns within its reach along lattice
-    axis 0 (see :func:`_reach`): the pairs it drops have a zero kernel,
-    and an exactly rounded sum does not depend on them or on the strips.
-    Only a bound that does not fit the schedule (inf, or 2^900 and up)
-    takes full-width rows, summed by :func:`~poincheck.numerics.ksum_rows`;
-    there a pair with a zero kernel or weight entry contributes exactly 0
-    even where ``|u_i - u_j|^p`` overflows, so the energy is ``inf``, not
-    ``nan``.
+    deterministic.  A truncated kernel's strip spans only the columns
+    within its reach along lattice axis 0 (see :func:`_reach`), and takes
+    as many rows as fit the budget at that width: the pairs it drops have
+    a zero kernel, and an exactly rounded sum does not depend on them or
+    on the strips.  Only a bound that does not fit the schedule (inf, or
+    2^900 and up) takes full-width rows, summed by
+    :func:`~poincheck.numerics.ksum_rows`; there a pair with a zero kernel
+    or weight entry contributes exactly 0 even where ``|u_i - u_j|^p``
+    overflows, so the energy is ``inf``, not ``nan``.
 
-    ``K_ij`` is gathered from the kernel evaluated once per call on the
+    The energy is memoized on ``u`` (which is immutable), keyed by
+    ``cells.key``, the kernel, p and the weight, so a repeated call
+    returns the stored float and the memo lives exactly as long as ``u``.
+    A miss computes the key for every member of u's suite that lacks it
+    (see :func:`~poincheck.grid.make_suite`; a function made alone is a
+    suite of one).  Their strips carry a function axis, (k, rows,
+    columns), within the one budget: the kernel gather and the weight
+    minimum are formed once per strip, and each function's terms with the
+    same float operations as alone.  Each function keeps its own bound and
+    schedule and its own exact accumulators, so each energy is the float
+    that function gives alone.
+
+    ``K_ij`` is gathered from the kernel evaluated once per miss on the
     lattice offsets (see :func:`_offset_kernel`).  For N a power of two
     this gives the same float as the kernel of the center difference
-    ``x_i - x_j``; for other N it can differ by about one ulp.  The energy
-    is memoized on ``u`` (which is immutable), keyed by ``cells.key``, the
-    kernel, p and the weight, so a repeated call returns
-    the stored float and the memo lives exactly as long as ``u``.
+    ``x_i - x_j``; for other N it can differ by about one ulp.
 
     The excluded diagonal is a quadrature error, not zero mass: against a
     singular fractional kernel the continuum energy also integrates pairs
@@ -306,12 +356,11 @@ def kernel_energy(
         raise ValueError("cannot take energy over an empty cell set")
     if p < 1.0:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    key = (cells.key, kernel, p, weight)
-    energy = u._energies.get(key)
-    if energy is None:
-        energy = _pair_energy(u, cells, kernel, p, weight)
-        u._energies[key] = energy
-    return energy
+
+    def energies(functions):
+        return _pair_energies(functions, cells, kernel, p, weight)
+
+    return u._memoized("_energies", (cells.key, kernel, p, weight), energies)
 
 
 def pair_coefficient_matrix(

@@ -26,6 +26,7 @@ __all__ = [
     "build_grid",
     "ball_cells",
     "full_cells",
+    "make_suite",
     "weighted_mean",
     "deviation_p",
     "deviation_p_rows",
@@ -41,7 +42,8 @@ class Grid:
     the cell index one lattice step along axis ``a`` (or -1 when that
     neighbor is outside the ball).  Enumeration order is lattice-lexicographic
     and fixed.  ``_eigen`` memoizes the p = 2 eigensolves that
-    :func:`poincheck.sharp.pencil_eigen` runs on the grid's cell sets.
+    :func:`poincheck.sharp.pencil_eigen` runs on the grid's cell sets, and
+    ``_cells`` the sets of :func:`ball_cells` and :func:`full_cells`.
     """
 
     d: int
@@ -53,6 +55,7 @@ class Grid:
     neighbors_up: np.ndarray
     neighbors_down: np.ndarray
     _eigen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def cell_count(self) -> int:
@@ -160,14 +163,20 @@ class CellSet:
 class GridFunction:
     """Scalar field on a grid, one finite value per cell.
 
-    ``values`` is a read-only copy, so the function never changes;
+    ``values`` is a read-only copy, so the function never changes.
     ``_energies`` memoizes the pair energies that
-    :func:`poincheck.forms.kernel_energy` computes for it.
+    :func:`poincheck.forms.kernel_energy` computes for it, and
+    ``_deviations`` the deviations of :func:`deviation_p` about the mean.
+    ``_suite`` holds the functions it was made with by :func:`make_suite`
+    (itself among them), which fill their memos together; it is empty for
+    a function made alone.
     """
 
     grid: Grid
     values: np.ndarray
     _energies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _deviations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _suite: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -181,17 +190,53 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    def _memoized(self, memo: str, key, compute):
+        """Entry ``key`` of the memo dict named ``memo``.  On a miss,
+        ``compute(functions)`` returns the entry of each function of the
+        suite (see ``_suite``) that lacks it, in order, and each is stored
+        in its function's memo."""
+        value = getattr(self, memo).get(key)
+        if value is None:
+            todo = [u for u in self._suite or (self,) if key not in getattr(u, memo)]
+            for u, found in zip(todo, compute(todo)):
+                getattr(u, memo)[key] = found
+            value = getattr(self, memo)[key]
+        return value
+
+
+def make_suite(functions) -> list[GridFunction]:
+    """The functions, marked as one suite of one grid.
+
+    A memo miss of :func:`deviation_p` or
+    :func:`~poincheck.forms.kernel_energy` on any member then computes that
+    entry for every member that lacks it, in one call; each entry is the
+    float that member gives alone.
+    """
+    members = tuple(functions)
+    if any(u.grid is not members[0].grid for u in members):
+        raise ValueError("suite functions must share one grid")
+    for u in members:
+        object.__setattr__(u, "_suite", members)
+    return list(members)
+
 
 def ball_cells(grid: Grid, t: float) -> CellSet:
-    """Cells whose center lies strictly inside the ball of radius t."""
+    """Cells whose center lies strictly inside the ball of radius t; one
+    set per grid and radius."""
     if not (0.0 < t <= 1.0):
         raise ValueError(f"ball radius must lie in (0, 1], got {t}")
-    return CellSet(grid, np.flatnonzero(grid.norms < t))
+    cells = grid._cells.get(t)
+    if cells is None:
+        cells = grid._cells[t] = CellSet(grid, np.flatnonzero(grid.norms < t))
+    return cells
 
 
 def full_cells(grid: Grid) -> CellSet:
-    """All cells (the discrete unit ball)."""
-    return CellSet(grid, np.arange(grid.cell_count, dtype=np.int64))
+    """All cells (the discrete unit ball); one set per grid."""
+    cells = grid._cells.get(None)
+    if cells is None:
+        cells = grid._cells[None] = CellSet(grid, np.arange(grid.cell_count, dtype=np.int64))
+    return cells
 
 
 def weighted_mean(u: GridFunction, profile: RadialProfile) -> float:
@@ -225,8 +270,21 @@ def deviation_p(
     Computes ``sum |u_i - c|^p w_i h^d`` over the cell set, with weights
     from the profile (``UNIT_WEIGHT`` by default) and ``c`` the supplied
     center or, when omitted, the weighted average over the same cells.
+
+    Without a center the deviation is memoized on ``u``, keyed by
+    ``cells.key``, p and the profile.  A miss fills the key for every
+    member of u's suite (see :func:`make_suite`) with one
+    :func:`deviation_p_rows` call, whose rows are each exact, so every
+    member gets the float it gives alone.
     """
-    return float(deviation_p_rows(u.values[None, :], cells, p, profile, center)[0])
+    if center is not None:
+        return float(deviation_p_rows(u.values[None, :], cells, p, profile, center)[0])
+
+    def rows(functions):
+        values = np.stack([f.values for f in functions])
+        return deviation_p_rows(values, cells, p, profile).tolist()
+
+    return u._memoized("_deviations", (cells.key, p, profile), rows)
 
 
 def deviation_p_rows(

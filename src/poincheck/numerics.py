@@ -81,10 +81,25 @@ Why each accumulator is exact:
   ``fsum`` is the exactly rounded row sum: ``math.fsum`` of the full row,
   bit for bit.
 
+The pair energies of a suite's k functions are formed together, so a
+strip can carry a function axis: shape (k, rows, columns), the same rows
+and columns of k symmetric matrices.  Each matrix keeps its own bound and
+so its own ``top`` and schedule; pass j adds matrix f's chunks to its own
+accumulator of (f, row), so an accumulator still sums at most m chunk
+entries of one matrix, all multiples of that matrix's unit, and every row
+sum is the float it is with the matrix alone.  One pass works on all
+matrices still live, each at its own ``sigma``, and a matrix leaves the
+passes when all its remainders are zero: the strip takes as many passes
+as its slowest matrix would alone, and a matrix far below the others
+adds none to them.  Within a matrix no rows leave early, since the
+matrices must keep one shape.
+
 The price of one schedule is the bound's slack: a strip far below the
 bound spends its first pass on leading zeros.  On the pair energies of
-``perfbench/workloads/ball2d-p1.json`` (``verify`` at seed 2024, 544
-strips), 428 strips finished in 2 passes, 100 in 3 and 16 in 4.
+``perfbench/workloads/ball2d-p1.json`` (``verify`` at seed 2024, 366
+strips of the suite's 4 functions), 12 strips finished in 2 passes, 335
+in 3 and 19 in 4.  One function at a time took 544 strips: 428 in 2
+passes, 100 in 3 and 16 in 4.
 """
 
 from __future__ import annotations
@@ -152,7 +167,8 @@ def ksum_rows(matrix: np.ndarray) -> np.ndarray:
 
 class SymmetricRowSums:
     """Exactly rounded row sums of a symmetric (m, m) matrix, given as
-    strips of its upper triangle.
+    strips of its upper triangle; or of a stack of n such matrices, one per
+    function of a suite, given as strips of the same rows of each.
 
     Strip ``add(strip, start)`` with ``strip`` of shape (k, w) holds rows
     ``start .. start + k`` against columns ``start .. start + w``: its
@@ -163,15 +179,25 @@ class SymmetricRowSums:
     block to the rows of those columns (see the module docstring).
     ``sums()`` then returns ``math.fsum`` of each full row, bit for bit,
     except that a row of negative zeros gives ``+0.0``.
+
+    ``bound`` is a float for one matrix.  For a stack it holds one bound
+    per matrix, a strip has shape (n, k, w), ``sums()`` has shape (n, m),
+    and each matrix runs on its own schedule from its own bound, as it
+    would alone: a matrix far below the others neither adds passes to
+    them nor takes theirs.
     """
 
-    def __init__(self, m: int, bound: float):
-        if not self.accepts(bound):
-            raise ValueError(f"entry bound must lie in [0, 2^900), got {bound}")
-        self._m = m
+    def __init__(self, m: int, bound):
+        stacked = np.ndim(bound) == 1
+        bounds = list(bound) if stacked else [bound]
+        for b in bounds:
+            if not self.accepts(b):
+                raise ValueError(f"entry bound must lie in [0, 2^900), got {b}")
+        tops = [math.frexp(b)[1] for b in bounds]
+        self._top = np.array(tops) if stacked else tops[0]
+        self._shape = (len(bounds), m) if stacked else (m,)
         self._bits = _bits(m)
-        self._top = math.frexp(bound)[1]
-        self._acc: list[np.ndarray] = []  # one length-m array per pass
+        self._acc: list[np.ndarray] = []  # one array of ``_shape`` per pass
 
     @staticmethod
     def accepts(bound: float) -> bool:
@@ -180,19 +206,23 @@ class SymmetricRowSums:
 
     def add(self, strip: np.ndarray, start: int) -> None:
         """Add one strip; ``strip`` is overwritten."""
-        k, w = strip.shape
+        k, w = strip.shape[-2:]
         ones = np.ones(max(k, w))
-        for step, (rows, q) in enumerate(_passes(strip, self._top, self._bits, own=True)):
+        for step, (live, q) in enumerate(_passes(strip, self._top, self._bits, own=True)):
             if step == len(self._acc):
-                self._acc.append(np.zeros(self._m))
+                self._acc.append(np.zeros(self._shape))
             acc = self._acc[step]
-            acc[start + rows] += q @ ones[:w]
-            acc[start + k : start + w] += ones[: len(rows)] @ q[:, k:]
+            if q.ndim == 2:  # ``live``: the rows still extracted
+                acc[start + live] += q @ ones[:w]
+                acc[start + k : start + w] += ones[: len(live)] @ q[:, k:]
+            else:  # ``live``: the matrices still extracted
+                acc[live, start : start + k] += q @ ones[:w]
+                acc[live, start + k : start + w] += ones[:k] @ q[:, :, k:]
 
     def sums(self) -> np.ndarray:
-        """Exactly rounded sum of each row, as m floats."""
+        """Exactly rounded sum of each row: m floats, or (n, m) for a stack."""
         if not self._acc:
-            return np.zeros(self._m)
+            return np.zeros(self._shape)
         return _fsum_rows(self._acc)
 
 
@@ -202,32 +232,43 @@ def _bits(n: int) -> int:
 
 
 def _fsum_rows(chunks: list[np.ndarray]) -> np.ndarray:
-    """``math.fsum`` across equal-length arrays, entry by entry."""
-    return np.array([math.fsum(row) for row in np.stack(chunks, axis=1).tolist()])
+    """``math.fsum`` across equal-shape arrays, entry by entry."""
+    stacked = np.stack(chunks, axis=-1)
+    sums = [math.fsum(row) for row in stacked.reshape(-1, len(chunks)).tolist()]
+    return np.array(sums).reshape(stacked.shape[:-1])
 
 
-def _passes(r: np.ndarray, top: int, bits: int, own: bool = False):
+def _passes(r: np.ndarray, top, bits: int, own: bool = False):
     """Error-free extraction of the rows of ``r``, one pass per item.
 
-    Yields ``(rows, q)``: the chunks ``q`` of the rows ``rows`` (indices
-    into ``r``) still live, valid until the next item.  Every entry of
-    ``r`` must have magnitude at most ``2^top``; pass j works at
-    ``top - j (bits + 1)``, and a sum of chunk entries is exact when it has
-    fewer than ``2^(53 - bits)`` terms (see the module docstring).  ``r``
-    is overwritten with the remainders when ``own``; else it is only read.
+    ``r`` is a (k, n) block on one schedule from the int ``top``, or a
+    stack of (k, n) blocks with one schedule each, from the ints ``top``.
+    Yields ``(live, q)``: the chunks ``q`` of the leading entries ``live``
+    (indices into ``r``: rows of a block, blocks of a stack) still live,
+    valid until the next item.  Every entry of ``r`` must have magnitude at
+    most ``2^top``; pass j works at ``top - j (bits + 1)``, and a sum of
+    chunk entries is exact when it has fewer than ``2^(53 - bits)`` terms
+    (see the module docstring).  ``r`` is overwritten with the remainders
+    when ``own``; else it is only read.
     """
-    rows = np.arange(len(r))
+    live = np.arange(len(r))
     q = np.empty_like(r)
+    rest = tuple(range(1, r.ndim))
     while True:
-        sigma = math.ldexp(1.5, top - bits + 52)
+        if r.ndim == 2:
+            sigma = math.ldexp(1.5, top - bits + 52)
+        else:
+            sigma = np.ldexp(1.5, top - bits + 52)[:, None, None]
         np.add(r, sigma, out=q)
         q -= sigma
-        yield rows, q
+        yield live, q
         r = np.subtract(r, q, out=r if own else None)
         own = True
-        top -= bits + 1
-        live = (r != 0.0).any(axis=1)
-        if not live.any():
+        top = top - (bits + 1)
+        going = (r != 0.0).any(axis=rest)
+        if not going.any():
             return
-        if not live.all():
-            r, rows, q = r[live], rows[live], q[: np.count_nonzero(live)]
+        if not going.all():
+            r, live, q = r[going], live[going], q[: np.count_nonzero(going)]
+            if r.ndim > 2:
+                top = top[going]

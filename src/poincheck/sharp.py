@@ -151,14 +151,24 @@ class NestedRankOne:
         return self.diag * x - G[self.depth]
 
     def dense(self) -> np.ndarray:
-        """The (n, n) matrix, accumulated set by set, innermost first:
+        """The (n, n) matrix as if accumulated set by set, innermost first:
         ``coef[t-1]`` comes off every entry of ``S_t x S_t``, then
-        ``set_diag[t-1]`` goes onto its diagonal."""
-        A = np.zeros(self.shape)
-        for t in range(self.coef.size, 0, -1):
-            S = np.flatnonzero(self.depth >= t)
-            A[np.ix_(S, S)] -= self.coef[t - 1]
-            A[S, S] += self.set_diag[t - 1]
+        ``set_diag[t-1]`` goes onto its diagonal.  An entry (i, j) off the
+        diagonal lies in the sets up to ``min(depth[i], depth[j])``, a
+        diagonal entry in those up to ``depth[i]``, so one table per depth
+        replays each entry's float operations in that order, and the
+        matrix is one gather from it."""
+        coef, set_diag = self.coef.tolist(), self.set_diag.tolist()
+        off, on = [], []
+        for depth in range(len(coef) + 1):
+            a = b = 0.0
+            for t in range(depth, 0, -1):
+                a -= coef[t - 1]
+                b = b - coef[t - 1] + set_diag[t - 1]
+            off.append(a)
+            on.append(b)
+        A = np.array(off)[np.minimum.outer(self.depth, self.depth)]
+        np.fill_diagonal(A, np.array(on)[self.depth])
         return A
 
 

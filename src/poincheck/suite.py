@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, full_cells
+from .grid import Grid, GridFunction, full_cells, make_suite
 from .forms import KIND_LOCAL, KernelSpec
 from .sharp import pencil_eigen
 
@@ -86,7 +86,8 @@ def build_suite(grid: Grid, spec: SuiteSpec) -> list[GridFunction]:
 
     The eigenfunction is computed once per call; repeated draws from the
     ``eigen`` family add small seeded perturbations so suite members stay
-    distinct.
+    distinct.  The functions form one suite (:func:`~poincheck.grid.make_suite`),
+    so their deviations and pair energies are computed together.
     """
     rng = np.random.default_rng(spec.seed)
     out: list[GridFunction] = []
@@ -105,4 +106,4 @@ def build_suite(grid: Grid, spec: SuiteSpec) -> list[GridFunction]:
         else:
             vals = base + 0.05 * rng.standard_normal(grid.cell_count)
         out.append(GridFunction(grid, vals))
-    return out
+    return make_suite(out)

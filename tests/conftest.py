@@ -166,6 +166,17 @@ def per_atom_transfer_matrix(grid, profile):
     return A
 
 
+def set_by_set_dense(operator):
+    """The dense form of a ``NestedRankOne`` as ``dense()`` accumulated it
+    before its per-depth tables: set by set, innermost first."""
+    A = np.zeros(operator.shape)
+    for t in range(operator.coef.size, 0, -1):
+        S = np.flatnonzero(operator.depth >= t)
+        A[np.ix_(S, S)] -= operator.coef[t - 1]
+        A[S, S] += operator.set_diag[t - 1]
+    return A
+
+
 def subgrid_pair_mass(u, cells, p, s):
     """Fractional pair mass inside single cells, which the lattice sum omits.
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poincheck import forms
+from poincheck import forms, numerics
 from poincheck.forms import (
     KIND_FLOOR,
     KIND_FRACTIONAL,
@@ -23,12 +23,14 @@ from poincheck.forms import (
     weighted_gradient_constant,
 )
 from poincheck.numerics import SymmetricRowSums
+from poincheck import grid as grid_module
 from poincheck.grid import (
     GridFunction,
     ball_cells,
     build_grid,
     deviation_p,
     full_cells,
+    make_suite,
 )
 from poincheck.weights import UNIT_WEIGHT, make_step_profile, profile_from_json
 from conftest import (
@@ -322,8 +324,10 @@ def test_pair_energy_strips_tile_the_rows(monkeypatch):
     # rows once, from its first row's column rightwards, with at most
     # ``_PAIR_BLOCK_ELEMENTS`` terms, and the columns it drops hold only
     # zero terms.  Truncated kernels drop some on the 812-cell ball; the
-    # others none.  A set of at most 2^16 terms is one strip, and no set
-    # whose bound fits is summed as full rows.
+    # others none.  Strips are sized by their clipped width, so every strip
+    # but the last holds between half and all of the budget.  A set of at
+    # most 2^16 terms is one strip, and no set whose bound fits is summed
+    # as full rows.
     strips = []
     add = SymmetricRowSums.add
 
@@ -359,13 +363,14 @@ def test_pair_energy_strips_tile_the_rows(monkeypatch):
                 assert strip.tobytes() == terms[start : start + k, start : start + w].tobytes()
                 assert not terms[start : start + k, start + w :].any()
                 widths.append((start, w))
+            for _, strip in strips[:-1]:
+                assert strip.size >= forms._PAIR_BLOCK_ELEMENTS // 2, (d, N, t, kernel)
             if m * m <= forms._PAIR_BLOCK_ELEMENTS:
                 assert len(strips) == 1, (d, N, t)
             elif kernel.R is None:
                 assert all(w == m - start for start, w in widths)
             else:  # the strips of the first half end well before the last column
                 assert all(w < m - start for start, w in widths if start < m // 2)
-                assert widths[0][1] < m // 2
 
 
 @pytest.mark.parametrize("d,R", [(2, 2.0), (2, 5.0), (2, None), (1, 2.0)])
@@ -402,22 +407,29 @@ def _count_table_builds(monkeypatch):
 
 
 def test_kernel_energy_memo_returns_stored_energy(rng, monkeypatch):
+    # One table build per suite miss: the first call fills every member.
     builds = _count_table_builds(monkeypatch)
     g = build_grid(2, 8)
-    u = GridFunction(g, rng.standard_normal(g.cell_count))
+    suite = make_suite(GridFunction(g, rng.standard_normal(g.cell_count)) for _ in range(3))
     spec = KernelSpec(KIND_FRACTIONAL, s=0.5)
-    first = kernel_energy(u, ball_cells(g, 0.6), spec, 2.0)
+    first = kernel_energy(suite[1], ball_cells(g, 0.6), spec, 2.0)
     assert len(builds) == 1
+    assert all(len(u._energies) == 1 for u in suite)
     # A new CellSet with the same indices hits the same entry.
-    assert kernel_energy(u, ball_cells(g, 0.6), spec, 2.0) is first
+    cells = dataclasses.replace(ball_cells(g, 0.6))
+    assert cells is not ball_cells(g, 0.6)
+    assert kernel_energy(suite[1], cells, spec, 2.0) is first
+    for u in suite:
+        assert kernel_energy(u, ball_cells(g, 0.6), spec, 2.0) == (
+            centre_difference_kernel_energy(u, ball_cells(g, 0.6), spec, 2.0)
+        )
     assert len(builds) == 1
-    assert first == centre_difference_kernel_energy(u, ball_cells(g, 0.6), spec, 2.0)
 
 
 def test_kernel_energy_memo_keys(rng, monkeypatch):
     builds = _count_table_builds(monkeypatch)
     g = build_grid(2, 8)
-    u = GridFunction(g, rng.standard_normal(g.cell_count))
+    suite = make_suite(GridFunction(g, rng.standard_normal(g.cell_count)) for _ in range(3))
     spec = KernelSpec(KIND_FRACTIONAL, s=0.5)
     prof = make_step_profile([0.65], [2.0, 1.0])
     calls = [
@@ -429,22 +441,29 @@ def test_kernel_energy_memo_keys(rng, monkeypatch):
         (full_cells(g), spec, 2.0, make_step_profile([0.65], [3.0, 1.0])),
         (full_cells(g), spec, 3.0, UNIT_WEIGHT),
     ]
-    energies = [kernel_energy(u, cells, kernel, p, weight=w) for cells, kernel, p, w in calls]
+    # Each key misses on one member (the members take turns) and is then
+    # stored for all: one table build per key.
+    for j, (cells, kernel, p, w) in enumerate(calls):
+        kernel_energy(suite[j % 3], cells, kernel, p, weight=w)
     assert len(builds) == len(calls)
-    assert len(u._energies) == len(calls)
-    assert len(set(energies)) == len(calls)
-    for (cells, kernel, p, w), energy in zip(calls, energies):
-        oracle_weight = None if w is UNIT_WEIGHT else w
-        assert energy == centre_difference_kernel_energy(u, cells, kernel, p, oracle_weight)
+    for u in suite:
+        assert len(u._energies) == len(calls)
+        energies = [kernel_energy(u, cells, kernel, p, weight=w) for cells, kernel, p, w in calls]
+        assert len(set(energies)) == len(calls)
+        for (cells, kernel, p, w), energy in zip(calls, energies):
+            oracle_weight = None if w is UNIT_WEIGHT else w
+            assert energy == centre_difference_kernel_energy(u, cells, kernel, p, oracle_weight)
     # Equal keys built from new objects hit the stored entries; the default
     # weight is UNIT_WEIGHT, and an equal profile is the same key.
+    u = suite[0]
     twin_spec = KernelSpec(KIND_FRACTIONAL, s=0.5)
     again = kernel_energy(
         u, full_cells(g), twin_spec, 2.0, weight=make_step_profile([0.65], [2.0, 1.0])
     )
-    assert again == energies[4]
-    assert kernel_energy(u, full_cells(g), twin_spec, 2.0) is energies[0]
-    assert kernel_energy(u, full_cells(g), spec, 2.0, make_step_profile([], [1.0])) is energies[0]
+    assert again is u._energies[(full_cells(g).key, spec, 2.0, prof)]
+    stored = u._energies[(full_cells(g).key, spec, 2.0, UNIT_WEIGHT)]
+    assert kernel_energy(u, full_cells(g), twin_spec, 2.0) is stored
+    assert kernel_energy(u, full_cells(g), spec, 2.0, make_step_profile([], [1.0])) is stored
     assert len(builds) == len(calls)
 
 
@@ -459,6 +478,42 @@ def test_kernel_energy_memo_belongs_to_one_function(rng, monkeypatch):
     assert twin._energies == {}
     assert kernel_energy(twin, full_cells(g), spec, 2.0) == energy
     assert len(builds) == 2
+    # A miss fills its own suite only; a member of another suite with the
+    # same values takes its own build.
+    first = make_suite([GridFunction(g, vals), GridFunction(g, 2.0 * vals)])
+    second = make_suite([GridFunction(g, vals)])
+    assert kernel_energy(first[0], full_cells(g), spec, 2.0) == energy
+    assert first[1]._energies and second[0]._energies == {}
+    assert kernel_energy(second[0], full_cells(g), spec, 2.0) == energy
+    assert len(builds) == 4
+
+
+def test_deviation_memo_fills_the_suite_in_one_row_call(rng, monkeypatch):
+    rows_calls = []
+    rows = grid_module.deviation_p_rows
+
+    def counted(values, *args, **kwargs):
+        rows_calls.append(len(values))
+        return rows(values, *args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "deviation_p_rows", counted)
+    g = build_grid(1, 32)
+    values = rng.standard_normal((4, g.cell_count))
+    suite = make_suite(GridFunction(g, v) for v in values)
+    prof = make_step_profile([0.5], [2.0, 1.0])
+    cells = ball_cells(g, 0.75)
+    got = [deviation_p(u, cells, 1.5, prof) for u in suite]
+    assert rows_calls == [4]
+    assert deviation_p(suite[2], dataclasses.replace(cells), 1.5, make_step_profile([0.5], [2.0, 1.0])) is got[2]
+    assert rows_calls == [4]
+    for v, dev in zip(values, got):
+        assert dev == rows(v[None, :], cells, 1.5, prof)[0]
+    # A given center is not memoized, and a lone function fills itself only.
+    deviation_p(suite[0], cells, 1.5, prof, center=0.25)
+    lone = GridFunction(g, values[0])
+    assert deviation_p(lone, cells, 1.5, prof) == got[0]
+    assert rows_calls == [4, 1, 1]
+    assert len(suite[0]._deviations) == 1 and len(lone._deviations) == 1
 
 
 def test_kernel_energy_memo_is_invisible(rng):
@@ -538,3 +593,101 @@ def test_local_energy_rows_equal_scalar(d, N, radius, p, weight):
     assert got.shape == (5,)
     for r in range(5):
         assert got[r] == local_energy(GridFunction(g, rows[r]), cells, p, *weighting)
+
+
+_SUITE_GRIDS = {(d, N): build_grid(d, N) for d, N in ((1, 32), (2, 16), (2, 32))}
+_SUITE_KERNELS = (
+    KernelSpec(KIND_FRACTIONAL, s=0.5),
+    KernelSpec(KIND_FRACTIONAL, s=0.3, R=4.0),
+    KernelSpec(KIND_FRACTIONAL, s=0.8, R=2.0),
+    KernelSpec(KIND_FLOOR, c=1.0),
+)
+_SUITE_WEIGHTS = (UNIT_WEIGHT, make_step_profile([0.4, 0.7], [3.0, 1.5, 1.0]))
+
+
+def _suite_values(grid, kinds, rng):
+    """One row of values per member kind."""
+    n = grid.cell_count
+    smooth = np.sin(3.0 * grid.centers[:, 0]) + grid.centers[:, -1]
+    make = {
+        "random": lambda: rng.standard_normal(n),
+        "smooth": lambda: smooth,
+        "constant": lambda: np.full(n, rng.standard_normal()),
+        "tied": lambda: rng.integers(-2, 3, n).astype(float),  # many equal values
+        "tiny": lambda: rng.standard_normal(n) * 2.0**-600,
+        "huge": lambda: np.where(grid.centers[:, 0] < 0.0, 1e200, 0.0),  # bound overflows
+    }
+    return np.array([make[kind]() for kind in kinds])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid_key=st.sampled_from(sorted(_SUITE_GRIDS)),
+    t=st.sampled_from((1.0, 0.75, 0.5)),
+    kernel=st.sampled_from(_SUITE_KERNELS),
+    p=st.sampled_from((1.0, 2.0, 3.0)),
+    weight=st.sampled_from(_SUITE_WEIGHTS),
+    kinds=st.lists(
+        st.sampled_from(("random", "smooth", "constant", "tied", "tiny", "huge")), min_size=1, max_size=8
+    ),
+    first=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_suite_energies_and_deviations_equal_lone_calls(grid_key, t, kernel, p, weight, kinds, first, seed):
+    # The first call on a suite member computes that key for the whole
+    # suite at once; every member's energy and deviation must be the float
+    # the same values give as a lone function, bit for bit.  A "huge"
+    # member's bound overflows at p >= 2, so it takes full rows beside the
+    # others' strips.
+    g = _SUITE_GRIDS[grid_key]
+    values = _suite_values(g, kinds, np.random.default_rng(seed))
+    suite = make_suite(GridFunction(g, v) for v in values)
+    cells = ball_cells(g, t)
+    first %= len(suite)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel_energy(suite[first], cells, kernel, p, weight)
+        deviation_p(suite[first], cells, p, weight)
+        assert all(len(u._energies) == len(u._deviations) == 1 for u in suite)
+        for u, v in zip(suite, values):
+            lone = GridFunction(g, v)
+            got = kernel_energy(u, cells, kernel, p, weight)
+            assert got.hex() == kernel_energy(lone, cells, kernel, p, weight).hex()
+            assert deviation_p(u, cells, p, weight).hex() == deviation_p(lone, cells, p, weight).hex()
+
+
+def _count_passes(monkeypatch):
+    """Passes of each ``numerics._passes`` run, in call order."""
+    runs = []
+    extract = numerics._passes
+
+    def counting(*args, **kwargs):
+        runs.append(0)
+        for item in extract(*args, **kwargs):
+            runs[-1] += 1
+            yield item
+
+    monkeypatch.setattr(numerics, "_passes", counting)
+    return runs
+
+
+@pytest.mark.parametrize("kernel", _SUITE_KERNELS)
+@pytest.mark.parametrize("N", [32, 64])
+def test_suite_strips_take_no_more_passes_than_lone_functions(N, kernel, monkeypatch):
+    # The 1-d sets are one strip for up to 8 functions.  Each member runs
+    # on its own schedule, so the suite's strip takes as many passes as its
+    # slowest member alone: a member at 2^-600 or a constant one adds none
+    # to the others (with one schedule for all it would add a dozen).
+    runs = _count_passes(monkeypatch)
+    g = build_grid(1, N)
+    kinds = ("smooth", "random", "tiny", "constant", "tied", "random")
+    values = _suite_values(g, kinds, np.random.default_rng(N))
+    cells = full_cells(g)
+    for p in (1.0, 2.0, 3.0):
+        runs.clear()
+        for v in values:
+            kernel_energy(GridFunction(g, v), cells, kernel, p)
+        alone = list(runs)
+        assert len(alone) == len(kinds)
+        runs.clear()
+        kernel_energy(make_suite(GridFunction(g, v) for v in values)[0], cells, kernel, p)
+        assert runs == [max(alone)], (p, alone)

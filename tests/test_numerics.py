@@ -336,6 +336,48 @@ def test_symmetric_row_sums_equal_fsum_of_full_rows(case):
     assert sums.sums().tobytes() == want.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(_symmetric_strips(), st.lists(st.sampled_from((0, 40, -300, -600, -1000, None)), min_size=1, max_size=5))
+def test_stacked_row_sums_equal_fsum_and_lone_passes(case, scales):
+    # A stack of the drawn matrix at several scales (None: all zeros) on the
+    # same strips: each matrix's row sums are ``fsum`` of its full rows, and
+    # each strip takes as many passes as its slowest matrix alone, whose
+    # own schedule comes from its own bound.
+    matrix, strips, bound = case
+    stack = np.array([matrix * 0.0 if e is None else np.ldexp(matrix, e) for e in scales])
+    bounds = [0.0 if e is None else math.ldexp(bound, e) for e in scales]
+    runs = []
+    extract = numerics._passes
+
+    def counting(*args, **kwargs):
+        runs.append(0)
+        for item in extract(*args, **kwargs):
+            runs[-1] += 1
+            yield item
+
+    numerics._passes = counting
+    try:
+        stacked = SymmetricRowSums(len(matrix), bounds)
+        for start, stop, end in strips:
+            stacked.add(stack[:, start:stop, start:end].copy(), start)
+        together = list(runs)
+        lone = []
+        for layer, layer_bound in zip(stack, bounds):
+            runs.clear()
+            sums = SymmetricRowSums(len(matrix), layer_bound)
+            for start, stop, end in strips:
+                sums.add(layer[start:stop, start:end].copy(), start)
+            lone.append(list(runs))
+            want = np.array([math.fsum(row.tolist()) for row in layer])
+            assert sums.sums().tobytes() == want.tobytes()
+    finally:
+        numerics._passes = extract
+    want = np.array([[math.fsum(row.tolist()) for row in layer] for layer in stack])
+    assert stacked.sums().shape == (len(scales), len(matrix))
+    assert stacked.sums().tobytes() == want.tobytes()
+    assert together == [max(passes) for passes in zip(*lone)]
+
+
 def test_symmetric_row_sums_bound():
     assert SymmetricRowSums.accepts(0.0) and SymmetricRowSums.accepts(2.0**900 * (1 - 2**-53))
     for bad in (-1.0, 2.0**900, math.inf, math.nan):

@@ -11,6 +11,7 @@ from conftest import (
     kernel_pencil_matrix,
     per_atom_transfer_matrix,
     per_probe_ratio_ascent,
+    set_by_set_dense,
     sharp_constant_p2,
 )
 from poincheck.config import load_config, parse_config
@@ -319,6 +320,29 @@ def test_nested_eigensolve_agrees_with_lapack_oracle(N):
             spectrum = dense_oracle_eigen(pair)
             assert abs(spectrum[0]) <= 1e-14 * spectrum[-1]
             assert abs(lam - spectrum[1]) <= 1e-14 * spectrum[-1]
+
+
+def test_nested_dense_is_the_set_by_set_accumulation(rng):
+    # The per-depth tables replay each entry's float operations, so the
+    # gathered matrix is the set-by-set one byte for byte: on the builders'
+    # forms at every grid size of the configs, and on nested sets with
+    # arbitrary coefficients, empty sets and cells in none of them.
+    for d, N in ((1, 32), (1, 64), (2, 16), (2, 24)):
+        g = build_grid(d, N)
+        for profile in NESTED_PROFILES:
+            for cells in (full_cells(g), ball_cells(g, 0.75)):
+                operator = floor_operator(g, cells, profile)
+                assert operator.dense().tobytes() == set_by_set_dense(operator).tobytes()
+            if g.cell_count >= 256:
+                operator = assemble_transfer_p2(g, profile).energy
+                assert operator.dense().tobytes() == set_by_set_dense(operator).tobytes()
+    for _ in range(50):
+        sets = int(rng.integers(1, 12))
+        depth = rng.integers(0, sets + 1, int(rng.integers(1, 60)))
+        set_diag = rng.standard_normal(sets) * 10.0 ** rng.uniform(-8, 8, sets)
+        coef = rng.standard_normal(sets) * 10.0 ** rng.uniform(-8, 8, sets)
+        operator = NestedRankOne.from_sets(depth, set_diag, coef)
+        assert operator.dense().tobytes() == set_by_set_dense(operator).tobytes()
 
 
 @pytest.mark.parametrize("d,N", [(1, 32), (1, 64), (1, 128), (2, 8), (2, 16)])
