@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .numerics import SymmetricRowSums, ksum, ksum_rows
+from .numerics import SymmetricRowSums, ksum, ksum_replaced, ksum_rows
 from .weights import UNIT_WEIGHT, RadialProfile, eval_weight
-from .grid import CellSet, GridFunction, value_rows
+from .grid import CellSet, GridFunction, Probes, value_rows
 
 __all__ = [
     "KernelSpec",
@@ -136,11 +136,19 @@ def local_energy_rows(
     p: float,
     weight: RadialProfile = UNIT_WEIGHT,
 ) -> np.ndarray:
-    """:func:`local_energy` of each row of a (k, cell_count) value matrix.
+    """:func:`local_energy` of each row of a (k, cell_count) value matrix
+    or of :class:`~poincheck.grid.Probes`.
 
     Entry r is exactly ``local_energy`` of the function with values
     ``values[r]``: the same elementwise terms, each row summed exactly
     rounded.  Returns k floats.
+
+    Probes are not formed.  Bumping cell i changes at most d + 1 terms:
+    its own, if it lies in the set, and those of its down-neighbors in
+    the set, whose forward differences reach it.  The probe's sum is the
+    base's exact sum with those terms replaced by their new values, formed
+    with the same float operations
+    (:func:`~poincheck.numerics.ksum_replaced`).
     """
     if len(cells) == 0:
         raise ValueError("cannot take energy over an empty cell set")
@@ -149,16 +157,42 @@ def local_energy_rows(
     grid = cells.grid
     rows = value_rows(values, grid)
     idx = cells.indices
+    w = eval_weight(weight, grid.norms[idx])
     mask = cells.mask()
-    sq = np.zeros((rows.shape[0], idx.size))
-    for a in range(grid.d):
-        nb = grid.neighbors_up[idx, a]
-        ok = (nb >= 0) & mask[np.clip(nb, 0, None)]
-        diff = np.zeros_like(sq)
-        diff[:, ok] = (rows.take(nb[ok], axis=1) - rows.take(idx[ok], axis=1)) / grid.h
-        sq += diff * diff
-    terms = sq ** (p / 2.0) * eval_weight(weight, grid.norms[idx])
-    return ksum_rows(terms) * grid.cell_measure
+    ups = grid.neighbors_up[idx]
+    ok = (ups >= 0) & mask[np.clip(ups, 0, None)]
+
+    def terms(own, up, at):
+        """Terms of the cells at positions ``at``, given each one's value
+        (``own``) and its up-neighbor's along each axis (``up[..., a]``)."""
+        sq = np.zeros(own.shape)
+        for a in range(grid.d):
+            diff = np.where(ok[at, a], (up[..., a] - own) / grid.h, 0.0)
+            sq += diff * diff
+        return sq ** (p / 2.0) * w[at]
+
+    if not isinstance(rows, Probes):
+        every = np.arange(idx.size)
+        return ksum_rows(terms(rows[:, idx], rows[:, ups], every)) * grid.cell_measure
+    vals, bumped = rows.values, rows.bumped
+    base = terms(vals[idx], vals[ups], np.arange(idx.size))
+    energy = np.empty(len(rows))
+    if idx.size < len(rows):  # probes outside the set
+        energy[:] = ksum_rows(base[None, :]) * grid.cell_measure
+    # Probe of cell idx[k] against the terms at positions at[k]: k itself,
+    # then its down-neighbor along each axis (-1 when not in the set).
+    local_of = -np.ones(grid.cell_count, dtype=np.int64)
+    local_of[idx] = np.arange(idx.size)
+    downs = grid.neighbors_down[idx]
+    at = np.column_stack([np.arange(idx.size), np.where(downs >= 0, local_of[downs], -1)])
+    cell = idx[:, None]
+    near = idx[at]  # the cells at ``at``; -1 slots give a valid stand-in
+    near_up = ups[at]
+    own = np.where(near == cell, bumped[cell], vals[near])
+    up = np.where(near_up == cell[..., None], bumped[cell][..., None], vals[near_up])
+    new = terms(own, up, at)
+    energy[idx] = ksum_replaced(base, at, new) * grid.cell_measure
+    return energy
 
 
 def _kernel_block(dist: np.ndarray, kernel: KernelSpec, p: float, d: int) -> np.ndarray:

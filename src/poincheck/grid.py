@@ -16,13 +16,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import ksum, ksum_rows
+from .numerics import ksum, ksum_replaced, ksum_rows
 from .weights import UNIT_WEIGHT, RadialProfile, eval_weight
 
 __all__ = [
     "Grid",
     "GridFunction",
     "CellSet",
+    "Probes",
     "build_grid",
     "ball_cells",
     "full_cells",
@@ -159,6 +160,54 @@ class CellSet:
         return m
 
 
+# Terms per block of deviation probes, the budget of the pair-energy
+# strips (``forms._PAIR_BLOCK_ELEMENTS``): a (2^16 // m, m) block of terms
+# and its temporaries stay in one core's L2 cache.
+_PROBE_BLOCK_ELEMENTS = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class Probes:
+    """The n rows ``values + delta * e_i``, i = 0 .. n - 1, unformed.
+
+    Row i is ``values`` with entry i bumped by ``+= delta``, so its entry
+    i is ``bumped[i]``, the float ``values[i] + delta``.
+    :func:`deviation_p_rows` and :func:`~poincheck.forms.local_energy_rows`
+    take it in place of a row matrix and return n floats, each the float
+    they give for that row, without forming the rows; ``np.asarray``
+    forms the (n, n) matrix for any other row functional.
+    """
+
+    values: np.ndarray
+    delta: float
+
+    def __post_init__(self):
+        vals = np.array(self.values, dtype=float)
+        if vals.ndim != 1:
+            raise ValueError("probe values must be one-dimensional")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "delta", float(self.delta))
+
+    @cached_property
+    def bumped(self) -> np.ndarray:
+        """Entry i of row i: ``values[i] + delta``."""
+        return self.values + self.delta
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.values.size, self.values.size)
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def __array__(self, dtype=None, copy=None):
+        rows = np.tile(self.values, (len(self), 1))
+        diag = np.arange(len(self))
+        rows[diag, diag] += self.delta
+        return rows if dtype is None else rows.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Scalar field on a grid, one finite value per cell.
@@ -249,9 +298,10 @@ def weighted_mean(u: GridFunction, profile: RadialProfile) -> float:
 
 
 def value_rows(values, grid: Grid) -> np.ndarray:
-    """A (k, cell_count) float matrix: one grid function's values per row."""
-    rows = np.asarray(values, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != grid.cell_count:
+    """A (k, cell_count) float matrix: one grid function's values per row.
+    :class:`Probes` are checked, not formed, and returned as they are."""
+    rows = values if isinstance(values, Probes) else np.asarray(values, dtype=float)
+    if len(rows.shape) != 2 or rows.shape[1] != grid.cell_count:
         raise ValueError(
             f"expected rows of {grid.cell_count} values, got shape {rows.shape}"
         )
@@ -294,11 +344,20 @@ def deviation_p_rows(
     profile: RadialProfile = UNIT_WEIGHT,
     center: float | None = None,
 ) -> np.ndarray:
-    """:func:`deviation_p` of each row of a (k, cell_count) value matrix.
+    """:func:`deviation_p` of each row of a (k, cell_count) value matrix
+    or of :class:`Probes`.
 
     Entry r is exactly ``deviation_p`` of the function with values
     ``values[r]``: the same elementwise terms, each row summed exactly
     rounded.  Returns k floats.
+
+    Probes are not formed.  A probe outside the cell set has the base's
+    restricted row, so it gets the base's float.  Inside it, the row's
+    weighted sum is the base's exact sum with one entry replaced
+    (:func:`~poincheck.numerics.ksum_replaced`), which gives its center;
+    the terms about each probe's center are then formed in row blocks of
+    about 2^16 terms, with the same float operations, and each block is
+    summed by :func:`~poincheck.numerics.ksum_rows`.
     """
     if len(cells) == 0:
         raise ValueError("cannot take deviation over an empty cell set")
@@ -306,14 +365,40 @@ def deviation_p_rows(
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     grid = cells.grid
     idx = cells.indices
-    vals = value_rows(values, grid).take(idx, axis=1)
+    rows = value_rows(values, grid)
     w = eval_weight(profile, grid.norms[idx])
-    if center is not None:
-        c = float(center)
-    else:
+    if center is None:
         den = ksum(w)
         if den <= 0.0:
             raise ValueError("weight vanishes on every cell of the set")
+    if isinstance(rows, Probes):
+        base = rows.values.take(idx)
+        bumped = rows.bumped.take(idx)
+        m = idx.size
+        # Row r < m is the probe of cell idx[r]; a last row, the base's,
+        # serves the probes outside the set (position -1 bumps nothing).
+        at = np.arange(m + (m < len(rows)))
+        at[m:] = -1
+        if center is None:
+            c = ksum_replaced(base * w, at[:, None], (bumped * w).take(at)[:, None]) / den
+        else:
+            c = np.full(at.size, float(center))
+        dev = np.empty(at.size)
+        step = max(1, _PROBE_BLOCK_ELEMENTS // m)
+        for lo in range(0, at.size, step):
+            hi = min(at.size, lo + step)
+            terms = np.abs(base - c[lo:hi, None]) ** p * w
+            own = at[lo:hi][at[lo:hi] >= 0]
+            terms[own - lo, own] = np.abs(bumped[own] - c[own]) ** p * w[own]
+            dev[lo:hi] = ksum_rows(terms)
+        dev *= grid.cell_measure
+        out = np.full(len(rows), dev[-1])  # the base's, where it is needed
+        out[idx] = dev[:m]
+        return out
+    vals = rows.take(idx, axis=1)
+    if center is not None:
+        c = float(center)
+    else:
         c = (ksum_rows(vals * w) / den)[:, None]
     return ksum_rows(np.abs(vals - c) ** p * w) * grid.cell_measure
 

@@ -81,6 +81,15 @@ Why each accumulator is exact:
   ``fsum`` is the exactly rounded row sum: ``math.fsum`` of the full row,
   bit for bit.
 
+One row with a few entries replaced, k times over (the finite-difference
+probes of a ratio ascent), is summed by :func:`ksum_replaced` without
+forming the k variants.  The row's exact sum is held as a few floats: the
+row sums of its chunks, one per pass, which add up to it exactly by the
+argument above, or for a short row the parts that ``fsum`` peels off it
+(the sum, then the sum of the row less that, and so on to zero).  Each
+variant's exactly rounded sum is then one ``fsum`` of those parts, its old
+entries negated and its new ones: O(k) in place of O(k n).
+
 The pair energies of a suite's k functions are formed together, so a
 strip can carry a function axis: shape (k, rows, columns), the same rows
 and columns of k symmetric matrices.  Each matrix keeps its own bound and
@@ -109,7 +118,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["ksum", "ksum_rows", "SymmetricRowSums"]
+__all__ = ["ksum", "ksum_rows", "ksum_replaced", "SymmetricRowSums"]
 
 # Crossover between one ``fsum`` per row and the extraction kernel.  On a
 # 2-vCPU x86-64 host (numpy 2.4, Python 3.11) the kernel costs about 45 us
@@ -122,6 +131,13 @@ __all__ = ["ksum", "ksum_rows", "SymmetricRowSums"]
 # 1.32 s and ``sharp_s`` 1.63 s, against 0.72 s and 1.12 s with this
 # crossover (medians of 3 runs each).
 _KERNEL_MIN_ELEMENTS = 2048
+
+# Rows shorter than this are split into exact parts by ``fsum`` peeling
+# (see ``_exact_parts``), longer ones by extraction.  On a 2-vCPU x86-64
+# host (numpy 2.4, Python 3.11) the parts of a row of |x|^1.5 terms took,
+# peeled and extracted: 16 entries 3.2 and 30 us, 64 entries 7.6 and 19 us,
+# 208 entries 25 and 30 us, 812 entries 88 and 34 us.
+_PEEL_MAX_ELEMENTS = 256
 
 # Rows whose largest magnitude reaches this bound go to ``math.fsum``:
 # ``sigma`` is up to 2^(53 - b) times a row's largest magnitude and must
@@ -152,16 +168,41 @@ def ksum_rows(matrix: np.ndarray) -> np.ndarray:
     out = np.empty(k)
     if fit.any():
         block = matrix if fit.all() else matrix[fit]
-        top = math.frexp(float(peak[fit].max()))[1]  # every entry below 2^top
-        ones = np.ones(n)
-        chunks = []
-        for rows, q in _passes(block, top, _bits(n)):
-            chunk = np.zeros(len(block))
-            chunk[rows] = q @ ones
-            chunks.append(chunk)
-        out[fit] = _fsum_rows(chunks)
+        out[fit] = _fsum_rows(_chunk_sums(block, float(peak[fit].max())))
     for r in np.flatnonzero(~fit):
         out[r] = math.fsum(matrix[r].tolist())
+    return out
+
+
+def ksum_replaced(row: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Exactly rounded sums of k variants of one row, as k floats.
+
+    Variant r is the 1-d ``row`` with each entry ``row[at[r, s]]`` replaced
+    by ``new[r, s]``; ``at`` and ``new`` are (k, s) arrays, the positions
+    of one variant are distinct, and a position of -1 replaces nothing.
+    Entry r is ``math.fsum`` of variant r, bit for bit, with the same
+    exceptions, in O(k s) once the exact sum of ``row`` is held as a few
+    floats (see ``_exact_parts``): one ``fsum`` of those, the variant's old
+    entries negated and its new ones, is the variant's exactly rounded
+    sum.  A variant is summed in full instead
+    when an entry of it is not finite or of magnitude ``2^900`` or more,
+    since ``fsum`` raises on ``inf - inf``, or when its sum is zero, whose
+    sign is ``fsum``'s to choose from the variant's own entries.
+    """
+    used = at >= 0
+    old = np.where(used, row[at], 0.0)
+    new = np.where(used, new, 0.0)
+    peak = float(np.abs(row).max())
+    out = np.zeros(len(at))
+    if peak < _KERNEL_MAX_ABS:  # False at nan
+        parts = _exact_parts(row, peak)
+        quick = np.flatnonzero((np.abs(new) < _KERNEL_MAX_ABS).all(axis=1))
+        changes = np.concatenate([new[quick], -old[quick]], axis=1).tolist()
+        out[quick] = [math.fsum(parts + change) for change in changes]
+    for r in np.flatnonzero(out == 0.0):
+        variant = row.copy()
+        variant[at[r, used[r]]] = new[r, used[r]]
+        out[r] = math.fsum(variant.tolist())
     return out
 
 
@@ -229,6 +270,39 @@ class SymmetricRowSums:
 def _bits(n: int) -> int:
     """Bits per pass ``b`` for sums of up to n entries."""
     return min(51, 53 - n.bit_length())
+
+
+def _exact_parts(row: np.ndarray, peak: float) -> list[float]:
+    """A few floats whose exact sum is that of the 1-d ``row``, whose
+    magnitudes are at most ``peak``, a float below ``2^900``.
+
+    A row of fewer than ``_PEEL_MAX_ELEMENTS`` entries, or of zeros, is
+    peeled by ``fsum``: each part is the exactly rounded sum of the row
+    less the parts before it, until that is zero.  A longer row gives the
+    chunk sums of its extraction.
+    """
+    if row.size < _PEEL_MAX_ELEMENTS or peak == 0.0:
+        terms = row.tolist()
+        parts = []
+        while (part := math.fsum(terms)) != 0.0:
+            parts.append(part)
+            terms.append(-part)
+        return parts
+    return [float(chunk[0]) for chunk in _chunk_sums(row[None, :], peak)]
+
+
+def _chunk_sums(block: np.ndarray, peak: float) -> list[np.ndarray]:
+    """Row sums of the chunks of each pass over a (k, n) block whose
+    magnitudes are at most ``peak``, a positive float below ``2^900``; the
+    arrays of all passes add up to the rows' exact sums."""
+    k, n = block.shape
+    ones = np.ones(n)
+    chunks = []
+    for rows, q in _passes(block, math.frexp(peak)[1], _bits(n)):
+        chunk = np.zeros(k)
+        chunk[rows] = q @ ones
+        chunks.append(chunk)
+    return chunks
 
 
 def _fsum_rows(chunks: list[np.ndarray]) -> np.ndarray:

@@ -105,7 +105,9 @@ def _write_reports(out_dir, config, columns, rows, payload, all_passed) -> RunRe
     json_path = os.path.join(out_dir, config.json_name)
     write_rows_csv(csv_path, columns, rows)
     with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
+        # ``json.dump`` makes one Python-level write call per encoder chunk;
+        # ``writelines`` takes the same chunks in C, without joining them.
+        handle.writelines(json.JSONEncoder(indent=1).iterencode(payload))
         handle.write("\n")
     return RunResult(rows, all_passed, csv_path, json_path)
 

@@ -14,7 +14,11 @@ inner solves, which touches the energy only through ``A @ x``, and is
 validated against LAPACK's full spectrum of the dense pencil.
 :func:`pencil_eigen` solves each pencil once per grid.
 For general p a normalized finite-difference ascent of the ratio supplies
-a certified lower bound on the sharp constant.
+a certified lower bound on the sharp constant.  Each step hands its n
+probes ``u + delta e_i`` to each functional in one call, as
+:class:`~poincheck.grid.Probes`; the deviation and gradient-energy row
+functionals evaluate them without forming the n x n matrix of rows, each
+to the float its row gives.
 
 Everything here is deterministic: fixed internal seeds, fixed iteration
 schedules, no external solver dependencies.
@@ -28,7 +32,7 @@ import numpy as np
 
 from .numerics import ksum
 from .weights import UNIT_WEIGHT, RadialProfile, eval_weight, layer_cake
-from .grid import CellSet, Grid, GridFunction, ball_cells
+from .grid import CellSet, Grid, GridFunction, Probes, ball_cells
 from .forms import KIND_FLOOR, KIND_LOCAL, KernelSpec, pair_coefficient_matrix
 
 __all__ = [
@@ -62,9 +66,6 @@ _DENSE_CAP = 2000
 #   448     37.2 vs 12.2   35.9 vs 15.7   27.3 vs 10.8
 #   812     209 vs 19.1    246 vs 20.5    237 vs 19.6
 _OPERATOR_MIN_CELLS = 256
-# Rows per functional call in ratio_ascent: one block of finite-difference
-# probes is a (_PROBE_BLOCK, cell_count) matrix.
-_PROBE_BLOCK = 64
 
 
 class EigenConvergenceError(RuntimeError):
@@ -572,27 +573,30 @@ def ratio_ascent(
     """Locally maximize ``lhs(u) / rhs(u)`` by normalized gradient ascent.
 
     Both functionals take a (k, cell_count) matrix, one grid function's
-    values per row, and return k floats.  The gradient is a forward finite
-    difference of the ratio (step ``1e-6 * |u|``); a probe whose rhs is
-    ``<= 0`` contributes a zero entry.  The n probes of a step are
-    evaluated in blocks of ``_PROBE_BLOCK`` rows, one call of each
-    functional per block; for functionals that compute each row on its
-    own, such as the exactly rounded row cores ``deviation_p_rows`` and
-    ``local_energy_rows``, every ratio, iterate and the result are
-    bit-identical to one call per probe.  The update moves along the
-    normalized gradient, and each iterate is re-centered to mean zero
-    against ``weight`` (``UNIT_WEIGHT``, the plain mean, by default) and
-    rescaled to unit norm; the ratio is invariant under both for the
-    functionals used here.  Each iterate's ratio is evaluated once
-    and is the base of the next step's differences; a restart, taken when
-    an iterate's rhs is ``<= 0``, evaluates its new start.  Deterministic
-    given (u0, steps, step_size); returns the best ratio seen and its grid
-    function.  Use as a lower bound on the sharp constant for general p.
+    values per row, or the :class:`~poincheck.grid.Probes` of a step, and
+    return k floats.  The gradient is a forward finite difference of the
+    ratio (step ``delta = 1e-6 * |u|``); a probe whose rhs is ``<= 0``
+    contributes a zero entry.  The n probes of a step, ``u + delta e_i``,
+    go to each functional in one call as ``Probes(u, delta)``:
+    ``deviation_p_rows`` and ``local_energy_rows`` evaluate them without
+    forming them, and any other functional can form them with
+    ``np.asarray``.  Those two give every row the float it gives alone, so
+    every ratio, iterate and the result are bit-identical to one call per
+    probe.  The update moves along the normalized gradient, and each
+    iterate is re-centered to mean zero against ``weight``
+    (``UNIT_WEIGHT``, the plain mean, by default) and rescaled to unit
+    norm; the ratio is invariant under both for the functionals used
+    here.  Each iterate's ratio is evaluated once and is the base of the
+    next step's differences; a restart, taken when an iterate's rhs is
+    ``<= 0``, evaluates its new start.  Deterministic given (u0, steps,
+    step_size); returns the best ratio seen and its grid function.  Use as
+    a lower bound on the sharp constant for general p.
     """
 
-    def ratios(rows):
-        """Ratio of each row, and where the rhs is ``<= 0`` (no ratio)."""
-        if not np.all(np.isfinite(rows)):
+    def ratios(rows, *entries):
+        """Ratio of each row, and where the rhs is ``<= 0`` (no ratio);
+        ``entries`` hold every value of the rows."""
+        if not all(np.all(np.isfinite(e)) for e in entries):
             raise ValueError("grid function values must be finite")
         denom = np.asarray(rhs_functional(rows), dtype=float)
         bad = denom <= 0.0
@@ -600,7 +604,7 @@ def ratio_ascent(
         return lhs / np.where(bad, 1.0, denom), bad
 
     def ratio_of(vals):
-        ratio, bad = ratios(vals[None, :])
+        ratio, bad = ratios(vals[None, :], vals)
         return None if bad[0] else float(ratio[0])
 
     vals = np.array(u0.values, dtype=float)
@@ -633,14 +637,9 @@ def ratio_ascent(
         delta = 1e-6 * np.linalg.norm(vals)
         if delta == 0.0:
             delta = 1e-6
-        grad = np.empty(n)
-        for lo in range(0, n, _PROBE_BLOCK):
-            hi = min(lo + _PROBE_BLOCK, n)
-            probes = np.tile(vals, (hi - lo, 1))
-            bumped = np.arange(lo, hi)
-            probes[bumped - lo, bumped] += delta
-            r, bad = ratios(probes)
-            grad[lo:hi] = np.where(bad, 0.0, (r - base) / delta)
+        probes = Probes(vals, delta)
+        r, bad = ratios(probes, probes.values, probes.bumped)
+        grad = np.where(bad, 0.0, (r - base) / delta)
         gnorm = np.linalg.norm(grad)
         if gnorm == 0.0:
             break

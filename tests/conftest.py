@@ -224,8 +224,8 @@ def per_probe_ratio_ascent(
     """``ratio_ascent`` with one call of each functional per probe.
 
     The loop ``sharp.ratio_ascent`` ran before it evaluated the probes of
-    a step in blocks; the functionals here take one ``GridFunction`` and
-    return one float.  Kept as the slow oracle of the blocked version;
+    a step together; the functionals here take one ``GridFunction`` and
+    return one float.  Kept as the slow oracle of the one-call version;
     ``weight=None`` recenters to the plain mean of its own.
     """
 

@@ -26,9 +26,11 @@ from poincheck.numerics import SymmetricRowSums
 from poincheck import grid as grid_module
 from poincheck.grid import (
     GridFunction,
+    Probes,
     ball_cells,
     build_grid,
     deviation_p,
+    deviation_p_rows,
     full_cells,
     make_suite,
 )
@@ -653,6 +655,78 @@ def test_suite_energies_and_deviations_equal_lone_calls(grid_key, t, kernel, p, 
             got = kernel_energy(u, cells, kernel, p, weight)
             assert got.hex() == kernel_energy(lone, cells, kernel, p, weight).hex()
             assert deviation_p(u, cells, p, weight).hex() == deviation_p(lone, cells, p, weight).hex()
+
+
+_PROBE_GRIDS = {(d, N): build_grid(d, N) for d, N in ((1, 16), (1, 32), (2, 8), (2, 16))}
+_PROBE_WEIGHTS = (
+    UNIT_WEIGHT,
+    make_step_profile([0.75], [2.0, 1.0]),
+    profile_from_json({"type": "power", "beta": 1.0}, samples=16),
+)
+
+
+def _rows_outcome(functional, rows, *args):
+    """The floats of a row functional, or the type and text of what it raised."""
+    try:
+        return functional(rows, *args).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid_key=st.sampled_from(sorted(_PROBE_GRIDS)),
+    t=st.sampled_from((1.0, 0.75, 0.5)),
+    p=st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+    weight=st.sampled_from(_PROBE_WEIGHTS),
+    kind=st.sampled_from(("random", "constant", "zero", "huge", "tiny", "overflow")),
+    step=st.sampled_from((1.0, 1e6, 1e-12)),
+    center=st.sampled_from((None, 0.3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_probe_forms_equal_formed_rows(grid_key, t, p, weight, kind, step, center, seed):
+    # deviation_p_rows and local_energy_rows evaluate Probes without forming
+    # them; each float must be the one the formed rows give, bit for bit,
+    # or both must raise alike.  Balls below t = 1 leave probes outside the
+    # set.  A constant row has zero energy, a step of 1e-12 of the ascent's
+    # delta leaves it so, and "overflow" terms reach inf at p >= 2.
+    g = _PROBE_GRIDS[grid_key]
+    rng = np.random.default_rng(seed)
+    n = g.cell_count
+    values = {
+        "random": lambda: rng.standard_normal(n),
+        "constant": lambda: np.full(n, rng.standard_normal()),
+        "zero": lambda: np.zeros(n),
+        "huge": lambda: rng.standard_normal(n) * 2.0**500,
+        "tiny": lambda: rng.standard_normal(n) * 2.0**-500,
+        "overflow": lambda: rng.standard_normal(n) * 2.0**511,
+    }[kind]()
+    cells = full_cells(g) if t == 1.0 else ball_cells(g, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(values)  # inf for "overflow" in 1-d
+        probes = Probes(values, step * (1e-6 * norm if norm > 0.0 else 1e-6))
+        rows = np.asarray(probes)
+        for functional, args in (
+            (deviation_p_rows, (cells, p, weight, center)),
+            (local_energy_rows, (cells, p, weight)),
+        ):
+            want = _rows_outcome(functional, rows, *args)
+            assert _rows_outcome(functional, probes, *args) == want
+
+
+def test_probes_form_the_bumped_rows():
+    values = np.array([1.0, -2.0, 0.5])
+    probes = Probes(values, 0.25)
+    rows = np.tile(values, (3, 1))
+    rows[[0, 1, 2], [0, 1, 2]] += 0.25
+    assert probes.shape == (3, 3) and len(probes) == 3
+    assert np.asarray(probes).tobytes() == rows.tobytes()
+    assert probes.bumped.tobytes() == (values + 0.25).tobytes()
+    g = build_grid(1, 8)
+    with pytest.raises(ValueError, match="rows of 8"):
+        local_energy_rows(probes, full_cells(g), 2.0)
+    with pytest.raises(ValueError, match="rows of 8"):
+        deviation_p_rows(probes, full_cells(g), 2.0)
 
 
 def _count_passes(monkeypatch):

@@ -8,7 +8,13 @@ from hypothesis.extra import numpy as hnp
 from poincheck.forms import KIND_FLOOR, KIND_FRACTIONAL, KernelSpec, kernel_energy
 from poincheck import numerics
 from poincheck.grid import GridFunction, build_grid, full_cells
-from poincheck.numerics import _KERNEL_MIN_ELEMENTS, SymmetricRowSums, ksum, ksum_rows
+from poincheck.numerics import (
+    _KERNEL_MIN_ELEMENTS,
+    SymmetricRowSums,
+    ksum,
+    ksum_replaced,
+    ksum_rows,
+)
 from poincheck.weights import UNIT_WEIGHT, make_step_profile
 from conftest import fsum_pair_energy
 
@@ -131,6 +137,50 @@ def test_ksum_rows_equals_fsum_on_any_finite_floats(block):
     # the sums that overflow there, go to ``fsum``.
     _assert_same_as_fsum(np.tile(block, (1, 1 + _KERNEL_MIN_ELEMENTS // max(block.size, 1))))
     _assert_same_as_fsum(block)
+
+
+_REPLACEMENTS = (0.0, -0.0, 1.0, -1e-300, 5e-324, 2.0**899, 2.0**900, -1.7e308, math.inf, -math.inf, math.nan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    style=st.sampled_from(_STYLES + ("special",)),
+    n=st.sampled_from([n for n in _LENGTHS if n > 0]),
+    k=st.integers(0, 12),
+    s=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ksum_replaced_equals_fsum_of_each_variant(style, n, k, s, seed):
+    # Variants of a row with up to s entries replaced, some by values that
+    # overflow, cancel or are not finite: each sum is fsum of the variant,
+    # bit for bit, or fsum's exception.
+    rng = np.random.default_rng(seed)
+    if style == "special":
+        row = rng.choice(_REPLACEMENTS, n)
+    else:
+        row = _row(style, -30.0, 30.0, n, rng)
+    at = np.full((k, s), -1, dtype=np.int64)
+    for r in range(k):
+        picks = rng.permutation(n)[:s]
+        at[r, : picks.size] = np.where(rng.random(picks.size) < 0.2, -1, picks)
+    new = np.where(
+        rng.random((k, s)) < 0.3,
+        rng.choice(_REPLACEMENTS, (k, s)),
+        rng.standard_normal((k, s)) * 10.0 ** rng.uniform(-30.0, 30.0, (k, s)),
+    )
+    if k and style == "cancel":
+        at[0] = -1  # the row itself, whose sum is zero at even n
+    variants = np.tile(row, (k, 1))
+    for r in range(k):
+        used = at[r] >= 0
+        variants[r, at[r, used]] = new[r, used]
+    want = _fsum_rows(variants)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            ksum_replaced(row, at, new)
+        assert str(info.value) == str(want)
+        return
+    assert ksum_replaced(row, at, new).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2**j + e for j in (3, 8, 11, 13) for e in (-1, 0, 1)])

@@ -27,6 +27,7 @@ from poincheck.forms import (
 )
 from poincheck.grid import (
     GridFunction,
+    Probes,
     ball_cells,
     build_grid,
     deviation_p,
@@ -608,22 +609,32 @@ def test_ratio_ascent_deterministic(rng):
 
 def test_ratio_ascent_evaluates_each_iterate_once(rng):
     # One-row calls are the start and each step's new iterate; the probes
-    # of a step (32 here) go in one block.  Each iterate's ratio is the
-    # base of the next step's differences, so no iterate is evaluated twice.
+    # of a step go to each functional in one call, as Probes.  Each
+    # iterate's ratio is the base of the next step's differences, so no
+    # iterate is evaluated twice.
     g = build_grid(1, 32)
     u0 = GridFunction(g, rng.standard_normal(32))
     one_row = []
+    probe_calls = {"lhs": 0, "rhs": 0}
 
-    def rhs(v):
-        if v.shape[0] == 1:
-            one_row.append(v[0].tobytes())
-        return local_energy_rows(v, full_cells(g), 2.0)
+    def counted(name, functional):
+        def call(v):
+            if isinstance(v, Probes):
+                probe_calls[name] += 1
+            elif name == "rhs":
+                assert v.shape[0] == 1
+                one_row.append(v[0].tobytes())
+            return functional(v, full_cells(g), 2.0)
 
-    lhs = lambda v: deviation_p_rows(v, full_cells(g), 2.0)
+        return call
+
+    lhs = counted("lhs", deviation_p_rows)
+    rhs = counted("rhs", local_energy_rows)
     steps = 5
     ratio, _ = ratio_ascent(g, lhs, rhs, u0, steps=steps, step_size=0.05)
     assert len(one_row) == steps + 1
     assert len(set(one_row)) == steps + 1
+    assert probe_calls == {"lhs": steps, "rhs": steps}
     assert ratio > lhs(u0.values[None])[0] / rhs(u0.values[None])[0]
 
 
@@ -702,9 +713,8 @@ def _row_functionals(grid, profile, p, target):
 @pytest.mark.parametrize("target,weight", ASCENT_CASES)
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("d,N", [(1, 16), (2, 8)])
-def test_blocked_ratio_ascent_equals_per_probe(d, N, p, target, weight, monkeypatch):
-    # Blocks of 7 rows: several blocks per step and a shorter last one.
-    monkeypatch.setattr("poincheck.sharp._PROBE_BLOCK", 7)
+def test_blocked_ratio_ascent_equals_per_probe(d, N, p, target, weight):
+    # All probes of a step in one call of each functional, as Probes.
     g = build_grid(d, N)
     profile = ASCENT_WEIGHTS[weight]
     # The oracle recenters unweighted iterates to its own plain mean.
@@ -734,6 +744,7 @@ def test_blocked_ratio_ascent_zero_rhs_probes_and_restarts_equal_per_probe(seed,
     zero_rows = {"probe": 0, "single": 0}
 
     def rhs_rows(v):
+        v = np.asarray(v)
         out = np.where(v[:, 0] > v[:, 1], 0.0, local_energy_rows(v, whole, 1.5))
         zero_rows["single" if v.shape[0] == 1 else "probe"] += int(np.sum(out <= 0.0))
         return out
