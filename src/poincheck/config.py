@@ -1,17 +1,40 @@
-"""Experiment configuration: JSON document, schema, validation."""
+"""Experiment configuration: JSON document, schema, validation.
+
+``CONFIG_SCHEMA`` is the one statement of what a config may hold; ``poincheck
+schema`` prints it, and :func:`parse_config` checks a document against it
+with a small interpreter of the JSON Schema 2020-12 keywords the schema
+uses: ``type``, ``enum``, ``const``, ``required``, ``additionalProperties``
+(``false`` only), ``properties``, ``items``, ``minItems``, ``uniqueItems``,
+``minimum``, ``exclusiveMinimum``, ``exclusiveMaximum``, ``multipleOf`` and
+``oneOf``; ``$schema``, ``title`` and ``description`` are annotations.  It
+keeps the 2020-12 semantics: an integral float is an ``integer``, a boolean
+is not a number and never equals one, 1 equals 1.0, and each keyword
+applies only to instances of its type.  It departs from the standard in
+one rule: ``number`` and ``integer`` accept finite values only, because
+``json.load`` reads ``NaN`` and ``Infinity`` and no bound rejects NaN.
+Otherwise the first error (by path) and its ``description`` hint are those
+of ``jsonschema.Draft202012Validator``, which ``tests/test_config.py`` runs
+as the oracle on mutated configs.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-
-import jsonschema
 
 from .weights import RadialProfile, profile_from_json
 from .forms import KernelSpec, kernel_from_json
 from .suite import SuiteSpec
 
-__all__ = ["ExperimentConfig", "ConfigError", "CONFIG_SCHEMA", "load_config", "parse_config"]
+__all__ = [
+    "ExperimentConfig",
+    "ConfigError",
+    "CONFIG_SCHEMA",
+    "first_error",
+    "load_config",
+    "parse_config",
+]
 
 CHECK_NAMES = (
     "transfer",
@@ -153,6 +176,116 @@ CONFIG_SCHEMA = {
 }
 
 
+# The instance type each interpreted keyword applies to (None: every
+# instance); on an instance of another type the keyword holds.
+KEYWORDS = {
+    **dict.fromkeys(("type", "enum", "const", "oneOf")),
+    **dict.fromkeys(("required", "additionalProperties", "properties"), "object"),
+    **dict.fromkeys(("items", "minItems", "uniqueItems"), "array"),
+    **dict.fromkeys(("minimum", "exclusiveMinimum", "exclusiveMaximum", "multipleOf"), "number"),
+}
+ANNOTATIONS = frozenset({"$schema", "title", "description"})
+
+
+def _is_type(instance, name: str | None) -> bool:
+    if name is None:
+        return True
+    if name == "object":
+        return isinstance(instance, dict)
+    if name == "array":
+        return isinstance(instance, list)
+    if name == "string":
+        return isinstance(instance, str)
+    if isinstance(instance, bool) or not isinstance(instance, (int, float)):
+        return False
+    if isinstance(instance, int):
+        return True
+    return math.isfinite(instance) and (name == "number" or instance.is_integer())
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: 1 equals 1.0, a boolean equals only itself."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _errors(instance, schema: dict, path: tuple = ()):
+    """Yield ``(path, schema, message)`` for each keyword of ``schema`` that
+    ``instance`` fails, in the schema's keyword order, descending into
+    ``properties`` and ``items``; ``schema`` is the one holding the keyword."""
+    for keyword, value in schema.items():
+        if keyword in ANNOTATIONS or not _is_type(instance, KEYWORDS[keyword]):
+            continue
+        message = None
+        if keyword == "properties":
+            for name, sub in value.items():
+                if name in instance:
+                    yield from _errors(instance[name], sub, (*path, name))
+        elif keyword == "items":
+            for index, item in enumerate(instance):
+                yield from _errors(item, value, (*path, index))
+        elif keyword == "required":
+            for name in value:
+                if name not in instance:
+                    yield path, schema, f"{name!r} is a required property"
+        elif keyword == "additionalProperties":
+            extra = sorted(k for k in instance if k not in schema.get("properties", {}))
+            if extra and value is False:
+                message = f"additional properties {', '.join(map(repr, extra))} are not allowed"
+        elif keyword == "oneOf":
+            valid = sum(not any(_errors(instance, sub, path)) for sub in value)
+            if valid != 1:
+                message = f"{instance!r} is valid under {valid} of the {len(value)} given schemas"
+        elif keyword == "type":
+            if not _is_type(instance, value):
+                message = f"{instance!r} is not of type {value!r}"
+                if isinstance(instance, float) and not math.isfinite(instance):
+                    message = f"{instance!r} is not a finite number"
+        elif keyword == "enum":
+            if not any(_equal(instance, each) for each in value):
+                message = f"{instance!r} is not one of {value!r}"
+        elif keyword == "const":
+            if not _equal(instance, value):
+                message = f"{value!r} was expected"
+        elif keyword == "minItems":
+            if len(instance) < value:
+                message = f"{instance!r} is too short"
+        elif keyword == "uniqueItems":
+            if value and any(
+                _equal(a, b) for i, a in enumerate(instance) for b in instance[i + 1 :]
+            ):
+                message = f"{instance!r} has non-unique elements"
+        elif keyword == "minimum":
+            if instance < value:
+                message = f"{instance!r} is less than the minimum of {value!r}"
+        elif keyword == "exclusiveMinimum":
+            if instance <= value:
+                message = f"{instance!r} is less than or equal to the minimum of {value!r}"
+        elif keyword == "exclusiveMaximum":
+            if instance >= value:
+                message = f"{instance!r} is greater than or equal to the maximum of {value!r}"
+        elif keyword == "multipleOf":
+            if isinstance(value, float):
+                failed = not (instance / value).is_integer()
+            else:
+                failed = instance % value != 0
+            if failed:
+                message = f"{instance!r} is not a multiple of {value!r}"
+        if message is not None:
+            yield path, schema, message
+
+
+def first_error(document) -> tuple[tuple, dict, str] | None:
+    """The error of ``document`` against ``CONFIG_SCHEMA`` with the least
+    path, the first of those in keyword order, or None when it is valid."""
+    return min(_errors(document, CONFIG_SCHEMA), key=lambda error: error[0], default=None)
+
+
 class ConfigError(ValueError):
     """Invalid configuration; message carries the offending field path."""
 
@@ -176,14 +309,11 @@ class ExperimentConfig:
 
 def parse_config(document: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Validate a config document against the schema and materialize it."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = "/".join(str(part) for part in err.absolute_path) or "<root>"
-        hint = err.schema.get("description") if isinstance(err.schema, dict) else None
-        detail = hint or err.message
-        raise ConfigError(f"invalid config at {path}: {detail}")
+    error = first_error(document)
+    if error is not None:
+        path, schema, message = error
+        where = "/".join(str(part) for part in path) or "<root>"
+        raise ConfigError(f"invalid config at {where}: {schema.get('description') or message}")
 
     samples = int(document.get("profile_samples", 16))
     try:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .numerics import SymmetricRowSums, ksum, ksum_replaced, ksum_rows
 from .weights import UNIT_WEIGHT, RadialProfile, eval_weight
-from .grid import CellSet, GridFunction, Probes, value_rows
+from .grid import CellSet, GridFunction, Probes, cell_weights, value_rows
 
 __all__ = [
     "KernelSpec",
@@ -157,7 +157,7 @@ def local_energy_rows(
     grid = cells.grid
     rows = value_rows(values, grid)
     idx = cells.indices
-    w = eval_weight(weight, grid.norms[idx])
+    w, _ = cell_weights(cells, weight)
     mask = cells.mask()
     ups = grid.neighbors_up[idx]
     ok = (ups >= 0) & mask[np.clip(ups, 0, None)]

@@ -27,6 +27,7 @@ __all__ = [
     "build_grid",
     "ball_cells",
     "full_cells",
+    "cell_weights",
     "make_suite",
     "weighted_mean",
     "deviation_p",
@@ -43,8 +44,9 @@ class Grid:
     the cell index one lattice step along axis ``a`` (or -1 when that
     neighbor is outside the ball).  Enumeration order is lattice-lexicographic
     and fixed.  ``_eigen`` memoizes the p = 2 eigensolves that
-    :func:`poincheck.sharp.pencil_eigen` runs on the grid's cell sets, and
-    ``_cells`` the sets of :func:`ball_cells` and :func:`full_cells`.
+    :func:`poincheck.sharp.pencil_eigen` runs on the grid's cell sets,
+    ``_cells`` the sets of :func:`ball_cells` and :func:`full_cells`, and
+    ``_weights`` the cell weights of :func:`cell_weights`.
     """
 
     d: int
@@ -57,6 +59,7 @@ class Grid:
     neighbors_down: np.ndarray
     _eigen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def cell_count(self) -> int:
@@ -288,10 +291,21 @@ def full_cells(grid: Grid) -> CellSet:
     return cells
 
 
+def cell_weights(cells: CellSet, profile: RadialProfile) -> tuple[np.ndarray, float]:
+    """The profile's level at each cell of the set (read-only) and their
+    exactly rounded sum; computed once per grid, cell set and profile."""
+    key = (cells.key, profile)
+    found = cells.grid._weights.get(key)
+    if found is None:
+        w = eval_weight(profile, cells.grid.norms[cells.indices])
+        w.setflags(write=False)
+        found = cells.grid._weights[key] = (w, ksum(w))
+    return found
+
+
 def weighted_mean(u: GridFunction, profile: RadialProfile) -> float:
     """Average of u over the whole grid against the radial weight."""
-    w = eval_weight(profile, u.grid.norms)
-    den = ksum(w)
+    w, den = cell_weights(full_cells(u.grid), profile)
     if den <= 0.0:
         raise ValueError("weight vanishes on every cell")
     return ksum(u.values * w) / den
@@ -366,11 +380,9 @@ def deviation_p_rows(
     grid = cells.grid
     idx = cells.indices
     rows = value_rows(values, grid)
-    w = eval_weight(profile, grid.norms[idx])
-    if center is None:
-        den = ksum(w)
-        if den <= 0.0:
-            raise ValueError("weight vanishes on every cell of the set")
+    w, den = cell_weights(cells, profile)
+    if center is None and den <= 0.0:
+        raise ValueError("weight vanishes on every cell of the set")
     if isinstance(rows, Probes):
         base = rows.values.take(idx)
         bumped = rows.bumped.take(idx)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .numerics import ksum
 from .weights import UNIT_WEIGHT, RadialProfile, eval_weight, layer_cake
-from .grid import CellSet, Grid, GridFunction, Probes, ball_cells
+from .grid import CellSet, Grid, GridFunction, Probes, ball_cells, cell_weights, full_cells
 from .forms import KIND_FLOOR, KIND_LOCAL, KernelSpec, pair_coefficient_matrix
 
 __all__ = [
@@ -614,8 +614,7 @@ def ratio_ascent(
     if steps == 0:
         return start, GridFunction(grid, vals)
 
-    w = eval_weight(weight, grid.norms)
-    w_total = ksum(w)
+    w, w_total = cell_weights(full_cells(grid), weight)
 
     def recenter(vals):
         if not np.all(np.isfinite(vals)):

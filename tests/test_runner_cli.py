@@ -423,3 +423,35 @@ def test_blas_pinned_before_numpy_loads(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "1", "1"]
+
+
+def test_runs_without_jsonschema(tmp_path):
+    # jsonschema is a test dependency only: configs are checked by the
+    # package's own interpreter of CONFIG_SCHEMA, so a run must neither
+    # need nor load it.
+    code = textwrap.dedent(
+        """
+        import sys
+
+        class Guard:
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] == "jsonschema":
+                    raise ImportError("jsonschema is not a runtime dependency")
+                return None
+
+        sys.meta_path.insert(0, Guard())
+        from poincheck.cli import main
+        status = main(sys.argv[1:])
+        loaded = {"jsonschema", "referencing", "attrs"} & set(sys.modules)
+        assert not loaded, loaded
+        sys.exit(status)
+        """
+    )
+    config = ROOT / "tests" / "golden" / "ball2d-n16.json"
+    args = ["verify", "--config", str(config), "--seed", "733", "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(Path(poincheck.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "report.csv").is_file()

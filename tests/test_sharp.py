@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import poincheck.grid
 import poincheck.runner
 import poincheck.sharp
 from conftest import (
@@ -52,7 +53,13 @@ from poincheck.sharp import (
     smallest_nonzero_eigen,
 )
 from poincheck.suite import SuiteSpec, build_suite
-from poincheck.weights import UNIT_WEIGHT, layer_cake, make_step_profile, profile_from_json
+from poincheck.weights import (
+    UNIT_WEIGHT,
+    eval_weight,
+    layer_cake,
+    make_step_profile,
+    profile_from_json,
+)
 
 
 def path_eigenvalues(N, h):
@@ -728,6 +735,31 @@ def test_blocked_ratio_ascent_equals_per_probe(d, N, p, target, weight):
     )
     assert ratio == expected[0]
     assert np.array_equal(best.values, expected[1].values)
+
+
+def test_ascent_weighs_each_set_once_per_profile(monkeypatch):
+    # The row functionals take their cell weights from the grid's memo, so
+    # the weight evaluations of an ascent do not grow with its steps: one
+    # per (cell set, profile), here the whole ball under the profile (lhs,
+    # gradient rhs and recentering) and each layer-cake ball unweighted.
+    calls = []
+
+    def counting(profile, radius):
+        calls.append(profile)
+        return eval_weight(profile, radius)
+
+    monkeypatch.setattr(poincheck.grid, "eval_weight", counting)
+    profile = ASCENT_WEIGHTS["power"]
+    atoms = layer_cake(profile).atoms
+    counts = []
+    for steps in (2, 12):
+        g = build_grid(1, 32)
+        u0 = GridFunction(g, np.random.default_rng(5).standard_normal(g.cell_count))
+        for target in ("transfer", "gradient"):
+            ratio_ascent(g, *_row_functionals(g, profile, 1.5, target), u0, steps, 0.05, profile)
+        counts.append(len(calls))
+        calls.clear()
+    assert counts == [1 + len(atoms)] * 2
 
 
 @pytest.mark.parametrize("seed,restarts", [(0, False), (3, True)])
