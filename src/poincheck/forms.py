@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .numerics import SymmetricRowSums, ksum, ksum_replaced, ksum_rows
+from .numerics import BLOCK_ELEMENTS, SymmetricRowSums, ksum, ksum_replaced, ksum_rows
 from .weights import UNIT_WEIGHT, RadialProfile, eval_weight
 from .grid import CellSet, GridFunction, Probes, cell_weights, value_rows
 
@@ -36,33 +36,6 @@ __all__ = [
 KIND_LOCAL = "local_gradient"
 KIND_FRACTIONAL = "fractional"
 KIND_FLOOR = "constant_floor"
-
-# Terms per strip of a pair energy, so that a strip and the temporaries
-# formed beside it stay in one core's L2 cache.  A strip takes the rows
-# from ``start`` on against the columns from ``start`` on (the upper
-# triangle), as far as the kernel reaches, and as many rows as fit the
-# budget at that width; the strips of a suite's functions, computed
-# together, share one budget, so k functions take about ``2^16 / k`` terms
-# each.  One function on the 812 cells of the 2-d N = 32 ball gives 7
-# strips of 80, 89, 101, 120, 155, 245 and 22 rows; the 3,228 of N = 64
-# give 83 strips, from 20 rows at the top to 189 near the bottom.  A
-# truncated kernel's strips are narrower and so take more rows.  ms per
-# call on the full 2-d ball (mean of p = 1 and 2, untruncated fractional
-# kernel, step weight; 2-vCPU x86-64 host, 2 MB of L2 per core, numpy
-# 2.4, medians of interleaved runs), by terms per strip:
-#
-#   812 cells (N = 32):     2^13: 8.5   2^14: 7.0   2^15: 6.2   2^16: 6.3   2^17: 7.4
-#   3,228 cells (N = 64):   2^13: 126   2^14: 92    2^15: 82    2^16: 87    2^17: 91
-#
-# 2^15 and 2^16 read the same within the noise of repeated runs.  The
-# budget is per strip, not per function: 4 functions at p = 1 on the 812
-# cells (step weight, same host, medians of 7) took 16.8 ms together with
-# the shared budget, 35.0 ms with 2^16 terms per function, and 27-29 ms
-# one at a time.
-# The same budget sizes the full-width row blocks of an overflowing pair
-# energy and of ``pair_coefficient_matrix``: ``2^16 // m`` rows each.
-_PAIR_BLOCK_ELEMENTS = 1 << 16
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -91,10 +64,10 @@ class KernelSpec:
         if self.kind == KIND_FRACTIONAL:
             if self.s is None or not (0.0 < self.s < 1.0):
                 raise ValueError(f"fractional order must lie in (0, 1), got {self.s}")
-            if self.R is not None and self.R < 1.0:
+            if self.R is not None and not self.R >= 1.0:  # refuses nan
                 raise ValueError(f"truncation parameter must be >= 1, got {self.R}")
         if self.kind == KIND_FLOOR:
-            if self.c is None or self.c <= 0.0:
+            if self.c is None or not self.c > 0.0:  # refuses nan
                 raise ValueError(f"kernel floor must be positive, got {self.c}")
 
 
@@ -307,7 +280,7 @@ def _pair_energies(
         # (``GridFunction``), so a nan term is an |u_i - u_j|^p that
         # overflows to inf times a zero kernel or weight entry: a pair that
         # contributes exactly 0.
-        rows = max(1, _PAIR_BLOCK_ELEMENTS // m)
+        rows = max(1, BLOCK_ELEMENTS // m)
         row_sums = []
         for start in range(0, m, rows):
             terms = block(values[f], start, min(m, start + rows), 0, m)
@@ -322,7 +295,7 @@ def _pair_energies(
     strips = SymmetricRowSums(m, bound)
     axis0 = grid.lattice[idx, 0]  # nondecreasing: cells are lattice-ordered
     ends = np.searchsorted(axis0, axis0 + _reach(grid, kernel), side="right").tolist()
-    budget = max(1, _PAIR_BLOCK_ELEMENTS // len(fit))
+    budget = max(1, BLOCK_ELEMENTS // len(fit))
     start = 0
     while start < m:
         stop = _strip_stop(ends, start, budget)
@@ -346,7 +319,7 @@ def kernel_energy(
     ``W_ij = min(w(x_i), w(x_j))``, which is 1 for ``UNIT_WEIGHT``.
     Each term is symmetric in i and j, so only the upper triangle is
     formed, in place, in strips of about 2^16 terms (see
-    ``_PAIR_BLOCK_ELEMENTS``): rows ``start .. stop`` against the columns
+    ``numerics.BLOCK_ELEMENTS``): rows ``start .. stop`` against the columns
     from ``start`` on, so that a strip and its temporaries stay in one
     core's L2 cache.  Every strip is extracted on one schedule, fixed by a
     bound on every term, and gives exact sums to two sets of rows: its own
@@ -364,8 +337,8 @@ def kernel_energy(
     or weight entry contributes exactly 0 even where ``|u_i - u_j|^p``
     overflows, so the energy is ``inf``, not ``nan``.
 
-    The energy is memoized on ``u`` (which is immutable), keyed by
-    ``cells.key``, the kernel, p and the weight, so a repeated call
+    The energy is memoized on ``u`` (which is immutable), keyed by the
+    cell set, the kernel, p and the weight, so a repeated call
     returns the stored float and the memo lives exactly as long as ``u``.
     A miss computes the key for every member of u's suite that lacks it
     (see :func:`~poincheck.grid.make_suite`; a function made alone is a
@@ -394,7 +367,7 @@ def kernel_energy(
     def energies(functions):
         return _pair_energies(functions, cells, kernel, p, weight)
 
-    return u._memoized("_energies", (cells.key, kernel, p, weight), energies)
+    return u._memoized("_energies", (cells, kernel, p, weight), energies)
 
 
 def pair_coefficient_matrix(
@@ -411,13 +384,13 @@ def pair_coefficient_matrix(
     as in :func:`kernel_energy`, so it equals the kernel of the center
     difference bit for bit when N is a power of two and to about one ulp
     otherwise.  The matrix is gathered and scaled in place, in blocks of
-    about ``_PAIR_BLOCK_ELEMENTS`` entries, so no other n x n array is made.
+    about ``numerics.BLOCK_ELEMENTS`` entries, so no other n x n array is made.
     """
     idx = cells.indices
     table, keys, center = _offset_kernel(grid, kernel, 2.0)
     phi = eval_weight(weight, grid.norms[idx])
     C = np.empty((idx.size, idx.size))
-    step = max(1, _PAIR_BLOCK_ELEMENTS // max(1, idx.size))
+    step = max(1, BLOCK_ELEMENTS // max(1, idx.size))
     for start in range(0, idx.size, step):
         rows = slice(start, start + step)
         C[rows] = table[keys[idx[rows], None] + center - keys[None, idx]]

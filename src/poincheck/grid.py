@@ -10,13 +10,12 @@ unweighted deviation is the one against ``UNIT_WEIGHT``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .numerics import ksum, ksum_replaced, ksum_rows
+from .numerics import BLOCK_ELEMENTS, ksum, ksum_replaced, ksum_rows
 from .weights import UNIT_WEIGHT, RadialProfile, eval_weight
 
 __all__ = [
@@ -43,10 +42,11 @@ class Grid:
     from the origin, and ``neighbors_up[k, a]`` / ``neighbors_down[k, a]``
     the cell index one lattice step along axis ``a`` (or -1 when that
     neighbor is outside the ball).  Enumeration order is lattice-lexicographic
-    and fixed.  ``_eigen`` memoizes the p = 2 eigensolves that
-    :func:`poincheck.sharp.pencil_eigen` runs on the grid's cell sets,
-    ``_cells`` the sets of :func:`ball_cells` and :func:`full_cells`, and
-    ``_weights`` the cell weights of :func:`cell_weights`.
+    and fixed.  ``_cells`` holds the one set per radius of
+    :func:`ball_cells`; ``_eigen`` memoizes the p = 2 eigensolves that
+    :func:`poincheck.sharp.pencil_eigen` runs on the grid's cell sets, and
+    ``_weights`` the cell weights of :func:`cell_weights`, both keyed by
+    the set itself.
     """
 
     d: int
@@ -126,7 +126,8 @@ def build_grid(d: int, N: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class CellSet:
-    """Sorted, unique cell indices of one grid."""
+    """Sorted, unique cell indices of one grid.  It equals and hashes as
+    itself only (``eq=False``), so a copy is another memo key."""
 
     grid: Grid
     indices: np.ndarray
@@ -146,12 +147,6 @@ class CellSet:
     def __len__(self) -> int:
         return int(self.indices.size)
 
-    @cached_property
-    def key(self) -> bytes:
-        """16-byte blake2b digest of the indices, by which the pair-energy
-        and eigensolve memos key a cell set."""
-        return hashlib.blake2b(self.indices.tobytes(), digest_size=16).digest()
-
     @property
     def measure(self) -> float:
         """Discrete measure: cell count times h^d."""
@@ -163,12 +158,6 @@ class CellSet:
         return m
 
 
-# Terms per block of deviation probes, the budget of the pair-energy
-# strips (``forms._PAIR_BLOCK_ELEMENTS``): a (2^16 // m, m) block of terms
-# and its temporaries stay in one core's L2 cache.
-_PROBE_BLOCK_ELEMENTS = 1 << 16
-
-
 @dataclass(frozen=True, eq=False)
 class Probes:
     """The n rows ``values + delta * e_i``, i = 0 .. n - 1, unformed.
@@ -177,8 +166,7 @@ class Probes:
     i is ``bumped[i]``, the float ``values[i] + delta``.
     :func:`deviation_p_rows` and :func:`~poincheck.forms.local_energy_rows`
     take it in place of a row matrix and return n floats, each the float
-    they give for that row, without forming the rows; ``np.asarray``
-    forms the (n, n) matrix for any other row functional.
+    they give for that row, without forming the rows.
     """
 
     values: np.ndarray
@@ -204,12 +192,6 @@ class Probes:
     def __len__(self) -> int:
         return self.values.size
 
-    def __array__(self, dtype=None, copy=None):
-        rows = np.tile(self.values, (len(self), 1))
-        diag = np.arange(len(self))
-        rows[diag, diag] += self.delta
-        return rows if dtype is None else rows.astype(dtype, copy=False)
-
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
@@ -218,7 +200,7 @@ class GridFunction:
     ``values`` is a read-only copy, so the function never changes.
     ``_energies`` memoizes the pair energies that
     :func:`poincheck.forms.kernel_energy` computes for it, and
-    ``_deviations`` the deviations of :func:`deviation_p` about the mean.
+    ``_deviations`` the deviations of :func:`deviation_p`.
     ``_suite`` holds the functions it was made with by :func:`make_suite`
     (itself among them), which fill their memos together; it is empty for
     a function made alone.
@@ -284,17 +266,15 @@ def ball_cells(grid: Grid, t: float) -> CellSet:
 
 
 def full_cells(grid: Grid) -> CellSet:
-    """All cells (the discrete unit ball); one set per grid."""
-    cells = grid._cells.get(None)
-    if cells is None:
-        cells = grid._cells[None] = CellSet(grid, np.arange(grid.cell_count, dtype=np.int64))
-    return cells
+    """All cells (the discrete unit ball): ``ball_cells(grid, 1.0)``, the
+    same set, since every cell's center has norm below one."""
+    return ball_cells(grid, 1.0)
 
 
 def cell_weights(cells: CellSet, profile: RadialProfile) -> tuple[np.ndarray, float]:
     """The profile's level at each cell of the set (read-only) and their
     exactly rounded sum; computed once per grid, cell set and profile."""
-    key = (cells.key, profile)
+    key = (cells, profile)
     found = cells.grid._weights.get(key)
     if found is None:
         w = eval_weight(profile, cells.grid.norms[cells.indices])
@@ -327,28 +307,24 @@ def deviation_p(
     cells: CellSet,
     p: float,
     profile: RadialProfile = UNIT_WEIGHT,
-    center: float | None = None,
 ) -> float:
-    """p-th power weighted deviation of u from a center.
+    """p-th power weighted deviation of u from its weighted mean.
 
     Computes ``sum |u_i - c|^p w_i h^d`` over the cell set, with weights
-    from the profile (``UNIT_WEIGHT`` by default) and ``c`` the supplied
-    center or, when omitted, the weighted average over the same cells.
+    from the profile (``UNIT_WEIGHT`` by default) and ``c`` the weighted
+    average over the same cells.
 
-    Without a center the deviation is memoized on ``u``, keyed by
-    ``cells.key``, p and the profile.  A miss fills the key for every
-    member of u's suite (see :func:`make_suite`) with one
-    :func:`deviation_p_rows` call, whose rows are each exact, so every
-    member gets the float it gives alone.
+    The deviation is memoized on ``u``, keyed by the cell set, p and the
+    profile.  A miss fills the key for every member of u's suite (see
+    :func:`make_suite`) with one :func:`deviation_p_rows` call, whose rows
+    are each exact, so every member gets the float it gives alone.
     """
-    if center is not None:
-        return float(deviation_p_rows(u.values[None, :], cells, p, profile, center)[0])
 
     def rows(functions):
         values = np.stack([f.values for f in functions])
         return deviation_p_rows(values, cells, p, profile).tolist()
 
-    return u._memoized("_deviations", (cells.key, p, profile), rows)
+    return u._memoized("_deviations", (cells, p, profile), rows)
 
 
 def deviation_p_rows(
@@ -356,7 +332,6 @@ def deviation_p_rows(
     cells: CellSet,
     p: float,
     profile: RadialProfile = UNIT_WEIGHT,
-    center: float | None = None,
 ) -> np.ndarray:
     """:func:`deviation_p` of each row of a (k, cell_count) value matrix
     or of :class:`Probes`.
@@ -381,7 +356,7 @@ def deviation_p_rows(
     idx = cells.indices
     rows = value_rows(values, grid)
     w, den = cell_weights(cells, profile)
-    if center is None and den <= 0.0:
+    if den <= 0.0:
         raise ValueError("weight vanishes on every cell of the set")
     if isinstance(rows, Probes):
         base = rows.values.take(idx)
@@ -391,12 +366,9 @@ def deviation_p_rows(
         # serves the probes outside the set (position -1 bumps nothing).
         at = np.arange(m + (m < len(rows)))
         at[m:] = -1
-        if center is None:
-            c = ksum_replaced(base * w, at[:, None], (bumped * w).take(at)[:, None]) / den
-        else:
-            c = np.full(at.size, float(center))
+        c = ksum_replaced(base * w, at[:, None], (bumped * w).take(at)[:, None]) / den
         dev = np.empty(at.size)
-        step = max(1, _PROBE_BLOCK_ELEMENTS // m)
+        step = max(1, BLOCK_ELEMENTS // m)
         for lo in range(0, at.size, step):
             hi = min(at.size, lo + step)
             terms = np.abs(base - c[lo:hi, None]) ** p * w
@@ -408,9 +380,6 @@ def deviation_p_rows(
         out[idx] = dev[:m]
         return out
     vals = rows.take(idx, axis=1)
-    if center is not None:
-        c = float(center)
-    else:
-        c = (ksum_rows(vals * w) / den)[:, None]
+    c = (ksum_rows(vals * w) / den)[:, None]
     return ksum_rows(np.abs(vals - c) ** p * w) * grid.cell_measure
 

@@ -83,12 +83,11 @@ Why each accumulator is exact:
 
 One row with a few entries replaced, k times over (the finite-difference
 probes of a ratio ascent), is summed by :func:`ksum_replaced` without
-forming the k variants.  The row's exact sum is held as a few floats: the
-row sums of its chunks, one per pass, which add up to it exactly by the
-argument above, or for a short row the parts that ``fsum`` peels off it
-(the sum, then the sum of the row less that, and so on to zero).  Each
-variant's exactly rounded sum is then one ``fsum`` of those parts, its old
-entries negated and its new ones: O(k) in place of O(k n).
+forming the k variants.  The row's exact sum is held as the few floats
+that ``fsum`` peels off it: the sum, then the sum of the row less that,
+and so on to zero.  Each variant's exactly rounded sum is then one
+``fsum`` of those parts, its old entries negated and its new ones: O(k)
+in place of O(k n).
 
 The pair energies of a suite's k functions are formed together, so a
 strip can carry a function axis: shape (k, rows, columns), the same rows
@@ -102,6 +101,15 @@ passes when all its remainders are zero: the strip takes as many passes
 as its slowest matrix would alone, and a matrix far below the others
 adds none to them.  Within a matrix no rows leave early, since the
 matrices must keep one shape.
+
+So ``_passes`` has two modes: a 2-d block sheds rows, a stack sheds
+whole matrices.  Both earn their code (``perfbench/run.py``, 4 alternating
+pairs, 2-vCPU x86-64 host): one stacked shape that sheds both read
+ball2d-p2 ``verify_s`` 0.58-0.61 s against 0.51-0.57 s, its ``sweep_s``
+0.106-0.115 s against 0.093-0.104 s, and ball2d-p1 ``verify_s``
+0.423-0.448 s against 0.417-0.425 s; a stack of one in place of the 2-d
+block read ball2d-p2 ``sweep_s`` 0.107-0.114 s against 0.084-0.097 s, its
+single-function strips shedding rows in 156 of their 348 passes.
 
 The price of one schedule is the bound's slack: a strip far below the
 bound spends its first pass on leading zeros.  On the pair energies of
@@ -120,6 +128,29 @@ import numpy as np
 
 __all__ = ["ksum", "ksum_rows", "ksum_replaced", "SymmetricRowSums"]
 
+# Terms per block wherever terms are formed in blocks: the strips of a
+# pair energy (``forms``), the row blocks of deviation probes (``grid``)
+# and of ``pair_coefficient_matrix``, so that a block and the temporaries
+# formed beside it stay in one core's L2 cache.  A pair-energy strip takes
+# the rows from ``start`` on against the columns from ``start`` on, as far
+# as the kernel reaches, and as many rows as fit the budget at that width;
+# a suite's k functions share one budget, about ``2^16 / k`` terms each.
+# One function on the 812 cells of the 2-d N = 32 ball gives 7 strips of
+# 80 to 245 rows; the 3,228 of N = 64 give 83, of 20 to 189 rows.  ms per
+# pair-energy call on the full 2-d ball (mean of p = 1 and 2, untruncated
+# fractional kernel, step weight; 2-vCPU x86-64 host, 2 MB of L2 per core,
+# numpy 2.4, medians of interleaved runs), by terms per strip:
+#
+#   812 cells (N = 32):     2^13: 8.5   2^14: 7.0   2^15: 6.2   2^16: 6.3   2^17: 7.4
+#   3,228 cells (N = 64):   2^13: 126   2^14: 92    2^15: 82    2^16: 87    2^17: 91
+#
+# 2^15 and 2^16 read the same within the noise of repeated runs.  The
+# budget is per strip, not per function: 4 functions at p = 1 on the 812
+# cells (step weight, same host, medians of 7) took 16.8 ms together with
+# the shared budget, 35.0 ms with 2^16 terms per function, and 27-29 ms
+# one at a time.  Full-width row blocks take ``2^16 // m`` rows of m.
+BLOCK_ELEMENTS = 1 << 16
+
 # Crossover between one ``fsum`` per row and the extraction kernel.  On a
 # 2-vCPU x86-64 host (numpy 2.4, Python 3.11) the kernel costs about 45 us
 # of numpy call overhead whatever the size, and ``fsum`` about 50 ns per
@@ -131,13 +162,6 @@ __all__ = ["ksum", "ksum_rows", "ksum_replaced", "SymmetricRowSums"]
 # 1.32 s and ``sharp_s`` 1.63 s, against 0.72 s and 1.12 s with this
 # crossover (medians of 3 runs each).
 _KERNEL_MIN_ELEMENTS = 2048
-
-# Rows shorter than this are split into exact parts by ``fsum`` peeling
-# (see ``_exact_parts``), longer ones by extraction.  On a 2-vCPU x86-64
-# host (numpy 2.4, Python 3.11) the parts of a row of |x|^1.5 terms took,
-# peeled and extracted: 16 entries 3.2 and 30 us, 64 entries 7.6 and 19 us,
-# 208 entries 25 and 30 us, 812 entries 88 and 34 us.
-_PEEL_MAX_ELEMENTS = 256
 
 # Rows whose largest magnitude reaches this bound go to ``math.fsum``:
 # ``sigma`` is up to 2^(53 - b) times a row's largest magnitude and must
@@ -168,7 +192,12 @@ def ksum_rows(matrix: np.ndarray) -> np.ndarray:
     out = np.empty(k)
     if fit.any():
         block = matrix if fit.all() else matrix[fit]
-        out[fit] = _fsum_rows(_chunk_sums(block, float(peak[fit].max())))
+        ones = np.ones(n)
+        chunks = []  # row sums of each pass's chunks, adding up to the rows
+        for rows, q in _passes(block, math.frexp(float(peak[fit].max()))[1], _bits(n)):
+            chunks.append(np.zeros(len(block)))
+            chunks[-1][rows] = q @ ones
+        out[fit] = _fsum_rows(chunks)
     for r in np.flatnonzero(~fit):
         out[r] = math.fsum(matrix[r].tolist())
     return out
@@ -192,10 +221,9 @@ def ksum_replaced(row: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarra
     used = at >= 0
     old = np.where(used, row[at], 0.0)
     new = np.where(used, new, 0.0)
-    peak = float(np.abs(row).max())
     out = np.zeros(len(at))
-    if peak < _KERNEL_MAX_ABS:  # False at nan
-        parts = _exact_parts(row, peak)
+    if np.abs(row).max() < _KERNEL_MAX_ABS:  # False at nan
+        parts = _exact_parts(row)
         quick = np.flatnonzero((np.abs(new) < _KERNEL_MAX_ABS).all(axis=1))
         changes = np.concatenate([new[quick], -old[quick]], axis=1).tolist()
         out[quick] = [math.fsum(parts + change) for change in changes]
@@ -272,37 +300,16 @@ def _bits(n: int) -> int:
     return min(51, 53 - n.bit_length())
 
 
-def _exact_parts(row: np.ndarray, peak: float) -> list[float]:
-    """A few floats whose exact sum is that of the 1-d ``row``, whose
-    magnitudes are at most ``peak``, a float below ``2^900``.
-
-    A row of fewer than ``_PEEL_MAX_ELEMENTS`` entries, or of zeros, is
+def _exact_parts(row: np.ndarray) -> list[float]:
+    """A few floats whose exact sum is that of the finite 1-d ``row``,
     peeled by ``fsum``: each part is the exactly rounded sum of the row
-    less the parts before it, until that is zero.  A longer row gives the
-    chunk sums of its extraction.
-    """
-    if row.size < _PEEL_MAX_ELEMENTS or peak == 0.0:
-        terms = row.tolist()
-        parts = []
-        while (part := math.fsum(terms)) != 0.0:
-            parts.append(part)
-            terms.append(-part)
-        return parts
-    return [float(chunk[0]) for chunk in _chunk_sums(row[None, :], peak)]
-
-
-def _chunk_sums(block: np.ndarray, peak: float) -> list[np.ndarray]:
-    """Row sums of the chunks of each pass over a (k, n) block whose
-    magnitudes are at most ``peak``, a positive float below ``2^900``; the
-    arrays of all passes add up to the rows' exact sums."""
-    k, n = block.shape
-    ones = np.ones(n)
-    chunks = []
-    for rows, q in _passes(block, math.frexp(peak)[1], _bits(n)):
-        chunk = np.zeros(k)
-        chunk[rows] = q @ ones
-        chunks.append(chunk)
-    return chunks
+    less the parts before it, until that is zero."""
+    terms = row.tolist()
+    parts = []
+    while (part := math.fsum(terms)) != 0.0:
+        parts.append(part)
+        terms.append(-part)
+    return parts
 
 
 def _fsum_rows(chunks: list[np.ndarray]) -> np.ndarray:

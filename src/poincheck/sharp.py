@@ -529,12 +529,12 @@ def pencil_eigen(cells: CellSet, kernel: KernelSpec, weight: RadialProfile = UNI
     solved once per grid.
 
     Returns (eigenvalue, read-only eigenvector, Ritz trace rows).  The
-    solve is kept on the cells' grid, keyed by ``cells.key``, the kernel
+    solve is kept on the cells' grid, keyed by the cell set, the kernel
     and the weight, so it lives as long as that grid does.  A solve that
     does not converge raises each time and is not kept.
     """
     grid = cells.grid
-    key = (cells.key, kernel, weight)
+    key = (cells, kernel, weight)
     solved = grid._eigen.get(key)
     if solved is None:
         trace = []
@@ -577,20 +577,19 @@ def ratio_ascent(
     return k floats.  The gradient is a forward finite difference of the
     ratio (step ``delta = 1e-6 * |u|``); a probe whose rhs is ``<= 0``
     contributes a zero entry.  The n probes of a step, ``u + delta e_i``,
-    go to each functional in one call as ``Probes(u, delta)``:
-    ``deviation_p_rows`` and ``local_energy_rows`` evaluate them without
-    forming them, and any other functional can form them with
-    ``np.asarray``.  Those two give every row the float it gives alone, so
-    every ratio, iterate and the result are bit-identical to one call per
-    probe.  The update moves along the normalized gradient, and each
-    iterate is re-centered to mean zero against ``weight``
-    (``UNIT_WEIGHT``, the plain mean, by default) and rescaled to unit
-    norm; the ratio is invariant under both for the functionals used
-    here.  Each iterate's ratio is evaluated once and is the base of the
-    next step's differences; a restart, taken when an iterate's rhs is
-    ``<= 0``, evaluates its new start.  Deterministic given (u0, steps,
-    step_size); returns the best ratio seen and its grid function.  Use as
-    a lower bound on the sharp constant for general p.
+    go to each functional in one call as ``Probes(u, delta)``, which
+    ``deviation_p_rows`` and ``local_energy_rows`` evaluate without forming
+    them.  Those two give every row the float it gives alone, so every
+    ratio, iterate and the result are bit-identical to one call per probe.
+    The update moves along the normalized gradient, and each iterate is
+    re-centered to mean zero against ``weight`` (``UNIT_WEIGHT``, the
+    plain mean, by default) and rescaled to unit norm; the ratio is
+    invariant under both for the functionals used here.  Each iterate's
+    ratio is evaluated once and is the base of the next step's
+    differences; a restart, taken when an iterate's rhs is ``<= 0``,
+    evaluates its new start.  Deterministic given (u0, steps, step_size);
+    returns the best ratio seen and its grid function.  Use as a lower
+    bound on the sharp constant for general p.
     """
 
     def ratios(rows, *entries):

@@ -218,6 +218,25 @@ def naive_local_energy(u, cells, p, weight=None):
     return math.fsum(terms)
 
 
+def deviation_about(u, cells, p, profile, c):
+    """``sum |u_i - c|^p w_i h^d`` over the cell set about a given center
+    ``c``, as one ``math.fsum``: the deviation about a point other than
+    the weighted mean, which ``deviation_p`` does not take."""
+    grid = u.grid
+    idx = cells.indices
+    w = eval_weight(profile, grid.norms[idx])
+    return math.fsum((np.abs(u.values[idx] - c) ** p * w * grid.cell_measure).tolist())
+
+
+def formed_rows(probes):
+    """The (n, n) matrix of the rows ``values + delta * e_i`` that
+    ``grid.Probes`` stand for, formed."""
+    rows = np.tile(probes.values, (len(probes), 1))
+    diag = np.arange(len(probes))
+    rows[diag, diag] += probes.delta
+    return rows
+
+
 def per_probe_ratio_ascent(
     grid, lhs_functional, rhs_functional, u0, steps, step_size, weight=None
 ):

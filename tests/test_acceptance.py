@@ -17,6 +17,7 @@ so the continuum statement holds with about 20% to spare.
 import functools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -420,8 +421,8 @@ def test_criterion_9_determinism(tmp_path):
     cfg = parse_config(doc)
     a = run_verify(cfg, tmp_path / "a")
     b = run_verify(cfg, tmp_path / "b")
-    same_csv = open(a.csv_path, "rb").read() == open(b.csv_path, "rb").read()
-    same_json = open(a.json_path, "rb").read() == open(b.json_path, "rb").read()
+    same_csv = Path(a.csv_path).read_bytes() == Path(b.csv_path).read_bytes()
+    same_json = Path(a.json_path).read_bytes() == Path(b.json_path).read_bytes()
     _line("9 determinism (byte-identical reports)", same_csv and same_json,
           f"{len(a.rows)} rows")
     assert same_csv and same_json

@@ -38,6 +38,7 @@ from poincheck.weights import UNIT_WEIGHT, make_step_profile, profile_from_json
 from conftest import (
     centre_difference_kernel_energy,
     centre_difference_pair_matrix,
+    formed_rows,
     fsum_pair_energy,
     naive_kernel_energy,
     naive_local_energy,
@@ -55,6 +56,23 @@ def test_kernel_spec_validation():
         KernelSpec(KIND_FRACTIONAL, s=0.5, R=0.5)
     with pytest.raises(ValueError):
         KernelSpec(KIND_FLOOR, c=0.0)
+
+
+def test_kernel_spec_refuses_nan_truncation():
+    # nan fails every comparison: R = nan is refused, not taken as "not
+    # below 1".
+    with pytest.raises(ValueError, match="truncation parameter must be >= 1, got nan"):
+        KernelSpec(KIND_FRACTIONAL, s=0.5, R=math.nan)
+    with pytest.raises(ValueError, match="truncation parameter"):
+        kernel_from_json({"kind": KIND_FRACTIONAL, "s": 0.5, "R": math.nan})
+
+
+def test_kernel_spec_refuses_nan_floor():
+    # Likewise c = nan is refused, not taken as "not at most 0".
+    with pytest.raises(ValueError, match="kernel floor must be positive, got nan"):
+        KernelSpec(KIND_FLOOR, c=math.nan)
+    with pytest.raises(ValueError, match="kernel floor"):
+        kernel_from_json({"kind": KIND_FLOOR, "c": math.nan})
 
 
 def test_kernel_api_inventory():
@@ -324,7 +342,7 @@ def test_reach_bounds_every_nonzero_kernel_offset(d, N):
 def test_pair_energy_strips_tile_the_rows(monkeypatch):
     # The strips of a pair energy tile its upper triangle: each covers its
     # rows once, from its first row's column rightwards, with at most
-    # ``_PAIR_BLOCK_ELEMENTS`` terms, and the columns it drops hold only
+    # ``numerics.BLOCK_ELEMENTS`` terms, and the columns it drops hold only
     # zero terms.  Truncated kernels drop some on the 812-cell ball; the
     # others none.  Strips are sized by their clipped width, so every strip
     # but the last holds between half and all of the budget.  A set of at
@@ -361,13 +379,13 @@ def test_pair_energy_strips_tile_the_rows(monkeypatch):
             widths = []
             for start, strip in strips:
                 k, w = strip.shape
-                assert strip.size <= forms._PAIR_BLOCK_ELEMENTS
+                assert strip.size <= numerics.BLOCK_ELEMENTS
                 assert strip.tobytes() == terms[start : start + k, start : start + w].tobytes()
                 assert not terms[start : start + k, start + w :].any()
                 widths.append((start, w))
             for _, strip in strips[:-1]:
-                assert strip.size >= forms._PAIR_BLOCK_ELEMENTS // 2, (d, N, t, kernel)
-            if m * m <= forms._PAIR_BLOCK_ELEMENTS:
+                assert strip.size >= numerics.BLOCK_ELEMENTS // 2, (d, N, t, kernel)
+            if m * m <= numerics.BLOCK_ELEMENTS:
                 assert len(strips) == 1, (d, N, t)
             elif kernel.R is None:
                 assert all(w == m - start for start, w in widths)
@@ -417,15 +435,19 @@ def test_kernel_energy_memo_returns_stored_energy(rng, monkeypatch):
     first = kernel_energy(suite[1], ball_cells(g, 0.6), spec, 2.0)
     assert len(builds) == 1
     assert all(len(u._energies) == 1 for u in suite)
-    # A new CellSet with the same indices hits the same entry.
-    cells = dataclasses.replace(ball_cells(g, 0.6))
-    assert cells is not ball_cells(g, 0.6)
-    assert kernel_energy(suite[1], cells, spec, 2.0) is first
+    assert kernel_energy(suite[1], ball_cells(g, 0.6), spec, 2.0) is first
     for u in suite:
         assert kernel_energy(u, ball_cells(g, 0.6), spec, 2.0) == (
             centre_difference_kernel_energy(u, ball_cells(g, 0.6), spec, 2.0)
         )
     assert len(builds) == 1
+    # The memo is keyed by the set object: an equal copy of the set gives
+    # the same float, but it is another key, filled by a build of its own.
+    cells = dataclasses.replace(ball_cells(g, 0.6))
+    assert cells is not ball_cells(g, 0.6)
+    assert kernel_energy(suite[1], cells, spec, 2.0) == first
+    assert len(builds) == 2
+    assert all(len(u._energies) == 2 for u in suite)
 
 
 def test_kernel_energy_memo_keys(rng, monkeypatch):
@@ -455,17 +477,20 @@ def test_kernel_energy_memo_keys(rng, monkeypatch):
         for (cells, kernel, p, w), energy in zip(calls, energies):
             oracle_weight = None if w is UNIT_WEIGHT else w
             assert energy == centre_difference_kernel_energy(u, cells, kernel, p, oracle_weight)
-    # Equal keys built from new objects hit the stored entries; the default
-    # weight is UNIT_WEIGHT, and an equal profile is the same key.
+    # A key holds the set object itself.  Equal kernels and profiles built
+    # from new objects hit the stored entries; the default weight is
+    # UNIT_WEIGHT, an equal profile is the same key, and the unit ball is
+    # the full set.
     u = suite[0]
     twin_spec = KernelSpec(KIND_FRACTIONAL, s=0.5)
     again = kernel_energy(
         u, full_cells(g), twin_spec, 2.0, weight=make_step_profile([0.65], [2.0, 1.0])
     )
-    assert again is u._energies[(full_cells(g).key, spec, 2.0, prof)]
-    stored = u._energies[(full_cells(g).key, spec, 2.0, UNIT_WEIGHT)]
+    assert again is u._energies[(full_cells(g), spec, 2.0, prof)]
+    stored = u._energies[(full_cells(g), spec, 2.0, UNIT_WEIGHT)]
     assert kernel_energy(u, full_cells(g), twin_spec, 2.0) is stored
     assert kernel_energy(u, full_cells(g), spec, 2.0, make_step_profile([], [1.0])) is stored
+    assert kernel_energy(u, ball_cells(g, 1.0), spec, 2.0) is stored
     assert len(builds) == len(calls)
 
 
@@ -506,16 +531,19 @@ def test_deviation_memo_fills_the_suite_in_one_row_call(rng, monkeypatch):
     cells = ball_cells(g, 0.75)
     got = [deviation_p(u, cells, 1.5, prof) for u in suite]
     assert rows_calls == [4]
-    assert deviation_p(suite[2], dataclasses.replace(cells), 1.5, make_step_profile([0.5], [2.0, 1.0])) is got[2]
+    assert deviation_p(suite[2], cells, 1.5, make_step_profile([0.5], [2.0, 1.0])) is got[2]
     assert rows_calls == [4]
     for v, dev in zip(values, got):
         assert dev == rows(v[None, :], cells, 1.5, prof)[0]
-    # A given center is not memoized, and a lone function fills itself only.
-    deviation_p(suite[0], cells, 1.5, prof, center=0.25)
+    # An equal copy of the set is another key: the same floats, filled for
+    # the suite in a call of its own.  A lone function fills itself only.
+    copy = dataclasses.replace(cells)
+    assert deviation_p(suite[2], copy, 1.5, prof) == got[2]
+    assert [deviation_p(u, copy, 1.5, prof) for u in suite] == got
     lone = GridFunction(g, values[0])
     assert deviation_p(lone, cells, 1.5, prof) == got[0]
-    assert rows_calls == [4, 1, 1]
-    assert len(suite[0]._deviations) == 1 and len(lone._deviations) == 1
+    assert rows_calls == [4, 4, 1]
+    assert len(suite[0]._deviations) == 2 and len(lone._deviations) == 1
 
 
 def test_kernel_energy_memo_is_invisible(rng):
@@ -681,10 +709,9 @@ def _rows_outcome(functional, rows, *args):
     weight=st.sampled_from(_PROBE_WEIGHTS),
     kind=st.sampled_from(("random", "constant", "zero", "huge", "tiny", "overflow")),
     step=st.sampled_from((1.0, 1e6, 1e-12)),
-    center=st.sampled_from((None, 0.3)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_probe_forms_equal_formed_rows(grid_key, t, p, weight, kind, step, center, seed):
+def test_probe_forms_equal_formed_rows(grid_key, t, p, weight, kind, step, seed):
     # deviation_p_rows and local_energy_rows evaluate Probes without forming
     # them; each float must be the one the formed rows give, bit for bit,
     # or both must raise alike.  Balls below t = 1 leave probes outside the
@@ -705,9 +732,9 @@ def test_probe_forms_equal_formed_rows(grid_key, t, p, weight, kind, step, cente
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(values)  # inf for "overflow" in 1-d
         probes = Probes(values, step * (1e-6 * norm if norm > 0.0 else 1e-6))
-        rows = np.asarray(probes)
+        rows = formed_rows(probes)
         for functional, args in (
-            (deviation_p_rows, (cells, p, weight, center)),
+            (deviation_p_rows, (cells, p, weight)),
             (local_energy_rows, (cells, p, weight)),
         ):
             want = _rows_outcome(functional, rows, *args)
@@ -720,7 +747,7 @@ def test_probes_form_the_bumped_rows():
     rows = np.tile(values, (3, 1))
     rows[[0, 1, 2], [0, 1, 2]] += 0.25
     assert probes.shape == (3, 3) and len(probes) == 3
-    assert np.asarray(probes).tobytes() == rows.tobytes()
+    assert formed_rows(probes).tobytes() == rows.tobytes()
     assert probes.bumped.tobytes() == (values + 0.25).tobytes()
     g = build_grid(1, 8)
     with pytest.raises(ValueError, match="rows of 8"):

@@ -19,7 +19,7 @@ from poincheck.weights import (
     profile_from_json,
     truncate_profile,
 )
-from conftest import random_step_profile
+from conftest import deviation_about, random_step_profile
 
 
 def test_build_grid_1d():
@@ -55,6 +55,11 @@ def test_ball_cells():
     assert len(ball_cells(g, 1.0)) == 4
     assert list(ball_cells(g, 0.5).indices) == [1, 2]
     assert len(ball_cells(g, 0.25)) == 0
+    # Every cell's center has norm below one, so the unit ball is the full
+    # set, one object, and the memos keyed by the set see one key.
+    for grid in (g, build_grid(2, 16)):
+        assert full_cells(grid) is ball_cells(grid, 1.0)
+        assert np.array_equal(full_cells(grid).indices, np.arange(grid.cell_count))
     with pytest.raises(ValueError):
         ball_cells(g, 0.0)
     with pytest.raises(ValueError):
@@ -119,9 +124,11 @@ def test_deviation_mean_center_minimizes_p2(rng):
     u = GridFunction(g, rng.standard_normal(16))
     cells = full_cells(g)
     best = deviation_p(u, cells, 2.0)
-    assert deviation_p(u, cells, 2.0, center=0.1) > best
+    mean = weighted_mean(u, UNIT_WEIGHT)
+    assert deviation_about(u, cells, 2.0, UNIT_WEIGHT, mean) == pytest.approx(best, rel=1e-14)
+    assert deviation_about(u, cells, 2.0, UNIT_WEIGHT, 0.1) > best
     for c in rng.uniform(-2.0, 2.0, size=10):
-        assert deviation_p(u, cells, 2.0, center=float(c)) >= best
+        assert deviation_about(u, cells, 2.0, UNIT_WEIGHT, float(c)) >= best
 
 
 def test_deviation_validation():
@@ -182,23 +189,25 @@ ROW_PROFILES = [
 ]
 
 
-@pytest.mark.parametrize("center", [None, 0.3])
+@pytest.mark.parametrize("offset", [None, 0.3])
 @pytest.mark.parametrize("profile", ROW_PROFILES)
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("radius", [None, 0.6])
 @pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
-def test_deviation_rows_equal_scalar(d, N, radius, p, profile, center):
+def test_deviation_rows_equal_scalar(d, N, radius, p, profile, offset):
     g = build_grid(d, N)
     cells = full_cells(g) if radius is None else ball_cells(g, radius)
     rows = np.random.default_rng(3).standard_normal((5, g.cell_count))
     rows *= np.array([1e-3, 1.0, 7.0, 1e4, 0.5])[:, None]
+    if offset is not None:  # rows whose mean is far from zero against their spread
+        rows += offset
     # profile None: both calls take the default, UNIT_WEIGHT.
     weighting = {} if profile is None else {"profile": profile}
-    got = deviation_p_rows(rows, cells, p, center=center, **weighting)
+    got = deviation_p_rows(rows, cells, p, **weighting)
     assert got.shape == (5,)
     for r in range(5):
         u = GridFunction(g, rows[r])
-        assert got[r] == deviation_p(u, cells, p, center=center, **weighting)
+        assert got[r] == deviation_p(u, cells, p, **weighting)
 
 
 def test_deviation_rows_validation():

@@ -33,6 +33,7 @@ from poincheck import inequalities
 from poincheck.sharp import estimate_gradient_constant
 from poincheck.weights import layer_cake, make_step_profile, truncate_profile
 from poincheck.suite import smooth_random_field
+from conftest import deviation_about
 
 
 def per_ball_deviation(p):
@@ -309,8 +310,8 @@ def test_monotone_slack_between_profile_and_truncation(rng):
         vals = smooth_random_field(g, rng)
         u = GridFunction(g, vals)
         center = weighted_mean(u, capped)
-        lhs_capped = deviation_p(u, full_cells(g), p, profile=capped, center=center)
-        lhs_full = deviation_p(u, full_cells(g), p, profile=prof, center=center)
+        lhs_capped = deviation_about(u, full_cells(g), p, capped, center)
+        lhs_full = deviation_about(u, full_cells(g), p, prof, center)
         ratio = prof.center_value / prof.half_value
         assert lhs_capped <= lhs_full * (1 + 1e-12)
         assert lhs_full <= ratio * lhs_capped * (1 + 1e-12)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from poincheck.forms import KIND_FLOOR, KIND_FRACTIONAL, KernelSpec, kernel_energy
@@ -150,10 +150,15 @@ _REPLACEMENTS = (0.0, -0.0, 1.0, -1e-300, 5e-324, 2.0**899, 2.0**900, -1.7e308, 
     s=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(style="wide", n=256, k=6, s=2, seed=1)
+@example(style="cancel", n=812, k=5, s=3, seed=2)
+@example(style="subnormal", n=1025, k=4, s=1, seed=3)
+@example(style="special", n=4097, k=7, s=2, seed=4)
 def test_ksum_replaced_equals_fsum_of_each_variant(style, n, k, s, seed):
     # Variants of a row with up to s entries replaced, some by values that
     # overflow, cancel or are not finite: each sum is fsum of the variant,
-    # bit for bit, or fsum's exception.
+    # bit for bit, or fsum's exception.  The examples are rows of 256
+    # entries and more, as long as the 812-cell rows of a 2-d ascent.
     rng = np.random.default_rng(seed)
     if style == "special":
         row = rng.choice(_REPLACEMENTS, n)

@@ -63,7 +63,7 @@ def test_run_verify_row_counts(tmp_path):
     with open(result.csv_path) as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == len(result.rows)
-    payload = json.loads(open(result.json_path).read())
+    payload = json.loads(Path(result.json_path).read_text())
     assert len(payload) == len(result.rows)
     assert all("metadata" in entry for entry in payload)
 
@@ -79,8 +79,8 @@ def test_run_verify_deterministic_bytes(tmp_path):
     cfg = parse_config(full_doc())
     a = run_verify(cfg, tmp_path / "a")
     b = run_verify(cfg, tmp_path / "b")
-    assert open(a.csv_path, "rb").read() == open(b.csv_path, "rb").read()
-    assert open(a.json_path, "rb").read() == open(b.json_path, "rb").read()
+    assert Path(a.csv_path).read_bytes() == Path(b.csv_path).read_bytes()
+    assert Path(a.json_path).read_bytes() == Path(b.json_path).read_bytes()
 
 
 def test_run_verify_seed_changes_output(tmp_path):
@@ -88,7 +88,7 @@ def test_run_verify_seed_changes_output(tmp_path):
     doc = full_doc()
     doc["suite"]["seed"] = 12
     b = run_verify(parse_config(doc), tmp_path / "b")
-    assert open(a.csv_path, "rb").read() != open(b.csv_path, "rb").read()
+    assert Path(a.csv_path).read_bytes() != Path(b.csv_path).read_bytes()
 
 
 def test_run_verify_kernel_check_requires_fractional_kernel(tmp_path):

@@ -9,6 +9,7 @@ import poincheck.runner
 import poincheck.sharp
 from conftest import (
     add_at_local_matrix,
+    formed_rows,
     kernel_pencil_matrix,
     per_atom_transfer_matrix,
     per_probe_ratio_ascent,
@@ -776,7 +777,7 @@ def test_blocked_ratio_ascent_zero_rhs_probes_and_restarts_equal_per_probe(seed,
     zero_rows = {"probe": 0, "single": 0}
 
     def rhs_rows(v):
-        v = np.asarray(v)
+        v = formed_rows(v) if isinstance(v, Probes) else v
         out = np.where(v[:, 0] > v[:, 1], 0.0, local_energy_rows(v, whole, 1.5))
         zero_rows["single" if v.shape[0] == 1 else "probe"] += int(np.sum(out <= 0.0))
         return out
