@@ -7,9 +7,10 @@ CSV output is byte-identical across repetitions.
 
 Each weighted constant is a per-ball unweighted constant times the
 transfer factor.  The per-ball constants are frozen from data on a
-:class:`_Case` (one grid, suite and p), as maxima over the suite and the
-atom radii (ĉ at p = 2 from eigensolves instead), and then reused
-unchanged.  Which constant each command freezes, and on what:
+:class:`_Case` (one grid, suite and p), as maxima over the atom radii,
+and then reused unchanged.  :func:`_constant` alone chooses how a
+constant is found, frozen or sharp: an eigensolve, the maximum over the
+suite, or ratio ascent.  Which constant each command freezes, and on what:
 
 - ``verify`` freezes ĉ (gradient check) on the largest grid and uses it
   on every grid; the kernel bounds and the robust fractional constant on
@@ -123,30 +124,6 @@ def _kernels_of(config: ExperimentConfig, kind: str) -> list[KernelSpec]:
     return [k for k in config.kernels if k.kind == kind]
 
 
-def _frozen_constant(grid, suite, p, radii, energy, scale=lambda t: 1.0) -> float:
-    """Max over suite and ball radii t of ``dev / (scale(t) * energy)``.
-
-    ``energy(u, cells)`` is the right side's energy on the ball of radius
-    t and ``dev`` the p-deviation there; a suite with no nonzero deviation
-    freezes the constant at 1.
-    """
-    balls = [(t, ball_cells(grid, t)) for t in radii]
-    best = 0.0
-    for u in suite:
-        for t, cells in balls:
-            dev = deviation_p(u, cells, p)
-            e = energy(u, cells)
-            if e == 0.0:
-                if dev == 0.0:
-                    continue
-                raise ConfigError(
-                    f"energy vanishes on ball t={t} for a nonconstant suite function; "
-                    "the constant cannot be frozen"
-                )
-            best = max(best, dev / (scale(t) * e))
-    return best or 1.0
-
-
 def _freeze_order(sweep_s) -> float:
     return 0.5 if 0.5 in sweep_s else min(sweep_s)
 
@@ -167,37 +144,90 @@ class _Case:
 
     @cached_property
     def c_hat(self) -> float:
-        """Unweighted per-ball gradient constant: from eigensolves at
-        p = 2, else the max of deviation / (t^p gradient energy).
-        ``radii`` holds the unit ball, the last atom of every layer-cake
-        measure."""
+        """Unweighted per-ball gradient constant: the max of deviation /
+        (t^p gradient energy).  ``radii`` holds the unit ball, the last
+        atom of every layer-cake measure."""
         if self.c_hat_from is not None:
             return self.c_hat_from.c_hat
-        grid, suite, p, radii = self.grid, self.suite, self.p, self.radii
-        if p == 2.0:
-            return estimate_gradient_constant(grid, radii)
-        return _frozen_constant(
-            grid, suite, p, radii, lambda u, c: local_energy(u, c, p), lambda t: t**p
-        )
+        return _constant(self, KernelSpec(KIND_LOCAL), scale=lambda t: t**self.p).value
 
     @cached_property
-    def kernel_constants(self) -> list[tuple[KernelSpec, float]]:
+    def kernel_constants(self) -> dict[KernelSpec, float]:
         """Per fractional kernel, the max of deviation / kernel energy."""
-        grid, suite, p, radii = self.grid, self.suite, self.p, self.radii
-        return [
-            (k, _frozen_constant(grid, suite, p, radii, lambda u, c: kernel_energy(u, c, k, p)))
-            for k in _kernels_of(self.config, KIND_FRACTIONAL)
-        ]
+        return {k: _constant(self, k).value for k in _kernels_of(self.config, KIND_FRACTIONAL)}
 
     @cached_property
     def robust_constant(self) -> float:
         """Max of deviation / ((1-s0) t^(p s0) energy) at the freeze order s0."""
         p, s0 = self.p, _freeze_order(self.config.sweep_s)
         kernel = KernelSpec(KIND_FRACTIONAL, s=s0)
-        return _frozen_constant(
-            self.grid, self.suite, p, self.radii,
-            lambda u, c: kernel_energy(u, c, kernel, p), lambda t: (1.0 - s0) * t ** (p * s0),
+        return _constant(self, kernel, scale=lambda t: (1.0 - s0) * t ** (p * s0)).value
+
+
+@dataclass(frozen=True)
+class _Constant:
+    """A constant and how it was found.  ``value`` is None when its
+    eigensolve did not converge, with the last ``residual``; a converged
+    eigensolve gives its ``eigenvalue`` and Ritz ``trace`` rows."""
+
+    value: float | None
+    method: str
+    eigenvalue: float | None = None
+    residual: float | None = None
+    trace: tuple = ()
+
+
+def _constant(case, energy, profile=None, scale=lambda t: 1.0) -> _Constant:
+    """The best C in ``deviation <= C * energy`` on the case's grid at its
+    p.  ``energy`` is a kernel (``KernelSpec(KIND_LOCAL)``: the gradient
+    energy), or None for the transfer rhs, which needs a profile.
+
+    - With ``profile``, the sharp constant on the full ball under that
+      weight: ``1 / lambda`` of the p = 2 pencil (a solve that does not
+      converge gives value None and its residual), else the ratio ascent
+      from ``suite[0]``, which has the transfer and gradient targets only.
+    - Without, the frozen constant: the max over the case's radii t and
+      its suite of ``dev / (scale(t) * energy)`` on the ball of radius t,
+      or 1 if no deviation is nonzero.  At p = 2 the gradient constant
+      comes from eigensolves instead, scaled by t^2.
+    """
+    grid, p = case.grid, case.p
+    if profile is None:
+        local = energy.kind == KIND_LOCAL
+        if p == 2.0 and local:
+            return _Constant(estimate_gradient_constant(grid, case.radii), "eigen")
+        balls = [(t, ball_cells(grid, t)) for t in case.radii]
+        best = 0.0
+        for u in case.suite:
+            for t, cells in balls:
+                dev = deviation_p(u, cells, p)
+                e = local_energy(u, cells, p) if local else kernel_energy(u, cells, energy, p)
+                if e == 0.0:
+                    if dev == 0.0:
+                        continue
+                    raise ConfigError(
+                        f"energy vanishes on ball t={t} for a nonconstant suite function; "
+                        "the constant cannot be frozen"
+                    )
+                best = max(best, dev / (scale(t) * e))
+        return _Constant(best or 1.0, "suite")
+    if p != 2.0:
+        lhs, transfer_rhs, gradient_rhs = _ascent_functionals(grid, profile, p)
+        rhs = transfer_rhs if energy is None else gradient_rhs
+        ratio, _ = ratio_ascent(
+            grid, lhs, rhs, case.suite[0],
+            case.config.ascent_steps, _ASCENT_STEP_SIZE, weight=profile,
         )
+        return _Constant(ratio, "ascent")
+    try:
+        if energy is None:
+            trace = []
+            lam, _ = smallest_nonzero_eigen(assemble_transfer_p2(grid, profile), trace=trace)
+        else:
+            lam, _, trace = pencil_eigen(full_cells(grid), energy, profile)
+    except EigenConvergenceError as exc:
+        return _Constant(None, "eigen", residual=exc.residual)
+    return _Constant(1.0 / lam, "eigen", lam, trace=tuple(trace))
 
 
 def _cases(config: ExperimentConfig, N: int, radii) -> list[_Case]:
@@ -222,8 +252,8 @@ def _gradient_reports(case, profile):
 
 def _kernel_reports(case, profile):
     return [
-        check_weighted_kernel(u, profile, kernel, case.p, constant)
-        for kernel, constant in case.kernel_constants
+        check_weighted_kernel(u, profile, kernel, case.p, case.kernel_constants[kernel])
+        for kernel in _kernels_of(case.config, KIND_FRACTIONAL)
         for u in case.suite
     ]
 
@@ -328,22 +358,6 @@ def _sharp_row(target, method, eigenvalue, empirical, paper, residual=None):
     )
 
 
-def _eigen_row(target, paper, solve, traces) -> dict:
-    """Sharp row of one p = 2 target: ``1 / lambda`` of its pencil.
-
-    ``solve()`` returns the eigenvalue, eigenvector and Ritz trace rows.  A
-    solve that does not converge gives a failing row with its residual and
-    no trace; ``traces`` gets one row per Ritz step of a converged solve.
-    """
-    try:
-        lam, _, trace = solve()
-    except EigenConvergenceError as exc:
-        return _sharp_row(target, "eigen", None, None, paper, exc.residual)
-    for it, lam_it, res in trace:
-        traces.append(dict(target, iteration=it, eigenvalue=lam_it, residual=res))
-    return _sharp_row(target, "eigen", lam, 1.0 / lam, paper)
-
-
 def _ascent_functionals(grid, profile, p):
     """Row functionals of the two ascent targets: the weighted deviation
     (lhs), the transfer rhs ``sum_t w_t * deviation_p(u, B_t, p)`` over the
@@ -365,46 +379,27 @@ def _ascent_functionals(grid, profile, p):
 
 
 def _sharp_targets(case, profile):
-    """The ascent lhs (None at p = 2) and the sharp targets of one case
-    and profile, in row order.
-
-    Each target is (name, kernel label, paper constant, eigensolve at
-    p = 2 or ascent rhs functional otherwise); the kernel targets are
-    eigensolves only, so they exist at p = 2 alone.
-    """
+    """The sharp targets of one case and profile, in row order: (name,
+    kernel label, energy for :func:`_constant`, paper constant).  The
+    kernel targets are eigensolves only, so they exist at p = 2 alone."""
     grid, p = case.grid, case.p
     paper = transfer_constant(p, grid.d, profile)
-    paper_grad = weighted_gradient_constant(p, grid.d, profile, case.c_hat)
-    if p != 2.0:
-        lhs, transfer_rhs, gradient_rhs = _ascent_functionals(grid, profile, p)
-        return lhs, [
-            ("transfer", "", paper, transfer_rhs),
-            ("gradient", KIND_LOCAL, paper_grad, gradient_rhs),
-        ]
-    whole = full_cells(grid)
-
-    def pencil(kernel):
-        return lambda: pencil_eigen(whole, kernel, profile)
-
-    def transfer():
-        trace = []
-        lam, vec = smallest_nonzero_eigen(assemble_transfer_p2(grid, profile), trace=trace)
-        return lam, vec, trace
-
     targets = [
-        ("transfer", "", paper, transfer),
-        ("gradient", KIND_LOCAL, paper_grad, pencil(KernelSpec(KIND_LOCAL))),
+        ("transfer", "", None, paper),
+        ("gradient", KIND_LOCAL, KernelSpec(KIND_LOCAL),
+         weighted_gradient_constant(p, grid.d, profile, case.c_hat)),
     ]
-    kernel_constants = dict(case.kernel_constants)
+    if p != 2.0:
+        return targets
     for kernel in case.config.kernels:
         if kernel.kind == KIND_FLOOR:
             half_measure = ball_cells(grid, 0.5).measure
             paper_k = kernel_floor_constant(p, grid.d, profile, kernel.c, half_measure)
         else:
-            paper_k = kernel_constants[kernel] * paper
+            paper_k = case.kernel_constants[kernel] * paper
         label = json.dumps(kernel_to_json(kernel), separators=(",", ":"))
-        targets.append(("kernel", label, paper_k, pencil(kernel)))
-    return None, targets
+        targets.append(("kernel", label, kernel, paper_k))
+    return targets
 
 
 def run_sharp(config: ExperimentConfig, out_dir) -> RunResult:
@@ -421,17 +416,14 @@ def run_sharp(config: ExperimentConfig, out_dir) -> RunResult:
             for profile in config.profiles:
                 desc = describe_profile(profile)
                 base = {"d": config.dimension, "N": N, "p": case.p, "profile": desc, "kernel": ""}
-                lhs, targets = _sharp_targets(case, profile)
-                for name, kernel, paper, build in targets:
+                for name, kernel, energy, paper in _sharp_targets(case, profile):
                     target = dict(base, target=name, kernel=kernel)
-                    if lhs is None:
-                        rows.append(_eigen_row(target, paper, build, traces))
-                        continue
-                    ratio, _ = ratio_ascent(
-                        case.grid, lhs, build, case.suite[0],
-                        config.ascent_steps, _ASCENT_STEP_SIZE, weight=profile,
+                    c = _constant(case, energy, profile)
+                    traces.extend(
+                        dict(target, iteration=it, eigenvalue=lam, residual=res)
+                        for it, lam, res in c.trace
                     )
-                    rows.append(_sharp_row(target, "ascent", None, ratio, paper))
+                    rows.append(_sharp_row(target, c.method, c.eigenvalue, c.value, paper, c.residual))
 
     passed = all(row["pass"] for row in rows)
     result = _write_reports(out_dir, config, SHARP_COLUMNS, rows, rows, passed)

@@ -654,7 +654,8 @@ def ratio_ascent(
 
 
 def estimate_gradient_constant(grid: Grid, radii=()) -> float:
-    """Operational unweighted gradient constant at p = 2.
+    """Operational unweighted gradient constant at p = 2: the p = 2 frozen
+    gradient branch of ``poincheck.runner._constant``.
 
     For each requested ball radius (the unit ball is always included) the
     sharp per-ball constant comes from the eigensolve; dividing by the

@@ -44,12 +44,11 @@ from poincheck.inequalities import (
     check_truncated_fractional,
     check_weighted_gradient,
 )
-from poincheck.runner import _frozen_constant, run_verify
+from poincheck.runner import _Case, _constant, run_verify
 from poincheck.sharp import (
     assemble_p2,
     assemble_transfer_p2,
     dense_oracle_eigen,
-    estimate_gradient_constant,
     smallest_nonzero_eigen,
 )
 from poincheck.suite import SuiteSpec, build_suite, canonical_bump
@@ -182,17 +181,11 @@ def test_criterion_5_paper_bound_consistency():
             radii = tuple(
                 sorted({t for prof in WEIGHTS for t in layer_cake(prof).radii})
             )
-            c_hat_eigen = (
-                estimate_gradient_constant(grid, radii) if (d, N) != (2, 64) else None
-            )
             for p in (1.0, 2.0, 3.0):
-                if p == 2.0 and c_hat_eigen is not None:
-                    c_hat = c_hat_eigen
-                else:
-                    c_hat = _frozen_constant(
-                        grid, suite, p, radii + (1.0,),
-                        lambda u, c: local_energy(u, c, p), lambda t: t**p,
-                    )
+                # The unit ball is the last atom of every profile, so 1.0 is
+                # among the radii; at p = 2 this is the eigensolve constant.
+                case = _Case(None, grid, suite, p, radii)
+                c_hat = _constant(case, KernelSpec(KIND_LOCAL), scale=lambda t: t**p).value
                 for prof in WEIGHTS:
                     measure = layer_cake(prof)
                     paper_transfer = transfer_constant(p, d, prof)

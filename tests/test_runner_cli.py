@@ -17,8 +17,28 @@ import poincheck.runner
 import poincheck.sharp
 from poincheck.cli import build_parser, main, pin_malloc_thresholds
 from poincheck.config import CHECK_NAMES, ConfigError, parse_config
-from poincheck.runner import _PROFILE_CHECKS, SWEEP_COLUMNS, run_sharp, run_sweep, run_verify
-from poincheck.sharp import EigenConvergenceError
+from poincheck.forms import KIND_LOCAL, KernelSpec, kernel_energy, local_energy
+from poincheck.grid import ball_cells, deviation_p, full_cells
+from poincheck.runner import (
+    _ASCENT_STEP_SIZE,
+    _PROFILE_CHECKS,
+    SWEEP_COLUMNS,
+    _ascent_functionals,
+    _cases,
+    _constant,
+    _union_atom_radii,
+    run_sharp,
+    run_sweep,
+    run_verify,
+)
+from poincheck.sharp import (
+    EigenConvergenceError,
+    assemble_transfer_p2,
+    estimate_gradient_constant,
+    pencil_eigen,
+    ratio_ascent,
+    smallest_nonzero_eigen,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -185,6 +205,66 @@ def test_run_sharp_kernel_targets(tmp_path):
     assert result.all_passed
 
 
+@pytest.mark.parametrize("branch", [
+    "frozen-eigen", "frozen-suite-gradient", "frozen-suite-kernel",
+    "sharp-transfer-eigen", "sharp-kernel-eigen", "sharp-transfer-ascent", "sharp-gradient-ascent",
+])
+def test_constant_branch_matches_its_direct_call(branch):
+    doc = full_doc(p_values=[1.0, 2.0])
+    doc["ascent"] = {"steps": 3}
+    config = parse_config(doc)
+    radii = _union_atom_radii(config)
+    case1, case2 = _cases(config, 16, radii)
+    grid, local, kernel, profile = case2.grid, KernelSpec(KIND_LOCAL), config.kernels[0], config.profiles[1]
+
+    def suite_maximum(case, energy, scale):
+        return max(
+            deviation_p(u, ball_cells(grid, t), case.p) / (scale(t) * energy(u, ball_cells(grid, t)))
+            for u in case.suite for t in radii
+        )
+
+    def ascent(rhs_of):
+        functionals = _ascent_functionals(grid, profile, 1.0)
+        return ratio_ascent(
+            grid, functionals[0], rhs_of(functionals), case1.suite[0],
+            config.ascent_steps, _ASCENT_STEP_SIZE, weight=profile,
+        )[0]
+
+    def gradient_energy(u, cells):
+        return local_energy(u, cells, 1.0)
+
+    def kernel_energy_2(u, cells):
+        return kernel_energy(u, cells, kernel, 2.0)
+
+    def transfer_eigen():
+        return 1.0 / smallest_nonzero_eigen(assemble_transfer_p2(grid, profile))[0]
+
+    def kernel_eigen():
+        return 1.0 / pencil_eigen(full_cells(grid), kernel, profile)[0]
+
+    branches = {  # (_constant arguments, direct call, method)
+        "frozen-eigen": ((case2, local), lambda: estimate_gradient_constant(grid, radii), "eigen"),
+        "frozen-suite-gradient": (
+            (case1, local, None, lambda t: t),
+            lambda: suite_maximum(case1, gradient_energy, lambda t: t), "suite",
+        ),
+        "frozen-suite-kernel": (
+            (case2, kernel), lambda: suite_maximum(case2, kernel_energy_2, lambda t: 1.0), "suite",
+        ),
+        "sharp-transfer-eigen": ((case2, None, profile), transfer_eigen, "eigen"),
+        "sharp-kernel-eigen": ((case2, kernel, profile), kernel_eigen, "eigen"),
+        "sharp-transfer-ascent": ((case1, None, profile), lambda: ascent(lambda f: f[1]), "ascent"),
+        "sharp-gradient-ascent": ((case1, local, profile), lambda: ascent(lambda f: f[2]), "ascent"),
+    }
+    args, direct, method = branches[branch]
+    constant = _constant(*args)
+    assert constant.value == direct()
+    assert constant.method == method
+    if method == "eigen" and len(args) == 3:
+        assert constant.value == 1.0 / constant.eigenvalue
+        assert constant.trace and constant.trace[-1][1] == constant.eigenvalue
+
+
 def test_run_sweep_rows(tmp_path):
     doc = full_doc(grid_sizes=[32], weights=[{"type": "step", "breakpoints": [], "values": [1.0]}])
     result = run_sweep(parse_config(doc), tmp_path)
@@ -342,6 +422,69 @@ def test_cli_sharp_writes_trace(tmp_path):
             steps = [t for t in trace if t["target"] == row["target"]]
             assert steps and steps[-1]["eigenvalue"] == row["eigenvalue"]
         assert bool(trace) == bool(eigen_rows)
+
+
+def test_cli_sharp_transfer_eigensolve_failure_is_a_failing_row(tmp_path, monkeypatch, capsys):
+    # A transfer pencil whose solve does not converge gives a failing eigen
+    # row with the solver's residual and no trace rows; every other row and
+    # trace row is the one of a run in which it converges.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(full_doc(checks=[])))
+
+    def run(out):
+        code = main(["sharp", "--config", str(cfg_path), "--out", str(out)])
+        tables = []
+        for name in ("report.csv", "trace.csv"):
+            with open(out / name) as handle:
+                tables.append(list(csv.DictReader(handle)))
+        return code, *tables
+
+    def no_convergence(pair, **kwargs):
+        raise EigenConvergenceError("no convergence after 200 iterations", 0.25)
+
+    code, rows, trace = run(tmp_path / "converged")
+    assert code == 0
+    monkeypatch.setattr(poincheck.runner, "smallest_nonzero_eigen", no_convergence)
+    code, failed_rows, failed_trace = run(tmp_path / "failed")
+    assert code == 1
+
+    def other(table):
+        return [r for r in table if r["target"] != "transfer"]
+
+    failed = [r for r in failed_rows if r["target"] == "transfer"]
+    assert len(failed) == 2  # one per profile
+    for row, converged in zip(failed, [r for r in rows if r["target"] == "transfer"]):
+        assert row["method"] == "eigen"
+        assert row["eigenvalue"] == row["empirical_constant"] == row["gap_factor"] == ""
+        assert row["residual"] == "0.25"
+        assert row["pass"] == "false"
+        assert row["paper_constant"] == converged["paper_constant"]
+    assert other(failed_rows) == other(rows)
+    assert len(other(trace)) < len(trace)
+    assert failed_trace == other(trace)
+
+
+@pytest.mark.parametrize(
+    "command,checks,code",
+    [("verify", ["kernel"], 2), ("sharp", [], 2), ("verify", [], 0)],
+    ids=["verify-kernel", "sharp", "verify-no-checks"],
+)
+def test_cli_vanishing_kernel_energy_aborts_the_run(command, checks, code, tmp_path, capsys):
+    # Pins a known defect, kept visible until a frozen constant that cannot
+    # be computed becomes failing rows: at R = 40 the truncated kernel
+    # reaches no pair of the 1-d N = 32 grid (1/R < h = 1/16), so freezing
+    # its constant stops the whole run with exit 2.  verify freezes it for
+    # the kernel check only; sharp for its kernel paper constants always.
+    doc = json.loads((ROOT / "configs" / "demo.json").read_text())
+    doc.update(kernels=[{"kind": "fractional", "s": 0.5, "R": 40}], grid_sizes=[32], checks=checks)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == code
+    if code == 2:
+        assert capsys.readouterr().err == (
+            "error: energy vanishes on ball t=0.5625 for a nonconstant suite function; "
+            "the constant cannot be frozen\n"
+        )
 
 
 def test_cli_and_runner_option_inventory():
