@@ -9,9 +9,11 @@ are a diagonal minus rank-one terms over nested cell sets
 (:class:`NestedRankOne`), by the layer-cake splitting of the weight.  Each
 is applied matrix-free from ``_OPERATOR_MIN_CELLS`` cells on and as its
 dense form below; every fractional kernel form is a dense kernel matrix.
-The eigenvalue is found by deflated inverse iteration with projected CG
-inner solves, which touches the energy only through ``A @ x``, and is
-validated against LAPACK's full spectrum of the dense pencil.
+The same crossover picks the eigensolver.  Below it, LAPACK
+(``np.linalg.eigh``) solves the dense symmetrized pencil.  From it on,
+deflated block inverse iteration with projected CG inner solves touches
+the energy only through ``A @ x``; it is validated against LAPACK's full
+spectrum of the dense pencil (:func:`dense_oracle_eigen`).
 :func:`pencil_eigen` solves each pencil once per grid.
 For general p a normalized finite-difference ascent of the ratio supplies
 a certified lower bound on the sharp constant.  Each step hands its n
@@ -21,7 +23,8 @@ functionals evaluate them without forming the n x n matrix of rows, each
 to the float its row gives.
 
 Everything here is deterministic: fixed internal seeds, fixed iteration
-schedules, no external solver dependencies.
+schedules, and LAPACK through numpy at the one BLAS thread the package
+pins; no other solver dependency.
 """
 
 from __future__ import annotations
@@ -53,18 +56,37 @@ __all__ = [
 
 _DENSE_CAP = 2000
 # Smallest pencil whose structured energy (EdgeStencil, NestedRankOne) is
-# applied matrix-free; QuadraticFormPair stores a smaller one as its dense
-# form.  The crossover is one matvec, dense gemv against the operator, in us
-# (Intel Xeon, one BLAS thread, best of 5 x 2,000 calls; 2-d N = 16, 20, 24
-# and 32, the full ball, weight step([0.75], [2, 1]); local, transfer and
-# floor are the forms of local_stencil, assemble_transfer_p2 and
-# floor_operator):
+# applied matrix-free and whose eigenpair comes from the block iteration;
+# QuadraticFormPair stores a smaller one as its dense form, which
+# smallest_nonzero_eigen solves by LAPACK.  The form's crossover is one
+# matvec, dense gemv against the operator, in us (Intel Xeon, one BLAS
+# thread, best of 5 x 2,000 calls; 2-d N = 16, 20, 24 and 32, the full
+# ball, weight step([0.75], [2, 1]); local, transfer and floor are the
+# forms of local_stencil, assemble_transfer_p2 and floor_operator):
 #
 #   cells   local          transfer       floor
 #   208     8.0 vs 7.7     8.0 vs 14.5    6.6 vs 14.6
 #   316     15.7 vs 11.1   15.4 vs 15.1   15.9 vs 15.2
 #   448     37.2 vs 12.2   35.9 vs 15.7   27.3 vs 10.8
 #   812     209 vs 19.1    246 vs 20.5    237 vs 19.6
+#
+# The solver's crossover is one solve, eigh of the dense symmetrized pencil
+# (its dense form built in the call) against the block iteration, in ms
+# (same host and weight, best of 5, of 3 at 812 cells; 1-d N = 64, 2-d
+# N = 16, 24 and 32, the full ball; fractional is s = 1/2):
+#
+#   cells   local          fractional     floor          transfer
+#   64      0.7 vs 20.5    0.4 vs 7.5     0.4 vs 7.1     0.4 vs 14.1
+#   208     6.3 vs 41.3    5.7 vs 20.0    2.7 vs 5.4     4.1 vs 13.0
+#   448     35.3 vs 41.7   33.9 vs 46.4   20.1 vs 7.6    21.9 vs 18.2
+#   812     162 vs 128     138 vs 238     120 vs 16.1    119 vs 23.9
+#
+# So eigh wins every form below 256 cells, and at 448 it wins and loses by
+# about as much (111 against 114 ms summed).  One constant serves both
+# choices, so a pencil stored dense is solved by LAPACK and an operator by
+# the iteration; a second constant would buy little.  Fractional pencils
+# stay iterative at 812 cells, though eigh is faster there: it loses from
+# N = 64 on (6.5 against 4.8 s at 3,228 cells).
 _OPERATOR_MIN_CELLS = 256
 
 
@@ -427,51 +449,98 @@ def _jacobi_eigh(S: np.ndarray, tol: float, max_sweeps: int):
     raise RuntimeError(f"Jacobi sweeps did not converge within {max_sweeps} passes")
 
 
-def smallest_nonzero_eigen(
+class _SymmetricPencil:
+    """A pair in symmetric form ``S = M^-1/2 A M^-1/2``, both solver paths'
+    preparation.  ``q = M^1/2 1 / |M^1/2 1|`` spans the constant direction,
+    which S maps to zero; each path deflates it and returns a vector of
+    ``q``'s complement as ``M^-1/2 x``."""
+
+    def __init__(self, pair: QuadraticFormPair):
+        if np.any(pair.mass <= 0.0):
+            raise ValueError("eigensolve requires a strictly positive mass diagonal")
+        if pair.size < 2:
+            raise ValueError("pair is too small to carry a nonconstant direction")
+        self.energy = pair.energy
+        self.sqrt_m = np.sqrt(pair.mass)
+        self.inv_sqrt = 1.0 / self.sqrt_m
+        self.q = self.sqrt_m / np.linalg.norm(self.sqrt_m)
+
+    def project(self, x):
+        return x - self.q * (self.q @ x)
+
+    def matvec(self, x):
+        return self.inv_sqrt * (self.energy @ (self.inv_sqrt * x))
+
+    def residual(self, lam: float, x: np.ndarray, tol: float):
+        """(relative residual ``|A v - lam M v| / |A v|`` of ``v = M^-1/2 x``,
+        whether it is at most ``tol``, Euclidean residual ``|S x - lam x|``).
+        The relative residual is 1 where ``A v = 0``."""
+        Sx = self.matvec(x)
+        residual = float(np.linalg.norm(self.sqrt_m * (Sx - lam * x)))
+        reference = float(np.linalg.norm(self.sqrt_m * Sx))
+        rel_residual = residual / reference if reference > 0.0 else 1.0
+        converged = reference > 0.0 and residual <= tol * reference
+        return rel_residual, converged, float(np.linalg.norm(Sx - lam * x))
+
+    def eigenvector(self, x: np.ndarray) -> np.ndarray:
+        """``M^-1/2`` of x projected off q and normalized: mass-normalized
+        and mass-orthogonal to constants."""
+        x = self.project(x)
+        x /= np.linalg.norm(x)
+        return self.inv_sqrt * x
+
+
+def _not_converged(iterations: int, rel_residual: float) -> EigenConvergenceError:
+    return EigenConvergenceError(
+        f"no convergence after {iterations} iterations "
+        f"(relative residual {rel_residual:.3e})",
+        rel_residual,
+    )
+
+
+def _lapack_eigen(pair: QuadraticFormPair, tol: float = 1e-8, trace: list | None = None):
+    """The solve under ``_OPERATOR_MIN_CELLS``: ``np.linalg.eigh`` of the
+    dense symmetric form with ``q`` lifted past the spectrum by
+    ``2 |S|_inf q q'``, so its first pair is the smallest in ``q``'s
+    complement.  Appends one trace row ``(1, lam, relative residual)``."""
+    sym = _SymmetricPencil(pair)
+    inv_sqrt, q = sym.inv_sqrt, sym.q
+    S = inv_sqrt[:, None] * pair.dense_energy() * inv_sqrt[None, :]
+    # the largest absolute row sum bounds every eigenvalue of S
+    S += (2.0 * float(np.abs(S).sum(axis=1).max())) * np.outer(q, q)
+    theta, V = np.linalg.eigh(S)
+    lam, x = float(theta[0]), V[:, 0]
+    rel_residual, converged, _ = sym.residual(lam, x, tol)
+    if trace is not None:
+        trace.append((1, lam, rel_residual))
+    if not converged:
+        raise _not_converged(1, rel_residual)
+    return lam, sym.eigenvector(x)
+
+
+def _block_iteration(
     pair: QuadraticFormPair,
     tol: float = 1e-8,
     max_iter: int = 200,
     trace: list | None = None,
 ):
-    """Smallest nonzero generalized eigenvalue of (energy, mass).
-
-    Touches the energy only through ``energy @ x``.  Transforms to symmetric form with the inverse square root of the mass,
-    deflates the constant direction, and runs block inverse (subspace)
-    iteration with projected-CG inner solves and a small Jacobi Ritz step
+    """The solve from ``_OPERATOR_MIN_CELLS`` on, touching the energy only
+    through ``energy @ x``: block inverse (subspace) iteration on q's
+    complement, with projected-CG inner solves and a small Jacobi Ritz step
     per pass; the block absorbs near-degenerate lowest modes (symmetric
     domains carry double eigenvalues), which would stall a single-vector
-    iteration.  Converges when the residual in the original variables
-    satisfies ``|A v - lam D v| <= tol * |A v|``.  Returns the eigenvalue
-    and the eigenvector as a 1-d array of ``pair.size`` entries in the
-    pair's cell order, mass-orthogonal to constants and mass-normalized.
-
-    Raises :class:`EigenConvergenceError` with the last relative residual
-    when the iteration budget runs out.
-    """
-    if np.any(pair.mass <= 0.0):
-        raise ValueError("eigensolve requires a strictly positive mass diagonal")
-    A = pair.energy
+    iteration.  Appends ``(iteration, lam, relative residual)`` per Ritz
+    step."""
+    sym = _SymmetricPencil(pair)
+    project, s_matvec = sym.project, sym.matvec
     n = pair.size
-    sqrt_m = np.sqrt(pair.mass)
-    inv_sqrt = 1.0 / sqrt_m
-    q = sqrt_m / np.linalg.norm(sqrt_m)
-
-    def project(x):
-        return x - q * (q @ x)
-
-    def s_matvec(x):
-        return inv_sqrt * (A @ (inv_sqrt * x))
-
     block = min(3, n - 1)
-    if block < 1:
-        raise ValueError("pair is too small to carry a nonconstant direction")
     rng = np.random.default_rng(171)
     X = np.column_stack([project(rng.standard_normal(n)) for _ in range(block)])
     X, _ = np.linalg.qr(X)
     Y = X.copy()
     lam = float("nan")
     rel_residual = 1.0
-    euclid_residual = np.inf
     sigma = 0.0
     for it in range(1, max_iter + 1):
         inner_rtol = min(1e-3, max(1e-12, 0.05 * rel_residual))
@@ -496,15 +565,10 @@ def smallest_nonzero_eigen(
         theta, W = _jacobi_eigh(ritz, 1e-14, 60)
         X = Q @ W
         lam = float(theta[0])
-        x = X[:, 0]
-        Sx = s_matvec(x)
-        residual = float(np.linalg.norm(sqrt_m * (Sx - lam * x)))
-        reference = float(np.linalg.norm(sqrt_m * Sx))
-        rel_residual = residual / reference if reference > 0.0 else 1.0
-        euclid_residual = float(np.linalg.norm(Sx - lam * x))
+        rel_residual, converged, euclid_residual = sym.residual(lam, X[:, 0], tol)
         if trace is not None:
             trace.append((it, lam, rel_residual))
-        if reference > 0.0 and residual <= tol * reference:
+        if converged:
             break
         # Ritz values sit above the true eigenvalue by at most the Euclidean
         # residual (symmetric Weyl bound), so this shift stays safely below
@@ -513,15 +577,37 @@ def smallest_nonzero_eigen(
             margin = max(20.0 * euclid_residual, 1e-3 * lam)
             sigma = max(sigma, lam - margin)
     else:
-        raise EigenConvergenceError(
-            f"no convergence after {max_iter} iterations "
-            f"(relative residual {rel_residual:.3e})",
-            rel_residual,
-        )
-    x = X[:, 0]
-    x = project(x)
-    x /= np.linalg.norm(x)
-    return lam, inv_sqrt * x
+        raise _not_converged(max_iter, rel_residual)
+    return lam, sym.eigenvector(X[:, 0])
+
+
+def smallest_nonzero_eigen(
+    pair: QuadraticFormPair,
+    tol: float = 1e-8,
+    max_iter: int = 200,
+    trace: list | None = None,
+):
+    """Smallest nonzero generalized eigenvalue of (energy, mass).
+
+    Both paths solve the symmetric form ``M^-1/2 A M^-1/2`` with the
+    constant direction deflated.  A pair of fewer than
+    ``_OPERATOR_MIN_CELLS`` cells, whose energy is a dense matrix, is
+    solved by LAPACK (``np.linalg.eigh``) and writes one trace row; a
+    larger one by block inverse iteration through ``energy @ x``, which
+    writes one row per Ritz step (``max_iter`` bounds those steps).  Each
+    row is (iteration, eigenvalue, relative residual).  The solve
+    converges when the residual in the original variables satisfies
+    ``|A v - lam D v| <= tol * |A v|``.  Returns the eigenvalue and the
+    eigenvector as a 1-d array of ``pair.size`` entries in the pair's cell
+    order, mass-orthogonal to constants and mass-normalized; its sign is
+    not fixed.
+
+    Raises :class:`EigenConvergenceError` with the last relative residual
+    when that residual exceeds ``tol``.
+    """
+    if pair.size < _OPERATOR_MIN_CELLS:
+        return _lapack_eigen(pair, tol, trace)
+    return _block_iteration(pair, tol, max_iter, trace)
 
 
 def pencil_eigen(cells: CellSet, kernel: KernelSpec, weight: RadialProfile = UNIT_WEIGHT):
@@ -548,8 +634,10 @@ def dense_oracle_eigen(pair: QuadraticFormPair) -> np.ndarray:
     """Full spectrum, ascending, of the symmetrized pencil by LAPACK
     (``np.linalg.eigvalsh``).
 
-    Validation oracle for :func:`smallest_nonzero_eigen`, with which it
-    shares no code; capped at ``_DENSE_CAP`` = 2,000 cells.
+    Validation oracle for the block iteration of
+    :func:`smallest_nonzero_eigen`, with which it shares no code (tests
+    call that iteration directly on pencils under the crossover); capped
+    at ``_DENSE_CAP`` = 2,000 cells.
     """
     n = pair.size
     if n > _DENSE_CAP:

@@ -68,7 +68,14 @@ def smooth_random_field(grid: Grid, rng, passes: int = 3) -> np.ndarray:
 
 
 def _eigenfunction(grid: Grid) -> np.ndarray:
+    """The full-ball local eigenvector over its peak, signed so that its
+    first moment ``sum_i v_i x_{i,a}`` is positive on the axis a where that
+    moment is largest in magnitude (the solver fixes no sign)."""
     _, vals, _ = pencil_eigen(full_cells(grid), KernelSpec(KIND_LOCAL))
+    moments = vals @ grid.centers
+    axis = int(np.argmax(np.abs(moments)))
+    if moments[axis] < 0.0:
+        vals = -vals
     peak = np.abs(vals).max()
     return vals / peak if peak > 0.0 else vals
 

@@ -2,6 +2,9 @@
 
 import math
 
+# The package pins BLAS to one thread before numpy loads, which keeps
+# reports byte-identical; imported first, it does so for the tests too.
+import poincheck  # noqa: F401
 import numpy as np
 import pytest
 

@@ -43,6 +43,7 @@ from poincheck.sharp import (
     EigenConvergenceError,
     NestedRankOne,
     QuadraticFormPair,
+    _block_iteration,
     assemble_p2,
     assemble_transfer_p2,
     dense_oracle_eigen,
@@ -142,25 +143,33 @@ def test_transfer_pair_matches_atomized_deviations(rng):
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_smallest_eigen_path_graph_closed_form():
-    g = build_grid(1, 4)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
-    lam, v = smallest_nonzero_eigen(pair)
-    want = 2.0 * (1.0 - np.cos(np.pi / 4)) / g.h**2
-    assert lam == pytest.approx(want, rel=1e-10)
-    # eigenvector contract: an array in the pair's cell order,
-    # mass-normalized, mass-orthogonal to constants
+def assert_eigenpair_contract(pair, lam, v, tol=1e-8):
+    """An array in the pair's cell order, mass-normalized, mass-orthogonal
+    to constants, with relative residual at most tol."""
     assert isinstance(v, np.ndarray) and v.shape == (pair.size,)
     assert float(v @ (pair.mass * v)) == pytest.approx(1.0, rel=1e-12)
     assert abs(float(pair.mass @ v)) < 1e-10
-    # residual contract
     res = pair.energy @ v - lam * pair.mass * v
-    assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(pair.energy @ v)
+    assert np.linalg.norm(res) <= tol * np.linalg.norm(pair.energy @ v)
+
+
+def test_smallest_eigen_path_graph_closed_form():
+    # 4 cells: the public solve takes the LAPACK path; the block iteration
+    # is called directly.
+    g = build_grid(1, 4)
+    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+    want = 2.0 * (1.0 - np.cos(np.pi / 4)) / g.h**2
+    for solve in (smallest_nonzero_eigen, _block_iteration):
+        lam, v = solve(pair)
+        assert lam == pytest.approx(want, rel=1e-10)
+        assert_eigenpair_contract(pair, lam, v)
 
 
 def test_smallest_eigen_reports_nonconvergence():
-    g = build_grid(1, 16)
+    # 316 cells, at least the crossover: the public solve iterates.
+    g = build_grid(2, 20)
     pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+    assert pair.size == 316
     with pytest.raises(EigenConvergenceError) as info:
         smallest_nonzero_eigen(pair, tol=1e-14, max_iter=1)
     assert info.value.residual >= 0.0
@@ -189,13 +198,14 @@ def test_dense_oracle_size_cap():
 
 
 def test_oracle_agrees_with_iterative():
+    # 64 cells: under the crossover, so the block iteration is called directly.
     g = build_grid(1, 64)
     for spec, weight in (
         (KernelSpec(KIND_LOCAL), UNIT_WEIGHT),
         (KernelSpec(KIND_FRACTIONAL, s=0.5), make_step_profile([0.75], [2.0, 1.0])),
     ):
         pair = assemble_p2(g, full_cells(g), spec, weight)
-        lam, _ = smallest_nonzero_eigen(pair)
+        lam, _ = _block_iteration(pair)
         spectrum = dense_oracle_eigen(pair)
         assert abs(lam - spectrum[1]) <= 1e-8 * max(1.0, lam)
 
@@ -386,6 +396,33 @@ def test_unit_weight_nested_pencils_closed_forms(d, N):
     assert lam == pytest.approx(1.0, rel=1e-12)
     lam, _ = smallest_nonzero_eigen(assemble_p2(g, full_cells(g), FLOOR))
     assert lam == pytest.approx(2.0 * g.cell_measure * g.cell_count, rel=1e-12)
+
+
+def _demo_pencils(g, profile):
+    """(kernel, pencil) for every pencil kind of the demo on the full ball:
+    local, fractional s = 1/2, constant floor, and transfer (kernel None)."""
+    for kernel in (KernelSpec(KIND_LOCAL), KernelSpec(KIND_FRACTIONAL, s=0.5), FLOOR):
+        yield kernel, assemble_p2(g, full_cells(g), kernel, profile)
+    yield None, assemble_transfer_p2(g, profile)
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (1, 64), (2, 16)])
+def test_lapack_path_agrees_with_block_iteration(d, N):
+    g = build_grid(d, N)
+    for profile in DEMO_PROFILES:
+        for kernel, pair in _demo_pencils(g, profile):
+            assert pair.size < 256
+            trace = []
+            lam, v = smallest_nonzero_eigen(pair, trace=trace)
+            # the largest difference measured was 5.6e-13
+            want, _ = _block_iteration(pair)
+            assert abs(lam - want) <= 1e-10 * want
+            assert_eigenpair_contract(pair, lam, v)
+            assert len(trace) == 1 and trace[0][:2] == (1, lam) and trace[0][2] <= 1e-8
+            if kernel is not None:
+                got, vec, rows = pencil_eigen(full_cells(g), kernel, profile)
+                assert got == lam and np.array_equal(vec, v)
+                assert rows == tuple(trace)
 
 
 def test_kernel_pencils_are_the_product_formulas_bit_for_bit():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from poincheck.grid import build_grid
-from poincheck.suite import FAMILIES, SuiteSpec, build_suite, canonical_bump
+import poincheck.suite
+from poincheck.forms import KIND_LOCAL, KernelSpec
+from poincheck.grid import build_grid, full_cells
+from poincheck.sharp import pencil_eigen
+from poincheck.suite import FAMILIES, SuiteSpec, _eigenfunction, build_suite, canonical_bump
 
 
 def test_suite_spec_validation():
@@ -49,6 +52,29 @@ def test_eigen_family_repeats_are_perturbed():
     suite = build_suite(g, SuiteSpec(seed=3, count=8))
     assert not np.array_equal(suite[3].values, suite[7].values)
     assert np.abs(suite[3].values).max() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (1, 64), (2, 16), (2, 32)])
+def test_eigen_member_has_a_positive_largest_first_moment(d, N):
+    g = build_grid(d, N)
+    member = build_suite(g, SuiteSpec(seed=3, count=4))[3].values
+    moments = member @ g.centers
+    assert moments[np.argmax(np.abs(moments))] > 0.0
+
+
+def test_eigen_member_on_2d_n32_is_the_solver_vector_unflipped():
+    g = build_grid(2, 32)
+    _, vec, _ = pencil_eigen(full_cells(g), KernelSpec(KIND_LOCAL))
+    assert np.array_equal(_eigenfunction(g), vec / np.abs(vec).max())
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 16)])
+def test_eigen_member_does_not_follow_the_solver_sign(d, N, monkeypatch):
+    g = build_grid(d, N)
+    want = _eigenfunction(g)
+    lam, vec, trace = pencil_eigen(full_cells(g), KernelSpec(KIND_LOCAL))
+    monkeypatch.setattr(poincheck.suite, "pencil_eigen", lambda *args: (lam, -vec, trace))
+    assert np.array_equal(_eigenfunction(g), want)
 
 
 def test_canonical_bump_fixed():
