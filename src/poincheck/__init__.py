@@ -3,14 +3,15 @@ on discretized Euclidean balls, with sharp-constant estimation.
 
 BLAS is pinned to one thread here, before any import loads numpy, so
 repeated runs of the same config are byte-identical regardless of machine
-load; a variable already set in the environment is left as it is.
+load.  The thread variables are assigned, so the pin wins over the
+environment; importing numpy before poincheck defeats it.
 """
 
 import os
 
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
+os.environ["OMP_NUM_THREADS"] = "1"
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["MKL_NUM_THREADS"] = "1"
 
 from .weights import (
     UNIT_WEIGHT,

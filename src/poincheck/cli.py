@@ -11,8 +11,9 @@ an eigensolve that does not converge outside a sharp row (a frozen
 constant such as ĉ; a sharp row's own solve gives a failing row instead).
 
 BLAS is pinned to one thread by the package ``__init__``, which runs
-before this module and before numpy loads.  ``main`` pins glibc's malloc
-thresholds (:func:`pin_malloc_thresholds`).
+before this module and before numpy loads, over any thread count set in
+the environment.  ``main`` pins glibc's malloc thresholds
+(:func:`pin_malloc_thresholds`).
 """
 
 import argparse

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import BLOCK_ELEMENTS, SymmetricRowSums, ksum, ksum_replaced, ksum_rows
-from .weights import UNIT_WEIGHT, RadialProfile, eval_weight
+from .weights import UNIT_WEIGHT, RadialProfile
 from .grid import CellSet, GridFunction, Probes, cell_weights, value_rows
 
 __all__ = [
@@ -243,7 +243,7 @@ def _pair_energies(
     table, keys, center = _offset_kernel(grid, kernel, p)
     keys = keys[idx]
     values = np.stack([u.values[idx] for u in functions])
-    phi = eval_weight(weight, grid.norms[idx])
+    phi = cell_weights(cells, weight)[0]
     m = idx.size
 
     def block(v, start: int, stop: int, lo: int, hi: int) -> np.ndarray:
@@ -388,7 +388,7 @@ def pair_coefficient_matrix(
     """
     idx = cells.indices
     table, keys, center = _offset_kernel(grid, kernel, 2.0)
-    phi = eval_weight(weight, grid.norms[idx])
+    phi = cell_weights(cells, weight)[0]
     C = np.empty((idx.size, idx.size))
     step = max(1, BLOCK_ELEMENTS // max(1, idx.size))
     for start in range(0, idx.size, step):

@@ -6,14 +6,13 @@ the weighted mass form.  The mass form is a diagonal.  Two energies have
 a structure that gives an O(n) ``A @ x``: the local gradient form is an
 edge list (:class:`EdgeStencil`), and the transfer and constant-floor forms
 are a diagonal minus rank-one terms over nested cell sets
-(:class:`NestedRankOne`), by the layer-cake splitting of the weight.  Each
-is applied matrix-free from ``_OPERATOR_MIN_CELLS`` cells on and as its
-dense form below; every fractional kernel form is a dense kernel matrix.
-The same crossover picks the eigensolver.  Below it, LAPACK
-(``np.linalg.eigh``) solves the dense symmetrized pencil.  From it on,
-deflated block inverse iteration with projected CG inner solves touches
-the energy only through ``A @ x``; it is validated against LAPACK's full
-spectrum of the dense pencil (:func:`dense_oracle_eigen`).
+(:class:`NestedRankOne`), by the layer-cake splitting of the weight; a
+pair keeps them as built.  Every fractional kernel form is a dense kernel
+matrix.  Only the eigensolver densifies: under ``_ITERATIVE_MIN_CELLS``
+cells, LAPACK (``np.linalg.eigh``) solves the dense symmetrized pencil.
+From it on, deflated block inverse iteration with projected CG inner
+solves touches the energy only through ``A @ x``; it is validated against
+LAPACK's full spectrum of the dense pencil (:func:`dense_oracle_eigen`).
 :func:`pencil_eigen` solves each pencil once per grid.
 For general p a normalized finite-difference ascent of the ratio supplies
 a certified lower bound on the sharp constant.  Each step hands its n
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import ksum
-from .weights import UNIT_WEIGHT, RadialProfile, eval_weight, layer_cake
+from .weights import UNIT_WEIGHT, RadialProfile, layer_cake
 from .grid import CellSet, Grid, GridFunction, Probes, ball_cells, cell_weights, full_cells
 from .forms import KIND_FLOOR, KIND_LOCAL, KernelSpec, pair_coefficient_matrix
 
@@ -55,25 +54,14 @@ __all__ = [
 ]
 
 _DENSE_CAP = 2000
-# Smallest pencil whose structured energy (EdgeStencil, NestedRankOne) is
-# applied matrix-free and whose eigenpair comes from the block iteration;
-# QuadraticFormPair stores a smaller one as its dense form, which
-# smallest_nonzero_eigen solves by LAPACK.  The form's crossover is one
-# matvec, dense gemv against the operator, in us (Intel Xeon, one BLAS
-# thread, best of 5 x 2,000 calls; 2-d N = 16, 20, 24 and 32, the full
-# ball, weight step([0.75], [2, 1]); local, transfer and floor are the
-# forms of local_stencil, assemble_transfer_p2 and floor_operator):
-#
-#   cells   local          transfer       floor
-#   208     8.0 vs 7.7     8.0 vs 14.5    6.6 vs 14.6
-#   316     15.7 vs 11.1   15.4 vs 15.1   15.9 vs 15.2
-#   448     37.2 vs 12.2   35.9 vs 15.7   27.3 vs 10.8
-#   812     209 vs 19.1    246 vs 20.5    237 vs 19.6
-#
-# The solver's crossover is one solve, eigh of the dense symmetrized pencil
-# (its dense form built in the call) against the block iteration, in ms
-# (same host and weight, best of 5, of 3 at 812 cells; 1-d N = 64, 2-d
-# N = 16, 24 and 32, the full ball; fractional is s = 1/2):
+# Smallest pencil that smallest_nonzero_eigen solves by the block iteration;
+# a smaller one is solved by LAPACK.  The crossover is one solve, eigh of
+# the dense symmetrized pencil (its dense form built in the call) against
+# the block iteration, in ms (Intel Xeon, one BLAS thread, best of 5, of 3
+# at 812 cells; 1-d N = 64, 2-d N = 16, 24 and 32, the full ball, weight
+# step([0.75], [2, 1]); local, transfer and floor are the forms of
+# local_stencil, assemble_transfer_p2 and floor_operator, fractional is
+# s = 1/2):
 #
 #   cells   local          fractional     floor          transfer
 #   64      0.7 vs 20.5    0.4 vs 7.5     0.4 vs 7.1     0.4 vs 14.1
@@ -82,12 +70,10 @@ _DENSE_CAP = 2000
 #   812     162 vs 128     138 vs 238     120 vs 16.1    119 vs 23.9
 #
 # So eigh wins every form below 256 cells, and at 448 it wins and loses by
-# about as much (111 against 114 ms summed).  One constant serves both
-# choices, so a pencil stored dense is solved by LAPACK and an operator by
-# the iteration; a second constant would buy little.  Fractional pencils
-# stay iterative at 812 cells, though eigh is faster there: it loses from
+# about as much (111 against 114 ms summed).  Fractional pencils stay
+# iterative at 812 cells, though eigh is faster there: it loses from
 # N = 64 on (6.5 against 4.8 s at 3,228 cells).
-_OPERATOR_MIN_CELLS = 256
+_ITERATIVE_MIN_CELLS = 256
 
 
 class EigenConvergenceError(RuntimeError):
@@ -204,19 +190,16 @@ class QuadraticFormPair:
     """Energy A (symmetric psd, constants in its kernel) and the diagonal
     of the weighted mass matrix, both indexed by the positions of one cell
     set (entry k is the set's k-th cell).  A is a dense matrix or a
-    structured operator (:class:`EdgeStencil`, :class:`NestedRankOne`); an
-    operator of fewer than ``_OPERATOR_MIN_CELLS`` cells is stored as its
-    dense form.  A matrix is validated without n x n temporaries, an
-    operator is valid by construction.  A read-only matrix that owns its
-    memory is kept as it is; any other matrix is copied."""
+    structured operator (:class:`EdgeStencil`, :class:`NestedRankOne`),
+    stored as given at every size.  A matrix is validated without n x n
+    temporaries, an operator is valid by construction.  A read-only matrix
+    that owns its memory is kept as it is; any other matrix is copied."""
 
     energy: np.ndarray | EdgeStencil | NestedRankOne
     mass: np.ndarray
 
     def __post_init__(self):
         A = self.energy
-        if isinstance(A, _OPERATORS) and A.shape[0] < _OPERATOR_MIN_CELLS:
-            A = A.dense()
         if not isinstance(A, _OPERATORS):
             A = np.asarray(A, dtype=float)
             if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -274,7 +257,7 @@ def local_stencil(
     idx = cells.indices
     local_of = -np.ones(grid.cell_count, dtype=np.int64)
     local_of[idx] = np.arange(n)
-    scaled = eval_weight(weight, grid.norms[idx]) * grid.h ** (grid.d - 2)
+    scaled = cell_weights(cells, weight)[0] * grid.h ** (grid.d - 2)
     heads, tails = [], []
     for a in range(grid.d):
         nb = grid.neighbors_up[idx, a]
@@ -304,7 +287,7 @@ def floor_operator(
     """
     levels = np.unique(weight.values)
     levels = levels[levels > 0.0]
-    depth = np.searchsorted(levels, eval_weight(weight, grid.norms[cells.indices]), "right")
+    depth = np.searchsorted(levels, cell_weights(cells, weight)[0], "right")
     sizes = np.cumsum(np.bincount(depth, minlength=levels.size + 1)[::-1])[::-1][1:]
     coef = 2.0 * grid.cell_measure**2 * np.diff(levels, prepend=0.0)
     return NestedRankOne.from_sets(depth, coef * sizes, coef)
@@ -322,13 +305,12 @@ def assemble_p2(
     the mass diagonal carries the weighted cell measures (``UNIT_WEIGHT``,
     the default, gives the unweighted pencil).  The local gradient form is
     :func:`local_stencil` and the constant-floor form :func:`floor_operator`,
-    applied matrix-free or as their dense forms as :class:`QuadraticFormPair`
-    decides; a fractional kernel form is the dense kernel matrix at every
-    size.
+    operators at every size; a fractional kernel form is the dense kernel
+    matrix.
     """
     if len(cells) == 0:
         raise ValueError("cannot assemble over an empty cell set")
-    phi = eval_weight(weight, grid.norms[cells.indices])
+    phi = cell_weights(cells, weight)[0]
     if kernel.kind == KIND_LOCAL:
         A = local_stencil(grid, cells, weight)
     elif kernel.kind == KIND_FLOOR:
@@ -364,7 +346,7 @@ def assemble_transfer_p2(grid: Grid, profile: RadialProfile) -> QuadraticFormPai
     masses = np.array([w * grid.cell_measure for _, w in reversed(atoms)])
     sizes = [ball.size for ball, _ in reversed(atoms)]
     A = NestedRankOne.from_sets(depth, masses, masses / sizes)
-    mass = eval_weight(profile, grid.norms) * grid.cell_measure
+    mass = cell_weights(full_cells(grid), profile)[0] * grid.cell_measure
     return QuadraticFormPair(A, mass)
 
 
@@ -450,18 +432,18 @@ def _jacobi_eigh(S: np.ndarray, tol: float, max_sweeps: int):
 
 
 class _SymmetricPencil:
-    """A pair in symmetric form ``S = M^-1/2 A M^-1/2``, both solver paths'
-    preparation.  ``q = M^1/2 1 / |M^1/2 1|`` spans the constant direction,
-    which S maps to zero; each path deflates it and returns a vector of
-    ``q``'s complement as ``M^-1/2 x``."""
+    """A pencil in symmetric form ``S = M^-1/2 A M^-1/2`` (A a matrix or an
+    operator), both solver paths' preparation.  ``q = M^1/2 1 / |M^1/2 1|``
+    spans the constant direction, which S maps to zero; each path deflates
+    it and returns a vector of ``q``'s complement as ``M^-1/2 x``."""
 
-    def __init__(self, pair: QuadraticFormPair):
-        if np.any(pair.mass <= 0.0):
+    def __init__(self, energy, mass: np.ndarray):
+        if np.any(mass <= 0.0):
             raise ValueError("eigensolve requires a strictly positive mass diagonal")
-        if pair.size < 2:
+        if mass.size < 2:
             raise ValueError("pair is too small to carry a nonconstant direction")
-        self.energy = pair.energy
-        self.sqrt_m = np.sqrt(pair.mass)
+        self.energy = energy
+        self.sqrt_m = np.sqrt(mass)
         self.inv_sqrt = 1.0 / self.sqrt_m
         self.q = self.sqrt_m / np.linalg.norm(self.sqrt_m)
 
@@ -499,13 +481,15 @@ def _not_converged(iterations: int, rel_residual: float) -> EigenConvergenceErro
 
 
 def _lapack_eigen(pair: QuadraticFormPair, tol: float = 1e-8, trace: list | None = None):
-    """The solve under ``_OPERATOR_MIN_CELLS``: ``np.linalg.eigh`` of the
+    """The solve under ``_ITERATIVE_MIN_CELLS``: ``np.linalg.eigh`` of the
     dense symmetric form with ``q`` lifted past the spectrum by
     ``2 |S|_inf q q'``, so its first pair is the smallest in ``q``'s
-    complement.  Appends one trace row ``(1, lam, relative residual)``."""
-    sym = _SymmetricPencil(pair)
+    complement, and its residual is taken against the same dense energy.
+    Appends one trace row ``(1, lam, relative residual)``."""
+    A = pair.dense_energy()
+    sym = _SymmetricPencil(A, pair.mass)
     inv_sqrt, q = sym.inv_sqrt, sym.q
-    S = inv_sqrt[:, None] * pair.dense_energy() * inv_sqrt[None, :]
+    S = inv_sqrt[:, None] * A * inv_sqrt[None, :]
     # the largest absolute row sum bounds every eigenvalue of S
     S += (2.0 * float(np.abs(S).sum(axis=1).max())) * np.outer(q, q)
     theta, V = np.linalg.eigh(S)
@@ -524,14 +508,14 @@ def _block_iteration(
     max_iter: int = 200,
     trace: list | None = None,
 ):
-    """The solve from ``_OPERATOR_MIN_CELLS`` on, touching the energy only
+    """The solve from ``_ITERATIVE_MIN_CELLS`` on, touching the energy only
     through ``energy @ x``: block inverse (subspace) iteration on q's
     complement, with projected-CG inner solves and a small Jacobi Ritz step
     per pass; the block absorbs near-degenerate lowest modes (symmetric
     domains carry double eigenvalues), which would stall a single-vector
     iteration.  Appends ``(iteration, lam, relative residual)`` per Ritz
     step."""
-    sym = _SymmetricPencil(pair)
+    sym = _SymmetricPencil(pair.energy, pair.mass)
     project, s_matvec = sym.project, sym.matvec
     n = pair.size
     block = min(3, n - 1)
@@ -590,22 +574,22 @@ def smallest_nonzero_eigen(
     """Smallest nonzero generalized eigenvalue of (energy, mass).
 
     Both paths solve the symmetric form ``M^-1/2 A M^-1/2`` with the
-    constant direction deflated.  A pair of fewer than
-    ``_OPERATOR_MIN_CELLS`` cells, whose energy is a dense matrix, is
-    solved by LAPACK (``np.linalg.eigh``) and writes one trace row; a
-    larger one by block inverse iteration through ``energy @ x``, which
-    writes one row per Ritz step (``max_iter`` bounds those steps).  Each
-    row is (iteration, eigenvalue, relative residual).  The solve
-    converges when the residual in the original variables satisfies
-    ``|A v - lam D v| <= tol * |A v|``.  Returns the eigenvalue and the
-    eigenvector as a 1-d array of ``pair.size`` entries in the pair's cell
-    order, mass-orthogonal to constants and mass-normalized; its sign is
-    not fixed.
+    constant direction deflated, and only here is dense chosen over
+    matrix-free: a pair of fewer than ``_ITERATIVE_MIN_CELLS`` cells is
+    solved by LAPACK (``np.linalg.eigh``) on ``pair.dense_energy()`` and
+    writes one trace row; a larger one by block inverse iteration through
+    ``energy @ x``, which writes one row per Ritz step (``max_iter`` bounds
+    those steps).  Each row is (iteration, eigenvalue, relative residual).
+    The solve converges when the residual in the original variables
+    satisfies ``|A v - lam D v| <= tol * |A v|``.  Returns the eigenvalue
+    and the eigenvector as a 1-d array of ``pair.size`` entries in the
+    pair's cell order, mass-orthogonal to constants and mass-normalized;
+    its sign is not fixed.
 
     Raises :class:`EigenConvergenceError` with the last relative residual
     when that residual exceeds ``tol``.
     """
-    if pair.size < _OPERATOR_MIN_CELLS:
+    if pair.size < _ITERATIVE_MIN_CELLS:
         return _lapack_eigen(pair, tol, trace)
     return _block_iteration(pair, tol, max_iter, trace)
 

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -17,9 +18,9 @@ import poincheck.cli
 import poincheck.runner
 import poincheck.sharp
 from poincheck.cli import build_parser, main, pin_malloc_thresholds
-from poincheck.config import CHECK_NAMES, ConfigError, parse_config
+from poincheck.config import CHECK_NAMES, ConfigError, load_config, parse_config
 from poincheck.forms import KIND_LOCAL, KernelSpec, kernel_energy, local_energy
-from poincheck.grid import ball_cells, deviation_p, full_cells
+from poincheck.grid import ball_cells, build_grid, deviation_p, full_cells
 from poincheck.runner import (
     _ASCENT_STEP_SIZE,
     _PROFILE_CHECKS,
@@ -40,6 +41,8 @@ from poincheck.sharp import (
     ratio_ascent,
     smallest_nonzero_eigen,
 )
+
+from poincheck.weights import eval_weight
 
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -539,6 +542,43 @@ def test_demo_reports_match_benchmark_reference(tmp_path):
         assert gate.compare_to_reference(command, reference.read_text(), report.decode()) == []
 
 
+def test_demo_weighs_each_cell_set_once_per_profile(monkeypatch, tmp_path):
+    # grid.cell_weights alone evaluates a cell set's weights, once per grid,
+    # cell set and profile: in a demo verify or sharp, the evaluations on
+    # arrays of radii are as many as the keys of the built grids' memos.
+    # Besides weights, which defines eval_weight, only grid binds it (and
+    # the package, which exports it).
+    modules = [
+        importlib.import_module(f"poincheck.{info.name}")
+        for info in pkgutil.iter_modules(poincheck.__path__)
+    ]
+    binders = [m.__name__ for m in modules if hasattr(m, "eval_weight")]
+    assert sorted(binders) == ["poincheck.grid", "poincheck.weights"]
+    evaluations, grids = [], []
+
+    def counting(profile, radius):
+        if np.ndim(radius):
+            evaluations.append(profile)
+        return eval_weight(profile, radius)
+
+    def recording(*args):
+        grids.append(build_grid(*args))
+        return grids[-1]
+
+    for module in (poincheck, *modules):
+        if hasattr(module, "eval_weight"):
+            monkeypatch.setattr(module, "eval_weight", counting)
+    monkeypatch.setattr(poincheck.runner, "build_grid", recording)
+    config = load_config(ROOT / "configs" / "demo.json")
+    for run in (run_verify, run_sharp):
+        evaluations.clear()
+        grids.clear()
+        run(config, tmp_path / run.__name__)
+        keys = sum(len(grid._weights) for grid in grids)
+        assert keys > 0
+        assert len(evaluations) == keys, run.__name__
+
+
 def test_ball2d_n16_reports_match_golden(tmp_path):
     # The 2-d workload at N = 16 with p = 1 (two ascent steps) and p = 2,
     # small enough for tier-1: every command and the sharp trace.  To
@@ -560,9 +600,19 @@ def test_ball2d_n16_reports_match_golden(tmp_path):
             )
 
 
+def _source_env(**overrides):
+    """This process's environment without the BLAS thread variables, with
+    the package's source first on the path and ``overrides`` set."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(poincheck.__file__).resolve().parents[1])
+    env.update(overrides)
+    return env
+
+
 def test_blas_pinned_before_numpy_loads(tmp_path):
     # Any route into the package (the console script imports poincheck.cli)
     # runs poincheck/__init__ first; numpy must not load before it pins BLAS.
+    # The pin wins over a thread count set in the environment.
     code = textwrap.dedent(
         """
         import os
@@ -580,13 +630,30 @@ def test_blas_pinned_before_numpy_loads(tmp_path):
             print(os.environ[var])
         """
     )
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env["PYTHONPATH"] = str(Path(poincheck.__file__).resolve().parents[1])
+    for env in (_source_env(), _source_env(**dict.fromkeys(THREAD_VARS, "2"))):
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "1", "1"]
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The LAPACK eigensolve's last bits follow the BLAS thread count; with
+    # two threads asked for in the environment, the golden verify report
+    # must still come out at the one pinned thread, byte for byte.
+    config = ROOT / "tests" / "golden" / "ball2d-n16.json"
+    out = tmp_path / "out"
     done = subprocess.run(
-        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-m", "poincheck.cli", "verify", "--config", str(config), "--out", str(out)],
+        cwd=tmp_path,
+        env=_source_env(**dict.fromkeys(THREAD_VARS, "2")),
+        capture_output=True,
+        text=True,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "1", "1"]
+    golden = ROOT / "tests" / "golden" / "ball2d-n16" / "verify.csv"
+    assert (out / "report.csv").read_bytes() == golden.read_bytes()
 
 
 def test_runs_without_jsonschema(tmp_path):

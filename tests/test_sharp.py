@@ -89,7 +89,8 @@ def test_assemble_local_path_graph():
             [0.0, 0.0, -1.0, 1.0],
         ]
     )
-    assert np.allclose(pair.energy, L / g.h)
+    assert isinstance(pair.energy, EdgeStencil)
+    assert np.allclose(pair.dense_energy(), L / g.h)
     assert np.allclose(pair.energy @ np.ones(4), 0.0, atol=1e-14)
     assert np.allclose(pair.mass, g.h)
 
@@ -235,16 +236,17 @@ def test_stencil_matvec_matches_dense_form(d, N, rng):
 
 @pytest.mark.parametrize("d,N", [(1, 32), (1, 64), (1, 128), (2, 8), (2, 16)])
 def test_pencils_under_the_crossover_are_the_dense_assembly(d, N):
+    # The pair holds the stencil at every size; its dense form, which the
+    # LAPACK solve reads, is the add.at assembly byte for byte.
     g = build_grid(d, N)
     for profile in DEMO_PROFILES:
         for t in (0.75, 1.0):
             cells = ball_cells(g, t)
             assert len(cells) < 256
             pair = assemble_p2(g, cells, KernelSpec(KIND_LOCAL), profile)
-            assert type(pair.energy) is np.ndarray
+            assert isinstance(pair.energy, EdgeStencil)
             want = add_at_local_matrix(g, cells, profile)
-            assert pair.energy.tobytes() == want.tobytes()
-            assert pair.dense_energy() is pair.energy
+            assert pair.dense_energy().tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d,N", [(1, 256), (2, 24), (2, 32)])
@@ -370,8 +372,8 @@ def test_nested_pencils_under_the_crossover_are_today_s_matrices(d, N):
     assert g.cell_count < 256
     for profile in NESTED_PROFILES:
         for pair, today in _nested_pencils(g, profile):
-            assert type(pair.energy) is np.ndarray
-            assert pair.energy.tobytes() == today.tobytes()
+            assert isinstance(pair.energy, NestedRankOne)
+            assert pair.dense_energy().tobytes() == today.tobytes()
 
 
 @pytest.mark.parametrize("d,N", [(1, 256), (2, 24), (2, 32)])
@@ -381,7 +383,7 @@ def test_nested_pencils_from_the_crossover_are_operators(d, N):
     for profile in NESTED_PROFILES:
         assert isinstance(assemble_transfer_p2(g, profile).energy, NestedRankOne)
         for pair, _ in _nested_pencils(g, profile):
-            assert isinstance(pair.energy, NestedRankOne) is (pair.size >= 256)
+            assert isinstance(pair.energy, NestedRankOne)
     # the fractional kernel stays dense at every size
     pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5))
     assert type(pair.energy) is np.ndarray
@@ -423,6 +425,25 @@ def test_lapack_path_agrees_with_block_iteration(d, N):
                 got, vec, rows = pencil_eigen(full_cells(g), kernel, profile)
                 assert got == lam and np.array_equal(vec, v)
                 assert rows == tuple(trace)
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (1, 64), (2, 16)])
+def test_lapack_solve_of_an_operator_is_that_of_its_dense_form(d, N):
+    # Under the crossover the solver densifies the operator itself, and
+    # takes its residual against that matrix: the same eigenvalue, vector
+    # and trace row, bit for bit, as a pair built on the dense form.
+    g = build_grid(d, N)
+    for profile in DEMO_PROFILES:
+        for _, pair in _demo_pencils(g, profile):
+            assert pair.size < 256
+            dense = QuadraticFormPair(pair.dense_energy(), pair.mass)
+            assert type(dense.energy) is np.ndarray
+            solves = []
+            for each in (pair, dense):
+                trace = []
+                lam, v = smallest_nonzero_eigen(each, trace=trace)
+                solves.append((lam, v.tobytes(), trace))
+            assert solves[0] == solves[1]
 
 
 def test_kernel_pencils_are_the_product_formulas_bit_for_bit():
@@ -484,19 +505,16 @@ def test_pair_keeps_only_a_frozen_matrix_uncopied():
 
 @pytest.mark.parametrize("d,N", [(1, 128), (1, 256), (2, 16), (2, 24)])
 def test_pair_stores_an_operator_dense_below_the_crossover(d, N):
-    # 128, 256, 208 and 448 cells: dense below 256, the operator itself
-    # from 256 on.
+    # 128, 256, 208 and 448 cells: the pair keeps the operator itself on
+    # either side of the solver's crossover, and gives its dense form on
+    # request.
     g = build_grid(d, N)
     cells = full_cells(g)
     profile = make_step_profile([0.75], [2.0, 1.0])
     for operator in (local_stencil(g, cells, profile), floor_operator(g, cells, profile)):
         pair = QuadraticFormPair(operator, np.ones(len(cells)))
-        if len(cells) < 256:
-            assert type(pair.energy) is np.ndarray
-            assert pair.energy.tobytes() == operator.dense().tobytes()
-            assert pair.dense_energy() is pair.energy
-        else:
-            assert pair.energy is operator
+        assert pair.energy is operator
+        assert pair.dense_energy().tobytes() == operator.dense().tobytes()
 
 
 def _local_solve_counter(monkeypatch):
