@@ -187,19 +187,16 @@ def _offset_kernel(grid, kernel: KernelSpec, p: float) -> tuple[np.ndarray, np.n
 
     The kernel depends only on the offset ``a = l_i - l_j`` of two cells'
     lattice coordinates, so it is evaluated once on the ``(2N-1)^d``
-    offsets, at distance ``norm(h * a)``.  Returns ``(table, keys, center)``
-    with ``K(x_i, x_j) = table[keys[i] - keys[j] + center]`` for grid cells
+    offsets, at distance ``norm(h * a)`` (:attr:`~poincheck.grid.Grid.offsets`,
+    computed once per grid).  Returns ``(table, keys, center)`` with
+    ``K(x_i, x_j) = table[keys[i] - keys[j] + center]`` for grid cells
     ``i`` and ``j``.  When N is a power of two, ``h`` and every center are
     dyadic, so ``h * a == x_i - x_j`` exactly and the table holds the same
     floats as the kernel of the center differences; for other N they can
     differ in the last bit.
     """
-    N, d = grid.N, grid.d
-    strides = (2 * N - 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    axes = np.meshgrid(*[np.arange(1 - N, N, dtype=np.int64)] * d, indexing="ij")
-    offsets = np.stack(axes, axis=-1).reshape(-1, d)
-    table = _kernel_block(np.linalg.norm(grid.h * offsets, axis=1), kernel, p, d)
-    return table, grid.lattice @ strides, (N - 1) * int(strides.sum())
+    distances, keys, center = grid.offsets
+    return _kernel_block(distances, kernel, p, grid.d), keys, center
 
 
 def _reach(grid, kernel: KernelSpec) -> int:

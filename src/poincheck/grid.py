@@ -69,6 +69,26 @@ class Grid:
     def cell_measure(self) -> float:
         return self.h**self.d
 
+    @cached_property
+    def offsets(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The ``(2N-1)^d`` lattice offsets ``a`` between two cells, as
+        ``(distances, keys, center)``, read-only and computed on first use:
+        ``distances`` holds ``norm(h * a)`` of each offset, flat in C
+        order, and cells i and j are apart by the offset at flat index
+        ``keys[i] - keys[j] + center``.  Each pair-kernel table of
+        :func:`poincheck.forms._offset_kernel` is evaluated on them; they
+        cost about four fifths of a table's build (2-d N = 32), and keeping
+        them, not the tables, leaves each grid one table's memory."""
+        N, d = self.N, self.d
+        strides = (2 * N - 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        axes = np.meshgrid(*[np.arange(1 - N, N, dtype=np.int64)] * d, indexing="ij")
+        offsets = np.stack(axes, axis=-1).reshape(-1, d)
+        distances = np.linalg.norm(self.h * offsets, axis=1)
+        keys = self.lattice @ strides
+        distances.setflags(write=False)
+        keys.setflags(write=False)
+        return distances, keys, (N - 1) * int(strides.sum())
+
 
 def build_grid(d: int, N: int) -> Grid:
     """Discretize the unit ball with N cells per axis on [-1, 1].

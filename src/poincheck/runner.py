@@ -35,7 +35,8 @@ import numpy as np
 
 from .numerics import ksum_rows
 from .weights import describe_profile, layer_cake
-from .grid import Grid, ball_cells, build_grid, deviation_p, deviation_p_rows, full_cells
+from .grid import Grid, ball_cells, build_grid, cell_weights, full_cells
+from .grid import deviation_p, deviation_p_rows
 from .forms import (
     KIND_FLOOR,
     KIND_FRACTIONAL,
@@ -183,9 +184,10 @@ def _constant(case, energy, profile=None, scale=lambda t: 1.0) -> _Constant:
     energy), or None for the transfer rhs, which needs a profile.
 
     - With ``profile``, the sharp constant on the full ball under that
-      weight: ``1 / lambda`` of the p = 2 pencil (a solve that does not
-      converge gives value None and its residual), else the ratio ascent
-      from ``suite[0]``, which has the transfer and gradient targets only.
+      weight: ``1 / lambda`` of the p = 2 pencil (value None if the solve
+      does not converge, with its residual, or if the weight, the mass,
+      vanishes on a cell), else the ratio ascent from ``suite[0]``, which
+      has the transfer and gradient targets only.
     - Without, the frozen constant: the max over the case's radii t and
       its suite of ``dev / (scale(t) * energy)`` on the ball of radius t,
       or 1 if no deviation is nonzero.  At p = 2 the gradient constant
@@ -219,6 +221,8 @@ def _constant(case, energy, profile=None, scale=lambda t: 1.0) -> _Constant:
             case.config.ascent_steps, _ASCENT_STEP_SIZE, weight=profile,
         )
         return _Constant(ratio, "ascent")
+    if np.any(cell_weights(full_cells(grid), profile)[0] <= 0.0):
+        return _Constant(None, "eigen")
     try:
         if energy is None:
             trace = []

@@ -10,9 +10,12 @@ are a diagonal minus rank-one terms over nested cell sets
 pair keeps them as built.  Every fractional kernel form is a dense kernel
 matrix.  Only the eigensolver densifies: under ``_ITERATIVE_MIN_CELLS``
 cells, LAPACK (``np.linalg.eigh``) solves the dense symmetrized pencil.
-From it on, deflated block inverse iteration with projected CG inner
-solves touches the energy only through ``A @ x``; it is validated against
-LAPACK's full spectrum of the dense pencil (:func:`dense_oracle_eigen`).
+From it on, deflated block inverse iteration runs one loop with two inner
+solves: an operator is touched only through ``A @ x``, by shifted
+projected CG, and a formed kernel matrix is factored once (a blocked
+Cholesky of the matrix with one cell grounded) and solved exactly.  The
+iteration is validated against LAPACK's full spectrum of the dense pencil
+(:func:`dense_oracle_eigen`).
 :func:`pencil_eigen` solves each pencil once per grid.
 For general p a normalized finite-difference ascent of the ratio supplies
 a certified lower bound on the sharp constant.  Each step hands its n
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ksum
+from .numerics import BLOCK_ELEMENTS, ksum
 from .weights import UNIT_WEIGHT, RadialProfile, layer_cake
 from .grid import CellSet, Grid, GridFunction, Probes, ball_cells, cell_weights, full_cells
 from .forms import KIND_FLOOR, KIND_LOCAL, KernelSpec, pair_coefficient_matrix
@@ -57,22 +60,24 @@ _DENSE_CAP = 2000
 # Smallest pencil that smallest_nonzero_eigen solves by the block iteration;
 # a smaller one is solved by LAPACK.  The crossover is one solve, eigh of
 # the dense symmetrized pencil (its dense form built in the call) against
-# the block iteration, in ms (Intel Xeon, one BLAS thread, best of 5, of 3
-# at 812 cells; 1-d N = 64, 2-d N = 16, 24 and 32, the full ball, weight
+# the block iteration, in ms (2-core Intel Xeon, one BLAS thread, best of
+# 10; 1-d N = 64, 2-d N = 16, 24 and 32, the full ball, weight
 # step([0.75], [2, 1]); local, transfer and floor are the forms of
-# local_stencil, assemble_transfer_p2 and floor_operator, fractional is
-# s = 1/2):
+# local_stencil, assemble_transfer_p2 and floor_operator, iterated with
+# shifted CG inner solves; fractional is s = 1/2, a formed matrix, iterated
+# with the factored inner solve):
 #
 #   cells   local          fractional     floor          transfer
-#   64      0.7 vs 20.5    0.4 vs 7.5     0.4 vs 7.1     0.4 vs 14.1
-#   208     6.3 vs 41.3    5.7 vs 20.0    2.7 vs 5.4     4.1 vs 13.0
-#   448     35.3 vs 41.7   33.9 vs 46.4   20.1 vs 7.6    21.9 vs 18.2
-#   812     162 vs 128     138 vs 238     120 vs 16.1    119 vs 23.9
+#   64      0.7 vs 27.2    0.7 vs 5.8     0.4 vs 9.5     0.5 vs 11.9
+#   208     6.1 vs 34.0    5.3 vs 13.8    4.0 vs 12.4    4.2 vs 16.1
+#   448     29.3 vs 71.0   27.7 vs 21.5   23.5 vs 13.6   24.1 vs 19.7
+#   812     108 vs 121     95.0 vs 47.9   80.5 vs 13.0   83.7 vs 18.8
 #
-# So eigh wins every form below 256 cells, and at 448 it wins and loses by
-# about as much (111 against 114 ms summed).  Fractional pencils stay
-# iterative at 812 cells, though eigh is faster there: it loses from
-# N = 64 on (6.5 against 4.8 s at 3,228 cells).
+# So eigh wins every form below 256 cells, at 448 it wins and loses by
+# about as much (105 against 126 ms summed), and at 812 the iteration wins
+# every form.  The fractional pencils need no crossover of their own: one
+# factor and about 20 exact solves per pencil beat eigh from 448 cells on
+# (1.7 against 6.4 s at 3,228 cells).
 _ITERATIVE_MIN_CELLS = 256
 
 
@@ -502,19 +507,137 @@ def _lapack_eigen(pair: QuadraticFormPair, tol: float = 1e-8, trace: list | None
     return lam, sym.eigenvector(x)
 
 
+class _BlockedCholesky:
+    """``A = L L'`` of a symmetric positive definite matrix, left-looking in
+    panels of ``BLOCK_ELEMENTS // n`` columns (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., section 4.2), numpy only.  Panel k of L,
+    columns ``k0 .. k1``, is A's columns less one product with each panel
+    left of it, then LAPACK's Cholesky of its diagonal block and one
+    product with that block's inverse below it.  Only the lower triangle is
+    kept: per panel, ``(k0, k1, inverse of the diagonal block, the rows
+    below it)``, about n^2 / 2 entries in all, so no n x n array is made,
+    both substitutions of :meth:`solve` are matrix products too, and no
+    temporary exceeds ``BLOCK_ELEMENTS`` entries.  Raises
+    ``np.linalg.LinAlgError`` when a pivot is not positive."""
+
+    def __init__(self, A: np.ndarray):
+        n = len(A)
+        width = max(1, BLOCK_ELEMENTS // n)
+        self.panels = []
+        for k0 in range(0, n, width):
+            k1 = min(k0 + width, n)
+            panel = np.array(A[k0:, k0:k1], dtype=float)
+            for _, j1, _, below in self.panels:
+                rows = below[k0 - j1 :]
+                panel -= rows @ rows[: k1 - k0].T
+            inv = np.linalg.inv(np.linalg.cholesky(panel[: k1 - k0]))
+            self.panels.append((k0, k1, inv, panel[k1 - k0 :] @ inv.T))
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """``A^-1 B`` for a block of columns B: forward substitution with L,
+        then back substitution with L', a panel at a time."""
+        Z = np.array(B, dtype=float)
+        for k0, k1, inv, below in self.panels:
+            Z[k0:k1] = inv @ Z[k0:k1]
+            Z[k1:] -= below @ Z[k0:k1]
+        for k0, k1, inv, below in reversed(self.panels):
+            Z[k0:k1] = inv.T @ (Z[k0:k1] - below.T @ Z[k1:])
+        return Z
+
+
+class _GroundedSolve:
+    """Exact inner solve for a formed energy matrix: ``S^+`` on q's
+    complement, from one factor per solve.  For x orthogonal to q,
+    ``b = M^1/2 x`` sums to zero, so ``A z = b`` has solutions, and
+    ``S^+ x`` is ``M^1/2 z`` projected off q.  Grounding cell 0
+    (``z_0 = 0``) leaves ``A[1:, 1:] z[1:] = b[1:]``, whose matrix is
+    positive definite when constants span A's kernel; it is factored once
+    by :class:`_BlockedCholesky`, unshifted.  A matrix whose factor breaks
+    down has a nonconstant null vector (or none that is positive): that
+    raises :class:`EigenConvergenceError` with relative residual 1, as an
+    eigenvalue 0 gives."""
+
+    def __init__(self, sym: _SymmetricPencil):
+        self.sym = sym
+        try:
+            self.factor = _BlockedCholesky(sym.energy[1:, 1:])
+        except np.linalg.LinAlgError:
+            raise EigenConvergenceError(
+                "energy is not positive definite off the constants "
+                "(relative residual 1.000e+00)",
+                1.0,
+            ) from None
+
+    def solve(self, X: np.ndarray, rel_residual: float) -> np.ndarray:
+        """``S^+`` of every column of X at once."""
+        sqrt_m, q = self.sym.sqrt_m[:, None], self.sym.q
+        Y = np.zeros_like(X)
+        Y[1:] = self.factor.solve((sqrt_m * X)[1:])
+        Y *= sqrt_m
+        return Y - np.outer(q, q @ Y)
+
+    def shift_toward(self, lam: float, rel_residual: float, euclid_residual: float):
+        """The exact solve needs no shift."""
+
+
+class _ShiftedCG:
+    """Inner solve for an operator energy: projected CG on ``S - sigma I``,
+    column by column, to a tolerance that follows the outer residual, each
+    column warm-started from its last solution.  A breakdown (a
+    nonpositive curvature direction: sigma crossed the lowest eigenvalue)
+    halves sigma and asks for the pass again."""
+
+    def __init__(self, sym: _SymmetricPencil, X: np.ndarray):
+        self.sym, self.Y, self.sigma = sym, X.copy(), 0.0
+
+    def solve(self, X: np.ndarray, rel_residual: float) -> np.ndarray | None:
+        """The block's projected solutions, or None after a breakdown."""
+        sym, Y = self.sym, self.Y
+        project, s_matvec, n = sym.project, sym.matvec, len(Y)
+        inner_rtol = min(1e-3, max(1e-12, 0.05 * rel_residual))
+
+        sigma = self.sigma
+
+        def shifted(x):
+            return s_matvec(x) - sigma * x
+
+        broke = False
+        for col in range(Y.shape[1]):
+            Y[:, col], bad = _projected_cg(
+                shifted, X[:, col], project, Y[:, col], inner_rtol, max_iter=20 * n
+            )
+            broke = broke or bad
+        if broke:
+            self.sigma *= 0.5
+            return None
+        return np.column_stack([project(Y[:, col]) for col in range(Y.shape[1])])
+
+    def shift_toward(self, lam: float, rel_residual: float, euclid_residual: float):
+        """Ritz values sit above the true eigenvalue by at most the Euclidean
+        residual (symmetric Weyl bound), so this shift stays safely below
+        it while collapsing clustered bottom modes onto the block."""
+        if lam > 0.0 and rel_residual < 5e-3:
+            margin = max(20.0 * euclid_residual, 1e-3 * lam)
+            self.sigma = max(self.sigma, lam - margin)
+
+
 def _block_iteration(
     pair: QuadraticFormPair,
     tol: float = 1e-8,
     max_iter: int = 200,
     trace: list | None = None,
 ):
-    """The solve from ``_ITERATIVE_MIN_CELLS`` on, touching the energy only
-    through ``energy @ x``: block inverse (subspace) iteration on q's
-    complement, with projected-CG inner solves and a small Jacobi Ritz step
-    per pass; the block absorbs near-degenerate lowest modes (symmetric
-    domains carry double eigenvalues), which would stall a single-vector
-    iteration.  Appends ``(iteration, lam, relative residual)`` per Ritz
-    step."""
+    """The solve from ``_ITERATIVE_MIN_CELLS`` on: block inverse (subspace)
+    iteration on q's complement (Saad, *Numerical Methods for Large
+    Eigenvalue Problems*, SIAM 2011, ch. 4-5), one loop with two inner
+    solves, chosen by the energy's type.  An operator is touched only
+    through ``energy @ x``, by shifted projected CG (:class:`_ShiftedCG`);
+    a formed matrix is factored once and solved exactly
+    (:class:`_GroundedSolve`).  Each pass orthonormalizes the solved block
+    and takes a small Jacobi Ritz step; the block absorbs near-degenerate
+    lowest modes (symmetric domains carry double eigenvalues), which would
+    stall a single-vector iteration.  Appends ``(iteration, lam, relative
+    residual)`` per Ritz step."""
     sym = _SymmetricPencil(pair.energy, pair.mass)
     project, s_matvec = sym.project, sym.matvec
     n = pair.size
@@ -522,27 +645,13 @@ def _block_iteration(
     rng = np.random.default_rng(171)
     X = np.column_stack([project(rng.standard_normal(n)) for _ in range(block)])
     X, _ = np.linalg.qr(X)
-    Y = X.copy()
+    inner = _ShiftedCG(sym, X) if isinstance(pair.energy, _OPERATORS) else _GroundedSolve(sym)
     lam = float("nan")
     rel_residual = 1.0
-    sigma = 0.0
     for it in range(1, max_iter + 1):
-        inner_rtol = min(1e-3, max(1e-12, 0.05 * rel_residual))
-
-        def shifted(x, _sigma=sigma):
-            return s_matvec(x) - _sigma * x
-
-        broke = False
-        for col in range(block):
-            Y[:, col], bad = _projected_cg(
-                shifted, X[:, col], project, Y[:, col], inner_rtol, max_iter=20 * n
-            )
-            broke = broke or bad
-        if broke:
-            # the shift crossed the lowest eigenvalue; back off and retry
-            sigma *= 0.5
+        Z = inner.solve(X, rel_residual)
+        if Z is None:
             continue
-        Z = np.column_stack([project(Y[:, col]) for col in range(block)])
         Q, _ = np.linalg.qr(Z)
         SQ = np.column_stack([s_matvec(Q[:, col]) for col in range(block)])
         ritz = Q.T @ SQ
@@ -554,12 +663,7 @@ def _block_iteration(
             trace.append((it, lam, rel_residual))
         if converged:
             break
-        # Ritz values sit above the true eigenvalue by at most the Euclidean
-        # residual (symmetric Weyl bound), so this shift stays safely below
-        # it while collapsing clustered bottom modes onto the block.
-        if lam > 0.0 and rel_residual < 5e-3:
-            margin = max(20.0 * euclid_residual, 1e-3 * lam)
-            sigma = max(sigma, lam - margin)
+        inner.shift_toward(lam, rel_residual, euclid_residual)
     else:
         raise _not_converged(max_iter, rel_residual)
     return lam, sym.eigenvector(X[:, 0])
@@ -577,17 +681,23 @@ def smallest_nonzero_eigen(
     constant direction deflated, and only here is dense chosen over
     matrix-free: a pair of fewer than ``_ITERATIVE_MIN_CELLS`` cells is
     solved by LAPACK (``np.linalg.eigh``) on ``pair.dense_energy()`` and
-    writes one trace row; a larger one by block inverse iteration through
-    ``energy @ x``, which writes one row per Ritz step (``max_iter`` bounds
-    those steps).  Each row is (iteration, eigenvalue, relative residual).
-    The solve converges when the residual in the original variables
-    satisfies ``|A v - lam D v| <= tol * |A v|``.  Returns the eigenvalue
+    writes one trace row; a larger one by block inverse iteration, which
+    writes one row per Ritz step (``max_iter`` bounds those steps).  Its
+    one loop has two inner solves: shifted CG through ``energy @ x`` for
+    an operator, and exact solves with one Cholesky factor, taken once per
+    call, for a formed matrix; that factor, a lower triangle kept in
+    panels, is the one array of order n^2 the call makes.  Each row is
+    (iteration, eigenvalue, relative residual).  The solve converges when
+    the residual in the original variables satisfies
+    ``|A v - lam D v| <= tol * |A v|``.  Returns the eigenvalue
     and the eigenvector as a 1-d array of ``pair.size`` entries in the
     pair's cell order, mass-orthogonal to constants and mass-normalized;
     its sign is not fixed.
 
     Raises :class:`EigenConvergenceError` with the last relative residual
-    when that residual exceeds ``tol``.
+    when that residual exceeds ``tol``, and with relative residual 1, before
+    any Ritz step, when a formed matrix of the iteration cannot be factored
+    (an energy that vanishes on a nonconstant vector).
     """
     if pair.size < _ITERATIVE_MIN_CELLS:
         return _lapack_eigen(pair, tol, trace)

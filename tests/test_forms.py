@@ -515,6 +515,26 @@ def test_kernel_energy_memo_belongs_to_one_function(rng, monkeypatch):
     assert len(builds) == 4
 
 
+def test_offset_geometry_is_computed_once_per_grid(rng):
+    # Every kernel table of a grid, at every p, reads the one (distances,
+    # keys, center) the grid keeps; a table is the kernel of those
+    # distances.
+    g = build_grid(2, 8)
+    assert "offsets" not in vars(g)
+    u = GridFunction(g, rng.standard_normal(g.cell_count))
+    for kernel in (KernelSpec(KIND_FRACTIONAL, s=0.5), KernelSpec(KIND_FRACTIONAL, s=0.7, R=2.0)):
+        for p in (1.0, 2.0):
+            kernel_energy(u, ball_cells(g, 0.6), kernel, p)
+            pair_coefficient_matrix(g, full_cells(g), kernel)
+            distances, keys, center = vars(g)["offsets"]
+            table, got_keys, got_center = forms._offset_kernel(g, kernel, p)
+            assert got_keys is keys and got_center == center
+            assert table.tobytes() == forms._kernel_block(distances, kernel, p, 2).tobytes()
+    assert g.offsets[0] is distances
+    assert not distances.flags.writeable and not keys.flags.writeable
+    assert "offsets" not in vars(build_grid(2, 8))
+
+
 def test_deviation_memo_fills_the_suite_in_one_row_call(rng, monkeypatch):
     rows_calls = []
     rows = grid_module.deviation_p_rows

@@ -468,6 +468,52 @@ def test_cli_sharp_transfer_eigensolve_failure_is_a_failing_row(tmp_path, monkey
     assert failed_trace == other(trace)
 
 
+def test_cli_sharp_weight_vanishing_on_a_cell_is_a_failing_row(tmp_path, capsys):
+    # step([0.75], [1, 0]) is zero on the outer shell of the 1-d N = 32
+    # ball, so its p = 2 pencils have no positive mass diagonal: each of its
+    # eigen rows fails with no value and no residual, and the run exits 1.
+    # Its p = 1 ascent rows pass, and the rows and trace rows of the unit
+    # weight are those of a run beside a weight with the same atom radii.
+    doc = json.loads((ROOT / "configs" / "demo.json").read_text())
+    unit = {"type": "step", "breakpoints": [], "values": [1.0]}
+
+    def run(name, values):
+        weights = [unit, {"type": "step", "breakpoints": [0.75], "values": values}]
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(dict(doc, grid_sizes=[32], weights=weights)))
+        code = main(["sharp", "--config", str(cfg_path), "--out", str(tmp_path / name)])
+        tables = []
+        for table in ("report.csv", "trace.csv"):
+            with open(tmp_path / name / table) as handle:
+                rows = csv.DictReader(handle)
+                tables.append([r for r in rows if r["profile"] == "step(b=[];v=[1.0])"])
+        return code, *tables
+
+    code, *reference = run("positive", [2.0, 1.0])
+    assert code == 0
+    capsys.readouterr()
+    code, *unit_tables = run("vanishing", [1.0, 0.0])
+    assert code == 1
+    assert capsys.readouterr().err == "FAIL: 4 of 12 rows failed\n"
+    assert unit_tables == reference
+    with open(tmp_path / "vanishing" / "report.csv") as handle:
+        cut_rows = [r for r in csv.DictReader(handle) if r["profile"] != "step(b=[];v=[1.0])"]
+    assert [(r["p"], r["target"]) for r in cut_rows] == [
+        ("1.0", "transfer"), ("1.0", "gradient"),
+        ("2.0", "transfer"), ("2.0", "gradient"), ("2.0", "kernel"), ("2.0", "kernel"),
+    ]
+    for row in cut_rows:
+        if row["p"] == "1.0":
+            assert row["method"] == "ascent" and row["pass"] == "true"
+            continue
+        assert row["method"] == "eigen" and row["pass"] == "false"
+        assert row["eigenvalue"] == row["empirical_constant"] == row["gap_factor"] == ""
+        assert row["residual"] == ""
+        assert float(row["paper_constant"]) > 0.0
+    with open(tmp_path / "vanishing" / "trace.csv") as handle:
+        assert [r for r in csv.DictReader(handle)] == reference[1]
+
+
 @pytest.mark.parametrize(
     "command,checks,code",
     [("verify", ["kernel"], 2), ("sharp", [], 2), ("verify", [], 0)],

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import poincheck.grid
+import poincheck.numerics
 import poincheck.runner
 import poincheck.sharp
 from conftest import (
@@ -444,6 +446,122 @@ def test_lapack_solve_of_an_operator_is_that_of_its_dense_form(d, N):
                 lam, v = smallest_nonzero_eigen(each, trace=trace)
                 solves.append((lam, v.tobytes(), trace))
             assert solves[0] == solves[1]
+
+
+FRACTIONAL_KERNELS = (
+    KernelSpec(KIND_FRACTIONAL, s=0.5),
+    KernelSpec(KIND_FRACTIONAL, s=0.5, R=2.0),
+)
+
+
+@pytest.mark.parametrize("N", [24, 32])
+def test_factored_iteration_agrees_with_dense_oracle(N):
+    # 448 and 812 cells: formed fractional pencils, solved by the block
+    # iteration with the grounded Cholesky inner solve.
+    g = build_grid(2, N)
+    for profile in DEMO_PROFILES:
+        for kernel in FRACTIONAL_KERNELS:
+            pair = assemble_p2(g, full_cells(g), kernel, profile)
+            assert type(pair.energy) is np.ndarray and pair.size >= 256
+            trace = []
+            lam, v = smallest_nonzero_eigen(pair, trace=trace)
+            spectrum = dense_oracle_eigen(pair)
+            assert abs(lam - spectrum[1]) <= 1e-8 * lam, (N, profile, kernel)
+            assert_eigenpair_contract(pair, lam, v)
+            assert trace[-1][1] == lam and trace[-1][2] <= 1e-8
+            assert len(trace) < 200
+
+
+@pytest.mark.parametrize("n", [2, 255, 300, 1000])
+def test_blocked_cholesky_matches_lapack(n, rng):
+    # Panel widths 2^16 // n: 32768, 257, 218 and 65 columns.  No size is
+    # a multiple of its width: 2 and 255 fill one partial panel, and 300
+    # and 1000 end in one.
+    G = rng.standard_normal((n, n))
+    A = G @ G.T / n + np.eye(n)
+    factor = poincheck.sharp._BlockedCholesky(A)
+    width = max(1, poincheck.numerics.BLOCK_ELEMENTS // n)
+    assert [k0 for k0, *_ in factor.panels] == list(range(0, n, width))
+    L = np.zeros((n, n))
+    for k0, k1, inv, below in factor.panels:
+        assert inv.shape == (k1 - k0,) * 2 and below.shape == (n - k1, k1 - k0)
+        assert below.size <= poincheck.numerics.BLOCK_ELEMENTS
+        L[k0:k1, k0:k1] = np.linalg.inv(inv)
+        L[k1:, k0:k1] = below
+    want = np.linalg.cholesky(A)
+    assert np.max(np.abs(L - want)) <= 1e-12 * np.max(np.abs(want))
+    B = rng.standard_normal((n, 3))
+    want = np.linalg.solve(A, B)
+    got = factor.solve(B)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_blocked_cholesky_refuses_a_matrix_that_is_not_positive_definite(rng):
+    G = rng.standard_normal((300, 299))
+    for A in (np.zeros((300, 300)), G @ G.T, -np.eye(300)):
+        with pytest.raises(np.linalg.LinAlgError):
+            poincheck.sharp._BlockedCholesky(A)
+
+
+def test_zero_dense_pencil_fails_at_once(monkeypatch):
+    # A zero energy has no nonzero eigenvalue: the solve raises with
+    # relative residual 1, the residual of eigenvalue 0, when its factor
+    # breaks down, before any matvec or Ritz step.
+    matvecs = []
+    original = poincheck.sharp._SymmetricPencil.matvec
+
+    def counted(self, x):
+        matvecs.append(x.shape)
+        return original(self, x)
+
+    monkeypatch.setattr(poincheck.sharp._SymmetricPencil, "matvec", counted)
+    pair = QuadraticFormPair(np.zeros((300, 300)), np.ones(300))
+    trace = []
+    with pytest.raises(EigenConvergenceError) as info:
+        smallest_nonzero_eigen(pair, trace=trace)
+    assert info.value.residual == 1.0
+    assert matvecs == [] and trace == []
+
+
+def test_operator_pencils_never_reach_the_factor(monkeypatch):
+    factored = []
+    original = poincheck.sharp._BlockedCholesky.__init__
+
+    def spy(self, A):
+        factored.append(A.shape)
+        original(self, A)
+
+    monkeypatch.setattr(poincheck.sharp._BlockedCholesky, "__init__", spy)
+    g = build_grid(2, 24)
+    step = make_step_profile([0.75], [2.0, 1.0])
+    for kernel, pair in _demo_pencils(g, step):
+        assert pair.size == 448
+        lam, v = smallest_nonzero_eigen(pair)
+        assert_eigenpair_contract(pair, lam, v)
+        if kernel is not None and kernel.kind == KIND_FRACTIONAL:
+            assert factored == [(447, 447)]
+            factored.clear()
+        else:
+            assert isinstance(pair.energy, (EdgeStencil, NestedRankOne))
+            assert factored == []
+
+
+def test_factored_solve_makes_no_new_square_array():
+    # The factor, a lower triangle, is the one array of order n^2 the solve
+    # makes; everything else is at most a few BLOCK_ELEMENTS buffers
+    # (tracemalloc sees numpy's data).
+    g = build_grid(2, 32)
+    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5))
+    assert pair.size == 812
+    buffer = poincheck.numerics.BLOCK_ELEMENTS * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        smallest_nonzero_eigen(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= pair.energy.nbytes // 2 + 4 * buffer
 
 
 def test_kernel_pencils_are_the_product_formulas_bit_for_bit():
