@@ -169,7 +169,8 @@ class _Case:
 class _Constant:
     """A constant and how it was found.  ``value`` is None when its
     eigensolve did not converge, with the last ``residual``; a converged
-    eigensolve gives its ``eigenvalue`` and Ritz ``trace`` rows."""
+    eigensolve gives its ``eigenvalue``, and every eigensolve its ``trace``
+    rows."""
 
     value: float | None
     method: str
@@ -230,7 +231,7 @@ def _constant(case, energy, profile=None, scale=lambda t: 1.0) -> _Constant:
         else:
             lam, _, trace = pencil_eigen(full_cells(grid), energy, profile)
     except EigenConvergenceError as exc:
-        return _Constant(None, "eigen", residual=exc.residual)
+        return _Constant(None, "eigen", residual=exc.residual, trace=exc.trace)
     return _Constant(1.0 / lam, "eigen", lam, trace=tuple(trace))
 
 
@@ -409,7 +410,8 @@ def _sharp_targets(case, profile):
 def run_sharp(config: ExperimentConfig, out_dir) -> RunResult:
     """Estimate sharp constants per configuration and compare to the
     explicit ones (eigensolve at p = 2, ratio ascent otherwise).  Always
-    writes the trace CSV: one row per Ritz step of each converged solve."""
+    writes the trace CSV: one row per step of each eigensolve, failed or
+    converged."""
     os.makedirs(out_dir, exist_ok=True)
     rows: list[dict] = []
     traces: list[dict] = []

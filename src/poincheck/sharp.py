@@ -10,12 +10,13 @@ are a diagonal minus rank-one terms over nested cell sets
 pair keeps them as built.  Every fractional kernel form is a dense kernel
 matrix.  Only the eigensolver densifies: under ``_ITERATIVE_MIN_CELLS``
 cells, LAPACK (``np.linalg.eigh``) solves the dense symmetrized pencil.
-From it on, deflated block inverse iteration runs one loop with two inner
-solves: an operator is touched only through ``A @ x``, by shifted
-projected CG, and a formed kernel matrix is factored once (a blocked
-Cholesky of the matrix with one cell grounded) and solved exactly.  The
-iteration is validated against LAPACK's full spectrum of the dense pencil
-(:func:`dense_oracle_eigen`).
+From it on, the energy's type chooses the iteration.  An operator is
+touched only through ``A @ x``, by deflated block inverse iteration with
+shifted projected CG inner solves.  A formed kernel matrix is factored
+once (a blocked Cholesky of the matrix with one cell grounded), and
+shift-invert Lanczos applies that factor to one vector per step.  Both
+iterations are validated against LAPACK's full spectrum of the dense
+pencil (:func:`dense_oracle_eigen`).
 :func:`pencil_eigen` solves each pencil once per grid.
 For general p a normalized finite-difference ascent of the ratio supplies
 a certified lower bound on the sharp constant.  Each step hands its n
@@ -57,36 +58,38 @@ __all__ = [
 ]
 
 _DENSE_CAP = 2000
-# Smallest pencil that smallest_nonzero_eigen solves by the block iteration;
-# a smaller one is solved by LAPACK.  The crossover is one solve, eigh of
-# the dense symmetrized pencil (its dense form built in the call) against
-# the block iteration, in ms (2-core Intel Xeon, one BLAS thread, best of
-# 10; 1-d N = 64, 2-d N = 16, 24 and 32, the full ball, weight
-# step([0.75], [2, 1]); local, transfer and floor are the forms of
-# local_stencil, assemble_transfer_p2 and floor_operator, iterated with
-# shifted CG inner solves; fractional is s = 1/2, a formed matrix, iterated
-# with the factored inner solve):
+# Smallest pencil that smallest_nonzero_eigen solves iteratively; a smaller
+# one is solved by LAPACK.  The crossover is one solve, eigh of the dense
+# symmetrized pencil (its dense form built in the call) against the
+# iteration, in ms (2-core Intel Xeon, one BLAS thread, best of 10; 1-d
+# N = 64, 2-d N = 16, 24 and 32, the full ball, weight step([0.75], [2, 1]);
+# local, transfer and floor are the forms of local_stencil,
+# assemble_transfer_p2 and floor_operator, solved by the block iteration
+# with shifted CG inner solves; fractional is s = 1/2, a formed matrix,
+# solved by Lanczos on its factor):
 #
 #   cells   local          fractional     floor          transfer
-#   64      0.7 vs 27.2    0.7 vs 5.8     0.4 vs 9.5     0.5 vs 11.9
-#   208     6.1 vs 34.0    5.3 vs 13.8    4.0 vs 12.4    4.2 vs 16.1
-#   448     29.3 vs 71.0   27.7 vs 21.5   23.5 vs 13.6   24.1 vs 19.7
-#   812     108 vs 121     95.0 vs 47.9   80.5 vs 13.0   83.7 vs 18.8
+#   64      0.7 vs 27.2    0.5 vs 0.8     0.4 vs 9.5     0.5 vs 11.9
+#   208     6.1 vs 34.0    3.3 vs 3.7     4.0 vs 12.4    4.2 vs 16.1
+#   448     29.3 vs 71.0   19.6 vs 6.6    23.5 vs 13.6   24.1 vs 19.7
+#   812     108 vs 121     89.3 vs 15.0   80.5 vs 13.0   83.7 vs 18.8
 #
-# So eigh wins every form below 256 cells, at 448 it wins and loses by
-# about as much (105 against 126 ms summed), and at 812 the iteration wins
-# every form.  The fractional pencils need no crossover of their own: one
-# factor and about 20 exact solves per pencil beat eigh from 448 cells on
-# (1.7 against 6.4 s at 3,228 cells).
+# So eigh wins every form below 256 cells, at 448 it loses every form but
+# the local one, and at 812 the iteration wins every form.  The fractional
+# pencils need no crossover of their own: one factor and about 14 Lanczos
+# steps per pencil beat eigh from 448 cells on (0.70 against 4.9 s at
+# 3,228 cells).
 _ITERATIVE_MIN_CELLS = 256
 
 
 class EigenConvergenceError(RuntimeError):
-    """Iterative eigensolve failed to reach tolerance; carries the residual."""
+    """Iterative eigensolve failed to reach tolerance; carries the residual
+    and the solve's trace rows."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
+        self.trace = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,16 +549,15 @@ class _BlockedCholesky:
 
 
 class _GroundedSolve:
-    """Exact inner solve for a formed energy matrix: ``S^+`` on q's
-    complement, from one factor per solve.  For x orthogonal to q,
-    ``b = M^1/2 x`` sums to zero, so ``A z = b`` has solutions, and
-    ``S^+ x`` is ``M^1/2 z`` projected off q.  Grounding cell 0
-    (``z_0 = 0``) leaves ``A[1:, 1:] z[1:] = b[1:]``, whose matrix is
-    positive definite when constants span A's kernel; it is factored once
-    by :class:`_BlockedCholesky`, unshifted.  A matrix whose factor breaks
-    down has a nonconstant null vector (or none that is positive): that
-    raises :class:`EigenConvergenceError` with relative residual 1, as an
-    eigenvalue 0 gives."""
+    """Exact ``S^+`` on q's complement for a formed energy matrix, from one
+    factor per solve.  For x orthogonal to q, ``b = M^1/2 x`` sums to zero,
+    so ``A z = b`` has solutions, and ``S^+ x`` is ``M^1/2 z`` projected
+    off q.  Grounding cell 0 (``z_0 = 0``) leaves ``A[1:, 1:] z[1:] =
+    b[1:]``, whose matrix is positive definite when constants span A's
+    kernel; it is factored once by :class:`_BlockedCholesky`.  A matrix
+    whose factor breaks down has a nonconstant null vector (or none that is
+    positive): that raises :class:`EigenConvergenceError` with relative
+    residual 1, as an eigenvalue 0 gives."""
 
     def __init__(self, sym: _SymmetricPencil):
         self.sym = sym
@@ -568,16 +570,12 @@ class _GroundedSolve:
                 1.0,
             ) from None
 
-    def solve(self, X: np.ndarray, rel_residual: float) -> np.ndarray:
-        """``S^+`` of every column of X at once."""
-        sqrt_m, q = self.sym.sqrt_m[:, None], self.sym.q
-        Y = np.zeros_like(X)
-        Y[1:] = self.factor.solve((sqrt_m * X)[1:])
-        Y *= sqrt_m
-        return Y - np.outer(q, q @ Y)
-
-    def shift_toward(self, lam: float, rel_residual: float, euclid_residual: float):
-        """The exact solve needs no shift."""
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """``S^+ x`` for one vector x of q's complement."""
+        sqrt_m = self.sym.sqrt_m
+        y = np.zeros_like(x)
+        y[1:] = self.factor.solve((sqrt_m * x)[1:])
+        return self.sym.project(sqrt_m * y)
 
 
 class _ShiftedCG:
@@ -627,14 +625,12 @@ def _block_iteration(
     max_iter: int = 200,
     trace: list | None = None,
 ):
-    """The solve from ``_ITERATIVE_MIN_CELLS`` on: block inverse (subspace)
-    iteration on q's complement (Saad, *Numerical Methods for Large
-    Eigenvalue Problems*, SIAM 2011, ch. 4-5), one loop with two inner
-    solves, chosen by the energy's type.  An operator is touched only
-    through ``energy @ x``, by shifted projected CG (:class:`_ShiftedCG`);
-    a formed matrix is factored once and solved exactly
-    (:class:`_GroundedSolve`).  Each pass orthonormalizes the solved block
-    and takes a small Jacobi Ritz step; the block absorbs near-degenerate
+    """The solve of an operator pencil from ``_ITERATIVE_MIN_CELLS`` on:
+    block inverse (subspace) iteration on q's complement (Saad, *Numerical
+    Methods for Large Eigenvalue Problems*, SIAM 2011, ch. 4-5), the
+    operator touched only through ``energy @ x``, by shifted projected CG
+    (:class:`_ShiftedCG`).  Each pass orthonormalizes the solved block and
+    takes a small Jacobi Ritz step; the block absorbs near-degenerate
     lowest modes (symmetric domains carry double eigenvalues), which would
     stall a single-vector iteration.  Appends ``(iteration, lam, relative
     residual)`` per Ritz step."""
@@ -645,7 +641,7 @@ def _block_iteration(
     rng = np.random.default_rng(171)
     X = np.column_stack([project(rng.standard_normal(n)) for _ in range(block)])
     X, _ = np.linalg.qr(X)
-    inner = _ShiftedCG(sym, X) if isinstance(pair.energy, _OPERATORS) else _GroundedSolve(sym)
+    inner = _ShiftedCG(sym, X)
     lam = float("nan")
     rel_residual = 1.0
     for it in range(1, max_iter + 1):
@@ -669,6 +665,69 @@ def _block_iteration(
     return lam, sym.eigenvector(X[:, 0])
 
 
+def _lanczos(
+    pair: QuadraticFormPair,
+    tol: float = 1e-8,
+    max_iter: int = 200,
+    trace: list | None = None,
+):
+    """The solve of a formed pencil from ``_ITERATIVE_MIN_CELLS`` on:
+    spectral-transformation Lanczos (Ericsson & Ruhe, Math. Comp. 1980;
+    Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 13) on
+    ``S^+`` in q's complement, whose largest eigenvalue theta is ``1 /
+    lam``.  The matrix is factored once (:class:`_GroundedSolve`), and each
+    step applies that factor to one vector and orthogonalizes the result
+    against the whole basis, twice; the basis grows a row per step.  Step
+    k takes the largest Ritz pair of the k x k tridiagonal and appends
+    ``(k, 1 / theta, relative residual)``, that residual taken against the
+    energy itself.  The orthogonalization projects off q as well, since
+    cancellation leaves the rounding of the solve's own projection in a
+    small remainder.  A zero beta, one under ``n eps theta`` (the rounding
+    of one solve), means the Krylov space is invariant and its Ritz pairs
+    exact: it ends the iteration, and the ``tol`` test decides as at any
+    step."""
+    sym = _SymmetricPencil(pair.energy, pair.mass)
+    inverse = _GroundedSolve(sym)
+    n = pair.size
+    v = sym.project(np.random.default_rng(171).standard_normal(n))
+    V = (v / np.linalg.norm(v))[None, :]
+    alpha, beta = [], []
+    for k in range(1, max_iter + 1):
+        w = inverse.solve(V[-1])
+        a = 0.0
+        for _ in range(2):
+            h = V @ w
+            w = sym.project(w - h @ V)
+            a += float(h[-1])
+        alpha.append(a)
+        theta, Y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        lam, x = 1.0 / float(theta[-1]), Y[:, -1] @ V
+        rel_residual, converged, _ = sym.residual(lam, x, tol)
+        if trace is not None:
+            trace.append((k, lam, rel_residual))
+        if converged:
+            return lam, sym.eigenvector(x)
+        b = float(np.linalg.norm(w))
+        if b <= n * np.finfo(float).eps * theta[-1]:
+            break
+        beta.append(b)
+        V = np.vstack((V, w / b))
+    raise _not_converged(k, rel_residual)
+
+
+def _iterative_eigen(
+    pair: QuadraticFormPair,
+    tol: float = 1e-8,
+    max_iter: int = 200,
+    trace: list | None = None,
+):
+    """The solve from ``_ITERATIVE_MIN_CELLS`` on, chosen by the energy's
+    type: :func:`_block_iteration` for an operator, :func:`_lanczos` for a
+    formed matrix."""
+    solve = _block_iteration if isinstance(pair.energy, _OPERATORS) else _lanczos
+    return solve(pair, tol, max_iter, trace)
+
+
 def smallest_nonzero_eigen(
     pair: QuadraticFormPair,
     tol: float = 1e-8,
@@ -677,31 +736,37 @@ def smallest_nonzero_eigen(
 ):
     """Smallest nonzero generalized eigenvalue of (energy, mass).
 
-    Both paths solve the symmetric form ``M^-1/2 A M^-1/2`` with the
+    Every path solves the symmetric form ``M^-1/2 A M^-1/2`` with the
     constant direction deflated, and only here is dense chosen over
     matrix-free: a pair of fewer than ``_ITERATIVE_MIN_CELLS`` cells is
     solved by LAPACK (``np.linalg.eigh``) on ``pair.dense_energy()`` and
-    writes one trace row; a larger one by block inverse iteration, which
-    writes one row per Ritz step (``max_iter`` bounds those steps).  Its
-    one loop has two inner solves: shifted CG through ``energy @ x`` for
-    an operator, and exact solves with one Cholesky factor, taken once per
-    call, for a formed matrix; that factor, a lower triangle kept in
-    panels, is the one array of order n^2 the call makes.  Each row is
-    (iteration, eigenvalue, relative residual).  The solve converges when
-    the residual in the original variables satisfies
-    ``|A v - lam D v| <= tol * |A v|``.  Returns the eigenvalue
-    and the eigenvector as a 1-d array of ``pair.size`` entries in the
-    pair's cell order, mass-orthogonal to constants and mass-normalized;
-    its sign is not fixed.
+    writes one trace row.  A larger one writes one row per step
+    (``max_iter`` bounds those steps): an operator is solved by block
+    inverse iteration with shifted CG through ``energy @ x``, and a formed
+    matrix by shift-invert Lanczos on one Cholesky factor, taken once per
+    call; that factor, a lower triangle kept in panels, is the one array
+    of order n^2 the call makes.  Each row is (step, eigenvalue, relative
+    residual).  The solve converges when the residual in the original
+    variables satisfies ``|A v - lam D v| <= tol * |A v|``.  Returns the
+    eigenvalue and the eigenvector as a 1-d array of ``pair.size`` entries
+    in the pair's cell order, mass-orthogonal to constants and
+    mass-normalized; its sign is not fixed.
 
     Raises :class:`EigenConvergenceError` with the last relative residual
     when that residual exceeds ``tol``, and with relative residual 1, before
-    any Ritz step, when a formed matrix of the iteration cannot be factored
-    (an energy that vanishes on a nonconstant vector).
+    any step, when a formed matrix of the iteration cannot be factored
+    (an energy that vanishes on a nonconstant vector).  The error carries
+    the trace rows the solve wrote, as ``trace``.
     """
-    if pair.size < _ITERATIVE_MIN_CELLS:
-        return _lapack_eigen(pair, tol, trace)
-    return _block_iteration(pair, tol, max_iter, trace)
+    rows = [] if trace is None else trace
+    start = len(rows)
+    try:
+        if pair.size < _ITERATIVE_MIN_CELLS:
+            return _lapack_eigen(pair, tol, rows)
+        return _iterative_eigen(pair, tol, max_iter, rows)
+    except EigenConvergenceError as exc:
+        exc.trace = tuple(rows[start:])
+        raise
 
 
 def pencil_eigen(cells: CellSet, kernel: KernelSpec, weight: RadialProfile = UNIT_WEIGHT):
@@ -728,10 +793,10 @@ def dense_oracle_eigen(pair: QuadraticFormPair) -> np.ndarray:
     """Full spectrum, ascending, of the symmetrized pencil by LAPACK
     (``np.linalg.eigvalsh``).
 
-    Validation oracle for the block iteration of
-    :func:`smallest_nonzero_eigen`, with which it shares no code (tests
-    call that iteration directly on pencils under the crossover); capped
-    at ``_DENSE_CAP`` = 2,000 cells.
+    Validation oracle for the iterations of :func:`smallest_nonzero_eigen`,
+    block inverse iteration and Lanczos, with which it shares no code
+    (tests call their entry directly on pencils under the crossover);
+    capped at ``_DENSE_CAP`` = 2,000 cells.
     """
     n = pair.size
     if n > _DENSE_CAP:

@@ -46,7 +46,7 @@ from poincheck.inequalities import (
 )
 from poincheck.runner import _Case, _constant, run_verify
 from poincheck.sharp import (
-    _block_iteration,
+    _iterative_eigen,
     assemble_p2,
     assemble_transfer_p2,
     dense_oracle_eigen,
@@ -156,7 +156,7 @@ def test_criterion_4_sharp_constant_convergence():
     rel = abs(sharp - target) / target
     g64 = build_grid(1, 64)
     pair = assemble_p2(g64, full_cells(g64), KernelSpec(KIND_LOCAL))
-    lam_iter, _ = _block_iteration(pair)  # 64 cells: under the crossover
+    lam_iter, _ = _iterative_eigen(pair)  # 64 cells: under the crossover
     lam_dense = dense_oracle_eigen(pair)[1]
     agree = abs(lam_iter - lam_dense)
     elapsed = time.perf_counter() - start

@@ -468,6 +468,64 @@ def test_cli_sharp_transfer_eigensolve_failure_is_a_failing_row(tmp_path, monkey
     assert failed_trace == other(trace)
 
 
+def test_cli_sharp_failed_eigensolves_keep_their_trace_rows(tmp_path, monkeypatch):
+    # 2-d N = 20 (316 cells), past the solver's crossover.  The transfer
+    # pencils (block iteration) and the formed fractional ones (Lanczos) are
+    # held to a tolerance no solve meets, in 3 steps: each of their rows
+    # fails with the residual of its last trace row, and its 3 trace rows
+    # are written.  The other rows and their trace rows are those of a run
+    # in which every solve converges.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(full_doc(dimension=2, grid_sizes=[20], checks=[])))
+
+    def run(out):
+        code = main(["sharp", "--config", str(cfg_path), "--out", str(out)])
+        tables = []
+        for name in ("report.csv", "trace.csv"):
+            with open(out / name) as handle:
+                tables.append(list(csv.DictReader(handle)))
+        return code, *tables
+
+    def forced(original, formed_only):
+        def solve(pair, **kwargs):
+            if formed_only and type(pair.energy) is not np.ndarray:
+                return original(pair, **kwargs)
+            return original(pair, **dict(kwargs, tol=0.0, max_iter=3))
+
+        return solve
+
+    code, rows, trace = run(tmp_path / "converged")
+    assert code == 0
+    monkeypatch.setattr(
+        poincheck.runner, "smallest_nonzero_eigen", forced(smallest_nonzero_eigen, False)
+    )
+    monkeypatch.setattr(
+        poincheck.sharp, "smallest_nonzero_eigen", forced(smallest_nonzero_eigen, True)
+    )
+    code, failed_rows, failed_trace = run(tmp_path / "failed")
+    assert code == 1
+
+    def key(row):
+        return tuple(row[c] for c in ("d", "N", "p", "profile", "target", "kernel"))
+
+    def forced_row(row):
+        return row["target"] == "transfer" or '"fractional"' in row["kernel"]
+
+    failed = [r for r in failed_rows if forced_row(r)]
+    assert len(failed) == 4  # transfer and fractional kernel, one per profile
+    for row in failed:
+        steps = [t for t in failed_trace if key(t) == key(row)]
+        assert [t["iteration"] for t in steps] == ["1", "2", "3"]
+        assert row["pass"] == "false" and row["eigenvalue"] == ""
+        assert row["residual"] == steps[-1]["residual"] != ""
+    assert [r for r in failed_rows if not forced_row(r)] == [
+        r for r in rows if not forced_row(r)
+    ]
+    assert [t for t in failed_trace if not forced_row(t)] == [
+        t for t in trace if not forced_row(t)
+    ]
+
+
 def test_cli_sharp_weight_vanishing_on_a_cell_is_a_failing_row(tmp_path, capsys):
     # step([0.75], [1, 0]) is zero on the outer shell of the 1-d N = 32
     # ball, so its p = 2 pencils have no positive mass diagonal: each of its

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -45,7 +46,7 @@ from poincheck.sharp import (
     EigenConvergenceError,
     NestedRankOne,
     QuadraticFormPair,
-    _block_iteration,
+    _iterative_eigen,
     assemble_p2,
     assemble_transfer_p2,
     dense_oracle_eigen,
@@ -157,12 +158,12 @@ def assert_eigenpair_contract(pair, lam, v, tol=1e-8):
 
 
 def test_smallest_eigen_path_graph_closed_form():
-    # 4 cells: the public solve takes the LAPACK path; the block iteration
+    # 4 cells: the public solve takes the LAPACK path; the iterative entry
     # is called directly.
     g = build_grid(1, 4)
     pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
     want = 2.0 * (1.0 - np.cos(np.pi / 4)) / g.h**2
-    for solve in (smallest_nonzero_eigen, _block_iteration):
+    for solve in (smallest_nonzero_eigen, _iterative_eigen):
         lam, v = solve(pair)
         assert lam == pytest.approx(want, rel=1e-10)
         assert_eigenpair_contract(pair, lam, v)
@@ -201,14 +202,16 @@ def test_dense_oracle_size_cap():
 
 
 def test_oracle_agrees_with_iterative():
-    # 64 cells: under the crossover, so the block iteration is called directly.
+    # 64 cells: under the crossover, so the iterative entry is called
+    # directly: the block iteration solves the stencil, Lanczos the formed
+    # fractional matrix.
     g = build_grid(1, 64)
     for spec, weight in (
         (KernelSpec(KIND_LOCAL), UNIT_WEIGHT),
         (KernelSpec(KIND_FRACTIONAL, s=0.5), make_step_profile([0.75], [2.0, 1.0])),
     ):
         pair = assemble_p2(g, full_cells(g), spec, weight)
-        lam, _ = _block_iteration(pair)
+        lam, _ = _iterative_eigen(pair)
         spectrum = dense_oracle_eigen(pair)
         assert abs(lam - spectrum[1]) <= 1e-8 * max(1.0, lam)
 
@@ -418,8 +421,10 @@ def test_lapack_path_agrees_with_block_iteration(d, N):
             assert pair.size < 256
             trace = []
             lam, v = smallest_nonzero_eigen(pair, trace=trace)
-            # the largest difference measured was 5.6e-13
-            want, _ = _block_iteration(pair)
+            # the largest difference measured was 5.6e-13; the iterative
+            # entry solves the formed fractional pencil by Lanczos, the
+            # operators by the block iteration
+            want, _ = _iterative_eigen(pair)
             assert abs(lam - want) <= 1e-10 * want
             assert_eigenpair_contract(pair, lam, v)
             assert len(trace) == 1 and trace[0][:2] == (1, lam) and trace[0][2] <= 1e-8
@@ -456,8 +461,8 @@ FRACTIONAL_KERNELS = (
 
 @pytest.mark.parametrize("N", [24, 32])
 def test_factored_iteration_agrees_with_dense_oracle(N):
-    # 448 and 812 cells: formed fractional pencils, solved by the block
-    # iteration with the grounded Cholesky inner solve.
+    # 448 and 812 cells: formed fractional pencils, solved by Lanczos on the
+    # grounded Cholesky factor.
     g = build_grid(2, N)
     for profile in DEMO_PROFILES:
         for kernel in FRACTIONAL_KERNELS:
@@ -466,10 +471,67 @@ def test_factored_iteration_agrees_with_dense_oracle(N):
             trace = []
             lam, v = smallest_nonzero_eigen(pair, trace=trace)
             spectrum = dense_oracle_eigen(pair)
-            assert abs(lam - spectrum[1]) <= 1e-8 * lam, (N, profile, kernel)
+            assert abs(lam - spectrum[1]) <= 1e-12 * lam, (N, profile, kernel)
             assert_eigenpair_contract(pair, lam, v)
+            assert [row[0] for row in trace] == list(range(1, len(trace) + 1))
             assert trace[-1][1] == lam and trace[-1][2] <= 1e-8
             assert len(trace) < 200
+
+
+def test_factored_iteration_reports_nonconvergence():
+    # 448 cells: a formed pencil stops after max_iter steps, one trace row
+    # each, and the error carries those rows.
+    g = build_grid(2, 24)
+    pair = assemble_p2(g, full_cells(g), FRACTIONAL_KERNELS[0])
+    assert type(pair.energy) is np.ndarray and pair.size == 448
+    trace = []
+    with pytest.raises(EigenConvergenceError) as info:
+        smallest_nonzero_eigen(pair, tol=1e-14, max_iter=3, trace=trace)
+    assert [row[0] for row in trace] == [1, 2, 3]
+    assert info.value.trace == tuple(trace)
+    assert info.value.residual == trace[-1][2] > 1e-14
+
+
+def test_factored_iteration_keeps_its_ritz_value_over_many_steps():
+    # 448 cells, power weight, formed floor and fractional pencils, held to
+    # a tolerance no step meets: the basis stays orthogonal and off the
+    # constants, so from step 20 on every Ritz value is the eigenvalue to
+    # 1e-12.  One orthogonalization pass, or none off q, lets the basis
+    # drift and the values with it (1e-3 and worse on the floor pencil).
+    g = build_grid(2, 24)
+    power = profile_from_json({"type": "power", "beta": 1.0})
+    for kernel in (FLOOR, FRACTIONAL_KERNELS[0]):
+        built = assemble_p2(g, full_cells(g), kernel, power)
+        pair = QuadraticFormPair(built.dense_energy(), built.mass)
+        want = dense_oracle_eigen(pair)[1]
+        trace = []
+        with pytest.raises(EigenConvergenceError):
+            smallest_nonzero_eigen(pair, tol=0.0, max_iter=60, trace=trace)
+        assert len(trace) == 60
+        for _, lam, _ in trace[19:]:
+            assert abs(lam - want) <= 1e-12 * want, kernel
+
+
+def test_factored_iteration_ends_on_an_invariant_krylov_space():
+    # The unit constant-floor pencil, formed, at 316 cells: 2 h^(2d) (n I -
+    # 1 1') against h^d I has the one nonzero eigenvalue 2 h^d n, so the
+    # first Krylov vector spans an invariant space.  The solve returns that
+    # eigenvalue after one step, dividing by no zero beta; where tol asks
+    # for more than the rounding gives, the invariant space still ends it.
+    g = build_grid(2, 20)
+    floor = assemble_p2(g, full_cells(g), FLOOR)
+    pair = QuadraticFormPair(floor.dense_energy(), floor.mass)
+    assert type(pair.energy) is np.ndarray and pair.size == 316
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace = []
+        lam, v = smallest_nonzero_eigen(pair, trace=trace)
+        assert lam == pytest.approx(2.0 * g.cell_measure * g.cell_count, rel=1e-12)
+        assert_eigenpair_contract(pair, lam, v)
+        assert len(trace) == 1 and trace[0][:2] == (1, lam)
+        with pytest.raises(EigenConvergenceError) as info:
+            smallest_nonzero_eigen(pair, tol=0.0)
+        assert len(info.value.trace) == 1
 
 
 @pytest.mark.parametrize("n", [2, 255, 300, 1000])
