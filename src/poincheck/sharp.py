@@ -10,13 +10,14 @@ are a diagonal minus rank-one terms over nested cell sets
 pair keeps them as built.  Every fractional kernel form is a dense kernel
 matrix.  Only the eigensolver densifies: under ``_ITERATIVE_MIN_CELLS``
 cells, LAPACK (``np.linalg.eigh``) solves the dense symmetrized pencil.
-From it on, the energy's type chooses the iteration.  An operator is
-touched only through ``A @ x``, by deflated block inverse iteration with
-shifted projected CG inner solves.  A formed kernel matrix is factored
-once (a blocked Cholesky of the matrix with one cell grounded), and
-shift-invert Lanczos applies that factor to one vector per step.  Both
-iterations are validated against LAPACK's full spectrum of the dense
-pencil (:func:`dense_oracle_eigen`).
+From it on, the energy's type chooses the iteration, one function each.
+An operator is touched only through ``A @ x``, by deflated block inverse
+iteration with shifted projected CG inner solves (:func:`_block_iteration`).
+A formed kernel matrix is factored once (a blocked Cholesky of the matrix
+with one cell grounded), and shift-invert Lanczos applies that factor to
+one vector per step (:func:`_lanczos`).  Both iterations are validated
+against LAPACK's full spectrum of the dense pencil
+(:func:`dense_oracle_eigen`).
 :func:`pencil_eigen` solves each pencil once per grid.
 For general p a normalized finite-difference ascent of the ratio supplies
 a certified lower bound on the sharp constant.  Each step hands its n
@@ -216,7 +217,7 @@ class QuadraticFormPair:
         if m.shape != (A.shape[0],):
             raise ValueError("mass diagonal must match the energy matrix size")
         if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
+            raise ValueError("mass entries must be finite")
         if np.any(m < 0.0):
             raise ValueError("mass entries must be nonnegative")
         if isinstance(A, np.ndarray):
@@ -548,77 +549,6 @@ class _BlockedCholesky:
         return Z
 
 
-class _GroundedSolve:
-    """Exact ``S^+`` on q's complement for a formed energy matrix, from one
-    factor per solve.  For x orthogonal to q, ``b = M^1/2 x`` sums to zero,
-    so ``A z = b`` has solutions, and ``S^+ x`` is ``M^1/2 z`` projected
-    off q.  Grounding cell 0 (``z_0 = 0``) leaves ``A[1:, 1:] z[1:] =
-    b[1:]``, whose matrix is positive definite when constants span A's
-    kernel; it is factored once by :class:`_BlockedCholesky`.  A matrix
-    whose factor breaks down has a nonconstant null vector (or none that is
-    positive): that raises :class:`EigenConvergenceError` with relative
-    residual 1, as an eigenvalue 0 gives."""
-
-    def __init__(self, sym: _SymmetricPencil):
-        self.sym = sym
-        try:
-            self.factor = _BlockedCholesky(sym.energy[1:, 1:])
-        except np.linalg.LinAlgError:
-            raise EigenConvergenceError(
-                "energy is not positive definite off the constants "
-                "(relative residual 1.000e+00)",
-                1.0,
-            ) from None
-
-    def solve(self, x: np.ndarray) -> np.ndarray:
-        """``S^+ x`` for one vector x of q's complement."""
-        sqrt_m = self.sym.sqrt_m
-        y = np.zeros_like(x)
-        y[1:] = self.factor.solve((sqrt_m * x)[1:])
-        return self.sym.project(sqrt_m * y)
-
-
-class _ShiftedCG:
-    """Inner solve for an operator energy: projected CG on ``S - sigma I``,
-    column by column, to a tolerance that follows the outer residual, each
-    column warm-started from its last solution.  A breakdown (a
-    nonpositive curvature direction: sigma crossed the lowest eigenvalue)
-    halves sigma and asks for the pass again."""
-
-    def __init__(self, sym: _SymmetricPencil, X: np.ndarray):
-        self.sym, self.Y, self.sigma = sym, X.copy(), 0.0
-
-    def solve(self, X: np.ndarray, rel_residual: float) -> np.ndarray | None:
-        """The block's projected solutions, or None after a breakdown."""
-        sym, Y = self.sym, self.Y
-        project, s_matvec, n = sym.project, sym.matvec, len(Y)
-        inner_rtol = min(1e-3, max(1e-12, 0.05 * rel_residual))
-
-        sigma = self.sigma
-
-        def shifted(x):
-            return s_matvec(x) - sigma * x
-
-        broke = False
-        for col in range(Y.shape[1]):
-            Y[:, col], bad = _projected_cg(
-                shifted, X[:, col], project, Y[:, col], inner_rtol, max_iter=20 * n
-            )
-            broke = broke or bad
-        if broke:
-            self.sigma *= 0.5
-            return None
-        return np.column_stack([project(Y[:, col]) for col in range(Y.shape[1])])
-
-    def shift_toward(self, lam: float, rel_residual: float, euclid_residual: float):
-        """Ritz values sit above the true eigenvalue by at most the Euclidean
-        residual (symmetric Weyl bound), so this shift stays safely below
-        it while collapsing clustered bottom modes onto the block."""
-        if lam > 0.0 and rel_residual < 5e-3:
-            margin = max(20.0 * euclid_residual, 1e-3 * lam)
-            self.sigma = max(self.sigma, lam - margin)
-
-
 def _block_iteration(
     pair: QuadraticFormPair,
     tol: float = 1e-8,
@@ -628,8 +558,9 @@ def _block_iteration(
     """The solve of an operator pencil from ``_ITERATIVE_MIN_CELLS`` on:
     block inverse (subspace) iteration on q's complement (Saad, *Numerical
     Methods for Large Eigenvalue Problems*, SIAM 2011, ch. 4-5), the
-    operator touched only through ``energy @ x``, by shifted projected CG
-    (:class:`_ShiftedCG`).  Each pass orthonormalizes the solved block and
+    operator touched only through ``energy @ x``.  Each pass solves ``S -
+    sigma I`` by projected CG, column by column, to a tolerance that
+    follows the outer residual, then orthonormalizes the solved block and
     takes a small Jacobi Ritz step; the block absorbs near-degenerate
     lowest modes (symmetric domains carry double eigenvalues), which would
     stall a single-vector iteration.  Appends ``(iteration, lam, relative
@@ -641,14 +572,29 @@ def _block_iteration(
     rng = np.random.default_rng(171)
     X = np.column_stack([project(rng.standard_normal(n)) for _ in range(block)])
     X, _ = np.linalg.qr(X)
-    inner = _ShiftedCG(sym, X)
+    # each CG column is warm-started from its last solution
+    Y = X.copy()
+    # CG solves S - sigma I, positive definite off q while sigma is below lam_1
+    sigma = 0.0
+
+    def shifted(x):
+        return s_matvec(x) - sigma * x
+
     lam = float("nan")
     rel_residual = 1.0
     for it in range(1, max_iter + 1):
-        Z = inner.solve(X, rel_residual)
-        if Z is None:
+        inner_rtol = min(1e-3, max(1e-12, 0.05 * rel_residual))
+        broke = False
+        for col in range(block):
+            Y[:, col], bad = _projected_cg(
+                shifted, X[:, col], project, Y[:, col], inner_rtol, max_iter=20 * n
+            )
+            broke = broke or bad
+        if broke:
+            # nonpositive curvature: sigma crossed the lowest eigenvalue; redo the pass
+            sigma *= 0.5
             continue
-        Q, _ = np.linalg.qr(Z)
+        Q, _ = np.linalg.qr(np.column_stack([project(Y[:, col]) for col in range(block)]))
         SQ = np.column_stack([s_matvec(Q[:, col]) for col in range(block)])
         ritz = Q.T @ SQ
         theta, W = _jacobi_eigh(ritz, 1e-14, 60)
@@ -659,7 +605,10 @@ def _block_iteration(
             trace.append((it, lam, rel_residual))
         if converged:
             break
-        inner.shift_toward(lam, rel_residual, euclid_residual)
+        # lam exceeds the eigenvalue by at most the Euclidean residual (Weyl):
+        # this shift stays below it and collapses clustered bottom modes
+        if lam > 0.0 and rel_residual < 5e-3:
+            sigma = max(sigma, lam - max(20.0 * euclid_residual, 1e-3 * lam))
     else:
         raise _not_converged(max_iter, rel_residual)
     return lam, sym.eigenvector(X[:, 0])
@@ -675,25 +624,41 @@ def _lanczos(
     spectral-transformation Lanczos (Ericsson & Ruhe, Math. Comp. 1980;
     Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 13) on
     ``S^+`` in q's complement, whose largest eigenvalue theta is ``1 /
-    lam``.  The matrix is factored once (:class:`_GroundedSolve`), and each
-    step applies that factor to one vector and orthogonalizes the result
-    against the whole basis, twice; the basis grows a row per step.  Step
-    k takes the largest Ritz pair of the k x k tridiagonal and appends
-    ``(k, 1 / theta, relative residual)``, that residual taken against the
-    energy itself.  The orthogonalization projects off q as well, since
+    lam``.  For x orthogonal to q, ``b = M^1/2 x`` sums to zero, so ``A z
+    = b`` has solutions, and ``S^+ x`` is ``M^1/2 z`` projected off q.
+    Grounding cell 0 (``z_0 = 0``) leaves ``A[1:, 1:] z[1:] = b[1:]``,
+    whose matrix is positive definite when constants span A's kernel; it
+    is factored once by :class:`_BlockedCholesky`.  A matrix whose factor
+    breaks down has a nonconstant null vector (or none that is positive):
+    that raises :class:`EigenConvergenceError` with relative residual 1,
+    as an eigenvalue 0 gives, before any step.  Each step applies the
+    factor to one vector and orthogonalizes the result against the whole
+    basis, twice; the basis grows a row per step.  Step k takes the
+    largest Ritz pair of the k x k tridiagonal and appends ``(k, 1 /
+    theta, relative residual)``, that residual taken against the energy
+    itself.  The orthogonalization projects off q as well, since
     cancellation leaves the rounding of the solve's own projection in a
     small remainder.  A zero beta, one under ``n eps theta`` (the rounding
     of one solve), means the Krylov space is invariant and its Ritz pairs
     exact: it ends the iteration, and the ``tol`` test decides as at any
     step."""
     sym = _SymmetricPencil(pair.energy, pair.mass)
-    inverse = _GroundedSolve(sym)
+    try:
+        factor = _BlockedCholesky(sym.energy[1:, 1:])
+    except np.linalg.LinAlgError:
+        raise EigenConvergenceError(
+            "energy is not positive definite off the constants "
+            "(relative residual 1.000e+00)",
+            1.0,
+        ) from None
     n = pair.size
     v = sym.project(np.random.default_rng(171).standard_normal(n))
     V = (v / np.linalg.norm(v))[None, :]
     alpha, beta = [], []
     for k in range(1, max_iter + 1):
-        w = inverse.solve(V[-1])
+        z = np.zeros(n)
+        z[1:] = factor.solve((sym.sqrt_m * V[-1])[1:])
+        w = sym.project(sym.sqrt_m * z)
         a = 0.0
         for _ in range(2):
             h = V @ w
@@ -742,10 +707,11 @@ def smallest_nonzero_eigen(
     solved by LAPACK (``np.linalg.eigh``) on ``pair.dense_energy()`` and
     writes one trace row.  A larger one writes one row per step
     (``max_iter`` bounds those steps): an operator is solved by block
-    inverse iteration with shifted CG through ``energy @ x``, and a formed
-    matrix by shift-invert Lanczos on one Cholesky factor, taken once per
-    call; that factor, a lower triangle kept in panels, is the one array
-    of order n^2 the call makes.  Each row is (step, eigenvalue, relative
+    inverse iteration with shifted CG through ``energy @ x``
+    (:func:`_block_iteration`), and a formed matrix by shift-invert
+    Lanczos on one Cholesky factor, taken once per call (:func:`_lanczos`);
+    that factor, a lower triangle kept in panels, is the one array of
+    order n^2 the call makes.  Each row is (step, eigenvalue, relative
     residual).  The solve converges when the residual in the original
     variables satisfies ``|A v - lam D v| <= tol * |A v|``.  Returns the
     eigenvalue and the eigenvector as a 1-d array of ``pair.size`` entries
@@ -794,9 +760,9 @@ def dense_oracle_eigen(pair: QuadraticFormPair) -> np.ndarray:
     (``np.linalg.eigvalsh``).
 
     Validation oracle for the iterations of :func:`smallest_nonzero_eigen`,
-    block inverse iteration and Lanczos, with which it shares no code
-    (tests call their entry directly on pencils under the crossover);
-    capped at ``_DENSE_CAP`` = 2,000 cells.
+    :func:`_block_iteration` and :func:`_lanczos`, with which it shares no
+    code (tests call their entry, :func:`_iterative_eigen`, directly on
+    pencils under the crossover); capped at ``_DENSE_CAP`` = 2,000 cells.
     """
     n = pair.size
     if n > _DENSE_CAP:

@@ -161,7 +161,7 @@ def test_run_verify_failure_sets_flag(tmp_path):
     # The known truncation failure on coarse grids (its bare lattice sums
     # omit the pair mass inside single cells): at 1-d N = 64, p = 1,
     # s = 0.8, R = 5 ratios reach 1.18, past the 5% allowance.  Once the
-    # check adds that mass (ROADMAP item 3), this test needs another
+    # check adds that mass (ROADMAP item 7), this test needs another
     # failing corner.
     doc = full_doc(
         checks=["truncation"],
@@ -683,25 +683,43 @@ def test_demo_weighs_each_cell_set_once_per_profile(monkeypatch, tmp_path):
         assert len(evaluations) == keys, run.__name__
 
 
+def _assert_reports_match_golden(tmp_path, config, name, commands):
+    """Run each command on ``config`` and compare its report.csv, and the
+    sharp trace.csv, with ``tests/golden/<name>`` byte for byte."""
+    for command in commands:
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        files = [("report.csv", f"{command}.csv")]
+        if command == "sharp":
+            files.append(("trace.csv", "trace.csv"))
+        for produced, golden in files:
+            reference = ROOT / "tests" / "golden" / name / golden
+            assert (out / produced).read_bytes() == reference.read_bytes(), (
+                f"the {name} {command} {produced} differs from {reference}"
+            )
+
+
 def test_ball2d_n16_reports_match_golden(tmp_path):
     # The 2-d workload at N = 16 with p = 1 (two ascent steps) and p = 2,
     # small enough for tier-1: every command and the sharp trace.  To
     # recapture after a deliberate change, run each command with
     # ``--config tests/golden/ball2d-n16.json`` and copy its report.csv
     # (and the sharp trace.csv) over the file of the same command.
-    golden = ROOT / "tests" / "golden"
-    config = golden / "ball2d-n16.json"
-    for command in ("verify", "sharp", "sweep"):
-        out = tmp_path / command
-        assert main([command, "--config", str(config), "--out", str(out)]) == 0
-        files = [("report.csv", f"{command}.csv")]
-        if command == "sharp":
-            files.append(("trace.csv", "trace.csv"))
-        for produced, name in files:
-            reference = golden / "ball2d-n16" / name
-            assert (out / produced).read_bytes() == reference.read_bytes(), (
-                f"the ball2d-n16 {command} {produced} differs from {reference}"
-            )
+    config = ROOT / "tests" / "golden" / "ball2d-n16.json"
+    _assert_reports_match_golden(tmp_path, config, "ball2d-n16", ("verify", "sharp", "sweep"))
+
+
+def test_ball2d_p2_reports_match_golden(tmp_path):
+    # The p = 2 benchmark workload at 2-d N = 32, the one tier-1 run of the
+    # iterative eigensolves on reports: sharp solves 4 stencil and 6 nested
+    # rank-one pencils of 448 and 812 cells by the block iteration and 3
+    # formed fractional pencils of 812 cells by Lanczos, and verify the
+    # 448- and 812-cell stencils by the block iteration.  To recapture
+    # after a deliberate change, run verify and sharp with ``--config
+    # perfbench/workloads/ball2d-p2.json`` and copy each report.csv (and
+    # the sharp trace.csv) into tests/golden/ball2d-p2.
+    config = ROOT / "perfbench" / "workloads" / "ball2d-p2.json"
+    _assert_reports_match_golden(tmp_path, config, "ball2d-p2", ("verify", "sharp"))
 
 
 def _source_env(**overrides):

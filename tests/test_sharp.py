@@ -79,6 +79,9 @@ def test_pair_validation():
         QuadraticFormPair(np.array([[2.0, -1.0], [-1.0, 2.0]]), np.ones(2))
     with pytest.raises(ValueError):
         QuadraticFormPair(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="mass entries must be finite"):
+            QuadraticFormPair(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([1.0, bad]))
 
 
 def test_assemble_local_path_graph():
@@ -606,6 +609,37 @@ def test_operator_pencils_never_reach_the_factor(monkeypatch):
         else:
             assert isinstance(pair.energy, (EdgeStencil, NestedRankOne))
             assert factored == []
+
+
+def test_block_iteration_backs_off_its_shift_after_a_breakdown(monkeypatch):
+    # 316 cells, the local stencil: the shift first engages at pass 7, at
+    # about 3.20 below the eigenvalue 3.28.  A CG breakdown reported there
+    # throws that pass away, with no trace row, and the next pass runs at
+    # half the shift; the solve still reaches the oracle's eigenvalue.
+    g = build_grid(2, 20)
+    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+    assert pair.size == 316
+    inv_sqrt = 1.0 / np.sqrt(pair.mass)
+    shifts = []
+    original = poincheck.sharp._projected_cg
+
+    def breaking(matvec, b, project, x0, rtol, max_iter):
+        # the shift sigma of this run, read off one product with S - sigma I
+        x = project(np.arange(pair.size, dtype=float))
+        Sx = inv_sqrt * (pair.energy @ (inv_sqrt * x))
+        shifts.append(float((Sx - matvec(x)) @ x / (x @ x)))
+        y, broke = original(matvec, b, project, x0, rtol, max_iter)
+        return y, broke or len(shifts) == 3 * 6 + 1  # pass 7, column 0
+
+    monkeypatch.setattr(poincheck.sharp, "_projected_cg", breaking)
+    trace = []
+    lam, v = _iterative_eigen(pair, trace=trace)
+    per_pass = shifts[::3]  # three CG runs per pass, one per block column
+    assert per_pass[:6] == [0.0] * 6 and per_pass[6] > 3.0
+    assert per_pass[7] == pytest.approx(0.5 * per_pass[6], rel=1e-9)
+    assert [row[0] for row in trace] == [1, 2, 3, 4, 5, 6, *range(8, len(trace) + 2)]
+    assert abs(lam - dense_oracle_eigen(pair)[1]) <= 1e-8 * lam
+    assert_eigenpair_contract(pair, lam, v)
 
 
 def test_factored_solve_makes_no_new_square_array():
