@@ -61,6 +61,7 @@ from .inequalities import (
     check_weighted_kernel,
     report_row,
     reports_to_json,
+    write_json,
     write_rows_csv,
 )
 from .sharp import (
@@ -106,11 +107,7 @@ def _write_reports(out_dir, config, columns, rows, payload, all_passed) -> RunRe
     csv_path = os.path.join(out_dir, config.csv_name)
     json_path = os.path.join(out_dir, config.json_name)
     write_rows_csv(csv_path, columns, rows)
-    with open(json_path, "w", encoding="utf-8") as handle:
-        # ``json.dump`` makes one Python-level write call per encoder chunk;
-        # ``writelines`` takes the same chunks in C, without joining them.
-        handle.writelines(json.JSONEncoder(indent=1).iterencode(payload))
-        handle.write("\n")
+    write_json(json_path, payload)
     return RunResult(rows, all_passed, csv_path, json_path)
 
 

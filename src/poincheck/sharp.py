@@ -8,15 +8,19 @@ edge list (:class:`EdgeStencil`), and the transfer and constant-floor forms
 are a diagonal minus rank-one terms over nested cell sets
 (:class:`NestedRankOne`), by the layer-cake splitting of the weight; a
 pair keeps them as built.  Every fractional kernel form is a dense kernel
-matrix.  Only the eigensolver densifies: under ``_ITERATIVE_MIN_CELLS``
-cells, LAPACK (``np.linalg.eigh``) solves the dense symmetrized pencil.
-From it on, the energy's type chooses the iteration, one function each.
-An operator is touched only through ``A @ x``, by deflated block inverse
+matrix.  A nested rank-one pencil is solved exactly at every size: its
+cells fall into shells on which the pencil is a multiple of the identity,
+and only the span of the shell indicators, one small matrix, goes to
+LAPACK (:func:`_shell_eigen`).  Of the others, only the eigensolver
+densifies: under ``_ITERATIVE_MIN_CELLS`` cells, LAPACK
+(``np.linalg.eigh``) solves the dense symmetrized pencil.  From it on,
+the energy's type chooses the iteration, one function each.  An edge
+stencil is touched only through ``A @ x``, by deflated block inverse
 iteration with shifted projected CG inner solves (:func:`_block_iteration`).
 A formed kernel matrix is factored once (a blocked Cholesky of the matrix
 with one cell grounded), and shift-invert Lanczos applies that factor to
-one vector per step (:func:`_lanczos`).  Both iterations are validated
-against LAPACK's full spectrum of the dense pencil
+one vector per step (:func:`_lanczos`).  The reduction and both iterations
+are validated against LAPACK's full spectrum of the dense pencil
 (:func:`dense_oracle_eigen`).
 :func:`pencil_eigen` solves each pencil once per grid.
 For general p a normalized finite-difference ascent of the ratio supplies
@@ -59,17 +63,17 @@ __all__ = [
 ]
 
 _DENSE_CAP = 2000
-# Smallest pencil that smallest_nonzero_eigen solves iteratively; a smaller
-# one is solved by LAPACK.  The crossover is one solve, eigh of the dense
-# symmetrized pencil (its dense form built in the call) against the
-# iteration, in ms (2-core Intel Xeon, one BLAS thread, best of 10; 1-d
-# N = 64, 2-d N = 16, 24 and 32, the full ball, weight step([0.75], [2, 1]);
-# local, transfer and floor are the forms of local_stencil,
-# assemble_transfer_p2 and floor_operator, solved by the block iteration
-# with shifted CG inner solves; fractional is s = 1/2, a formed matrix,
-# solved by Lanczos on its factor):
+# Smallest stencil or formed pencil that smallest_nonzero_eigen solves
+# iteratively; a smaller one is solved by LAPACK.  The crossover is one
+# solve, eigh of the dense symmetrized pencil (its dense form built in the
+# call) against the iteration, in ms (2-core Intel Xeon, one BLAS thread,
+# best of 10; 1-d N = 64, 2-d N = 16, 24 and 32, the full ball, weight
+# step([0.75], [2, 1]); local, transfer and floor are the forms of
+# local_stencil, assemble_transfer_p2 and floor_operator, solved by the
+# block iteration with shifted CG inner solves; fractional is s = 1/2, a
+# formed matrix, solved by Lanczos on its factor):
 #
-#   cells   local          fractional     floor          transfer
+#   cells   local          fractional     floor*         transfer*
 #   64      0.7 vs 27.2    0.5 vs 0.8     0.4 vs 9.5     0.5 vs 11.9
 #   208     6.1 vs 34.0    3.3 vs 3.7     4.0 vs 12.4    4.2 vs 16.1
 #   448     29.3 vs 71.0   19.6 vs 6.6    23.5 vs 13.6   24.1 vs 19.7
@@ -79,7 +83,9 @@ _DENSE_CAP = 2000
 # the local one, and at 812 the iteration wins every form.  The fractional
 # pencils need no crossover of their own: one factor and about 14 Lanczos
 # steps per pencil beat eigh from 448 cells on (0.70 against 4.9 s at
-# 3,228 cells).
+# 3,228 cells).  * Historical: the floor and transfer pencils no longer
+# reach either solve; _shell_eigen solves them at every size (4 ms at
+# 51,468 cells, 2-d N = 256).
 _ITERATIVE_MIN_CELLS = 256
 
 
@@ -292,7 +298,8 @@ def floor_operator(
     the weight, jumps at radii <= 1/2 included (unlike ``layer_cake``),
     with ``r_l`` the rise from the level below.  So the form is a
     :class:`NestedRankOne` with ``coef_l = 2 h^(2d) r_l`` and
-    ``diag_i = sum_l coef_l |S_l| 1[i in S_l]``.
+    ``diag_i = sum_l coef_l |S_l| 1[i in S_l]``, and its eigensolve is
+    exact at every size (:func:`_shell_eigen`).
     """
     levels = np.unique(weight.values)
     levels = levels[levels > 0.0]
@@ -345,8 +352,9 @@ def assemble_transfer_p2(grid: Grid, profile: RadialProfile) -> QuadraticFormPai
 
     The deviation form on a ball B of n_B cells is
     ``h^d (diag(1_B) - 1_B 1_B' / n_B)`` and the balls are nested, so the
-    energy is a :class:`NestedRankOne` over the atoms' balls, largest first.
-    Atoms of zero mass are skipped.
+    energy is a :class:`NestedRankOne` over the atoms' balls, largest first,
+    whose eigensolve is exact at every size (:func:`_shell_eigen`).  Atoms
+    of zero mass are skipped.
     """
     atoms = [(ball_cells(grid, t).indices, w) for t, w in layer_cake(profile).atoms if w != 0.0]
     depth = np.zeros(grid.cell_count, dtype=np.int64)
@@ -442,7 +450,7 @@ def _jacobi_eigh(S: np.ndarray, tol: float, max_sweeps: int):
 
 class _SymmetricPencil:
     """A pencil in symmetric form ``S = M^-1/2 A M^-1/2`` (A a matrix or an
-    operator), both solver paths' preparation.  ``q = M^1/2 1 / |M^1/2 1|``
+    operator), every solve's preparation.  ``q = M^1/2 1 / |M^1/2 1|``
     spans the constant direction, which S maps to zero; each path deflates
     it and returns a vector of ``q``'s complement as ``M^-1/2 x``."""
 
@@ -473,6 +481,16 @@ class _SymmetricPencil:
         converged = reference > 0.0 and residual <= tol * reference
         return rel_residual, converged, float(np.linalg.norm(Sx - lam * x))
 
+    def lowest_dense(self):
+        """(lam, x): the first pair of ``np.linalg.eigh`` of S, a formed
+        matrix here, with ``q`` lifted past the spectrum by ``2 |S|_inf q
+        q'``, so that it is the smallest pair in ``q``'s complement."""
+        S = self.inv_sqrt[:, None] * self.energy * self.inv_sqrt[None, :]
+        # the largest absolute row sum bounds every eigenvalue of S
+        S += (2.0 * float(np.abs(S).sum(axis=1).max())) * np.outer(self.q, self.q)
+        theta, V = np.linalg.eigh(S)
+        return float(theta[0]), V[:, 0]
+
     def eigenvector(self, x: np.ndarray) -> np.ndarray:
         """``M^-1/2`` of x projected off q and normalized: mass-normalized
         and mass-orthogonal to constants."""
@@ -489,26 +507,72 @@ def _not_converged(iterations: int, rel_residual: float) -> EigenConvergenceErro
     )
 
 
-def _lapack_eigen(pair: QuadraticFormPair, tol: float = 1e-8, trace: list | None = None):
-    """The solve under ``_ITERATIVE_MIN_CELLS``: ``np.linalg.eigh`` of the
-    dense symmetric form with ``q`` lifted past the spectrum by
-    ``2 |S|_inf q q'``, so its first pair is the smallest in ``q``'s
-    complement, and its residual is taken against the same dense energy.
-    Appends one trace row ``(1, lam, relative residual)``."""
-    A = pair.dense_energy()
-    sym = _SymmetricPencil(A, pair.mass)
-    inv_sqrt, q = sym.inv_sqrt, sym.q
-    S = inv_sqrt[:, None] * A * inv_sqrt[None, :]
-    # the largest absolute row sum bounds every eigenvalue of S
-    S += (2.0 * float(np.abs(S).sum(axis=1).max())) * np.outer(q, q)
-    theta, V = np.linalg.eigh(S)
-    lam, x = float(theta[0]), V[:, 0]
+def _direct_solution(sym: _SymmetricPencil, lam: float, x: np.ndarray, tol: float, trace):
+    """A direct solve's one step: appends its trace row ``(1, lam,
+    relative residual)`` and returns ``(lam, eigenvector)``, or raises when
+    the residual misses ``tol``."""
     rel_residual, converged, _ = sym.residual(lam, x, tol)
     if trace is not None:
         trace.append((1, lam, rel_residual))
     if not converged:
         raise _not_converged(1, rel_residual)
     return lam, sym.eigenvector(x)
+
+
+def _lapack_eigen(pair: QuadraticFormPair, tol: float = 1e-8, trace: list | None = None):
+    """The solve of a pencil under ``_ITERATIVE_MIN_CELLS`` that is not a
+    :class:`NestedRankOne`: ``np.linalg.eigh`` of the dense symmetric form
+    with ``q`` lifted (:meth:`_SymmetricPencil.lowest_dense`), its residual
+    taken against the same dense energy."""
+    sym = _SymmetricPencil(pair.dense_energy(), pair.mass)
+    return _direct_solution(sym, *sym.lowest_dense(), tol, trace)
+
+
+def _shell_eigen(pair: QuadraticFormPair, tol: float = 1e-8, trace: list | None = None):
+    """The exact solve of a :class:`NestedRankOne` pencil at every size.
+
+    Cells of equal ``depth`` and equal mass form a shell g of ``n_g``
+    cells, on which ``D`` and ``M`` are the constants ``D_g`` and ``m_g``
+    (``D`` is a function of the depth in the builders' forms; the key
+    holds it too); each set ``S_t`` holds a shell whole or not at all.  So a vector that
+    sums to zero on one shell and vanishes off it is an eigenvector with
+    eigenvalue ``D_g / m_g`` (Golub, SIAM Rev. 1973), and these fill the
+    complement of the shell indicators' span.  On that span the pencil is
+    ``A_gh = delta_gh D_g n_g - n_g n_h C(min(depth_g, depth_h))``, C the
+    prefix sums of ``coef``, against ``diag(m_g n_g)``, solved by
+    ``np.linalg.eigh`` with its ``q`` lifted as in :func:`_lapack_eigen`;
+    one shell spans only the constants.  The smallest candidate wins, a
+    lifted shell coefficient vector or ``e_a - e_b`` on the first two
+    cells of its shell.  The residual is taken against the operator."""
+    energy, mass = pair.energy, pair.mass
+    sym = _SymmetricPencil(energy, mass)
+    depth = energy.depth
+    keys = (mass, energy.diag, depth)
+    order = np.lexsort(keys)
+    changes = np.logical_or.reduce([np.diff(key[order]) != 0 for key in keys])
+    starts = np.flatnonzero(np.concatenate(([True], changes)))
+    first = order[starts]
+    sizes = np.diff(np.append(starts, depth.size))
+    d_g, m_g, depth_g = energy.diag[first], mass[first], depth[first]
+    lam, x = np.inf, None
+    if sizes.size > 1:
+        C = np.concatenate(([0.0], np.cumsum(energy.coef)))
+        n = sizes.astype(float)
+        A = -np.outer(n, n) * C[np.minimum.outer(depth_g, depth_g)]
+        A[np.diag_indices_from(A)] += d_g * n
+        lam, y = _SymmetricPencil(A, m_g * n).lowest_dense()
+        # y_g = sqrt(m_g n_g) a_g, so each cell of shell g carries y_g / sqrt(n_g)
+        x = np.empty(depth.size)
+        x[order] = np.repeat(y / np.sqrt(n), sizes)
+    shells = np.flatnonzero(sizes > 1)
+    if shells.size:
+        ratios = d_g[shells] / m_g[shells]
+        k = int(np.argmin(ratios))
+        if float(ratios[k]) < lam:
+            lam, g = float(ratios[k]), shells[k]
+            x = np.zeros(depth.size)
+            x[order[starts[g]]], x[order[starts[g] + 1]] = 1.0, -1.0
+    return _direct_solution(sym, lam, x, tol, trace)
 
 
 class _BlockedCholesky:
@@ -702,31 +766,41 @@ def smallest_nonzero_eigen(
     """Smallest nonzero generalized eigenvalue of (energy, mass).
 
     Every path solves the symmetric form ``M^-1/2 A M^-1/2`` with the
-    constant direction deflated, and only here is dense chosen over
-    matrix-free: a pair of fewer than ``_ITERATIVE_MIN_CELLS`` cells is
-    solved by LAPACK (``np.linalg.eigh``) on ``pair.dense_energy()`` and
-    writes one trace row.  A larger one writes one row per step
-    (``max_iter`` bounds those steps): an operator is solved by block
-    inverse iteration with shifted CG through ``energy @ x``
-    (:func:`_block_iteration`), and a formed matrix by shift-invert
-    Lanczos on one Cholesky factor, taken once per call (:func:`_lanczos`);
-    that factor, a lower triangle kept in panels, is the one array of
-    order n^2 the call makes.  Each row is (step, eigenvalue, relative
-    residual).  The solve converges when the residual in the original
-    variables satisfies ``|A v - lam D v| <= tol * |A v|``.  Returns the
-    eigenvalue and the eigenvector as a 1-d array of ``pair.size`` entries
-    in the pair's cell order, mass-orthogonal to constants and
-    mass-normalized; its sign is not fixed.
+    constant direction deflated, and only here is the path chosen:
+
+    - a :class:`NestedRankOne` pencil, at every size, by its exact shell
+      reduction (:func:`_shell_eigen`), which never densifies the operator
+      and writes one trace row;
+    - another pair of fewer than ``_ITERATIVE_MIN_CELLS`` cells by LAPACK
+      (``np.linalg.eigh``) on ``pair.dense_energy()``, one trace row;
+    - a larger one by an iteration, one row per step (``max_iter`` bounds
+      those steps): an :class:`EdgeStencil` by block inverse iteration
+      with shifted CG through ``energy @ x`` (:func:`_block_iteration`),
+      and a formed matrix by shift-invert Lanczos on one Cholesky factor,
+      taken once per call (:func:`_lanczos`); that factor, a lower
+      triangle kept in panels, is the one array of order n^2 the call
+      makes.
+
+    Each row is (step, eigenvalue, relative residual), that residual
+    taken against the energy.  The solve converges when the residual in
+    the original variables satisfies ``|A v - lam D v| <= tol * |A v|``.
+    Returns the eigenvalue as a float and the eigenvector as a 1-d array
+    of ``pair.size`` entries in the pair's cell order, mass-orthogonal to
+    constants and mass-normalized; its sign is not fixed.
 
     Raises :class:`EigenConvergenceError` with the last relative residual
-    when that residual exceeds ``tol``, and with relative residual 1, before
-    any step, when a formed matrix of the iteration cannot be factored
-    (an energy that vanishes on a nonconstant vector).  The error carries
-    the trace rows the solve wrote, as ``trace``.
+    when that residual exceeds ``tol``; it is 1 where the energy vanishes
+    on the returned nonconstant vector (eigenvalue 0).  An energy that
+    vanishes on a nonconstant vector also raises with relative residual 1,
+    before any step, when a formed matrix of the iteration cannot be
+    factored.  The error carries the trace rows the solve wrote, as
+    ``trace``.
     """
     rows = [] if trace is None else trace
     start = len(rows)
     try:
+        if isinstance(pair.energy, NestedRankOne):
+            return _shell_eigen(pair, tol, rows)
         if pair.size < _ITERATIVE_MIN_CELLS:
             return _lapack_eigen(pair, tol, rows)
         return _iterative_eigen(pair, tol, max_iter, rows)
@@ -759,10 +833,11 @@ def dense_oracle_eigen(pair: QuadraticFormPair) -> np.ndarray:
     """Full spectrum, ascending, of the symmetrized pencil by LAPACK
     (``np.linalg.eigvalsh``).
 
-    Validation oracle for the iterations of :func:`smallest_nonzero_eigen`,
-    :func:`_block_iteration` and :func:`_lanczos`, with which it shares no
-    code (tests call their entry, :func:`_iterative_eigen`, directly on
-    pencils under the crossover); capped at ``_DENSE_CAP`` = 2,000 cells.
+    Validation oracle for the solves of :func:`smallest_nonzero_eigen`,
+    :func:`_shell_eigen`, :func:`_block_iteration` and :func:`_lanczos`,
+    with which it shares no code (tests call the iterations' entry,
+    :func:`_iterative_eigen`, directly on pencils under the crossover);
+    capped at ``_DENSE_CAP`` = 2,000 cells.
     """
     n = pair.size
     if n > _DENSE_CAP:

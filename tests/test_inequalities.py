@@ -27,6 +27,7 @@ from poincheck.inequalities import (
     check_weighted_kernel,
     report_row,
     reports_to_json,
+    write_json,
     write_rows_csv,
 )
 from poincheck import inequalities
@@ -334,6 +335,56 @@ def test_report_validation_and_serialization(tmp_path):
 
     payload = reports_to_json([rep])
     assert json.loads(json.dumps(payload))[0]["metadata"]["N"] == 8
+
+
+def test_csv_writes_numpy_floats_as_plain_numbers(tmp_path):
+    # repr(np.float64(0.5)) is "np.float64(0.5)" under numpy 2
+    path = tmp_path / "r.csv"
+    row = {"a": np.float64(0.5), "b": np.float64(-np.inf), "c": 0.25}
+    write_rows_csv(path, ("a", "b", "c"), [row])
+    assert path.read_text() == "a,b,c\n0.5,-inf,0.25\n"
+
+
+def _json_bytes(tmp_path, payload):
+    """(write_json's bytes, json.dump's with indent=1) of one payload."""
+    ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+    write_json(ours, payload)
+    with open(theirs, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=1)
+        handle.write("\n")
+    return ours.read_bytes(), theirs.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {},
+        [[], {}, [[]], {"a": {}}],
+        (1, (2.5, None), [True, False]),
+        {"metadata": {"radii": (0.25, 0.5), "inner": {"deep": [1, {"x": None}]}}, "n": 3},
+        [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 1e16, 0.1],
+        [math.inf, -math.inf, math.nan, {"v": math.nan}],
+        ["é ☃ 𝄞", 'quote " back \\ slash', "tab\tnew\nline\x00\x01\x02", "{[]}"],
+        {1: "int", 2.5: "float", False: "bool", None: "none", "é": "str"},
+        [np.float64(0.5), np.float64(-np.inf), {"x": np.float64(1e-310)}],
+        [10**30, -7, 0],
+        "top",
+        4.5,
+        None,
+    ],
+)
+def test_json_writer_matches_json(tmp_path, payload):
+    ours, theirs = _json_bytes(tmp_path, payload)
+    assert ours == theirs
+
+
+def test_json_writer_refuses_what_json_refuses(tmp_path):
+    for payload in ([np.int64(3)], {"a": {1, 2}}, {(1, 2): 0}):
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=1)
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "r.json", payload)
 
 
 def test_both_zero_convention():

@@ -19,8 +19,9 @@ import poincheck.runner
 import poincheck.sharp
 from poincheck.cli import build_parser, main, pin_malloc_thresholds
 from poincheck.config import CHECK_NAMES, ConfigError, load_config, parse_config
-from poincheck.forms import KIND_LOCAL, KernelSpec, kernel_energy, local_energy
+from poincheck.forms import KIND_FLOOR, KIND_LOCAL, KernelSpec, kernel_energy, local_energy
 from poincheck.grid import ball_cells, build_grid, deviation_p, full_cells
+from poincheck.inequalities import write_json
 from poincheck.runner import (
     _ASCENT_STEP_SIZE,
     _PROFILE_CHECKS,
@@ -35,6 +36,7 @@ from poincheck.runner import (
 )
 from poincheck.sharp import (
     EigenConvergenceError,
+    assemble_p2,
     assemble_transfer_p2,
     estimate_gradient_constant,
     pencil_eigen,
@@ -469,12 +471,14 @@ def test_cli_sharp_transfer_eigensolve_failure_is_a_failing_row(tmp_path, monkey
 
 
 def test_cli_sharp_failed_eigensolves_keep_their_trace_rows(tmp_path, monkeypatch):
-    # 2-d N = 20 (316 cells), past the solver's crossover.  The transfer
-    # pencils (block iteration) and the formed fractional ones (Lanczos) are
-    # held to a tolerance no solve meets, in 3 steps: each of their rows
-    # fails with the residual of its last trace row, and its 3 trace rows
-    # are written.  The other rows and their trace rows are those of a run
-    # in which every solve converges.
+    # 2-d N = 20 (316 cells), past the solver's crossover.  The sharp
+    # pencils that still iterate, the weighted gradient pencils (block
+    # iteration) and the formed fractional ones (Lanczos), are held to a
+    # tolerance no solve meets, in 3 steps: each of their rows fails with
+    # the residual of its last trace row, and its 3 trace rows are written.
+    # The transfer and floor pencils are solved exactly, one trace row
+    # each.  The other rows and their trace rows are those of a run in
+    # which every solve converges.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(full_doc(dimension=2, grid_sizes=[20], checks=[])))
 
@@ -486,22 +490,18 @@ def test_cli_sharp_failed_eigensolves_keep_their_trace_rows(tmp_path, monkeypatc
                 tables.append(list(csv.DictReader(handle)))
         return code, *tables
 
-    def forced(original, formed_only):
-        def solve(pair, **kwargs):
-            if formed_only and type(pair.energy) is not np.ndarray:
-                return original(pair, **kwargs)
-            return original(pair, **dict(kwargs, tol=0.0, max_iter=3))
-
-        return solve
+    def forced(cells, kernel, weight):
+        # the runner's sharp targets only: the frozen ĉ keeps its solves
+        if kernel.kind == KIND_FLOOR:
+            return pencil_eigen(cells, kernel, weight)
+        smallest_nonzero_eigen(assemble_p2(cells.grid, cells, kernel, weight), tol=0.0, max_iter=3)
+        raise AssertionError("a solve held to tol = 0 converged")
 
     code, rows, trace = run(tmp_path / "converged")
     assert code == 0
-    monkeypatch.setattr(
-        poincheck.runner, "smallest_nonzero_eigen", forced(smallest_nonzero_eigen, False)
-    )
-    monkeypatch.setattr(
-        poincheck.sharp, "smallest_nonzero_eigen", forced(smallest_nonzero_eigen, True)
-    )
+    exact = [t for t in trace if t["target"] == "transfer" or "constant_floor" in t["kernel"]]
+    assert len(exact) == 4 and all(t["iteration"] == "1" for t in exact)
+    monkeypatch.setattr(poincheck.runner, "pencil_eigen", forced)
     code, failed_rows, failed_trace = run(tmp_path / "failed")
     assert code == 1
 
@@ -509,10 +509,10 @@ def test_cli_sharp_failed_eigensolves_keep_their_trace_rows(tmp_path, monkeypatc
         return tuple(row[c] for c in ("d", "N", "p", "profile", "target", "kernel"))
 
     def forced_row(row):
-        return row["target"] == "transfer" or '"fractional"' in row["kernel"]
+        return row["target"] == "gradient" or '"fractional"' in row["kernel"]
 
     failed = [r for r in failed_rows if forced_row(r)]
-    assert len(failed) == 4  # transfer and fractional kernel, one per profile
+    assert len(failed) == 4  # gradient and fractional kernel, one per profile
     for row in failed:
         steps = [t for t in failed_trace if key(t) == key(row)]
         assert [t["iteration"] for t in steps] == ["1", "2", "3"]
@@ -621,10 +621,11 @@ def test_demo_reports_match_benchmark_reference(tmp_path):
     # seconds each and are left to the benchmark gate.  The sweeps match
     # perfbench/reference byte for byte.  The demo verify and sharp reports
     # match tests/golden/demo-1d byte for byte, and perfbench/reference at
-    # the gate's tolerance: their pencils are solved by LAPACK, the
-    # reference's by the block iteration.  To recapture after a deliberate
-    # change, run the command with ``--config configs/demo.json`` and copy
-    # its report.csv over the file of the same command.
+    # the gate's tolerance: their pencils are solved by LAPACK and the
+    # shell reduction, the reference's by the block iteration.  To
+    # recapture after a deliberate change, run the command with
+    # ``--config configs/demo.json`` and copy its report.csv over the file
+    # of the same command.
     workloads = ROOT / "perfbench" / "workloads"
     runs = [("demo-1d", ROOT / "configs" / "demo.json", command)
             for command in ("verify", "sharp", "sweep")]
@@ -644,6 +645,27 @@ def test_demo_reports_match_benchmark_reference(tmp_path):
         golden = ROOT / "tests" / "golden" / workload / f"{command}.csv"
         assert report == golden.read_bytes(), f"the {workload} {command} report differs from {golden}"
         assert gate.compare_to_reference(command, reference.read_text(), report.decode()) == []
+
+
+def test_report_json_is_json_s_bytes(tmp_path, monkeypatch):
+    # Every verify, sharp and sweep payload of the three benchmark
+    # workloads, written by the report writer and by ``json`` (indent 1).
+    payloads = []
+
+    def recording(path, payload):
+        payloads.append(payload)
+        return write_json(path, payload)
+
+    monkeypatch.setattr(poincheck.runner, "write_json", recording)
+    workloads = ROOT / "perfbench" / "workloads"
+    configs = [ROOT / "configs" / "demo.json", workloads / "ball2d-p2.json", workloads / "ball2d-p1.json"]
+    for config in configs:
+        for command in ("verify", "sharp", "sweep"):
+            out = tmp_path / config.stem / command
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+            written = (out / "report.json").read_bytes()
+            assert written == (json.dumps(payloads[-1], indent=1) + "\n").encode()
+    assert len(payloads) == 9
 
 
 def test_demo_weighs_each_cell_set_once_per_profile(monkeypatch, tmp_path):
@@ -711,10 +733,11 @@ def test_ball2d_n16_reports_match_golden(tmp_path):
 
 def test_ball2d_p2_reports_match_golden(tmp_path):
     # The p = 2 benchmark workload at 2-d N = 32, the one tier-1 run of the
-    # iterative eigensolves on reports: sharp solves 4 stencil and 6 nested
-    # rank-one pencils of 448 and 812 cells by the block iteration and 3
-    # formed fractional pencils of 812 cells by Lanczos, and verify the
-    # 448- and 812-cell stencils by the block iteration.  To recapture
+    # iterative eigensolves on reports: sharp solves 4 stencil pencils of
+    # 448 and 812 cells by the block iteration, 3 formed fractional pencils
+    # of 812 cells by Lanczos and 6 nested rank-one pencils of 812 cells by
+    # the shell reduction, and verify the 448- and 812-cell stencils by the
+    # block iteration.  To recapture
     # after a deliberate change, run verify and sharp with ``--config
     # perfbench/workloads/ball2d-p2.json`` and copy each report.csv (and
     # the sharp trace.csv) into tests/golden/ball2d-p2.

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -401,11 +402,83 @@ def test_nested_pencils_from_the_crossover_are_operators(d, N):
 def test_unit_weight_nested_pencils_closed_forms(d, N):
     # Transfer: h^d (I - 1 1'/n) against h^d I, so every nonzero eigenvalue
     # is 1.  Floor: 2 h^(2d) (n I - 1 1') against h^d I, so it is 2 h^d n.
+    # Every cell lies in one shell, so the reduction gives D / m, exactly,
+    # on a vector e_a - e_b, with a residual of rounding only.
     g = build_grid(d, N)
-    lam, _ = smallest_nonzero_eigen(assemble_transfer_p2(g, UNIT_WEIGHT))
-    assert lam == pytest.approx(1.0, rel=1e-12)
-    lam, _ = smallest_nonzero_eigen(assemble_p2(g, full_cells(g), FLOOR))
-    assert lam == pytest.approx(2.0 * g.cell_measure * g.cell_count, rel=1e-12)
+    for pair, want in (
+        (assemble_transfer_p2(g, UNIT_WEIGHT), 1.0),
+        (assemble_p2(g, full_cells(g), FLOOR), 2.0 * g.cell_measure * g.cell_count),
+    ):
+        trace = []
+        lam, v = smallest_nonzero_eigen(pair, trace=trace)
+        assert type(lam) is float and lam == want
+        assert len(trace) == 1 and trace[0][:2] == (1, lam) and trace[0][2] <= 1e-15
+        assert np.count_nonzero(v) == 2
+        assert_eigenpair_contract(pair, lam, v)
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (1, 64), (2, 16), (2, 32)])
+def test_shell_reduction_agrees_with_dense_oracle(d, N):
+    # The transfer pencil and the floor pencils on the balls of radius 0.75
+    # and 1 of every demo profile: the reduction's eigenvalue is the
+    # oracle's smallest nonzero one, and its pair meets the contract.
+    g = build_grid(d, N)
+    for profile in DEMO_PROFILES:
+        for pair, _ in _nested_pencils(g, profile):
+            trace = []
+            lam, v = smallest_nonzero_eigen(pair, trace=trace)
+            assert abs(lam - dense_oracle_eigen(pair)[1]) <= 1e-12 * lam
+            assert_eigenpair_contract(pair, lam, v)
+            assert len(trace) == 1 and trace[0][:2] == (1, lam)
+
+
+def test_shell_reduction_gives_the_ball2d_rationals():
+    # The 2-d N = 32 workload's three weights: the transfer eigenvalues
+    # 1, 45/58 and 1/2 and the floor eigenvalues 203/32, 315/64 and 95/32,
+    # each within 2 ulps.
+    g = build_grid(2, 32)
+    weights = (
+        UNIT_WEIGHT,
+        make_step_profile([0.75], [2.0, 1.0]),
+        make_step_profile([0.25, 0.5, 0.75], [1.0, 0.75, 0.5, 0.25]),
+    )
+    wants = ((1.0, 6.34375), (45 / 58, 4.921875), (0.5, 2.96875))
+    for weight, (transfer, floor) in zip(weights, wants):
+        for pair, want in (
+            (assemble_transfer_p2(g, weight), transfer),
+            (assemble_p2(g, full_cells(g), FLOOR, weight), floor),
+        ):
+            lam, _ = smallest_nonzero_eigen(pair)
+            assert abs(lam - want) <= 2 * np.spacing(want)
+
+
+def test_shell_reduction_fails_on_a_vanishing_shell():
+    # Cells 0 and 1 lie in no set, so the energy is 0 on e_0 - e_1: the
+    # eigenvalue 0 on a nonconstant vector fails with residual 1, and the
+    # error carries the one trace row.
+    pair = QuadraticFormPair(
+        NestedRankOne.from_sets(np.array([0, 0, 1, 1, 1]), [3.0], [1.0]), np.ones(5)
+    )
+    trace = []
+    with pytest.raises(EigenConvergenceError) as info:
+        smallest_nonzero_eigen(pair, trace=trace)
+    assert info.value.residual == 1.0
+    assert info.value.trace == ((1, 0.0, 1.0),) and trace == [(1, 0.0, 1.0)]
+
+
+def test_shell_reduction_solves_2d_n256_pencils_in_a_second():
+    # 51,468 cells, where the dense matrix would take 21 GB.
+    g = build_grid(2, 256)
+    weight = make_step_profile([0.75], [2.0, 1.0])
+    for pair in (
+        assemble_transfer_p2(g, weight),
+        assemble_p2(g, full_cells(g), FLOOR, weight),
+    ):
+        assert pair.size == 51468
+        start = time.perf_counter()
+        lam, v = smallest_nonzero_eigen(pair)
+        assert time.perf_counter() - start < 1.0
+        assert_eigenpair_contract(pair, lam, v)
 
 
 def _demo_pencils(g, profile):
@@ -418,6 +491,8 @@ def _demo_pencils(g, profile):
 
 @pytest.mark.parametrize("d,N", [(1, 32), (1, 64), (2, 16)])
 def test_lapack_path_agrees_with_block_iteration(d, N):
+    # The public solve takes LAPACK or, for the floor and transfer pencils,
+    # the shell reduction; the iterative entry is called directly.
     g = build_grid(d, N)
     for profile in DEMO_PROFILES:
         for kernel, pair in _demo_pencils(g, profile):
@@ -438,10 +513,12 @@ def test_lapack_path_agrees_with_block_iteration(d, N):
 
 
 @pytest.mark.parametrize("d,N", [(1, 32), (1, 64), (2, 16)])
-def test_lapack_solve_of_an_operator_is_that_of_its_dense_form(d, N):
-    # Under the crossover the solver densifies the operator itself, and
+def test_lapack_solve_of_an_operator_is_that_of_its_dense_form(d, N, monkeypatch):
+    # Under the crossover the solver densifies an edge stencil itself, and
     # takes its residual against that matrix: the same eigenvalue, vector
-    # and trace row, bit for bit, as a pair built on the dense form.
+    # and trace row, bit for bit, as a pair built on the dense form.  A
+    # nested rank-one pencil is never densified: the shell reduction's
+    # eigenvalue is LAPACK's on the dense form to 1e-12.
     g = build_grid(d, N)
     for profile in DEMO_PROFILES:
         for _, pair in _demo_pencils(g, profile):
@@ -449,11 +526,16 @@ def test_lapack_solve_of_an_operator_is_that_of_its_dense_form(d, N):
             dense = QuadraticFormPair(pair.dense_energy(), pair.mass)
             assert type(dense.energy) is np.ndarray
             solves = []
-            for each in (pair, dense):
-                trace = []
-                lam, v = smallest_nonzero_eigen(each, trace=trace)
-                solves.append((lam, v.tobytes(), trace))
-            assert solves[0] == solves[1]
+            with monkeypatch.context() as patch:
+                patch.setattr(NestedRankOne, "dense", None)
+                for each in (pair, dense):
+                    trace = []
+                    lam, v = smallest_nonzero_eigen(each, trace=trace)
+                    solves.append((lam, v.tobytes(), trace))
+            if isinstance(pair.energy, NestedRankOne):
+                assert abs(solves[0][0] - solves[1][0]) <= 1e-12 * solves[1][0]
+            else:
+                assert solves[0] == solves[1]
 
 
 FRACTIONAL_KERNELS = (
