@@ -44,9 +44,10 @@ class Grid:
     neighbor is outside the ball).  Enumeration order is lattice-lexicographic
     and fixed.  ``_cells`` holds the one set per radius of
     :func:`ball_cells`; ``_eigen`` memoizes the p = 2 eigensolves that
-    :func:`poincheck.sharp.pencil_eigen` runs on the grid's cell sets, and
-    ``_weights`` the cell weights of :func:`cell_weights`, both keyed by
-    the set itself.
+    :func:`poincheck.sharp.pencil_eigen` and
+    :func:`poincheck.sharp.member_eigenvector` run on the grid's cell sets,
+    and ``_weights`` the cell weights of :func:`cell_weights`, both keyed
+    by the set itself.
     """
 
     d: int

@@ -11,18 +11,17 @@ pair keeps them as built.  Every fractional kernel form is a dense kernel
 matrix.  A nested rank-one pencil is solved exactly at every size: its
 cells fall into shells on which the pencil is a multiple of the identity,
 and only the span of the shell indicators, one small matrix, goes to
-LAPACK (:func:`_shell_eigen`).  Of the others, only the eigensolver
-densifies: under ``_ITERATIVE_MIN_CELLS`` cells, LAPACK
-(``np.linalg.eigh``) solves the dense symmetrized pencil.  From it on,
-the energy's type chooses the iteration, one function each.  An edge
-stencil is touched only through ``A @ x``, by deflated block inverse
-iteration with shifted projected CG inner solves (:func:`_block_iteration`).
-A formed kernel matrix is factored once (a blocked Cholesky of the matrix
-with one cell grounded), and shift-invert Lanczos applies that factor to
-one vector per step (:func:`_lanczos`).  The reduction and both iterations
-are validated against LAPACK's full spectrum of the dense pencil
-(:func:`dense_oracle_eigen`).
-:func:`pencil_eigen` solves each pencil once per grid.
+LAPACK (:func:`_shell_eigen`).  Of the others, under
+``_ITERATIVE_MIN_CELLS`` cells LAPACK (``np.linalg.eigh``) solves the
+dense symmetrized pencil.  From it on, the energy with one cell grounded
+is factored once, a blocked Cholesky kept inside its envelope: a formed
+kernel matrix over its full lower triangle, an edge stencil, banded in
+lattice order, from its edge list within its band.  Shift-invert Lanczos
+applies that factor to one vector per step (:func:`_lanczos`).  The
+reduction and the iteration are validated against LAPACK's full spectrum
+of the dense pencil (:func:`dense_oracle_eigen`).
+:func:`pencil_eigen` solves each pencil once per grid; the suite's eigen
+member keeps a solve of its own (:func:`member_eigenvector`).
 For general p a normalized finite-difference ascent of the ratio supplies
 a certified lower bound on the sharp constant.  Each step hands its n
 probes ``u + delta e_i`` to each functional in one call, as
@@ -57,6 +56,7 @@ __all__ = [
     "assemble_transfer_p2",
     "smallest_nonzero_eigen",
     "pencil_eigen",
+    "member_eigenvector",
     "dense_oracle_eigen",
     "ratio_ascent",
     "estimate_gradient_constant",
@@ -68,24 +68,29 @@ _DENSE_CAP = 2000
 # solve, eigh of the dense symmetrized pencil (its dense form built in the
 # call) against the iteration, in ms (2-core Intel Xeon, one BLAS thread,
 # best of 10; 1-d N = 64, 2-d N = 16, 24 and 32, the full ball, weight
-# step([0.75], [2, 1]); local, transfer and floor are the forms of
-# local_stencil, assemble_transfer_p2 and floor_operator, solved by the
-# block iteration with shifted CG inner solves; fractional is s = 1/2, a
-# formed matrix, solved by Lanczos on its factor):
+# step([0.75], [2, 1]); local is local_stencil's form and fractional is
+# s = 1/2, a formed matrix, each solved by Lanczos on its factor; transfer
+# and floor are the forms of assemble_transfer_p2 and floor_operator,
+# solved then by the block iteration with shifted CG inner solves):
 #
 #   cells   local          fractional     floor*         transfer*
-#   64      0.7 vs 27.2    0.5 vs 0.8     0.4 vs 9.5     0.5 vs 11.9
-#   208     6.1 vs 34.0    3.3 vs 3.7     4.0 vs 12.4    4.2 vs 16.1
-#   448     29.3 vs 71.0   19.6 vs 6.6    23.5 vs 13.6   24.1 vs 19.7
-#   812     108 vs 121     89.3 vs 15.0   80.5 vs 13.0   83.7 vs 18.8
+#   64      0.5 vs 3.9     0.5 vs 0.8     0.4 vs 9.5     0.5 vs 11.9
+#   208     5.7 vs 3.2     3.3 vs 3.7     4.0 vs 12.4    4.2 vs 16.1
+#   448     29.3 vs 4.5    19.6 vs 6.6    23.5 vs 13.6   24.1 vs 19.7
+#   812     108 vs 7.2     89.3 vs 15.0   80.5 vs 13.0   83.7 vs 18.8
 #
-# So eigh wins every form below 256 cells, at 448 it loses every form but
-# the local one, and at 812 the iteration wins every form.  The fractional
-# pencils need no crossover of their own: one factor and about 14 Lanczos
-# steps per pencil beat eigh from 448 cells on (0.70 against 4.9 s at
-# 3,228 cells).  * Historical: the floor and transfer pencils no longer
-# reach either solve; _shell_eigen solves them at every size (4 ms at
-# 51,468 cells, 2-d N = 256).
+# So eigh wins every form at 64 cells, and the factored iteration wins
+# the local form from 208 cells on and the fractional one from 448.  The
+# crossover stays at 256 all the same: lowering it would take the golden
+# config's 208-cell pencils, and with them the eigen suite member on its
+# grid, off LAPACK and move their report bytes (below 64 cells the demo's
+# too), for a few ms per solve.  The local column was re-measured for the
+# banded factor; the block iteration it replaced took 27.2, 34.0, 71.0
+# and 121 ms.  The fractional pencils need no crossover of their own: one
+# factor and about 14 Lanczos steps per pencil beat eigh from 448 cells on
+# (0.70 against 4.9 s at 3,228 cells).  * Historical: the floor and
+# transfer pencils no longer reach either solve; _shell_eigen solves them
+# at every size (4 ms at 51,468 cells, 2-d N = 256).
 _ITERATIVE_MIN_CELLS = 256
 
 
@@ -576,30 +581,93 @@ def _shell_eigen(pair: QuadraticFormPair, tol: float = 1e-8, trace: list | None 
 
 
 class _BlockedCholesky:
-    """``A = L L'`` of a symmetric positive definite matrix, left-looking in
-    panels of ``BLOCK_ELEMENTS // n`` columns (Golub & Van Loan, *Matrix
-    Computations*, 4th ed., section 4.2), numpy only.  Panel k of L,
-    columns ``k0 .. k1``, is A's columns less one product with each panel
-    left of it, then LAPACK's Cholesky of its diagonal block and one
-    product with that block's inverse below it.  Only the lower triangle is
-    kept: per panel, ``(k0, k1, inverse of the diagonal block, the rows
-    below it)``, about n^2 / 2 entries in all, so no n x n array is made,
-    both substitutions of :meth:`solve` are matrix products too, and no
-    temporary exceeds ``BLOCK_ELEMENTS`` entries.  Raises
-    ``np.linalg.LinAlgError`` when a pivot is not positive."""
+    """``A = L L'`` of a symmetric positive definite matrix, kept inside
+    its envelope, left-looking in panels of columns (Golub & Van Loan,
+    *Matrix Computations*, 4th ed., section 4.2), numpy only.
 
-    def __init__(self, A: np.ndarray):
-        n = len(A)
-        width = max(1, BLOCK_ELEMENTS // n)
+    Row i of A has its first nonzero in column ``first[i]``, and the
+    factor fills in nothing left of it, so column j of L ends at its
+    envelope ``e_j = max{i : first[i] <= j}`` (George & Liu, *Computer
+    Solution of Large Sparse Positive Definite Systems*, 1981, ch. 4).
+    ``columns(k0, k1, stop)`` gives a fresh array that holds
+    ``A[k0:stop, k0:k1]`` on and below the diagonal; ``np.linalg.cholesky``
+    reads no entry above it.
+    Panel k of L, columns ``k0 .. k1``, is A's columns down to ``e_{k1-1}``
+    less one product with each earlier panel whose envelope reaches row
+    k0, then LAPACK's Cholesky of its diagonal block and one product with
+    that block's inverse below it.  Per panel it keeps ``(k0, k1, inverse
+    of the diagonal block, the rows below it down to the envelope)``, so
+    both substitutions of :meth:`solve` are matrix products too.
+
+    Let b be the longest row of the envelope, diagonal included.  Column
+    j reaches at most row ``j + b - 1``, so a panel of at most b columns
+    has at most ``min(n, 2 b)`` rows, and the width ``min(b,
+    BLOCK_ELEMENTS // min(n, 2 b))`` keeps it, and every temporary, within
+    ``BLOCK_ELEMENTS`` entries.  A formed matrix (:meth:`of_matrix`) has
+    the full envelope, b = n: panels of ``BLOCK_ELEMENTS // n`` columns
+    over every row below, about n^2 / 2 entries in all.  A grounded
+    stencil (:meth:`of_grounded_stencil`) in lattice order is banded, b
+    about the cells of one lattice row: panels of about b columns, and
+    about n b entries in all.  Raises ``np.linalg.LinAlgError`` when a
+    pivot is not positive."""
+
+    def __init__(self, first: np.ndarray, columns):
+        n = first.size
+        index = np.arange(n)
+        last = np.full(n, -1)
+        np.maximum.at(last, first, index)
+        envelope = np.maximum.accumulate(last)
+        b = int((index - first).max()) + 1
+        width = max(1, min(b, BLOCK_ELEMENTS // min(n, 2 * b)))
+        # one past each panel's last row, nondecreasing
+        stops = envelope[np.minimum(np.arange(width, n + width, width), n) - 1] + 1
         self.panels = []
-        for k0 in range(0, n, width):
+        for k, k0 in enumerate(range(0, n, width)):
             k1 = min(k0 + width, n)
-            panel = np.array(A[k0:, k0:k1], dtype=float)
-            for _, j1, _, below in self.panels:
+            panel = columns(k0, k1, int(stops[k]))
+            # the earlier panels whose envelope reaches row k0
+            for _, j1, _, below in self.panels[np.searchsorted(stops, k0, "right") :]:
                 rows = below[k0 - j1 :]
-                panel -= rows @ rows[: k1 - k0].T
+                # one that ends above row k1 meets only that many columns
+                panel[: len(rows), : len(rows)] -= rows @ rows[: k1 - k0].T
             inv = np.linalg.inv(np.linalg.cholesky(panel[: k1 - k0]))
             self.panels.append((k0, k1, inv, panel[k1 - k0 :] @ inv.T))
+
+    @classmethod
+    def of_matrix(cls, A: np.ndarray) -> _BlockedCholesky:
+        """The factor of a formed matrix, whose envelope is full."""
+        return cls(
+            np.zeros(len(A), dtype=np.int64),
+            lambda k0, k1, stop: np.array(A[k0:stop, k0:k1], dtype=float),
+        )
+
+    @classmethod
+    def of_grounded_stencil(cls, stencil: EdgeStencil) -> _BlockedCholesky:
+        """The factor of the stencil's matrix with cell 0 grounded (its row
+        and column dropped), each panel's lower triangle built from the
+        edge list: an edge of coefficient c between cells i < j puts c on
+        both diagonals and -c at (j, i), less one index each for the
+        dropped cell."""
+        diag = (
+            np.bincount(stencil.i, stencil.coef, stencil.size)
+            + np.bincount(stencil.j, stencil.coef, stencil.size)
+        )[1:]
+        lo = np.minimum(stencil.i, stencil.j) - 1
+        hi = np.maximum(stencil.i, stencil.j) - 1
+        kept = np.flatnonzero(lo >= 0)
+        order = kept[np.argsort(lo[kept])]
+        lo, hi, off = lo[order], hi[order], -stencil.coef[order]
+        first = np.arange(diag.size)
+        np.minimum.at(first, hi, lo)
+
+        def columns(k0, k1, stop):
+            panel = np.zeros((stop - k0, k1 - k0))
+            np.fill_diagonal(panel, diag[k0:k1])
+            s, t = np.searchsorted(lo, (k0, k1))
+            panel[hi[s:t] - k0, lo[s:t] - k0] = off[s:t]
+            return panel
+
+        return cls(first, columns)
 
     def solve(self, B: np.ndarray) -> np.ndarray:
         """``A^-1 B`` for a block of columns B: forward substitution with L,
@@ -607,9 +675,9 @@ class _BlockedCholesky:
         Z = np.array(B, dtype=float)
         for k0, k1, inv, below in self.panels:
             Z[k0:k1] = inv @ Z[k0:k1]
-            Z[k1:] -= below @ Z[k0:k1]
+            Z[k1 : k1 + len(below)] -= below @ Z[k0:k1]
         for k0, k1, inv, below in reversed(self.panels):
-            Z[k0:k1] = inv.T @ (Z[k0:k1] - below.T @ Z[k1:])
+            Z[k0:k1] = inv.T @ (Z[k0:k1] - below.T @ Z[k1 : k1 + len(below)])
         return Z
 
 
@@ -619,7 +687,8 @@ def _block_iteration(
     max_iter: int = 200,
     trace: list | None = None,
 ):
-    """The solve of an operator pencil from ``_ITERATIVE_MIN_CELLS`` on:
+    """The solve behind :func:`member_eigenvector` from
+    ``_ITERATIVE_MIN_CELLS`` on, its one caller:
     block inverse (subspace) iteration on q's complement (Saad, *Numerical
     Methods for Large Eigenvalue Problems*, SIAM 2011, ch. 4-5), the
     operator touched only through ``energy @ x``.  Each pass solves ``S -
@@ -684,15 +753,17 @@ def _lanczos(
     max_iter: int = 200,
     trace: list | None = None,
 ):
-    """The solve of a formed pencil from ``_ITERATIVE_MIN_CELLS`` on:
-    spectral-transformation Lanczos (Ericsson & Ruhe, Math. Comp. 1980;
+    """The solve of a formed or stencil pencil from ``_ITERATIVE_MIN_CELLS``
+    on: spectral-transformation Lanczos (Ericsson & Ruhe, Math. Comp. 1980;
     Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 13) on
     ``S^+`` in q's complement, whose largest eigenvalue theta is ``1 /
     lam``.  For x orthogonal to q, ``b = M^1/2 x`` sums to zero, so ``A z
     = b`` has solutions, and ``S^+ x`` is ``M^1/2 z`` projected off q.
     Grounding cell 0 (``z_0 = 0``) leaves ``A[1:, 1:] z[1:] = b[1:]``,
     whose matrix is positive definite when constants span A's kernel; it
-    is factored once by :class:`_BlockedCholesky`.  A matrix whose factor
+    is factored once by :class:`_BlockedCholesky`, a formed matrix over
+    its full envelope and an :class:`EdgeStencil` from its edge list
+    within its band.  A matrix whose factor
     breaks down has a nonconstant null vector (or none that is positive):
     that raises :class:`EigenConvergenceError` with relative residual 1,
     as an eigenvalue 0 gives, before any step.  Each step applies the
@@ -708,7 +779,10 @@ def _lanczos(
     step."""
     sym = _SymmetricPencil(pair.energy, pair.mass)
     try:
-        factor = _BlockedCholesky(sym.energy[1:, 1:])
+        if isinstance(pair.energy, EdgeStencil):
+            factor = _BlockedCholesky.of_grounded_stencil(pair.energy)
+        else:
+            factor = _BlockedCholesky.of_matrix(pair.energy[1:, 1:])
     except np.linalg.LinAlgError:
         raise EigenConvergenceError(
             "energy is not positive definite off the constants "
@@ -744,19 +818,6 @@ def _lanczos(
     raise _not_converged(k, rel_residual)
 
 
-def _iterative_eigen(
-    pair: QuadraticFormPair,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    trace: list | None = None,
-):
-    """The solve from ``_ITERATIVE_MIN_CELLS`` on, chosen by the energy's
-    type: :func:`_block_iteration` for an operator, :func:`_lanczos` for a
-    formed matrix."""
-    solve = _block_iteration if isinstance(pair.energy, _OPERATORS) else _lanczos
-    return solve(pair, tol, max_iter, trace)
-
-
 def smallest_nonzero_eigen(
     pair: QuadraticFormPair,
     tol: float = 1e-8,
@@ -773,13 +834,13 @@ def smallest_nonzero_eigen(
       and writes one trace row;
     - another pair of fewer than ``_ITERATIVE_MIN_CELLS`` cells by LAPACK
       (``np.linalg.eigh``) on ``pair.dense_energy()``, one trace row;
-    - a larger one by an iteration, one row per step (``max_iter`` bounds
-      those steps): an :class:`EdgeStencil` by block inverse iteration
-      with shifted CG through ``energy @ x`` (:func:`_block_iteration`),
-      and a formed matrix by shift-invert Lanczos on one Cholesky factor,
-      taken once per call (:func:`_lanczos`); that factor, a lower
-      triangle kept in panels, is the one array of order n^2 the call
-      makes.
+    - a larger one by shift-invert Lanczos on one Cholesky factor of the
+      energy with cell 0 grounded, taken once per call, one row per step
+      (:func:`_lanczos`; ``max_iter`` bounds those steps).  The factor
+      (:class:`_BlockedCholesky`) keeps a lower triangle in panels: a
+      formed matrix's, about n^2 / 2 entries, is the one array of order
+      n^2 the call makes, and an :class:`EdgeStencil`'s is built from the
+      edge list within its band, so no dense form is made.
 
     Each row is (step, eigenvalue, relative residual), that residual
     taken against the energy.  The solve converges when the residual in
@@ -792,7 +853,7 @@ def smallest_nonzero_eigen(
     when that residual exceeds ``tol``; it is 1 where the energy vanishes
     on the returned nonconstant vector (eigenvalue 0).  An energy that
     vanishes on a nonconstant vector also raises with relative residual 1,
-    before any step, when a formed matrix of the iteration cannot be
+    before any step, when the energy of the iteration cannot be
     factored.  The error carries the trace rows the solve wrote, as
     ``trace``.
     """
@@ -803,7 +864,7 @@ def smallest_nonzero_eigen(
             return _shell_eigen(pair, tol, rows)
         if pair.size < _ITERATIVE_MIN_CELLS:
             return _lapack_eigen(pair, tol, rows)
-        return _iterative_eigen(pair, tol, max_iter, rows)
+        return _lanczos(pair, tol, max_iter, rows)
     except EigenConvergenceError as exc:
         exc.trace = tuple(rows[start:])
         raise
@@ -829,15 +890,43 @@ def pencil_eigen(cells: CellSet, kernel: KernelSpec, weight: RadialProfile = UNI
     return solved
 
 
+def member_eigenvector(grid: Grid) -> np.ndarray:
+    """The read-only eigenvector behind the suite's ``eigen`` member: the
+    unit-weight local pencil on the full ball, solved once per grid.
+
+    Under ``_ITERATIVE_MIN_CELLS`` cells it is :func:`pencil_eigen`'s
+    LAPACK vector.  From there on it is :func:`_block_iteration`'s, kept on
+    the grid apart from :func:`pencil_eigen`'s Lanczos solve of the same
+    pencil.  The 2-d disk's lowest eigenvalue is double, so a solve fixes
+    only a vector in that eigenspace, and the suite, hence every 2-d
+    verify report, follows the vector's angle in it.
+    ``perfbench/reference`` pins the block iteration's angle; the
+    recapture that moves the member to a parity-sector solve (ROADMAP item
+    18) deletes the block iteration with it.  A solve that does not
+    converge raises each time and is not kept.
+    """
+    cells = full_cells(grid)
+    local = KernelSpec(KIND_LOCAL)
+    if len(cells) < _ITERATIVE_MIN_CELLS:
+        return pencil_eigen(cells, local)[1]
+    key = ("member", cells)
+    vec = grid._eigen.get(key)
+    if vec is None:
+        _, vec = _block_iteration(assemble_p2(grid, cells, local))
+        vec.setflags(write=False)
+        grid._eigen[key] = vec
+    return vec
+
+
 def dense_oracle_eigen(pair: QuadraticFormPair) -> np.ndarray:
     """Full spectrum, ascending, of the symmetrized pencil by LAPACK
     (``np.linalg.eigvalsh``).
 
     Validation oracle for the solves of :func:`smallest_nonzero_eigen`,
-    :func:`_shell_eigen`, :func:`_block_iteration` and :func:`_lanczos`,
-    with which it shares no code (tests call the iterations' entry,
-    :func:`_iterative_eigen`, directly on pencils under the crossover);
-    capped at ``_DENSE_CAP`` = 2,000 cells.
+    :func:`_shell_eigen`, :func:`_lanczos` and :func:`_block_iteration`,
+    with which it shares no code (tests call the two iterations directly
+    on pencils under the crossover too); capped at ``_DENSE_CAP`` = 2,000
+    cells.
     """
     n = pair.size
     if n > _DENSE_CAP:

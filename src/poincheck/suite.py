@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, full_cells, make_suite
-from .forms import KIND_LOCAL, KernelSpec
-from .sharp import pencil_eigen
+from .grid import Grid, GridFunction, make_suite
+from .sharp import member_eigenvector
 
 __all__ = ["SuiteSpec", "build_suite", "canonical_bump", "smooth_random_field"]
 
@@ -71,7 +70,7 @@ def _eigenfunction(grid: Grid) -> np.ndarray:
     """The full-ball local eigenvector over its peak, signed so that its
     first moment ``sum_i v_i x_{i,a}`` is positive on the axis a where that
     moment is largest in magnitude (the solver fixes no sign)."""
-    _, vals, _ = pencil_eigen(full_cells(grid), KernelSpec(KIND_LOCAL))
+    vals = member_eigenvector(grid)
     moments = vals @ grid.centers
     axis = int(np.argmax(np.abs(moments)))
     if moments[axis] < 0.0:

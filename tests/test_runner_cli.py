@@ -734,10 +734,11 @@ def test_ball2d_n16_reports_match_golden(tmp_path):
 def test_ball2d_p2_reports_match_golden(tmp_path):
     # The p = 2 benchmark workload at 2-d N = 32, the one tier-1 run of the
     # iterative eigensolves on reports: sharp solves 4 stencil pencils of
-    # 448 and 812 cells by the block iteration, 3 formed fractional pencils
-    # of 812 cells by Lanczos and 6 nested rank-one pencils of 812 cells by
-    # the shell reduction, and verify the 448- and 812-cell stencils by the
-    # block iteration.  To recapture
+    # 448 and 812 cells by Lanczos on their banded factors, 3 formed
+    # fractional pencils of 812 cells by Lanczos on their full factors and
+    # 6 nested rank-one pencils of 812 cells by the shell reduction, and
+    # verify the 448- and 812-cell stencils by Lanczos; both solve the
+    # 812-cell eigen suite member by the block iteration.  To recapture
     # after a deliberate change, run verify and sharp with ``--config
     # perfbench/workloads/ball2d-p2.json`` and copy each report.csv (and
     # the sharp trace.csv) into tests/golden/ball2d-p2.

@@ -47,7 +47,8 @@ from poincheck.sharp import (
     EigenConvergenceError,
     NestedRankOne,
     QuadraticFormPair,
-    _iterative_eigen,
+    _block_iteration,
+    _lanczos,
     assemble_p2,
     assemble_transfer_p2,
     dense_oracle_eigen,
@@ -162,12 +163,13 @@ def assert_eigenpair_contract(pair, lam, v, tol=1e-8):
 
 
 def test_smallest_eigen_path_graph_closed_form():
-    # 4 cells: the public solve takes the LAPACK path; the iterative entry
-    # is called directly.
+    # 4 cells: the public solve takes the LAPACK path; the iterations, that
+    # of larger stencils and that of the suite's eigen member, are called
+    # directly.
     g = build_grid(1, 4)
     pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
     want = 2.0 * (1.0 - np.cos(np.pi / 4)) / g.h**2
-    for solve in (smallest_nonzero_eigen, _iterative_eigen):
+    for solve in (smallest_nonzero_eigen, _lanczos, _block_iteration):
         lam, v = solve(pair)
         assert lam == pytest.approx(want, rel=1e-10)
         assert_eigenpair_contract(pair, lam, v)
@@ -206,18 +208,21 @@ def test_dense_oracle_size_cap():
 
 
 def test_oracle_agrees_with_iterative():
-    # 64 cells: under the crossover, so the iterative entry is called
-    # directly: the block iteration solves the stencil, Lanczos the formed
-    # fractional matrix.
+    # 64 cells: under the crossover, so the iterations are called directly:
+    # Lanczos on the banded factor of the stencil and on the full factor of
+    # the formed fractional matrix, and the eigen member's block iteration
+    # on the stencil.
     g = build_grid(1, 64)
     for spec, weight in (
         (KernelSpec(KIND_LOCAL), UNIT_WEIGHT),
         (KernelSpec(KIND_FRACTIONAL, s=0.5), make_step_profile([0.75], [2.0, 1.0])),
     ):
         pair = assemble_p2(g, full_cells(g), spec, weight)
-        lam, _ = _iterative_eigen(pair)
         spectrum = dense_oracle_eigen(pair)
-        assert abs(lam - spectrum[1]) <= 1e-8 * max(1.0, lam)
+        solves = (_lanczos, _block_iteration) if spec.kind == KIND_LOCAL else (_lanczos,)
+        for solve in solves:
+            lam, _ = solve(pair)
+            assert abs(lam - spectrum[1]) <= 1e-8 * max(1.0, lam)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -492,18 +497,21 @@ def _demo_pencils(g, profile):
 @pytest.mark.parametrize("d,N", [(1, 32), (1, 64), (2, 16)])
 def test_lapack_path_agrees_with_block_iteration(d, N):
     # The public solve takes LAPACK or, for the floor and transfer pencils,
-    # the shell reduction; the iterative entry is called directly.
+    # the shell reduction; the iterations are called directly: the block
+    # iteration on every pencil, Lanczos on every one it can factor.
     g = build_grid(d, N)
     for profile in DEMO_PROFILES:
         for kernel, pair in _demo_pencils(g, profile):
             assert pair.size < 256
             trace = []
             lam, v = smallest_nonzero_eigen(pair, trace=trace)
-            # the largest difference measured was 5.6e-13; the iterative
-            # entry solves the formed fractional pencil by Lanczos, the
-            # operators by the block iteration
-            want, _ = _iterative_eigen(pair)
-            assert abs(lam - want) <= 1e-10 * want
+            # the largest difference measured was 5.6e-13
+            solves = (_block_iteration,)
+            if not isinstance(pair.energy, NestedRankOne):
+                solves += (_lanczos,)
+            for solve in solves:
+                want, _ = solve(pair)
+                assert abs(lam - want) <= 1e-10 * want
             assert_eigenpair_contract(pair, lam, v)
             assert len(trace) == 1 and trace[0][:2] == (1, lam) and trace[0][2] <= 1e-8
             if kernel is not None:
@@ -626,7 +634,7 @@ def test_blocked_cholesky_matches_lapack(n, rng):
     # and 1000 end in one.
     G = rng.standard_normal((n, n))
     A = G @ G.T / n + np.eye(n)
-    factor = poincheck.sharp._BlockedCholesky(A)
+    factor = poincheck.sharp._BlockedCholesky.of_matrix(A)
     width = max(1, poincheck.numerics.BLOCK_ELEMENTS // n)
     assert [k0 for k0, *_ in factor.panels] == list(range(0, n, width))
     L = np.zeros((n, n))
@@ -647,7 +655,103 @@ def test_blocked_cholesky_refuses_a_matrix_that_is_not_positive_definite(rng):
     G = rng.standard_normal((300, 299))
     for A in (np.zeros((300, 300)), G @ G.T, -np.eye(300)):
         with pytest.raises(np.linalg.LinAlgError):
-            poincheck.sharp._BlockedCholesky(A)
+            poincheck.sharp._BlockedCholesky.of_matrix(A)
+
+
+def _factor_lower(factor, n):
+    """The dense lower triangle L that a factor's panels hold."""
+    L = np.zeros((n, n))
+    for k0, k1, inv, below in factor.panels:
+        L[k0:k1, k0:k1] = np.linalg.inv(inv)
+        L[k1 : k1 + len(below), k0:k1] = below
+    return L
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (1, 512), (2, 16), (2, 32)])
+def test_stencil_factor_matches_lapack(d, N, rng):
+    # The grounded stencil of every demo profile on the full ball and the
+    # 0.75-ball: its envelope factor, built from the edge list, is LAPACK's
+    # Cholesky of the dense form with cell 0 dropped, and its solve is
+    # np.linalg.solve.  Two stable solves differ by up to the condition
+    # number (about 1e5 on the 1-d N = 512 path) times the rounding: they
+    # measured 1.1e-12 apart there and 1e-13 or less elsewhere, so the
+    # solve is held to 1e-11 of np.linalg.solve's and to a backward error
+    # of 1e-14, which no condition number scales (it measured 3.2e-16).
+    # No panel exceeds BLOCK_ELEMENTS entries.
+    g = build_grid(d, N)
+    for profile in DEMO_PROFILES:
+        for t in (0.75, 1.0):
+            stencil = local_stencil(g, ball_cells(g, t), profile)
+            A = stencil.dense()[1:, 1:]
+            n = len(A)
+            factor = poincheck.sharp._BlockedCholesky.of_grounded_stencil(stencil)
+            assert factor.panels[-1][1] == n
+            for k0, k1, _, below in factor.panels:
+                assert (k1 - k0) * (k1 - k0 + len(below)) <= poincheck.numerics.BLOCK_ELEMENTS
+            want = np.linalg.cholesky(A)
+            L = _factor_lower(factor, n)
+            assert np.max(np.abs(L - want)) <= 1e-12 * np.max(np.abs(want))
+            B = rng.standard_normal((n, 3))
+            want = np.linalg.solve(A, B)
+            got = factor.solve(B)
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+            scale = np.abs(A).sum(axis=1).max() * np.max(np.abs(got))
+            assert np.max(np.abs(A @ got - B)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("N", [32, 128])
+def test_stencil_factor_makes_no_square_array(N):
+    # 811 and 12,891 grounded cells: the factor keeps about n b entries,
+    # far under (n - 1)^2, and its build needs no more on top of what it
+    # keeps than a few BLOCK_ELEMENTS buffers and a few sorted copies of the
+    # edge list (1.6 MB at N = 128, against 1.3 GB for (n - 1)^2 entries;
+    # tracemalloc sees numpy's data).
+    g = build_grid(2, N)
+    stencil = local_stencil(g, full_cells(g))
+    n = stencil.size - 1
+    buffer = poincheck.numerics.BLOCK_ELEMENTS * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        factor = poincheck.sharp._BlockedCholesky.of_grounded_stencil(stencil)
+        kept, peak = (m - start for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    entries = sum(inv.size + below.size for _, _, inv, below in factor.panels)
+    assert entries * 8 <= kept and kept <= 8 * n * 3 * N
+    assert peak - kept <= 3 * buffer + 16 * stencil.coef.nbytes < n * n * 8
+
+
+# Every demo-profile stencil pencil of 256 to 2,000 cells on the full ball.
+LANCZOS_STENCIL_GRIDS = [(1, 256), (1, 512), (2, 20), (2, 24), (2, 32), (2, 48)]
+
+
+@pytest.mark.parametrize("d,N", LANCZOS_STENCIL_GRIDS)
+def test_stencil_lanczos_agrees_with_dense_oracle(d, N):
+    g = build_grid(d, N)
+    for profile in DEMO_PROFILES:
+        pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL), profile)
+        assert isinstance(pair.energy, EdgeStencil) and 256 <= pair.size <= 2000
+        trace = []
+        lam, v = smallest_nonzero_eigen(pair, trace=trace)
+        assert abs(lam - dense_oracle_eigen(pair)[1]) <= 1e-10 * lam, (d, N, profile)
+        assert_eigenpair_contract(pair, lam, v)
+        assert [row[0] for row in trace] == list(range(1, len(trace) + 1))
+        assert trace[-1][1] == lam and trace[-1][2] <= 1e-8
+
+
+def test_stencil_pencils_at_2d_n128_are_solved():
+    # 12,892 cells, past the dense oracle: the unit and step-weight stencil
+    # pencils meet the eigenpair contract, each in well under the seconds
+    # the block iteration took (3.35 s on a 2-core Xeon).
+    g = build_grid(2, 128)
+    for weight in (UNIT_WEIGHT, make_step_profile([0.75], [2.0, 1.0])):
+        pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL), weight)
+        assert pair.size == 12892
+        start = time.perf_counter()
+        lam, v = smallest_nonzero_eigen(pair)
+        assert time.perf_counter() - start < 2.0
+        assert_eigenpair_contract(pair, lam, v)
 
 
 def test_zero_dense_pencil_fails_at_once(monkeypatch):
@@ -671,12 +775,15 @@ def test_zero_dense_pencil_fails_at_once(monkeypatch):
 
 
 def test_operator_pencils_never_reach_the_factor(monkeypatch):
+    # A nested rank-one pencil is never factored; a stencil reaches only a
+    # banded factor, each row's envelope at most 2N + 1 entries long; the
+    # formed fractional matrix a full one.  Each is grounded: 447 rows.
     factored = []
     original = poincheck.sharp._BlockedCholesky.__init__
 
-    def spy(self, A):
-        factored.append(A.shape)
-        original(self, A)
+    def spy(self, first, columns):
+        factored.append((first.size, int((np.arange(first.size) - first).max()) + 1))
+        original(self, first, columns)
 
     monkeypatch.setattr(poincheck.sharp._BlockedCholesky, "__init__", spy)
     g = build_grid(2, 24)
@@ -685,12 +792,14 @@ def test_operator_pencils_never_reach_the_factor(monkeypatch):
         assert pair.size == 448
         lam, v = smallest_nonzero_eigen(pair)
         assert_eigenpair_contract(pair, lam, v)
-        if kernel is not None and kernel.kind == KIND_FRACTIONAL:
-            assert factored == [(447, 447)]
-            factored.clear()
-        else:
-            assert isinstance(pair.energy, (EdgeStencil, NestedRankOne))
+        if isinstance(pair.energy, NestedRankOne):
             assert factored == []
+        elif isinstance(pair.energy, EdgeStencil):
+            assert len(factored) == 1 and factored[0][0] == 447
+            assert factored[0][1] <= 2 * 24 + 1
+        else:
+            assert kernel.kind == KIND_FRACTIONAL and factored == [(447, 447)]
+        factored.clear()
 
 
 def test_block_iteration_backs_off_its_shift_after_a_breakdown(monkeypatch):
@@ -715,7 +824,7 @@ def test_block_iteration_backs_off_its_shift_after_a_breakdown(monkeypatch):
 
     monkeypatch.setattr(poincheck.sharp, "_projected_cg", breaking)
     trace = []
-    lam, v = _iterative_eigen(pair, trace=trace)
+    lam, v = _block_iteration(pair, trace=trace)
     per_pass = shifts[::3]  # three CG runs per pass, one per block column
     assert per_pass[:6] == [0.0] * 6 and per_pass[6] > 3.0
     assert per_pass[7] == pytest.approx(0.5 * per_pass[6], rel=1e-9)

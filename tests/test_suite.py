@@ -4,7 +4,7 @@ import pytest
 import poincheck.suite
 from poincheck.forms import KIND_LOCAL, KernelSpec
 from poincheck.grid import build_grid, full_cells
-from poincheck.sharp import pencil_eigen
+from poincheck.sharp import _block_iteration, assemble_p2, member_eigenvector, pencil_eigen
 from poincheck.suite import FAMILIES, SuiteSpec, _eigenfunction, build_suite, canonical_bump
 
 
@@ -64,16 +64,33 @@ def test_eigen_member_has_a_positive_largest_first_moment(d, N):
 
 def test_eigen_member_on_2d_n32_is_the_solver_vector_unflipped():
     g = build_grid(2, 32)
-    _, vec, _ = pencil_eigen(full_cells(g), KernelSpec(KIND_LOCAL))
+    vec = member_eigenvector(g)
     assert np.array_equal(_eigenfunction(g), vec / np.abs(vec).max())
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 16), (2, 20), (2, 32)])
+def test_eigen_member_keeps_its_own_solve(d, N):
+    # Under 256 cells the member is the LAPACK vector of pencil_eigen; from
+    # 256 on it is the block iteration's, bit for bit, kept apart from
+    # pencil_eigen's Lanczos solve of the same pencil, whose vector may lie
+    # elsewhere in the 2-d double eigenspace.  Each is solved once per grid.
+    g = build_grid(d, N)
+    cells = full_cells(g)
+    vec = member_eigenvector(g)
+    assert not vec.flags.writeable and member_eigenvector(g) is vec
+    if len(cells) < 256:
+        assert pencil_eigen(cells, KernelSpec(KIND_LOCAL))[1] is vec
+    else:
+        _, want = _block_iteration(assemble_p2(g, cells, KernelSpec(KIND_LOCAL)))
+        assert vec.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d,N", [(1, 32), (2, 16)])
 def test_eigen_member_does_not_follow_the_solver_sign(d, N, monkeypatch):
     g = build_grid(d, N)
     want = _eigenfunction(g)
-    lam, vec, trace = pencil_eigen(full_cells(g), KernelSpec(KIND_LOCAL))
-    monkeypatch.setattr(poincheck.suite, "pencil_eigen", lambda *args: (lam, -vec, trace))
+    vec = member_eigenvector(g)
+    monkeypatch.setattr(poincheck.suite, "member_eigenvector", lambda grid: -vec)
     assert np.array_equal(_eigenfunction(g), want)
 
 
