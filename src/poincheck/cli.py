@@ -1,8 +1,9 @@
 """Command-line interface: verify | sharp | sweep | schema.
 
 Each command takes ``--config``, ``--out`` and ``--seed``; ``sharp`` also
-always writes its Ritz trace (``trace.csv``).  The unweighted case is the
-weight ``UNIT_WEIGHT``: a step profile with no breakpoints and level 1.
+always writes its trace rows (step, eigenvalue, relative residual) to
+``trace.csv``.  The unweighted case is the weight ``UNIT_WEIGHT``: a step
+profile with no breakpoints and level 1.
 
 Exit codes: 0 when every row passes; 1 when some row fails (reports are
 still written); 2 on ``error: ...``, for an invalid config, another
@@ -92,7 +93,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not result.all_passed:
-        failed = sum(1 for row in result.rows if str(row.get("pass")).lower() != "true")
+        failed = sum(1 for row in result.rows if row["pass"] is not True)
         print(f"FAIL: {failed} of {len(result.rows)} rows failed", file=sys.stderr)
         return 1
     return 0

@@ -18,12 +18,10 @@ inputs) the inequality holds vacuously: ratio 0, pass.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Mapping
 
 import numpy as np
@@ -346,10 +344,11 @@ def format_value(value) -> str:
     return str(value)
 
 
-def report_row(report: InequalityReport) -> dict[str, str]:
-    """One CSV row in the fixed column order."""
+def report_row(report: InequalityReport) -> dict:
+    """One report row in the fixed column order, of values that
+    :func:`write_rows_csv` formats (None where the metadata lacks a key)."""
     meta = report.metadata
-    values = {
+    return {
         "check_id": report.check_id,
         **{key: meta.get(key) for key in ("d", "N", "p", "s", "R", "profile")},
         "lhs": report.lhs,
@@ -358,7 +357,6 @@ def report_row(report: InequalityReport) -> dict[str, str]:
         "constant_used": report.constant_used,
         "pass": bool(report.passed),
     }
-    return {key: format_value(value) for key, value in values.items()}
 
 
 def write_rows_csv(path, columns, rows) -> None:
@@ -371,99 +369,13 @@ def write_rows_csv(path, columns, rows) -> None:
             writer.writerow({key: format_value(row.get(key)) for key in columns})
 
 
-_JSON_ROWS = 64  # top-level items per write of write_json
-
-
-def _json_key(key) -> str:
-    """``json``'s text of a dict key, a string whatever the key's type."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return '"' + json.dumps(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-@functools.lru_cache(maxsize=256)
-def _json_layout(indent: str, keys: tuple | None, kinds: tuple):
-    """The text of a list (``keys`` None) or dict whose items have these
-    types, nested at ``indent`` (a newline and one space per level), as
-    (its pieces around the nested containers, their positions).  A
-    scalar's place is ``"\\x01"``."""
-    inner = indent + " "
-    slots = []
-    for kind in kinds:
-        if issubclass(kind, (list, tuple, dict)):
-            slots.append("\x02")
-        elif kind is type(None) or issubclass(kind, (str, int, float)):
-            slots.append("\x01")
-        else:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    if keys is None:
-        text = "[" + inner + ("," + inner).join(slots) + indent + "]"
-    else:
-        text = "{" + inner + ("," + inner).join(map("%s: %s".__mod__, zip(keys, slots))) + indent + "}"
-    return tuple(text.split("\x02")), tuple(i for i, slot in enumerate(slots) if slot == "\x02")
-
-
-def _json_skeleton(value, leaves: list, indent: str) -> str:
-    """The text of a list, tuple or dict nested at ``indent``, with
-    ``"\\x01"`` for each scalar, which goes to ``leaves`` in document
-    order.  The layout is cached by the keys and the item types, so a
-    report row takes no Python step per item."""
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    if isinstance(value, dict):
-        try:
-            keys = tuple(map(encode_basestring_ascii, value))
-        except TypeError:
-            keys = tuple(map(_json_key, value))
-        values = list(value.values())
-    else:
-        keys, values = None, value
-    pieces, nested = _json_layout(indent, keys, tuple(map(type, values)))
-    out, start = [pieces[0]], 0
-    for k, i in enumerate(nested, 1):
-        leaves.extend(values[start:i])
-        out += (_json_skeleton(values[i], leaves, indent + " "), pieces[k])
-        start = i + 1
-    leaves.extend(values[start:])
-    return "".join(out)
-
-
-def _json_items(items, indent: str) -> str:
-    """The texts of ``items``, each nested at ``indent``, joined by a
-    comma and ``indent``.  The layouts hold ``"\\x01"`` for each scalar, a
-    byte that no key's text holds (``json`` escapes control characters),
-    and ``json``'s C encoder writes every scalar in one call, separated by
-    ``"\\x00"``, which no scalar's text holds either."""
-    leaves, slots = [], []
-    for item in items:
-        if isinstance(item, (list, tuple, dict)):
-            slots.append(_json_skeleton(item, leaves, indent))
-        else:
-            slots.append("\x01")
-            leaves.append(item)
-    parts = ("," + indent).join(slots).split("\x01")
-    texts = json.JSONEncoder(separators=("\x00", ": ")).encode(leaves)[1:-1].split("\x00")
-    merged = [""] * (2 * len(parts) - 1)
-    merged[::2], merged[1::2] = parts, texts[: len(leaves)]
-    return "".join(merged)
-
-
-def write_json(path, payload) -> None:
-    """Write ``payload`` and a newline, byte for byte as ``json.dump(payload,
-    handle, indent=1)`` writes it: floats as ``float.__repr__`` with
-    ``NaN`` and ``Infinity``, strings by
-    ``json.encoder.encode_basestring_ascii``.  That encoder is pure Python
-    with an indent; here a report, a list of rows, is laid out and written
-    ``_JSON_ROWS`` rows at a time, so no text of the whole is held."""
+def write_json(path, rows: list) -> None:
+    """Write ``rows`` as a JSON array, one row per line as ``json.dumps``
+    writes it (ASCII-escaped strings, ``NaN`` and ``Infinity``), a line at
+    a time, so no text of the whole is held."""
     with open(path, "w", encoding="utf-8") as handle:
-        if not isinstance(payload, (list, tuple)) or not payload:
-            handle.write(_json_items([payload], "\n") + "\n")
-            return
-        for start in range(0, len(payload), _JSON_ROWS):
-            rows = payload[start : start + _JSON_ROWS]
-            handle.write(("," if start else "[") + "\n " + _json_items(rows, "\n "))
+        handle.write("[")
+        handle.writelines(f"{',' if i else ''}\n{json.dumps(row)}" for i, row in enumerate(rows))
         handle.write("\n]\n")
 
 

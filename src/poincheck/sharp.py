@@ -69,28 +69,24 @@ _DENSE_CAP = 2000
 # call) against the iteration, in ms (2-core Intel Xeon, one BLAS thread,
 # best of 10; 1-d N = 64, 2-d N = 16, 24 and 32, the full ball, weight
 # step([0.75], [2, 1]); local is local_stencil's form and fractional is
-# s = 1/2, a formed matrix, each solved by Lanczos on its factor; transfer
-# and floor are the forms of assemble_transfer_p2 and floor_operator,
-# solved then by the block iteration with shifted CG inner solves):
+# s = 1/2, a formed matrix, each solved by Lanczos on its factor):
 #
-#   cells   local          fractional     floor*         transfer*
-#   64      0.5 vs 3.9     0.5 vs 0.8     0.4 vs 9.5     0.5 vs 11.9
-#   208     5.7 vs 3.2     3.3 vs 3.7     4.0 vs 12.4    4.2 vs 16.1
-#   448     29.3 vs 4.5    19.6 vs 6.6    23.5 vs 13.6   24.1 vs 19.7
-#   812     108 vs 7.2     89.3 vs 15.0   80.5 vs 13.0   83.7 vs 18.8
+#   cells   local          fractional
+#   64      0.5 vs 3.9     0.5 vs 0.8
+#   208     5.7 vs 3.2     3.3 vs 3.7
+#   448     29.3 vs 4.5    19.6 vs 6.6
+#   812     108 vs 7.2     89.3 vs 15.0
 #
-# So eigh wins every form at 64 cells, and the factored iteration wins
+# So eigh wins both forms at 64 cells, and the factored iteration wins
 # the local form from 208 cells on and the fractional one from 448.  The
 # crossover stays at 256 all the same: lowering it would take the golden
 # config's 208-cell pencils, and with them the eigen suite member on its
 # grid, off LAPACK and move their report bytes (below 64 cells the demo's
-# too), for a few ms per solve.  The local column was re-measured for the
-# banded factor; the block iteration it replaced took 27.2, 34.0, 71.0
-# and 121 ms.  The fractional pencils need no crossover of their own: one
-# factor and about 14 Lanczos steps per pencil beat eigh from 448 cells on
-# (0.70 against 4.9 s at 3,228 cells).  * Historical: the floor and
-# transfer pencils no longer reach either solve; _shell_eigen solves them
-# at every size (4 ms at 51,468 cells, 2-d N = 256).
+# too), for a few ms per solve.  The fractional pencils need no crossover
+# of their own: one factor and about 14 Lanczos steps per pencil beat
+# eigh from 448 cells on (0.70 against 4.9 s at 3,228 cells).  The floor
+# and transfer pencils reach neither solve; _shell_eigen solves them at
+# every size (4 ms at 51,468 cells, 2-d N = 256).
 _ITERATIVE_MIN_CELLS = 256
 
 
@@ -874,10 +870,11 @@ def pencil_eigen(cells: CellSet, kernel: KernelSpec, weight: RadialProfile = UNI
     """:func:`smallest_nonzero_eigen` of ``assemble_p2`` over a cell set,
     solved once per grid.
 
-    Returns (eigenvalue, read-only eigenvector, Ritz trace rows).  The
-    solve is kept on the cells' grid, keyed by the cell set, the kernel
-    and the weight, so it lives as long as that grid does.  A solve that
-    does not converge raises each time and is not kept.
+    Returns (eigenvalue, read-only eigenvector, trace rows (step,
+    eigenvalue, relative residual)).  The solve is kept on the cells'
+    grid, keyed by the cell set, the kernel and the weight, so it lives
+    as long as that grid does.  A solve that does not converge raises
+    each time and is not kept.
     """
     grid = cells.grid
     key = (cells, kernel, weight)

@@ -623,9 +623,8 @@ def test_demo_reports_match_benchmark_reference(tmp_path):
     # match tests/golden/demo-1d byte for byte, and perfbench/reference at
     # the gate's tolerance: their pencils are solved by LAPACK and the
     # shell reduction, the reference's by the block iteration.  To
-    # recapture after a deliberate change, run the command with
-    # ``--config configs/demo.json`` and copy its report.csv over the file
-    # of the same command.
+    # recapture the golden reports after a deliberate change, run
+    # tests/golden/recapture.py.
     workloads = ROOT / "perfbench" / "workloads"
     runs = [("demo-1d", ROOT / "configs" / "demo.json", command)
             for command in ("verify", "sharp", "sweep")]
@@ -647,9 +646,10 @@ def test_demo_reports_match_benchmark_reference(tmp_path):
         assert gate.compare_to_reference(command, reference.read_text(), report.decode()) == []
 
 
-def test_report_json_is_json_s_bytes(tmp_path, monkeypatch):
+def test_report_json_round_trips_each_payload(tmp_path, monkeypatch):
     # Every verify, sharp and sweep payload of the three benchmark
-    # workloads, written by the report writer and by ``json`` (indent 1).
+    # workloads: the report parses to what ``json`` gives for the payload,
+    # one row per line between the brackets.
     payloads = []
 
     def recording(path, payload):
@@ -663,8 +663,9 @@ def test_report_json_is_json_s_bytes(tmp_path, monkeypatch):
         for command in ("verify", "sharp", "sweep"):
             out = tmp_path / config.stem / command
             assert main([command, "--config", str(config), "--out", str(out)]) == 0
-            written = (out / "report.json").read_bytes()
-            assert written == (json.dumps(payloads[-1], indent=1) + "\n").encode()
+            written = (out / "report.json").read_text()
+            assert json.loads(written) == json.loads(json.dumps(payloads[-1]))
+            assert len(written.splitlines()) == len(payloads[-1]) + 2
     assert len(payloads) == 9
 
 
@@ -706,16 +707,19 @@ def test_demo_weighs_each_cell_set_once_per_profile(monkeypatch, tmp_path):
 
 
 def _assert_reports_match_golden(tmp_path, config, name, commands):
-    """Run each command on ``config`` and compare its report.csv, and the
-    sharp trace.csv, with ``tests/golden/<name>`` byte for byte."""
+    """Run each command on ``config`` and compare its report.csv, the sharp
+    trace.csv and, where ``tests/golden/<name>`` holds one, its
+    report.json, with the golden files byte for byte."""
     for command in commands:
         out = tmp_path / command
         assert main([command, "--config", str(config), "--out", str(out)]) == 0
-        files = [("report.csv", f"{command}.csv")]
+        files = [("report.csv", f"{command}.csv"), ("report.json", f"{command}.json")]
         if command == "sharp":
             files.append(("trace.csv", "trace.csv"))
         for produced, golden in files:
             reference = ROOT / "tests" / "golden" / name / golden
+            if golden.endswith(".json") and not reference.exists():
+                continue
             assert (out / produced).read_bytes() == reference.read_bytes(), (
                 f"the {name} {command} {produced} differs from {reference}"
             )
@@ -723,10 +727,9 @@ def _assert_reports_match_golden(tmp_path, config, name, commands):
 
 def test_ball2d_n16_reports_match_golden(tmp_path):
     # The 2-d workload at N = 16 with p = 1 (two ascent steps) and p = 2,
-    # small enough for tier-1: every command and the sharp trace.  To
-    # recapture after a deliberate change, run each command with
-    # ``--config tests/golden/ball2d-n16.json`` and copy its report.csv
-    # (and the sharp trace.csv) over the file of the same command.
+    # small enough for tier-1: every command's CSV and JSON reports and
+    # the sharp trace.  To recapture after a deliberate change, run
+    # tests/golden/recapture.py.
     config = ROOT / "tests" / "golden" / "ball2d-n16.json"
     _assert_reports_match_golden(tmp_path, config, "ball2d-n16", ("verify", "sharp", "sweep"))
 
@@ -739,9 +742,7 @@ def test_ball2d_p2_reports_match_golden(tmp_path):
     # 6 nested rank-one pencils of 812 cells by the shell reduction, and
     # verify the 448- and 812-cell stencils by Lanczos; both solve the
     # 812-cell eigen suite member by the block iteration.  To recapture
-    # after a deliberate change, run verify and sharp with ``--config
-    # perfbench/workloads/ball2d-p2.json`` and copy each report.csv (and
-    # the sharp trace.csv) into tests/golden/ball2d-p2.
+    # after a deliberate change, run tests/golden/recapture.py.
     config = ROOT / "perfbench" / "workloads" / "ball2d-p2.json"
     _assert_reports_match_golden(tmp_path, config, "ball2d-p2", ("verify", "sharp"))
 
