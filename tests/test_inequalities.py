@@ -372,6 +372,32 @@ def test_json_writer_round_trips_special_values(tmp_path):
         assert json.dumps(json.loads(text)) == json.dumps(json.loads(json.dumps(rows)))
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {},
+        [[], {}, [[]], {"a": {}}],
+        (1, (2.5, None), [True, False]),
+        {"metadata": {"radii": (0.25, 0.5), "inner": {"deep": [1, {"x": None}]}}, "n": 3},
+        [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 1e16, 0.1],
+        [math.inf, -math.inf, math.nan, {"v": math.nan}],
+        ["é ☃ 𝄞", 'quote " back \\ slash', "tab\tnew\nline\x00\x01\x02", "{[]}"],
+        {1: "int", 2.5: "float", False: "bool", None: "none", "é": "str"},
+        [np.float64(0.5), np.float64(-np.inf), {"x": np.float64(1e-310)}],
+        [10**30, -7, 0],
+        "top",
+        4.5,
+        None,
+    ],
+)
+def test_json_writer_matches_json(tmp_path, payload):
+    # A report of one row is that row's json.dumps bytes between brackets.
+    path = tmp_path / "r.json"
+    write_json(path, [payload])
+    assert path.read_bytes() == f"[\n{json.dumps(payload)}\n]\n".encode()
+
+
 def test_json_writer_refuses_what_json_refuses(tmp_path):
     for payload in ([np.int64(3)], [{"a": {1, 2}}], [{(1, 2): 0}]):
         with pytest.raises(TypeError):
