@@ -131,9 +131,8 @@ def local_energy_rows(
     rows = value_rows(values, grid)
     idx = cells.indices
     w, _ = cell_weights(cells, weight)
-    mask = cells.mask()
-    ups = grid.neighbors_up[idx]
-    ok = (ups >= 0) & mask[np.clip(ups, 0, None)]
+    ups, downs = cells.neighbors
+    ok = ups >= 0
 
     def terms(own, up, at):
         """Terms of the cells at positions ``at``, given each one's value
@@ -144,27 +143,24 @@ def local_energy_rows(
             sq += diff * diff
         return sq ** (p / 2.0) * w[at]
 
+    every = np.arange(idx.size)
     if not isinstance(rows, Probes):
-        every = np.arange(idx.size)
-        return ksum_rows(terms(rows[:, idx], rows[:, ups], every)) * grid.cell_measure
-    vals, bumped = rows.values, rows.bumped
-    base = terms(vals[idx], vals[ups], np.arange(idx.size))
+        vals = rows[:, idx]
+        return ksum_rows(terms(vals, vals[:, ups], every)) * grid.cell_measure
+    vals, bumped = rows.values[idx], rows.bumped[idx]
+    base = terms(vals, vals[ups], every)
     energy = np.empty(len(rows))
     if idx.size < len(rows):  # probes outside the set
         energy[:] = ksum_rows(base[None, :]) * grid.cell_measure
-    # Probe of cell idx[k] against the terms at positions at[k]: k itself,
-    # then its down-neighbor along each axis (-1 when not in the set).
-    local_of = -np.ones(grid.cell_count, dtype=np.int64)
-    local_of[idx] = np.arange(idx.size)
-    downs = grid.neighbors_down[idx]
-    at = np.column_stack([np.arange(idx.size), np.where(downs >= 0, local_of[downs], -1)])
-    cell = idx[:, None]
-    near = idx[at]  # the cells at ``at``; -1 slots give a valid stand-in
+    # Probe of position k against the terms at positions at[k]: k itself,
+    # then its down-neighbor along each axis (-1 when not in the set, whose
+    # stand-in values ksum_replaced ignores).
+    at = np.column_stack([every, downs])
+    k = every[:, None]
+    own = np.where(at == k, bumped[k], vals[at])
     near_up = ups[at]
-    own = np.where(near == cell, bumped[cell], vals[near])
-    up = np.where(near_up == cell[..., None], bumped[cell][..., None], vals[near_up])
-    new = terms(own, up, at)
-    energy[idx] = ksum_replaced(base, at, new) * grid.cell_measure
+    up = np.where(near_up == k[..., None], bumped[k][..., None], vals[near_up])
+    energy[idx] = ksum_replaced(base, at, terms(own, up, at)) * grid.cell_measure
     return energy
 
 

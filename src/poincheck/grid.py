@@ -39,9 +39,9 @@ class Grid:
     """Cells of the discretized unit ball in dimension d (1 or 2).
 
     ``centers[k]`` is the coordinate of cell k, ``norms[k]`` its distance
-    from the origin, and ``neighbors_up[k, a]`` / ``neighbors_down[k, a]``
-    the cell index one lattice step along axis ``a`` (or -1 when that
-    neighbor is outside the ball).  Enumeration order is lattice-lexicographic
+    from the origin and ``lattice[k]`` its integer lattice coordinates on
+    the N^d box; cell sets work out adjacency from them
+    (:attr:`CellSet.neighbors`).  Enumeration order is lattice-lexicographic
     and fixed.  ``_cells`` holds the one set per radius of
     :func:`ball_cells`; ``_eigen`` memoizes the p = 2 eigensolves that
     :func:`poincheck.sharp.pencil_eigen` and
@@ -56,8 +56,6 @@ class Grid:
     centers: np.ndarray
     norms: np.ndarray
     lattice: np.ndarray
-    neighbors_up: np.ndarray
-    neighbors_down: np.ndarray
     _eigen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -82,13 +80,17 @@ class Grid:
         them, not the tables, leaves each grid one table's memory."""
         N, d = self.N, self.d
         strides = (2 * N - 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-        axes = np.meshgrid(*[np.arange(1 - N, N, dtype=np.int64)] * d, indexing="ij")
-        offsets = np.stack(axes, axis=-1).reshape(-1, d)
+        offsets = _box(np.arange(1 - N, N, dtype=np.int64), d)
         distances = np.linalg.norm(self.h * offsets, axis=1)
         keys = self.lattice @ strides
         distances.setflags(write=False)
         keys.setflags(write=False)
         return distances, keys, (N - 1) * int(strides.sum())
+
+
+def _box(axis: np.ndarray, d: int) -> np.ndarray:
+    """Every point of ``axis^d`` as a (len(axis)^d, d) array, in C order."""
+    return np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
 
 
 def build_grid(d: int, N: int) -> Grid:
@@ -101,54 +103,22 @@ def build_grid(d: int, N: int) -> Grid:
     if N < 4 or N % 2 != 0:
         raise ValueError(f"N must be even and >= 4, got {N}")
     h = 2.0 / N
-    axis = -1.0 + (np.arange(N) + 0.5) * h
-    if d == 1:
-        lattice = np.arange(N, dtype=np.int64)[:, None]
-        centers = axis[:, None]
-    else:
-        ii, jj = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-        lattice = np.stack([ii.ravel(), jj.ravel()], axis=1).astype(np.int64)
-        centers = axis[lattice]
+    lattice = _box(np.arange(N, dtype=np.int64), d)
+    centers = (-1.0 + (np.arange(N) + 0.5) * h)[lattice]
     norms = np.linalg.norm(centers, axis=1)
     keep = norms < 1.0
-    lattice = lattice[keep]
-    centers = centers[keep]
-    norms = norms[keep]
-    n = centers.shape[0]
-
-    id_table = -np.ones((N,) * d, dtype=np.int64)
-    id_table[tuple(lattice.T)] = np.arange(n)
-
-    def _lookup(shifted: np.ndarray) -> np.ndarray:
-        inside = np.all((shifted >= 0) & (shifted < N), axis=1)
-        out = -np.ones(n, dtype=np.int64)
-        out[inside] = id_table[tuple(shifted[inside].T)]
-        return out
-
-    ups = np.stack(
-        [_lookup(lattice + np.eye(d, dtype=np.int64)[a]) for a in range(d)], axis=1
-    )
-    downs = np.stack(
-        [_lookup(lattice - np.eye(d, dtype=np.int64)[a]) for a in range(d)], axis=1
-    )
-    for arr in (centers, norms, lattice, ups, downs):
+    lattice, centers, norms = lattice[keep], centers[keep], norms[keep]
+    for arr in (centers, norms, lattice):
         arr.setflags(write=False)
-    return Grid(
-        d=d,
-        N=N,
-        h=h,
-        centers=centers,
-        norms=norms,
-        lattice=lattice,
-        neighbors_up=ups,
-        neighbors_down=downs,
-    )
+    return Grid(d=d, N=N, h=h, centers=centers, norms=norms, lattice=lattice)
 
 
 @dataclass(frozen=True, eq=False)
 class CellSet:
-    """Sorted, unique cell indices of one grid.  It equals and hashes as
-    itself only (``eq=False``), so a copy is another memo key."""
+    """Sorted, unique cell indices of one grid.  Position k of the set is
+    its cell ``indices[k]``.  It equals and hashes as itself only
+    (``eq=False``), so a copy is another memo key, and
+    :attr:`neighbors` is computed once per set."""
 
     grid: Grid
     indices: np.ndarray
@@ -173,10 +143,22 @@ class CellSet:
         """Discrete measure: cell count times h^d."""
         return len(self) * self.grid.cell_measure
 
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.grid.cell_count, dtype=bool)
-        m[self.indices] = True
-        return m
+    @cached_property
+    def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The set's adjacency ``(up, down)``, two read-only (n, d) arrays:
+        ``up[k, a]`` is the set position of the cell one lattice step up
+        axis a from position k, ``down[k, a]`` one step down, and -1 where
+        that cell is not in the set.  The only adjacency of the package."""
+        d = self.grid.d
+        at = self.grid.lattice[self.indices] + 1  # padded: every step lands in the table
+        table = np.full((self.grid.N + 2,) * d, -1, dtype=np.int64)
+        table[tuple(at.T)] = np.arange(len(self))
+        steps = np.eye(d, dtype=np.int64)
+        up = np.stack([table[tuple((at + e).T)] for e in steps], axis=1)
+        down = np.stack([table[tuple((at - e).T)] for e in steps], axis=1)
+        up.setflags(write=False)
+        down.setflags(write=False)
+        return up, down
 
 
 @dataclass(frozen=True, eq=False)

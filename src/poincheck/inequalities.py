@@ -292,7 +292,7 @@ def check_truncation_bound(
     absorb it on coarse grids.  For the unperturbed eigenfunction of the
     1-d N = 128 suite at p = 1, s = 0.8, R = 5 this check reports ratio
     1.0949 and fails, although with the omitted mass added to both
-    energies the ratio is about 0.82.
+    energies the ratio is 0.8278.
     """
     grid = u.grid
     cells = full_cells(grid)

@@ -125,16 +125,17 @@ class EdgeStencil:
         return np.bincount(self.i, flux, self.size) - np.bincount(self.j, flux, self.size)
 
     def dense(self) -> np.ndarray:
-        """The (size, size) matrix, accumulated axis by axis."""
+        """The (size, size) matrix.  Each diagonal entry adds its edges'
+        coefficients axis by axis, lower ends before upper ends."""
         A = np.zeros(self.shape)
+        A[self.i, self.j] = A[self.j, self.i] = -self.coef
+        diag = np.zeros(self.size)
         start = 0
         for end in self.axis_ends:
-            i, j, coef = self.i[start:end], self.j[start:end], self.coef[start:end]
-            np.add.at(A, (i, i), coef)
-            np.add.at(A, (j, j), coef)
-            np.add.at(A, (i, j), -coef)
-            np.add.at(A, (j, i), -coef)
+            for ends in (self.i, self.j):
+                diag += np.bincount(ends[start:end], self.coef[start:end], self.size)
             start = end
+        np.fill_diagonal(A, diag)
         return A
 
 
@@ -176,24 +177,13 @@ class NestedRankOne:
         return self.diag * x - G[self.depth]
 
     def dense(self) -> np.ndarray:
-        """The (n, n) matrix as if accumulated set by set, innermost first:
-        ``coef[t-1]`` comes off every entry of ``S_t x S_t``, then
-        ``set_diag[t-1]`` goes onto its diagonal.  An entry (i, j) off the
-        diagonal lies in the sets up to ``min(depth[i], depth[j])``, a
-        diagonal entry in those up to ``depth[i]``, so one table per depth
-        replays each entry's float operations in that order, and the
-        matrix is one gather from it."""
-        coef, set_diag = self.coef.tolist(), self.set_diag.tolist()
-        off, on = [], []
-        for depth in range(len(coef) + 1):
-            a = b = 0.0
-            for t in range(depth, 0, -1):
-                a -= coef[t - 1]
-                b = b - coef[t - 1] + set_diag[t - 1]
-            off.append(a)
-            on.append(b)
-        A = np.array(off)[np.minimum.outer(self.depth, self.depth)]
-        np.fill_diagonal(A, np.array(on)[self.depth])
+        """The (n, n) matrix, gathered from the prefix sums C of ``-coef``
+        (``C[0] = 0``): an entry (i, j) off the diagonal lies in the sets up
+        to ``min(depth[i], depth[j])``, so it is ``C[min(depth[i], depth[j])]``,
+        and a diagonal entry is ``diag[i] + C[depth[i]]``."""
+        C = np.concatenate(([0.0], np.cumsum(-self.coef)))
+        A = C[np.minimum.outer(self.depth, self.depth)]
+        np.fill_diagonal(A, self.diag + C[self.depth])
         return A
 
 
@@ -266,27 +256,22 @@ def local_stencil(
     """Edge list of the weighted gradient energy at p = 2 over a cell set.
 
     One edge per pair of cells of the set that are lattice neighbors along
-    an axis, from ``grid.neighbors_up``, with coefficient ``w_i * h^(d-2)``
-    for its lower cell i.
+    an axis, from :attr:`~poincheck.grid.CellSet.neighbors`, with
+    coefficient ``w_i * h^(d-2)`` for its lower cell i.
     """
-    n = len(cells)
-    idx = cells.indices
-    local_of = -np.ones(grid.cell_count, dtype=np.int64)
-    local_of[idx] = np.arange(n)
+    ups = cells.neighbors[0]
     scaled = cell_weights(cells, weight)[0] * grid.h ** (grid.d - 2)
     heads, tails = [], []
     for a in range(grid.d):
-        nb = grid.neighbors_up[idx, a]
-        j = np.where(nb >= 0, local_of[nb], -1)
-        i = np.flatnonzero(j >= 0)
+        i = np.flatnonzero(ups[:, a] >= 0)
         heads.append(i)
-        tails.append(j[i])
+        tails.append(ups[i, a])
     i = np.concatenate(heads)
     axis_ends = tuple(np.cumsum([h.size for h in heads]).tolist())
     arrays = (i, np.concatenate(tails), scaled[i])
     for arr in arrays:
         arr.setflags(write=False)
-    return EdgeStencil(n, *arrays, axis_ends)
+    return EdgeStencil(len(cells), *arrays, axis_ends)
 
 
 def floor_operator(

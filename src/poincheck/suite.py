@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, make_suite
+from .grid import Grid, GridFunction, full_cells, make_suite
 from .sharp import member_eigenvector
 
 __all__ = ["SuiteSpec", "build_suite", "canonical_bump", "smooth_random_field"]
@@ -50,13 +50,13 @@ def _bump(grid: Grid, rng) -> np.ndarray:
     return np.exp(-sq / sigma**2)
 
 
-def smooth_random_field(grid: Grid, rng, passes: int = 3) -> np.ndarray:
-    """White noise tamed by neighbor averaging (rough but grid-resolved)."""
+def smooth_random_field(grid: Grid, rng) -> np.ndarray:
+    """White noise tamed by three neighbor-averaging passes (rough but grid-resolved)."""
     vals = rng.standard_normal(grid.cell_count)
-    for _ in range(passes):
+    for _ in range(3):
         acc = vals.copy()
         count = np.ones(grid.cell_count)
-        for nbrs in (grid.neighbors_up, grid.neighbors_down):
+        for nbrs in full_cells(grid).neighbors:  # positions of the full set are cells
             for a in range(grid.d):
                 nb = nbrs[:, a]
                 ok = nb >= 0

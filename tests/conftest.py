@@ -205,16 +205,34 @@ def subgrid_pair_mass(u, cells, p, s):
     return 2.0 * grid.h**a / (a * (a + 1.0)) * local_energy(u, cells, p)
 
 
+def lattice_neighbors(grid, cells):
+    """``CellSet.neighbors`` written independently, as nested lists: a dict
+    from each set cell's lattice coordinates to its set position, looked up
+    one step up and one step down each axis, -1 where the lookup misses."""
+    position = {tuple(grid.lattice[i].tolist()): k for k, i in enumerate(cells.indices.tolist())}
+    up, down = [], []
+    for coords in position:
+        for table, step in ((up, 1), (down, -1)):
+            row = []
+            for a in range(grid.d):
+                moved = list(coords)
+                moved[a] += step
+                row.append(position.get(tuple(moved), -1))
+            table.append(row)
+    return up, down
+
+
 def naive_local_energy(u, cells, p, weight=None):
     """Per-cell forward differences, written as plainly as possible."""
     grid = u.grid
-    members = set(int(i) for i in cells.indices)
+    up = lattice_neighbors(grid, cells)[0]
     terms = []
-    for i in members:
+    for k, i in enumerate(cells.indices.tolist()):
         sq = 0.0
         for a in range(grid.d):
-            nb = int(grid.neighbors_up[i, a])
-            if nb >= 0 and nb in members:
+            j = up[k][a]
+            if j >= 0:
+                nb = int(cells.indices[j])
                 sq += ((float(u.values[nb]) - float(u.values[i])) / grid.h) ** 2
         w = 1.0 if weight is None else eval_weight(weight, float(grid.norms[i]))
         terms.append(sq ** (p / 2.0) * w * grid.cell_measure)
@@ -326,18 +344,13 @@ def add_at_local_matrix(grid, cells, weight=UNIT_WEIGHT):
     """The dense local gradient matrix at p = 2 as it was assembled before
     the edge list: per axis, four ``np.add.at`` over the neighbor pairs."""
     n = len(cells)
-    idx = cells.indices
-    phi = eval_weight(weight, grid.norms[idx])
+    phi = eval_weight(weight, grid.norms[cells.indices])
+    up = np.array(lattice_neighbors(grid, cells)[0], dtype=np.int64).reshape(n, grid.d)
     A = np.zeros((n, n))
-    local_of = -np.ones(grid.cell_count, dtype=np.int64)
-    local_of[idx] = np.arange(n)
-    mask = cells.mask()
     coef_scale = grid.h ** (grid.d - 2)
     for a in range(grid.d):
-        nb = grid.neighbors_up[idx, a]
-        ok = (nb >= 0) & mask[np.clip(nb, 0, None)]
-        i_loc = np.flatnonzero(ok)
-        j_loc = local_of[nb[ok]]
+        i_loc = np.flatnonzero(up[:, a] >= 0)
+        j_loc = up[i_loc, a]
         coef = phi[i_loc] * coef_scale
         np.add.at(A, (i_loc, i_loc), coef)
         np.add.at(A, (j_loc, j_loc), coef)

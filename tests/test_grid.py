@@ -19,7 +19,7 @@ from poincheck.weights import (
     profile_from_json,
     truncate_profile,
 )
-from conftest import deviation_about, random_step_profile
+from conftest import deviation_about, lattice_neighbors, random_step_profile
 
 
 def test_build_grid_1d():
@@ -46,8 +46,33 @@ def test_build_grid_rejects_bad_input():
 
 def test_neighbors_structure():
     g = build_grid(1, 4)
-    assert list(g.neighbors_up[:, 0]) == [1, 2, 3, -1]
-    assert list(g.neighbors_down[:, 0]) == [-1, 0, 1, 2]
+    up, down = full_cells(g).neighbors
+    assert list(up[:, 0]) == [1, 2, 3, -1]
+    assert list(down[:, 0]) == [-1, 0, 1, 2]
+    # Set positions, not cells: the ball of radius 1/2 holds cells 1 and 2.
+    up, down = ball_cells(g, 0.5).neighbors
+    assert list(up[:, 0]) == [1, -1]
+    assert list(down[:, 0]) == [-1, 0]
+    assert all(table.shape == (0, 1) for table in ball_cells(g, 0.25).neighbors)
+
+
+@pytest.mark.parametrize("d,N", [(1, 8), (1, 32), (1, 64), (2, 8), (2, 16), (2, 32)])
+def test_cell_set_neighbors_match_the_lattice(d, N):
+    g = build_grid(d, N)
+    for t in (1.0, 0.55, 0.75):
+        cells = ball_cells(g, t)
+        up, down = cells.neighbors
+        assert cells.neighbors is cells.neighbors
+        want_up, want_down = lattice_neighbors(g, cells)
+        for got, want in ((up, want_up), (down, want_down)):
+            assert got.shape == (len(cells), d) and got.dtype == np.int64
+            assert got.tolist() == want
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0, 0] = 0
+        k, a = np.nonzero(down >= 0)
+        assert np.array_equal(up[down[k, a], a], k)
+        assert np.count_nonzero(up >= 0) == k.size
 
 
 def test_ball_cells():
