@@ -160,7 +160,8 @@ def local_energy_rows(
     own = np.where(at == k, bumped[k], vals[at])
     near_up = ups[at]
     up = np.where(near_up == k[..., None], bumped[k][..., None], vals[near_up])
-    energy[idx] = ksum_replaced(base, at, terms(own, up, at)) * grid.cell_measure
+    of = np.zeros(idx.size, dtype=np.int64)
+    energy[idx] = ksum_replaced(base[None, :], of, at, terms(own, up, at)) * grid.cell_measure
     return energy
 
 

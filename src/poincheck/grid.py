@@ -47,7 +47,8 @@ class Grid:
     :func:`poincheck.sharp.pencil_eigen` and
     :func:`poincheck.sharp.member_eigenvector` run on the grid's cell sets,
     and ``_weights`` the cell weights of :func:`cell_weights`, both keyed
-    by the set itself.
+    by the set itself; ``_layouts`` holds the padded sets of
+    :func:`deviation_p_rows`, keyed by the sets and profile.
     """
 
     d: int
@@ -59,6 +60,7 @@ class Grid:
     _eigen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def cell_count(self) -> int:
@@ -332,57 +334,101 @@ def deviation_p(
 
 def deviation_p_rows(
     values,
-    cells: CellSet,
+    cells,
     p: float,
     profile: RadialProfile = UNIT_WEIGHT,
 ) -> np.ndarray:
     """:func:`deviation_p` of each row of a (k, cell_count) value matrix
-    or of :class:`Probes`.
+    or of :class:`Probes`, over a :class:`CellSet` or each of a sequence
+    of T sets of one grid.
 
     Entry r is exactly ``deviation_p`` of the function with values
     ``values[r]``: the same elementwise terms, each row summed exactly
-    rounded.  Returns k floats.
+    rounded.  Returns k floats for a set, and for a sequence a (T, k)
+    array whose row t holds set t's.  A set is the case T = 1: the sets'
+    terms lie side by side, padded to the largest set with ``-0.0``,
+    which leaves every sum as it is.
 
-    Probes are not formed.  A probe outside the cell set has the base's
+    Probes are not formed.  A probe outside a set has the base's
     restricted row, so it gets the base's float.  Inside it, the row's
-    weighted sum is the base's exact sum with one entry replaced
-    (:func:`~poincheck.numerics.ksum_replaced`), which gives its center;
-    the terms about each probe's center are then formed in row blocks of
-    about 2^16 terms, with the same float operations, and each block is
-    summed by :func:`~poincheck.numerics.ksum_rows`.
+    weighted sum is the base's exact sum with one entry replaced, which
+    gives the probe's center.  The terms about each distinct center of a
+    set are formed once, as one row, in blocks of about 2^16 terms; a
+    probe's float is the exact sum of its center's row with its own term
+    replaced by its bumped one, formed with the same float operations
+    (:func:`~poincheck.numerics.ksum_replaced`).
     """
-    if len(cells) == 0:
+    sets = (cells,) if isinstance(cells, CellSet) else tuple(cells)
+    if not all(sets):
         raise ValueError("cannot take deviation over an empty cell set")
     if p < 1.0:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    grid = cells.grid
-    idx = cells.indices
+    grid = sets[0].grid
     rows = value_rows(values, grid)
-    w, den = cell_weights(cells, profile)
-    if den <= 0.0:
-        raise ValueError("weight vanishes on every cell of the set")
-    if isinstance(rows, Probes):
-        base = rows.values.take(idx)
-        bumped = rows.bumped.take(idx)
-        m = idx.size
-        # Row r < m is the probe of cell idx[r]; a last row, the base's,
-        # serves the probes outside the set (position -1 bumps nothing).
-        at = np.arange(m + (m < len(rows)))
-        at[m:] = -1
-        c = ksum_replaced(base * w, at[:, None], (bumped * w).take(at)[:, None]) / den
-        dev = np.empty(at.size)
-        step = max(1, BLOCK_ELEMENTS // m)
-        for lo in range(0, at.size, step):
-            hi = min(at.size, lo + step)
-            terms = np.abs(base - c[lo:hi, None]) ** p * w
-            own = at[lo:hi][at[lo:hi] >= 0]
-            terms[own - lo, own] = np.abs(bumped[own] - c[own]) ** p * w[own]
-            dev[lo:hi] = ksum_rows(terms)
-        dev *= grid.cell_measure
-        out = np.full(len(rows), dev[-1])  # the base's, where it is needed
-        out[idx] = dev[:m]
-        return out
-    vals = rows.take(idx, axis=1)
-    c = (ksum_rows(vals * w) / den)[:, None]
-    return ksum_rows(np.abs(vals - c) ** p * w) * grid.cell_measure
+    idx, w, den, pad = _layout(sets, profile)
+    T, M = idx.shape
 
+    def laid(terms, of=slice(None)):  # -0.0 where sets ``of`` are padded
+        return terms if pad is None else np.where(pad[of], -0.0, terms)
+
+    if not isinstance(rows, Probes):
+        vals = rows.take(idx, axis=1)  # (k, T, M)
+        c = ksum_rows(laid(vals * w).reshape(-1, M)).reshape(-1, T, 1) / den[:, None]
+        terms = laid(np.abs(vals - c) ** p * w).reshape(-1, M)
+        out = ksum_rows(terms).reshape(-1, T).T * grid.cell_measure
+    else:
+        # Variant v is of set t[v] at its position j[v]: first the bases
+        # (j = -1) of the sets that leave cells out, then a probe per cell
+        # of each set.
+        inner = np.ones(idx.shape, dtype=bool) if pad is None else ~pad
+        part = np.flatnonzero(inner.sum(axis=1) < len(rows))
+        t, j = np.nonzero(inner)
+        t, j = np.concatenate([part, t]), np.concatenate([np.full(part.size, -1), j])
+        at, cell, wt, B = j[:, None], idx[t, j], w[t, j], part.size
+        base, bumped = rows.values[idx], rows.bumped[cell]
+        c = ksum_replaced(laid(base * w), t, at, (bumped * wt)[:, None]) / den[t]
+        order = np.lexsort((c, t))  # the variants by set and center
+        ts, cs = t[order], c[order]
+        first = np.concatenate(([True], (ts[1:] != ts[:-1]) | (cs[1:] != cs[:-1])))
+        group, row_t, row_c = np.cumsum(first) - 1, ts[first], cs[first]
+        new = (np.abs(bumped - c) ** p * wt)[:, None]
+        dev = np.empty(c.size)
+        step = max(1, BLOCK_ELEMENTS // M)
+        for lo in range(0, row_t.size, step):
+            of = row_t[lo : lo + step]
+            terms = laid(np.abs(base[of] - row_c[lo : lo + step, None]) ** p * w[of], of)
+            a, b = np.searchsorted(group, (lo, lo + step))
+            v = order[a:b]
+            dev[v] = ksum_replaced(terms, group[a:b] - lo, at[v], new[v])
+        dev *= grid.cell_measure
+        out = np.empty((T, len(rows)))
+        out[t[:B]] = dev[:B, None]  # the base's float, for the probes outside
+        out[t[B:], cell[B:]] = dev[B:]
+    return out[0] if isinstance(cells, CellSet) else out
+
+
+def _layout(sets: tuple, profile: RadialProfile):
+    """The sets of :func:`deviation_p_rows` side by side: cells ``idx``,
+    weights ``w`` and weight sums ``den``, each row padded to the largest
+    set (cell 0, weight 0) where ``pad`` is set.  One set's arrays are its
+    own, with no padding (``pad`` None); several sets' are memoized per
+    grid."""
+    weights = [cell_weights(s, profile) for s in sets]
+    if any(den <= 0.0 for _, den in weights):
+        raise ValueError("weight vanishes on every cell of the set")
+    if len(sets) == 1:
+        (w, den), = weights
+        return sets[0].indices[None, :], w[None, :], np.array([den]), None
+    grid = sets[0].grid
+    found = grid._layouts.get((sets, profile))
+    if found is None:
+        if any(s.grid is not grid for s in sets):
+            raise ValueError("cell sets must share one grid")
+        sizes = np.array([len(s) for s in sets])
+        pad = np.arange(sizes.max()) >= sizes[:, None]
+        idx, w = np.zeros(pad.shape, dtype=np.int64), np.zeros(pad.shape)
+        idx[~pad] = np.concatenate([s.indices for s in sets])
+        w[~pad] = np.concatenate([ws for ws, _ in weights])
+        den = np.array([den for _, den in weights])
+        found = grid._layouts[(sets, profile)] = (idx, w, den, pad)
+    return found

@@ -81,13 +81,14 @@ Why each accumulator is exact:
   ``fsum`` is the exactly rounded row sum: ``math.fsum`` of the full row,
   bit for bit.
 
-One row with a few entries replaced, k times over (the finite-difference
-probes of a ratio ascent), is summed by :func:`ksum_replaced` without
-forming the k variants.  The row's exact sum is held as the few floats
-that ``fsum`` peels off it: the sum, then the sum of the row less that,
-and so on to zero.  Each variant's exactly rounded sum is then one
-``fsum`` of those parts, its old entries negated and its new ones: O(k)
-in place of O(k n).
+Variants of a few rows, each one row with a few entries replaced (the
+finite-difference probes of a ratio ascent), are summed by
+:func:`ksum_replaced` without forming them.  A row of more than two
+variants has its exact sum held as the few floats that ``fsum`` peels off
+it: the sum, then the sum of the row less that, and so on to zero; a row
+of fewer is its own parts, as peeling costs two or three sums of it.  A
+variant's exactly rounded sum is then one ``fsum`` of its row's parts,
+its old entries negated and its new ones.
 
 The pair energies of a suite's k functions are formed together, so a
 strip can carry a function axis: shape (k, rows, columns), the same rows
@@ -129,7 +130,7 @@ import numpy as np
 __all__ = ["ksum", "ksum_rows", "ksum_replaced", "SymmetricRowSums"]
 
 # Terms per block wherever terms are formed in blocks: the strips of a
-# pair energy (``forms``), the row blocks of deviation probes (``grid``)
+# pair energy (``forms``), the center rows of deviation probes (``grid``)
 # and of ``pair_coefficient_matrix``, so that a block and the temporaries
 # formed beside it stay in one core's L2 cache.  A pair-energy strip takes
 # the rows from ``start`` on against the columns from ``start`` on, as far
@@ -203,32 +204,32 @@ def ksum_rows(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def ksum_replaced(row: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Exactly rounded sums of k variants of one row, as k floats.
+def ksum_replaced(rows: np.ndarray, of: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Exactly rounded sums of k variants of the rows of a (j, n) array.
 
-    Variant r is the 1-d ``row`` with each entry ``row[at[r, s]]`` replaced
-    by ``new[r, s]``; ``at`` and ``new`` are (k, s) arrays, the positions
-    of one variant are distinct, and a position of -1 replaces nothing.
-    Entry r is ``math.fsum`` of variant r, bit for bit, with the same
-    exceptions, in O(k s) once the exact sum of ``row`` is held as a few
-    floats (see ``_exact_parts``): one ``fsum`` of those, the variant's old
-    entries negated and its new ones, is the variant's exactly rounded
-    sum.  A variant is summed in full instead
-    when an entry of it is not finite or of magnitude ``2^900`` or more,
-    since ``fsum`` raises on ``inf - inf``, or when its sum is zero, whose
-    sign is ``fsum``'s to choose from the variant's own entries.
+    Variant r is row ``rows[of[r]]`` with each entry at ``at[r, s]``
+    replaced by ``new[r, s]``; ``at`` and ``new`` are (k, s) arrays, the
+    positions of one variant are distinct, and a position of -1 replaces
+    nothing.  Entry r is ``math.fsum`` of variant r, bit for bit, with the
+    same exceptions: one ``fsum`` of its row's parts (see the module
+    docstring), the variant's old entries negated and its new ones.  A
+    variant is summed in full instead when an entry of it is not finite or
+    of magnitude ``2^900`` or more, since ``fsum`` raises on ``inf - inf``,
+    or when its sum is zero, whose sign is ``fsum``'s to choose from the
+    variant's own entries.
     """
     used = at >= 0
-    old = np.where(used, row[at], 0.0)
+    old = np.where(used, rows[of[:, None], at], 0.0)
     new = np.where(used, new, 0.0)
     out = np.zeros(len(at))
-    if np.abs(row).max() < _KERNEL_MAX_ABS:  # False at nan
-        parts = _exact_parts(row)
-        quick = np.flatnonzero((np.abs(new) < _KERNEL_MAX_ABS).all(axis=1))
-        changes = np.concatenate([new[quick], -old[quick]], axis=1).tolist()
-        out[quick] = [math.fsum(parts + change) for change in changes]
+    fit = np.abs(rows).max(axis=1) < _KERNEL_MAX_ABS  # False at nan
+    peel = (fit & (np.bincount(of, minlength=len(rows)) > 2)).tolist()
+    parts = [_exact_parts(row) if many else row.tolist() for row, many in zip(rows, peel)]
+    quick = np.flatnonzero(fit[of] & (np.abs(new) < _KERNEL_MAX_ABS).all(axis=1))
+    changes = np.concatenate([new[quick], -old[quick]], axis=1).tolist()
+    out[quick] = [math.fsum(parts[j] + change) for j, change in zip(of[quick].tolist(), changes)]
     for r in np.flatnonzero(out == 0.0):
-        variant = row.copy()
+        variant = rows[of[r]].copy()
         variant[at[r, used[r]]] = new[r, used[r]]
         out[r] = math.fsum(variant.tolist())
     return out

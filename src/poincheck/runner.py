@@ -363,16 +363,17 @@ def _sharp_row(target, method, eigenvalue, empirical, paper, residual=None):
 def _ascent_functionals(grid, profile, p):
     """Row functionals of the two ascent targets: the weighted deviation
     (lhs), the transfer rhs ``sum_t w_t * deviation_p(u, B_t, p)`` over the
-    layer-cake atoms, and the weighted gradient energy (rhs)."""
+    layer-cake atoms, whose balls take one ``deviation_p_rows`` call, and
+    the weighted gradient energy (rhs)."""
     whole = full_cells(grid)
-    atoms = [(ball_cells(grid, t), w) for t, w in layer_cake(profile).atoms]
+    balls = [ball_cells(grid, t) for t, _ in layer_cake(profile).atoms]
+    masses = np.array([[w] for _, w in layer_cake(profile).atoms])
 
     def lhs(values):
         return deviation_p_rows(values, whole, p, profile=profile)
 
     def transfer_rhs(values):
-        terms = np.array([w * deviation_p_rows(values, cells, p) for cells, w in atoms])
-        return ksum_rows(terms.T)
+        return ksum_rows((masses * deviation_p_rows(values, balls, p)).T)
 
     def gradient_rhs(values):
         return local_energy_rows(values, whole, p, weight=profile)

@@ -155,14 +155,13 @@ class NestedRankOne:
     depth: np.ndarray
     diag: np.ndarray
     coef: np.ndarray
-    set_diag: np.ndarray
 
     @classmethod
     def from_sets(cls, depth: np.ndarray, set_diag, coef) -> NestedRankOne:
         """The form whose ``diag[i]`` sums ``set_diag[t-1]`` over the sets
         ``S_t`` that hold cell i."""
         diag = np.concatenate(([0.0], np.cumsum(set_diag)))[depth]
-        arrays = (depth, diag, np.asarray(coef, dtype=float), np.asarray(set_diag, dtype=float))
+        arrays = (depth, diag, np.asarray(coef, dtype=float))
         for arr in arrays:
             arr.setflags(write=False)
         return cls(*arrays)
@@ -938,8 +937,10 @@ def ratio_ascent(
     contributes a zero entry.  The n probes of a step, ``u + delta e_i``,
     go to each functional in one call as ``Probes(u, delta)``, which
     ``deviation_p_rows`` and ``local_energy_rows`` evaluate without forming
-    them.  Those two give every row the float it gives alone, so every
-    ratio, iterate and the result are bit-identical to one call per probe.
+    them (recentered, a probe moves its center only by its rounded bump,
+    so the deviation's probes share few centers, each formed once).  Those
+    two give every row the float it gives alone, so every ratio, iterate
+    and the result are bit-identical to one call per probe.
     The update moves along the normalized gradient, and each iterate is
     re-centered to mean zero against ``weight`` (``UNIT_WEIGHT``, the
     plain mean, by default) and rescaled to unit norm; the ratio is

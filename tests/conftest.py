@@ -169,14 +169,15 @@ def per_atom_transfer_matrix(grid, profile):
     return A
 
 
-def set_by_set_dense(operator):
-    """The dense form of a ``NestedRankOne`` as ``dense()`` accumulated it
-    before its per-depth tables: set by set, innermost first."""
+def set_by_set_dense(operator, set_diag):
+    """The dense form of a ``NestedRankOne`` made by ``from_sets`` with
+    these set diagonals, as ``dense()`` accumulated it before its per-depth
+    tables: set by set, innermost first."""
     A = np.zeros(operator.shape)
     for t in range(operator.coef.size, 0, -1):
         S = np.flatnonzero(operator.depth >= t)
         A[np.ix_(S, S)] -= operator.coef[t - 1]
-        A[S, S] += operator.set_diag[t - 1]
+        A[S, S] += set_diag[t - 1]
     return A
 
 

@@ -22,7 +22,7 @@ from poincheck.forms import (
     transfer_constant,
     weighted_gradient_constant,
 )
-from poincheck.numerics import SymmetricRowSums
+from poincheck.numerics import SymmetricRowSums, ksum
 from poincheck import grid as grid_module
 from poincheck.grid import (
     GridFunction,
@@ -31,10 +31,11 @@ from poincheck.grid import (
     build_grid,
     deviation_p,
     deviation_p_rows,
+    cell_weights,
     full_cells,
     make_suite,
 )
-from poincheck.weights import UNIT_WEIGHT, make_step_profile, profile_from_json
+from poincheck.weights import UNIT_WEIGHT, layer_cake, make_step_profile, profile_from_json
 from conftest import (
     centre_difference_kernel_energy,
     centre_difference_pair_matrix,
@@ -705,7 +706,9 @@ def test_suite_energies_and_deviations_equal_lone_calls(grid_key, t, kernel, p, 
             assert deviation_p(u, cells, p, weight).hex() == deviation_p(lone, cells, p, weight).hex()
 
 
-_PROBE_GRIDS = {(d, N): build_grid(d, N) for d, N in ((1, 16), (1, 32), (2, 8), (2, 16))}
+_PROBE_GRIDS = {
+    (d, N): build_grid(d, N) for d, N in ((1, 16), (1, 32), (2, 8), (2, 16), (2, 32))
+}
 _PROBE_WEIGHTS = (
     UNIT_WEIGHT,
     make_step_profile([0.75], [2.0, 1.0]),
@@ -721,13 +724,37 @@ def _rows_outcome(functional, rows, *args):
         return type(exc), str(exc)
 
 
+def _probe_values(g, kind, weight, rng):
+    """Values of one kind on the grid.  "ascent" values are weighted-mean-
+    zero and of unit norm, as ``ratio_ascent`` recenters its iterates, so
+    most of their probes share a center."""
+    n = g.cell_count
+    if kind == "ascent":
+        w, total = cell_weights(full_cells(g), weight)
+        vals = rng.standard_normal(n)
+        vals = vals - ksum(vals * w) / total
+        return vals / np.linalg.norm(vals)
+    scale = {"huge": 2.0**500, "tiny": 2.0**-500, "overflow": 2.0**511}.get(kind, 1.0)
+    return {
+        "constant": lambda: np.full(n, rng.standard_normal()),
+        "zero": lambda: np.zeros(n),
+    }.get(kind, lambda: rng.standard_normal(n) * scale)()
+
+
+def _probes_of(values, step=1.0):
+    """The ascent's probes of ``values``, scaled by ``step``."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(values)  # inf for "overflow" in 1-d
+    return Probes(values, step * (1e-6 * norm if norm > 0.0 else 1e-6))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     grid_key=st.sampled_from(sorted(_PROBE_GRIDS)),
     t=st.sampled_from((1.0, 0.75, 0.5)),
     p=st.sampled_from((1.0, 1.5, 2.0, 3.0)),
     weight=st.sampled_from(_PROBE_WEIGHTS),
-    kind=st.sampled_from(("random", "constant", "zero", "huge", "tiny", "overflow")),
+    kind=st.sampled_from(("random", "ascent", "constant", "zero", "huge", "tiny", "overflow")),
     step=st.sampled_from((1.0, 1e6, 1e-12)),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -736,22 +763,13 @@ def test_probe_forms_equal_formed_rows(grid_key, t, p, weight, kind, step, seed)
     # them; each float must be the one the formed rows give, bit for bit,
     # or both must raise alike.  Balls below t = 1 leave probes outside the
     # set.  A constant row has zero energy, a step of 1e-12 of the ascent's
-    # delta leaves it so, and "overflow" terms reach inf at p >= 2.
+    # delta leaves it so, and "overflow" terms reach inf at p >= 2.  The
+    # 2-d N = 32 grid has the 812 cells of the 2-d workloads.
     g = _PROBE_GRIDS[grid_key]
-    rng = np.random.default_rng(seed)
-    n = g.cell_count
-    values = {
-        "random": lambda: rng.standard_normal(n),
-        "constant": lambda: np.full(n, rng.standard_normal()),
-        "zero": lambda: np.zeros(n),
-        "huge": lambda: rng.standard_normal(n) * 2.0**500,
-        "tiny": lambda: rng.standard_normal(n) * 2.0**-500,
-        "overflow": lambda: rng.standard_normal(n) * 2.0**511,
-    }[kind]()
+    values = _probe_values(g, kind, weight, np.random.default_rng(seed))
     cells = full_cells(g) if t == 1.0 else ball_cells(g, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(values)  # inf for "overflow" in 1-d
-        probes = Probes(values, step * (1e-6 * norm if norm > 0.0 else 1e-6))
+        probes = _probes_of(values, step)
         rows = formed_rows(probes)
         for functional, args in (
             (deviation_p_rows, (cells, p, weight)),
@@ -759,6 +777,59 @@ def test_probe_forms_equal_formed_rows(grid_key, t, p, weight, kind, step, seed)
         ):
             want = _rows_outcome(functional, rows, *args)
             assert _rows_outcome(functional, probes, *args) == want
+
+
+@pytest.mark.parametrize("kind", ["ascent", "random", "overflow"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "d,weight",
+    [(1, _PROBE_WEIGHTS[2]), (2, _PROBE_WEIGHTS[1])],
+    ids=["1d-power", "2d-step"],
+)
+def test_deviation_rows_of_many_sets_equal_one_call_per_set(d, weight, p, kind):
+    # The transfer rhs takes the balls of all layer-cake atoms in one call:
+    # the 8 of the demo's power profile (16 samples, 8 of them past 1/2) on
+    # 1-d N = 32, the 2 of the step profile on 2-d N = 32.  Row t must be
+    # the floats of the call on ball t alone, bit for bit, for probes
+    # (outside every ball but the last) and formed rows; where one call per
+    # set raises, so does the one call, alike.
+    g = build_grid(d, 32)
+    balls = [ball_cells(g, t) for t, _ in layer_cake(weight).atoms]
+    assert len(balls) == (8 if d == 1 else 2)
+    assert all(len(b) < g.cell_count for b in balls[:-1])
+    values = _probe_values(g, kind, weight, np.random.default_rng(d * 10 + int(2 * p)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        probes = _probes_of(values)
+        for rows in (probes, formed_rows(probes)[:: 8 * d - 7]):
+            each = [_rows_outcome(deviation_p_rows, rows, b, p) for b in balls]
+            raised = [e for e in each if isinstance(e, tuple)]
+            want = raised[0] if raised else b"".join(each)
+            assert _rows_outcome(deviation_p_rows, rows, balls, p) == want
+
+
+def test_probe_deviations_form_one_row_per_distinct_center(monkeypatch):
+    # The probes of an ascent iterate share few centers, and the terms about
+    # each distinct center are formed once: on the 812 cells of the 2-d
+    # N = 32 ball at p = 1, a probe call hands the sums the m terms of the
+    # centers' row and m per distinct center, where a row per probe would
+    # hand them m more per probe.
+    g = build_grid(2, 32)
+    weight = _PROBE_WEIGHTS[1]
+    cells, m = full_cells(g), g.cell_count
+    probes = _probes_of(_probe_values(g, "ascent", weight, np.random.default_rng(5)))
+    w, total = cell_weights(cells, weight)
+    centers = np.unique(numerics.ksum_rows(formed_rows(probes) * w) / total)
+    assert centers.size < 40
+    summed = []
+    for name in ("ksum_rows", "ksum_replaced"):
+
+        def counted(rows, *args, _sum=getattr(grid_module, name)):
+            summed.append(np.size(rows))
+            return _sum(rows, *args)
+
+        monkeypatch.setattr(grid_module, name, counted)
+    deviation_p_rows(probes, cells, 1.0, weight)
+    assert sum(summed) - m == centers.size * m
 
 
 def test_probes_form_the_bumped_rows():

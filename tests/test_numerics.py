@@ -146,24 +146,26 @@ _REPLACEMENTS = (0.0, -0.0, 1.0, -1e-300, 5e-324, 2.0**899, 2.0**900, -1.7e308, 
 @given(
     style=st.sampled_from(_STYLES + ("special",)),
     n=st.sampled_from([n for n in _LENGTHS if n > 0]),
+    j=st.integers(1, 3),
     k=st.integers(0, 12),
     s=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(style="wide", n=256, k=6, s=2, seed=1)
-@example(style="cancel", n=812, k=5, s=3, seed=2)
-@example(style="subnormal", n=1025, k=4, s=1, seed=3)
-@example(style="special", n=4097, k=7, s=2, seed=4)
-def test_ksum_replaced_equals_fsum_of_each_variant(style, n, k, s, seed):
-    # Variants of a row with up to s entries replaced, some by values that
+@example(style="wide", n=256, j=1, k=6, s=2, seed=1)
+@example(style="cancel", n=812, j=2, k=5, s=3, seed=2)
+@example(style="subnormal", n=1025, j=3, k=4, s=1, seed=3)
+@example(style="special", n=4097, j=2, k=7, s=2, seed=4)
+def test_ksum_replaced_equals_fsum_of_each_variant(style, n, j, k, s, seed):
+    # Variants of j rows with up to s entries replaced, some by values that
     # overflow, cancel or are not finite: each sum is fsum of the variant,
     # bit for bit, or fsum's exception.  The examples are rows of 256
     # entries and more, as long as the 812-cell rows of a 2-d ascent.
     rng = np.random.default_rng(seed)
     if style == "special":
-        row = rng.choice(_REPLACEMENTS, n)
+        rows = rng.choice(_REPLACEMENTS, (j, n))
     else:
-        row = _row(style, -30.0, 30.0, n, rng)
+        rows = np.array([_row(style, -30.0, 30.0, n, rng) for _ in range(j)])
+    of = rng.integers(0, j, k)
     at = np.full((k, s), -1, dtype=np.int64)
     for r in range(k):
         picks = rng.permutation(n)[:s]
@@ -175,17 +177,17 @@ def test_ksum_replaced_equals_fsum_of_each_variant(style, n, k, s, seed):
     )
     if k and style == "cancel":
         at[0] = -1  # the row itself, whose sum is zero at even n
-    variants = np.tile(row, (k, 1))
+    variants = rows[of].reshape(k, n)
     for r in range(k):
         used = at[r] >= 0
         variants[r, at[r, used]] = new[r, used]
     want = _fsum_rows(variants)
     if isinstance(want, Exception):
         with pytest.raises(type(want)) as info:
-            ksum_replaced(row, at, new)
+            ksum_replaced(rows, of, at, new)
         assert str(info.value) == str(want)
         return
-    assert ksum_replaced(row, at, new).tobytes() == want.tobytes()
+    assert ksum_replaced(rows, of, at, new).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2**j + e for j in (3, 8, 11, 13) for e in (-1, 0, 1)])

@@ -360,7 +360,7 @@ def test_nested_eigensolve_agrees_with_lapack_oracle(N):
             assert abs(lam - spectrum[1]) <= 1e-14 * spectrum[-1]
 
 
-def _prefix_sum_bound(operator):
+def _prefix_sum_bound(operator, set_diag):
     """Entrywise bound on ``dense()`` minus the set-by-set accumulation.
 
     An entry in the sets up to depth m is a sum of the same m (off the
@@ -371,7 +371,7 @@ def _prefix_sum_bound(operator):
     at most 3m u times the sum of ``|coef|`` and ``|set_diag|`` over the
     first m sets; 4m u leaves room for the rounding of that sum itself.
     """
-    sizes = np.abs(operator.coef) + np.abs(operator.set_diag)
+    sizes = np.abs(operator.coef) + np.abs(set_diag)
     magnitude = np.concatenate(([0.0], np.cumsum(sizes)))
     m = np.minimum.outer(operator.depth, operator.depth)
     np.fill_diagonal(m, operator.depth)
@@ -382,23 +382,29 @@ def test_nested_dense_is_the_set_by_set_accumulation(rng):
     # The prefix-sum gather agrees with the set-by-set matrix within the
     # rounding of the two orders of summation: on the builders' forms at
     # every grid size of the configs, and on nested sets with arbitrary
-    # coefficients, empty sets and cells in none of them.
-    def check(operator):
-        got, want = operator.dense(), set_by_set_dense(operator)
-        assert np.all(np.abs(got - want) <= _prefix_sum_bound(operator))
+    # coefficients, empty sets and cells in none of them.  The set
+    # diagonals of floor_operator and assemble_transfer_p2 are formed here
+    # as those functions form them.
+    def check(operator, set_diag):
+        got, want = operator.dense(), set_by_set_dense(operator, set_diag)
+        assert np.all(np.abs(got - want) <= _prefix_sum_bound(operator, set_diag))
 
     for d, N in ((1, 32), (1, 64), (2, 16), (2, 24)):
         g = build_grid(d, N)
         for profile in NESTED_PROFILES:
             for cells in (full_cells(g), ball_cells(g, 0.75)):
-                check(floor_operator(g, cells, profile))
-            check(assemble_transfer_p2(g, profile).energy)
+                floor = floor_operator(g, cells, profile)
+                sizes = np.cumsum(np.bincount(floor.depth, minlength=floor.coef.size + 1)[::-1])
+                check(floor, floor.coef * sizes[::-1][1:])
+            atoms = reversed(layer_cake(profile).atoms)
+            masses = np.array([w * g.cell_measure for _, w in atoms if w != 0.0])
+            check(assemble_transfer_p2(g, profile).energy, masses)
     for _ in range(50):
         sets = int(rng.integers(1, 12))
         depth = rng.integers(0, sets + 1, int(rng.integers(1, 60)))
         set_diag = rng.standard_normal(sets) * 10.0 ** rng.uniform(-8, 8, sets)
         coef = rng.standard_normal(sets) * 10.0 ** rng.uniform(-8, 8, sets)
-        check(NestedRankOne.from_sets(depth, set_diag, coef))
+        check(NestedRankOne.from_sets(depth, set_diag, coef), set_diag)
 
 
 @pytest.mark.parametrize("d,N", [(1, 256), (2, 24), (2, 32)])
