@@ -365,7 +365,6 @@ def kernel_energy(
 
 
 def pair_coefficient_matrix(
-    grid,
     cells: CellSet,
     kernel: KernelSpec,
     weight: RadialProfile = UNIT_WEIGHT,
@@ -380,7 +379,7 @@ def pair_coefficient_matrix(
     otherwise.  The matrix is gathered and scaled in place, in blocks of
     about ``numerics.BLOCK_ELEMENTS`` entries, so no other n x n array is made.
     """
-    idx = cells.indices
+    grid, idx = cells.grid, cells.indices
     table, keys, center = _offset_kernel(grid, kernel, 2.0)
     phi = cell_weights(cells, weight)[0]
     C = np.empty((idx.size, idx.size))

@@ -42,13 +42,12 @@ class Grid:
     from the origin and ``lattice[k]`` its integer lattice coordinates on
     the N^d box; cell sets work out adjacency from them
     (:attr:`CellSet.neighbors`).  Enumeration order is lattice-lexicographic
-    and fixed.  ``_cells`` holds the one set per radius of
-    :func:`ball_cells`; ``_eigen`` memoizes the p = 2 eigensolves that
+    and fixed.  :meth:`memo` keeps what is computed once per grid, each
+    entry under a key that starts with a string naming its owner:
+    :func:`ball_cells`, :func:`cell_weights`, ``_layout``,
     :func:`poincheck.sharp.pencil_eigen` and
-    :func:`poincheck.sharp.member_eigenvector` run on the grid's cell sets,
-    and ``_weights`` the cell weights of :func:`cell_weights`, both keyed
-    by the set itself; ``_layouts`` holds the padded sets of
-    :func:`deviation_p_rows`, keyed by the sets and profile.
+    :func:`poincheck.sharp.member_eigenvector`.  A string, not the
+    function, so that a traced (rebound) function finds the same entries.
     """
 
     d: int
@@ -57,10 +56,16 @@ class Grid:
     centers: np.ndarray
     norms: np.ndarray
     lattice: np.ndarray
-    _eigen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memo(self, key, compute):
+        """The grid's memo entry ``key``; on a miss, ``compute()`` makes it
+        and it is kept as long as the grid.  A ``compute`` that raises
+        keeps nothing."""
+        found = self._memo.get(key)
+        if found is None:
+            found = self._memo[key] = compute()
+        return found
 
     @property
     def cell_count(self) -> int:
@@ -117,16 +122,16 @@ def build_grid(d: int, N: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class CellSet:
-    """Sorted, unique cell indices of one grid.  Position k of the set is
-    its cell ``indices[k]``.  It equals and hashes as itself only
-    (``eq=False``), so a copy is another memo key, and
-    :attr:`neighbors` is computed once per set."""
+    """Sorted, unique cell indices of one grid, kept as a read-only copy.
+    Position k of the set is its cell ``indices[k]``.  It equals and
+    hashes as itself only (``eq=False``), so a copy is another memo key,
+    and :attr:`neighbors` is computed once per set."""
 
     grid: Grid
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.array(self.indices, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError("cell indices must be one-dimensional")
         if idx.size:
@@ -264,10 +269,7 @@ def ball_cells(grid: Grid, t: float) -> CellSet:
     set per grid and radius."""
     if not (0.0 < t <= 1.0):
         raise ValueError(f"ball radius must lie in (0, 1], got {t}")
-    cells = grid._cells.get(t)
-    if cells is None:
-        cells = grid._cells[t] = CellSet(grid, np.flatnonzero(grid.norms < t))
-    return cells
+    return grid.memo(("grid.ball_cells", t), lambda: CellSet(grid, np.flatnonzero(grid.norms < t)))
 
 
 def full_cells(grid: Grid) -> CellSet:
@@ -279,13 +281,13 @@ def full_cells(grid: Grid) -> CellSet:
 def cell_weights(cells: CellSet, profile: RadialProfile) -> tuple[np.ndarray, float]:
     """The profile's level at each cell of the set (read-only) and their
     exactly rounded sum; computed once per grid, cell set and profile."""
-    key = (cells, profile)
-    found = cells.grid._weights.get(key)
-    if found is None:
+
+    def weigh():
         w = eval_weight(profile, cells.grid.norms[cells.indices])
         w.setflags(write=False)
-        found = cells.grid._weights[key] = (w, ksum(w))
-    return found
+        return w, ksum(w)
+
+    return cells.grid.memo(("grid.cell_weights", cells, profile), weigh)
 
 
 def weighted_mean(u: GridFunction, profile: RadialProfile) -> float:
@@ -420,8 +422,8 @@ def _layout(sets: tuple, profile: RadialProfile):
         (w, den), = weights
         return sets[0].indices[None, :], w[None, :], np.array([den]), None
     grid = sets[0].grid
-    found = grid._layouts.get((sets, profile))
-    if found is None:
+
+    def lay():
         if any(s.grid is not grid for s in sets):
             raise ValueError("cell sets must share one grid")
         sizes = np.array([len(s) for s in sets])
@@ -429,6 +431,6 @@ def _layout(sets: tuple, profile: RadialProfile):
         idx, w = np.zeros(pad.shape, dtype=np.int64), np.zeros(pad.shape)
         idx[~pad] = np.concatenate([s.indices for s in sets])
         w[~pad] = np.concatenate([ws for ws, _ in weights])
-        den = np.array([den for _, den in weights])
-        found = grid._layouts[(sets, profile)] = (idx, w, den, pad)
-    return found
+        return idx, w, np.array([den for _, den in weights]), pad
+
+    return grid.memo(("grid._layout", sets, profile), lay)

@@ -1,11 +1,15 @@
 """Deterministic scalar reductions used throughout the package.
 
 Every quantity we report is ultimately a finite sum of floats.  To make
-runs byte-for-byte reproducible (and invariant tolerances meaningful), all
-reductions funnel through :func:`ksum` or :func:`ksum_rows`, which return
-the exactly rounded sum of each row, the same float as ``math.fsum``.
-An exactly rounded sum is unique, so the result does not depend on
-summation order, chunking, or thread count.
+runs byte-for-byte reproducible (and invariant tolerances meaningful),
+every reduction here returns the exactly rounded sum, the same float as
+``math.fsum``: :func:`ksum` of one array, :func:`ksum_rows` of each row
+of a block, :func:`ksum_replaced` of variants of rows and
+:class:`SymmetricRowSums` of the rows of a symmetric matrix.  An exactly
+rounded sum is unique, so the result does not depend on summation order,
+chunking, or thread count.  Each still ends in Python's ``math.fsum``:
+:func:`ksum` is one ``fsum``, :func:`ksum_replaced` runs one per variant,
+and ``_fsum_rows`` one per row, on the chunk sums of the extraction below.
 
 A large block is summed by error-free extraction onto a fixed-point grid
 (Rump, Ogita & Oishi, "Accurate floating-point summation, Part I:

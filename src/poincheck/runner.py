@@ -215,8 +215,7 @@ def _constant(case, energy, profile=None, scale=lambda t: 1.0) -> _Constant:
         lhs, transfer_rhs, gradient_rhs = _ascent_functionals(grid, profile, p)
         rhs = transfer_rhs if energy is None else gradient_rhs
         ratio, _ = ratio_ascent(
-            grid, lhs, rhs, case.suite[0],
-            case.config.ascent_steps, _ASCENT_STEP_SIZE, weight=profile,
+            lhs, rhs, case.suite[0], case.config.ascent_steps, _ASCENT_STEP_SIZE, weight=profile
         )
         return _Constant(ratio, "ascent")
     if np.any(cell_weights(full_cells(grid), profile)[0] <= 0.0):

@@ -249,16 +249,14 @@ class QuadraticFormPair:
         return A.dense() if isinstance(A, _OPERATORS) else A
 
 
-def local_stencil(
-    grid: Grid, cells: CellSet, weight: RadialProfile = UNIT_WEIGHT
-) -> EdgeStencil:
+def local_stencil(cells: CellSet, weight: RadialProfile = UNIT_WEIGHT) -> EdgeStencil:
     """Edge list of the weighted gradient energy at p = 2 over a cell set.
 
     One edge per pair of cells of the set that are lattice neighbors along
     an axis, from :attr:`~poincheck.grid.CellSet.neighbors`, with
     coefficient ``w_i * h^(d-2)`` for its lower cell i.
     """
-    ups = cells.neighbors[0]
+    grid, ups = cells.grid, cells.neighbors[0]
     scaled = cell_weights(cells, weight)[0] * grid.h ** (grid.d - 2)
     heads, tails = [], []
     for a in range(grid.d):
@@ -273,9 +271,7 @@ def local_stencil(
     return EdgeStencil(len(cells), *arrays, axis_ends)
 
 
-def floor_operator(
-    grid: Grid, cells: CellSet, weight: RadialProfile = UNIT_WEIGHT
-) -> NestedRankOne:
+def floor_operator(cells: CellSet, weight: RadialProfile = UNIT_WEIGHT) -> NestedRankOne:
     """The constant-floor pair form at p = 2 (unit kernel) over a cell set.
 
     ``min(w_i, w_j) = sum_l r_l 1[i in S_l] 1[j in S_l]`` over the
@@ -290,12 +286,11 @@ def floor_operator(
     levels = levels[levels > 0.0]
     depth = np.searchsorted(levels, cell_weights(cells, weight)[0], "right")
     sizes = np.cumsum(np.bincount(depth, minlength=levels.size + 1)[::-1])[::-1][1:]
-    coef = 2.0 * grid.cell_measure**2 * np.diff(levels, prepend=0.0)
+    coef = 2.0 * cells.grid.cell_measure**2 * np.diff(levels, prepend=0.0)
     return NestedRankOne.from_sets(depth, coef * sizes, coef)
 
 
 def assemble_p2(
-    grid: Grid,
     cells: CellSet,
     kernel: KernelSpec,
     weight: RadialProfile = UNIT_WEIGHT,
@@ -313,18 +308,18 @@ def assemble_p2(
         raise ValueError("cannot assemble over an empty cell set")
     phi = cell_weights(cells, weight)[0]
     if kernel.kind == KIND_LOCAL:
-        A = local_stencil(grid, cells, weight)
+        A = local_stencil(cells, weight)
     elif kernel.kind == KIND_FLOOR:
-        A = floor_operator(grid, cells, weight)
+        A = floor_operator(cells, weight)
     else:
         # 2 (diag(row sums) - C), built in C's memory: 0 - C keeps +0.0
-        A = pair_coefficient_matrix(grid, cells, kernel, weight)
+        A = pair_coefficient_matrix(cells, kernel, weight)
         row_sums = A.sum(axis=1)
         np.subtract(0.0, A, out=A)
         A *= 2.0
         np.fill_diagonal(A, 2.0 * row_sums)
         A.setflags(write=False)
-    return QuadraticFormPair(A, phi * grid.cell_measure)
+    return QuadraticFormPair(A, phi * cells.grid.cell_measure)
 
 
 def assemble_transfer_p2(grid: Grid, profile: RadialProfile) -> QuadraticFormPair:
@@ -855,20 +850,19 @@ def pencil_eigen(cells: CellSet, kernel: KernelSpec, weight: RadialProfile = UNI
     solved once per grid.
 
     Returns (eigenvalue, read-only eigenvector, trace rows (step,
-    eigenvalue, relative residual)).  The solve is kept on the cells'
-    grid, keyed by the cell set, the kernel and the weight, so it lives
-    as long as that grid does.  A solve that does not converge raises
-    each time and is not kept.
+    eigenvalue, relative residual)).  The solve is kept in the memo of the
+    cells' grid, keyed by the cell set, the kernel and the weight, so it
+    lives as long as that grid does.  A solve that does not converge
+    raises each time and is not kept.
     """
-    grid = cells.grid
-    key = (cells, kernel, weight)
-    solved = grid._eigen.get(key)
-    if solved is None:
+
+    def solve():
         trace = []
-        lam, vec = smallest_nonzero_eigen(assemble_p2(grid, cells, kernel, weight), trace=trace)
+        lam, vec = smallest_nonzero_eigen(assemble_p2(cells, kernel, weight), trace=trace)
         vec.setflags(write=False)
-        solved = grid._eigen[key] = (lam, vec, tuple(trace))
-    return solved
+        return lam, vec, tuple(trace)
+
+    return cells.grid.memo(("sharp.pencil_eigen", cells, kernel, weight), solve)
 
 
 def member_eigenvector(grid: Grid) -> np.ndarray:
@@ -890,13 +884,13 @@ def member_eigenvector(grid: Grid) -> np.ndarray:
     local = KernelSpec(KIND_LOCAL)
     if len(cells) < _ITERATIVE_MIN_CELLS:
         return pencil_eigen(cells, local)[1]
-    key = ("member", cells)
-    vec = grid._eigen.get(key)
-    if vec is None:
-        _, vec = _block_iteration(assemble_p2(grid, cells, local))
+
+    def solve():
+        _, vec = _block_iteration(assemble_p2(cells, local))
         vec.setflags(write=False)
-        grid._eigen[key] = vec
-    return vec
+        return vec
+
+    return grid.memo(("sharp.member_eigenvector", cells), solve)
 
 
 def dense_oracle_eigen(pair: QuadraticFormPair) -> np.ndarray:
@@ -920,7 +914,6 @@ def dense_oracle_eigen(pair: QuadraticFormPair) -> np.ndarray:
 
 
 def ratio_ascent(
-    grid: Grid,
     lhs_functional,
     rhs_functional,
     u0: GridFunction,
@@ -948,8 +941,8 @@ def ratio_ascent(
     ratio is evaluated once and is the base of the next step's
     differences; a restart, taken when an iterate's rhs is ``<= 0``,
     evaluates its new start.  Deterministic given (u0, steps, step_size);
-    returns the best ratio seen and its grid function.  Use as a lower
-    bound on the sharp constant for general p.
+    returns the best ratio seen and its grid function, on ``u0``'s grid.
+    Use as a lower bound on the sharp constant for general p.
     """
 
     def ratios(rows, *entries):
@@ -971,9 +964,9 @@ def ratio_ascent(
     if start is None:
         raise ValueError("rhs functional must be positive at the starting point")
     if steps == 0:
-        return start, GridFunction(grid, vals)
+        return start, GridFunction(u0.grid, vals)
 
-    w, w_total = cell_weights(full_cells(grid), weight)
+    w, w_total = cell_weights(full_cells(u0.grid), weight)
 
     def recenter(vals):
         if not np.all(np.isfinite(vals)):
@@ -1010,7 +1003,7 @@ def ratio_ascent(
         if base is not None and base > best_ratio:
             best_ratio = base
             best_vals = vals.copy()
-    return best_ratio, GridFunction(grid, best_vals)
+    return best_ratio, GridFunction(u0.grid, best_vals)
 
 
 def estimate_gradient_constant(grid: Grid, radii=()) -> float:

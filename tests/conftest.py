@@ -362,5 +362,5 @@ def add_at_local_matrix(grid, cells, weight=UNIT_WEIGHT):
 
 def sharp_constant_p2(grid, kernel, weight=UNIT_WEIGHT):
     """Empirical best constant of the p = 2 inequality on the full ball."""
-    lam, _ = smallest_nonzero_eigen(assemble_p2(grid, full_cells(grid), kernel, weight))
+    lam, _ = smallest_nonzero_eigen(assemble_p2(full_cells(grid), kernel, weight))
     return 1.0 / lam

@@ -155,7 +155,7 @@ def test_criterion_4_sharp_constant_convergence():
     target = 4.0 / math.pi**2
     rel = abs(sharp - target) / target
     g64 = build_grid(1, 64)
-    pair = assemble_p2(g64, full_cells(g64), KernelSpec(KIND_LOCAL))
+    pair = assemble_p2(full_cells(g64), KernelSpec(KIND_LOCAL))
     # 64 cells, under the crossover: the iteration of larger stencils is called directly
     lam_iter, _ = _lanczos(pair)
     lam_dense = dense_oracle_eigen(pair)[1]
@@ -212,7 +212,7 @@ def test_criterion_5_paper_bound_consistency():
                         lam_t, _ = smallest_nonzero_eigen(assemble_transfer_p2(grid, prof))
                         emp_transfer = max(emp_transfer, 1.0 / lam_t)
                         lam_g, _ = smallest_nonzero_eigen(
-                            assemble_p2(grid, full_cells(grid), KernelSpec(KIND_LOCAL), prof)
+                            assemble_p2(full_cells(grid), KernelSpec(KIND_LOCAL), prof)
                         )
                         emp_gradient = max(emp_gradient, 1.0 / lam_g)
                     for name, emp, paper in (
@@ -366,7 +366,7 @@ def test_criterion_8_oracle_equivalence():
                     worst_energy = max(worst_energy, err)
         for spec in (KernelSpec(KIND_FRACTIONAL, s=0.5), KernelSpec(KIND_LOCAL)):
             for weight in (UNIT_WEIGHT, prof):
-                pair = assemble_p2(grid, cells, spec, weight)
+                pair = assemble_p2(cells, spec, weight)
                 for u in us:
                     quad = float(u.values @ (pair.energy @ u.values))
                     if spec.kind == KIND_LOCAL:

@@ -241,7 +241,7 @@ def test_offset_table_equals_centre_differences(rng, d, N):
                     got = kernel_energy(u, cells, spec, p, weight=weight)
                     want = centre_difference_kernel_energy(u, cells, spec, p, oracle_weight)
                     assert got == want
-                got_c = pair_coefficient_matrix(g, cells, spec, weight=weight)
+                got_c = pair_coefficient_matrix(cells, spec, weight=weight)
                 want_c = centre_difference_pair_matrix(g, cells, spec, oracle_weight)
                 assert np.array_equal(got_c, want_c)
 
@@ -261,10 +261,10 @@ def test_pair_matrix_scaled_in_place_keeps_every_bit(d, N):
     for spec in specs:
         for weight in (UNIT_WEIGHT, prof):
             for cells in (full_cells(g), ball_cells(g, 0.6)):
-                got = pair_coefficient_matrix(g, cells, spec, weight=weight)
+                got = pair_coefficient_matrix(cells, spec, weight=weight)
                 want = product_pair_matrix(g, cells, spec, weight)
                 assert got.tobytes() == want.tobytes()
-    truncated = pair_coefficient_matrix(g, full_cells(g), specs[1])
+    truncated = pair_coefficient_matrix(full_cells(g), specs[1])
     assert np.any(truncated[~np.eye(len(truncated), dtype=bool)] == 0.0)
 
 
@@ -526,7 +526,7 @@ def test_offset_geometry_is_computed_once_per_grid(rng):
     for kernel in (KernelSpec(KIND_FRACTIONAL, s=0.5), KernelSpec(KIND_FRACTIONAL, s=0.7, R=2.0)):
         for p in (1.0, 2.0):
             kernel_energy(u, ball_cells(g, 0.6), kernel, p)
-            pair_coefficient_matrix(g, full_cells(g), kernel)
+            pair_coefficient_matrix(full_cells(g), kernel)
             distances, keys, center = vars(g)["offsets"]
             table, got_keys, got_center = forms._offset_kernel(g, kernel, p)
             assert got_keys is keys and got_center == center

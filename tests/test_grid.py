@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from poincheck.grid import (
+    CellSet,
     GridFunction,
     ball_cells,
     build_grid,
     deviation_p,
     deviation_p_rows,
     full_cells,
+    make_suite,
     weighted_mean,
 )
 from poincheck.weights import (
@@ -89,6 +91,37 @@ def test_ball_cells():
         ball_cells(g, 0.0)
     with pytest.raises(ValueError):
         ball_cells(g, 1.5)
+
+
+def test_cell_set_keeps_a_read_only_copy_of_its_indices():
+    g = build_grid(1, 8)
+    idx = np.array([0, 1, 2])
+    cells = CellSet(g, idx)
+    idx[0] = 3  # the caller's array stays writeable, and the set keeps its own
+    assert cells.indices.tolist() == [0, 1, 2]
+    assert not cells.indices.flags.writeable
+
+
+def test_grid_memo_computes_each_key_once_and_keeps_no_failure():
+    g = build_grid(1, 8)
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return object()
+
+    found = g.memo(("test", 1), compute)
+    assert g.memo(("test", 1), compute) is found and len(calls) == 1
+
+    def failing():
+        calls.append(1)
+        raise ArithmeticError("no value")
+
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            g.memo(("test", 2), failing)
+    assert len(calls) == 3
+    assert build_grid(1, 8).memo(("test", 1), compute) is not found
 
 
 def test_mean_examples():
@@ -205,6 +238,8 @@ def test_gridfunction_validation():
         GridFunction(g, np.ones(5))
     with pytest.raises(ValueError):
         GridFunction(g, np.array([1.0, np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="share one grid"):
+        make_suite([GridFunction(g, np.ones(4)), GridFunction(build_grid(1, 4), np.ones(4))])
 
 
 ROW_PROFILES = [
@@ -241,3 +276,5 @@ def test_deviation_rows_validation():
         deviation_p_rows(np.ones(8), full_cells(g), 2.0)
     with pytest.raises(ValueError, match="rows of 8"):
         deviation_p_rows(np.ones((2, 7)), full_cells(g), 2.0)
+    with pytest.raises(ValueError, match="share one grid"):
+        deviation_p_rows(np.ones((2, 8)), [full_cells(g), full_cells(build_grid(1, 8))], 2.0)

@@ -353,7 +353,8 @@ def _symmetric_strips(draw):
     """
     m = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lo, hi = sorted(draw(st.tuples(st.floats(-300.0, 250.0), st.floats(-300.0, 250.0))))
+    bounds = draw(st.tuples(st.floats(-300.0, 250.0), st.floats(-300.0, 250.0)))
+    lo, hi = sorted(x + 0.0 for x in bounds)  # + 0.0: numpy refuses uniform(0.0, -0.0)
     styles = draw(st.lists(st.sampled_from(("wide", "subnormal", "full")), min_size=1, max_size=3))
     upper = np.empty((m, m))
     for i in range(m):

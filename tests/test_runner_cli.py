@@ -232,7 +232,7 @@ def test_constant_branch_matches_its_direct_call(branch):
     def ascent(rhs_of):
         functionals = _ascent_functionals(grid, profile, 1.0)
         return ratio_ascent(
-            grid, functionals[0], rhs_of(functionals), case1.suite[0],
+            functionals[0], rhs_of(functionals), case1.suite[0],
             config.ascent_steps, _ASCENT_STEP_SIZE, weight=profile,
         )[0]
 
@@ -494,7 +494,7 @@ def test_cli_sharp_failed_eigensolves_keep_their_trace_rows(tmp_path, monkeypatc
         # the runner's sharp targets only: the frozen ĉ keeps its solves
         if kernel.kind == KIND_FLOOR:
             return pencil_eigen(cells, kernel, weight)
-        smallest_nonzero_eigen(assemble_p2(cells.grid, cells, kernel, weight), tol=0.0, max_iter=3)
+        smallest_nonzero_eigen(assemble_p2(cells, kernel, weight), tol=0.0, max_iter=3)
         raise AssertionError("a solve held to tol = 0 converged")
 
     code, rows, trace = run(tmp_path / "converged")
@@ -701,7 +701,7 @@ def test_demo_weighs_each_cell_set_once_per_profile(monkeypatch, tmp_path):
         evaluations.clear()
         grids.clear()
         run(config, tmp_path / run.__name__)
-        keys = sum(len(grid._weights) for grid in grids)
+        keys = sum(key[0] == "grid.cell_weights" for grid in grids for key in grid._memo)
         assert keys > 0
         assert len(evaluations) == keys, run.__name__
 

@@ -88,7 +88,7 @@ def test_pair_validation():
 
 def test_assemble_local_path_graph():
     g = build_grid(1, 4)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+    pair = assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL))
     L = np.array(
         [
             [1.0, -1.0, 0.0, 0.0],
@@ -105,7 +105,7 @@ def test_assemble_local_path_graph():
 
 def test_assemble_fractional_sign_structure():
     g = build_grid(1, 8)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5))
+    pair = assemble_p2(full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5))
     A = pair.energy
     off = A[~np.eye(8, dtype=bool)]
     assert np.all(off < 0.0)
@@ -125,7 +125,7 @@ def test_assembly_faithfulness(rng):
         cells = full_cells(g)
         for spec in specs:
             for weight in (UNIT_WEIGHT, prof):
-                pair = assemble_p2(g, cells, spec, weight)
+                pair = assemble_p2(cells, spec, weight)
                 for _ in range(20):
                     vals = rng.standard_normal(g.cell_count)
                     u = GridFunction(g, vals)
@@ -167,7 +167,7 @@ def test_smallest_eigen_path_graph_closed_form():
     # of larger stencils and that of the suite's eigen member, are called
     # directly.
     g = build_grid(1, 4)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+    pair = assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL))
     want = 2.0 * (1.0 - np.cos(np.pi / 4)) / g.h**2
     for solve in (smallest_nonzero_eigen, _lanczos, _block_iteration):
         lam, v = solve(pair)
@@ -178,7 +178,7 @@ def test_smallest_eigen_path_graph_closed_form():
 def test_smallest_eigen_reports_nonconvergence():
     # 316 cells, at least the crossover: the public solve iterates.
     g = build_grid(2, 20)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+    pair = assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL))
     assert pair.size == 316
     with pytest.raises(EigenConvergenceError) as info:
         smallest_nonzero_eigen(pair, tol=1e-14, max_iter=1)
@@ -193,7 +193,7 @@ def test_dense_oracle_two_by_two():
 
 def test_dense_oracle_path_graph_spectrum():
     g = build_grid(1, 4)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+    pair = assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL))
     spectrum = dense_oracle_eigen(pair)
     assert spectrum == pytest.approx(path_eigenvalues(4, g.h), abs=1e-10)
 
@@ -201,7 +201,7 @@ def test_dense_oracle_path_graph_spectrum():
 def test_dense_oracle_size_cap():
     # 2,128 cells: a stencil pair, refused before any dense form is built.
     g = build_grid(2, 52)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+    pair = assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL))
     assert pair.size == 2128
     with pytest.raises(ValueError, match="capped"):
         dense_oracle_eigen(pair)
@@ -217,7 +217,7 @@ def test_oracle_agrees_with_iterative():
         (KernelSpec(KIND_LOCAL), UNIT_WEIGHT),
         (KernelSpec(KIND_FRACTIONAL, s=0.5), make_step_profile([0.75], [2.0, 1.0])),
     ):
-        pair = assemble_p2(g, full_cells(g), spec, weight)
+        pair = assemble_p2(full_cells(g), spec, weight)
         spectrum = dense_oracle_eigen(pair)
         solves = (_lanczos, _block_iteration) if spec.kind == KIND_LOCAL else (_lanczos,)
         for solve in solves:
@@ -235,7 +235,7 @@ def test_stencil_matvec_matches_dense_form(d, N, rng):
     for profile in DEMO_PROFILES:
         for t in (0.75, 1.0):
             cells = ball_cells(g, t)
-            stencil = local_stencil(g, cells, profile)
+            stencil = local_stencil(cells, profile)
             A = stencil.dense()
             for _ in range(3):
                 x = rng.standard_normal(len(cells))
@@ -257,7 +257,7 @@ def test_pencils_under_the_crossover_are_the_dense_assembly(d, N):
         for t in (0.75, 1.0):
             cells = ball_cells(g, t)
             assert len(cells) < 256
-            pair = assemble_p2(g, cells, KernelSpec(KIND_LOCAL), profile)
+            pair = assemble_p2(cells, KernelSpec(KIND_LOCAL), profile)
             assert isinstance(pair.energy, EdgeStencil)
             want = add_at_local_matrix(g, cells, profile)
             assert pair.dense_energy().tobytes() == want.tobytes()
@@ -266,7 +266,7 @@ def test_pencils_under_the_crossover_are_the_dense_assembly(d, N):
 @pytest.mark.parametrize("d,N", [(1, 256), (2, 24), (2, 32)])
 def test_pencils_from_the_crossover_are_stencils(d, N):
     g = build_grid(d, N)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+    pair = assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL))
     assert isinstance(pair.energy, EdgeStencil)
     want = add_at_local_matrix(g, full_cells(g))
     assert pair.dense_energy().tobytes() == want.tobytes()
@@ -277,7 +277,7 @@ def test_stencil_eigensolve_agrees_with_lapack_oracle(N):
     g = build_grid(2, N)
     profiles = (UNIT_WEIGHT, make_step_profile([0.75], [2.0, 1.0]))
     for weight in profiles if N == 32 else profiles[:1]:
-        pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL), weight)
+        pair = assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL), weight)
         assert isinstance(pair.energy, EdgeStencil)
         lam, _ = smallest_nonzero_eigen(pair)
         spectrum = dense_oracle_eigen(pair)
@@ -301,7 +301,7 @@ def _nested_pencils(g, profile):
     yield assemble_transfer_p2(g, profile), per_atom_transfer_matrix(g, profile)
     for t in (0.75, 1.0):
         cells = ball_cells(g, t)
-        yield assemble_p2(g, cells, FLOOR, profile), kernel_pencil_matrix(g, cells, FLOOR, profile)
+        yield assemble_p2(cells, FLOOR, profile), kernel_pencil_matrix(g, cells, FLOOR, profile)
 
 
 @pytest.mark.parametrize(
@@ -330,7 +330,7 @@ def test_nested_forms_reproduce_their_energies(rng):
     for profile in NESTED_PROFILES:
         for t in (0.75, 1.0):
             cells = ball_cells(g, t)
-            pair = assemble_p2(g, cells, FLOOR, profile)
+            pair = assemble_p2(cells, FLOOR, profile)
             u = np.zeros(g.cell_count)
             u[cells.indices] = x = rng.standard_normal(len(cells))
             energy = kernel_energy(GridFunction(g, u), cells, FLOOR, 2.0, weight=profile)
@@ -351,7 +351,7 @@ def test_nested_eigensolve_agrees_with_lapack_oracle(N):
     for profile in profiles:
         for pair in (
             assemble_transfer_p2(g, profile),
-            assemble_p2(g, full_cells(g), FLOOR, profile),
+            assemble_p2(full_cells(g), FLOOR, profile),
         ):
             assert isinstance(pair.energy, NestedRankOne)
             lam, _ = smallest_nonzero_eigen(pair)
@@ -393,7 +393,7 @@ def test_nested_dense_is_the_set_by_set_accumulation(rng):
         g = build_grid(d, N)
         for profile in NESTED_PROFILES:
             for cells in (full_cells(g), ball_cells(g, 0.75)):
-                floor = floor_operator(g, cells, profile)
+                floor = floor_operator(cells, profile)
                 sizes = np.cumsum(np.bincount(floor.depth, minlength=floor.coef.size + 1)[::-1])
                 check(floor, floor.coef * sizes[::-1][1:])
             atoms = reversed(layer_cake(profile).atoms)
@@ -416,7 +416,7 @@ def test_nested_pencils_from_the_crossover_are_operators(d, N):
         for pair, _ in _nested_pencils(g, profile):
             assert isinstance(pair.energy, NestedRankOne)
     # the fractional kernel stays dense at every size
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5))
+    pair = assemble_p2(full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5))
     assert type(pair.energy) is np.ndarray
 
 
@@ -429,7 +429,7 @@ def test_unit_weight_nested_pencils_closed_forms(d, N):
     g = build_grid(d, N)
     for pair, want in (
         (assemble_transfer_p2(g, UNIT_WEIGHT), 1.0),
-        (assemble_p2(g, full_cells(g), FLOOR), 2.0 * g.cell_measure * g.cell_count),
+        (assemble_p2(full_cells(g), FLOOR), 2.0 * g.cell_measure * g.cell_count),
     ):
         trace = []
         lam, v = smallest_nonzero_eigen(pair, trace=trace)
@@ -468,7 +468,7 @@ def test_shell_reduction_gives_the_ball2d_rationals():
     for weight, (transfer, floor) in zip(weights, wants):
         for pair, want in (
             (assemble_transfer_p2(g, weight), transfer),
-            (assemble_p2(g, full_cells(g), FLOOR, weight), floor),
+            (assemble_p2(full_cells(g), FLOOR, weight), floor),
         ):
             lam, _ = smallest_nonzero_eigen(pair)
             assert abs(lam - want) <= 2 * np.spacing(want)
@@ -494,7 +494,7 @@ def test_shell_reduction_solves_2d_n256_pencils_in_a_second():
     weight = make_step_profile([0.75], [2.0, 1.0])
     for pair in (
         assemble_transfer_p2(g, weight),
-        assemble_p2(g, full_cells(g), FLOOR, weight),
+        assemble_p2(full_cells(g), FLOOR, weight),
     ):
         assert pair.size == 51468
         start = time.perf_counter()
@@ -507,7 +507,7 @@ def _demo_pencils(g, profile):
     """(kernel, pencil) for every pencil kind of the demo on the full ball:
     local, fractional s = 1/2, constant floor, and transfer (kernel None)."""
     for kernel in (KernelSpec(KIND_LOCAL), KernelSpec(KIND_FRACTIONAL, s=0.5), FLOOR):
-        yield kernel, assemble_p2(g, full_cells(g), kernel, profile)
+        yield kernel, assemble_p2(full_cells(g), kernel, profile)
     yield None, assemble_transfer_p2(g, profile)
 
 
@@ -576,7 +576,7 @@ def test_factored_iteration_agrees_with_dense_oracle(N):
     g = build_grid(2, N)
     for profile in DEMO_PROFILES:
         for kernel in FRACTIONAL_KERNELS:
-            pair = assemble_p2(g, full_cells(g), kernel, profile)
+            pair = assemble_p2(full_cells(g), kernel, profile)
             assert type(pair.energy) is np.ndarray and pair.size >= 256
             trace = []
             lam, v = smallest_nonzero_eigen(pair, trace=trace)
@@ -592,7 +592,7 @@ def test_factored_iteration_reports_nonconvergence():
     # 448 cells: a formed pencil stops after max_iter steps, one trace row
     # each, and the error carries those rows.
     g = build_grid(2, 24)
-    pair = assemble_p2(g, full_cells(g), FRACTIONAL_KERNELS[0])
+    pair = assemble_p2(full_cells(g), FRACTIONAL_KERNELS[0])
     assert type(pair.energy) is np.ndarray and pair.size == 448
     trace = []
     with pytest.raises(EigenConvergenceError) as info:
@@ -611,7 +611,7 @@ def test_factored_iteration_keeps_its_ritz_value_over_many_steps():
     g = build_grid(2, 24)
     power = profile_from_json({"type": "power", "beta": 1.0})
     for kernel in (FLOOR, FRACTIONAL_KERNELS[0]):
-        built = assemble_p2(g, full_cells(g), kernel, power)
+        built = assemble_p2(full_cells(g), kernel, power)
         pair = QuadraticFormPair(built.dense_energy(), built.mass)
         want = dense_oracle_eigen(pair)[1]
         trace = []
@@ -629,7 +629,7 @@ def test_factored_iteration_ends_on_an_invariant_krylov_space():
     # eigenvalue after one step, dividing by no zero beta; where tol asks
     # for more than the rounding gives, the invariant space still ends it.
     g = build_grid(2, 20)
-    floor = assemble_p2(g, full_cells(g), FLOOR)
+    floor = assemble_p2(full_cells(g), FLOOR)
     pair = QuadraticFormPair(floor.dense_energy(), floor.mass)
     assert type(pair.energy) is np.ndarray and pair.size == 316
     with warnings.catch_warnings():
@@ -698,7 +698,7 @@ def test_stencil_factor_matches_lapack(d, N, rng):
     g = build_grid(d, N)
     for profile in DEMO_PROFILES:
         for t in (0.75, 1.0):
-            stencil = local_stencil(g, ball_cells(g, t), profile)
+            stencil = local_stencil(ball_cells(g, t), profile)
             A = stencil.dense()[1:, 1:]
             n = len(A)
             factor = poincheck.sharp._BlockedCholesky.of_grounded_stencil(stencil)
@@ -724,7 +724,7 @@ def test_stencil_factor_makes_no_square_array(N):
     # edge list (1.6 MB at N = 128, against 1.3 GB for (n - 1)^2 entries;
     # tracemalloc sees numpy's data).
     g = build_grid(2, N)
-    stencil = local_stencil(g, full_cells(g))
+    stencil = local_stencil(full_cells(g))
     n = stencil.size - 1
     buffer = poincheck.numerics.BLOCK_ELEMENTS * 8
     tracemalloc.start()
@@ -747,7 +747,7 @@ LANCZOS_STENCIL_GRIDS = [(1, 256), (1, 512), (2, 20), (2, 24), (2, 32), (2, 48)]
 def test_stencil_lanczos_agrees_with_dense_oracle(d, N):
     g = build_grid(d, N)
     for profile in DEMO_PROFILES:
-        pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL), profile)
+        pair = assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL), profile)
         assert isinstance(pair.energy, EdgeStencil) and 256 <= pair.size <= 2000
         trace = []
         lam, v = smallest_nonzero_eigen(pair, trace=trace)
@@ -763,7 +763,7 @@ def test_stencil_pencils_at_2d_n128_are_solved():
     # the block iteration took (3.35 s on a 2-core Xeon).
     g = build_grid(2, 128)
     for weight in (UNIT_WEIGHT, make_step_profile([0.75], [2.0, 1.0])):
-        pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL), weight)
+        pair = assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL), weight)
         assert pair.size == 12892
         start = time.perf_counter()
         lam, v = smallest_nonzero_eigen(pair)
@@ -825,7 +825,7 @@ def test_block_iteration_backs_off_its_shift_after_a_breakdown(monkeypatch):
     # throws that pass away, with no trace row, and the next pass runs at
     # half the shift; the solve still reaches the oracle's eigenvalue.
     g = build_grid(2, 20)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+    pair = assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL))
     assert pair.size == 316
     inv_sqrt = 1.0 / np.sqrt(pair.mass)
     shifts = []
@@ -855,7 +855,7 @@ def test_factored_solve_makes_no_new_square_array():
     # makes; everything else is at most a few BLOCK_ELEMENTS buffers
     # (tracemalloc sees numpy's data).
     g = build_grid(2, 32)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5))
+    pair = assemble_p2(full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5))
     assert pair.size == 812
     buffer = poincheck.numerics.BLOCK_ELEMENTS * 8
     tracemalloc.start()
@@ -882,13 +882,13 @@ def test_kernel_pencils_are_the_product_formulas_bit_for_bit():
         for spec in specs:
             for weight in (UNIT_WEIGHT, prof):
                 for cells in (full_cells(g), ball_cells(g, 0.75)):
-                    pair = assemble_p2(g, cells, spec, weight)
+                    pair = assemble_p2(cells, spec, weight)
                     if isinstance(pair.energy, NestedRankOne):
                         continue
                     want = kernel_pencil_matrix(g, cells, spec, weight)
                     assert pair.energy.tobytes() == want.tobytes()
     g = build_grid(2, 16)
-    assert np.any(assemble_p2(g, full_cells(g), specs[1]).energy == 0.0)
+    assert np.any(assemble_p2(full_cells(g), specs[1]).energy == 0.0)
 
 
 def test_pair_validation_refuses_without_full_temporaries():
@@ -933,7 +933,7 @@ def test_pair_stores_an_operator_dense_below_the_crossover(d, N):
     g = build_grid(d, N)
     cells = full_cells(g)
     profile = make_step_profile([0.75], [2.0, 1.0])
-    for operator in (local_stencil(g, cells, profile), floor_operator(g, cells, profile)):
+    for operator in (local_stencil(cells, profile), floor_operator(cells, profile)):
         pair = QuadraticFormPair(operator, np.ones(len(cells)))
         assert pair.energy is operator
         assert pair.dense_energy().tobytes() == operator.dense().tobytes()
@@ -955,7 +955,7 @@ def _local_solve_counter(monkeypatch):
 
 
 def _pencil_key(grid, kernel=KernelSpec(KIND_LOCAL), weight=UNIT_WEIGHT):
-    pair = assemble_p2(grid, full_cells(grid), kernel, weight)
+    pair = assemble_p2(full_cells(grid), kernel, weight)
     return (pair.size, pair.mass.tobytes(), pair.dense_energy().tobytes())
 
 
@@ -996,13 +996,13 @@ def test_pencil_eigen_memo_lives_on_its_grid(monkeypatch):
     assert not vec.flags.writeable
     assert len(calls) == 2  # the full ball and the ball of radius 0.75
     fresh = []
-    want = smallest_nonzero_eigen(assemble_p2(g, full_cells(g), local), trace=fresh)
+    want = smallest_nonzero_eigen(assemble_p2(full_cells(g), local), trace=fresh)
     assert lam == want[0] and np.array_equal(vec, want[1])
     assert trace == tuple(fresh) and len(trace) > 0
     # another weight or kernel is another pencil; another grid, another memo
     pencil_eigen(full_cells(g), local, make_step_profile([0.75], [2.0, 1.0]))
     again = build_grid(2, 32)
-    assert again._eigen == {}
+    assert again._memo == {}
     assert pencil_eigen(full_cells(again), local)[0] == lam
     assert len(calls) == 4
 
@@ -1011,8 +1011,8 @@ def test_eigenvalue_sandwich(rng):
     g = build_grid(2, 8)
     prof = make_step_profile([0.6], [2.0, 1.0])
     for pair in (
-        assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL), prof),
-        assemble_p2(g, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5)),
+        assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL), prof),
+        assemble_p2(full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5)),
         assemble_transfer_p2(g, prof),
     ):
         spectrum = dense_oracle_eigen(pair)
@@ -1026,7 +1026,7 @@ def test_mesh_monotone_convergence():
     lams = []
     for N in (64, 128, 256, 512):
         g = build_grid(1, N)
-        pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+        pair = assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL))
         lam, _ = smallest_nonzero_eigen(pair)
         lams.append(lam)
     gaps = [abs(b - a) for a, b in zip(lams, lams[1:])]
@@ -1076,7 +1076,7 @@ def test_ratio_ascent_zero_steps_returns_start(rng):
     u0 = GridFunction(g, rng.standard_normal(32))
     lhs = lambda v: deviation_p_rows(v, full_cells(g), 2.0)
     rhs = lambda v: local_energy_rows(v, full_cells(g), 2.0)
-    ratio, out = ratio_ascent(g, lhs, rhs, u0, steps=0, step_size=0.1)
+    ratio, out = ratio_ascent(lhs, rhs, u0, steps=0, step_size=0.1)
     assert ratio == lhs(u0.values[None])[0] / rhs(u0.values[None])[0]
     assert np.array_equal(out.values, u0.values)
 
@@ -1086,8 +1086,8 @@ def test_ratio_ascent_deterministic(rng):
     u0 = GridFunction(g, rng.standard_normal(16))
     lhs = lambda v: deviation_p_rows(v, full_cells(g), 1.0)
     rhs = lambda v: local_energy_rows(v, full_cells(g), 1.0)
-    r1, v1 = ratio_ascent(g, lhs, rhs, u0, steps=10, step_size=0.05)
-    r2, v2 = ratio_ascent(g, lhs, rhs, u0, steps=10, step_size=0.05)
+    r1, v1 = ratio_ascent(lhs, rhs, u0, steps=10, step_size=0.05)
+    r2, v2 = ratio_ascent(lhs, rhs, u0, steps=10, step_size=0.05)
     assert r1 == r2
     assert np.array_equal(v1.values, v2.values)
 
@@ -1116,7 +1116,7 @@ def test_ratio_ascent_evaluates_each_iterate_once(rng):
     lhs = counted("lhs", deviation_p_rows)
     rhs = counted("rhs", local_energy_rows)
     steps = 5
-    ratio, _ = ratio_ascent(g, lhs, rhs, u0, steps=steps, step_size=0.05)
+    ratio, _ = ratio_ascent(lhs, rhs, u0, steps=steps, step_size=0.05)
     assert len(one_row) == steps + 1
     assert len(set(one_row)) == steps + 1
     assert probe_calls == {"lhs": steps, "rhs": steps}
@@ -1125,14 +1125,14 @@ def test_ratio_ascent_evaluates_each_iterate_once(rng):
 
 def test_ratio_ascent_cross_validates_eigensolve(rng):
     g = build_grid(1, 32)
-    pair = assemble_p2(g, full_cells(g), KernelSpec(KIND_LOCAL))
+    pair = assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL))
     lam, vec = smallest_nonzero_eigen(pair)
     sharp = 1.0 / lam
     scale = float(np.abs(vec).max())
     noisy = GridFunction(g, vec + 0.05 * scale * rng.standard_normal(32))
     lhs = lambda v: deviation_p_rows(v, full_cells(g), 2.0)
     rhs = lambda v: local_energy_rows(v, full_cells(g), 2.0)
-    ratio, _ = ratio_ascent(g, lhs, rhs, noisy, steps=60, step_size=0.01)
+    ratio, _ = ratio_ascent(lhs, rhs, noisy, steps=60, step_size=0.01)
     assert ratio <= sharp * (1.0 + 1e-9)
     assert abs(ratio - sharp) <= 0.02 * sharp
 
@@ -1144,7 +1144,7 @@ def test_ratio_ascent_improves_on_step_function():
     lhs = lambda v: deviation_p_rows(v, full_cells(g), 1.0)
     rhs = lambda v: local_energy_rows(v, full_cells(g), 1.0)
     start = lhs(u0.values[None])[0] / rhs(u0.values[None])[0]
-    ratio, _ = ratio_ascent(g, lhs, rhs, u0, steps=15, step_size=0.05)
+    ratio, _ = ratio_ascent(lhs, rhs, u0, steps=15, step_size=0.05)
     assert ratio >= start
 
 
@@ -1154,7 +1154,7 @@ def test_ratio_ascent_requires_positive_rhs():
     lhs = lambda v: deviation_p_rows(v, full_cells(g), 2.0)
     rhs = lambda v: local_energy_rows(v, full_cells(g), 2.0)
     with pytest.raises(ValueError, match="positive"):
-        ratio_ascent(g, lhs, rhs, u0, steps=3, step_size=0.1)
+        ratio_ascent(lhs, rhs, u0, steps=3, step_size=0.1)
 
 
 ASCENT_WEIGHTS = {
@@ -1209,7 +1209,7 @@ def test_blocked_ratio_ascent_equals_per_probe(d, N, p, target, weight):
         g, *_per_probe_functionals(g, profile, p, target), u0, 4, 0.05, weight=oracle_weight
     )
     ratio, best = ratio_ascent(
-        g, *_row_functionals(g, profile, p, target), u0, 4, 0.05, weight=profile
+        *_row_functionals(g, profile, p, target), u0, 4, 0.05, weight=profile
     )
     assert ratio == expected[0]
     assert np.array_equal(best.values, expected[1].values)
@@ -1234,7 +1234,7 @@ def test_ascent_weighs_each_set_once_per_profile(monkeypatch):
         g = build_grid(1, 32)
         u0 = GridFunction(g, np.random.default_rng(5).standard_normal(g.cell_count))
         for target in ("transfer", "gradient"):
-            ratio_ascent(g, *_row_functionals(g, profile, 1.5, target), u0, steps, 0.05, profile)
+            ratio_ascent(*_row_functionals(g, profile, 1.5, target), u0, steps, 0.05, profile)
         counts.append(len(calls))
         calls.clear()
     assert counts == [1 + len(atoms)] * 2
@@ -1265,7 +1265,7 @@ def test_blocked_ratio_ascent_zero_rhs_probes_and_restarts_equal_per_probe(seed,
     lhs_rows = lambda v: deviation_p_rows(v, whole, 1.5)
     lhs_scalar = lambda u: deviation_p(u, whole, 1.5)
     expected = per_probe_ratio_ascent(g, lhs_scalar, rhs_scalar, u0, 8, 0.05)
-    ratio, best = ratio_ascent(g, lhs_rows, rhs_rows, u0, 8, 0.05)
+    ratio, best = ratio_ascent(lhs_rows, rhs_rows, u0, 8, 0.05)
     assert zero_rows["probe"] > 0
     assert (zero_rows["single"] > 0) == restarts
     assert ratio > lhs_scalar(u0) / rhs_scalar(u0)
@@ -1289,5 +1289,5 @@ def test_ratio_ascent_rejects_non_finite_start():
 
     with pytest.raises(ValueError, match="finite"):
         ratio_ascent(
-            g, finite_only(deviation_p_rows), finite_only(local_energy_rows), start, 3, 0.1
+            finite_only(deviation_p_rows), finite_only(local_energy_rows), start, 3, 0.1
         )

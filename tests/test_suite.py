@@ -81,7 +81,7 @@ def test_eigen_member_keeps_its_own_solve(d, N):
     if len(cells) < 256:
         assert pencil_eigen(cells, KernelSpec(KIND_LOCAL))[1] is vec
     else:
-        _, want = _block_iteration(assemble_p2(g, cells, KernelSpec(KIND_LOCAL)))
+        _, want = _block_iteration(assemble_p2(cells, KernelSpec(KIND_LOCAL)))
         assert vec.tobytes() == want.tobytes()
 
 
