@@ -361,7 +361,7 @@ def kernel_energy(
     def energies(functions):
         return _pair_energies(functions, cells, kernel, p, weight)
 
-    return u._memoized("_energies", (cells, kernel, p, weight), energies)
+    return u.memo(("forms.kernel_energy", cells, kernel, p, weight), energies)
 
 
 def pair_coefficient_matrix(

@@ -208,18 +208,16 @@ class GridFunction:
     """Scalar field on a grid, one finite value per cell.
 
     ``values`` is a read-only copy, so the function never changes.
-    ``_energies`` memoizes the pair energies that
-    :func:`poincheck.forms.kernel_energy` computes for it, and
-    ``_deviations`` the deviations of :func:`deviation_p`.
-    ``_suite`` holds the functions it was made with by :func:`make_suite`
-    (itself among them), which fill their memos together; it is empty for
-    a function made alone.
+    :meth:`memo` keeps what is computed from it: the pair energies of
+    :func:`poincheck.forms.kernel_energy` and the deviations of
+    :func:`deviation_p`.  ``_suite`` holds the functions it was made with
+    by :func:`make_suite` (itself among them), which fill their memos
+    together; it is empty for a function made alone.
     """
 
     grid: Grid
     values: np.ndarray
-    _energies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _deviations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _suite: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -234,18 +232,19 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def _memoized(self, memo: str, key, compute):
-        """Entry ``key`` of the memo dict named ``memo``.  On a miss,
-        ``compute(functions)`` returns the entry of each function of the
-        suite (see ``_suite``) that lacks it, in order, and each is stored
-        in its function's memo."""
-        value = getattr(self, memo).get(key)
-        if value is None:
-            todo = [u for u in self._suite or (self,) if key not in getattr(u, memo)]
-            for u, found in zip(todo, compute(todo)):
-                getattr(u, memo)[key] = found
-            value = getattr(self, memo)[key]
-        return value
+    def memo(self, key, compute):
+        """The function's memo entry ``key``, whose first item names its
+        owner, as in :meth:`Grid.memo`.  On a miss, ``compute(functions)``
+        returns the entry of each function of the suite (see ``_suite``)
+        that lacks it, in order, and each is stored in its function's
+        memo."""
+        found = self._memo.get(key)
+        if found is None:
+            todo = [u for u in self._suite or (self,) if key not in u._memo]
+            for u, entry in zip(todo, compute(todo)):
+                u._memo[key] = entry
+            found = self._memo[key]
+        return found
 
 
 def make_suite(functions) -> list[GridFunction]:
@@ -331,7 +330,7 @@ def deviation_p(
         values = np.stack([f.values for f in functions])
         return deviation_p_rows(values, cells, p, profile).tolist()
 
-    return u._memoized("_deviations", (cells, p, profile), rows)
+    return u.memo(("grid.deviation_p", cells, p, profile), rows)
 
 
 def deviation_p_rows(

@@ -7,9 +7,64 @@ every reduction here returns the exactly rounded sum, the same float as
 of a block, :func:`ksum_replaced` of variants of rows and
 :class:`SymmetricRowSums` of the rows of a symmetric matrix.  An exactly
 rounded sum is unique, so the result does not depend on summation order,
-chunking, or thread count.  Each still ends in Python's ``math.fsum``:
-:func:`ksum` is one ``fsum``, :func:`ksum_replaced` runs one per variant,
-and ``_fsum_rows`` one per row, on the chunk sums of the extraction below.
+chunking, or thread count.  A long row is first cut down to a few
+floats with the same exact sum: the chunk sums of the extraction below,
+or a variant's parts and changes.  Each row of a few floats then ends in
+one ``math.fsum``, or, from a crossover on, every row at once ends in the
+few-term kernel ``_expansion_sums``, which gives the same float.
+
+The few-term kernel returns ``math.fsum`` of each row of a (rows, k)
+block, bit for bit, by whole-array numpy operations.  It is ``fsum``'s
+own algorithm (Shewchuk, "Adaptive precision floating-point arithmetic
+and fast robust geometric predicates", Discrete Comput. Geom. 1997) run
+on all rows at once:
+
+- Grow: column c is added into the expansion of the columns before it
+  by Knuth's branch-free TwoSum, ``s = q + e``, ``b = s - q``,
+  ``err = (q - (s - b)) + (e - b)``, for which ``s + err`` is exactly
+  ``q + e`` whatever the magnitudes.  Each component e in turn is
+  replaced by its ``err`` while q moves on as ``s``; the last ``s``
+  becomes component c.  This is ``fsum``'s loop over its partials, which
+  drops each ``err`` that is zero.  Here zero components stay, and a
+  TwoSum with zero returns the other float unchanged and a zero error,
+  so the nonzero components are ``fsum``'s partials, in its order.
+- Round: ``fsum``'s final loop.  From the top component down, ``hi + y``
+  is taken until it is inexact, with error ``lo``; a zero component
+  leaves ``hi`` as it is.  Where ``hi + 2 lo`` is a float, ``lo`` is half
+  an ulp of ``hi``: a tie that round-half-even has settled, though what
+  lies below may lift it off the tie.  ``fsum`` then rounds away from
+  ``hi`` when the next nonzero component below has the sign of ``lo``,
+  so the kernel reads that component past any zero ones.
+- A row whose sum comes out zero goes to ``math.fsum``, whose sign rule
+  it is.  The entries must be finite and below 2^1000 in magnitude, so
+  that no sum of a few of them overflows.
+
+The kernel costs about 25 us of numpy calls and grows with k^2, one
+``fsum`` about 0.25 us per row, so each caller keeps a crossover by its
+input size.  us per call, one ``fsum`` per row against the kernel
+(2-vCPU x86-64 host, numpy 2.4, Python 3.11, best of 7 x 10 calls):
+
+  ``_fsum_rows`` (``_EXPANSION_MIN_ROWS`` = 192), by rows:
+
+    passes    64      128     192     256     512      812      3,248
+    2         16/24   29/26   41/27   52/28   100/32   170/35   635/61
+    3         18/30   32/32   47/34   61/35   119/42   207/48   794/100
+    4         20/40   37/42   53/45   69/47   134/58   234/68   904/156
+
+  :func:`ksum_replaced` (``_EXPANSION_MIN_VARIANTS`` = 256), by variants
+  of j rows of n entries with s entries replaced:
+
+    n, j, s       64       128      192      256      512       812       1,624
+    812, 1, 3     104/155  138/167  178/207  212/199  349/314   536/352   976/565
+    812, 1, 1     90/103   109/91   131/110  147/117  229/153   343/175   598/233
+    812, 12, 1    858/132  908/118  935/144  954/131  1038/172  1158/168  1400/263
+    64, 1, 2      53/142   87/159   117/172  145/185  252/253   401/301   774/432
+
+The first line of :func:`ksum_replaced` is a 2-d N = 32 gradient-energy
+probe call, the second and third the deviation probes of its center row
+and of 12 center rows; the last is 1-d, whose probe calls have 32 or 64
+variants.  The third line's left side is mostly the ``fsum`` peel of 12
+long rows (see below).
 
 A large block is summed by error-free extraction onto a fixed-point grid
 (Rump, Ogita & Oishi, "Accurate floating-point summation, Part I:
@@ -87,12 +142,18 @@ Why each accumulator is exact:
 
 Variants of a few rows, each one row with a few entries replaced (the
 finite-difference probes of a ratio ascent), are summed by
-:func:`ksum_replaced` without forming them.  A row of more than two
-variants has its exact sum held as the few floats that ``fsum`` peels off
-it: the sum, then the sum of the row less that, and so on to zero; a row
-of fewer is its own parts, as peeling costs two or three sums of it.  A
-variant's exactly rounded sum is then one ``fsum`` of its row's parts,
-its old entries negated and its new ones.
+:func:`ksum_replaced` without forming them.  Each row's exact sum is held
+as a few parts, and a variant's exactly rounded sum is the one of its
+row's parts, its new entries and its old ones negated.  From
+``_EXPANSION_MIN_VARIANTS`` variants on, the parts of every row are its
+chunk sums from one extraction of all rows, and the variants are the
+rows of one few-term kernel call.  Below it, a row of more than two
+variants has as parts the few floats that ``fsum`` peels off it: the
+sum, then the sum of the row less that, and so on to zero; a row of
+fewer is its own parts, as peeling costs two or three sums of it; and
+each variant is one ``fsum``.  The peel stays there because an
+extraction is about 21 us of numpy calls, where one 1-d row of 32 or 64
+cells peels in 3-5 us.
 
 The pair energies of a suite's k functions are formed together, so a
 strip can carry a function axis: shape (k, rows, columns), the same rows
@@ -173,6 +234,12 @@ _KERNEL_MIN_ELEMENTS = 2048
 # stay finite; 2^900 leaves room for any row length that fits in memory.
 _KERNEL_MAX_ABS = 2.0**900
 
+# Crossovers between one ``math.fsum`` per row and ``_expansion_sums``,
+# by rows of ``_fsum_rows`` and by variants of ``ksum_replaced``; see the
+# table in the module docstring.
+_EXPANSION_MIN_ROWS = 192
+_EXPANSION_MIN_VARIANTS = 256
+
 
 def ksum(values: Iterable[float] | np.ndarray) -> float:
     """Exactly rounded sum of all entries of an array or iterable."""
@@ -197,12 +264,7 @@ def ksum_rows(matrix: np.ndarray) -> np.ndarray:
     out = np.empty(k)
     if fit.any():
         block = matrix if fit.all() else matrix[fit]
-        ones = np.ones(n)
-        chunks = []  # row sums of each pass's chunks, adding up to the rows
-        for rows, q in _passes(block, math.frexp(float(peak[fit].max()))[1], _bits(n)):
-            chunks.append(np.zeros(len(block)))
-            chunks[-1][rows] = q @ ones
-        out[fit] = _fsum_rows(chunks)
+        out[fit] = _fsum_rows(_chunk_sums(block, float(peak[fit].max())))
     for r in np.flatnonzero(~fit):
         out[r] = math.fsum(matrix[r].tolist())
     return out
@@ -215,8 +277,10 @@ def ksum_replaced(rows: np.ndarray, of: np.ndarray, at: np.ndarray, new: np.ndar
     replaced by ``new[r, s]``; ``at`` and ``new`` are (k, s) arrays, the
     positions of one variant are distinct, and a position of -1 replaces
     nothing.  Entry r is ``math.fsum`` of variant r, bit for bit, with the
-    same exceptions: one ``fsum`` of its row's parts (see the module
-    docstring), the variant's old entries negated and its new ones.  A
+    same exceptions: the exactly rounded sum of its row's parts (see the
+    module docstring), the variant's new entries and its old ones negated,
+    by one ``fsum`` each or, from ``_EXPANSION_MIN_VARIANTS`` variants on,
+    by one few-term kernel call for all.  A
     variant is summed in full instead when an entry of it is not finite or
     of magnitude ``2^900`` or more, since ``fsum`` raises on ``inf - inf``,
     or when its sum is zero, whose sign is ``fsum``'s to choose from the
@@ -226,12 +290,19 @@ def ksum_replaced(rows: np.ndarray, of: np.ndarray, at: np.ndarray, new: np.ndar
     old = np.where(used, rows[of[:, None], at], 0.0)
     new = np.where(used, new, 0.0)
     out = np.zeros(len(at))
-    fit = np.abs(rows).max(axis=1) < _KERNEL_MAX_ABS  # False at nan
-    peel = (fit & (np.bincount(of, minlength=len(rows)) > 2)).tolist()
-    parts = [_exact_parts(row) if many else row.tolist() for row, many in zip(rows, peel)]
+    peak = np.abs(rows).max(axis=1)
+    fit = peak < _KERNEL_MAX_ABS  # False at nan
     quick = np.flatnonzero(fit[of] & (np.abs(new) < _KERNEL_MAX_ABS).all(axis=1))
-    changes = np.concatenate([new[quick], -old[quick]], axis=1).tolist()
-    out[quick] = [math.fsum(parts[j] + change) for j, change in zip(of[quick].tolist(), changes)]
+    if quick.size >= _EXPANSION_MIN_VARIANTS:
+        # A row that does not fit has no quick variant: zero it for the passes.
+        block = rows if fit.all() else np.where(fit[:, None], rows, 0.0)
+        parts = np.stack(_chunk_sums(block, float(peak[fit].max(initial=0.0))), axis=1)
+        out[quick] = _expansion_sums(np.concatenate([parts[of[quick]], new[quick], -old[quick]], axis=1))
+    else:
+        peel = (fit & (np.bincount(of, minlength=len(rows)) > 2)).tolist()
+        parts = [_exact_parts(row) if many else row.tolist() for row, many in zip(rows, peel)]
+        changes = np.concatenate([new[quick], -old[quick]], axis=1).tolist()
+        out[quick] = [math.fsum(parts[j] + change) for j, change in zip(of[quick].tolist(), changes)]
     for r in np.flatnonzero(out == 0.0):
         variant = rows[of[r]].copy()
         variant[at[r, used[r]]] = new[r, used[r]]
@@ -317,11 +388,75 @@ def _exact_parts(row: np.ndarray) -> list[float]:
     return parts
 
 
+def _chunk_sums(block: np.ndarray, peak: float) -> list[np.ndarray]:
+    """Row sums of the chunks of each extraction pass of the finite (k, n)
+    ``block``, whose largest magnitude is ``peak`` (in [0, 2^900)): one
+    array of k floats per pass, adding up to the rows exactly."""
+    ones = np.ones(block.shape[1])
+    chunks = []
+    for rows, q in _passes(block, math.frexp(peak)[1], _bits(block.shape[1])):
+        chunks.append(np.zeros(len(block)))
+        chunks[-1][rows] = q @ ones
+    return chunks
+
+
 def _fsum_rows(chunks: list[np.ndarray]) -> np.ndarray:
-    """``math.fsum`` across equal-shape arrays, entry by entry."""
+    """``math.fsum`` across equal-shape arrays, entry by entry: one per
+    entry, or one few-term kernel call from ``_EXPANSION_MIN_ROWS`` entries
+    on."""
     stacked = np.stack(chunks, axis=-1)
-    sums = [math.fsum(row) for row in stacked.reshape(-1, len(chunks)).tolist()]
-    return np.array(sums).reshape(stacked.shape[:-1])
+    flat = stacked.reshape(-1, len(chunks))
+    if len(flat) >= _EXPANSION_MIN_ROWS:
+        sums = _expansion_sums(flat)
+    else:
+        sums = np.array([math.fsum(row) for row in flat.tolist()])
+    return sums.reshape(stacked.shape[:-1])
+
+
+def _expansion_sums(block: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a (rows, k) block, bit for bit, by
+    whole-array operations: the rows grown into expansions and rounded as
+    ``fsum`` rounds its partials (see the module docstring).  Every entry
+    must be finite and below 2^1000 in magnitude, and k at least 1."""
+    e = np.array(block.T, dtype=float)  # e[c]: component c of every row
+    for c in range(1, len(e)):
+        q = e[c]
+        for i in range(c):  # TwoSum: q + e[i] = s + err exactly
+            s = q + e[i]
+            b = s - q
+            a = s - b
+            np.subtract(e[i], b, out=b)
+            np.subtract(q, a, out=a)
+            np.add(a, b, out=e[i])
+            q = s
+        e[c] = q
+    hi = e[-1].copy()
+    lo = np.zeros(hi.size)
+    stop = np.zeros(hi.size, dtype=np.intp)
+    live = np.ones(hi.size, dtype=bool)
+    for c in range(len(e) - 2, -1, -1):
+        s = hi + e[c]
+        err = e[c] - (s - hi)
+        np.copyto(hi, s, where=live)
+        inexact = (err != 0.0) & live
+        np.copyto(lo, err, where=inexact)
+        np.copyto(stop, c, where=inexact)
+        live &= ~inexact
+        if not live.any():
+            break
+    twice = lo * 2.0
+    up = hi + twice
+    tie = np.flatnonzero((up - hi == twice) & (lo != 0.0))
+    if tie.size:  # fsum takes hi + 2 lo where the next nonzero below has lo's sign
+        below = e[:, tie]
+        nonzero = (below != 0.0) & (np.arange(len(e))[:, None] < stop[tie])
+        top = len(e) - 1 - np.argmax(nonzero[::-1], axis=0)
+        rest = np.where(nonzero.any(axis=0), below[top, np.arange(tie.size)], 0.0)
+        tie = tie[np.sign(rest) == np.sign(lo[tie])]
+        hi[tie] = up[tie]
+    for r in np.flatnonzero(hi == 0.0):
+        hi[r] = math.fsum(block[r].tolist())
+    return hi
 
 
 def _passes(r: np.ndarray, top, bits: int, own: bool = False):

@@ -427,6 +427,16 @@ def _count_table_builds(monkeypatch):
     return builds
 
 
+def _energies(u):
+    """u's memoized pair energies, by (cells, kernel, p, weight)."""
+    return {key[1:]: e for key, e in u._memo.items() if key[0] == "forms.kernel_energy"}
+
+
+def _deviations(u):
+    """u's memoized deviations, by (cells, p, profile)."""
+    return {key[1:]: e for key, e in u._memo.items() if key[0] == "grid.deviation_p"}
+
+
 def test_kernel_energy_memo_returns_stored_energy(rng, monkeypatch):
     # One table build per suite miss: the first call fills every member.
     builds = _count_table_builds(monkeypatch)
@@ -435,7 +445,7 @@ def test_kernel_energy_memo_returns_stored_energy(rng, monkeypatch):
     spec = KernelSpec(KIND_FRACTIONAL, s=0.5)
     first = kernel_energy(suite[1], ball_cells(g, 0.6), spec, 2.0)
     assert len(builds) == 1
-    assert all(len(u._energies) == 1 for u in suite)
+    assert all(len(_energies(u)) == 1 for u in suite)
     assert kernel_energy(suite[1], ball_cells(g, 0.6), spec, 2.0) is first
     for u in suite:
         assert kernel_energy(u, ball_cells(g, 0.6), spec, 2.0) == (
@@ -448,7 +458,7 @@ def test_kernel_energy_memo_returns_stored_energy(rng, monkeypatch):
     assert cells is not ball_cells(g, 0.6)
     assert kernel_energy(suite[1], cells, spec, 2.0) == first
     assert len(builds) == 2
-    assert all(len(u._energies) == 2 for u in suite)
+    assert all(len(_energies(u)) == 2 for u in suite)
 
 
 def test_kernel_energy_memo_keys(rng, monkeypatch):
@@ -472,7 +482,7 @@ def test_kernel_energy_memo_keys(rng, monkeypatch):
         kernel_energy(suite[j % 3], cells, kernel, p, weight=w)
     assert len(builds) == len(calls)
     for u in suite:
-        assert len(u._energies) == len(calls)
+        assert len(_energies(u)) == len(calls)
         energies = [kernel_energy(u, cells, kernel, p, weight=w) for cells, kernel, p, w in calls]
         assert len(set(energies)) == len(calls)
         for (cells, kernel, p, w), energy in zip(calls, energies):
@@ -487,8 +497,8 @@ def test_kernel_energy_memo_keys(rng, monkeypatch):
     again = kernel_energy(
         u, full_cells(g), twin_spec, 2.0, weight=make_step_profile([0.65], [2.0, 1.0])
     )
-    assert again is u._energies[(full_cells(g), spec, 2.0, prof)]
-    stored = u._energies[(full_cells(g), spec, 2.0, UNIT_WEIGHT)]
+    assert again is _energies(u)[(full_cells(g), spec, 2.0, prof)]
+    stored = _energies(u)[(full_cells(g), spec, 2.0, UNIT_WEIGHT)]
     assert kernel_energy(u, full_cells(g), twin_spec, 2.0) is stored
     assert kernel_energy(u, full_cells(g), spec, 2.0, make_step_profile([], [1.0])) is stored
     assert kernel_energy(u, ball_cells(g, 1.0), spec, 2.0) is stored
@@ -503,7 +513,7 @@ def test_kernel_energy_memo_belongs_to_one_function(rng, monkeypatch):
     spec = KernelSpec(KIND_FLOOR, c=1.0)
     energy = kernel_energy(u, full_cells(g), spec, 2.0)
     twin = GridFunction(g, vals)
-    assert twin._energies == {}
+    assert _energies(twin) == {}
     assert kernel_energy(twin, full_cells(g), spec, 2.0) == energy
     assert len(builds) == 2
     # A miss fills its own suite only; a member of another suite with the
@@ -511,7 +521,7 @@ def test_kernel_energy_memo_belongs_to_one_function(rng, monkeypatch):
     first = make_suite([GridFunction(g, vals), GridFunction(g, 2.0 * vals)])
     second = make_suite([GridFunction(g, vals)])
     assert kernel_energy(first[0], full_cells(g), spec, 2.0) == energy
-    assert first[1]._energies and second[0]._energies == {}
+    assert _energies(first[1]) and _energies(second[0]) == {}
     assert kernel_energy(second[0], full_cells(g), spec, 2.0) == energy
     assert len(builds) == 4
 
@@ -564,7 +574,7 @@ def test_deviation_memo_fills_the_suite_in_one_row_call(rng, monkeypatch):
     lone = GridFunction(g, values[0])
     assert deviation_p(lone, cells, 1.5, prof) == got[0]
     assert rows_calls == [4, 4, 1]
-    assert len(suite[0]._deviations) == 2 and len(lone._deviations) == 1
+    assert len(_deviations(suite[0])) == 2 and len(_deviations(lone)) == 1
 
 
 def test_kernel_energy_memo_is_invisible(rng):
@@ -573,7 +583,7 @@ def test_kernel_energy_memo_is_invisible(rng):
     before_repr = repr(u)
     before_values = u.values.copy()
     kernel_energy(u, full_cells(g), KernelSpec(KIND_FRACTIONAL, s=0.5), 2.0)
-    assert u._energies
+    assert _energies(u)
     assert repr(u) == before_repr == f"GridFunction(grid={g!r}, values={u.values!r})"
     assert np.array_equal(u.values, before_values)
 
@@ -698,7 +708,7 @@ def test_suite_energies_and_deviations_equal_lone_calls(grid_key, t, kernel, p, 
     with np.errstate(over="ignore", invalid="ignore"):
         kernel_energy(suite[first], cells, kernel, p, weight)
         deviation_p(suite[first], cells, p, weight)
-        assert all(len(u._energies) == len(u._deviations) == 1 for u in suite)
+        assert all(len(_energies(u)) == len(_deviations(u)) == 1 for u in suite)
         for u, v in zip(suite, values):
             lone = GridFunction(g, v)
             got = kernel_energy(u, cells, kernel, p, weight)
@@ -830,6 +840,37 @@ def test_probe_deviations_form_one_row_per_distinct_center(monkeypatch):
         monkeypatch.setattr(grid_module, name, counted)
     deviation_p_rows(probes, cells, 1.0, weight)
     assert sum(summed) - m == centers.size * m
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_ascent_probes_take_the_few_term_kernel_from_its_crossover(monkeypatch, d):
+    # On the 812 cells of the 2-d N = 32 ball the probe calls of an ascent
+    # iterate sum their variants by the few-term kernel, all of them; the
+    # 32 probes of 1-d N = 32 stay below the crossover.  Either way each
+    # float is the one the formed rows give.
+    g = build_grid(d, 32)
+    weight = _PROBE_WEIGHTS[1]
+    probes = _probes_of(_probe_values(g, "ascent", weight, np.random.default_rng(5)))
+    rows = formed_rows(probes)
+    kernel = numerics._expansion_sums
+    blocks = []
+
+    def counted(block):
+        blocks.append(len(block))
+        return kernel(block)
+
+    for functional in (deviation_p_rows, local_energy_rows):
+        want = functional(rows, full_cells(g), 1.0, weight)
+        blocks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "_expansion_sums", counted)
+            got = functional(probes, full_cells(g), 1.0, weight)
+        assert got.tobytes() == want.tobytes()
+        if d == 1:
+            assert blocks == []
+        else:
+            assert blocks and min(blocks) >= numerics._EXPANSION_MIN_VARIANTS
+            assert sum(blocks) >= g.cell_count
 
 
 def test_probes_form_the_bumped_rows():

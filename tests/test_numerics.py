@@ -9,6 +9,7 @@ from poincheck.forms import KIND_FLOOR, KIND_FRACTIONAL, KernelSpec, kernel_ener
 from poincheck import numerics
 from poincheck.grid import GridFunction, build_grid, full_cells
 from poincheck.numerics import (
+    _EXPANSION_MIN_VARIANTS,
     _KERNEL_MIN_ELEMENTS,
     SymmetricRowSums,
     ksum,
@@ -155,11 +156,19 @@ _REPLACEMENTS = (0.0, -0.0, 1.0, -1e-300, 5e-324, 2.0**899, 2.0**900, -1.7e308, 
 @example(style="cancel", n=812, j=2, k=5, s=3, seed=2)
 @example(style="subnormal", n=1025, j=3, k=4, s=1, seed=3)
 @example(style="special", n=4097, j=2, k=7, s=2, seed=4)
+@example(style="cancel", n=812, j=3, k=_EXPANSION_MIN_VARIANTS - 1, s=3, seed=5)
+@example(style="wide", n=812, j=3, k=_EXPANSION_MIN_VARIANTS, s=3, seed=6)
+@example(style="full", n=812, j=12, k=1624, s=1, seed=7)
+@example(style="special", n=64, j=2, k=_EXPANSION_MIN_VARIANTS, s=2, seed=8)
+@example(style="zeros", n=33, j=1, k=_EXPANSION_MIN_VARIANTS, s=1, seed=9)
 def test_ksum_replaced_equals_fsum_of_each_variant(style, n, j, k, s, seed):
     # Variants of j rows with up to s entries replaced, some by values that
     # overflow, cancel or are not finite: each sum is fsum of the variant,
     # bit for bit, or fsum's exception.  The examples are rows of 256
-    # entries and more, as long as the 812-cell rows of a 2-d ascent.
+    # entries and more, as long as the 812-cell rows of a 2-d ascent, and
+    # variant counts on both sides of the crossover to the expansion kernel
+    # (1,624 variants of 812-entry rows: the two probe sets of one
+    # ascent step's deviation).
     rng = np.random.default_rng(seed)
     if style == "special":
         rows = rng.choice(_REPLACEMENTS, (j, n))
@@ -188,6 +197,64 @@ def test_ksum_replaced_equals_fsum_of_each_variant(style, n, j, k, s, seed):
         assert str(info.value) == str(want)
         return
     assert ksum_replaced(rows, of, at, new).tobytes() == want.tobytes()
+
+
+_FEW_TERM_STYLES = ("wide", "subnormal", "cancel", "tie", "zeros")
+
+
+def _few_terms(style, rows, k, rng):
+    """A (rows, k) block of one style, finite and below 2^900."""
+    shape = (rows, k)
+    if style == "wide":
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-300.0, 270.0, shape)
+    if style == "subnormal":
+        block = rng.integers(-(2**20), 2**20, shape) * 5e-324
+        block[rng.random(shape) < 0.2] *= 2.0**60
+        return block
+    if style == "cancel":  # entries and their negations, so sums of zero
+        half_shape = (rows, (k + 1) // 2)
+        half = rng.standard_normal(half_shape) * 10.0 ** rng.uniform(-30.0, 30.0, half_shape)
+        return np.concatenate([half, -half], axis=1)[:, :k]
+    if style == "tie":  # a, then half an ulp of a, then less (or nothing)
+        a = rng.standard_normal(rows) * 10.0 ** rng.uniform(-20.0, 20.0, rows)
+        half = np.spacing(np.abs(a)) / 2.0 * rng.choice([-1.0, 1.0], rows)
+        tiny = half * np.ldexp(rng.choice([-1.0, 0.0, 1.0], rows), -rng.integers(1, 60, rows))
+        return np.column_stack([a, half, tiny] + [np.zeros(rows)] * k)[:, :k]
+    return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+
+@st.composite
+def _few_term_blocks(draw):
+    """A (rows, k) block for ``_expansion_sums``: 1 to 12 columns, up to
+    3,248 rows (4 functions of the 812-cell 2-d ball).  Rows take their
+    style in turn from up to five drawn, then zero components land
+    anywhere and each row's entries are shuffled."""
+    k = draw(st.integers(1, 12))
+    rows = draw(st.sampled_from([1, 2, 7, 64, 255, 256, 812, 3248]))
+    styles = draw(st.lists(st.sampled_from(_FEW_TERM_STYLES), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = np.empty((rows, k))
+    for i, style in enumerate(styles):
+        block[i :: len(styles)] = _few_terms(style, len(block[i :: len(styles)]), k, rng)
+    zero = rng.random(block.shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    block[zero] = np.where(rng.random(np.count_nonzero(zero)) < 0.5, -0.0, 0.0)
+    return rng.permuted(block, axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_few_term_blocks())
+@example(np.array([[-(2.0**-70), -(2.0**-129), float.fromhex("0x1.0dc24da92128cp-17")]]))  # a tie
+@example(  # a tie, with a zero component between the break and the rest below it
+    np.array([[0.0, float.fromhex("0x1.a8e52b623acfbp+31"), 0.0, -float.fromhex("0x1.7bb9704d3791ep+23"),
+               -float.fromhex("0x1.a8e52b623acfbp+31"), -float.fromhex("0x1.ca830879a6b78p+32")]])
+)
+@example(np.array([[-0.0, -0.0], [0.0, -0.0], [1e300, -1e300]]))  # zero sums
+def test_expansion_sums_equal_fsum(block):
+    # The few-term kernel is fsum of each row, bit for bit: exact ties are
+    # settled by the next nonzero component past zero ones, and a zero
+    # sum takes fsum's sign.
+    want = np.array([math.fsum(row) for row in block.tolist()])
+    assert numerics._expansion_sums(block).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2**j + e for j in (3, 8, 11, 13) for e in (-1, 0, 1)])
