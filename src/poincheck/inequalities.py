@@ -120,13 +120,8 @@ def _finish(check_id, lhs, rhs, constant_used, metadata, tol=0.0) -> InequalityR
     return InequalityReport(check_id, lhs, rhs, ratio, constant_used, passed, tol, metadata)
 
 
-def _meta(grid=None, p=None, profile=None, s=None, R=None, **extra) -> dict:
-    meta: dict = {}
-    if grid is not None:
-        meta["d"] = grid.d
-        meta["N"] = grid.N
-    if p is not None:
-        meta["p"] = p
+def _meta(grid, p, profile=None, s=None, R=None, **extra) -> dict:
+    meta: dict = {"d": grid.d, "N": grid.N, "p": p}
     if s is not None:
         meta["s"] = s
     if R is not None:

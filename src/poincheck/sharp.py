@@ -40,9 +40,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BLOCK_ELEMENTS, ksum
+from .numerics import BLOCK_ELEMENTS
 from .weights import UNIT_WEIGHT, RadialProfile, layer_cake
-from .grid import CellSet, Grid, GridFunction, Probes, ball_cells, cell_weights, full_cells
+from .grid import (
+    CellSet,
+    Grid,
+    GridFunction,
+    Probes,
+    ball_cells,
+    cell_weights,
+    full_cells,
+    weighted_mean,
+)
 from .forms import KIND_FLOOR, KIND_LOCAL, KernelSpec, pair_coefficient_matrix
 
 __all__ = [
@@ -963,16 +972,6 @@ def ratio_ascent(
     start = ratio_of(vals)
     if start is None:
         raise ValueError("rhs functional must be positive at the starting point")
-    if steps == 0:
-        return start, GridFunction(u0.grid, vals)
-
-    w, w_total = cell_weights(full_cells(u0.grid), weight)
-
-    def recenter(vals):
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("grid function values must be finite")
-        return vals - ksum(vals * w) / w_total
-
     best_ratio = start
     best_vals = vals.copy()
     n = vals.size
@@ -995,7 +994,7 @@ def ratio_ascent(
         if gnorm == 0.0:
             break
         vals = vals + step_size * grad / gnorm
-        vals = recenter(vals)
+        vals = vals - weighted_mean(GridFunction(u0.grid, vals), weight)
         scale = np.linalg.norm(vals)
         if scale > 0.0:
             vals = vals / scale

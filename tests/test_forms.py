@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from poincheck.forms import (
 from poincheck.numerics import SymmetricRowSums, ksum
 from poincheck import grid as grid_module
 from poincheck.grid import (
+    CellSet,
     GridFunction,
     Probes,
     ball_cells,
@@ -924,3 +926,28 @@ def test_suite_strips_take_no_more_passes_than_lone_functions(N, kernel, monkeyp
         runs.clear()
         kernel_energy(make_suite(GridFunction(g, v) for v in values)[0], cells, kernel, p)
         assert runs == [max(alone)], (p, alone)
+
+
+_EMPTY_SET = "cannot take energy over an empty cell set"
+_LOW_P = "exponent must satisfy p >= 1, got 0.5"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: local_energy_rows(np.zeros((1, 4)), CellSet(g, []), 2.0), _EMPTY_SET),
+        (lambda g: local_energy_rows(np.zeros((1, 4)), full_cells(g), 0.5), _LOW_P),
+        (
+            lambda g: kernel_energy(
+                GridFunction(g, np.arange(4.0)), CellSet(g, []), KernelSpec(KIND_FRACTIONAL, s=0.5), 2.0
+            ),
+            _EMPTY_SET,
+        ),
+        (lambda g: transfer_constant(0.5, 1, UNIT_WEIGHT), _LOW_P),
+        (lambda g: transfer_constant(2.0, 3, UNIT_WEIGHT), "unsupported dimension 3"),
+    ],
+    ids=["local-empty", "local-p", "kernel-empty", "transfer-p", "transfer-d"],
+)
+def test_forms_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(build_grid(1, 4))

@@ -6,6 +6,7 @@ import pytest
 from poincheck.grid import (
     CellSet,
     GridFunction,
+    Probes,
     ball_cells,
     build_grid,
     deviation_p,
@@ -278,3 +279,32 @@ def test_deviation_rows_validation():
         deviation_p_rows(np.ones((2, 7)), full_cells(g), 2.0)
     with pytest.raises(ValueError, match="share one grid"):
         deviation_p_rows(np.ones((2, 8)), [full_cells(g), full_cells(build_grid(1, 8))], 2.0)
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([[0, 1]], "cell indices must be one-dimensional"),
+        ([-1, 0], "cell index out of range for grid"),
+        ([0, 4], "cell index out of range for grid"),
+        ([1, 0], "cell indices must be sorted and unique"),
+        ([1, 1], "cell indices must be sorted and unique"),
+    ],
+)
+def test_cell_set_rejects_bad_indices(indices, message):
+    with pytest.raises(ValueError, match=message):
+        CellSet(build_grid(1, 4), indices)
+
+
+def test_probes_reject_two_dimensional_values():
+    with pytest.raises(ValueError, match="probe values must be one-dimensional"):
+        Probes(np.zeros((2, 4)), 1e-6)
+
+
+def test_deviation_rows_reject_a_set_of_zero_weight():
+    # The weight is 0 from radius 0.75 on, so the cells past it weigh nothing.
+    g = build_grid(1, 32)
+    outer = CellSet(g, np.flatnonzero(g.norms >= 0.75))
+    profile = make_step_profile([0.75], [1.0, 0.0])
+    with pytest.raises(ValueError, match="weight vanishes on every cell of the set"):
+        deviation_p_rows(np.ones((1, 32)), outer, 2.0, profile)

@@ -412,3 +412,35 @@ def test_both_zero_convention():
     prof = make_step_profile([], [1.0])
     rep = check_truncated_fractional(u, prof, 2.0, 0.5, 1.0, 1.0)
     assert rep.passed and rep.ratio == 0.0 and math.isfinite(rep.ratio)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_transfer_rejects_non_finite_functional(value):
+    g = build_grid(1, 16)
+    u = GridFunction(g, g.centers[:, 0])
+    prof = make_step_profile([0.75], [2.0, 1.0])
+    with pytest.raises(ValueError, match="functional returned non-finite value at atom t=0.75"):
+        check_transfer(u, prof, lambda u, t: value, 2.0)
+
+
+@pytest.mark.parametrize(
+    "f, p, message",
+    [
+        ([], 2.0, "input must be a nonempty vector"),
+        ([[1.0, -1.0]], 2.0, "input must be a nonempty vector"),
+        ([1.0, -1.0], 0.5, "exponent must satisfy p >= 1, got 0.5"),
+    ],
+)
+def test_shift_stability_rejects_bad_input(f, p, message):
+    with pytest.raises(ValueError, match=message):
+        check_shift_stability(f, 0.0, p)
+
+
+def test_truncation_bound_fails_where_no_pair_is_in_reach():
+    # At 1-d N = 32 the cell spacing 1/16 exceeds the reach 1/R = 1/40, so
+    # the truncated energy, the rhs, is 0 against a positive lhs.
+    g = build_grid(1, 32)
+    rep = check_truncation_bound(GridFunction(g, g.centers[:, 0]), 1.0, 0.5, 40.0)
+    assert rep.rhs == 0.0 < rep.lhs
+    assert rep.ratio == math.inf
+    assert rep.passed is False

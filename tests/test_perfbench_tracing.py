@@ -10,7 +10,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-import poincheck  # noqa: F401  (the tracer looks up poincheck.sharp)
+import poincheck.sharp  # noqa: F401  (the tracer looks up poincheck.sharp)
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -20,7 +21,7 @@ import poincheck.sharp
 from poincheck.cli import build_parser, main, pin_malloc_thresholds
 from poincheck.config import CHECK_NAMES, ConfigError, load_config, parse_config
 from poincheck.forms import KIND_FLOOR, KIND_LOCAL, KernelSpec, kernel_energy, local_energy
-from poincheck.grid import ball_cells, build_grid, deviation_p, full_cells
+from poincheck.grid import GridFunction, ball_cells, build_grid, deviation_p, full_cells
 from poincheck.inequalities import write_json
 from poincheck.runner import (
     _ASCENT_STEP_SIZE,
@@ -269,6 +270,22 @@ def test_constant_branch_matches_its_direct_call(branch):
     if method == "eigen" and len(args) == 3:
         assert constant.value == 1.0 / constant.eigenvalue
         assert constant.trace and constant.trace[-1][1] == constant.eigenvalue
+
+
+def test_frozen_constant_skips_a_constant_suite_member():
+    # On every ball both the deviation and the energy of a constant vanish,
+    # so the member adds no ratio and the suite maximum stays as it was.
+    config = parse_config(full_doc(p_values=[1.0, 2.0]))
+    case1, case2 = _cases(config, 16, _union_atom_radii(config))
+    constant = GridFunction(case1.grid, np.ones(case1.grid.cell_count))
+    for case, energy, scale in (
+        (case1, KernelSpec(KIND_LOCAL), lambda t: t),
+        (case2, config.kernels[0], lambda t: 1.0),
+    ):
+        with_constant = dataclasses.replace(case, suite=[constant, *case.suite])
+        frozen = _constant(with_constant, energy, scale=scale)
+        assert frozen.method == "suite"
+        assert frozen == _constant(case, energy, scale=scale)
 
 
 def test_run_sweep_rows(tmp_path):
@@ -673,8 +690,7 @@ def test_demo_weighs_each_cell_set_once_per_profile(monkeypatch, tmp_path):
     # grid.cell_weights alone evaluates a cell set's weights, once per grid,
     # cell set and profile: in a demo verify or sharp, the evaluations on
     # arrays of radii are as many as the keys of the built grids' memos.
-    # Besides weights, which defines eval_weight, only grid binds it (and
-    # the package, which exports it).
+    # Besides weights, which defines eval_weight, only grid binds it.
     modules = [
         importlib.import_module(f"poincheck.{info.name}")
         for info in pkgutil.iter_modules(poincheck.__path__)
@@ -692,7 +708,7 @@ def test_demo_weighs_each_cell_set_once_per_profile(monkeypatch, tmp_path):
         grids.append(build_grid(*args))
         return grids[-1]
 
-    for module in (poincheck, *modules):
+    for module in modules:
         if hasattr(module, "eval_weight"):
             monkeypatch.setattr(module, "eval_weight", counting)
     monkeypatch.setattr(poincheck.runner, "build_grid", recording)

@@ -32,6 +32,7 @@ from poincheck.forms import (
     weighted_gradient_constant,
 )
 from poincheck.grid import (
+    CellSet,
     GridFunction,
     Probes,
     ball_cells,
@@ -204,6 +205,52 @@ def test_dense_oracle_size_cap():
     pair = assemble_p2(full_cells(g), KernelSpec(KIND_LOCAL))
     assert pair.size == 2128
     with pytest.raises(ValueError, match="capped"):
+        dense_oracle_eigen(pair)
+
+
+_PATH3 = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "energy, mass, message",
+    [
+        (np.zeros((2, 3)), np.ones(2), "energy matrix must be square"),
+        (np.eye(2), np.array([1.0, -1.0]), "mass entries must be nonnegative"),
+    ],
+)
+def test_pair_rejects_bad_input(energy, mass, message):
+    with pytest.raises(ValueError, match=message):
+        QuadraticFormPair(energy, mass)
+
+
+def test_assemble_rejects_empty_set():
+    g = build_grid(1, 4)
+    with pytest.raises(ValueError, match="cannot assemble over an empty cell set"):
+        assemble_p2(CellSet(g, []), KernelSpec(KIND_LOCAL))
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (
+            QuadraticFormPair(_PATH3, np.array([1.0, 0.0, 1.0])),
+            "eigensolve requires a strictly positive mass diagonal",
+        ),
+        (
+            QuadraticFormPair(np.zeros((1, 1)), np.ones(1)),
+            "pair is too small to carry a nonconstant direction",
+        ),
+    ],
+    ids=["zero-mass", "one-cell"],
+)
+def test_eigensolve_rejects_degenerate_pair(pair, message):
+    with pytest.raises(ValueError, match=message):
+        smallest_nonzero_eigen(pair)
+
+
+def test_dense_oracle_rejects_zero_mass():
+    pair = QuadraticFormPair(_PATH3, np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="dense oracle requires a strictly positive mass diagonal"):
         dense_oracle_eigen(pair)
 
 

@@ -215,3 +215,32 @@ def test_power_profile_from_json():
         profile_from_json({"type": "power", "beta": -1.0})
     with pytest.raises(ValueError):
         profile_from_json({"type": "spline"})
+
+
+@pytest.mark.parametrize(
+    "breakpoints, values, message",
+    [
+        ([0.5], [1.0], r"need len\(values\) == len\(breakpoints\) \+ 1, got 1 values for 1 breakpoints"),
+        ([0.75], [1.0, -1.0], "levels must be finite and nonnegative, got -1.0"),
+    ],
+)
+def test_profile_rejects_bad_levels(breakpoints, values, message):
+    with pytest.raises(ValueError, match=message):
+        make_step_profile(breakpoints, values)
+
+
+@pytest.mark.parametrize(
+    "atoms, message",
+    [
+        ((), "measure needs at least one atom"),
+        (((0.75, -1.0),), "atom mass must be finite and nonnegative, got -1.0"),
+    ],
+)
+def test_layer_cake_measure_rejects_bad_atoms(atoms, message):
+    with pytest.raises(ValueError, match=message):
+        LayerCakeMeasure(atoms)
+
+
+def test_sample_profile_rejects_no_subintervals():
+    with pytest.raises(ValueError, match="need at least one subinterval, got m=0"):
+        sample_profile(lambda t: 1.0, 0)
