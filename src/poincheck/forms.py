@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 import numpy as np
 
 from .numerics import BLOCK_ELEMENTS, SymmetricRowSums, ksum, ksum_replaced, ksum_rows
@@ -27,6 +28,7 @@ __all__ = [
     "local_energy",
     "local_energy_rows",
     "kernel_energy",
+    "kernel_energies",
     "pair_coefficient_matrix",
     "transfer_constant",
     "weighted_gradient_constant",
@@ -225,32 +227,60 @@ def _strip_stop(ends: list[int], start: int, budget: int) -> int:
 
 
 def _pair_energies(
-    functions: list[GridFunction],
+    functions: Sequence,
     cells: CellSet,
     kernel: KernelSpec,
     p: float,
-    weight: RadialProfile,
-) -> list[float]:
-    """:func:`kernel_energy` of each function, all on one grid, together."""
+    weights: Sequence[RadialProfile],
+) -> list[list[float]]:
+    """:func:`kernel_energy` of each function, all on one grid, under each
+    weight, together: entry ``[w][f]`` is function f's under weight w.
+
+    ``functions`` are the suite members to fill, anything with ``values``.
+    Each strip's ``|v_i - v_j|^p K_ij`` is formed once, as (function, rows,
+    columns) within the one budget, and each weight in turn takes it times
+    its ``W_ij`` (the last weight in place) into its own row sums, on one
+    schedule per function.  One (weight, function, rows, columns) stack
+    within the same budget, extracted at once, thins the strips of large
+    sets: ms per call for 4 functions under 3 weights, untruncated
+    fractional kernel, full 2-d ball (2-vCPU x86-64 host, numpy 2.4,
+    medians of 21 and 4 interleaved runs), one weight at a time / one
+    stack / this:
+
+      812 cells, p = 1 and 2:      31.1 / 26.4 / 24.9    43.3 / 39.1 / 34.0
+      3,228 cells, p = 1 and 2:    680 / 877 / 602       596 / 870 / 524
+
+    For one function the stack read the same on the 812 cells (14.3 / 9.5
+    / 9.6 ms at p = 1) and slower than this on the 3,228 (156 / 138 /
+    118).  A stack given three times the budget, so that its strips keep
+    their rows, was slower than one weight at a time on both sets.  A
+    weighted copy lives beside the strip while a weight other than the
+    last is extracted, so a call of several weights holds three strips'
+    worth of terms at its peak where a call of one holds two.
+    """
     grid = cells.grid
     idx = cells.indices
     table, keys, center = _offset_kernel(grid, kernel, p)
     keys = keys[idx]
     values = np.stack([u.values[idx] for u in functions])
-    phi = cell_weights(cells, weight)[0]
+    phis = [cell_weights(cells, weight)[0] for weight in weights]
     m = idx.size
 
-    def block(v, start: int, stop: int, lo: int, hi: int) -> np.ndarray:
-        """Terms of rows ``start .. stop`` against columns ``lo .. hi`` of
-        the values ``v`` of one function, or of each row of ``v``, formed in
-        place, with the diagonal zeroed."""
+    def unweighted(v, start: int, stop: int, lo: int, hi: int) -> np.ndarray:
+        """Terms ``|v_i - v_j|^p K_ij`` of rows ``start .. stop`` against
+        columns ``lo .. hi`` of the values ``v`` of one function, or of
+        each row of ``v``, formed in place."""
         terms = np.subtract(v[..., start:stop, None], v[..., None, lo:hi])
         np.abs(terms, out=terms)
         terms **= p
-        coef = table[keys[start:stop, None] + center - keys[None, lo:hi]]
-        terms *= coef
-        np.minimum(phi[start:stop, None], phi[None, lo:hi], out=coef)
-        terms *= coef
+        terms *= table[keys[start:stop, None] + center - keys[None, lo:hi]]
+        return terms
+
+    def weighted(terms, phi, start: int, stop: int, lo: int, out=None) -> np.ndarray:
+        """``terms`` times ``W_ij`` of the weight levels ``phi``, into
+        ``out``, with the diagonal zeroed."""
+        low = np.minimum(phi[start:stop, None], phi[None, lo : lo + terms.shape[-1]])
+        terms = np.multiply(terms, low, out=out)
         diag = np.arange(stop - start)
         terms[..., diag, diag + (start - lo)] = 0.0
         return terms
@@ -258,45 +288,60 @@ def _pair_energies(
     # Every term |v_i - v_j|^p K_ij W_ij of a function is at most this
     # product of maxima, up to a few roundings that the factor 2 covers.
     # It fixes the one extraction schedule of all its strips.
-    bounds = []
-    for spread in (values.max(axis=1) - values.min(axis=1)).tolist():
-        try:
-            bounds.append(2.0 * spread**p * float(table.max()) * float(phi.max()))
-        except OverflowError:
-            bounds.append(math.inf)
-    energies: list[float] = [0.0] * len(functions)
-    fit = []  # the functions whose bounds fit the schedule
-    for f, bound in enumerate(bounds):
-        if SymmetricRowSums.accepts(bound):
-            fit.append(f)
-            continue
-        # Values near overflow: full-width rows.  Values are finite
-        # (``GridFunction``), so a nan term is an |u_i - u_j|^p that
-        # overflows to inf times a zero kernel or weight entry: a pair that
-        # contributes exactly 0.
-        rows = max(1, BLOCK_ELEMENTS // m)
-        row_sums = []
-        for start in range(0, m, rows):
-            terms = block(values[f], start, min(m, start + rows), 0, m)
-            row_sums.append(ksum_rows(np.nan_to_num(terms, nan=0.0, posinf=np.inf, copy=False)))
-        energies[f] = ksum(np.concatenate(row_sums)) * grid.cell_measure**2
+    kmax = float(table.max())
+    spreads = (values.max(axis=1) - values.min(axis=1)).tolist()
+    energies = [[0.0] * len(functions) for _ in weights]
+    fit = {}  # the bound of each (weight, function) pair that fits the schedule
+    for w, phi in enumerate(phis):
+        for f, spread in enumerate(spreads):
+            try:
+                bound = 2.0 * spread**p * kmax * float(phi.max())
+            except OverflowError:
+                bound = math.inf
+            if SymmetricRowSums.accepts(bound):
+                fit[w, f] = bound
+                continue
+            # Values near overflow: full-width rows.  Values are finite
+            # (``GridFunction``), so a nan term is an |u_i - u_j|^p that
+            # overflows to inf times a zero kernel or weight entry: a pair
+            # that contributes exactly 0.
+            rows = max(1, BLOCK_ELEMENTS // m)
+            row_sums = []
+            for start in range(0, m, rows):
+                stop = min(m, start + rows)
+                terms = unweighted(values[f], start, stop, 0, m)
+                terms = weighted(terms, phi, start, stop, 0, out=terms)
+                row_sums.append(ksum_rows(np.nan_to_num(terms, nan=0.0, posinf=np.inf, copy=False)))
+            energies[w][f] = ksum(np.concatenate(row_sums)) * grid.cell_measure**2
     if not fit:
         return energies
-    if len(fit) == 1:  # (rows, columns) strips
-        v, bound = values[fit[0]], bounds[fit[0]]
-    else:  # (function, rows, columns) strips, one schedule per function
-        v, bound = values[fit], [bounds[f] for f in fit]
-    strips = SymmetricRowSums(m, bound)
+    # The strips hold the functions with a fitting pair: (rows, columns)
+    # for one, else (function, rows, columns).  Each weight then takes its
+    # functions' terms times its W_ij, on one schedule per function.
+    fs = sorted({f for _, f in fit})
+    v = values[fs[0]] if len(fs) == 1 else values[fs]
+    groups = []  # per weight: its functions, levels, positions in fs (None: all) and row sums
+    for w in sorted({w for w, _ in fit}):
+        under = [f for f in fs if (w, f) in fit]
+        bounds = [fit[w, f] for f in under]
+        taken = None if under == fs else [fs.index(f) for f in under]
+        groups.append((w, under, phis[w], taken, SymmetricRowSums(m, bounds[0] if v.ndim == 1 else bounds)))
     axis0 = grid.lattice[idx, 0]  # nondecreasing: cells are lattice-ordered
     ends = np.searchsorted(axis0, axis0 + _reach(grid, kernel), side="right").tolist()
-    budget = max(1, BLOCK_ELEMENTS // len(fit))
+    budget = max(1, BLOCK_ELEMENTS // len(fs))
     start = 0
     while start < m:
         stop = _strip_stop(ends, start, budget)
-        strips.add(block(v, start, stop, start, ends[stop - 1]), start)
+        terms = unweighted(v, start, stop, start, ends[stop - 1])
+        for n, (_, _, phi, taken, strips) in enumerate(groups):
+            part = terms if taken is None else terms[taken]
+            spare = part is not terms or n == len(groups) - 1  # free to overwrite
+            strips.add(weighted(part, phi, start, stop, start, out=part if spare else None), start)
+        del terms, part  # before the next strip is formed
         start = stop
-    for f, sums in zip(fit, strips.sums().reshape(len(fit), m)):
-        energies[f] = ksum(sums) * grid.cell_measure**2
+    for w, under, _, _, strips in groups:
+        for f, sums in zip(under, strips.sums().reshape(len(under), m)):
+            energies[w][f] = ksum(sums) * grid.cell_measure**2
     return energies
 
 
@@ -333,15 +378,18 @@ def kernel_energy(
 
     The energy is memoized on ``u`` (which is immutable), keyed by the
     cell set, the kernel, p and the weight, so a repeated call
-    returns the stored float and the memo lives exactly as long as ``u``.
+    returns the stored float and the memo lives as long as ``u`` or a
+    member of its suite.
     A miss computes the key for every member of u's suite that lacks it
     (see :func:`~poincheck.grid.make_suite`; a function made alone is a
-    suite of one).  Their strips carry a function axis, (k, rows,
-    columns), within the one budget: the kernel gather and the weight
-    minimum are formed once per strip, and each function's terms with the
-    same float operations as alone.  Each function keeps its own bound and
-    schedule and its own exact accumulators, so each energy is the float
-    that function gives alone.
+    suite of one), and :func:`kernel_energies` fills the keys of several
+    weights at once.  Their strips carry a function axis, (k, rows,
+    columns), within the one budget: the differences, their p-th powers
+    and the kernel gather are formed once per strip for every weight, and
+    each weight's minimum once for every function, with the same float
+    operations as alone.  Each (weight, function) pair keeps its own bound
+    and schedule and its own exact accumulators, so each energy is the
+    float that function gives alone under that weight.
 
     ``K_ij`` is gathered from the kernel evaluated once per miss on the
     lattice offsets (see :func:`_offset_kernel`).  For N a power of two
@@ -353,15 +401,44 @@ def kernel_energy(
     inside one cell, about ``2 h^a / (a (a+1))`` times the 1-d gradient
     energy with ``a = p(1-s)``, which is O(h^a) relative to the energy.
     """
+    _check_pair_arguments(cells, p)
+
+    def energies(functions):
+        return _pair_energies(functions, cells, kernel, p, (weight,))[0]
+
+    return u.memo(("forms.kernel_energy", cells, kernel, p, weight), energies)
+
+
+def kernel_energies(
+    u: GridFunction,
+    cells: CellSet,
+    kernel: KernelSpec,
+    p: float,
+    weights: Sequence[RadialProfile],
+) -> list[float]:
+    """:func:`kernel_energy` of ``u`` under each weight, in order.
+
+    The keys that ``u`` lacks are filled, for every member of its suite
+    that lacks one of them, by one :func:`_pair_energies` call: the
+    weights' energies share every term ``|u_i - u_j|^p K_ij`` up to the
+    factor ``W_ij``, so each strip forms those once.  Every energy is the
+    float a lone :func:`kernel_energy` call gives, and is then read from
+    the memo by it.
+    """
+    _check_pair_arguments(cells, p)
+
+    def energies(keys, functions):
+        return _pair_energies(functions, cells, kernel, p, [key[-1] for key in keys])
+
+    return u.memos([("forms.kernel_energy", cells, kernel, p, weight) for weight in weights], energies)
+
+
+def _check_pair_arguments(cells: CellSet, p: float) -> None:
+    """Refuse an empty cell set and an exponent below 1."""
     if len(cells) == 0:
         raise ValueError("cannot take energy over an empty cell set")
     if p < 1.0:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-
-    def energies(functions):
-        return _pair_energies(functions, cells, kernel, p, weight)
-
-    return u.memo(("forms.kernel_energy", cells, kernel, p, weight), energies)
 
 
 def pair_coefficient_matrix(

@@ -10,8 +10,10 @@ unweighted deviation is the one against ``UNIT_WEIGHT``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,14 +122,33 @@ def build_grid(d: int, N: int) -> Grid:
     return Grid(d=d, N=N, h=h, centers=centers, norms=norms, lattice=lattice)
 
 
+class _WeakGrid:
+    """A field that stores a weak reference to its grid and reads as the
+    grid itself.  A grid keeps its cell sets in its memo (as entries and in
+    keys), so a strong reference back would make each grid a reference
+    cycle, freed only by the cyclic collector."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("no default")  # a required field
+        grid = obj.__dict__["_grid_ref"]()
+        if grid is None:
+            raise ReferenceError("the cell set's grid no longer exists; keep a reference to the grid")
+        return grid
+
+    def __set__(self, obj, grid):
+        obj.__dict__["_grid_ref"] = weakref.ref(grid)
+
+
 @dataclass(frozen=True, eq=False)
 class CellSet:
     """Sorted, unique cell indices of one grid, kept as a read-only copy.
     Position k of the set is its cell ``indices[k]``.  It equals and
     hashes as itself only (``eq=False``), so a copy is another memo key,
-    and :attr:`neighbors` is computed once per set."""
+    and :attr:`neighbors` is computed once per set.  The set holds its
+    grid weakly: whoever uses a set keeps its grid."""
 
-    grid: Grid
+    grid: Grid = _WeakGrid()
     indices: np.ndarray
 
     def __post_init__(self):
@@ -144,6 +165,15 @@ class CellSet:
 
     def __len__(self) -> int:
         return int(self.indices.size)
+
+    def __repr__(self) -> str:
+        grid = self.__dict__["_grid_ref"]()
+        return f"CellSet(grid={'<freed>' if grid is None else repr(grid)}, indices={self.indices!r})"
+
+    def shares_grid(self, other: CellSet) -> bool:
+        """Whether both sets are of one grid; False once either grid is gone."""
+        mine = self.__dict__["_grid_ref"]()
+        return mine is not None and mine is other.__dict__["_grid_ref"]()
 
     @property
     def measure(self) -> float:
@@ -210,9 +240,12 @@ class GridFunction:
     ``values`` is a read-only copy, so the function never changes.
     :meth:`memo` keeps what is computed from it: the pair energies of
     :func:`poincheck.forms.kernel_energy` and the deviations of
-    :func:`deviation_p`.  ``_suite`` holds the functions it was made with
-    by :func:`make_suite` (itself among them), which fill their memos
-    together; it is empty for a function made alone.
+    :func:`deviation_p`.  ``_suite`` holds the values and memo of each
+    function it was made with by :func:`make_suite` (itself among them),
+    which fill their memos together; it is empty for a function made
+    alone.  It holds no function, so a suite is no reference cycle: a
+    function and its grid are freed as soon as the last reference to
+    them goes.
     """
 
     grid: Grid
@@ -237,14 +270,35 @@ class GridFunction:
         owner, as in :meth:`Grid.memo`.  On a miss, ``compute(functions)``
         returns the entry of each function of the suite (see ``_suite``)
         that lacks it, in order, and each is stored in its function's
-        memo."""
+        memo.  The functions passed are records of their ``values``."""
         found = self._memo.get(key)
         if found is None:
-            todo = [u for u in self._suite or (self,) if key not in u._memo]
-            for u, entry in zip(todo, compute(todo)):
-                u._memo[key] = entry
-            found = self._memo[key]
+            (found,) = self.memos((key,), lambda keys, functions: [compute(functions)])
         return found
+
+    def memos(self, keys, compute):
+        """The function's memo entries ``keys``, in order.  On a miss of
+        any, ``compute(missing, functions)`` gets the distinct keys the
+        function lacks and the members of its suite that lack one of them,
+        in suite order, as records of their ``values``, and returns for
+        each key the entry of each member; each entry is stored where its
+        member lacked it."""
+        missing = list(dict.fromkeys(key for key in keys if key not in self._memo))
+        if missing:
+            suite = self._suite or (_Member(self.values, self._memo),)
+            todo = [u for u in suite if any(key not in u.memo for key in missing)]
+            for key, entries in zip(missing, compute(missing, todo)):
+                for u, entry in zip(todo, entries):
+                    u.memo.setdefault(key, entry)
+        return [self._memo[key] for key in keys]
+
+
+class _Member(NamedTuple):
+    """What a suite keeps of each of its functions: the values that a memo
+    fill computes from and the memo it fills."""
+
+    values: np.ndarray
+    memo: dict
 
 
 def make_suite(functions) -> list[GridFunction]:
@@ -258,8 +312,9 @@ def make_suite(functions) -> list[GridFunction]:
     members = tuple(functions)
     if any(u.grid is not members[0].grid for u in members):
         raise ValueError("suite functions must share one grid")
+    shared = tuple(_Member(u.values, u._memo) for u in members)
     for u in members:
-        object.__setattr__(u, "_suite", members)
+        object.__setattr__(u, "_suite", shared)
     return list(members)
 
 
@@ -414,6 +469,8 @@ def _layout(sets: tuple, profile: RadialProfile):
     set (cell 0, weight 0) where ``pad`` is set.  One set's arrays are its
     own, with no padding (``pad`` None); several sets' are memoized per
     grid."""
+    if not all(s.shares_grid(sets[0]) for s in sets[1:]):
+        raise ValueError("cell sets must share one grid")
     weights = [cell_weights(s, profile) for s in sets]
     if any(den <= 0.0 for _, den in weights):
         raise ValueError("weight vanishes on every cell of the set")
@@ -423,8 +480,6 @@ def _layout(sets: tuple, profile: RadialProfile):
     grid = sets[0].grid
 
     def lay():
-        if any(s.grid is not grid for s in sets):
-            raise ValueError("cell sets must share one grid")
         sizes = np.array([len(s) for s in sets])
         pad = np.arange(sizes.max()) >= sizes[:, None]
         idx, w = np.zeros(pad.shape, dtype=np.int64), np.zeros(pad.shape)

@@ -166,7 +166,13 @@ matrices still live, each at its own ``sigma``, and a matrix leaves the
 passes when all its remainders are zero: the strip takes as many passes
 as its slowest matrix would alone, and a matrix far below the others
 adds none to them.  Within a matrix no rows leave early, since the
-matrices must keep one shape.
+matrices must keep one shape.  The energies of several weights share
+every term up to the factor ``W_ij``, so a strip is formed once and each
+weight adds the strip times its ``W_ij`` to a stack of its own: the
+weights' stacks are extracted one after another, each (weight, function)
+matrix on its own schedule.  One (weight, function) stack extracted at
+once thins the strips of large sets, which costs more than it saves
+(see ``forms._pair_energies``).
 
 So ``_passes`` has two modes: a 2-d block sheds rows, a stack sheds
 whole matrices.  Both earn their code (``perfbench/run.py``, 4 alternating
@@ -182,7 +188,10 @@ bound spends its first pass on leading zeros.  On the pair energies of
 ``perfbench/workloads/ball2d-p1.json`` (``verify`` at seed 2024, 366
 strips of the suite's 4 functions), 12 strips finished in 2 passes, 335
 in 3 and 19 in 4.  One function at a time took 544 strips: 428 in 2
-passes, 100 in 3 and 16 in 4.
+passes, 100 in 3 and 16 in 4.  Each weight's stack is extracted as it
+would be alone, so these counts do not depend on how many weights share
+a strip; what sharing saves is formation: the 366 strips are formed 142
+times, once for the three profiles of a check.
 """
 
 from __future__ import annotations
@@ -200,7 +209,9 @@ __all__ = ["ksum", "ksum_rows", "ksum_replaced", "SymmetricRowSums"]
 # formed beside it stay in one core's L2 cache.  A pair-energy strip takes
 # the rows from ``start`` on against the columns from ``start`` on, as far
 # as the kernel reaches, and as many rows as fit the budget at that width;
-# a suite's k functions share one budget, about ``2^16 / k`` terms each.
+# a suite's k functions share one budget, about ``2^16 / k`` terms each,
+# and the weights whose energies are filled together share the strip, each
+# taking its own weighted copy of it in turn (``forms._pair_energies``).
 # One function on the 812 cells of the 2-d N = 32 ball gives 7 strips of
 # 80 to 245 rows; the 3,228 of N = 64 give 83, of 20 to 189 rows.  ms per
 # pair-energy call on the full 2-d ball (mean of p = 1 and 2, untruncated

@@ -42,6 +42,7 @@ from .forms import (
     KIND_FRACTIONAL,
     KIND_LOCAL,
     KernelSpec,
+    kernel_energies,
     kernel_energy,
     kernel_floor_constant,
     kernel_to_json,
@@ -280,6 +281,28 @@ def _fractional_truncated_reports(case, profile):
     ]
 
 
+def _fill_profile_energies(case, checks):
+    """Compute, before any check reads them, the full-ball pair energies
+    that the ``kernel``, ``kernel_floor`` and ``fractional_truncated``
+    checks among ``checks`` read under every profile: one
+    :func:`kernel_energies` call per kernel for all profiles and the whole
+    suite, so that each pair-energy strip is formed once for every
+    profile.  The checks then read them from the memo."""
+    config = case.config
+    kernels = []
+    if "kernel" in checks:
+        kernels += _kernels_of(config, KIND_FRACTIONAL)
+    if "kernel_floor" in checks:
+        kernels += _kernels_of(config, KIND_FLOOR)
+    if "fractional_truncated" in checks:
+        kernels += [
+            KernelSpec(KIND_FRACTIONAL, s=s, R=R) for s in config.sweep_s for R in config.sweep_R
+        ]
+    cells = full_cells(case.grid)
+    for kernel in kernels:
+        kernel_energies(case.suite[0], cells, kernel, case.p, config.profiles)
+
+
 def _truncation_reports(case):
     return [
         check_truncation_bound(u, case.p, s, R)
@@ -331,6 +354,7 @@ def run_verify(config: ExperimentConfig, out_dir) -> RunResult:
         for case, frozen in zip(cases_of[N], largest):
             if case is not frozen:
                 case.c_hat_from = frozen
+            _fill_profile_energies(case, config.checks)
             for profile in config.profiles:
                 for name, check_reports in _PROFILE_CHECKS.items():
                     if name in config.checks:
@@ -452,6 +476,7 @@ def run_sweep(config: ExperimentConfig, out_dir) -> RunResult:
         u = canonical_bump(grid)
         for p in config.p_values:
             case = _Case(config, grid, [u], p, radii)
+            _fill_profile_energies(case, ("fractional_truncated",))
             truncations = _truncation_reports(case)
             grad_energy = local_energy(u, full_cells(grid), p)
             for profile in config.profiles:

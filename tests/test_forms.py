@@ -14,6 +14,7 @@ from poincheck.forms import (
     KIND_FRACTIONAL,
     KIND_LOCAL,
     KernelSpec,
+    kernel_energies,
     kernel_energy,
     kernel_from_json,
     kernel_to_json,
@@ -716,6 +717,141 @@ def test_suite_energies_and_deviations_equal_lone_calls(grid_key, t, kernel, p, 
             got = kernel_energy(u, cells, kernel, p, weight)
             assert got.hex() == kernel_energy(lone, cells, kernel, p, weight).hex()
             assert deviation_p(u, cells, p, weight).hex() == deviation_p(lone, cells, p, weight).hex()
+
+
+_FILL_WEIGHTS = (
+    UNIT_WEIGHT,
+    make_step_profile([0.75], [2.0, 1.0]),
+    profile_from_json({"type": "power", "beta": 1.0}, samples=4),
+    make_step_profile([0.4, 0.7], [3.0, 1.5, 1.0]),
+    make_step_profile([0.75], [1.0, 0.0]),  # zero weight past radius 0.75
+)
+
+
+def _count_pair_calls(monkeypatch):
+    """The weights of each ``forms._pair_energies`` call, in call order."""
+    calls = []
+    original = forms._pair_energies
+
+    def counted(functions, cells, kernel, p, weights):
+        calls.append(list(weights))
+        return original(functions, cells, kernel, p, weights)
+
+    monkeypatch.setattr(forms, "_pair_energies", counted)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid_key=st.sampled_from(sorted(_SUITE_GRIDS)),
+    t=st.sampled_from((1.0, 0.5)),
+    kernel=st.sampled_from(_SUITE_KERNELS),
+    p=st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+    weights=st.lists(st.sampled_from(_FILL_WEIGHTS), min_size=1, max_size=4),
+    kinds=st.lists(
+        st.sampled_from(("random", "smooth", "constant", "tied", "tiny", "huge")), min_size=1, max_size=5
+    ),
+    first=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multi_weight_energies_equal_lone_calls(grid_key, t, kernel, p, weights, kinds, first, seed):
+    # One kernel_energies call fills every (member, weight) key of the
+    # suite in one pair-energy call, and each energy is the float a lone
+    # function gives under that weight alone, bit for bit.  Weights may
+    # repeat; a "huge" member's bound overflows at p >= 2, so it takes full
+    # rows beside the others' strips.
+    g = _SUITE_GRIDS[grid_key]
+    values = _suite_values(g, kinds, np.random.default_rng(seed))
+    suite = make_suite(GridFunction(g, v) for v in values)
+    cells = ball_cells(g, t)
+    first %= len(suite)
+    calls = []
+    original = forms._pair_energies
+
+    def counted(functions, *args):
+        calls.append(len(functions))
+        return original(functions, *args)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        forms._pair_energies = counted
+        try:
+            got = kernel_energies(suite[first], cells, kernel, p, weights)
+        finally:
+            forms._pair_energies = original
+        assert calls == [len(suite)]
+        assert all(len(_energies(u)) == len(set(weights)) for u in suite)
+        for u, v in zip(suite, values):
+            lone = GridFunction(g, v)
+            for weight in weights:
+                stored = kernel_energy(u, cells, kernel, p, weight)
+                assert stored.hex() == kernel_energy(lone, cells, kernel, p, weight).hex()
+        assert got == [kernel_energy(suite[first], cells, kernel, p, w) for w in weights]
+
+
+def test_multi_weight_fill_mixes_strips_and_full_rows(monkeypatch):
+    # A member whose bound fits the schedule under the unit weight but not
+    # under a weight of level 2^40 takes strips under the one and full rows
+    # under the other, in the same call, beside a member that fits under
+    # both.  Every energy is the lone call's float.
+    calls = _count_pair_calls(monkeypatch)
+    g = build_grid(2, 16)
+    cells = full_cells(g)
+    kernel = KernelSpec(KIND_FRACTIONAL, s=0.5)
+    heavy = make_step_profile([0.5], [2.0**40, 1.0])
+    kmax = float(forms._offset_kernel(g, kernel, 2.0)[0].max())
+    spread = math.sqrt(2.0**880 / kmax)  # bound 2^881 under the unit weight, 2^921 under heavy
+    edge = np.where(g.centers[:, 0] < 0.0, spread, 0.0) * (1.0 + 0.01 * g.norms)
+    values = [edge, np.sin(3.0 * g.centers[:, 0])]
+    suite = make_suite(GridFunction(g, v) for v in values)
+    strips = _count_strips(monkeypatch)
+    got = kernel_energies(suite[0], cells, kernel, 2.0, [UNIT_WEIGHT, heavy])
+    # The unit weight's strips hold both members, the heavy one's the one
+    # member that fits under it.
+    assert len(calls) == 1 and {shape[0] for shape in strips} == {1, 2}
+    for u, v in zip(suite, values):
+        for weight in (UNIT_WEIGHT, heavy):
+            lone = kernel_energy(GridFunction(g, v), cells, kernel, 2.0, weight)
+            assert kernel_energy(u, cells, kernel, 2.0, weight).hex() == lone.hex()
+    assert math.isfinite(got[1])
+
+
+def _count_strips(monkeypatch):
+    """The shape of each strip added to a ``SymmetricRowSums``."""
+    shapes = []
+    add = SymmetricRowSums.add
+
+    def recording(self, strip, start):
+        shapes.append(strip.shape)
+        add(self, strip, start)
+
+    monkeypatch.setattr(SymmetricRowSums, "add", recording)
+    return shapes
+
+
+def test_kernel_energies_fill_only_missing_keys(rng, monkeypatch):
+    # Keys the function already holds are neither recomputed nor replaced,
+    # and repeated or equal weights are one key.
+    calls = _count_pair_calls(monkeypatch)
+    g = build_grid(2, 8)
+    suite = make_suite(GridFunction(g, rng.standard_normal(g.cell_count)) for _ in range(3))
+    cells = full_cells(g)
+    kernel = KernelSpec(KIND_FLOOR, c=1.0)
+    step = make_step_profile([0.75], [2.0, 1.0])
+    kernel_energy(suite[1], cells, kernel, 2.0, step)
+    assert calls == [[step]]
+    stored = _energies(suite[0])[(cells, kernel, 2.0, step)]
+    energies = kernel_energies(
+        suite[0], cells, kernel, 2.0, [UNIT_WEIGHT, step, make_step_profile([], [1.0]), _FILL_WEIGHTS[2]]
+    )
+    assert calls == [[step], [UNIT_WEIGHT, _FILL_WEIGHTS[2]]]
+    assert energies[1] is stored and energies[2] is energies[0]
+    again = kernel_energies(suite[2], cells, kernel, 2.0, [step, UNIT_WEIGHT])
+    assert again == [kernel_energy(suite[2], cells, kernel, 2.0, w) for w in (step, UNIT_WEIGHT)]
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="p >= 1"):
+        kernel_energies(suite[0], cells, kernel, 0.5, [UNIT_WEIGHT])
+    with pytest.raises(ValueError, match="empty cell set"):
+        kernel_energies(suite[0], CellSet(g, []), kernel, 2.0, [UNIT_WEIGHT])
 
 
 _PROBE_GRIDS = {

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -308,3 +311,36 @@ def test_deviation_rows_reject_a_set_of_zero_weight():
     profile = make_step_profile([0.75], [1.0, 0.0])
     with pytest.raises(ValueError, match="weight vanishes on every cell of the set"):
         deviation_p_rows(np.ones((1, 32)), outer, 2.0, profile)
+
+
+def test_grid_sets_and_suites_form_no_reference_cycle():
+    # A cell set holds its grid weakly, and a suite holds its members'
+    # values and memos, not the members: with the cyclic collector off, a
+    # grid and its functions are freed when the last reference goes.  A
+    # member keeps the values and memos of the others, which a memo miss
+    # on it still fills.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = build_grid(2, 8)
+        cells = ball_cells(g, 0.5)
+        copy = dataclasses.replace(cells)
+        suite = make_suite(GridFunction(g, np.arange(g.cell_count) * float(k)) for k in range(3))
+        deviation_p(suite[0], cells, 2.0)
+        kept = suite[1]._memo
+        grid, members = weakref.ref(g), [weakref.ref(u) for u in suite]
+        first = suite[0]
+        del g, suite
+        assert grid() is not None and members[0]() is first
+        assert all(ref() is None for ref in members[1:])
+        deviation_p(first, full_cells(first.grid), 2.0)
+        assert len(kept) == 2
+        del first, kept
+        assert grid() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert copy.indices.tobytes() == cells.indices.tobytes() and copy.shares_grid(cells) is False
+    with pytest.raises(ReferenceError, match="the cell set's grid no longer exists"):
+        cells.grid
+    assert repr(cells) == f"CellSet(grid=<freed>, indices={cells.indices!r})"

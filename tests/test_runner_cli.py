@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import dataclasses
+import gc
 import importlib.util
 import inspect
 import json
@@ -9,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +18,8 @@ import numpy as np
 import pytest
 
 import poincheck.cli
+import poincheck.forms
+import poincheck.inequalities
 import poincheck.runner
 import poincheck.sharp
 from poincheck.cli import build_parser, main, pin_malloc_thresholds
@@ -720,6 +724,71 @@ def test_demo_weighs_each_cell_set_once_per_profile(monkeypatch, tmp_path):
         keys = sum(key[0] == "grid.cell_weights" for grid in grids for key in grid._memo)
         assert keys > 0
         assert len(evaluations) == keys, run.__name__
+
+
+@pytest.mark.parametrize(
+    "config,counts",
+    [("configs/demo.json", (56, 52)), ("tests/golden/ball2d-n16.json", (16, 14))],
+    ids=["demo", "ball2d-n16"],
+)
+def test_each_pair_energy_is_formed_once_and_read(config, counts, monkeypatch, tmp_path):
+    # verify and sweep form each (cells, kernel, p) once, filling the keys
+    # of every profile a check reads on the full ball in that one call, and
+    # read every (member, cells, kernel, p, weight) key the call fills.
+    filled, read, calls = [], [], []
+    pair_energies = poincheck.forms._pair_energies
+    bind = inspect.signature(kernel_energy).bind
+
+    def forming(functions, cells, kernel, p, weights):
+        calls.append((cells, kernel, p))
+        filled.extend((f.memo, cells, kernel, p, w) for f in functions for w in weights)
+        return pair_energies(functions, cells, kernel, p, weights)
+
+    def reading(*args, **kwargs):
+        bound = bind(*args, **kwargs)
+        bound.apply_defaults()
+        u, *key = bound.args
+        read.append((u._memo, *key))
+        return kernel_energy(*args, **kwargs)
+
+    monkeypatch.setattr(poincheck.forms, "_pair_energies", forming)
+    for module in (poincheck.runner, poincheck.inequalities):
+        monkeypatch.setattr(module, "kernel_energy", reading)
+    cfg = load_config(ROOT / config)
+    for run, count in zip((run_verify, run_sweep), counts):
+        for record in (filled, read, calls):
+            record.clear()
+        run(cfg, tmp_path / run.__name__)
+        assert len(calls) == count, run.__name__
+        assert len(set(calls)) == len(calls), run.__name__
+        # The memos are held, so no two of them share an id.
+        assert {(id(memo), *key) for memo, *key in filled} <= {(id(memo), *key) for memo, *key in read}
+
+
+def test_commands_free_their_grids_without_the_cyclic_collector(monkeypatch, tmp_path):
+    # A grid, its cell sets and memos, and its suite form no reference
+    # cycle, so each grid is freed when its command returns even with the
+    # cyclic collector off.
+    grids = []
+
+    def recording(*args):
+        grid = build_grid(*args)
+        grids.append(weakref.ref(grid))
+        return grid
+
+    monkeypatch.setattr(poincheck.runner, "build_grid", recording)
+    config = load_config(ROOT / "configs" / "demo.json")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for run in (run_verify, run_sharp, run_sweep):
+            grids.clear()
+            run(config, tmp_path / run.__name__)
+            assert len(grids) == len(config.grid_sizes), run.__name__
+            assert all(ref() is None for ref in grids), run.__name__
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _assert_reports_match_golden(tmp_path, config, name, commands):
