@@ -5,16 +5,16 @@ schema`` prints it, and :func:`parse_config` checks a document against it
 with a small interpreter of the JSON Schema 2020-12 keywords the schema
 uses: ``type``, ``enum``, ``const``, ``required``, ``additionalProperties``
 (``false`` only), ``properties``, ``items``, ``minItems``, ``uniqueItems``,
-``minimum``, ``exclusiveMinimum``, ``exclusiveMaximum``, ``multipleOf`` and
-``oneOf``; ``$schema``, ``title`` and ``description`` are annotations.  It
-keeps the 2020-12 semantics: an integral float is an ``integer``, a boolean
-is not a number and never equals one, 1 equals 1.0, and each keyword
-applies only to instances of its type.  It departs from the standard in
-one rule: ``number`` and ``integer`` accept finite values only, because
-``json.load`` reads ``NaN`` and ``Infinity`` and no bound rejects NaN.
-Otherwise the first error (by path) and its ``description`` hint are those
-of ``jsonschema.Draft202012Validator``, which ``tests/test_config.py`` runs
-as the oracle on mutated configs.
+``minimum``, ``exclusiveMinimum``, ``exclusiveMaximum``, ``multipleOf`` (an
+integer divisor) and ``oneOf``; ``$schema``, ``title`` and ``description``
+are annotations.  It keeps the 2020-12 semantics: an integral float is
+an ``integer``, a boolean is not a number and never equals one, 1 equals
+1.0, and each keyword applies only to instances of its type.  It departs
+from the standard in one rule: ``number`` and ``integer`` accept finite
+values only, because ``json.load`` reads ``NaN`` and ``Infinity`` and no
+bound rejects NaN.  Otherwise the first error (by path) and its
+``description`` hint are those of ``jsonschema.Draft202012Validator``,
+which ``tests/test_config.py`` runs as the oracle on mutated configs.
 """
 
 from __future__ import annotations
@@ -269,12 +269,8 @@ def _errors(instance, schema: dict, path: tuple = ()):
         elif keyword == "exclusiveMaximum":
             if instance >= value:
                 message = f"{instance!r} is greater than or equal to the maximum of {value!r}"
-        elif keyword == "multipleOf":
-            if isinstance(value, float):
-                failed = not (instance / value).is_integer()
-            else:
-                failed = instance % value != 0
-            if failed:
+        elif keyword == "multipleOf":  # an integer divisor: jsonschema's own test
+            if instance % value != 0:
                 message = f"{instance!r} is not a multiple of {value!r}"
         if message is not None:
             yield path, schema, message

@@ -291,56 +291,49 @@ def _pair_energies(
     kmax = float(table.max())
     spreads = (values.max(axis=1) - values.min(axis=1)).tolist()
     energies = [[0.0] * len(functions) for _ in weights]
-    fit = {}  # the bound of each (weight, function) pair that fits the schedule
+    bounds = [[0.0] * len(functions) for _ in weights]
     for w, phi in enumerate(phis):
         for f, spread in enumerate(spreads):
             try:
-                bound = 2.0 * spread**p * kmax * float(phi.max())
+                bounds[w][f] = 2.0 * spread**p * kmax * float(phi.max())
             except OverflowError:
-                bound = math.inf
-            if SymmetricRowSums.accepts(bound):
-                fit[w, f] = bound
-                continue
-            # Values near overflow: full-width rows.  Values are finite
-            # (``GridFunction``), so a nan term is an |u_i - u_j|^p that
-            # overflows to inf times a zero kernel or weight entry: a pair
-            # that contributes exactly 0.
-            rows = max(1, BLOCK_ELEMENTS // m)
-            row_sums = []
-            for start in range(0, m, rows):
-                stop = min(m, start + rows)
-                terms = unweighted(values[f], start, stop, 0, m)
-                terms = weighted(terms, phi, start, stop, 0, out=terms)
-                row_sums.append(ksum_rows(np.nan_to_num(terms, nan=0.0, posinf=np.inf, copy=False)))
-            energies[w][f] = ksum(np.concatenate(row_sums)) * grid.cell_measure**2
-    if not fit:
+                bounds[w][f] = math.inf
+    if not all(SymmetricRowSums.accepts(bound) for row in bounds for bound in row):
+        # Values near overflow: full-width rows for every pair, each row
+        # the exactly rounded sum that its strips would give.  Values are
+        # finite (``GridFunction``), so a nan term is an |u_i - u_j|^p that
+        # overflows to inf times a zero kernel or weight entry: a pair
+        # that contributes exactly 0.
+        rows = max(1, BLOCK_ELEMENTS // m)
+        for w, phi in enumerate(phis):
+            for f, v in enumerate(values):
+                row_sums = []
+                for start in range(0, m, rows):
+                    stop = min(m, start + rows)
+                    terms = unweighted(v, start, stop, 0, m)
+                    terms = weighted(terms, phi, start, stop, 0, out=terms)
+                    row_sums.append(ksum_rows(np.nan_to_num(terms, nan=0.0, posinf=np.inf, copy=False)))
+                energies[w][f] = ksum(np.concatenate(row_sums)) * grid.cell_measure**2
         return energies
-    # The strips hold the functions with a fitting pair: (rows, columns)
-    # for one, else (function, rows, columns).  Each weight then takes its
-    # functions' terms times its W_ij, on one schedule per function.
-    fs = sorted({f for _, f in fit})
-    v = values[fs[0]] if len(fs) == 1 else values[fs]
-    groups = []  # per weight: its functions, levels, positions in fs (None: all) and row sums
-    for w in sorted({w for w, _ in fit}):
-        under = [f for f in fs if (w, f) in fit]
-        bounds = [fit[w, f] for f in under]
-        taken = None if under == fs else [fs.index(f) for f in under]
-        groups.append((w, under, phis[w], taken, SymmetricRowSums(m, bounds[0] if v.ndim == 1 else bounds)))
+    # The strips are (rows, columns) for one function, else (function,
+    # rows, columns).  Each weight then takes their terms times its W_ij,
+    # on one schedule per function.
+    v = values[0] if len(functions) == 1 else values
+    per_weight = [SymmetricRowSums(m, row[0] if v.ndim == 1 else row) for row in bounds]
     axis0 = grid.lattice[idx, 0]  # nondecreasing: cells are lattice-ordered
     ends = np.searchsorted(axis0, axis0 + _reach(grid, kernel), side="right").tolist()
-    budget = max(1, BLOCK_ELEMENTS // len(fs))
+    budget = max(1, BLOCK_ELEMENTS // len(functions))
     start = 0
     while start < m:
         stop = _strip_stop(ends, start, budget)
         terms = unweighted(v, start, stop, start, ends[stop - 1])
-        for n, (_, _, phi, taken, strips) in enumerate(groups):
-            part = terms if taken is None else terms[taken]
-            spare = part is not terms or n == len(groups) - 1  # free to overwrite
-            strips.add(weighted(part, phi, start, stop, start, out=part if spare else None), start)
-        del terms, part  # before the next strip is formed
+        for w, strips in enumerate(per_weight):
+            spare = w == len(per_weight) - 1  # free to overwrite
+            strips.add(weighted(terms, phis[w], start, stop, start, out=terms if spare else None), start)
+        del terms  # before the next strip is formed
         start = stop
-    for w, under, _, _, strips in groups:
-        for f, sums in zip(under, strips.sums().reshape(len(under), m)):
+    for w, strips in enumerate(per_weight):
+        for f, sums in enumerate(strips.sums().reshape(len(functions), m)):
             energies[w][f] = ksum(sums) * grid.cell_measure**2
     return energies
 
@@ -370,11 +363,12 @@ def kernel_energy(
     within its reach along lattice axis 0 (see :func:`_reach`), and takes
     as many rows as fit the budget at that width: the pairs it drops have
     a zero kernel, and an exactly rounded sum does not depend on them or
-    on the strips.  Only a bound that does not fit the schedule (inf, or
-    2^900 and up) takes full-width rows, summed by
-    :func:`~poincheck.numerics.ksum_rows`; there a pair with a zero kernel
-    or weight entry contributes exactly 0 even where ``|u_i - u_j|^p``
-    overflows, so the energy is ``inf``, not ``nan``.
+    on the strips.  If a bound of one call does not fit the schedule (inf,
+    or 2^900 and up), every energy of that call takes full-width rows,
+    summed by :func:`~poincheck.numerics.ksum_rows` to the same exactly
+    rounded row sums; there a pair with a zero kernel or weight entry
+    contributes exactly 0 even where ``|u_i - u_j|^p`` overflows, so the
+    energy is ``inf``, not ``nan``.
 
     The energy is memoized on ``u`` (which is immutable), keyed by the
     cell set, the kernel, p and the weight, so a repeated call

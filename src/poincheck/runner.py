@@ -1,8 +1,9 @@
 """Experiment orchestration: verify / sharp / sweep runs over a config.
 
-Rows are produced in a fixed nesting order (N, then p, then check, then
-profile, kernel, sweep axes, suite index), all reductions are exactly
-rounded, and every random draw derives from the config seed, so a run's
+Verify rows come in a fixed order: the shift rows, one block per p; then
+per N and p each profile's rows by check, kernel or sweep point and suite
+index, and then that (N, p)'s truncation rows.  All reductions are exactly
+rounded and every random draw derives from the config seed, so a run's
 CSV output is byte-identical across repetitions.
 
 Each weighted constant is a per-ball unweighted constant times the
@@ -125,6 +126,11 @@ def _kernels_of(config: ExperimentConfig, kind: str) -> list[KernelSpec]:
 
 def _freeze_order(sweep_s) -> float:
     return 0.5 if 0.5 in sweep_s else min(sweep_s)
+
+
+def _sweep_points(config: ExperimentConfig) -> list[tuple[float, float]]:
+    """The (s, R) sweep grid in row order: s, then R."""
+    return [(s, R) for s in config.sweep_s for R in config.sweep_R]
 
 
 @dataclass
@@ -252,62 +258,55 @@ def _gradient_reports(case, profile):
     return [check_weighted_gradient(u, profile, case.p, case.c_hat) for u in case.suite]
 
 
+def _fill_full_ball(case, kernels):
+    """Fill the full-ball pair energies of the suite under every profile by
+    one :func:`kernel_energies` call per kernel, so each strip is formed
+    once for all profiles.  A row function calls it on the kernels it
+    iterates before its first check reads one: a key read first is filled
+    alone."""
+    cells = full_cells(case.grid)
+    for kernel in kernels:
+        kernel_energies(case.suite[0], cells, kernel, case.p, case.config.profiles)
+
+
 def _kernel_reports(case, profile):
+    kernels = _kernels_of(case.config, KIND_FRACTIONAL)
+    _fill_full_ball(case, kernels)
     return [
         check_weighted_kernel(u, profile, kernel, case.p, case.kernel_constants[kernel])
-        for kernel in _kernels_of(case.config, KIND_FRACTIONAL)
+        for kernel in kernels
         for u in case.suite
     ]
 
 
 def _kernel_floor_reports(case, profile):
+    kernels = _kernels_of(case.config, KIND_FLOOR)
+    _fill_full_ball(case, kernels)
     return [
         check_kernel_floor(u, profile, kernel, case.p)
-        for kernel in _kernels_of(case.config, KIND_FLOOR)
+        for kernel in kernels
         for u in case.suite
     ]
 
 
 def _fractional_truncated_reports(case, profile):
     p, config = case.p, case.config
+    points = _sweep_points(config)
+    _fill_full_ball(case, [KernelSpec(KIND_FRACTIONAL, s=s, R=R) for s, R in points])
     s0 = _freeze_order(config.sweep_s)
     constant = transfer_constant(p, case.grid.d, profile) * 3.0 ** (p * (1.0 - s0))
     constant = constant * case.robust_constant
     return [
         check_truncated_fractional(u, profile, p, s, R, constant)
-        for s in config.sweep_s
-        for R in config.sweep_R
+        for s, R in points
         for u in case.suite
     ]
-
-
-def _fill_profile_energies(case, checks):
-    """Compute, before any check reads them, the full-ball pair energies
-    that the ``kernel``, ``kernel_floor`` and ``fractional_truncated``
-    checks among ``checks`` read under every profile: one
-    :func:`kernel_energies` call per kernel for all profiles and the whole
-    suite, so that each pair-energy strip is formed once for every
-    profile.  The checks then read them from the memo."""
-    config = case.config
-    kernels = []
-    if "kernel" in checks:
-        kernels += _kernels_of(config, KIND_FRACTIONAL)
-    if "kernel_floor" in checks:
-        kernels += _kernels_of(config, KIND_FLOOR)
-    if "fractional_truncated" in checks:
-        kernels += [
-            KernelSpec(KIND_FRACTIONAL, s=s, R=R) for s in config.sweep_s for R in config.sweep_R
-        ]
-    cells = full_cells(case.grid)
-    for kernel in kernels:
-        kernel_energies(case.suite[0], cells, kernel, case.p, config.profiles)
 
 
 def _truncation_reports(case):
     return [
         check_truncation_bound(u, case.p, s, R)
-        for s in case.config.sweep_s
-        for R in case.config.sweep_R
+        for s, R in _sweep_points(case.config)
         for u in case.suite
     ]
 
@@ -354,7 +353,6 @@ def run_verify(config: ExperimentConfig, out_dir) -> RunResult:
         for case, frozen in zip(cases_of[N], largest):
             if case is not frozen:
                 case.c_hat_from = frozen
-            _fill_profile_energies(case, config.checks)
             for profile in config.profiles:
                 for name, check_reports in _PROFILE_CHECKS.items():
                     if name in config.checks:
@@ -476,12 +474,13 @@ def run_sweep(config: ExperimentConfig, out_dir) -> RunResult:
         u = canonical_bump(grid)
         for p in config.p_values:
             case = _Case(config, grid, [u], p, radii)
-            _fill_profile_energies(case, ("fractional_truncated",))
+            # Every profile's fractional rows first: they fill the truncated
+            # kernels' energies that the truncation rows read.
+            fractional = [_fractional_truncated_reports(case, profile) for profile in config.profiles]
             truncations = _truncation_reports(case)
             grad_energy = local_energy(u, full_cells(grid), p)
-            for profile in config.profiles:
-                checks = zip(_fractional_truncated_reports(case, profile), truncations)
-                for frac_check, trunc_check in checks:
+            for frac_checks in fractional:
+                for frac_check, trunc_check in zip(frac_checks, truncations):
                     meta = frac_check.metadata
                     frac = trunc_check.lhs
                     scaled = (1.0 - meta["s"]) * frac

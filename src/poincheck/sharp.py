@@ -885,9 +885,9 @@ def member_eigenvector(grid: Grid) -> np.ndarray:
     only a vector in that eigenspace, and the suite, hence every 2-d
     verify report, follows the vector's angle in it.
     ``perfbench/reference`` pins the block iteration's angle; the
-    recapture that moves the member to a parity-sector solve (ROADMAP item
-    18) deletes the block iteration with it.  A solve that does not
-    converge raises each time and is not kept.
+    recapture that moves the member to the parity projection of the
+    Lanczos vector (ROADMAP item 22) deletes the block iteration with it.
+    A solve that does not converge raises each time and is not kept.
     """
     cells = full_cells(grid)
     local = KernelSpec(KIND_LOCAL)

@@ -179,6 +179,8 @@ def test_schema_uses_only_interpreted_keywords():
             assert schema["type"] in {"object", "array", "string", "number", "integer"}, where
         if "additionalProperties" in schema:
             assert schema["additionalProperties"] is False, where
+        if "multipleOf" in schema:  # the interpreter divides by integers only
+            assert type(schema["multipleOf"]) is int, where
         for name, sub in schema.get("properties", {}).items():
             walk(sub, f"{where}/properties/{name}")
         if "items" in schema:
@@ -201,6 +203,10 @@ def test_schema_uses_only_interpreted_keywords():
         ({"checks": ["transfer", "transfer"]}, ["checks"]),
         ({"checks": [1, 1.0]}, ["checks"]),  # equal, so not unique
         ({"checks": [1, True]}, ["checks", 0]),  # unique
+        ({"checks": [["transfer"], ["transfer"]]}, ["checks"]),  # equal lists
+        ({"checks": [{"a": 1}, {"a": 1.0}]}, ["checks"]),  # equal objects
+        ({"checks": [{"a": [1]}, {"a": [1.0]}]}, ["checks"]),  # nested
+        ({"checks": [[1], [True]]}, ["checks", 0]),  # unique lists
         ({"weights": [[]]}, ["weights", 0]),  # valid under both branches
         ({"weights": [{"type": "power", "beta": 1.0, "values": [1.0]}]}, ["weights", 0]),
         ({"kernels": [{"kind": "fractional", "s": 1}]}, ["kernels", 0, "s"]),

@@ -788,11 +788,12 @@ def test_multi_weight_energies_equal_lone_calls(grid_key, t, kernel, p, weights,
         assert got == [kernel_energy(suite[first], cells, kernel, p, w) for w in weights]
 
 
-def test_multi_weight_fill_mixes_strips_and_full_rows(monkeypatch):
+def test_multi_weight_fill_with_one_unfit_bound_takes_full_rows_only(monkeypatch):
     # A member whose bound fits the schedule under the unit weight but not
-    # under a weight of level 2^40 takes strips under the one and full rows
-    # under the other, in the same call, beside a member that fits under
-    # both.  Every energy is the lone call's float.
+    # under a weight of level 2^40 sends the whole call to full-width rows:
+    # itself under both weights, and beside it a member that fits under
+    # both.  Every energy is still the lone call's float, which for each
+    # fitting pair comes from strips.
     calls = _count_pair_calls(monkeypatch)
     g = build_grid(2, 16)
     cells = full_cells(g)
@@ -805,9 +806,7 @@ def test_multi_weight_fill_mixes_strips_and_full_rows(monkeypatch):
     suite = make_suite(GridFunction(g, v) for v in values)
     strips = _count_strips(monkeypatch)
     got = kernel_energies(suite[0], cells, kernel, 2.0, [UNIT_WEIGHT, heavy])
-    # The unit weight's strips hold both members, the heavy one's the one
-    # member that fits under it.
-    assert len(calls) == 1 and {shape[0] for shape in strips} == {1, 2}
+    assert len(calls) == 1 and strips == []
     for u, v in zip(suite, values):
         for weight in (UNIT_WEIGHT, heavy):
             lone = kernel_energy(GridFunction(g, v), cells, kernel, 2.0, weight)

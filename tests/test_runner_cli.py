@@ -727,14 +727,23 @@ def test_demo_weighs_each_cell_set_once_per_profile(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config,counts",
-    [("configs/demo.json", (56, 52)), ("tests/golden/ball2d-n16.json", (16, 14))],
-    ids=["demo", "ball2d-n16"],
+    "config,checks,counts",
+    [
+        ("configs/demo.json", None, (56, 52)),
+        ("tests/golden/ball2d-n16.json", None, (16, 14)),
+        ("tests/golden/ball2d-n16.json", ["kernel"], (4,)),
+        ("tests/golden/ball2d-n16.json", ["kernel_floor"], (2,)),
+        ("tests/golden/ball2d-n16.json", ["fractional_truncated"], (12,)),
+        ("tests/golden/ball2d-n16.json", ["truncation", "kernel"], (14,)),
+    ],
+    ids=["demo", "ball2d-n16", "kernel", "kernel_floor", "fractional_truncated", "truncation-kernel"],
 )
-def test_each_pair_energy_is_formed_once_and_read(config, counts, monkeypatch, tmp_path):
+def test_each_pair_energy_is_formed_once_and_read(config, checks, counts, monkeypatch, tmp_path):
     # verify and sweep form each (cells, kernel, p) once, filling the keys
     # of every profile a check reads on the full ball in that one call, and
     # read every (member, cells, kernel, p, weight) key the call fills.
+    # Each check that reads pair energies fills its own, so a verify run
+    # that requests one of them alone (one count: verify only) does too.
     filled, read, calls = [], [], []
     pair_energies = poincheck.forms._pair_energies
     bind = inspect.signature(kernel_energy).bind
@@ -755,6 +764,8 @@ def test_each_pair_energy_is_formed_once_and_read(config, counts, monkeypatch, t
     for module in (poincheck.runner, poincheck.inequalities):
         monkeypatch.setattr(module, "kernel_energy", reading)
     cfg = load_config(ROOT / config)
+    if checks is not None:
+        cfg = dataclasses.replace(cfg, checks=tuple(checks))
     for run, count in zip((run_verify, run_sweep), counts):
         for record in (filled, read, calls):
             record.clear()
