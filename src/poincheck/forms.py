@@ -118,12 +118,14 @@ def local_energy_rows(
     ``values[r]``: the same elementwise terms, each row summed exactly
     rounded.  Returns k floats.
 
-    Probes are not formed.  Bumping cell i changes at most d + 1 terms:
-    its own, if it lies in the set, and those of its down-neighbors in
-    the set, whose forward differences reach it.  The probe's sum is the
-    base's exact sum with those terms replaced by their new values, formed
-    with the same float operations
-    (:func:`~poincheck.numerics.ksum_replaced`).
+    Probes are not formed.  The base row, the last of the probes, is one
+    exact sum of the base terms.  Bumping cell i changes at most d + 1
+    terms: its own, if it lies in the set, and those of its
+    down-neighbors in the set, whose forward differences reach it.  The
+    probe's sum is the base's exact sum with those terms replaced by their
+    new values, formed with the same float operations
+    (:func:`~poincheck.numerics.ksum_replaced`); a probe outside the set
+    gets the base's float.
     """
     if len(cells) == 0:
         raise ValueError("cannot take energy over an empty cell set")
@@ -151,9 +153,7 @@ def local_energy_rows(
         return ksum_rows(terms(vals, vals[:, ups], every)) * grid.cell_measure
     vals, bumped = rows.values[idx], rows.bumped[idx]
     base = terms(vals, vals[ups], every)
-    energy = np.empty(len(rows))
-    if idx.size < len(rows):  # probes outside the set
-        energy[:] = ksum_rows(base[None, :]) * grid.cell_measure
+    energy = np.full(len(rows), ksum_rows(base[None, :])[0] * grid.cell_measure)
     # Probe of position k against the terms at positions at[k]: k itself,
     # then its down-neighbor along each axis (-1 when not in the set, whose
     # stand-in values ksum_replaced ignores).

@@ -200,13 +200,15 @@ class CellSet:
 
 @dataclass(frozen=True, eq=False)
 class Probes:
-    """The n rows ``values + delta * e_i``, i = 0 .. n - 1, unformed.
+    """The n + 1 rows ``values + delta * e_i``, i = 0 .. n - 1, then
+    ``values`` itself, unformed.
 
-    Row i is ``values`` with entry i bumped by ``+= delta``, so its entry
-    i is ``bumped[i]``, the float ``values[i] + delta``.
-    :func:`deviation_p_rows` and :func:`~poincheck.forms.local_energy_rows`
-    take it in place of a row matrix and return n floats, each the float
-    they give for that row, without forming the rows.
+    Row i < n is ``values`` with entry i bumped by ``+= delta``, so its
+    entry i is ``bumped[i]``, the float ``values[i] + delta``; row n, the
+    last, is the base ``values``.  :func:`deviation_p_rows` and
+    :func:`~poincheck.forms.local_energy_rows` take it in place of a row
+    matrix and return n + 1 floats, each the float they give for that
+    row, without forming the rows.
     """
 
     values: np.ndarray
@@ -227,10 +229,10 @@ class Probes:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.values.size, self.values.size)
+        return (self.values.size + 1, self.values.size)
 
     def __len__(self) -> int:
-        return self.values.size
+        return self.values.size + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,7 +394,7 @@ def deviation_p_rows(
     values,
     cells,
     p: float,
-    profile: RadialProfile = UNIT_WEIGHT,
+    profile=UNIT_WEIGHT,
 ) -> np.ndarray:
     """:func:`deviation_p` of each row of a (k, cell_count) value matrix
     or of :class:`Probes`, over a :class:`CellSet` or each of a sequence
@@ -401,17 +403,21 @@ def deviation_p_rows(
     Entry r is exactly ``deviation_p`` of the function with values
     ``values[r]``: the same elementwise terms, each row summed exactly
     rounded.  Returns k floats for a set, and for a sequence a (T, k)
-    array whose row t holds set t's.  A set is the case T = 1: the sets'
-    terms lie side by side, padded to the largest set with ``-0.0``,
-    which leaves every sum as it is.
+    array whose row t holds set t's.  ``profile`` is one
+    :class:`~poincheck.weights.RadialProfile` for every set, or a
+    sequence of one per set.  A set is the case T = 1: the sets' terms
+    lie side by side, padded to the largest set with ``-0.0``, which
+    leaves every sum as it is.
 
-    Probes are not formed.  A probe outside a set has the base's
-    restricted row, so it gets the base's float.  Inside it, the row's
-    weighted sum is the base's exact sum with one entry replaced, which
-    gives the probe's center.  The terms about each distinct center of a
-    set are formed once, as one row, in blocks of about 2^16 terms; a
-    probe's float is the exact sum of its center's row with its own term
-    replaced by its bumped one, formed with the same float operations
+    Probes are not formed.  Each set's base row, the last of the probes,
+    is one more variant (position -1, nothing replaced), and a probe
+    outside a set has the base's restricted row, so it gets the base's
+    float.  Inside it, the row's weighted sum is the base's exact sum
+    with one entry replaced, which gives the probe's center.  The terms
+    about each distinct center of a set are formed once, as one row, in
+    blocks of about 2^16 terms; a probe's float is the exact sum of its
+    center's row with its own term replaced by its bumped one, formed
+    with the same float operations
     (:func:`~poincheck.numerics.ksum_replaced`).
     """
     sets = (cells,) if isinstance(cells, CellSet) else tuple(cells)
@@ -419,9 +425,12 @@ def deviation_p_rows(
         raise ValueError("cannot take deviation over an empty cell set")
     if p < 1.0:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+    profiles = (profile,) * len(sets) if isinstance(profile, RadialProfile) else tuple(profile)
+    if len(profiles) != len(sets):
+        raise ValueError(f"expected one profile per cell set, got {len(profiles)} for {len(sets)}")
     grid = sets[0].grid
     rows = value_rows(values, grid)
-    idx, w, den, pad = _layout(sets, profile)
+    idx, w, den, pad = _layout(sets, profiles)
     T, M = idx.shape
 
     def laid(terms, of=slice(None)):  # -0.0 where sets ``of`` are padded
@@ -433,14 +442,12 @@ def deviation_p_rows(
         terms = laid(np.abs(vals - c) ** p * w).reshape(-1, M)
         out = ksum_rows(terms).reshape(-1, T).T * grid.cell_measure
     else:
-        # Variant v is of set t[v] at its position j[v]: first the bases
-        # (j = -1) of the sets that leave cells out, then a probe per cell
-        # of each set.
+        # Variant v is of set t[v] at its position j[v]: first the base
+        # (j = -1) of each set, then a probe per cell of each set.
         inner = np.ones(idx.shape, dtype=bool) if pad is None else ~pad
-        part = np.flatnonzero(inner.sum(axis=1) < len(rows))
         t, j = np.nonzero(inner)
-        t, j = np.concatenate([part, t]), np.concatenate([np.full(part.size, -1), j])
-        at, cell, wt, B = j[:, None], idx[t, j], w[t, j], part.size
+        t, j = np.concatenate([np.arange(T), t]), np.concatenate([np.full(T, -1), j])
+        at, cell, wt = j[:, None], idx[t, j], w[t, j]
         base, bumped = rows.values[idx], rows.bumped[cell]
         c = ksum_replaced(laid(base * w), t, at, (bumped * wt)[:, None]) / den[t]
         order = np.lexsort((c, t))  # the variants by set and center
@@ -458,20 +465,20 @@ def deviation_p_rows(
             dev[v] = ksum_replaced(terms, group[a:b] - lo, at[v], new[v])
         dev *= grid.cell_measure
         out = np.empty((T, len(rows)))
-        out[t[:B]] = dev[:B, None]  # the base's float, for the probes outside
-        out[t[B:], cell[B:]] = dev[B:]
+        out[:] = dev[:T, None]  # the base's float, and that of the probes outside
+        out[t[T:], cell[T:]] = dev[T:]
     return out[0] if isinstance(cells, CellSet) else out
 
 
-def _layout(sets: tuple, profile: RadialProfile):
-    """The sets of :func:`deviation_p_rows` side by side: cells ``idx``,
-    weights ``w`` and weight sums ``den``, each row padded to the largest
-    set (cell 0, weight 0) where ``pad`` is set.  One set's arrays are its
-    own, with no padding (``pad`` None); several sets' are memoized per
-    grid."""
+def _layout(sets: tuple, profiles: tuple):
+    """The sets of :func:`deviation_p_rows` side by side, each under its
+    profile: cells ``idx``, weights ``w`` and weight sums ``den``, each row
+    padded to the largest set (cell 0, weight 0) where ``pad`` is set.
+    One set's arrays are its own, with no padding (``pad`` None); several
+    sets' are memoized per grid, sets and profiles."""
     if not all(s.shares_grid(sets[0]) for s in sets[1:]):
         raise ValueError("cell sets must share one grid")
-    weights = [cell_weights(s, profile) for s in sets]
+    weights = [cell_weights(s, profile) for s, profile in zip(sets, profiles)]
     if any(den <= 0.0 for _, den in weights):
         raise ValueError("weight vanishes on every cell of the set")
     if len(sets) == 1:
@@ -487,4 +494,4 @@ def _layout(sets: tuple, profile: RadialProfile):
         w[~pad] = np.concatenate([ws for ws, _ in weights])
         return idx, w, np.array([den for _, den in weights]), pad
 
-    return grid.memo(("grid._layout", sets, profile), lay)
+    return grid.memo(("grid._layout", sets, profiles), lay)

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import ksum_rows
-from .weights import describe_profile, layer_cake
+from .weights import UNIT_WEIGHT, describe_profile, layer_cake
 from .grid import Grid, ball_cells, build_grid, cell_weights, full_cells
 from .grid import deviation_p, deviation_p_rows
 from .forms import (
@@ -384,17 +384,31 @@ def _sharp_row(target, method, eigenvalue, empirical, paper, residual=None):
 def _ascent_functionals(grid, profile, p):
     """Row functionals of the two ascent targets: the weighted deviation
     (lhs), the transfer rhs ``sum_t w_t * deviation_p(u, B_t, p)`` over the
-    layer-cake atoms, whose balls take one ``deviation_p_rows`` call, and
-    the weighted gradient energy (rhs)."""
+    layer-cake atoms, and the weighted gradient energy (rhs).  The
+    transfer rhs takes the whole ball under the profile and the atoms'
+    balls unweighted in one ``deviation_p_rows`` call (the atoms end at the
+    whole ball, so the padded width does not grow); the lhs handed the
+    same rows next, as ``ratio_ascent`` hands them, reads its floats from
+    that call, and makes its own otherwise."""
     whole = full_cells(grid)
-    balls = [ball_cells(grid, t) for t, _ in layer_cake(profile).atoms]
-    masses = np.array([[w] for _, w in layer_cake(profile).atoms])
+    atoms = layer_cake(profile).atoms
+    sets = [whole] + [ball_cells(grid, t) for t, _ in atoms]
+    profiles = [profile] + [UNIT_WEIGHT] * len(atoms)
+    masses = np.array([[w] for _, w in atoms])
+    last = None  # the rows of the last transfer rhs call, and their lhs
 
     def lhs(values):
+        nonlocal last
+        held, last = last, None
+        if held is not None and held[0] is values:
+            return held[1]
         return deviation_p_rows(values, whole, p, profile=profile)
 
     def transfer_rhs(values):
-        return ksum_rows((masses * deviation_p_rows(values, balls, p)).T)
+        nonlocal last
+        devs = deviation_p_rows(values, sets, p, profiles)
+        last = values, devs[0]
+        return ksum_rows((masses * devs[1:]).T)
 
     def gradient_rhs(values):
         return local_energy_rows(values, whole, p, weight=profile)

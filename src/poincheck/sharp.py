@@ -24,10 +24,11 @@ of the dense pencil (:func:`dense_oracle_eigen`).
 member keeps a solve of its own (:func:`member_eigenvector`).
 For general p a normalized finite-difference ascent of the ratio supplies
 a certified lower bound on the sharp constant.  Each step hands its n
-probes ``u + delta e_i`` to each functional in one call, as
-:class:`~poincheck.grid.Probes`; the deviation and gradient-energy row
-functionals evaluate them without forming the n x n matrix of rows, each
-to the float its row gives.
+probes ``u + delta e_i`` and its iterate ``u`` to each functional in one
+call, as :class:`~poincheck.grid.Probes`, so the iterate's ratio comes
+with its probes; the deviation and gradient-energy row functionals
+evaluate them without forming the (n + 1) x n matrix of rows, each to
+the float its row gives.
 
 Everything here is deterministic: fixed internal seeds, fixed iteration
 schedules, and LAPACK through numpy at the one BLAS thread the package
@@ -583,17 +584,20 @@ class _BlockedCholesky:
     of the diagonal block, the rows below it down to the envelope)``, so
     both substitutions of :meth:`solve` are matrix products too.
 
-    Let b be the longest row of the envelope, diagonal included.  Column
-    j reaches at most row ``j + b - 1``, so a panel of at most b columns
-    has at most ``min(n, 2 b)`` rows, and the width ``min(b,
-    BLOCK_ELEMENTS // min(n, 2 b))`` keeps it, and every temporary, within
-    ``BLOCK_ELEMENTS`` entries.  A formed matrix (:meth:`of_matrix`) has
-    the full envelope, b = n: panels of ``BLOCK_ELEMENTS // n`` columns
-    over every row below, about n^2 / 2 entries in all.  A grounded
-    stencil (:meth:`of_grounded_stencil`) in lattice order is banded, b
-    about the cells of one lattice row: panels of about b columns, and
-    about n b entries in all.  Raises ``np.linalg.LinAlgError`` when a
-    pivot is not positive."""
+    Let b be the longest row of the envelope, diagonal included, and
+    ``b' = max(b, 16)``.  Column j reaches at most row ``j + b' - 1``, so
+    a panel of at most b' columns has at most ``min(n, 2 b')`` rows, and
+    the width ``min(b', BLOCK_ELEMENTS // min(n, 2 b'))`` keeps it, and
+    every temporary, within ``BLOCK_ELEMENTS`` entries.  A formed matrix
+    (:meth:`of_matrix`) has the full envelope, b = n: panels of
+    ``BLOCK_ELEMENTS // n`` columns over every row below, about n^2 / 2
+    entries in all.  A grounded stencil (:meth:`of_grounded_stencil`) in
+    lattice order is banded, b about the cells of one lattice row: panels
+    of about b' columns, and about n b' entries in all.  The floor of 16
+    gives a 1-d stencil (b = 2) panels of 16 columns, not 2, so that its
+    factor and solves pay one panel's numpy calls per 16 cells; a 2-d
+    stencil of 256 cells or more has b >= 16 already.  Raises
+    ``np.linalg.LinAlgError`` when a pivot is not positive."""
 
     def __init__(self, first: np.ndarray, columns):
         n = first.size
@@ -601,7 +605,7 @@ class _BlockedCholesky:
         last = np.full(n, -1)
         np.maximum.at(last, first, index)
         envelope = np.maximum.accumulate(last)
-        b = int((index - first).max()) + 1
+        b = max(int((index - first).max()) + 1, 16)
         width = max(1, min(b, BLOCK_ELEMENTS // min(n, 2 * b)))
         # one past each panel's last row, nondecreasing
         stops = envelope[np.minimum(np.arange(width, n + width, width), n) - 1] + 1
@@ -936,22 +940,26 @@ def ratio_ascent(
     values per row, or the :class:`~poincheck.grid.Probes` of a step, and
     return k floats.  The gradient is a forward finite difference of the
     ratio (step ``delta = 1e-6 * |u|``); a probe whose rhs is ``<= 0``
-    contributes a zero entry.  The n probes of a step, ``u + delta e_i``,
-    go to each functional in one call as ``Probes(u, delta)``, which
-    ``deviation_p_rows`` and ``local_energy_rows`` evaluate without forming
-    them (recentered, a probe moves its center only by its rounded bump,
-    so the deviation's probes share few centers, each formed once).  Those
-    two give every row the float it gives alone, so every ratio, iterate
-    and the result are bit-identical to one call per probe.
+    contributes a zero entry.  Each step hands each functional one call,
+    ``Probes(u, delta)``: the n probes ``u + delta e_i`` and then ``u``
+    itself, which ``deviation_p_rows`` and ``local_energy_rows`` evaluate
+    without forming them (recentered, a probe moves its center only by
+    its rounded bump, so the deviation's probes share few centers, each
+    formed once).  Those two give every row the float it gives alone, so
+    every ratio, iterate and the result are bit-identical to one call per
+    row.  Both functionals get the same rows object back to back, rhs
+    first, so a pair of functionals may share one evaluation.
     The update moves along the normalized gradient, and each iterate is
     re-centered to mean zero against ``weight`` (``UNIT_WEIGHT``, the
     plain mean, by default) and rescaled to unit norm; the ratio is
     invariant under both for the functionals used here.  Each iterate's
-    ratio is evaluated once and is the base of the next step's
-    differences; a restart, taken when an iterate's rhs is ``<= 0``,
-    evaluates its new start.  Deterministic given (u0, steps, step_size);
-    returns the best ratio seen and its grid function, on ``u0``'s grid.
-    Use as a lower bound on the sharp constant for general p.
+    ratio is evaluated once, as the last row of its step's call, which
+    first updates the best ratio and restarts when that iterate's rhs is
+    ``<= 0``.  One-row calls evaluate only the start, a restart's new
+    start and the last iterate.  Deterministic given (u0, steps,
+    step_size); returns the best ratio seen and its grid function, on
+    ``u0``'s grid.  Use as a lower bound on the sharp constant for
+    general p.
     """
 
     def ratios(rows, *entries):
@@ -977,19 +985,27 @@ def ratio_ascent(
     n = vals.size
     restarts = 0
     base = start
+    pending = False  # vals is an iterate whose ratio its step's call gives
     for _ in range(steps):
+        if base is not None:
+            delta = 1e-6 * np.linalg.norm(vals)
+            if delta == 0.0:
+                delta = 1e-6
+            probes = Probes(vals, delta)
+            r, bad = ratios(probes, probes.values, probes.bumped)
+            if pending:  # the iterate's own row, the last
+                pending = False
+                base = None if bad[-1] else float(r[-1])
+                if base is not None and base > best_ratio:
+                    best_ratio = base
+                    best_vals = vals.copy()
         if base is None:
             restarts += 1
             noise = np.random.default_rng(900 + restarts).standard_normal(n)
             vals = best_vals + 1e-3 * max(np.linalg.norm(best_vals), 1.0) * noise
             base = ratio_of(vals)
             continue
-        delta = 1e-6 * np.linalg.norm(vals)
-        if delta == 0.0:
-            delta = 1e-6
-        probes = Probes(vals, delta)
-        r, bad = ratios(probes, probes.values, probes.bumped)
-        grad = np.where(bad, 0.0, (r - base) / delta)
+        grad = np.where(bad[:n], 0.0, (r[:n] - base) / delta)
         gnorm = np.linalg.norm(grad)
         if gnorm == 0.0:
             break
@@ -998,6 +1014,8 @@ def ratio_ascent(
         scale = np.linalg.norm(vals)
         if scale > 0.0:
             vals = vals / scale
+        pending = True
+    if pending:
         base = ratio_of(vals)
         if base is not None and base > best_ratio:
             best_ratio = base

@@ -251,10 +251,10 @@ def deviation_about(u, cells, p, profile, c):
 
 
 def formed_rows(probes):
-    """The (n, n) matrix of the rows ``values + delta * e_i`` that
-    ``grid.Probes`` stand for, formed."""
+    """The (n + 1, n) matrix of the rows that ``grid.Probes`` stand for,
+    formed: ``values + delta * e_i``, then ``values``."""
     rows = np.tile(probes.values, (len(probes), 1))
-    diag = np.arange(len(probes))
+    diag = np.arange(probes.values.size)
     rows[diag, diag] += probes.delta
     return rows
 

@@ -1013,9 +1013,9 @@ def test_ascent_probes_take_the_few_term_kernel_from_its_crossover(monkeypatch, 
 def test_probes_form_the_bumped_rows():
     values = np.array([1.0, -2.0, 0.5])
     probes = Probes(values, 0.25)
-    rows = np.tile(values, (3, 1))
+    rows = np.tile(values, (4, 1))  # the three probes, then the base
     rows[[0, 1, 2], [0, 1, 2]] += 0.25
-    assert probes.shape == (3, 3) and len(probes) == 3
+    assert probes.shape == (4, 3) and len(probes) == 4
     assert formed_rows(probes).tobytes() == rows.tobytes()
     assert probes.bumped.tobytes() == (values + 0.25).tobytes()
     g = build_grid(1, 8)

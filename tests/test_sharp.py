@@ -40,6 +40,7 @@ from poincheck.grid import (
     deviation_p,
     deviation_p_rows,
     full_cells,
+    weighted_mean,
 )
 from poincheck.numerics import ksum
 from poincheck.runner import _ascent_functionals, run_sharp
@@ -763,6 +764,21 @@ def test_stencil_factor_matches_lapack(d, N, rng):
             assert np.max(np.abs(A @ got - B)) <= 1e-14 * scale
 
 
+def test_one_dimensional_stencil_factor_takes_panels_of_sixteen():
+    # A 1-d grounded stencil has band 2, which the width rule takes as 16:
+    # the 511 grounded cells of 1-d N = 512 make at most ceil(n / 16)
+    # panels, not one per 2 columns.  test_stencil_factor_matches_lapack
+    # holds the same factors to LAPACK's Cholesky and solve.
+    g = build_grid(1, 512)
+    for profile in DEMO_PROFILES:
+        for t in (0.75, 1.0):
+            stencil = local_stencil(ball_cells(g, t), profile)
+            factor = poincheck.sharp._BlockedCholesky.of_grounded_stencil(stencil)
+            n = factor.panels[-1][1]
+            assert n == len(ball_cells(g, t)) - 1
+            assert len(factor.panels) <= -(-n // 16)
+
+
 @pytest.mark.parametrize("N", [32, 128])
 def test_stencil_factor_makes_no_square_array(N):
     # 811 and 12,891 grounded cells: the factor keeps about n b entries,
@@ -1140,19 +1156,22 @@ def test_ratio_ascent_deterministic(rng):
 
 
 def test_ratio_ascent_evaluates_each_iterate_once(rng):
-    # One-row calls are the start and each step's new iterate; the probes
-    # of a step go to each functional in one call, as Probes.  Each
-    # iterate's ratio is the base of the next step's differences, so no
-    # iterate is evaluated twice.
+    # Each step makes one call of each functional, on the Probes of its
+    # iterate, whose last row is that iterate: the call gives the
+    # iterate's ratio with its probes.  One-row calls are the start and
+    # the last iterate, so each of the steps + 1 iterates is evaluated
+    # once; the first step's call also holds the start, as its base row.
     g = build_grid(1, 32)
     u0 = GridFunction(g, rng.standard_normal(32))
-    one_row = []
+    one_row, bases = [], []
     probe_calls = {"lhs": 0, "rhs": 0}
 
     def counted(name, functional):
         def call(v):
             if isinstance(v, Probes):
                 probe_calls[name] += 1
+                if name == "rhs":
+                    bases.append(v.values.tobytes())
             elif name == "rhs":
                 assert v.shape[0] == 1
                 one_row.append(v[0].tobytes())
@@ -1164,9 +1183,11 @@ def test_ratio_ascent_evaluates_each_iterate_once(rng):
     rhs = counted("rhs", local_energy_rows)
     steps = 5
     ratio, _ = ratio_ascent(lhs, rhs, u0, steps=steps, step_size=0.05)
-    assert len(one_row) == steps + 1
-    assert len(set(one_row)) == steps + 1
     assert probe_calls == {"lhs": steps, "rhs": steps}
+    assert len(one_row) == 2
+    assert one_row[0] == bases[0] == u0.values.tobytes()
+    iterates = one_row + bases[1:]
+    assert len(iterates) == len(set(iterates)) == steps + 1
     assert ratio > lhs(u0.values[None])[0] / rhs(u0.values[None])[0]
 
 
@@ -1287,23 +1308,121 @@ def test_ascent_weighs_each_set_once_per_profile(monkeypatch):
     assert counts == [1 + len(atoms)] * 2
 
 
+def _hex(floats):
+    return [float(x).hex() for x in np.ravel(floats)]
+
+
+def _iterate(g, profile, seed):
+    """A unit-norm grid function of weighted mean zero, as the ascent's
+    iterates are, so that most of its probes share a center."""
+    vals = np.random.default_rng(seed).standard_normal(g.cell_count)
+    vals = vals - weighted_mean(GridFunction(g, vals), profile)
+    return vals / np.linalg.norm(vals)
+
+
+@pytest.mark.parametrize("weight", sorted(ASCENT_WEIGHTS))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("d,N", [(1, 16), (2, 8)])
+def test_probes_end_with_the_float_of_their_base_row(d, N, p, weight):
+    # The last of the n + 1 floats of a Probes call is the base row's: the
+    # float a one-row call on the base gives, bit for bit.  One set (the
+    # whole ball and the half ball, which leaves probes outside), several
+    # (the transfer's whole ball under the profile with its atoms' balls
+    # unweighted, and the half ball, which pads the layout), and the
+    # gradient energy.
+    g = build_grid(d, N)
+    profile = ASCENT_WEIGHTS[weight]
+    vals = _iterate(g, profile, seed=int(10 * p) + d)
+    probes = Probes(vals, 1e-6 * np.linalg.norm(vals))
+    whole, half = full_cells(g), ball_cells(g, 0.5)
+    atoms = layer_cake(profile).atoms
+    sets = [whole, half] + [ball_cells(g, t) for t, _ in atoms]
+    profiles = [profile, profile] + [UNIT_WEIGHT] * len(atoms)
+    for functional, args in (
+        (deviation_p_rows, (whole, p, profile)),
+        (deviation_p_rows, (half, p, profile)),
+        (deviation_p_rows, (sets, p, profiles)),
+        (local_energy_rows, (whole, p, profile)),
+        (local_energy_rows, (half, p, profile)),
+    ):
+        got = functional(probes, *args)
+        assert got.shape[-1] == len(probes) == g.cell_count + 1
+        assert _hex(got[..., -1]) == _hex(functional(vals[None, :], *args))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("d,N", [(1, 16), (2, 8)])
+def test_deviation_rows_with_a_profile_per_set_equal_lone_calls(d, N, p):
+    # Sets of three sizes, so that the layout pads two of them, each under
+    # its own profile; then the same sets under the profiles reversed,
+    # which the layout memo must not mistake for the first.  Row t is set
+    # t's lone call, bit for bit, for formed rows and for probes.
+    g = build_grid(d, N)
+    sets = [full_cells(g), ball_cells(g, 0.75), ball_cells(g, 0.5)]
+    assert len({len(s) for s in sets}) == 3
+    profiles = [ASCENT_WEIGHTS[name] for name in ("power", "step", "none")]
+    vals = _iterate(g, profiles[0], seed=int(10 * p) + d)
+    rows = np.stack([vals, vals[::-1], 2.0 * vals])
+    probes = Probes(vals, 1e-6)
+    for order in (profiles, profiles[::-1]):
+        for values in (rows, probes):
+            got = deviation_p_rows(values, sets, p, order)
+            want = [deviation_p_rows(values, s, p, prof) for s, prof in zip(sets, order)]
+            assert _hex(got) == _hex(want)
+    with pytest.raises(ValueError, match="one profile per cell set"):
+        deviation_p_rows(rows, sets, p, profiles[:2])
+
+
+@pytest.mark.parametrize("weight", ["step", "power"])
+def test_transfer_target_makes_one_deviation_call_per_step(monkeypatch, weight):
+    # The transfer rhs takes the whole ball under the profile with the atom
+    # balls, and the lhs handed the same rows next reads its floats from
+    # that call: one deviation call per step, one for the start and one for
+    # the last iterate.  An lhs handed other rows makes its own call.
+    g = build_grid(1, 16)
+    profile = ASCENT_WEIGHTS[weight]
+    calls = []
+
+    def counted(values, cells, *args, **kwargs):
+        calls.append(isinstance(cells, CellSet))
+        return deviation_p_rows(values, cells, *args, **kwargs)
+
+    monkeypatch.setattr(poincheck.runner, "deviation_p_rows", counted)
+    lhs, rhs = _row_functionals(g, profile, 1.5, "transfer")
+    u0 = GridFunction(g, np.random.default_rng(7).standard_normal(g.cell_count))
+    steps = 4
+    ratio_ascent(lhs, rhs, u0, steps, 0.05, weight=profile)
+    assert calls == [False] * (steps + 2)
+    calls.clear()
+    row, other = u0.values[None, :], u0.values[::-1][None, :]
+    rhs(row)
+    alone = deviation_p_rows(other, full_cells(g), 1.5, profile)
+    assert _hex(lhs(other)) == _hex(alone)
+    assert _hex(lhs(row)) == _hex(deviation_p_rows(row, full_cells(g), 1.5, profile))
+    assert calls == [False, True, True]
+
+
 @pytest.mark.parametrize("seed,restarts", [(0, False), (3, True)])
 def test_blocked_ratio_ascent_zero_rhs_probes_and_restarts_equal_per_probe(seed, restarts):
     # The rhs is 0 where the first value exceeds the second.  The start lies
     # just below that edge, so probe 0 gets a zero gradient entry.  From
     # seed 0 the first step stays below the edge; from seed 3 it crosses,
-    # so the next step restarts.
+    # so the next step restarts.  An iterate's own row is the last of its
+    # step's probes, or a one-row call.
     g = build_grid(1, 16)
     vals = np.random.default_rng(seed).standard_normal(16)
     vals[0] = vals[1] - 1e-9
     u0 = GridFunction(g, vals)
     whole = full_cells(g)
-    zero_rows = {"probe": 0, "single": 0}
+    zero_rows = {"probe": 0, "iterate": 0}
 
     def rhs_rows(v):
-        v = formed_rows(v) if isinstance(v, Probes) else v
+        probes = isinstance(v, Probes)
+        v = formed_rows(v) if probes else v
         out = np.where(v[:, 0] > v[:, 1], 0.0, local_energy_rows(v, whole, 1.5))
-        zero_rows["single" if v.shape[0] == 1 else "probe"] += int(np.sum(out <= 0.0))
+        zero = out <= 0.0
+        zero_rows["probe"] += int(np.sum(zero[:-1])) if probes else 0
+        zero_rows["iterate"] += int(zero[-1])
         return out
 
     def rhs_scalar(u):
@@ -1314,7 +1433,7 @@ def test_blocked_ratio_ascent_zero_rhs_probes_and_restarts_equal_per_probe(seed,
     expected = per_probe_ratio_ascent(g, lhs_scalar, rhs_scalar, u0, 8, 0.05)
     ratio, best = ratio_ascent(lhs_rows, rhs_rows, u0, 8, 0.05)
     assert zero_rows["probe"] > 0
-    assert (zero_rows["single"] > 0) == restarts
+    assert (zero_rows["iterate"] > 0) == restarts
     assert ratio > lhs_scalar(u0) / rhs_scalar(u0)
     assert ratio == expected[0]
     assert np.array_equal(best.values, expected[1].values)
