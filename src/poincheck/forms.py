@@ -9,8 +9,8 @@ which gives the unweighted energies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 import numpy as np
 
@@ -239,20 +239,29 @@ def _pair_energies(
     ``functions`` are the suite members to fill, anything with ``values``.
     Each strip's ``|v_i - v_j|^p K_ij`` is formed once, as (function, rows,
     columns) within the one budget, and each weight in turn takes it times
-    its ``W_ij`` (the last weight in place) into its own row sums, on one
-    schedule per function.  One (weight, function, rows, columns) stack
+    its ``W_ij`` (the last weight in place) into its own row sums, each
+    function extracted at its own ``top``.  ``full_rows`` forms, with the
+    strips' float operations, the rows that those sums cannot settle
+    from their float tails (1-5% of them; see
+    :class:`~poincheck.numerics.SymmetricRowSums`), and every row of a call
+    whose bound does not fit.  One (weight, function, rows, columns) stack
     within the same budget, extracted at once, thins the strips of large
     sets: ms per call for 4 functions under 3 weights, untruncated
     fractional kernel, full 2-d ball (2-vCPU x86-64 host, numpy 2.4,
     medians of 21 and 4 interleaved runs), one weight at a time / one
     stack / this:
 
-      812 cells, p = 1 and 2:      31.1 / 26.4 / 24.9    43.3 / 39.1 / 34.0
-      3,228 cells, p = 1 and 2:    680 / 877 / 602       596 / 870 / 524
+      812 cells, p = 1 and 2:      31.1 / 26.4 / 23.3    43.3 / 39.1 / 30.7
+      3,228 cells, p = 1 and 2:    680 / 877 / 457       596 / 870 / 391
 
-    For one function the stack read the same on the 812 cells (14.3 / 9.5
-    / 9.6 ms at p = 1) and slower than this on the 3,228 (156 / 138 /
-    118).  A stack given three times the budget, so that its strips keep
+    The third column was taken again for one extraction per strip, as
+    medians of 5 rounds of 21 calls and 3 rounds of 4, in a slower spell
+    of the host: extracting each strip pass after pass to zero remainders
+    read 34.2, 46.8, 637 and 628 ms in the same rounds.
+
+    With the multi-pass extraction, for one function the stack read the
+    same on the 812 cells (14.3 / 9.5 / 9.6 ms at p = 1) and slower than
+    this on the 3,228 (156 / 138 / 118).  A stack given three times the budget, so that its strips keep
     their rows, was slower than one weight at a time on both sets.  A
     weighted copy lives beside the strip while a weight other than the
     last is extracted, so a call of several weights holds three strips'
@@ -266,58 +275,59 @@ def _pair_energies(
     phis = [cell_weights(cells, weight)[0] for weight in weights]
     m = idx.size
 
-    def unweighted(v, start: int, stop: int, lo: int, hi: int) -> np.ndarray:
-        """Terms ``|v_i - v_j|^p K_ij`` of rows ``start .. stop`` against
-        columns ``lo .. hi`` of the values ``v`` of one function, or of
-        each row of ``v``, formed in place."""
-        terms = np.subtract(v[..., start:stop, None], v[..., None, lo:hi])
+    def unweighted(v, rows, lo: int, hi: int) -> np.ndarray:
+        """Terms ``|v_i - v_j|^p K_ij`` of the rows ``rows`` (a slice, or
+        an int array for one function) against columns ``lo .. hi`` of the
+        values ``v`` of one function, or of each row of ``v``, formed in
+        place.  A slice keeps a (function, rows, columns) strip in C order,
+        which its row sums read fastest."""
+        terms = np.subtract(v[..., rows, None], v[..., None, lo:hi])
         np.abs(terms, out=terms)
         terms **= p
-        terms *= table[keys[start:stop, None] + center - keys[None, lo:hi]]
+        terms *= table[keys[rows, None] + center - keys[None, lo:hi]]
         return terms
 
-    def weighted(terms, phi, start: int, stop: int, lo: int, out=None) -> np.ndarray:
+    def weighted(terms, phi, rows, lo: int, out=None) -> np.ndarray:
         """``terms`` times ``W_ij`` of the weight levels ``phi``, into
         ``out``, with the diagonal zeroed."""
-        low = np.minimum(phi[start:stop, None], phi[None, lo : lo + terms.shape[-1]])
+        low = np.minimum(phi[rows, None], phi[None, lo : lo + terms.shape[-1]])
         terms = np.multiply(terms, low, out=out)
-        diag = np.arange(stop - start)
-        terms[..., diag, diag + (start - lo)] = 0.0
+        at = np.arange(m)[rows]
+        terms[..., np.arange(at.size), at - lo] = 0.0
         return terms
+
+    def full_rows(w: int, f: int, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of function f's terms under weight w, all m
+        columns, by the strips' float operations.  Values are finite
+        (``GridFunction``), so a nan term is an |u_i - u_j|^p that
+        overflows to inf times a zero kernel or weight entry: a pair that
+        contributes exactly 0, which ``fmax`` with 0 makes it.  No other
+        term is below 0."""
+        terms = unweighted(values[f], rows, 0, m)
+        terms = weighted(terms, phis[w], rows, 0, out=terms)
+        return np.fmax(terms, 0.0, out=terms)
 
     # Every term |v_i - v_j|^p K_ij W_ij of a function is at most this
     # product of maxima, up to a few roundings that the factor 2 covers.
-    # It fixes the one extraction schedule of all its strips.
+    # It fixes the extraction of all its strips.
     kmax = float(table.max())
-    spreads = (values.max(axis=1) - values.min(axis=1)).tolist()
+    spreads = values.max(axis=1) - values.min(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or nan: unfit
+        bounds = [2.0 * spreads**p * kmax * float(phi.max()) for phi in phis]
     energies = [[0.0] * len(functions) for _ in weights]
-    bounds = [[0.0] * len(functions) for _ in weights]
-    for w, phi in enumerate(phis):
-        for f, spread in enumerate(spreads):
-            try:
-                bounds[w][f] = 2.0 * spread**p * kmax * float(phi.max())
-            except OverflowError:
-                bounds[w][f] = math.inf
     if not all(SymmetricRowSums.accepts(bound) for row in bounds for bound in row):
         # Values near overflow: full-width rows for every pair, each row
-        # the exactly rounded sum that its strips would give.  Values are
-        # finite (``GridFunction``), so a nan term is an |u_i - u_j|^p that
-        # overflows to inf times a zero kernel or weight entry: a pair
-        # that contributes exactly 0.
-        rows = max(1, BLOCK_ELEMENTS // m)
-        for w, phi in enumerate(phis):
-            for f, v in enumerate(values):
-                row_sums = []
-                for start in range(0, m, rows):
-                    stop = min(m, start + rows)
-                    terms = unweighted(v, start, stop, 0, m)
-                    terms = weighted(terms, phi, start, stop, 0, out=terms)
-                    row_sums.append(ksum_rows(np.nan_to_num(terms, nan=0.0, posinf=np.inf, copy=False)))
-                energies[w][f] = ksum(np.concatenate(row_sums)) * grid.cell_measure**2
+        # the exactly rounded sum that its strips would give.
+        step = max(1, BLOCK_ELEMENTS // m)
+        blocks = np.split(np.arange(m), range(step, m, step))
+        for w in range(len(weights)):
+            for f in range(len(functions)):
+                sums = [ksum_rows(full_rows(w, f, rows)) for rows in blocks]
+                energies[w][f] = ksum(np.concatenate(sums)) * grid.cell_measure**2
         return energies
     # The strips are (rows, columns) for one function, else (function,
     # rows, columns).  Each weight then takes their terms times its W_ij,
-    # on one schedule per function.
+    # extracted per function.
     v = values[0] if len(functions) == 1 else values
     per_weight = [SymmetricRowSums(m, row[0] if v.ndim == 1 else row) for row in bounds]
     axis0 = grid.lattice[idx, 0]  # nondecreasing: cells are lattice-ordered
@@ -326,14 +336,15 @@ def _pair_energies(
     start = 0
     while start < m:
         stop = _strip_stop(ends, start, budget)
-        terms = unweighted(v, start, stop, start, ends[stop - 1])
+        rows = slice(start, stop)
+        terms = unweighted(v, rows, start, ends[stop - 1])
         for w, strips in enumerate(per_weight):
             spare = w == len(per_weight) - 1  # free to overwrite
-            strips.add(weighted(terms, phis[w], start, stop, start, out=terms if spare else None), start)
+            strips.add(weighted(terms, phis[w], rows, start, out=terms if spare else None), start)
         del terms  # before the next strip is formed
         start = stop
     for w, strips in enumerate(per_weight):
-        for f, sums in enumerate(strips.sums().reshape(len(functions), m)):
+        for f, sums in enumerate(strips.sums(partial(full_rows, w)).reshape(len(functions), m)):
             energies[w][f] = ksum(sums) * grid.cell_measure**2
     return energies
 
@@ -353,22 +364,25 @@ def kernel_energy(
     formed, in place, in strips of about 2^16 terms (see
     ``numerics.BLOCK_ELEMENTS``): rows ``start .. stop`` against the columns
     from ``start`` on, so that a strip and its temporaries stay in one
-    core's L2 cache.  Every strip is extracted on one schedule, fixed by a
-    bound on every term, and gives exact sums to two sets of rows: its own
-    rows, and by symmetry the rows of its columns past its diagonal block
-    (see :class:`~poincheck.numerics.SymmetricRowSums`).  Each row's sum is
-    thus exactly rounded, the same float as ``fsum`` of the full row, and
-    the row sums are then summed exactly rounded, so the result is
-    deterministic.  A truncated kernel's strip spans only the columns
-    within its reach along lattice axis 0 (see :func:`_reach`), and takes
-    as many rows as fit the budget at that width: the pairs it drops have
-    a zero kernel, and an exactly rounded sum does not depend on them or
-    on the strips.  If a bound of one call does not fit the schedule (inf,
-    or 2^900 and up), every energy of that call takes full-width rows,
-    summed by :func:`~poincheck.numerics.ksum_rows` to the same exactly
-    rounded row sums; there a pair with a zero kernel or weight entry
-    contributes exactly 0 even where ``|u_i - u_j|^p`` overflows, so the
-    energy is ``inf``, not ``nan``.
+    core's L2 cache.  Every strip is extracted once, at a ``top`` fixed
+    by a bound on every term, and gives sums to two sets of rows: its own
+    rows, and by symmetry the rows of its columns past its diagonal block.
+    Each row gets the exact sum of its chunks and a float tail of its
+    remainders with a proved error bound; a row whose rounding that bound
+    leaves open (a few percent of them) is formed again in full and summed
+    exactly (see :class:`~poincheck.numerics.SymmetricRowSums`).  Each
+    row's sum is thus exactly rounded, the same float as ``fsum`` of the
+    full row, and the row sums are then summed exactly rounded, so the
+    result is deterministic.  A truncated kernel's strip spans only the
+    columns within its reach along lattice axis 0 (see :func:`_reach`),
+    and takes as many rows as fit the budget at that width: the pairs it
+    drops have a zero kernel, and an exactly rounded sum does not depend
+    on them or on the strips.  If a bound of one call does not fit the
+    extraction (inf, or 2^900 and up), every energy of that call takes
+    full-width rows, summed by :func:`~poincheck.numerics.ksum_rows` to
+    the same exactly rounded row sums; there a pair with a zero kernel or
+    weight entry contributes exactly 0 even where ``|u_i - u_j|^p``
+    overflows, so the energy is ``inf``, not ``nan``.
 
     The energy is memoized on ``u`` (which is immutable), keyed by the
     cell set, the kernel, p and the weight, so a repeated call
@@ -382,8 +396,8 @@ def kernel_energy(
     and the kernel gather are formed once per strip for every weight, and
     each weight's minimum once for every function, with the same float
     operations as alone.  Each (weight, function) pair keeps its own bound
-    and schedule and its own exact accumulators, so each energy is the
-    float that function gives alone under that weight.
+    and ``top`` and its own row sums, so each energy is the float that
+    function gives alone under that weight.
 
     ``K_ij`` is gathered from the kernel evaluated once per miss on the
     lattice offsets (see :func:`_offset_kernel`).  For N a power of two

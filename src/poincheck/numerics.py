@@ -11,7 +11,10 @@ chunking, or thread count.  A long row is first cut down to a few
 floats with the same exact sum: the chunk sums of the extraction below,
 or a variant's parts and changes.  Each row of a few floats then ends in
 one ``math.fsum``, or, from a crossover on, every row at once ends in the
-few-term kernel ``_expansion_sums``, which gives the same float.
+few-term kernel ``_expansion_sums``, which gives the same float.  A row
+of a symmetric matrix ends in one exact part and a float tail whose
+rounding is proved, or, where it cannot be, in :func:`ksum_rows` of the
+full row.
 
 The few-term kernel returns ``math.fsum`` of each row of a (rows, k)
 block, bit for bit, by whole-array numpy operations.  It is ``fsum``'s
@@ -112,33 +115,65 @@ row, which is faster there.
 
 The rows of a symmetric (m, m) matrix, such as the terms of a pair
 energy, are summed by :class:`SymmetricRowSums` from strips of the upper
-triangle, so that each unordered pair is extracted once, not once in
-each of its two rows.  A strip holds rows ``start .. start + k`` against
+triangle, so that each unordered pair is formed once, not once in each
+of its two rows.  A strip holds rows ``start .. start + k`` against
 columns ``start .. start + w``: its (k, k) diagonal block and the columns
-to the right of it.  All strips run on the schedule above, fixed for the
-whole matrix (after Zhu & Hayes, "Algorithm 908: online exact summation
-of floating-point streams", ACM TOMS 2010, whose accumulators share their
-exponents): ``2^top`` bounds every entry of the matrix,
-``b = min(51, 53 - m.bit_length())``, and pass j works at ``top_j`` in
-every strip.  Pass j of a strip adds its row sums ``q @ 1`` to its own
-rows and its column sums past the diagonal block, ``1 @ q[:, k:]``, to
-the rows of those columns, all into one accumulator per row for pass j.
-Why each accumulator is exact:
+to the right of it.  Its row sums go to its own rows and its column sums
+past the diagonal block, by symmetry, to the rows of those columns.  The
+pieces that reach row i are sums over disjoint sets of its entries: its
+own strip's row sum covers the columns of that strip, and an earlier
+strip's column sum covers the columns j that are that strip's rows, so
+row i gathers at most m entries in all.  Columns past ``start + w`` are
+left out of both sums, which is exact when those entries are zero.
 
-- Every chunk entry of pass j, in every strip, is a multiple of one unit
-  ``u_j`` of magnitude at most ``2^b u_j``, by the argument above.
-- The pieces that reach row i are sums over disjoint sets of its entries
-  ``(i, j)``: its own strip's row sum covers the columns of that strip,
-  and an earlier strip's column sum covers, by symmetry, the columns j
-  that are that strip's rows.  So an accumulator is always a sum of at
-  most m chunk entries: a multiple of ``u_j`` below
-  ``(2^L - 1) 2^b u_j < 2^53 u_j`` with ``L = m.bit_length()``, hence a
-  float, and every addition into it is exact.  Columns past
-  ``start + w`` are left out of both sums, which is exact when those
-  entries are zero.
-- A row's accumulators add up to the exact sum of its entries, so their
-  ``fsum`` is the exactly rounded row sum: ``math.fsum`` of the full row,
-  bit for bit.
+Each strip is extracted once, by the first pass of the schedule above at
+one ``top`` for the whole matrix (after Zhu & Hayes, "Algorithm 908:
+online exact summation of floating-point streams", ACM TOMS 2010, whose
+accumulators share their exponents): ``2^top`` bounds every entry of the
+matrix, ``b = min(51, 53 - m.bit_length())``, and
+``q = (strip + sigma) - sigma``, ``r = strip - q``.  Three sums per row
+gather the strips' row and column sums:
+
+- ``a``, of the chunks ``q``: every chunk entry, in every strip, is a
+  multiple of one unit ``u_0`` of magnitude at most ``2^b u_0``, so any
+  sum of at most m of them is a multiple of ``u_0`` below
+  ``(2^L - 1) 2^b u_0 < 2^53 u_0`` with ``L = m.bit_length()``: a float.
+  ``a`` is exact.
+- ``t``, the tail, of the remainders ``r``, in plain floats, and ``A`` of
+  their magnitudes ``|r|``.  The row's exact sum is ``S = a + sum r``.
+  Whatever the order of the additions, and with fused multiply-adds, a
+  float sum of m terms is off by at most ``gamma_(m-1) sum |r|``, with
+  ``gamma_n = n u / (1 - n u)`` and ``u = 2^-53`` (Higham, "Accuracy and
+  stability of numerical algorithms", 2002, section 4.2); an addition
+  whose result is subnormal is exact, so this holds through underflow.
+  ``eps = 2 m u A + m 2^-1074`` bounds that error: the factor 2 covers
+  ``gamma``'s denominator and the roundings of ``A`` and of ``eps``
+  itself, and the floor the underflow of the product.
+
+The rounding of ``S`` is then proved as in Rump, Ogita & Oishi,
+"Accurate floating-point summation, Part II: sign, K-fold faithful and
+rounding to nearest", SIAM J. Sci. Comput. 2008.  TwoSum gives
+``s + e = a + t`` exactly, so ``S`` lies within ``eps`` of ``s + e``.
+If ``s`` is not zero and ``e - eps`` and ``e + eps`` lie strictly inside
+the half-gaps to the floats on either side of ``s`` (the gap toward zero
+is half as wide where ``|s|`` is a power of two), then ``S`` rounds to
+``s`` however ties are broken: ``s`` is ``math.fsum`` of the full row.
+The code compares the floats ``2 e +- 2 eps`` with the whole gaps, each
+the difference of two neighbouring floats and so exact; doubling is
+exact, and rounding is monotone, so a comparison that holds in floats
+holds exactly.  A row whose remainders are all zero has ``S = a``, which
+is returned as is (``+0.0`` for a zero sum).  Neither test depends on
+the order in which the sums were taken, so the rows proved, and every
+float returned, are the same under any BLAS thread count.
+
+The other rows, whose tail lies within ``eps`` of a half-gap or whose
+``eps`` is wider than the gap (a row far below ``2^top``), are formed
+again in full by the caller and summed by :func:`ksum_rows`, in blocks
+of at most ``BLOCK_ELEMENTS / 2`` terms: whole ``BLOCK_ELEMENTS`` blocks
+took the peak of traced memory of a ball2d-p1 ``verify`` pair-energy
+call to 2.49 MB, above the 2.10 MB that extracting its strips pass after
+pass to zero remainders needs; half blocks keep it at 1.95 MB.  That
+multi-pass extraction takes 4-5 passes per strip at p = 2.
 
 Variants of a few rows, each one row with a few entries replaced (the
 finite-difference probes of a ratio ascent), are summed by
@@ -157,41 +192,23 @@ cells peels in 3-5 us.
 
 The pair energies of a suite's k functions are formed together, so a
 strip can carry a function axis: shape (k, rows, columns), the same rows
-and columns of k symmetric matrices.  Each matrix keeps its own bound and
-so its own ``top`` and schedule; pass j adds matrix f's chunks to its own
-accumulator of (f, row), so an accumulator still sums at most m chunk
-entries of one matrix, all multiples of that matrix's unit, and every row
-sum is the float it is with the matrix alone.  One pass works on all
-matrices still live, each at its own ``sigma``, and a matrix leaves the
-passes when all its remainders are zero: the strip takes as many passes
-as its slowest matrix would alone, and a matrix far below the others
-adds none to them.  Within a matrix no rows leave early, since the
-matrices must keep one shape.  The energies of several weights share
-every term up to the factor ``W_ij``, so a strip is formed once and each
-weight adds the strip times its ``W_ij`` to a stack of its own: the
-weights' stacks are extracted one after another, each (weight, function)
-matrix on its own schedule.  One (weight, function) stack extracted at
-once thins the strips of large sets, which costs more than it saves
-(see ``forms._pair_energies``).
+and columns of k symmetric matrices.  Each matrix keeps its own bound, so
+its own ``top`` and ``sigma``, and its own sums of (f, row): every row sum
+is the float it is with the matrix alone, and a matrix far below the
+others keeps its low bits.  The energies of several weights share every
+term up to the factor ``W_ij``, so a strip is formed once and each weight
+adds the strip times its ``W_ij`` to a stack of its own, each (weight,
+function) matrix at its own ``top``.  One (weight, function) stack
+extracted at once thins the strips of large sets, which costs more than
+it saves (see ``forms._pair_energies``).
 
-So ``_passes`` has two modes: a 2-d block sheds rows, a stack sheds
-whole matrices.  Both earn their code (``perfbench/run.py``, 4 alternating
-pairs, 2-vCPU x86-64 host): one stacked shape that sheds both read
-ball2d-p2 ``verify_s`` 0.58-0.61 s against 0.51-0.57 s, its ``sweep_s``
-0.106-0.115 s against 0.093-0.104 s, and ball2d-p1 ``verify_s``
-0.423-0.448 s against 0.417-0.425 s; a stack of one in place of the 2-d
-block read ball2d-p2 ``sweep_s`` 0.107-0.114 s against 0.084-0.097 s, its
-single-function strips shedding rows in 156 of their 348 passes.
-
-The price of one schedule is the bound's slack: a strip far below the
-bound spends its first pass on leading zeros.  On the pair energies of
-``perfbench/workloads/ball2d-p1.json`` (``verify`` at seed 2024, 366
-strips of the suite's 4 functions), 12 strips finished in 2 passes, 335
-in 3 and 19 in 4.  One function at a time took 544 strips: 428 in 2
-passes, 100 in 3 and 16 in 4.  Each weight's stack is extracted as it
-would be alone, so these counts do not depend on how many weights share
-a strip; what sharing saves is formation: the 366 strips are formed 142
-times, once for the three profiles of a check.
+Rows summed again in full, of all rows of the pair energies (seed 2024):
+``verify`` of ``perfbench/workloads/ball2d-p2.json`` 1,943 of 63,504
+(3.1%), of ball2d-p1 732 (1.2%), of ``configs/demo.json`` 334 of 37,248
+(0.9%); ball2d-p2 ``verify`` at 2-d N = 64 11,644 of 252,544 (4.6%).  The
+2-d ``sweep`` runs sum none again at N = 32, and 320 of 46,996 (0.7%) at
+N = 64.  On ball2d-p2 ``verify``, 9 in 10 of them are rows whose ``eps``
+exceeds their half-gap, rows far below their matrix's bound.
 """
 
 from __future__ import annotations
@@ -225,7 +242,8 @@ __all__ = ["ksum", "ksum_rows", "ksum_replaced", "SymmetricRowSums"]
 # budget is per strip, not per function: 4 functions at p = 1 on the 812
 # cells (step weight, same host, medians of 7) took 16.8 ms together with
 # the shared budget, 35.0 ms with 2^16 terms per function, and 27-29 ms
-# one at a time.  Full-width row blocks take ``2^16 // m`` rows of m.
+# one at a time.  Full-width row blocks take ``2^16 // m`` rows of m, and
+# the rows that ``SymmetricRowSums`` sums again in full half that.
 BLOCK_ELEMENTS = 1 << 16
 
 # Crossover between one ``fsum`` per row and the extraction kernel.  On a
@@ -330,56 +348,78 @@ class SymmetricRowSums:
     ``start .. start + k`` against columns ``start .. start + w``: its
     (k, k) diagonal block and the columns to the right of it.  Columns past
     ``start + w`` must be zero in those rows, and every row of the matrix
-    must lie in exactly one strip.  Each pass of the shared schedule adds
-    the strip's row sums to its rows and its column sums past the diagonal
-    block to the rows of those columns (see the module docstring).
-    ``sums()`` then returns ``math.fsum`` of each full row, bit for bit,
-    except that a row of negative zeros gives ``+0.0``.
+    must lie in exactly one strip.  Each strip is extracted once; the row
+    sums of its chunks, remainders and remainders' magnitudes go to its
+    own rows, and their column sums past the diagonal block to the rows of
+    those columns (see the module docstring).  ``sums(full_rows)`` then
+    returns ``math.fsum`` of each full row, bit for bit, except that a row
+    of negative zeros gives ``+0.0``.  A row whose rounding the tail's
+    error bound leaves open is summed again in full:
+    ``full_rows(f, rows)`` returns the rows ``rows`` (an int array) of
+    matrix f (0 for one matrix), all m columns, and is asked for at most
+    ``BLOCK_ELEMENTS / 2`` terms at a time.
 
     ``bound`` is a float for one matrix.  For a stack it holds one bound
-    per matrix, a strip has shape (n, k, w), ``sums()`` has shape (n, m),
-    and each matrix runs on its own schedule from its own bound, as it
-    would alone: a matrix far below the others neither adds passes to
-    them nor takes theirs.
+    per matrix, a strip has shape (n, k, w) and ``sums`` shape (n, m), and
+    each matrix is extracted at its own ``top``, as it would be alone.
     """
 
     def __init__(self, m: int, bound):
-        stacked = np.ndim(bound) == 1
-        bounds = list(bound) if stacked else [bound]
+        self._stacked = np.ndim(bound) == 1
+        bounds = list(bound) if self._stacked else [bound]
         for b in bounds:
             if not self.accepts(b):
                 raise ValueError(f"entry bound must lie in [0, 2^900), got {b}")
-        tops = [math.frexp(b)[1] for b in bounds]
-        self._top = np.array(tops) if stacked else tops[0]
-        self._shape = (len(bounds), m) if stacked else (m,)
-        self._bits = _bits(m)
-        self._acc: list[np.ndarray] = []  # one array of ``_shape`` per pass
+        tops = np.array([math.frexp(b)[1] for b in bounds])
+        self._sigma = np.ldexp(1.5, tops - _bits(m) + 52)[:, None, None]
+        # Per (matrix, row): the chunk sums (exact), the remainder sums and
+        # the sums of the remainders' magnitudes.
+        self._acc, self._tail, self._abs = np.zeros((3, len(bounds), m))
 
     @staticmethod
     def accepts(bound: float) -> bool:
-        """Whether ``bound`` (on every entry's magnitude) fits the schedule."""
+        """Whether ``bound`` (on every entry's magnitude) fits the extraction."""
         return 0.0 <= bound < _KERNEL_MAX_ABS
 
     def add(self, strip: np.ndarray, start: int) -> None:
-        """Add one strip; ``strip`` is overwritten."""
-        k, w = strip.shape[-2:]
-        ones = np.ones(max(k, w))
-        for step, (live, q) in enumerate(_passes(strip, self._top, self._bits, own=True)):
-            if step == len(self._acc):
-                self._acc.append(np.zeros(self._shape))
-            acc = self._acc[step]
-            if q.ndim == 2:  # ``live``: the rows still extracted
-                acc[start + live] += q @ ones[:w]
-                acc[start + k : start + w] += ones[: len(live)] @ q[:, k:]
-            else:  # ``live``: the matrices still extracted
-                acc[live, start : start + k] += q @ ones[:w]
-                acc[live, start + k : start + w] += ones[:k] @ q[:, :, k:]
+        """Add one strip; ``strip`` is overwritten with its remainders."""
+        r = strip if self._stacked else strip[None]
+        q = r + self._sigma
+        q -= self._sigma
+        r -= q
+        _, k, w = r.shape
+        ones = np.ones(w)
 
-    def sums(self) -> np.ndarray:
+        def fold(acc, part):
+            """Row sums of ``part`` to its rows, column sums past the
+            diagonal block to the rows of those columns."""
+            acc[:, start : start + k] += part @ ones
+            if w > k:
+                acc[:, start + k : start + w] += ones[:k] @ part[:, :, k:]
+
+        fold(self._acc, q)
+        fold(self._tail, r)
+        fold(self._abs, np.abs(r, out=q))
+
+    def sums(self, full_rows) -> np.ndarray:
         """Exactly rounded sum of each row: m floats, or (n, m) for a stack."""
-        if not self._acc:
-            return np.zeros(self._shape)
-        return _fsum_rows(self._acc)
+        acc, tail, m = self._acc, self._tail, self._acc.shape[1]
+        s = acc + tail  # TwoSum: s + err is acc + tail exactly
+        t = s - acc
+        err2 = 2.0 * ((acc - (s - t)) + (tail - t))
+        eps2 = self._abs * (4.0 * m * 2.0**-53) + 2.0 * m * 2.0**-1074  # twice the tail's error bound
+        above = np.nextafter(s, np.inf) - s  # the gaps to the floats on either side of s
+        below = np.nextafter(s, -np.inf) - s
+        done = (err2 + eps2 < above) & (err2 - eps2 > below) & (s != 0.0)
+        done |= self._abs == 0.0  # no remainders: acc is the exact sum
+        # Half a strip's terms: a block and the chunks and remainders of its
+        # extraction then take no more memory than a strip and its own.
+        step = max(1, BLOCK_ELEMENTS // (2 * m))
+        for f in np.flatnonzero(~done.all(axis=1)):
+            redo = np.flatnonzero(~done[f])
+            for i in range(0, redo.size, step):
+                s[f, redo[i : i + step]] = ksum_rows(full_rows(f, redo[i : i + step]))
+        return s if self._stacked else s[0]
 
 
 def _bits(n: int) -> int:
@@ -470,37 +510,28 @@ def _expansion_sums(block: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _passes(r: np.ndarray, top, bits: int, own: bool = False):
-    """Error-free extraction of the rows of ``r``, one pass per item.
+def _passes(block: np.ndarray, top: int, bits: int):
+    """Error-free extraction of the rows of the (k, n) ``block``, one pass
+    per item, on one schedule from ``top``.
 
-    ``r`` is a (k, n) block on one schedule from the int ``top``, or a
-    stack of (k, n) blocks with one schedule each, from the ints ``top``.
-    Yields ``(live, q)``: the chunks ``q`` of the leading entries ``live``
-    (indices into ``r``: rows of a block, blocks of a stack) still live,
-    valid until the next item.  Every entry of ``r`` must have magnitude at
-    most ``2^top``; pass j works at ``top - j (bits + 1)``, and a sum of
-    chunk entries is exact when it has fewer than ``2^(53 - bits)`` terms
-    (see the module docstring).  ``r`` is overwritten with the remainders
-    when ``own``; else it is only read.
+    Yields ``(live, q)``: the chunks ``q`` of the rows ``live`` (indices
+    into ``block``) still live, valid until the next item.  Every entry
+    must have magnitude at most ``2^top``; pass j works at
+    ``top - j (bits + 1)``, and a sum of chunk entries is exact when it has
+    fewer than ``2^(53 - bits)`` terms (see the module docstring).
+    ``block`` is only read.
     """
-    live = np.arange(len(r))
-    q = np.empty_like(r)
-    rest = tuple(range(1, r.ndim))
+    r, live = block, np.arange(len(block))
+    q = np.empty_like(block)
     while True:
-        if r.ndim == 2:
-            sigma = math.ldexp(1.5, top - bits + 52)
-        else:
-            sigma = np.ldexp(1.5, top - bits + 52)[:, None, None]
+        sigma = math.ldexp(1.5, top - bits + 52)
         np.add(r, sigma, out=q)
         q -= sigma
         yield live, q
-        r = np.subtract(r, q, out=r if own else None)
-        own = True
-        top = top - (bits + 1)
-        going = (r != 0.0).any(axis=rest)
+        r = np.subtract(r, q, out=None if r is block else r)
+        top -= bits + 1
+        going = (r != 0.0).any(axis=1)
         if not going.any():
             return
         if not going.all():
             r, live, q = r[going], live[going], q[: np.count_nonzero(going)]
-            if r.ndim > 2:
-                top = top[going]

@@ -410,29 +410,33 @@ def test_pair_energy_equals_per_row_fsum(p, kernel):
 
 @st.composite
 def _symmetric_strips(draw):
-    """A symmetric nonnegative (m, m) matrix and strips of its upper triangle.
+    """A symmetric (m, m) matrix and strips of its upper triangle.
 
     Entries take one drawn style per row of the upper triangle: magnitudes
-    from ``10^lo`` to ``10^hi``, subnormals, or full mantissas close below
-    one top that fill the chunk sums' bit budget.  Some rows are zero.  The
-    rows are cut into strips; each strip ends at a drawn column past which
-    its rows, and by symmetry those columns, are zero.
+    from ``10^lo`` to ``10^hi``, the same with random signs, subnormals, or
+    full mantissas close below one top that fill the chunk sums' bit
+    budget.  Some rows are zero.  The rows are cut into strips; each strip
+    ends at a drawn column past which its rows, and by symmetry those
+    columns, are zero.
     """
     m = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bounds = draw(st.tuples(st.floats(-300.0, 250.0), st.floats(-300.0, 250.0)))
     lo, hi = sorted(x + 0.0 for x in bounds)  # + 0.0: numpy refuses uniform(0.0, -0.0)
-    styles = draw(st.lists(st.sampled_from(("wide", "subnormal", "full")), min_size=1, max_size=3))
+    styles = draw(st.lists(st.sampled_from(("wide", "signed", "subnormal", "full")), min_size=1, max_size=3))
     upper = np.empty((m, m))
     for i in range(m):
         style = styles[i % len(styles)]
-        if style == "wide":
+        if style in ("wide", "signed"):
             upper[i] = rng.random(m) * 10.0 ** rng.uniform(lo, hi, m)
+            if style == "signed":
+                upper[i] *= rng.choice([-1.0, 1.0], m)
         elif style == "subnormal":
             upper[i] = rng.integers(0, 2**20, m) * 5e-324
         else:
             upper[i] = np.ldexp(1.0 - rng.random(m) * 2.0**-8, 7)
             upper[i, rng.random(m) < 0.1] *= 2.0**-40
+    upper += 0.0  # no negative zeros
     matrix = np.triu(upper)
     matrix += np.triu(matrix, 1).T  # adds to zeros only: exact
     zero = rng.random(m) < draw(st.sampled_from((0.0, 0.1, 0.5)))
@@ -447,66 +451,143 @@ def _symmetric_strips(draw):
         matrix[end:, start:stop] = 0.0
         strips.append((start, stop, end))
     slack = draw(st.integers(0, 8))
-    return matrix, strips, float(matrix.max()) * 2.0**slack
+    return matrix, strips, float(np.abs(matrix).max()) * 2.0**slack
+
+
+def _full_rows_of(stack, asked):
+    """``full_rows`` for ``SymmetricRowSums.sums`` from a stack of formed
+    matrices, recording each call's (matrix, rows) in ``asked``."""
+
+    def full_rows(f, rows):
+        assert 2 * rows.size * stack.shape[-1] <= numerics.BLOCK_ELEMENTS or rows.size == 1
+        asked.append((f, rows.tolist()))
+        return stack[f, rows]
+
+    return full_rows
+
+
+def _fsum_of_rows(matrix):
+    return np.array([math.fsum(row.tolist()) for row in matrix])
 
 
 @settings(max_examples=200, deadline=None)
 @given(_symmetric_strips())
 def test_symmetric_row_sums_equal_fsum_of_full_rows(case):
+    # Each row is ``fsum`` of the full row, whether the tail's bound settles
+    # it or the row is asked for in full; a row is asked for once at most.
     matrix, strips, bound = case
     sums = SymmetricRowSums(len(matrix), bound)
     for start, stop, end in strips:
         sums.add(matrix[start:stop, start:end].copy(), start)
-    want = np.array([math.fsum(row.tolist()) for row in matrix])
-    assert sums.sums().tobytes() == want.tobytes()
+    asked = []
+    got = sums.sums(_full_rows_of(matrix[None], asked))
+    assert got.tobytes() == _fsum_of_rows(matrix).tobytes()
+    redone = [row for f, rows in asked for row in rows]
+    assert all(f == 0 for f, _ in asked) and len(redone) == len(set(redone))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_symmetric_strips(), st.lists(st.sampled_from((0, 40, -300, -600, -1000, None)), min_size=1, max_size=5))
 def test_stacked_row_sums_equal_fsum_and_lone_passes(case, scales):
     # A stack of the drawn matrix at several scales (None: all zeros) on the
-    # same strips: each matrix's row sums are ``fsum`` of its full rows, and
-    # each strip takes as many passes as its slowest matrix alone, whose
-    # own schedule comes from its own bound.
+    # same strips.  Each strip is extracted once: what ``add`` leaves in it
+    # is, for each matrix, what it leaves for that matrix alone, at its own
+    # bound.  Each matrix's row sums are ``fsum`` of its full rows and the
+    # floats it gives alone, and the rows asked for in full are its own.
     matrix, strips, bound = case
     stack = np.array([matrix * 0.0 if e is None else np.ldexp(matrix, e) for e in scales])
     bounds = [0.0 if e is None else math.ldexp(bound, e) for e in scales]
-    runs = []
-    extract = numerics._passes
+    stacked = SymmetricRowSums(len(matrix), bounds)
+    left = []
+    for start, stop, end in strips:
+        strip = stack[:, start:stop, start:end].copy()
+        stacked.add(strip, start)
+        left.append(strip)
+    asked = []
+    got = stacked.sums(_full_rows_of(stack, asked))
+    want = np.array([_fsum_of_rows(layer) for layer in stack])
+    assert got.shape == (len(scales), len(matrix))
+    assert got.tobytes() == want.tobytes()
+    for f, (layer, layer_bound) in enumerate(zip(stack, bounds)):
+        sums = SymmetricRowSums(len(matrix), layer_bound)
+        for (start, stop, end), strip in zip(strips, left):
+            alone = layer[start:stop, start:end].copy()
+            sums.add(alone, start)
+            assert alone.tobytes() == strip[f].tobytes()
+        assert sums.sums(_full_rows_of(layer[None], [])).tobytes() == got[f].tobytes()
+    assert {f for f, _ in asked} <= set(range(len(scales)))
 
-    def counting(*args, **kwargs):
-        runs.append(0)
-        for item in extract(*args, **kwargs):
-            runs[-1] += 1
-            yield item
 
-    numerics._passes = counting
-    try:
-        stacked = SymmetricRowSums(len(matrix), bounds)
-        for start, stop, end in strips:
-            stacked.add(stack[:, start:stop, start:end].copy(), start)
-        together = list(runs)
-        lone = []
-        for layer, layer_bound in zip(stack, bounds):
-            runs.clear()
-            sums = SymmetricRowSums(len(matrix), layer_bound)
-            for start, stop, end in strips:
-                sums.add(layer[start:stop, start:end].copy(), start)
-            lone.append(list(runs))
-            want = np.array([math.fsum(row.tolist()) for row in layer])
-            assert sums.sums().tobytes() == want.tobytes()
-    finally:
-        numerics._passes = extract
-    want = np.array([[math.fsum(row.tolist()) for row in layer] for layer in stack])
-    assert stacked.sums().shape == (len(scales), len(matrix))
-    assert stacked.sums().tobytes() == want.tobytes()
-    assert together == [max(passes) for passes in zip(*lone)]
+@pytest.mark.parametrize("scale", [0, -30, 400, -900])
+@pytest.mark.parametrize("base", [1.0, 1.5, -1.0, -1.5])
+def test_symmetric_row_sums_planted_ties_reach_full_rows(base, scale):
+    # Rows whose extracted part is ``base`` and whose remainders add an
+    # exact half-gap of it (the gap above, or the narrower one below a
+    # power of two) plus one entry far below, of either sign, that decides
+    # the rounding.  A float tail cannot settle them, so each reaches
+    # ``full_rows`` and comes out as ``fsum``.  Row i of the first k holds
+    # base on its diagonal and its small entries in four columns of its
+    # own past the first k, so the strips' column sums carry them too.
+    k = 8
+    m = 5 * k
+    matrix = np.zeros((m, m))
+    ulp = math.ulp(abs(base))
+    lower = ulp / 2.0 if abs(base) == 1.0 else ulp  # gap below |base|
+    for i in range(k):
+        away, sign = i % 2 == 0, 1.0 if i % 4 < 2 else -1.0
+        half = ulp / 2.0 if away else -lower / 2.0
+        tiny = sign * ulp * 2.0**-48
+        big = 2.0**4 * ulp  # a remainder pair that cancels and widens the bound
+        entries = [math.copysign(1.0, base) * half, tiny, big, -big]
+        matrix[i, i] = base
+        cols = k + 4 * i + np.arange(4)
+        matrix[i, cols] = entries
+        matrix[cols, i] = entries
+    matrix = np.ldexp(matrix, scale)
+    want = _fsum_of_rows(matrix)
+    assert len({x.hex() for x in want[:k]}) >= 2  # the tiny entries decide
+    sums = SymmetricRowSums(m, float(np.abs(matrix).max()))
+    for start in range(0, m, 6):
+        sums.add(matrix[start : start + 6, start:].copy(), start)
+    asked = []
+    assert sums.sums(_full_rows_of(matrix[None], asked)).tobytes() == want.tobytes()
+    redone = {row for _, rows in asked for row in rows}
+    assert set(range(k)) <= redone
+
+
+def test_symmetric_row_sums_zero_and_subnormal_rows():
+    # Zero rows are settled without full rows, under any bound; so is a
+    # matrix of subnormals at its own bound, whose one extraction takes
+    # every bit.  Subnormal rows under a large bound are asked for in full.
+    rng = np.random.default_rng(1074)
+    m = 60
+    tiny = np.triu(rng.integers(1, 2**20, (m, m)) * 5e-324)
+    tiny += np.triu(tiny, 1).T
+    tiny[::3] = 0.0
+    tiny[:, ::3] = 0.0
+    big = tiny.copy()
+    big[1, 1] = 1e10
+    for matrix in (np.zeros((m, m)), tiny, big):
+        sums = SymmetricRowSums(m, float(matrix.max()))
+        for start in range(0, m, 7):
+            sums.add(matrix[start : start + 7, start:].copy(), start)
+        asked = []
+        assert sums.sums(_full_rows_of(matrix[None], asked)).tobytes() == _fsum_of_rows(matrix).tobytes()
+        redone = {row for _, rows in asked for row in rows}
+        assert not redone & set(range(0, m, 3))
+        if matrix is tiny:
+            assert not redone
+        elif matrix is big:
+            assert redone
 
 
 def test_symmetric_row_sums_bound():
+    def never(f, rows):
+        raise AssertionError("full rows asked for a zero matrix")
+
     assert SymmetricRowSums.accepts(0.0) and SymmetricRowSums.accepts(2.0**900 * (1 - 2**-53))
     for bad in (-1.0, 2.0**900, math.inf, math.nan):
         assert not SymmetricRowSums.accepts(bad)
         with pytest.raises(ValueError):
             SymmetricRowSums(4, bad)
-    assert SymmetricRowSums(3, 0.0).sums().tobytes() == np.zeros(3).tobytes()
+    assert SymmetricRowSums(3, 0.0).sums(never).tobytes() == np.zeros(3).tobytes()
