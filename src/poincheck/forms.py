@@ -127,10 +127,7 @@ def local_energy_rows(
     (:func:`~poincheck.numerics.ksum_replaced`); a probe outside the set
     gets the base's float.
     """
-    if len(cells) == 0:
-        raise ValueError("cannot take energy over an empty cell set")
-    if p < 1.0:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+    _check_pair_arguments(cells, p)
     grid = cells.grid
     rows = value_rows(values, grid)
     idx = cells.indices
@@ -242,26 +239,19 @@ def _pair_energies(
     its ``W_ij`` (the last weight in place) into its own row sums, each
     function extracted at its own ``top``.  ``full_rows`` forms, with the
     strips' float operations, the rows that those sums cannot settle
-    from their float tails (1-5% of them; see
-    :class:`~poincheck.numerics.SymmetricRowSums`), and every row of a call
-    whose bound does not fit.  One (weight, function, rows, columns) stack
-    within the same budget, extracted at once, thins the strips of large
-    sets: ms per call for 4 functions under 3 weights, untruncated
-    fractional kernel, full 2-d ball (2-vCPU x86-64 host, numpy 2.4,
-    medians of 21 and 4 interleaved runs), one weight at a time / one
-    stack / this:
+    from their float tails (1-5% of them), and every row of a (weight,
+    function) pair whose bound does not fit (see
+    :class:`~poincheck.numerics.SymmetricRowSums`).  One (weight, function,
+    rows, columns) stack within the same budget, extracted at once, thins
+    the strips of large sets: ms per call for 4 functions under 3 weights,
+    untruncated fractional kernel, full 2-d ball (2-vCPU x86-64 host,
+    numpy 2.4, medians of 21 and 4 interleaved runs), one weight at a time
+    / one stack / this:
 
       812 cells, p = 1 and 2:      31.1 / 26.4 / 23.3    43.3 / 39.1 / 30.7
       3,228 cells, p = 1 and 2:    680 / 877 / 457       596 / 870 / 391
 
-    The third column was taken again for one extraction per strip, as
-    medians of 5 rounds of 21 calls and 3 rounds of 4, in a slower spell
-    of the host: extracting each strip pass after pass to zero remainders
-    read 34.2, 46.8, 637 and 628 ms in the same rounds.
-
-    With the multi-pass extraction, for one function the stack read the
-    same on the 812 cells (14.3 / 9.5 / 9.6 ms at p = 1) and slower than
-    this on the 3,228 (156 / 138 / 118).  A stack given three times the budget, so that its strips keep
+    A stack given three times the budget, so that its strips keep
     their rows, was slower than one weight at a time on both sets.  A
     weighted copy lives beside the strip while a weight other than the
     last is extracted, so a call of several weights holds three strips'
@@ -314,22 +304,7 @@ def _pair_energies(
     spreads = values.max(axis=1) - values.min(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or nan: unfit
         bounds = [2.0 * spreads**p * kmax * float(phi.max()) for phi in phis]
-    energies = [[0.0] * len(functions) for _ in weights]
-    if not all(SymmetricRowSums.accepts(bound) for row in bounds for bound in row):
-        # Values near overflow: full-width rows for every pair, each row
-        # the exactly rounded sum that its strips would give.
-        step = max(1, BLOCK_ELEMENTS // m)
-        blocks = np.split(np.arange(m), range(step, m, step))
-        for w in range(len(weights)):
-            for f in range(len(functions)):
-                sums = [ksum_rows(full_rows(w, f, rows)) for rows in blocks]
-                energies[w][f] = ksum(np.concatenate(sums)) * grid.cell_measure**2
-        return energies
-    # The strips are (rows, columns) for one function, else (function,
-    # rows, columns).  Each weight then takes their terms times its W_ij,
-    # extracted per function.
-    v = values[0] if len(functions) == 1 else values
-    per_weight = [SymmetricRowSums(m, row[0] if v.ndim == 1 else row) for row in bounds]
+    per_weight = [SymmetricRowSums(m, row) for row in bounds]
     axis0 = grid.lattice[idx, 0]  # nondecreasing: cells are lattice-ordered
     ends = np.searchsorted(axis0, axis0 + _reach(grid, kernel), side="right").tolist()
     budget = max(1, BLOCK_ELEMENTS // len(functions))
@@ -337,16 +312,16 @@ def _pair_energies(
     while start < m:
         stop = _strip_stop(ends, start, budget)
         rows = slice(start, stop)
-        terms = unweighted(v, rows, start, ends[stop - 1])
+        terms = unweighted(values, rows, start, ends[stop - 1])
         for w, strips in enumerate(per_weight):
             spare = w == len(per_weight) - 1  # free to overwrite
             strips.add(weighted(terms, phis[w], rows, start, out=terms if spare else None), start)
         del terms  # before the next strip is formed
         start = stop
-    for w, strips in enumerate(per_weight):
-        for f, sums in enumerate(strips.sums(partial(full_rows, w)).reshape(len(functions), m)):
-            energies[w][f] = ksum(sums) * grid.cell_measure**2
-    return energies
+    return [
+        [ksum(sums) * grid.cell_measure**2 for sums in strips.sums(partial(full_rows, w))]
+        for w, strips in enumerate(per_weight)
+    ]
 
 
 def kernel_energy(
@@ -377,12 +352,13 @@ def kernel_energy(
     columns within its reach along lattice axis 0 (see :func:`_reach`),
     and takes as many rows as fit the budget at that width: the pairs it
     drops have a zero kernel, and an exactly rounded sum does not depend
-    on them or on the strips.  If a bound of one call does not fit the
-    extraction (inf, or 2^900 and up), every energy of that call takes
-    full-width rows, summed by :func:`~poincheck.numerics.ksum_rows` to
-    the same exactly rounded row sums; there a pair with a zero kernel or
-    weight entry contributes exactly 0 even where ``|u_i - u_j|^p``
-    overflows, so the energy is ``inf``, not ``nan``.
+    on them or on the strips.  A (weight, function) pair whose bound does
+    not fit the extraction (inf, nan, or 2^900 and up) takes every row in
+    full, summed by :func:`~poincheck.numerics.ksum_rows` to the same
+    exactly rounded row sums, while the other pairs of the call keep their
+    strips; in full rows a pair with a zero kernel or weight entry
+    contributes exactly 0 even where ``|u_i - u_j|^p`` overflows, so the
+    energy is ``inf``, not ``nan``.
 
     The energy is memoized on ``u`` (which is immutable), keyed by the
     cell set, the kernel, p and the weight, so a repeated call
@@ -392,10 +368,10 @@ def kernel_energy(
     (see :func:`~poincheck.grid.make_suite`; a function made alone is a
     suite of one), and :func:`kernel_energies` fills the keys of several
     weights at once.  Their strips carry a function axis, (k, rows,
-    columns), within the one budget: the differences, their p-th powers
-    and the kernel gather are formed once per strip for every weight, and
-    each weight's minimum once for every function, with the same float
-    operations as alone.  Each (weight, function) pair keeps its own bound
+    columns) with k = 1 for one function, within the one budget: the
+    differences, their p-th powers and the kernel gather are formed once
+    per strip for every weight, and each weight's minimum once for every
+    function, with the same float operations as alone.  Each (weight, function) pair keeps its own bound
     and ``top`` and its own row sums, so each energy is the float that
     function gives alone under that weight.
 

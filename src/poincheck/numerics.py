@@ -13,8 +13,8 @@ or a variant's parts and changes.  Each row of a few floats then ends in
 one ``math.fsum``, or, from a crossover on, every row at once ends in the
 few-term kernel ``_expansion_sums``, which gives the same float.  A row
 of a symmetric matrix ends in one exact part and a float tail whose
-rounding is proved, or, where it cannot be, in :func:`ksum_rows` of the
-full row.
+rounding is proved, or, where it cannot be or the matrix's bound does
+not fit the extraction, in :func:`ksum_rows` of the full row.
 
 The few-term kernel returns ``math.fsum`` of each row of a (rows, k)
 block, bit for bit, by whole-array numpy operations.  It is ``fsum``'s
@@ -172,8 +172,7 @@ again in full by the caller and summed by :func:`ksum_rows`, in blocks
 of at most ``BLOCK_ELEMENTS / 2`` terms: whole ``BLOCK_ELEMENTS`` blocks
 took the peak of traced memory of a ball2d-p1 ``verify`` pair-energy
 call to 2.49 MB, above the 2.10 MB that extracting its strips pass after
-pass to zero remainders needs; half blocks keep it at 1.95 MB.  That
-multi-pass extraction takes 4-5 passes per strip at p = 2.
+pass to zero remainders needs; half blocks keep it at 1.95 MB.
 
 Variants of a few rows, each one row with a few entries replaced (the
 finite-difference probes of a ratio ascent), are summed by
@@ -191,16 +190,21 @@ extraction is about 21 us of numpy calls, where one 1-d row of 32 or 64
 cells peels in 3-5 us.
 
 The pair energies of a suite's k functions are formed together, so a
-strip can carry a function axis: shape (k, rows, columns), the same rows
-and columns of k symmetric matrices.  Each matrix keeps its own bound, so
-its own ``top`` and ``sigma``, and its own sums of (f, row): every row sum
-is the float it is with the matrix alone, and a matrix far below the
-others keeps its low bits.  The energies of several weights share every
-term up to the factor ``W_ij``, so a strip is formed once and each weight
-adds the strip times its ``W_ij`` to a stack of its own, each (weight,
-function) matrix at its own ``top``.  One (weight, function) stack
-extracted at once thins the strips of large sets, which costs more than
-it saves (see ``forms._pair_energies``).
+strip carries a function axis: shape (k, rows, columns), the same rows
+and columns of k symmetric matrices (k = 1 for one function).  Each
+matrix keeps its own bound, so its own ``top`` and ``sigma``, and its own
+sums of (f, row): every row sum is the float it is with the matrix alone,
+and a matrix far below the others keeps its low bits.  A matrix whose
+bound is not in [0, 2^900) (inf, nan, negative, or so large that
+``sigma`` could overflow) is not extracted: its part of each strip is
+zeroed, so that no ``inf - inf`` or ``nan`` reaches the sums, and every
+one of its rows is summed again in full, as ``fsum`` has it; the other
+matrices of the stack keep their strips.  The energies of several
+weights share every term up to the factor ``W_ij``, so a strip is formed
+once and each weight adds the strip times its ``W_ij`` to a stack of its
+own, each (weight, function) matrix at its own ``top``.  One (weight,
+function) stack extracted at once thins the strips of large sets, which
+costs more than it saves (see ``forms._pair_energies``).
 
 Rows summed again in full, of all rows of the pair energies (seed 2024):
 ``verify`` of ``perfbench/workloads/ball2d-p2.json`` 1,943 of 63,504
@@ -325,7 +329,7 @@ def ksum_replaced(rows: np.ndarray, of: np.ndarray, at: np.ndarray, new: np.ndar
     if quick.size >= _EXPANSION_MIN_VARIANTS:
         # A row that does not fit has no quick variant: zero it for the passes.
         block = rows if fit.all() else np.where(fit[:, None], rows, 0.0)
-        parts = np.stack(_chunk_sums(block, float(peak[fit].max(initial=0.0))), axis=1)
+        parts = _chunk_sums(block, float(peak[fit].max(initial=0.0)))
         out[quick] = _expansion_sums(np.concatenate([parts[of[quick]], new[quick], -old[quick]], axis=1))
     else:
         peel = (fit & (np.bincount(of, minlength=len(rows)) > 2)).tolist()
@@ -340,50 +344,46 @@ def ksum_replaced(rows: np.ndarray, of: np.ndarray, at: np.ndarray, new: np.ndar
 
 
 class SymmetricRowSums:
-    """Exactly rounded row sums of a symmetric (m, m) matrix, given as
-    strips of its upper triangle; or of a stack of n such matrices, one per
-    function of a suite, given as strips of the same rows of each.
+    """Exactly rounded row sums of a stack of n symmetric (m, m) matrices,
+    one per function of a suite (n = 1 for one), given as strips of the
+    same rows of each.
 
-    Strip ``add(strip, start)`` with ``strip`` of shape (k, w) holds rows
-    ``start .. start + k`` against columns ``start .. start + w``: its
-    (k, k) diagonal block and the columns to the right of it.  Columns past
-    ``start + w`` must be zero in those rows, and every row of the matrix
-    must lie in exactly one strip.  Each strip is extracted once; the row
+    Strip ``add(strip, start)`` with ``strip`` of shape (n, k, w) holds rows
+    ``start .. start + k`` against columns ``start .. start + w`` of each
+    matrix: its (k, k) diagonal block and the columns to the right of it.
+    Columns past ``start + w`` must be zero in those rows, and every row of
+    the matrix must lie in exactly one strip.  Each strip is extracted
+    once, each matrix at its own ``top``, as it would be alone; the row
     sums of its chunks, remainders and remainders' magnitudes go to its
     own rows, and their column sums past the diagonal block to the rows of
     those columns (see the module docstring).  ``sums(full_rows)`` then
-    returns ``math.fsum`` of each full row, bit for bit, except that a row
-    of negative zeros gives ``+0.0``.  A row whose rounding the tail's
-    error bound leaves open is summed again in full:
+    returns, as an (n, m) array, ``math.fsum`` of each full row, bit for
+    bit, except that a row of negative zeros gives ``+0.0``.  A row whose
+    rounding the tail's error bound leaves open is summed again in full:
     ``full_rows(f, rows)`` returns the rows ``rows`` (an int array) of
-    matrix f (0 for one matrix), all m columns, and is asked for at most
-    ``BLOCK_ELEMENTS / 2`` terms at a time.
+    matrix f, all m columns, and is asked for at most ``BLOCK_ELEMENTS /
+    2`` terms at a time.
 
-    ``bound`` is a float for one matrix.  For a stack it holds one bound
-    per matrix, a strip has shape (n, k, w) and ``sums`` shape (n, m), and
-    each matrix is extracted at its own ``top``, as it would be alone.
+    ``bounds`` holds one bound on the magnitude of every entry per matrix.
+    A matrix whose bound is not in [0, 2^900) (inf, nan, negative or too
+    large) does not fit the extraction: its part of each strip is zeroed
+    before extraction, and every one of its rows is summed in full.
     """
 
-    def __init__(self, m: int, bound):
-        self._stacked = np.ndim(bound) == 1
-        bounds = list(bound) if self._stacked else [bound]
-        for b in bounds:
-            if not self.accepts(b):
-                raise ValueError(f"entry bound must lie in [0, 2^900), got {b}")
-        tops = np.array([math.frexp(b)[1] for b in bounds])
+    def __init__(self, m: int, bounds):
+        bounds = np.asarray(bounds, dtype=float)
+        fit = (bounds >= 0.0) & (bounds < _KERNEL_MAX_ABS)  # False at nan
+        self._unfit = np.flatnonzero(~fit)
+        tops = np.frexp(np.where(fit, bounds, 0.0))[1]
         self._sigma = np.ldexp(1.5, tops - _bits(m) + 52)[:, None, None]
         # Per (matrix, row): the chunk sums (exact), the remainder sums and
         # the sums of the remainders' magnitudes.
         self._acc, self._tail, self._abs = np.zeros((3, len(bounds), m))
 
-    @staticmethod
-    def accepts(bound: float) -> bool:
-        """Whether ``bound`` (on every entry's magnitude) fits the extraction."""
-        return 0.0 <= bound < _KERNEL_MAX_ABS
-
     def add(self, strip: np.ndarray, start: int) -> None:
         """Add one strip; ``strip`` is overwritten with its remainders."""
-        r = strip if self._stacked else strip[None]
+        r = strip
+        r[self._unfit] = 0.0  # an unfit matrix's rows are all summed in full
         q = r + self._sigma
         q -= self._sigma
         r -= q
@@ -402,7 +402,7 @@ class SymmetricRowSums:
         fold(self._abs, np.abs(r, out=q))
 
     def sums(self, full_rows) -> np.ndarray:
-        """Exactly rounded sum of each row: m floats, or (n, m) for a stack."""
+        """Exactly rounded sum of each row of each matrix: (n, m) floats."""
         acc, tail, m = self._acc, self._tail, self._acc.shape[1]
         s = acc + tail  # TwoSum: s + err is acc + tail exactly
         t = s - acc
@@ -412,6 +412,7 @@ class SymmetricRowSums:
         below = np.nextafter(s, -np.inf) - s
         done = (err2 + eps2 < above) & (err2 - eps2 > below) & (s != 0.0)
         done |= self._abs == 0.0  # no remainders: acc is the exact sum
+        done[self._unfit] = False
         # Half a strip's terms: a block and the chunks and remainders of its
         # extraction then take no more memory than a strip and its own.
         step = max(1, BLOCK_ELEMENTS // (2 * m))
@@ -419,7 +420,7 @@ class SymmetricRowSums:
             redo = np.flatnonzero(~done[f])
             for i in range(0, redo.size, step):
                 s[f, redo[i : i + step]] = ksum_rows(full_rows(f, redo[i : i + step]))
-        return s if self._stacked else s[0]
+        return s
 
 
 def _bits(n: int) -> int:
@@ -439,29 +440,24 @@ def _exact_parts(row: np.ndarray) -> list[float]:
     return parts
 
 
-def _chunk_sums(block: np.ndarray, peak: float) -> list[np.ndarray]:
+def _chunk_sums(block: np.ndarray, peak: float) -> np.ndarray:
     """Row sums of the chunks of each extraction pass of the finite (k, n)
-    ``block``, whose largest magnitude is ``peak`` (in [0, 2^900)): one
-    array of k floats per pass, adding up to the rows exactly."""
+    ``block``, whose largest magnitude is ``peak`` (in [0, 2^900)): a
+    (k, passes) block whose rows add up to those of ``block`` exactly."""
     ones = np.ones(block.shape[1])
     chunks = []
     for rows, q in _passes(block, math.frexp(peak)[1], _bits(block.shape[1])):
         chunks.append(np.zeros(len(block)))
         chunks[-1][rows] = q @ ones
-    return chunks
+    return np.stack(chunks, axis=1)
 
 
-def _fsum_rows(chunks: list[np.ndarray]) -> np.ndarray:
-    """``math.fsum`` across equal-shape arrays, entry by entry: one per
-    entry, or one few-term kernel call from ``_EXPANSION_MIN_ROWS`` entries
-    on."""
-    stacked = np.stack(chunks, axis=-1)
-    flat = stacked.reshape(-1, len(chunks))
-    if len(flat) >= _EXPANSION_MIN_ROWS:
-        sums = _expansion_sums(flat)
-    else:
-        sums = np.array([math.fsum(row) for row in flat.tolist()])
-    return sums.reshape(stacked.shape[:-1])
+def _fsum_rows(block: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a (k, passes) block: one per row, or one
+    few-term kernel call from ``_EXPANSION_MIN_ROWS`` rows on."""
+    if len(block) >= _EXPANSION_MIN_ROWS:
+        return _expansion_sums(block)
+    return np.array([math.fsum(row) for row in block.tolist()])
 
 
 def _expansion_sums(block: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import defaultdict
 import inspect
 import json
 import math
@@ -353,20 +354,17 @@ def test_pair_energy_strips_tile_the_rows(monkeypatch):
     # zero terms.  Truncated kernels drop some on the 812-cell ball; the
     # others none.  Strips are sized by their clipped width, so every strip
     # but the last holds between half and all of the budget.  A set of at
-    # most 2^16 terms is one strip, and no set whose bound fits is summed
-    # as full rows.
+    # most 2^16 terms is one strip.  One function's strips are (1, rows,
+    # columns).
     strips = []
     add = SymmetricRowSums.add
 
     def recording(self, strip, start):
-        strips.append((start, strip.copy()))
+        assert strip.shape[0] == 1
+        strips.append((start, strip[0].copy()))
         add(self, strip, start)
 
-    def full_rows(matrix):
-        raise AssertionError("full rows summed for a set whose bound fits")
-
     monkeypatch.setattr(SymmetricRowSums, "add", recording)
-    monkeypatch.setattr(forms, "ksum_rows", full_rows)
     for d, N, t in ((2, 32, 1.0), (1, 32, 1.0), (2, 32, 0.5), (2, 16, 1.0)):
         g = build_grid(d, N)
         u = GridFunction(g, np.sin(3.0 * g.centers[:, 0]) + g.centers[:, -1])
@@ -820,10 +818,12 @@ def test_multi_weight_energies_equal_lone_calls(grid_key, t, kernel, p, weights,
 
 def test_multi_weight_fill_with_one_unfit_bound_takes_full_rows_only(monkeypatch):
     # A member whose bound fits the schedule under the unit weight but not
-    # under a weight of level 2^40 sends the whole call to full-width rows:
-    # itself under both weights, and beside it a member that fits under
-    # both.  Every energy is still the lone call's float, which for each
-    # fitting pair comes from strips.
+    # under a weight of level 2^40 takes full-width rows under that weight
+    # only: all m of its rows, each once, and its part of each strip is
+    # left zero.  Beside it a member that fits under both weights, and the
+    # first member under the unit weight, are extracted from the strips,
+    # which settle some of their rows.  Every energy is still the lone
+    # call's float.
     calls = _count_pair_calls(monkeypatch)
     g = build_grid(2, 16)
     cells = full_cells(g)
@@ -834,9 +834,16 @@ def test_multi_weight_fill_with_one_unfit_bound_takes_full_rows_only(monkeypatch
     edge = np.where(g.centers[:, 0] < 0.0, spread, 0.0) * (1.0 + 0.01 * g.norms)
     values = [edge, np.sin(3.0 * g.centers[:, 0])]
     suite = make_suite(GridFunction(g, v) for v in values)
-    strips = _count_strips(monkeypatch)
+    left = _record_remainders(monkeypatch)
+    asked = _record_full_rows(monkeypatch)
     got = kernel_energies(suite[0], cells, kernel, 2.0, [UNIT_WEIGHT, heavy])
-    assert len(calls) == 1 and strips == []
+    assert len(calls) == 1 and len(asked) == 2
+    assert left and all(strip.shape[0] == 2 for strip in left)
+    assert any(strip[0].any() for strip in left[::2]) and any(strip[1].any() for strip in left[1::2])
+    assert not any(strip[0].any() for strip in left[1::2])
+    m = len(cells)
+    assert sorted(asked[1][0]) == list(range(m))
+    assert all(len(set(asked[w][f])) < m for w, f in ((0, 0), (0, 1), (1, 1)))
     for u, v in zip(suite, values):
         for weight in (UNIT_WEIGHT, heavy):
             lone = kernel_energy(GridFunction(g, v), cells, kernel, 2.0, weight)
@@ -844,17 +851,24 @@ def test_multi_weight_fill_with_one_unfit_bound_takes_full_rows_only(monkeypatch
     assert math.isfinite(got[1])
 
 
-def _count_strips(monkeypatch):
-    """The shape of each strip added to a ``SymmetricRowSums``."""
-    shapes = []
-    add = SymmetricRowSums.add
+def _record_full_rows(monkeypatch):
+    """Per ``SymmetricRowSums.sums`` call, in call order, the rows of each
+    matrix asked for in full: ``asked[call][f]`` lists them in order."""
+    asked = []
+    sums = SymmetricRowSums.sums
 
-    def recording(self, strip, start):
-        shapes.append(strip.shape)
-        add(self, strip, start)
+    def recording(self, full_rows):
+        mine = defaultdict(list)
+        asked.append(mine)
 
-    monkeypatch.setattr(SymmetricRowSums, "add", recording)
-    return shapes
+        def again(f, rows):
+            mine[f].extend(rows.tolist())
+            return full_rows(f, rows)
+
+        return sums(self, again)
+
+    monkeypatch.setattr(SymmetricRowSums, "sums", recording)
+    return asked
 
 
 def test_kernel_energies_fill_only_missing_keys(rng, monkeypatch):
@@ -1090,9 +1104,10 @@ def test_suite_strips_take_no_more_passes_than_lone_functions(N, kernel, monkeyp
         assert len(alone) == len(kinds)
         left.clear()
         kernel_energy(make_suite(GridFunction(g, v) for v in values)[0], cells, kernel, p)
-        assert len(left) == 1 and left[0].shape == (len(kinds),) + alone[0].shape
+        assert all(lone.shape[0] == 1 for lone in alone)
+        assert len(left) == 1 and left[0].shape == (len(kinds),) + alone[0].shape[1:]
         for member, lone in zip(left[0], alone):
-            assert member.tobytes() == lone.tobytes(), p
+            assert member.tobytes() == lone[0].tobytes(), p
 
 
 _EMPTY_SET = "cannot take energy over an empty cell set"

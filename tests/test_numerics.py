@@ -476,27 +476,35 @@ def test_symmetric_row_sums_equal_fsum_of_full_rows(case):
     # Each row is ``fsum`` of the full row, whether the tail's bound settles
     # it or the row is asked for in full; a row is asked for once at most.
     matrix, strips, bound = case
-    sums = SymmetricRowSums(len(matrix), bound)
+    sums = SymmetricRowSums(len(matrix), [bound])
     for start, stop, end in strips:
-        sums.add(matrix[start:stop, start:end].copy(), start)
+        sums.add(matrix[None, start:stop, start:end].copy(), start)
     asked = []
     got = sums.sums(_full_rows_of(matrix[None], asked))
+    assert got.shape == (1, len(matrix))
     assert got.tobytes() == _fsum_of_rows(matrix).tobytes()
     redone = [row for f, rows in asked for row in rows]
     assert all(f == 0 for f, _ in asked) and len(redone) == len(set(redone))
 
 
 @settings(max_examples=100, deadline=None)
-@given(_symmetric_strips(), st.lists(st.sampled_from((0, 40, -300, -600, -1000, None)), min_size=1, max_size=5))
+@given(
+    _symmetric_strips(),
+    st.lists(st.sampled_from((0, 40, -300, -600, -1000, None, "unfit")), min_size=1, max_size=5),
+)
 def test_stacked_row_sums_equal_fsum_and_lone_passes(case, scales):
-    # A stack of the drawn matrix at several scales (None: all zeros) on the
-    # same strips.  Each strip is extracted once: what ``add`` leaves in it
-    # is, for each matrix, what it leaves for that matrix alone, at its own
-    # bound.  Each matrix's row sums are ``fsum`` of its full rows and the
-    # floats it gives alone, and the rows asked for in full are its own.
+    # A stack of the drawn matrix at several scales (None: all zeros;
+    # "unfit": as drawn, under an infinite bound) on the same strips.  Each
+    # strip is extracted once: what ``add`` leaves in it is, for each
+    # matrix, what it leaves for that matrix alone, at its own bound.  Each
+    # matrix's row sums are ``fsum`` of its full rows and the floats it
+    # gives alone, and the rows asked for in full are its own: every row of
+    # an unfit matrix, whose part of each strip is left zero.
     matrix, strips, bound = case
-    stack = np.array([matrix * 0.0 if e is None else np.ldexp(matrix, e) for e in scales])
-    bounds = [0.0 if e is None else math.ldexp(bound, e) for e in scales]
+    scaled = {None: (matrix * 0.0, 0.0), "unfit": (matrix, math.inf)}
+    scaled.update((e, (np.ldexp(matrix, e), math.ldexp(bound, e))) for e in scales if isinstance(e, int))
+    stack = np.array([scaled[e][0] for e in scales])
+    bounds = [scaled[e][1] for e in scales]
     stacked = SymmetricRowSums(len(matrix), bounds)
     left = []
     for start, stop, end in strips:
@@ -509,13 +517,17 @@ def test_stacked_row_sums_equal_fsum_and_lone_passes(case, scales):
     assert got.shape == (len(scales), len(matrix))
     assert got.tobytes() == want.tobytes()
     for f, (layer, layer_bound) in enumerate(zip(stack, bounds)):
-        sums = SymmetricRowSums(len(matrix), layer_bound)
+        sums = SymmetricRowSums(len(matrix), [layer_bound])
         for (start, stop, end), strip in zip(strips, left):
-            alone = layer[start:stop, start:end].copy()
+            alone = layer[None, start:stop, start:end].copy()
             sums.add(alone, start)
-            assert alone.tobytes() == strip[f].tobytes()
+            assert alone[0].tobytes() == strip[f].tobytes()
+            if scales[f] == "unfit":
+                assert not strip[f].any()
         assert sums.sums(_full_rows_of(layer[None], [])).tobytes() == got[f].tobytes()
     assert {f for f, _ in asked} <= set(range(len(scales)))
+    for f in (f for f, e in enumerate(scales) if e == "unfit"):
+        assert sorted(row for g, rows in asked if g == f for row in rows) == list(range(len(matrix)))
 
 
 @pytest.mark.parametrize("scale", [0, -30, 400, -900])
@@ -546,11 +558,11 @@ def test_symmetric_row_sums_planted_ties_reach_full_rows(base, scale):
     matrix = np.ldexp(matrix, scale)
     want = _fsum_of_rows(matrix)
     assert len({x.hex() for x in want[:k]}) >= 2  # the tiny entries decide
-    sums = SymmetricRowSums(m, float(np.abs(matrix).max()))
+    sums = SymmetricRowSums(m, [float(np.abs(matrix).max())])
     for start in range(0, m, 6):
-        sums.add(matrix[start : start + 6, start:].copy(), start)
+        sums.add(matrix[None, start : start + 6, start:].copy(), start)
     asked = []
-    assert sums.sums(_full_rows_of(matrix[None], asked)).tobytes() == want.tobytes()
+    assert sums.sums(_full_rows_of(matrix[None], asked))[0].tobytes() == want.tobytes()
     redone = {row for _, rows in asked for row in rows}
     assert set(range(k)) <= redone
 
@@ -568,11 +580,11 @@ def test_symmetric_row_sums_zero_and_subnormal_rows():
     big = tiny.copy()
     big[1, 1] = 1e10
     for matrix in (np.zeros((m, m)), tiny, big):
-        sums = SymmetricRowSums(m, float(matrix.max()))
+        sums = SymmetricRowSums(m, [float(matrix.max())])
         for start in range(0, m, 7):
-            sums.add(matrix[start : start + 7, start:].copy(), start)
+            sums.add(matrix[None, start : start + 7, start:].copy(), start)
         asked = []
-        assert sums.sums(_full_rows_of(matrix[None], asked)).tobytes() == _fsum_of_rows(matrix).tobytes()
+        assert sums.sums(_full_rows_of(matrix[None], asked))[0].tobytes() == _fsum_of_rows(matrix).tobytes()
         redone = {row for _, rows in asked for row in rows}
         assert not redone & set(range(0, m, 3))
         if matrix is tiny:
@@ -582,12 +594,44 @@ def test_symmetric_row_sums_zero_and_subnormal_rows():
 
 
 def test_symmetric_row_sums_bound():
-    def never(f, rows):
-        raise AssertionError("full rows asked for a zero matrix")
+    # A bound fits from 0 up to just below 2^900: a zero matrix under it
+    # sums to +0.0 with no row asked for in full.  A bound that is
+    # negative, 2^900, inf or nan does not fit, and every row of its
+    # matrix is asked for in full, each once.
+    m = 3
+    fits = [0.0, 2.0**900 * (1 - 2**-53)]
+    unfit = [-1.0, 2.0**900, math.inf, math.nan]
+    sums = SymmetricRowSums(m, fits + unfit)
+    sums.add(np.zeros((len(fits + unfit), m, m)), 0)
+    asked = []
+    assert sums.sums(_full_rows_of(np.zeros((6, m, m)), asked)).tobytes() == np.zeros((6, m)).tobytes()
+    assert sorted(asked) == [(f, list(range(m))) for f in range(len(fits), len(fits + unfit))]
 
-    assert SymmetricRowSums.accepts(0.0) and SymmetricRowSums.accepts(2.0**900 * (1 - 2**-53))
-    for bad in (-1.0, 2.0**900, math.inf, math.nan):
-        assert not SymmetricRowSums.accepts(bad)
-        with pytest.raises(ValueError):
-            SymmetricRowSums(4, bad)
-    assert SymmetricRowSums(3, 0.0).sums(never).tobytes() == np.zeros(3).tobytes()
+
+def test_stack_with_unfit_bounds_sums_only_their_rows_in_full():
+    # One stack of five matrices under the bounds (fits, inf, nan, 2^900,
+    # -1.0).  The fitting one holds small integers, whose one extraction
+    # leaves no remainders, so none of its rows is asked for in full; each
+    # unfit one has all m of its rows asked for, and its entries (inf, nan,
+    # or up to 2^899 under the bound 2^900) never reach the extraction.  Every row sum is ``fsum`` of the full row, and no
+    # float operation overflows or gives nan on the way.
+    rng = np.random.default_rng(900)
+    m = 40
+    ints = np.triu(rng.integers(-50, 51, (m, m)).astype(float))
+    ints += np.triu(ints, 1).T
+    stack = np.array([ints, ints, ints, ints, ints])
+    stack[1, 3, 5] = stack[1, 5, 3] = math.inf
+    stack[2, 0, 7] = stack[2, 7, 0] = math.nan
+    stack[3] *= 2.0**893
+    stack[4] *= 0.5
+    bounds = [float(np.abs(ints).max()), math.inf, math.nan, 2.0**900, -1.0]
+    sums = SymmetricRowSums(m, bounds)
+    asked = []
+    with np.errstate(over="raise", invalid="raise"):
+        for start in range(0, m, 9):
+            sums.add(stack[:, start : start + 9, start:].copy(), start)
+        got = sums.sums(_full_rows_of(stack, asked))
+    want = np.array([_fsum_of_rows(layer) for layer in stack])
+    assert got.tobytes() == want.tobytes()
+    redone = {f: sorted(row for g, rows in asked if g == f for row in rows) for f in range(len(bounds))}
+    assert redone == {0: [], **{f: list(range(m)) for f in range(1, len(bounds))}}
