@@ -358,10 +358,9 @@ def write_rows_csv(path, columns, rows) -> None:
     """Write dict rows as CSV with the given columns, each value formatted
     by :func:`format_value`."""
     with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(columns), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({key: format_value(row.get(key)) for key in columns})
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([format_value(row.get(key)) for key in columns] for row in rows)
 
 
 def write_json(path, rows: list) -> None:

@@ -43,19 +43,14 @@ on all rows at once:
   that no sum of a few of them overflows.
 
 The kernel costs about 25 us of numpy calls and grows with k^2, one
-``fsum`` about 0.25 us per row, so each caller keeps a crossover by its
-input size.  us per call, one ``fsum`` per row against the kernel
-(2-vCPU x86-64 host, numpy 2.4, Python 3.11, best of 7 x 10 calls):
-
-  ``_fsum_rows`` (``_EXPANSION_MIN_ROWS`` = 192), by rows:
-
-    passes    64      128     192     256     512      812      3,248
-    2         16/24   29/26   41/27   52/28   100/32   170/35   635/61
-    3         18/30   32/32   47/34   61/35   119/42   207/48   794/100
-    4         20/40   37/42   53/45   69/47   134/58   234/68   904/156
-
-  :func:`ksum_replaced` (``_EXPANSION_MIN_VARIANTS`` = 256), by variants
-  of j rows of n entries with s entries replaced:
+``fsum`` about 0.25 us per row.  There is one crossover,
+``_EXPANSION_MIN_ROWS`` = 256 rows: ``_fsum_rows``, the kernel's one
+caller, takes one ``fsum`` per row below it and the kernel from it on,
+for the chunk sums of :func:`ksum_rows` and, from as many variants on,
+for those of :func:`ksum_replaced`.  us per :func:`ksum_replaced` call,
+one ``fsum`` per variant against the kernel (2-vCPU x86-64 host, numpy
+2.4, Python 3.11, best of 7 x 10 calls), by variants of j rows of n
+entries with s entries replaced:
 
     n, j, s       64       128      192      256      512       812       1,624
     812, 1, 3     104/155  138/167  178/207  212/199  349/314   536/352   976/565
@@ -63,11 +58,19 @@ input size.  us per call, one ``fsum`` per row against the kernel
     812, 12, 1    858/132  908/118  935/144  954/131  1038/172  1158/168  1400/263
     64, 1, 2      53/142   87/159   117/172  145/185  252/253   401/301   774/432
 
-The first line of :func:`ksum_replaced` is a 2-d N = 32 gradient-energy
-probe call, the second and third the deviation probes of its center row
-and of 12 center rows; the last is 1-d, whose probe calls have 32 or 64
-variants.  The third line's left side is mostly the ``fsum`` peel of 12
-long rows (see below).
+The first line is a 2-d N = 32 gradient-energy probe call, the second
+and third the deviation probes of its center row and of 12 center rows;
+the last is 1-d, whose probe calls have 32 or 64 variants.  The third
+line's left side is mostly the ``fsum`` peel of 12 long rows (see
+below).  On chunk sums of 2 to 4 columns the kernel wins from about 192
+rows on, but no call of the checked-in runs sits between 192 and 256
+rows: over ``verify``, ``sharp`` and ``sweep`` of ``configs/demo.json``,
+the two ``perfbench`` 2-d workloads and ``tests/golden/ball2d-n16.json``,
+no chunk-sum block of :func:`ksum_rows` has more than 57 rows, and the
+:func:`ksum_replaced` calls of 192 to 255 variants (80 in demo ``sharp``,
+18 in ball2d-n16 ``sharp``) stay on ``fsum``.  The chunk sums that reach
+the kernel are those of the ball2d-p1 ``sharp`` run at 2-d N = 128: 7
+blocks of up to 12,893 rows, in the transfer rhs of its ascents.
 
 A large block is summed by error-free extraction onto a fixed-point grid
 (Rump, Ogita & Oishi, "Accurate floating-point summation, Part I:
@@ -179,7 +182,7 @@ finite-difference probes of a ratio ascent), are summed by
 :func:`ksum_replaced` without forming them.  Each row's exact sum is held
 as a few parts, and a variant's exactly rounded sum is the one of its
 row's parts, its new entries and its old ones negated.  From
-``_EXPANSION_MIN_VARIANTS`` variants on, the parts of every row are its
+``_EXPANSION_MIN_ROWS`` variants on, the parts of every row are its
 chunk sums from one extraction of all rows, and the variants are the
 rows of one few-term kernel call.  Below it, a row of more than two
 variants has as parts the few floats that ``fsum`` peels off it: the
@@ -267,11 +270,10 @@ _KERNEL_MIN_ELEMENTS = 2048
 # stay finite; 2^900 leaves room for any row length that fits in memory.
 _KERNEL_MAX_ABS = 2.0**900
 
-# Crossovers between one ``math.fsum`` per row and ``_expansion_sums``,
-# by rows of ``_fsum_rows`` and by variants of ``ksum_replaced``; see the
-# table in the module docstring.
-_EXPANSION_MIN_ROWS = 192
-_EXPANSION_MIN_VARIANTS = 256
+# Crossover between one ``math.fsum`` per row and ``_expansion_sums``, in
+# rows of ``_fsum_rows``: the chunk sums of ``ksum_rows`` and the variants
+# of ``ksum_replaced``; see the module docstring.
+_EXPANSION_MIN_ROWS = 256
 
 
 def ksum(values: Iterable[float] | np.ndarray) -> float:
@@ -312,12 +314,11 @@ def ksum_replaced(rows: np.ndarray, of: np.ndarray, at: np.ndarray, new: np.ndar
     nothing.  Entry r is ``math.fsum`` of variant r, bit for bit, with the
     same exceptions: the exactly rounded sum of its row's parts (see the
     module docstring), the variant's new entries and its old ones negated,
-    by one ``fsum`` each or, from ``_EXPANSION_MIN_VARIANTS`` variants on,
-    by one few-term kernel call for all.  A
-    variant is summed in full instead when an entry of it is not finite or
-    of magnitude ``2^900`` or more, since ``fsum`` raises on ``inf - inf``,
-    or when its sum is zero, whose sign is ``fsum``'s to choose from the
-    variant's own entries.
+    by one ``fsum`` each or, from ``_EXPANSION_MIN_ROWS`` variants on, by
+    one few-term kernel call for all.  A variant is summed in full instead
+    when an entry of it is not finite or of magnitude ``2^900`` or more,
+    since ``fsum`` raises on ``inf - inf``, or when its sum is zero, whose
+    sign is ``fsum``'s to choose from the variant's own entries.
     """
     used = at >= 0
     old = np.where(used, rows[of[:, None], at], 0.0)
@@ -326,11 +327,11 @@ def ksum_replaced(rows: np.ndarray, of: np.ndarray, at: np.ndarray, new: np.ndar
     peak = np.abs(rows).max(axis=1)
     fit = peak < _KERNEL_MAX_ABS  # False at nan
     quick = np.flatnonzero(fit[of] & (np.abs(new) < _KERNEL_MAX_ABS).all(axis=1))
-    if quick.size >= _EXPANSION_MIN_VARIANTS:
+    if quick.size >= _EXPANSION_MIN_ROWS:
         # A row that does not fit has no quick variant: zero it for the passes.
         block = rows if fit.all() else np.where(fit[:, None], rows, 0.0)
         parts = _chunk_sums(block, float(peak[fit].max(initial=0.0)))
-        out[quick] = _expansion_sums(np.concatenate([parts[of[quick]], new[quick], -old[quick]], axis=1))
+        out[quick] = _fsum_rows(np.concatenate([parts[of[quick]], new[quick], -old[quick]], axis=1))
     else:
         peel = (fit & (np.bincount(of, minlength=len(rows)) > 2)).tolist()
         parts = [_exact_parts(row) if many else row.tolist() for row, many in zip(rows, peel)]
@@ -443,13 +444,30 @@ def _exact_parts(row: np.ndarray) -> list[float]:
 def _chunk_sums(block: np.ndarray, peak: float) -> np.ndarray:
     """Row sums of the chunks of each extraction pass of the finite (k, n)
     ``block``, whose largest magnitude is ``peak`` (in [0, 2^900)): a
-    (k, passes) block whose rows add up to those of ``block`` exactly."""
-    ones = np.ones(block.shape[1])
+    (k, passes) block whose rows add up to those of ``block`` exactly.
+
+    The passes run on one schedule from ``top``, the exponent of ``peak``:
+    pass j works at ``top - j (b + 1)``, takes the chunks ``q`` of the
+    rows still live, and drops the rows whose remainders are zero (see the
+    module docstring).  ``block`` is only read."""
+    k, n = block.shape
+    top, bits, ones = math.frexp(peak)[1], _bits(n), np.ones(n)
+    r, live = block, np.arange(k)
+    q = np.empty_like(block)
     chunks = []
-    for rows, q in _passes(block, math.frexp(peak)[1], _bits(block.shape[1])):
-        chunks.append(np.zeros(len(block)))
-        chunks[-1][rows] = q @ ones
-    return np.stack(chunks, axis=1)
+    while True:
+        sigma = math.ldexp(1.5, top - bits + 52)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        chunks.append(np.zeros(k))
+        chunks[-1][live] = q @ ones
+        r = np.subtract(r, q, out=None if r is block else r)
+        top -= bits + 1
+        going = (r != 0.0).any(axis=1)
+        if not going.any():
+            return np.stack(chunks, axis=1)
+        if not going.all():
+            r, live, q = r[going], live[going], q[: np.count_nonzero(going)]
 
 
 def _fsum_rows(block: np.ndarray) -> np.ndarray:
@@ -505,29 +523,3 @@ def _expansion_sums(block: np.ndarray) -> np.ndarray:
         hi[r] = math.fsum(block[r].tolist())
     return hi
 
-
-def _passes(block: np.ndarray, top: int, bits: int):
-    """Error-free extraction of the rows of the (k, n) ``block``, one pass
-    per item, on one schedule from ``top``.
-
-    Yields ``(live, q)``: the chunks ``q`` of the rows ``live`` (indices
-    into ``block``) still live, valid until the next item.  Every entry
-    must have magnitude at most ``2^top``; pass j works at
-    ``top - j (bits + 1)``, and a sum of chunk entries is exact when it has
-    fewer than ``2^(53 - bits)`` terms (see the module docstring).
-    ``block`` is only read.
-    """
-    r, live = block, np.arange(len(block))
-    q = np.empty_like(block)
-    while True:
-        sigma = math.ldexp(1.5, top - bits + 52)
-        np.add(r, sigma, out=q)
-        q -= sigma
-        yield live, q
-        r = np.subtract(r, q, out=None if r is block else r)
-        top -= bits + 1
-        going = (r != 0.0).any(axis=1)
-        if not going.any():
-            return
-        if not going.all():
-            r, live, q = r[going], live[going], q[: np.count_nonzero(going)]

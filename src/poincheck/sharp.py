@@ -116,7 +116,10 @@ class EdgeStencil:
 
     ``u' A u`` is the sum over edges k of ``coef[k] * (u[i[k]] - u[j[k]])**2``,
     so A is symmetric psd with constants in its kernel by construction.
-    The edges run axis by axis; axis a's edges end at ``axis_ends[a]``.
+    Its one diagonal, :attr:`diag`, is
+    ``np.bincount(i, coef) + np.bincount(j, coef)``: each cell's
+    coefficients as a lower end, in edge order, plus those as an upper end;
+    :meth:`dense` and the grounded factor both read it.
     ``A @ x`` costs O(edges): two gathers and two ``np.bincount``.
     """
 
@@ -124,7 +127,6 @@ class EdgeStencil:
     i: np.ndarray
     j: np.ndarray
     coef: np.ndarray
-    axis_ends: tuple[int, ...]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -134,18 +136,16 @@ class EdgeStencil:
         flux = self.coef * (x[self.i] - x[self.j])
         return np.bincount(self.i, flux, self.size) - np.bincount(self.j, flux, self.size)
 
+    @property
+    def diag(self) -> np.ndarray:
+        """The (size,) diagonal of A."""
+        return np.bincount(self.i, self.coef, self.size) + np.bincount(self.j, self.coef, self.size)
+
     def dense(self) -> np.ndarray:
-        """The (size, size) matrix.  Each diagonal entry adds its edges'
-        coefficients axis by axis, lower ends before upper ends."""
+        """The (size, size) matrix, with :attr:`diag` on its diagonal."""
         A = np.zeros(self.shape)
         A[self.i, self.j] = A[self.j, self.i] = -self.coef
-        diag = np.zeros(self.size)
-        start = 0
-        for end in self.axis_ends:
-            for ends in (self.i, self.j):
-                diag += np.bincount(ends[start:end], self.coef[start:end], self.size)
-            start = end
-        np.fill_diagonal(A, diag)
+        np.fill_diagonal(A, self.diag)
         return A
 
 
@@ -264,7 +264,9 @@ def local_stencil(cells: CellSet, weight: RadialProfile = UNIT_WEIGHT) -> EdgeSt
 
     One edge per pair of cells of the set that are lattice neighbors along
     an axis, from :attr:`~poincheck.grid.CellSet.neighbors`, with
-    coefficient ``w_i * h^(d-2)`` for its lower cell i.
+    coefficient ``w_i * h^(d-2)`` for its lower cell i.  The edges run axis
+    by axis, so a cell's diagonal entry (:attr:`EdgeStencil.diag`) sums its
+    coefficients as a lower end axis by axis, then those as an upper end.
     """
     grid, ups = cells.grid, cells.neighbors[0]
     scaled = cell_weights(cells, weight)[0] * grid.h ** (grid.d - 2)
@@ -274,11 +276,10 @@ def local_stencil(cells: CellSet, weight: RadialProfile = UNIT_WEIGHT) -> EdgeSt
         heads.append(i)
         tails.append(ups[i, a])
     i = np.concatenate(heads)
-    axis_ends = tuple(np.cumsum([h.size for h in heads]).tolist())
     arrays = (i, np.concatenate(tails), scaled[i])
     for arr in arrays:
         arr.setflags(write=False)
-    return EdgeStencil(len(cells), *arrays, axis_ends)
+    return EdgeStencil(len(cells), *arrays)
 
 
 def floor_operator(cells: CellSet, weight: RadialProfile = UNIT_WEIGHT) -> NestedRankOne:
@@ -633,13 +634,10 @@ class _BlockedCholesky:
     def of_grounded_stencil(cls, stencil: EdgeStencil) -> _BlockedCholesky:
         """The factor of the stencil's matrix with cell 0 grounded (its row
         and column dropped), each panel's lower triangle built from the
-        edge list: an edge of coefficient c between cells i < j puts c on
-        both diagonals and -c at (j, i), less one index each for the
-        dropped cell."""
-        diag = (
-            np.bincount(stencil.i, stencil.coef, stencil.size)
-            + np.bincount(stencil.j, stencil.coef, stencil.size)
-        )[1:]
+        edge list: :attr:`EdgeStencil.diag` on the diagonal and, for an
+        edge of coefficient c between cells i < j, -c at (j, i), less one
+        index each for the dropped cell."""
+        diag = stencil.diag[1:]
         lo = np.minimum(stencil.i, stencil.j) - 1
         hi = np.maximum(stencil.i, stencil.j) - 1
         kept = np.flatnonzero(lo >= 0)

@@ -49,13 +49,15 @@ class RadialProfile:
     ``values[i]`` is the level on ``[breakpoints[i-1], breakpoints[i])``
     with the conventions breakpoint ``-1`` = 0 and breakpoint ``m`` = 1.
     Intervals are half-open on the right, so the level at a breakpoint is
-    the one to its right (right-continuity).
+    the one to its right (right-continuity).  ``half_value`` is the level
+    at radius 1/2, which equals the total layer-cake mass.
     """
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
     _breaks_arr: np.ndarray = field(init=False, repr=False, compare=False)
     _values_arr: np.ndarray = field(init=False, repr=False, compare=False)
+    half_value: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         breaks = tuple(float(b) for b in self.breakpoints)
@@ -79,22 +81,14 @@ class RadialProfile:
             raise ValueError("levels must be nonincreasing (monotone weight)")
         object.__setattr__(self, "_breaks_arr", np.asarray(breaks, dtype=float))
         object.__setattr__(self, "_values_arr", np.asarray(vals, dtype=float))
-        if self.value_at(0.5) <= 0.0:
+        object.__setattr__(self, "half_value", eval_weight(self, 0.5))
+        if self.half_value <= 0.0:
             raise ValueError("profile must be positive at radius 1/2")
-
-    def value_at(self, radius: float) -> float:
-        """Level at a single radius in [0, 1)."""
-        return float(eval_weight(self, radius))
 
     @property
     def center_value(self) -> float:
         """Level at the origin."""
         return self.values[0]
-
-    @property
-    def half_value(self) -> float:
-        """Level at radius 1/2 (equals the total layer-cake mass)."""
-        return self.value_at(0.5)
 
 
 @dataclass(frozen=True)

@@ -1050,7 +1050,7 @@ def test_ascent_probes_take_the_few_term_kernel_from_its_crossover(monkeypatch, 
         if d == 1:
             assert blocks == []
         else:
-            assert blocks and min(blocks) >= numerics._EXPANSION_MIN_VARIANTS
+            assert blocks and min(blocks) >= numerics._EXPANSION_MIN_ROWS
             assert sum(blocks) >= g.cell_count
 
 

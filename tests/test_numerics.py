@@ -9,7 +9,7 @@ from poincheck.forms import KIND_FLOOR, KIND_FRACTIONAL, KernelSpec, kernel_ener
 from poincheck import numerics
 from poincheck.grid import GridFunction, build_grid, full_cells
 from poincheck.numerics import (
-    _EXPANSION_MIN_VARIANTS,
+    _EXPANSION_MIN_ROWS,
     _KERNEL_MIN_ELEMENTS,
     SymmetricRowSums,
     ksum,
@@ -156,11 +156,11 @@ _REPLACEMENTS = (0.0, -0.0, 1.0, -1e-300, 5e-324, 2.0**899, 2.0**900, -1.7e308, 
 @example(style="cancel", n=812, j=2, k=5, s=3, seed=2)
 @example(style="subnormal", n=1025, j=3, k=4, s=1, seed=3)
 @example(style="special", n=4097, j=2, k=7, s=2, seed=4)
-@example(style="cancel", n=812, j=3, k=_EXPANSION_MIN_VARIANTS - 1, s=3, seed=5)
-@example(style="wide", n=812, j=3, k=_EXPANSION_MIN_VARIANTS, s=3, seed=6)
+@example(style="cancel", n=812, j=3, k=_EXPANSION_MIN_ROWS - 1, s=3, seed=5)
+@example(style="wide", n=812, j=3, k=_EXPANSION_MIN_ROWS, s=3, seed=6)
 @example(style="full", n=812, j=12, k=1624, s=1, seed=7)
-@example(style="special", n=64, j=2, k=_EXPANSION_MIN_VARIANTS, s=2, seed=8)
-@example(style="zeros", n=33, j=1, k=_EXPANSION_MIN_VARIANTS, s=1, seed=9)
+@example(style="special", n=64, j=2, k=_EXPANSION_MIN_ROWS, s=2, seed=8)
+@example(style="zeros", n=33, j=1, k=_EXPANSION_MIN_ROWS, s=1, seed=9)
 def test_ksum_replaced_equals_fsum_of_each_variant(style, n, j, k, s, seed):
     # Variants of j rows with up to s entries replaced, some by values that
     # overflow, cancel or are not finite: each sum is fsum of the variant,
@@ -257,6 +257,38 @@ def test_expansion_sums_equal_fsum(block):
     assert numerics._expansion_sums(block).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("rows", [255, 256])
+def test_one_crossover_to_the_few_term_kernel(rows, monkeypatch):
+    # ksum_rows' chunk sums and ksum_replaced's quick variants finish
+    # through the one crossover: a block of 255 rows or 255 variants stays
+    # on fsum, one of 256 is one kernel call of 256 rows.  Each float is
+    # fsum's, bit for bit.
+    blocks = []
+    kernel = numerics._expansion_sums
+
+    def counted(block):
+        blocks.append(len(block))
+        return kernel(block)
+
+    monkeypatch.setattr(numerics, "_expansion_sums", counted)
+    want = [rows] if rows >= 256 else []
+    rng = np.random.default_rng(rows)
+    block = rng.standard_normal((rows, 16)) * 10.0 ** rng.uniform(-20.0, 20.0, (rows, 16))
+    assert block.size >= _KERNEL_MIN_ELEMENTS
+    _assert_same_as_fsum(block)
+    assert blocks == want
+    blocks.clear()
+    base = rng.standard_normal((2, 64)) * 10.0 ** rng.uniform(-20.0, 20.0, (2, 64))
+    of = rng.integers(0, 2, rows)
+    at = np.array([rng.permutation(64)[:2] for _ in range(rows)])
+    new = rng.standard_normal((rows, 2))
+    variants = base[of]
+    np.put_along_axis(variants, at, new, axis=1)
+    got = ksum_replaced(base, of, at, new)
+    assert blocks == want
+    assert got.tobytes() == _fsum_rows(variants).tobytes()
+
+
 @pytest.mark.parametrize("n", [2**j + e for j in (3, 8, 11, 13) for e in (-1, 0, 1)])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_ksum_rows_fills_the_bit_budget(n, sign):
@@ -326,15 +358,14 @@ def test_ksum_rows_longest_fixed_schedule(monkeypatch):
     # 2^-1000 and at subnormal scale take zero chunks for dozens of passes
     # and finish only at the bottom of the schedule, the pass whose unit is
     # 2^-1074.  Each row is also one ``ksum`` above the crossover.
-    passes = []
-    extract = numerics._passes
+    chunks = []
+    extract = numerics._chunk_sums
 
-    def counting(*args, **kwargs):
-        for item in extract(*args, **kwargs):
-            passes.append(item[0].size)
-            yield item
+    def counting(*args):
+        chunks.append(extract(*args))
+        return chunks[-1]
 
-    monkeypatch.setattr(numerics, "_passes", counting)
+    monkeypatch.setattr(numerics, "_chunk_sums", counting)
     rng = np.random.default_rng(899)
     n = 2100
     sign = rng.choice([-1.0, 1.0], (4, n))
@@ -348,8 +379,10 @@ def test_ksum_rows_longest_fixed_schedule(monkeypatch):
     _assert_same_as_fsum(block)
     # top = 899 and b = 41 for 2,100 columns, so pass j's unit is
     # 2^(858 - 42 j); it reaches 2^-1074 at j = 46, the last of 47 passes,
-    # which every row but the one near 2^899 lives to.
-    assert len(passes) == 47 and passes[-1] == 3
+    # which every row but the one near 2^899 lives to: a row left before
+    # the last pass has a zero chunk sum there.
+    assert len(chunks) == 1 and chunks[0].shape == (4, 47)
+    assert np.count_nonzero(chunks[0][:, -1]) == 3
     for row in block:
         assert np.array([ksum(row)]).tobytes() == _fsum_rows(row[None, :]).tobytes()
 

@@ -320,6 +320,42 @@ def test_pencils_from_the_crossover_are_stencils(d, N):
     assert pair.dense_energy().tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("N, moved", [(16, 19), (32, 133)])
+def test_stencil_dense_form_and_grounded_factor_read_one_diagonal(N, moved, monkeypatch):
+    # Under the power beta = 0.5 profile the coefficients are not dyadic,
+    # so summing a cell's edges axis by axis, lower ends before upper ends,
+    # rounds some diagonal entries (19 of 208 at N = 16, 133 of 812 at
+    # N = 32) differently from the stencil's one rule: lower ends, then
+    # upper ends.  The dense form and the grounded factor's lower triangle
+    # both carry that one diagonal, bit for bit.
+    g = build_grid(2, N)
+    cells = full_cells(g)
+    stencil = local_stencil(cells, profile_from_json({"type": "power", "beta": 0.5}))
+    diag = np.bincount(stencil.i, stencil.coef, stencil.size) + np.bincount(stencil.j, stencil.coef, stencil.size)
+    axis_by_axis = np.zeros(stencil.size)
+    edges = np.split(np.arange(stencil.i.size), [np.count_nonzero(cells.neighbors[0][:, 0] >= 0)])
+    for axis in edges:
+        for ends in (stencil.i, stencil.j):
+            axis_by_axis += np.bincount(ends[axis], stencil.coef[axis], stencil.size)
+    assert np.count_nonzero(axis_by_axis != diag) == moved
+    A = stencil.dense()
+    assert stencil.diag.tobytes() == diag.tobytes()
+    assert np.diag(A).tobytes() == diag.tobytes()
+    built = []
+    init = poincheck.sharp._BlockedCholesky.__init__
+
+    def recorded(self, first, columns):
+        built.append(columns)
+        init(self, first, columns)
+
+    monkeypatch.setattr(poincheck.sharp._BlockedCholesky, "__init__", recorded)
+    poincheck.sharp._BlockedCholesky.of_grounded_stencil(stencil)
+    n = stencil.size - 1
+    lower = built[0](0, n, n)
+    assert np.diag(lower).tobytes() == diag[1:].tobytes()
+    assert lower.tobytes() == np.tril(A[1:, 1:]).tobytes()
+
+
 @pytest.mark.parametrize("N", [32, 48])
 def test_stencil_eigensolve_agrees_with_lapack_oracle(N):
     g = build_grid(2, N)

@@ -209,8 +209,8 @@ def test_profile_json_round_trip():
 def test_power_profile_from_json():
     prof = profile_from_json({"type": "power", "beta": 2.0}, samples=8)
     assert prof.values[0] == 1.0
-    assert prof.value_at(0.5) == 0.25  # 0.5 is a left sample point for m=8
-    assert prof.value_at(0.4) == (1.0 - 3.0 / 8.0) ** 2
+    assert eval_weight(prof, 0.5) == 0.25  # 0.5 is a left sample point for m=8
+    assert eval_weight(prof, 0.4) == (1.0 - 3.0 / 8.0) ** 2
     with pytest.raises(ValueError):
         profile_from_json({"type": "power", "beta": -1.0})
     with pytest.raises(ValueError):
